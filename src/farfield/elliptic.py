@@ -566,7 +566,7 @@ def cap_energy(bub: Bubble, nl: Nonlinearity, r_ball: float) -> float:
     rr = bub.r[bub.r <= min(r_ball, bub.R)]
     vv = np.interp(rr, bub.r, bub.v)
     vp = np.interp(rr, bub.r, bub.vp)
-    G = np.array([integral_between(nl, s, bub.z) for s in vv])
+    G = integral_between(nl, vv, bub.z)
     dens = (0.5 * vp * vp + G) * rr ** (N - 1)
     E = sphere_area(N) * np.trapezoid(dens, rr)
     if r_ball > bub.R:
@@ -598,7 +598,7 @@ def ramp_energy(nl: Nonlinearity, z: float, r_ball: float, N: int = 2,
         raise InputError("ramp_energy: need r_ball > 1")
     rr = np.linspace(r_ball - 1.0, r_ball, n_shell + 1)
     vv = z * (r_ball - rr)
-    G = np.array([integral_between(nl, s, z) for s in vv])
+    G = integral_between(nl, vv, z)
     dens = (0.5 * z * z + G) * rr ** (N - 1)
     return float(sphere_area(N) * np.trapezoid(dens, rr))
 

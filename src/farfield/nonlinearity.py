@@ -50,6 +50,9 @@ class Nonlinearity:
     # zero, where F(hi)-F(lo) would cancel catastrophically)
     gap_fn: Callable | None = field(default=None, repr=False)
     params: tuple = ()
+    # gap_fn takes float arrays lo < hi (elementwise) and returns an array;
+    # when False it takes scalars only and is called once per element
+    gap_vectorized: bool = False
 
     def __post_init__(self):
         if not (self.s_max > 0 and math.isfinite(self.s_max)):
@@ -107,21 +110,29 @@ def antiderivative_F(nl: Nonlinearity, z):
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
-def integral_between(nl: Nonlinearity, lo: float, hi: float) -> float:
+def integral_between(nl: Nonlinearity, lo, hi):
     """Integral of f over [lo, hi] with relative accuracy even when tiny.
 
-    Catalog members carry closed or piecewise-exact forms; anything else falls
-    back to adaptive quadrature in relative mode.
+    `lo` and `hi` are scalars or arrays, broadcast together; scalar inputs
+    give a float, array inputs an array. Catalog members carry closed or
+    piecewise-exact forms; anything else falls back to adaptive quadrature in
+    relative mode, one element at a time.
     """
-    lo, hi = float(lo), float(hi)
-    if hi < lo:
-        return -integral_between(nl, hi, lo)
-    if hi == lo:
-        return 0.0
-    if nl.gap_fn is not None:
-        return float(nl.gap_fn(lo, hi))
-    val, _ = quad(lambda x: _f1(nl, x), lo, hi, epsabs=1e-300, epsrel=1e-12, limit=500)
-    return float(val)
+    lo_a, hi_a = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    a = np.minimum(lo_a, hi_a).ravel()
+    b = np.maximum(lo_a, hi_a).ravel()
+    live = np.flatnonzero(a != b)           # lo == hi stays an exact 0
+    val = np.zeros(a.size)
+    if nl.gap_vectorized:
+        val[live] = nl.gap_fn(a[live], b[live])
+    elif nl.gap_fn is not None:
+        val[live] = [nl.gap_fn(float(a[i]), float(b[i])) for i in live]
+    else:
+        for i in live:
+            val[i], _ = quad(lambda x: _f1(nl, x), a[i], b[i],
+                             epsabs=1e-300, epsrel=1e-12, limit=500)
+    val = np.where(hi_a.ravel() < lo_a.ravel(), -val, val).reshape(lo_a.shape)
+    return float(val) if val.ndim == 0 else val
 
 
 def _lipschitz_on_grid(fn, s_max: float) -> float:
@@ -145,19 +156,36 @@ class _PiecewiseLinear:
             raise InputError("piecewise-linear table needs at least two strictly increasing knots")
         seg = 0.5 * (self.ys[1:] + self.ys[:-1]) * np.diff(self.xs)
         self.cum = np.concatenate(([0.0], np.cumsum(seg)))
+        self.seg_padded = np.append(seg, 0.0)
 
     def __call__(self, s):
         return np.interp(s, self.xs, self.ys)
 
     def gap(self, lo, hi):
-        """Exact integral over [lo, hi]; accurate for tiny values because it
-        sums small trapezoids instead of differencing the big antiderivative."""
-        if hi <= lo:
-            return 0.0
-        inner = self.xs[(self.xs > lo) & (self.xs < hi)]
-        pts = np.concatenate(([lo], inner, [hi]))
-        vals = np.interp(pts, self.xs, self.ys)
-        return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(pts)))
+        """Exact integral over [lo, hi] for arrays lo < hi; accurate for tiny
+        values because it adds the two partial end cells to the sum of the
+        whole cells between them instead of differencing the antiderivative.
+        f is constant beyond the outer knots."""
+        xs, ys = self.xs, self.ys
+        a = np.clip(lo, xs[0], xs[-1])
+        b = np.clip(hi, xs[0], xs[-1])
+        i = np.minimum(np.searchsorted(xs, a, side="right") - 1, xs.size - 2)  # cell of a
+        j = np.maximum(np.searchsorted(xs, b, side="left") - 1, 0)             # cell of b
+        fa = np.interp(a, xs, ys)
+        fb = np.interp(b, xs, ys)
+        head = 0.5 * (ys[i + 1] + fa) * (xs[i + 1] - a)
+        tail = 0.5 * (fb + ys[j]) * (b - xs[j])
+        # whole cells i+1 .. j-1: reduceat over (start, stop) index pairs
+        # gives the sum where start < stop; the padded zero keeps every
+        # index in range
+        start, stop = i + 1, np.maximum(j, i + 1)
+        bounds = np.stack([start, stop], axis=-1).ravel()
+        whole = np.add.reduceat(self.seg_padded, bounds)[0::2].reshape(start.shape)
+        whole = np.where(stop > start, whole, 0.0)
+        core = np.where(i == j, 0.5 * (fb + fa) * (b - a), head + (whole + tail))
+        below = np.minimum(hi, xs[0]) - np.minimum(lo, xs[0])
+        above = np.maximum(hi, xs[-1]) - np.maximum(lo, xs[-1])
+        return core + ys[0] * below + ys[-1] * above
 
     def antiderivative(self, z):
         z = np.asarray(z, dtype=float)
@@ -199,7 +227,8 @@ def logistic() -> Nonlinearity:
         # factored so the (hi - lo) factor carries the smallness
         return (hi - lo) * (0.5 * (hi + lo) - (hi * hi + hi * lo + lo * lo) / 3.0)
 
-    return Nonlinearity("logistic", 2.0, _lipschitz_on_grid(fn, 2.0), fn, F, gap)
+    return Nonlinearity("logistic", 2.0, _lipschitz_on_grid(fn, 2.0), fn, F, gap,
+                        gap_vectorized=True)
 
 
 def abs_sin() -> Nonlinearity:
@@ -211,26 +240,27 @@ def abs_sin() -> Nonlinearity:
 
     def _arch(a, b, k):
         # integral of |sin| over [a, b] within arch k: product form, no cancellation
-        return 2.0 * math.sin(0.5 * (b - a)) * abs(math.sin(0.5 * (a + b) - k * math.pi))
+        return 2.0 * np.sin(0.5 * (b - a)) * np.abs(np.sin(0.5 * (a + b) - k * math.pi))
 
     def gap(lo, hi):
-        klo = math.floor(lo / math.pi)
-        khi = math.floor(hi / math.pi)
-        if khi * math.pi == hi and khi > 0:   # right endpoint on an arch boundary
-            khi -= 1
-        if klo == khi:
-            return _arch(lo, hi, klo)
-        total = _arch(lo, (klo + 1) * math.pi, klo) + _arch(khi * math.pi, hi, khi)
-        return total + 2.0 * (khi - klo - 1)
+        klo = np.floor(lo / math.pi)
+        khi = np.floor(hi / math.pi)
+        # right endpoint on an arch boundary belongs to the arch below it
+        khi = np.where((khi * math.pi == hi) & (khi > 0), khi - 1.0, khi)
+        split = (_arch(lo, (klo + 1.0) * math.pi, klo) + _arch(khi * math.pi, hi, khi)
+                 + 2.0 * (khi - klo - 1.0))
+        return np.where(klo == khi, _arch(lo, hi, klo), split)
 
-    return Nonlinearity("abs-sin", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap)
+    return Nonlinearity("abs-sin", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap,
+                        gap_vectorized=True)
 
 
 def linear_decay() -> Nonlinearity:
     fn = lambda s: 1.0 - s
     F = lambda z: z - 0.5 * z * z
     gap = lambda lo, hi: (hi - lo) * (1.0 - 0.5 * (hi + lo))
-    return Nonlinearity("linear-decay", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap)
+    return Nonlinearity("linear-decay", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap,
+                        gap_vectorized=True)
 
 
 def cantor(level: int = 6) -> Nonlinearity:
@@ -255,7 +285,7 @@ def cantor(level: int = 6) -> Nonlinearity:
         vals.append(Fraction(0))
     pl = _PiecewiseLinear([float(x) for x in knots], [float(v) for v in vals])
     return Nonlinearity(f"cantor:{level}", 1.0, _lipschitz_on_grid(pl, 1.0),
-                        pl, pl.antiderivative, pl.gap, params=(level,))
+                        pl, pl.antiderivative, pl.gap, params=(level,), gap_vectorized=True)
 
 
 def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
@@ -270,7 +300,7 @@ def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
     pl = _PiecewiseLinear(xs, ys)
     s_max = float(xs[-1])
     return Nonlinearity(kind, s_max, _lipschitz_on_grid(pl, s_max),
-                        pl, pl.antiderivative, pl.gap)
+                        pl, pl.antiderivative, pl.gap, gap_vectorized=True)
 
 
 def table_from_csv(path: str) -> Nonlinearity:

@@ -106,6 +106,79 @@ def test_integral_between_orientation():
     fwd = integral_between(nl, 0.2, 0.8)
     assert integral_between(nl, 0.8, 0.2) == -fwd
     assert integral_between(nl, 0.4, 0.4) == 0.0
+    got = integral_between(nl, np.array([0.2, 0.8, 0.4]), np.array([0.8, 0.2, 0.4]))
+    assert got.tolist() == [fwd, -fwd, 0.0]
+
+
+def _array_case(spec, tmp_path):
+    if spec == "table":
+        xs = np.linspace(0.0, 3.0, 31)
+        path = tmp_path / "f.csv"
+        rows = "".join(f"{x!r},{math.sin(3.0 * x)!r}\n" for x in xs.tolist())
+        path.write_text("s,f\n" + rows)
+        return make(f"table:{path}")
+    if spec == "reflect":
+        return reflect(make("abs-sin"), 7.0, 0.5)
+    return make(spec)
+
+
+@pytest.mark.parametrize("spec", CATALOG + ("table", "reflect"))
+def test_integral_between_array_matches_scalar(spec, tmp_path):
+    nl = _array_case(spec, tmp_path)
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(0.0, nl.s_max, 400)
+    hi = rng.uniform(0.0, nl.s_max, 400)
+    hi[:100] = lo[:100] + 10.0 ** rng.uniform(-14.0, -3.0, 100)
+    want = np.array([integral_between(nl, float(a), float(b)) for a, b in zip(lo, hi)])
+    got = integral_between(nl, lo, hi)
+    assert isinstance(got, np.ndarray) and got.shape == lo.shape
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # broadcasting against a scalar limit, as the profile quadrature calls it
+    top = 0.5 * nl.s_max
+    want = np.array([integral_between(nl, float(a), top) for a in lo])
+    got = integral_between(nl, lo.reshape(20, 20), top)
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=0.0)
+
+
+def _trapezoid_sum(xs, ys, lo, hi):
+    """Reference for piecewise-linear f: trapezoids between consecutive knots."""
+    pts = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
+    return np.diff(pts) * 0.5 * (np.interp(pts[1:], xs, ys) + np.interp(pts[:-1], xs, ys))
+
+
+@pytest.mark.parametrize("spec", ("cantor:6", "table"))
+def test_piecewise_gap_matches_trapezoid_loop(spec, tmp_path):
+    # the array form sums the whole cells in another order: agree to a few
+    # ulps of the trapezoid magnitudes
+    nl = _array_case(spec, tmp_path)
+    xs, ys = nl.fn.xs, nl.fn.ys
+    rng = np.random.default_rng(5)
+    lo, hi = np.sort(rng.uniform(0.0, nl.s_max, size=(2, 300)), axis=0)
+    got = integral_between(nl, lo, hi)
+    for g, a, b in zip(got, lo, hi):
+        traps = _trapezoid_sum(xs, ys, a, b)
+        assert abs(g - traps.sum()) <= 8 * np.finfo(float).eps * np.abs(traps).sum()
+
+
+def test_integral_between_tiny_slab_on_array_input():
+    # cantor: a slab straddling the knot 1/3, flat (f = 0) to its left and
+    # rising with slope 1 to its right, so the integral is d^2 / 2
+    nl = make("cantor:3")
+    knot = 9.0 / 27.0
+    d = np.array([1e-9, 1e-7, 1e-5])
+    lo, hi = knot - d, knot + d
+    exact = 0.5 * (hi - knot) ** 2
+    got = integral_between(nl, lo, hi)
+    assert np.all(np.abs(got - exact) / exact < 1e-12)
+    via_F = antiderivative_F(nl, hi) - antiderivative_F(nl, lo)
+    assert abs(via_F[0] - exact[0]) > 100.0 * abs(got[0] - exact[0])
+    # abs-sin: slabs ending exactly on the arch boundaries k pi
+    nl = make("abs-sin")
+    hi = np.repeat(np.arange(1, 4) * math.pi, 3)
+    lo = hi - np.tile([1e-7, 1e-5, 1e-3], 3)
+    exact = 2.0 * np.sin(0.5 * (hi - lo)) ** 2
+    got = integral_between(nl, lo, hi)
+    assert np.all(np.abs(got - exact) / exact < 1e-6)
 
 
 # ---------------------------------------------------------------------------

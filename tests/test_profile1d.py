@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from farfield import profile1d
 from farfield.errors import InputError, NumericError
 from farfield.nonlinearity import antiderivative_F, make
 from farfield.profile1d import (compute_profile, disconnectedness_probe,
@@ -137,3 +139,44 @@ def test_profile_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(xi, p.xi)
     np.testing.assert_array_equal(v, p.values)
     np.testing.assert_array_equal(w, p.w)
+
+
+# ---------------------------------------------------------------------------
+# batched Gauss-Kronrod quadrature of xi(V)
+
+def test_xi_nodes_match_closed_form():
+    # for |sin| to pi, xi(V) = ln tan((V + pi) / 4); deep in the tail only
+    # the slope-weighted error W * dxi matters, since it is what moves V
+    nl = make("abs-sin")
+    v, w, xi = profile1d._xi_quadrature_mesh(nl, math.pi, 1e-8)
+    dxi = np.abs(xi - np.log(np.tan((v + math.pi) / 4.0)))
+    assert np.all(dxi * w <= 1e-12)
+    assert np.all(dxi[v <= math.pi - 1e-6] <= 1e-8)
+
+
+def test_quadrature_budget_raises(monkeypatch):
+    monkeypatch.setattr(profile1d, "_ERR_BUDGET", 1e-30)
+    with pytest.raises(NumericError):
+        compute_profile(make("logistic"), 1.0, n=64)
+
+
+def test_quad_escalation_reproduces_batched_nodes(monkeypatch):
+    # a subdivision cap of 0 sends every segment that one Gauss-Kronrod pass
+    # leaves open to the scalar quad route
+    nl = make("cantor:3")
+    z = 0.2962962961962963          # a reachable level of cantor:3
+    v, w, xi = profile1d._xi_quadrature_mesh(nl, z, 1e-8)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(profile1d, "_GK_MAX_DEPTH", 0)
+    monkeypatch.setattr(profile1d, "quad", counted)
+    v2, _, xi2 = profile1d._xi_quadrature_mesh(nl, z, 1e-8)
+    assert calls
+    np.testing.assert_array_equal(v2, v)
+    dxi = np.abs(xi2 - xi)
+    assert np.all(dxi * w <= 1e-12)
+    assert np.all(dxi[v <= z - 1e-6] <= 1e-8)
