@@ -196,6 +196,8 @@ def _solve_and_report(args, kind: str) -> int:
         "iterations": field.meta.get("iterations"),
         "residual": field.residual,
         "out_of_window": field.meta["out_of_window"],
+        "flow_steps": field.meta.get("flow_steps"),
+        "flow_capped": field.meta.get("flow_capped"),
         "wall_time_ms": wall_ms,
     }
     _write_json(summary, os.path.join(out, "solve.json"))
@@ -389,6 +391,8 @@ def cmd_run(args) -> int:
                  "iterations": field.meta.get("iterations"),
                  "residual": field.residual,
                  "out_of_window": field.meta["out_of_window"],
+                 "flow_steps": field.meta.get("flow_steps"),
+                 "flow_capped": field.meta.get("flow_capped"),
                  "wall_time_ms": wall_ms},
                 os.path.join(out, "solve.json"))
     written.append("solve.json")

@@ -1,6 +1,6 @@
 """Finite-difference solvers for Delta u + f(u) = 0 on truncated domains.
 
-Two domain kinds share one 5-point stencil:
+Three domain kinds share one 5-point stencil:
 
   quarter : [0, L1] x [0, L2], trace at x1 = 0, hard floor u = 0 at x2 = 0,
             zero-flux (mirror ghost) at x1 = L1 and x2 = L2;
@@ -9,7 +9,13 @@ Two domain kinds share one 5-point stencil:
   torus   : periodic in both directions, no boundary data at all.
 
 Unknowns are every node except the trace column and (quarter) the floor row.
-Three solve strategies are provided and cross-validated in the tests:
+On them the Laplacian is the Kronecker sum (T1 kron I + I kron T2) / h^2 of
+1-D second differences, each Dirichlet-mirror or periodic:
+`assemble_laplacian` builds it as a sparse matrix, and the flow and the
+residuals apply it to a ghost-padded node array.
+
+Three solve strategies are provided; the tests check that newton and
+monotone reach the same state:
 
   newton   : damped Newton on the sparse system, direct factorization;
   monotone : Picard iteration u_{k+1} = (K - Delta)^{-1} (K u_k + f(u_k))
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import csr_matrix, diags, identity
+from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import bicgstab, splu
 
 from . import nonlinearity as nlm
@@ -48,38 +54,55 @@ _WINDOW_SLACK = 1e-8
 # ---------------------------------------------------------------------------
 # stencil application on full arrays (vectorized, used by flow and residuals)
 
-def _extended(u: np.ndarray, kind: str) -> np.ndarray:
-    """Pad with mirror ghosts (and, quarter only, a top mirror column)."""
-    n1p, m = u.shape
+def _fill_ghosts(P: np.ndarray, kind: str) -> None:
+    """Refresh in place the ghost ring around the node array P[1:-1, 1:-1]:
+    mirror across x1 = L1 (quarter, half) and x2 = L2 (quarter), periodic
+    otherwise. Ghost corners are never read."""
+    if kind == "torus":
+        P[0, 1:-1] = P[-2, 1:-1]
+        P[-1, 1:-1] = P[1, 1:-1]
+    else:
+        P[-1, 1:-1] = P[-3, 1:-1]
     if kind == "quarter":
-        E = np.empty((n1p + 1, m + 1))
-        E[:n1p, :m] = u
-        E[n1p, :m] = u[n1p - 2, :]          # right ghost: mirror across x1 = L1
-        E[:n1p, m] = u[:, m - 2]            # top ghost: mirror across x2 = L2
-        E[n1p, m] = u[n1p - 2, m - 2]
-        return E
-    E = np.empty((n1p + 1, m))
-    E[:n1p] = u
-    E[n1p] = u[n1p - 2]
-    return E
+        P[1:-1, -1] = P[1:-1, -3]
+    else:
+        P[1:-1, 0] = P[1:-1, -2]
+        P[1:-1, -1] = P[1:-1, 1]
+
+
+def _stencil(P: np.ndarray, kind: str, h2: float, out: np.ndarray,
+             scratch: np.ndarray) -> np.ndarray:
+    """5-point Laplacian of a ghost-filled padded array at the unknown nodes.
+
+    Writes into `out` (shape of the unknown block) with `scratch` as work
+    space. The x2 neighbours are summed north first on the quarter and
+    south first otherwise: the solved fields' last digits depend on that
+    order, so keep it.
+    """
+    r0 = 1 if kind == "torus" else 2       # first unknown row in P
+    c0 = 2 if kind == "quarter" else 1     # first unknown column in P
+    south, north = P[r0:-1, c0 - 1:-2], P[r0:-1, c0 + 1:]
+    np.add(P[r0 + 1:, c0:-1], P[r0 - 1:-2, c0:-1], out=out)
+    for side in ((north, south) if kind == "quarter" else (south, north)):
+        np.add(out, side, out=out)
+    np.multiply(P[r0:-1, c0:-1], 4.0, out=scratch)
+    np.subtract(out, scratch, out=out)
+    np.divide(out, h2, out=out)
+    return out
+
+
+def _padded(u: np.ndarray, kind: str) -> np.ndarray:
+    P = np.empty((u.shape[0] + 2, u.shape[1] + 2))
+    P[1:-1, 1:-1] = u
+    _fill_ghosts(P, kind)
+    return P
 
 
 def laplacian_full(u: np.ndarray, grid: Grid2D, kind: str) -> np.ndarray:
     """5-point Laplacian at the unknown nodes (shape (n1, width))."""
-    h2 = grid.h * grid.h
-    if kind == "torus":
-        return (np.roll(u, 1, axis=0) + np.roll(u, -1, axis=0)
-                + np.roll(u, 1, axis=1) + np.roll(u, -1, axis=1) - 4.0 * u) / h2
-    E = _extended(u, kind)
-    n1 = grid.n1
-    if kind == "quarter":
-        n2 = grid.n2
-        return (E[2:n1 + 2, 1:n2 + 1] + E[0:n1, 1:n2 + 1]
-                + E[1:n1 + 1, 2:n2 + 2] + E[1:n1 + 1, 0:n2]
-                - 4.0 * E[1:n1 + 1, 1:n2 + 1]) / h2
-    mid = E[1:-1]
-    return (E[2:] + E[:-2] + np.roll(mid, 1, axis=1) + np.roll(mid, -1, axis=1)
-            - 4.0 * mid) / h2
+    shape = _unknown_block(u, kind).shape
+    return _stencil(_padded(u, kind), kind, grid.h * grid.h, np.empty(shape),
+                    np.empty(shape))
 
 
 def _unknown_block(u: np.ndarray, kind: str) -> np.ndarray:
@@ -96,75 +119,47 @@ def residual_max(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str) -> fl
 # ---------------------------------------------------------------------------
 # sparse operator on the unknown vector
 
+def _second_difference(n: int, periodic: bool):
+    """1-D second difference with unit spacing on n >= 2 nodes, as CSR.
+
+    Periodic wraps both ends (on two nodes both neighbours are one node).
+    Otherwise the low end is Dirichlet (no entry: the neighbour is data or
+    zero) and the high end a mirror ghost, which doubles the inward entry.
+    """
+    T = diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
+    if periodic:
+        T[0, n - 1] += 1.0
+        T[n - 1, 0] += 1.0
+    else:
+        T[n - 1, n - 2] = 2.0
+    return T.tocsr()
+
+
+# (x1, x2) periodicity per kind; the other closures are Dirichlet at the
+# trace column and the quarter floor, mirror at x1 = L1 and the quarter top
+_PERIODIC = {"quarter": (False, False), "half": (False, True), "torus": (True, True)}
+
+
 def assemble_laplacian(grid: Grid2D, kind: str, trace: np.ndarray | None):
     """Sparse Laplacian L and boundary vector b with Delta u = L u + b.
 
     Unknown ordering is row-major over (i = 1..n1, j over the x2 nodes that
-    are unknowns). Mirror ghosts double the inward coefficient on zero-flux
-    edges; Dirichlet data lands in b. The torus wraps both directions and
-    has b = 0.
+    are unknowns). L is the Kronecker sum (T1 kron I + I kron T2) / h^2 of
+    1-D second differences, one per direction and closure. Mirror ghosts
+    double the inward coefficient on zero-flux edges; Dirichlet data lands
+    in b, which is the trace row over h^2. The torus wraps both directions
+    and has b = 0.
     """
     _check_kind(kind)
     n1, n2, h2 = grid.n1, grid.n2, grid.h * grid.h
-    if kind == "torus":
-        return _assemble_torus(grid), np.zeros(n1 * n2)
-    width = n2 if kind == "quarter" else grid.n2
-    nun = n1 * width
-    rows, cols, vals = [], [], []
-    b = np.zeros(nun)
-
-    def add(k, kk, v):
-        rows.append(k)
-        cols.append(kk)
-        vals.append(v)
-
-    for i in range(1, n1 + 1):
-        for jj in range(width):
-            k = (i - 1) * width + jj
-            add(k, k, -4.0 / h2)
-            # west / east in x1
-            if i == 1:
-                j_node = jj + 1 if kind == "quarter" else jj
-                b[k] += trace[j_node] / h2
-            else:
-                add(k, k - width, 1.0 / h2)
-            if i == n1:
-                add(k, k - width, 1.0 / h2)     # mirror ghost beyond x1 = L1
-            else:
-                add(k, k + width, 1.0 / h2)
-            # south / north in x2
-            if kind == "quarter":
-                if jj == 0:
-                    pass                        # floor node is 0: no entry, no b
-                else:
-                    add(k, k - 1, 1.0 / h2)
-                if jj == width - 1:
-                    add(k, k - 1, 1.0 / h2)     # mirror ghost beyond x2 = L2
-                else:
-                    add(k, k + 1, 1.0 / h2)
-            else:
-                add(k, (i - 1) * width + (jj - 1) % width, 1.0 / h2)
-                add(k, (i - 1) * width + (jj + 1) % width, 1.0 / h2)
-
-    L = csr_matrix((vals, (rows, cols)), shape=(nun, nun))
-    L.sum_duplicates()
+    p1, p2 = _PERIODIC[kind]
+    T1, T2 = _second_difference(n1, p1), _second_difference(n2, p2)
+    L = (kron(T1, identity(n2), format="csr")
+         + kron(identity(n1), T2, format="csr")) * (1.0 / h2)
+    b = np.zeros(n1 * n2)
+    if kind != "torus":
+        b[:n2] += (trace[1:] if kind == "quarter" else trace) / h2
     return L, b
-
-
-def _assemble_torus(grid: Grid2D):
-    n1, n2, h2 = grid.n1, grid.n2, grid.h * grid.h
-    nun = n1 * n2
-    rows, cols, vals = [], [], []
-    for i in range(n1):
-        for j in range(n2):
-            k = i * n2 + j
-            rows += [k, k, k, k, k]
-            cols += [k, ((i - 1) % n1) * n2 + j, ((i + 1) % n1) * n2 + j,
-                     i * n2 + (j - 1) % n2, i * n2 + (j + 1) % n2]
-            vals += [-4.0 / h2, 1.0 / h2, 1.0 / h2, 1.0 / h2, 1.0 / h2]
-    L = csr_matrix((vals, (rows, cols)), shape=(nun, nun))
-    L.sum_duplicates()
-    return L
 
 
 def _vec(u: np.ndarray, kind: str) -> np.ndarray:
@@ -187,7 +182,11 @@ def _fprime_numeric(nl: Nonlinearity, v: np.ndarray, delta: float = 1e-7) -> np.
 def _linear_solve(A, rhs):
     n = A.shape[0]
     if n <= _DIRECT_MAX:
-        return splu(A.tocsc()).solve(rhs)
+        try:
+            lu = splu(A.tocsc())
+        except RuntimeError as e:     # SuperLU: "Factor is exactly singular"
+            raise NumericError(f"direct linear solve failed: {e}") from None
+        return lu.solve(rhs)
     # mirror ghosts make the stencil nonsymmetric, so no cg here
     x, info = bicgstab(A, rhs, rtol=1e-10, atol=0.0, maxiter=20 * n)
     if info != 0:
@@ -291,20 +290,29 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
 
     Forward Euler with dt = dt_factor * h^2 (stable for the 5-point stencil
     with margin left for the reaction term). Used as the basin selector of
-    the auto method, not as a solver in its own right.
+    the auto method, not as a solver in its own right. Returns the state
+    and the number of steps taken; max_steps means the flow stopped at the
+    cap without reaching res_target.
     """
-    dt = dt_factor * grid.h * grid.h
+    h2 = grid.h * grid.h
+    dt = dt_factor * h2
     if nl.lipschitz_estimate * dt > 0.5:
         dt = 0.5 / nl.lipschitz_estimate
-    u = u0.copy()
+    P = _padded(u0, kind)        # the state, with its ghost ring, for the whole run
+    u = P[1:-1, 1:-1]
+    blk = _unknown_block(u, kind)
+    rate = np.empty(blk.shape)
+    scratch = np.empty(blk.shape)
     for k in range(max_steps):
-        rate = laplacian_full(u, grid, kind) + eval_capped(nl, _unknown_block(u, kind))
-        rmax = float(np.max(np.abs(rate)))
+        _stencil(P, kind, h2, rate, scratch)
+        np.add(rate, eval_capped(nl, blk), out=rate)
+        rmax = float(np.max(np.abs(rate, out=scratch)))
         if rmax <= res_target:
-            return u, k
-        blk = _unknown_block(u, kind)
-        blk += dt * rate
-    return u, max_steps
+            return u.copy(), k
+        np.multiply(rate, dt, out=rate)
+        blk += rate
+        _fill_ghosts(P, kind)
+    return u.copy(), max_steps
 
 
 def _default_start(grid: Grid2D, kind: str, trace: np.ndarray) -> np.ndarray:
@@ -374,9 +382,11 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     elif method == "monotone":
         f = monotone_iterate(nl, grid, kind, tr, u, direction="above", tol=tol)
     elif method == "auto":
-        u_flow, steps = flow_relax(nl, u, grid, kind, res_target=flow_target)
+        u_flow, steps = flow_relax(nl, u, grid, kind, res_target=flow_target,
+                                   max_steps=_FLOW_MAX_STEPS)
         f = newton_solve(nl, grid, kind, tr, u_flow, tol=tol)
         f.meta["flow_steps"] = steps
+        f.meta["flow_capped"] = steps == _FLOW_MAX_STEPS
         f.meta["method"] = "auto"
     else:
         raise InputError(f"unknown method {method!r} (newton | monotone | auto)")

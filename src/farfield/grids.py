@@ -105,15 +105,17 @@ class Field:
 
 
 def save_field_csv(f: Field, path: str) -> None:
-    """Row-major x1,x2,u dump with 17 significant digits."""
-    x1 = f.grid.x1_nodes(f.kind)
-    x2 = f.grid.x2(f.kind)
+    """Row-major x1,x2,u dump with 17 significant digits.
+
+    The bytes are those of a `csv.writer` in its default dialect: no field
+    needs quoting, and every line ends in \r\n.
+    """
+    x1 = [f"{v:.17g}," for v in f.grid.x1_nodes(f.kind).tolist()]
+    x2 = [f"{v:.17g}," for v in f.grid.x2(f.kind).tolist()]
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x1", "x2", "u"])
-        for i in range(x1.size):
-            for j in range(x2.size):
-                wr.writerow([f"{x1[i]:.17g}", f"{x2[j]:.17g}", f"{f.values[i, j]:.17g}"])
+        fh.write("x1,x2,u\r\n")
+        for a, row in zip(x1, f.values.tolist()):
+            fh.write("".join([f"{a}{b}{v:.17g}\r\n" for b, v in zip(x2, row)]))
 
 
 def load_field_csv(path: str):

@@ -123,7 +123,7 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace, u0: np.ndarr
         f = newton_solve(nl, grid, kind, tr, _start(u0, kind, tr), tol=tol)
         if not f.meta["out_of_window"]:
             return f, "newton"
-    except (NumericError, RuntimeError):
+    except NumericError:
         pass
     u_flow, _ = flow_relax(nl, _start(u0, kind, tr), grid, kind, res_target=1e-5)
     f = newton_solve(nl, grid, kind, tr, u_flow, tol=tol)

@@ -135,8 +135,9 @@ def test_solve_quarter_writes_the_artifact_set(tmp_path, capsys):
     summary = json.loads(_read(out / "solve.json"))
     assert set(summary) == {"kind", "f", "grid", "boundary", "method",
                             "iterations", "residual", "out_of_window",
-                            "wall_time_ms"}
+                            "flow_steps", "flow_capped", "wall_time_ms"}
     assert summary["kind"] == "quarter"
+    assert summary["flow_steps"] > 0 and summary["flow_capped"] is False
     assert not summary["out_of_window"]
 
 

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+import farfield.elliptic as elliptic
 from farfield.elliptic import (Bubble, assemble_laplacian, ball_volume,
                                bubble_energy, cap_energy, dirichlet_eigenpair,
-                               laplacian_full, level_energy, monotone_iterate,
-                               newton_solve, radial_bubble, ramp_energy,
-                               residual_max, sliding_verify, solve_field,
-                               solve_half, solve_quarter, sphere_area, _vec)
+                               flow_relax, laplacian_full, level_energy,
+                               monotone_iterate, newton_solve, radial_bubble,
+                               ramp_energy, residual_max, sliding_verify,
+                               solve_field, solve_half, solve_quarter,
+                               sphere_area, _vec)
 from farfield.errors import ConsistencyError, InputError
 from farfield.grids import Field, as_trace, make_grid
-from farfield.nonlinearity import integral_between, make
+from farfield.nonlinearity import eval_capped, integral_between, make
 from farfield.profile1d import compute_profile
 
 
@@ -38,6 +40,89 @@ def test_stencil_routes_agree(kind):
     direct = laplacian_full(u, g, kind)
     via_matrix = (L @ _vec(u, kind) + b).reshape(direct.shape)
     assert float(np.max(np.abs(direct - via_matrix))) < 1e-12
+
+
+def _dense_laplacian(grid, kind, trace):
+    """Brute-force Delta u = L u + b: visit the four neighbours of each unknown."""
+    n1, n2, h2 = grid.n1, grid.n2, grid.h * grid.h
+    if kind == "torus":
+        nodes = [(i, j) for i in range(n1) for j in range(n2)]
+    elif kind == "quarter":
+        nodes = [(i, j) for i in range(1, n1 + 1) for j in range(1, n2 + 1)]
+    else:
+        nodes = [(i, j) for i in range(1, n1 + 1) for j in range(n2)]
+    index = {p: k for k, p in enumerate(nodes)}
+    L = np.zeros((len(nodes), len(nodes)))
+    b = np.zeros(len(nodes))
+    for k, (i, j) in enumerate(nodes):
+        L[k, k] = -4.0 / h2
+        for a, c in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if kind == "torus":
+                a %= n1
+            elif a == n1 + 1:
+                a = n1 - 1                  # mirror ghost beyond x1 = L1
+            if kind != "quarter":
+                c %= n2
+            elif c == n2 + 1:
+                c = n2 - 1                  # mirror ghost beyond x2 = L2
+            if (a, c) in index:
+                L[k, index[a, c]] += 1.0 / h2
+            elif kind == "quarter" and c == 0:
+                pass                        # floor node, u = 0
+            else:
+                assert a == 0
+                b[k] += trace[c] / h2       # trace column
+    return L, b
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 0.5), (1.0, 1.5, 0.5), (3.0, 0.7, 0.1)])
+def test_assembly_matches_dense_reference(kind, dims):
+    # the smallest grids have n1 = 2 and n2 = 2: on a periodic width of two
+    # both x2 neighbours are the same node and must sum to 2/h^2
+    g = make_grid(*dims)
+    rng = np.random.default_rng(7)
+    trace = (None if kind == "torus"
+             else as_trace(rng.uniform(-1, 1, g.x2(kind).size), g, kind))
+    L, b = assemble_laplacian(g, kind, trace)
+    L_ref, b_ref = _dense_laplacian(g, kind, trace)
+    assert np.array_equal(L.toarray(), L_ref)
+    assert np.array_equal(b, b_ref)
+
+
+def _reference_flow(nl, u0, grid, kind, res_target, max_steps):
+    """Explicit Euler on full arrays, with dt chosen as flow_relax does."""
+    dt = 0.2 * grid.h * grid.h
+    if nl.lipschitz_estimate * dt > 0.5:
+        dt = 0.5 / nl.lipschitz_estimate
+    u = u0.copy()
+    blk = {"quarter": u[1:, 1:], "half": u[1:, :], "torus": u}[kind]
+    for k in range(max_steps):
+        rate = laplacian_full(u, grid, kind) + eval_capped(nl, blk)
+        if float(np.max(np.abs(rate))) <= res_target:
+            return u, k
+        blk += dt * rate
+    return u, max_steps
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+def test_flow_matches_reference_euler_loop(kind):
+    nl = make("abs-sin")
+    g = make_grid(6.0, 4.0, 0.25)
+    rng = np.random.default_rng(3)
+    if kind == "torus":
+        u0 = rng.uniform(0.0, 3.0, (g.n1, g.n2))
+    else:
+        u0 = rng.uniform(0.0, 3.0, (g.n1 + 1, g.x2(kind).size))
+        u0[0, :] = as_trace(5.0, g, kind)
+        if kind == "quarter":
+            u0[:, 0] = 0.0
+    for cap in (1, 7, 100_000):
+        u_ref, k_ref = _reference_flow(nl, u0, g, kind, 1e-3, cap)
+        u, k = flow_relax(nl, u0, g, kind, res_target=1e-3, max_steps=cap)
+        assert k == k_ref
+        assert np.array_equal(u, u_ref)
+    assert k < cap                          # the last run reached its target
 
 
 def test_inserted_profile_residual_is_discretization_order():
@@ -107,7 +192,17 @@ def test_auto_method_reports_flow_steps():
     f = solve_quarter(nl, g, as_trace(0.2, g, "quarter"), method="auto")
     assert f.meta["method"] == "auto"
     assert f.meta["flow_steps"] > 0
+    assert f.meta["flow_capped"] is False
     assert f.meta["out_of_window"] is False
+
+
+def test_auto_method_reports_a_capped_flow(monkeypatch):
+    monkeypatch.setattr(elliptic, "_FLOW_MAX_STEPS", 3)
+    nl = make("linear-decay")
+    g = make_grid(10.0, 6.0, 0.5)
+    f = solve_quarter(nl, g, as_trace(0.2, g, "quarter"), method="auto")
+    assert f.meta["flow_steps"] == 3
+    assert f.meta["flow_capped"] is True
 
 
 def test_auto_selects_evolution_plateau(abs_sin_half):

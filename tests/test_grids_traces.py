@@ -1,5 +1,6 @@
 """Grids, trace construction, field CSV round trips, SVG determinism."""
 
+import csv
 import math
 
 import numpy as np
@@ -97,6 +98,30 @@ def test_field_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back, vals)
     np.testing.assert_array_equal(x1, g.x1_nodes("quarter"))
     np.testing.assert_array_equal(x2, g.x2("quarter"))
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+def test_field_csv_bytes_match_csv_writer(tmp_path, kind):
+    g = make_grid(3.0, 0.7, 0.1)
+    x1, x2 = g.x1_nodes(kind), g.x2(kind)
+    rng = np.random.default_rng(4)
+    shape = (x1.size, x2.size)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    vals.flat[:3] = [0.0, -0.0, 1.0]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["x1", "x2", "u"])
+        for i in range(x1.size):
+            for j in range(x2.size):
+                wr.writerow([f"{x1[i]:.17g}", f"{x2[j]:.17g}", f"{vals[i, j]:.17g}"])
+    path = tmp_path / "field.csv"
+    save_field_csv(Field(vals, g, kind), str(path))
+    assert path.read_bytes() == ref.read_bytes()
+    bx1, bx2, back = load_field_csv(str(path))
+    np.testing.assert_array_equal(back, vals)
+    np.testing.assert_array_equal(bx1, x1)
+    np.testing.assert_array_equal(bx2, x2)
 
 
 def test_field_views():

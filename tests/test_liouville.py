@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import farfield.elliptic as elliptic
 import farfield.liouville as liouville
 from farfield.elliptic import solve_field
-from farfield.errors import InputError, NumericError
+from farfield.errors import ConsistencyError, InputError, NumericError
 from farfield.grids import make_grid
 from farfield.liouville import (SURROGATE_BANNER, halfspace_strip_sweep,
                                 noise_start, parabolic_floor,
@@ -95,6 +96,46 @@ def test_box_sweep_counts_failed_trials_without_dying(monkeypatch):
     bad = rep.trials[1]
     assert bad.outcome == "unconverged"
     assert math.isnan(bad.residual)
+
+
+def test_singular_factor_is_a_numeric_error_and_takes_the_fallback(monkeypatch):
+    real = elliptic.splu
+    calls = []
+
+    def singular_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "splu", singular_once)
+    nl = make("abs-sin")
+    g = make_grid(4.0, 4.0, 0.5)
+    u0 = noise_start(g, "torus", np.random.default_rng(0))
+    with pytest.raises(NumericError, match="singular"):
+        elliptic.newton_solve(nl, g, "torus", None, u0)
+    calls.clear()
+    f, method = liouville._robust_solve(nl, g, "torus", None, u0)
+    assert method == "flow+newton"
+    assert f.residual < 1e-9
+
+
+def test_consistency_error_is_not_swallowed(monkeypatch):
+    real = liouville.newton_solve
+    calls = []
+
+    def inconsistent_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise ConsistencyError("injected disagreement")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, "newton_solve", inconsistent_once)
+    nl = make("abs-sin")
+    g = make_grid(4.0, 4.0, 0.5)
+    u0 = noise_start(g, "torus", np.random.default_rng(0))
+    with pytest.raises(ConsistencyError):
+        liouville._robust_solve(nl, g, "torus", None, u0)
 
 
 # ---------------------------------------------------------------------------
