@@ -72,10 +72,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def dump_config(cfg: dict, path: str) -> None:
-    _write_json(cfg, path)
-
-
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -178,16 +174,23 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _solve_and_report(args, kind: str) -> int:
-    nl = _nl(args)
-    out = _outdir(args)
+def _solve_and_report(args, nl, kind: str, out: str, flow_target: float,
+                      tol_f: float) -> list:
+    """Solve, detect the far-field limit, write the artifacts, print a summary.
+
+    `args` carries the domain, solver and output settings of the solve
+    commands (`run` fills the same names from its config). Writes solve.json
+    and trajectory.json, plus field.csv and decay.svg when args.dump_fields
+    and args.plots ask for them. Returns the names of the files written.
+    """
     grid = make_grid(args.L1, args.L2, args.h)
     trace = make_trace(args.trace, nl, grid, kind)
     t0 = time.perf_counter()
     field = solve_field(nl, grid, kind, trace, method=args.method,
-                        u0=args.u0, tol=args.tol)
+                        u0=args.u0, tol=args.tol, flow_target=flow_target)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    rep = omega_limit(nl, field, n_shifts=args.n_shifts, conv_tol=args.conv_tol)
+    rep = omega_limit(nl, field, n_shifts=args.n_shifts, conv_tol=args.conv_tol,
+                      tol_f=tol_f)
     summary = {
         "kind": kind, "f": args.f,
         "grid": {"L1": args.L1, "L2": args.L2, "h": args.h},
@@ -202,8 +205,10 @@ def _solve_and_report(args, kind: str) -> int:
     }
     _write_json(summary, os.path.join(out, "solve.json"))
     _write_json(rep.to_json_dict(), os.path.join(out, "trajectory.json"))
+    written = ["solve.json", "trajectory.json"]
     if args.dump_fields:
         save_field_csv(field, os.path.join(out, "field.csv"))
+        written.append("field.csv")
     if rep.converged:
         final = min(r["d"] for r in rep.distances if r["h"] == rep.distances[-1]["h"])
         print(f"far-field limit: level {rep.detected_z:.12g} (converged, "
@@ -216,15 +221,23 @@ def _solve_and_report(args, kind: str) -> int:
           f"[{rep.m:.6g}, {rep.M:.6g}]")
     if args.plots:
         _plot_ladder(os.path.join(out, "decay.svg"), rep.distances)
+        written.append("decay.svg")
+    return written
+
+
+def _cmd_solve(args, kind: str) -> int:
+    _solve_and_report(args, _nl(args), kind, _outdir(args),
+                      flow_target=_DEFAULT_CONFIG["solver"]["flow_target"],
+                      tol_f=_DEFAULT_CONFIG["analysis"]["tol_f"])
     return 0
 
 
 def cmd_solve_quarter(args) -> int:
-    return _solve_and_report(args, "quarter")
+    return _cmd_solve(args, "quarter")
 
 
 def cmd_solve_half(args) -> int:
-    return _solve_and_report(args, "half")
+    return _cmd_solve(args, "half")
 
 
 def cmd_trajectory(args) -> int:
@@ -279,7 +292,8 @@ def cmd_slide(args) -> int:
     out = _outdir(args)
     grid = make_grid(args.L1, args.L2, args.h)
     trace = make_trace(args.trace, nl, grid, "quarter")
-    field = solve_field(nl, grid, "quarter", trace, method=args.method, tol=args.tol)
+    field = solve_field(nl, grid, "quarter", trace, method=args.method,
+                        u0=args.u0, tol=args.tol)
     cap_nl = make(args.cap_f) if args.cap_f else nl
     bub = radial_bubble(cap_nl, args.z, args.eps, N=2)
     start = tuple(float(v) for v in args.frm.split(","))
@@ -373,41 +387,14 @@ def cmd_run(args) -> int:
     print(f"wrote {len(zf.points)} profile tables")
 
     # 3. solve + trajectory
-    grid = make_grid(dom["L1"], dom["L2"], dom["h"])
-    trace = make_trace(dom["trace"], nl, grid, dom["kind"])
-    t0 = time.perf_counter()
-    field = solve_field(nl, grid, dom["kind"], trace,
-                        method=cfg["solver"]["method"], u0=dom["u0"],
-                        tol=cfg["solver"]["tol"],
-                        flow_target=cfg["solver"]["flow_target"])
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    rep = omega_limit(nl, field, n_shifts=cfg["analysis"]["n_shifts"],
-                      conv_tol=cfg["analysis"]["conv_tol"],
-                      tol_f=cfg["analysis"]["tol_f"])
-    _write_json({"kind": dom["kind"],
-                 "grid": {"L1": dom["L1"], "L2": dom["L2"], "h": dom["h"]},
-                 "boundary": {"trace": dom["trace"], "u0": dom["u0"]},
-                 "method": field.meta.get("method", cfg["solver"]["method"]),
-                 "iterations": field.meta.get("iterations"),
-                 "residual": field.residual,
-                 "out_of_window": field.meta["out_of_window"],
-                 "flow_steps": field.meta.get("flow_steps"),
-                 "flow_capped": field.meta.get("flow_capped"),
-                 "wall_time_ms": wall_ms},
-                os.path.join(out, "solve.json"))
-    written.append("solve.json")
-    _write_json(rep.to_json_dict(), os.path.join(out, "trajectory.json"))
-    written.append("trajectory.json")
-    if cfg["output"]["dump_fields"]:
-        save_field_csv(field, os.path.join(out, "field.csv"))
-        written.append("field.csv")
-    if rep.converged:
-        print(f"far-field limit: level {rep.detected_z:.12g} (converged)")
-    else:
-        print("far-field limit: not resolved on this truncation")
-    if cfg["output"]["plots"]:
-        _plot_ladder(os.path.join(out, "decay.svg"), rep.distances)
-        written.append("decay.svg")
+    solve_args = argparse.Namespace(
+        f=spec, L1=dom["L1"], L2=dom["L2"], h=dom["h"], trace=dom["trace"],
+        u0=dom["u0"], method=cfg["solver"]["method"], tol=cfg["solver"]["tol"],
+        n_shifts=cfg["analysis"]["n_shifts"], conv_tol=cfg["analysis"]["conv_tol"],
+        dump_fields=cfg["output"]["dump_fields"], plots=cfg["output"]["plots"])
+    written += _solve_and_report(solve_args, nl, dom["kind"], out,
+                                 flow_target=cfg["solver"]["flow_target"],
+                                 tol_f=cfg["analysis"]["tol_f"])
 
     # 4. manifest
     manifest = {"seed": cfg["seed"],
@@ -422,16 +409,31 @@ def cmd_run(args) -> int:
 # parser
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a bad command line; flags must be spelled out in full, so a
+    flag a command does not register is never read as a prefix of another."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise InputError(message)
 
 
-def _add_common(p):
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--dump-fields", action="store_true", dest="dump_fields")
-    p.add_argument("--no-plots", action="store_false", dest="plots")
+_FLAGS = {
+    "out": {"default": ".", "help": "output directory"},
+    "seed": {"type": int, "default": 0},
+    "threads": {"type": int, "default": 1},
+    "dump-fields": {"action": "store_true", "dest": "dump_fields"},
+    "no-plots": {"action": "store_false", "dest": "plots"},
+    "n-shifts": {"type": int, "default": 16},
+    "conv-tol": {"type": float, "default": 1e-2},
+}
+
+
+def _add_flags(p, *names):
+    """Register the named shared flags; only commands that read a flag get it."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _add_f(p):
@@ -451,8 +453,6 @@ def _add_domain(p, kind_choice=False):
                    choices=("newton", "monotone", "auto"))
     p.add_argument("--u0", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--n-shifts", type=int, default=16, dest="n_shifts")
-    p.add_argument("--conv-tol", type=float, default=1e-2, dest="conv_tol")
     if kind_choice:
         p.add_argument("--kind", default="quarter", choices=("quarter", "half"))
 
@@ -465,12 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-f", help="zero set, reachable levels, hypotheses")
     _add_f(p)
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_analyze_f)
 
     p = sub.add_parser("zf", help="print the reachable plateau levels")
     _add_f(p)
-    _add_common(p)
     p.set_defaults(func=cmd_zf)
 
     p = sub.add_parser("profile", help="build a rising profile")
@@ -478,25 +477,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--xi-max", type=float, default=20.0, dest="xi_max")
     p.add_argument("--n", type=int, default=2048)
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("solve-quarter", help="solve on the quarter domain")
     _add_f(p)
     _add_domain(p)
-    _add_common(p)
+    _add_flags(p, "out", "dump-fields", "no-plots", "n-shifts", "conv-tol")
     p.set_defaults(func=cmd_solve_quarter)
 
     p = sub.add_parser("solve-half", help="solve on the laterally periodic strip")
     _add_f(p)
     _add_domain(p)
-    _add_common(p)
+    _add_flags(p, "out", "dump-fields", "no-plots", "n-shifts", "conv-tol")
     p.set_defaults(func=cmd_solve_half)
 
     p = sub.add_parser("trajectory", help="solve and classify the far-field limit")
     _add_f(p)
     _add_domain(p, kind_choice=True)
-    _add_common(p)
+    _add_flags(p, "out", "no-plots", "n-shifts", "conv-tol")
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("bubble", help="radial cap for sliding comparisons")
@@ -504,14 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--N", type=int, default=2)
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_bubble)
 
     p = sub.add_parser("eigen", help="principal Dirichlet eigenvalue of the ball")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--n", type=int, default=4096)
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("slide", help="slide a cap under a solved field")
@@ -524,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", required=True, dest="frm", metavar="X,Y")
     p.add_argument("--to", required=True, metavar="X,Y")
     p.add_argument("--steps", type=int, default=61)
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_slide)
 
     p = sub.add_parser("liouville-sweep", help="random-start sweeps on "
@@ -534,18 +533,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=16.0)
     p.add_argument("--h", type=float, default=0.25)
     p.add_argument("--trials", type=int, default=20)
-    _add_common(p)
+    _add_flags(p, "out", "seed", "threads")
     p.set_defaults(func=cmd_liouville_sweep)
 
     p = sub.add_parser("plot", help="replot a saved distance ladder")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True)
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_run)
 
     return ap

@@ -10,9 +10,10 @@ Three domain kinds share one 5-point stencil:
 
 Unknowns are every node except the trace column and (quarter) the floor row.
 On them the Laplacian is the Kronecker sum (T1 kron I + I kron T2) / h^2 of
-1-D second differences, each Dirichlet-mirror or periodic:
-`assemble_laplacian` builds it as a sparse matrix, and the flow and the
-residuals apply it to a ghost-padded node array.
+1-D second differences, each Dirichlet-mirror or periodic.
+`assemble_laplacian` builds it once per solve as a sparse matrix L with a
+boundary vector b, and it is the only discrete Laplacian here: the flow,
+Newton, the monotone sweep and every residual apply L u + b.
 
 Three solve strategies are provided; the tests check that newton and
 monotone reach the same state:
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import diags, identity, kron
+from scipy.sparse import coo_matrix, dia_matrix, diags, identity
 from scipy.sparse.linalg import bicgstab, splu
 
 from . import nonlinearity as nlm
@@ -48,91 +49,47 @@ from .odes import integrate
 _DIRECT_MAX = 256 * 256       # unknown count up to which we factorize directly
 _NEWTON_MAX_ITER = 60
 _FLOW_MAX_STEPS = 200_000
+_FLOW_DT_FACTOR = 0.2         # explicit flow step dt = 0.2 h^2
 _WINDOW_SLACK = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# stencil application on full arrays (vectorized, used by flow and residuals)
-
-def _fill_ghosts(P: np.ndarray, kind: str) -> None:
-    """Refresh in place the ghost ring around the node array P[1:-1, 1:-1]:
-    mirror across x1 = L1 (quarter, half) and x2 = L2 (quarter), periodic
-    otherwise. Ghost corners are never read."""
-    if kind == "torus":
-        P[0, 1:-1] = P[-2, 1:-1]
-        P[-1, 1:-1] = P[1, 1:-1]
-    else:
-        P[-1, 1:-1] = P[-3, 1:-1]
-    if kind == "quarter":
-        P[1:-1, -1] = P[1:-1, -3]
-    else:
-        P[1:-1, 0] = P[1:-1, -2]
-        P[1:-1, -1] = P[1:-1, 1]
-
-
-def _stencil(P: np.ndarray, kind: str, h2: float, out: np.ndarray,
-             scratch: np.ndarray) -> np.ndarray:
-    """5-point Laplacian of a ghost-filled padded array at the unknown nodes.
-
-    Writes into `out` (shape of the unknown block) with `scratch` as work
-    space. The x2 neighbours are summed north first on the quarter and
-    south first otherwise: the solved fields' last digits depend on that
-    order, so keep it.
-    """
-    r0 = 1 if kind == "torus" else 2       # first unknown row in P
-    c0 = 2 if kind == "quarter" else 1     # first unknown column in P
-    south, north = P[r0:-1, c0 - 1:-2], P[r0:-1, c0 + 1:]
-    np.add(P[r0 + 1:, c0:-1], P[r0 - 1:-2, c0:-1], out=out)
-    for side in ((north, south) if kind == "quarter" else (south, north)):
-        np.add(out, side, out=out)
-    np.multiply(P[r0:-1, c0:-1], 4.0, out=scratch)
-    np.subtract(out, scratch, out=out)
-    np.divide(out, h2, out=out)
-    return out
-
-
-def _padded(u: np.ndarray, kind: str) -> np.ndarray:
-    P = np.empty((u.shape[0] + 2, u.shape[1] + 2))
-    P[1:-1, 1:-1] = u
-    _fill_ghosts(P, kind)
-    return P
-
-
-def laplacian_full(u: np.ndarray, grid: Grid2D, kind: str) -> np.ndarray:
-    """5-point Laplacian at the unknown nodes (shape (n1, width))."""
-    shape = _unknown_block(u, kind).shape
-    return _stencil(_padded(u, kind), kind, grid.h * grid.h, np.empty(shape),
-                    np.empty(shape))
-
-
-def _unknown_block(u: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "torus":
-        return u
-    return u[1:, 1:] if kind == "quarter" else u[1:, :]
-
-
-def residual_max(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str) -> float:
-    lap = laplacian_full(u, grid, kind)
-    return float(np.max(np.abs(lap + eval_capped(nl, _unknown_block(u, kind)))))
 
 
 # ---------------------------------------------------------------------------
 # sparse operator on the unknown vector
 
-def _second_difference(n: int, periodic: bool):
-    """1-D second difference with unit spacing on n >= 2 nodes, as CSR.
+def _second_difference(n: int, periodic: bool) -> dia_matrix:
+    """1-D second difference with unit spacing on n >= 2 nodes, as DIA.
 
-    Periodic wraps both ends (on two nodes both neighbours are one node).
-    Otherwise the low end is Dirichlet (no entry: the neighbour is data or
-    zero) and the high end a mirror ghost, which doubles the inward entry.
+    Node i couples to i - 1 and i + 1, and entries on one node sum. Periodic
+    wraps both ends (on two nodes both neighbours are one node). Otherwise
+    the low end is Dirichlet (no entry: the neighbour is data or zero) and
+    the high end a mirror ghost, which doubles the inward entry.
     """
-    T = diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
+    i = np.arange(n)
     if periodic:
-        T[0, n - 1] += 1.0
-        T[n - 1, 0] += 1.0
-    else:
-        T[n - 1, n - 2] = 2.0
-    return T.tocsr()
+        lo_rows, lo, hi = i, (i - 1) % n, (i + 1) % n
+    else:            # node 0 has no low entry; node n - 1 sees n - 2 twice
+        lo_rows, lo, hi = i[1:], i[:-1], np.where(i < n - 1, i + 1, n - 2)
+    rows = np.concatenate((i, lo_rows, i))
+    cols = np.concatenate((i, lo, hi))
+    vals = np.concatenate((np.full(n, -2.0), np.ones(lo.size + n)))
+    return coo_matrix((vals, (rows, cols)), shape=(n, n)).todia()
+
+
+def _kron_sum(T1: dia_matrix, T2: dia_matrix) -> dia_matrix:
+    """T1 kron I + I kron T2, diagonal by diagonal.
+
+    A diagonal d of T1 becomes diagonal d * n2, each entry repeated n2
+    times; a diagonal d of T2 becomes diagonal d, tiled n1 times. The zero
+    padding of a DIA diagonal keeps the tiles from coupling across blocks.
+    Offsets are stored in ascending order, as scipy's `todia` stores them.
+    """
+    n1, n2 = T1.shape[0], T2.shape[0]
+    diagonals = {d * n2: np.repeat(row, n2) for d, row in zip(T1.offsets, T1.data)}
+    for d, row in zip(T2.offsets, T2.data):
+        diagonals[d] = diagonals.get(d, 0.0) + np.tile(row, n1)
+    offsets = sorted(diagonals)
+    return dia_matrix((np.array([diagonals[d] for d in offsets]), offsets),
+                      shape=(n1 * n2, n1 * n2))
 
 
 # (x1, x2) periodicity per kind; the other closures are Dirichlet at the
@@ -143,6 +100,9 @@ _PERIODIC = {"quarter": (False, False), "half": (False, True), "torus": (True, T
 def assemble_laplacian(grid: Grid2D, kind: str, trace: np.ndarray | None):
     """Sparse Laplacian L and boundary vector b with Delta u = L u + b.
 
+    This is the one discrete Laplacian: the flow, Newton, the monotone
+    sweep and every residual apply it. L is stored as DIA: on these
+    few-diagonal operators its matvec beats CSR, and the flow is bound by it.
     Unknown ordering is row-major over (i = 1..n1, j over the x2 nodes that
     are unknowns). L is the Kronecker sum (T1 kron I + I kron T2) / h^2 of
     1-D second differences, one per direction and closure. Mirror ghosts
@@ -154,16 +114,25 @@ def assemble_laplacian(grid: Grid2D, kind: str, trace: np.ndarray | None):
     n1, n2, h2 = grid.n1, grid.n2, grid.h * grid.h
     p1, p2 = _PERIODIC[kind]
     T1, T2 = _second_difference(n1, p1), _second_difference(n2, p2)
-    L = (kron(T1, identity(n2), format="csr")
-         + kron(identity(n1), T2, format="csr")) * (1.0 / h2)
+    L = _kron_sum(T1, T2) * (1.0 / h2)
     b = np.zeros(n1 * n2)
     if kind != "torus":
         b[:n2] += (trace[1:] if kind == "quarter" else trace) / h2
     return L, b
 
 
+def _unknown_block(u: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "torus":
+        return u
+    return u[1:, 1:] if kind == "quarter" else u[1:, :]
+
+
 def _vec(u: np.ndarray, kind: str) -> np.ndarray:
     return _unknown_block(u, kind).ravel()
+
+
+def _trace_row(u: np.ndarray, kind: str) -> np.ndarray | None:
+    return None if kind == "torus" else u[0, :]
 
 
 def _unvec(v: np.ndarray, u_template: np.ndarray, kind: str) -> np.ndarray:
@@ -171,6 +140,18 @@ def _unvec(v: np.ndarray, u_template: np.ndarray, kind: str) -> np.ndarray:
     blk = _unknown_block(u, kind)
     blk[...] = v.reshape(blk.shape)
     return u
+
+
+def laplacian_full(u: np.ndarray, grid: Grid2D, kind: str) -> np.ndarray:
+    """L u + b at the unknown nodes (shape (n1, width)), trace from u[0, :]."""
+    blk = _unknown_block(u, kind)
+    L, b = assemble_laplacian(grid, kind, _trace_row(u, kind))
+    return (L @ blk.ravel() + b).reshape(blk.shape)
+
+
+def residual_max(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str) -> float:
+    lap = laplacian_full(u, grid, kind)
+    return float(np.max(np.abs(lap + eval_capped(nl, _unknown_block(u, kind)))))
 
 
 def _fprime_numeric(nl: Nonlinearity, v: np.ndarray, delta: float = 1e-7) -> np.ndarray:
@@ -202,8 +183,7 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
                  max_iter: int = _NEWTON_MAX_ITER) -> Field:
     """Damped Newton iteration from u0 (full array, boundary rows included)."""
     L, b = assemble_laplacian(grid, kind, trace)
-    u = u0.copy()
-    v = _vec(u, kind)
+    v = _vec(u0, kind)
 
     def res(vv):
         return L @ vv + b + eval_capped(nl, vv)
@@ -230,13 +210,12 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
     if rn > tol:
         raise NumericError(f"newton did not reach tol={tol:g}: residual {rn:.3e} "
                            f"after {it} iterations")
-    u = _unvec(v, u0, kind)
-    return _finish(nl, u, grid, kind, {"method": "newton", "iterations": it})
+    return _finish(nl, _unvec(v, u0, kind), grid, kind, rn,
+                   {"method": "newton", "iterations": it})
 
 
 def monotone_iterate(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
                      start: np.ndarray, direction: str = "above",
-                     sub: np.ndarray | None = None, sup: np.ndarray | None = None,
                      tol: float = 1e-9, max_iter: int = 100_000) -> Field:
     """Order-preserving Picard sweep from a super- or subsolution.
 
@@ -256,8 +235,6 @@ def monotone_iterate(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarra
     lu = splu(M)
 
     v = _vec(start, kind)
-    lo = _vec(sub, kind) if sub is not None else None
-    hi = _vec(sup, kind) if sup is not None else None
     sign = -1.0 if direction == "above" else 1.0
     for it in range(max_iter):
         v_next = lu.solve(K * v + eval_capped(nl, v) + b)
@@ -266,10 +243,6 @@ def monotone_iterate(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarra
             raise ConsistencyError(
                 f"monotone sweep lost ordering at step {it} "
                 f"(worst step {np.min(drift):.3e} against direction {direction})")
-        if lo is not None and np.min(v_next - lo) < -1e-10:
-            raise ConsistencyError("monotone sweep broke through the lower barrier")
-        if hi is not None and np.max(v_next - hi) > 1e-10:
-            raise ConsistencyError("monotone sweep broke through the upper barrier")
         moved = float(np.max(np.abs(v_next - v)))
         v = v_next
         if moved * K < 0.5 * tol:
@@ -278,41 +251,36 @@ def monotone_iterate(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarra
                 break
     else:
         raise NumericError(f"monotone sweep did not converge in {max_iter} steps")
-    u = _unvec(v, start, kind)
-    return _finish(nl, u, grid, kind,
+    return _finish(nl, _unvec(v, start, kind), grid, kind, r,
                    {"method": "monotone", "iterations": it + 1, "direction": direction})
 
 
 def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
-               res_target: float = 1e-3, max_steps: int = _FLOW_MAX_STEPS,
-               dt_factor: float = 0.2) -> tuple[np.ndarray, int]:
+               res_target: float = 1e-3,
+               max_steps: int = _FLOW_MAX_STEPS) -> tuple[np.ndarray, int]:
     """Explicit parabolic flow u_t = Delta u + f(u) until the residual drops.
 
-    Forward Euler with dt = dt_factor * h^2 (stable for the 5-point stencil
-    with margin left for the reaction term). Used as the basin selector of
-    the auto method, not as a solver in its own right. Returns the state
+    Forward Euler on the unknown vector with dt = _FLOW_DT_FACTOR * h^2
+    (stable for the 5-point operator with margin left for the reaction
+    term). Used as the basin selector of the auto method, not as a solver in
+    its own right. The boundary data are read from u0. Returns the state
     and the number of steps taken; max_steps means the flow stopped at the
     cap without reaching res_target.
     """
-    h2 = grid.h * grid.h
-    dt = dt_factor * h2
+    dt = _FLOW_DT_FACTOR * (grid.h * grid.h)
     if nl.lipschitz_estimate * dt > 0.5:
         dt = 0.5 / nl.lipschitz_estimate
-    P = _padded(u0, kind)        # the state, with its ghost ring, for the whole run
-    u = P[1:-1, 1:-1]
-    blk = _unknown_block(u, kind)
-    rate = np.empty(blk.shape)
-    scratch = np.empty(blk.shape)
+    L, b = assemble_laplacian(grid, kind, _trace_row(u0, kind))
+    v = _vec(u0, kind).copy()
     for k in range(max_steps):
-        _stencil(P, kind, h2, rate, scratch)
-        np.add(rate, eval_capped(nl, blk), out=rate)
-        rmax = float(np.max(np.abs(rate, out=scratch)))
-        if rmax <= res_target:
-            return u.copy(), k
-        np.multiply(rate, dt, out=rate)
-        blk += rate
-        _fill_ghosts(P, kind)
-    return u.copy(), max_steps
+        rate = L @ v                  # rate = L v + b + f(v), summed in place
+        rate += b
+        rate += eval_capped(nl, v)
+        if float(np.max(np.abs(rate))) <= res_target:
+            return _unvec(v, u0, kind), k
+        rate *= dt
+        v += rate
+    return _unvec(v, u0, kind), max_steps
 
 
 def _default_start(grid: Grid2D, kind: str, trace: np.ndarray) -> np.ndarray:
@@ -332,12 +300,11 @@ def _apply_boundary(u: np.ndarray, kind: str, trace: np.ndarray | None) -> np.nd
     u[0, :] = trace
     if kind == "quarter":
         u[:, 0] = 0.0
-        u[0, 0] = 0.0
     return u
 
 
-def _finish(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str, meta: dict) -> Field:
-    r = residual_max(nl, u, grid, kind)
+def _finish(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str,
+            residual: float, meta: dict) -> Field:
     out_low = float(np.min(u))
     out_high = float(np.max(u))
     meta = dict(meta)
@@ -345,7 +312,7 @@ def _finish(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str, meta: dict
                                  or out_high > nl.s_max + _WINDOW_SLACK)
     meta["min_value"] = out_low
     meta["max_value"] = out_high
-    return Field(u, grid, kind, r, meta)
+    return Field(u, grid, kind, residual, meta)
 
 
 def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,

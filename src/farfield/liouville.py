@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nonlinearity as nlm
-from .elliptic import flow_relax, newton_solve
+from .elliptic import _apply_boundary, flow_relax, newton_solve
 from .errors import InputError, NumericError
 from .grids import Field, Grid2D, as_trace, make_grid
 from .nonlinearity import Nonlinearity, compute_Zf, zero_set
@@ -119,24 +119,16 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace, u0: np.ndarr
     the same way as a failure.
     """
     tr = None if kind == "torus" else as_trace(trace, grid, kind)
+    u = _apply_boundary(u0, kind, tr)
     try:
-        f = newton_solve(nl, grid, kind, tr, _start(u0, kind, tr), tol=tol)
+        f = newton_solve(nl, grid, kind, tr, u, tol=tol)
         if not f.meta["out_of_window"]:
             return f, "newton"
     except NumericError:
         pass
-    u_flow, _ = flow_relax(nl, _start(u0, kind, tr), grid, kind, res_target=1e-5)
+    u_flow, _ = flow_relax(nl, u, grid, kind, res_target=1e-5)
     f = newton_solve(nl, grid, kind, tr, u_flow, tol=tol)
     return f, "flow+newton"
-
-
-def _start(u0: np.ndarray, kind: str, tr) -> np.ndarray:
-    u = np.asarray(u0, dtype=float).copy()
-    if kind != "torus":
-        u[0, :] = tr
-        if kind == "quarter":
-            u[:, 0] = 0.0
-    return u
 
 
 def _dist_to_zero_set(E, s: float) -> float:

@@ -266,33 +266,40 @@ def test_shift_semigroup_laws():
 
 
 def test_thread_count_invariance(tmp_path, capsys):
-    jobs = {
+    # the solve commands take no --threads, so each runs twice with the same
+    # argv; the sweeps run at every thread count
+    solves = {
         "quarter": ["solve-quarter", "--f", "linear-decay", "--L1", "60",
                     "--L2", "30", "--h", "0.25", "--trace", "bump:10,5,0.5",
                     "--tol", "1e-9", "--dump-fields"],
         "half": ["solve-half", "--f", "abs-sin", "--L1", "60", "--L2", "20",
                  "--h", "0.25", "--trace", "constant:5", "--tol", "1e-8",
                  "--dump-fields"],
+    }
+    sweeps = {
         "box": ["liouville-sweep", "--f", "abs-sin", "--domain", "box",
                 "--L", "16", "--h", "0.25", "--trials", "20", "--seed", "0"],
         "strip": ["liouville-sweep", "--f", "abs-sin", "--domain", "strip",
                   "--L", "16", "--h", "0.25", "--trials", "20", "--seed", "0"],
     }
     threads = (1, 2, 8)
-    for t in threads:
-        for name, argv in jobs.items():
-            out = tmp_path / f"{name}_{t}"
-            assert cli.main(argv + ["--threads", str(t), "--out", str(out)]) == 0
+    runs = {name: [argv, argv] for name, argv in solves.items()}
+    runs.update({name: [argv + ["--threads", str(t)] for t in threads]
+                 for name, argv in sweeps.items()})
+    for name, argvs in runs.items():
+        for k, argv in enumerate(argvs):
+            out = tmp_path / f"{name}_{k}"
+            assert cli.main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
 
     mismatches = []
     n_files = 0
-    for name in jobs:
-        base = tmp_path / f"{name}_1"
+    for name, argvs in runs.items():
+        base = tmp_path / f"{name}_0"
         for f in sorted(p.name for p in base.iterdir()):
             n_files += 1
-            for t in threads[1:]:
-                other = tmp_path / f"{name}_{t}" / f
+            for k in range(1, len(argvs)):
+                other = tmp_path / f"{name}_{k}" / f
                 if f == "solve.json":
                     # wall clock is the one sanctioned nondeterminism
                     a = json.loads((base / f).read_text())
@@ -303,8 +310,9 @@ def test_thread_count_invariance(tmp_path, capsys):
                 else:
                     same = (base / f).read_bytes() == other.read_bytes()
                 if not same:
-                    mismatches.append(f"{name}/{f}@{t}")
+                    mismatches.append(f"{name}/{f}@run{k}")
     _gate("thread_count_invariance", not mismatches,
-          f"4 jobs x threads {threads}: {n_files} artifacts byte-identical "
-          f"(solve.json compared with wall_time_ms masked)"
+          f"2 solves run twice, 2 sweeps x threads {threads}: {n_files} "
+          f"artifacts byte-identical (solve.json compared with wall_time_ms "
+          f"masked)"
           + (f"; MISMATCHES {mismatches}" if mismatches else ""))

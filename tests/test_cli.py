@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from farfield.cli import dump_config, load_config, main
+from farfield.cli import load_config, main
 from farfield.errors import ConfigError
 
 
@@ -52,6 +52,22 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     assert "numeric error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["zf", "--f", "abs-sin", "--out", "x"],
+    ["solve-quarter", "--f", "logistic", "--threads", "2"],
+    ["solve-half", "--f", "logistic", "--seed", "1"],
+    ["trajectory", "--f", "logistic", "--dump-fields"],
+    ["slide", "--f", "logistic", "--z", "1", "--eps", "0.1", "--from", "8,6",
+     "--to", "9,6", "--n-shifts", "3"],
+    ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--no-plots"],
+    ["plot", "--input", "a.json", "--output", "b.svg", "--out", "x"],
+    ["run", "--config", "c.json", "--no-plots"],
+])
+def test_flags_a_command_does_not_read_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unreadable_input_exits_3(tmp_path, capsys):
     rc = main(["plot", "--input", str(tmp_path / "nope.json"),
                "--output", str(tmp_path / "x.svg")])
@@ -78,7 +94,7 @@ def test_config_round_trip(tmp_path):
     assert cfg["seed"] == 7
     assert cfg["domain"]["h"] == 0.5
     p2 = tmp_path / "b.json"
-    dump_config(cfg, str(p2))
+    p2.write_text(json.dumps(cfg))
     assert load_config(str(p2)) == cfg
 
 
@@ -284,4 +300,8 @@ def test_run_pipeline_writes_manifest_with_matching_digests(tmp_path, capsys):
         assert _sha256(out / name) == digest
     levels = json.loads(_read(out / "analysis.json"))["reachable_levels"]
     assert levels["points"] == pytest.approx([1.0])
-    assert "far-field limit: level 1 (converged)" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "far-field limit: level 1 (converged, final distance" in text
+    assert "residual" in text
+    solve = json.loads(_read(out / "solve.json"))
+    assert solve["f"] == "linear-decay"

@@ -21,10 +21,12 @@ from farfield.profile1d import compute_profile
 
 
 # ---------------------------------------------------------------------------
-# the two stencil routes must agree to rounding
+# the discrete Laplacian against a brute-force dense reference
 
 @pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
 def test_stencil_routes_agree(kind):
+    # laplacian_full applies the assembled operator, reading the trace from
+    # u[0, :]; the reference visits the neighbours of every unknown
     g = make_grid(6.0, 4.0, 0.5)
     rng = np.random.default_rng(11)
     if kind == "torus":
@@ -36,10 +38,10 @@ def test_stencil_routes_agree(kind):
         u[0, :] = trace
         if kind == "quarter":
             u[:, 0] = 0.0
-    L, b = assemble_laplacian(g, kind, trace)
+    L_ref, b_ref = _dense_laplacian(g, kind, trace)
     direct = laplacian_full(u, g, kind)
-    via_matrix = (L @ _vec(u, kind) + b).reshape(direct.shape)
-    assert float(np.max(np.abs(direct - via_matrix))) < 1e-12
+    reference = (L_ref @ _vec(u, kind) + b_ref).reshape(direct.shape)
+    assert float(np.max(np.abs(direct - reference))) < 1e-12
 
 
 def _dense_laplacian(grid, kind, trace):
