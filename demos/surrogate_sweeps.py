@@ -16,7 +16,7 @@ for note in box.notes:
 print(f"\nbox sweep, {box.n_trials} trials:")
 for t in box.trials:
     print(f"  trial {t.index}: {t.outcome:9s} level {t.level:.9f} "
-          f"spread {t.deviation:.1e} ({t.method})")
+          f"spread {t.deviation:.1e}")
 
 strip = halfspace_strip_sweep(nl, L=8.0, h=0.25, n_trials=6, seed=0)
 print(f"\nstrip sweep, {strip.n_trials} trials:")

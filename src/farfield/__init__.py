@@ -15,9 +15,9 @@ from .profile1d import (ProbeReport, Profile1D, compute_profile,
 from .elliptic import (Bubble, EigenResult, SlideReport, ball_volume,
                        bubble_energy, cap_energy, dirichlet_eigenpair,
                        flow_relax, laplacian_full, level_energy,
-                       monotone_iterate, newton_solve, radial_bubble,
-                       ramp_energy, residual_max, sliding_verify, solve_field,
-                       solve_half, solve_quarter, sphere_area)
+                       newton_solve, radial_bubble, ramp_energy, residual_max,
+                       sliding_verify, solve_field, solve_half, solve_quarter,
+                       sphere_area)
 from .trajectory import (AttractorTable, MEstimate, TrajectoryReport,
                          attractor_table, estimate_M, omega_limit, shift,
                          window_norm)

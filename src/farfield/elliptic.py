@@ -13,18 +13,17 @@ On them the Laplacian is the Kronecker sum (T1 kron I + I kron T2) / h^2 of
 1-D second differences, each Dirichlet-mirror or periodic.
 `assemble_laplacian` builds it once per solve as a sparse matrix L with a
 boundary vector b, and it is the only discrete Laplacian here: the flow,
-Newton, the monotone sweep and every residual apply L u + b.
+Newton and every residual apply L u + b.
 
-Three solve strategies are provided; the tests check that newton and
+One relaxation, the semi-implicit flow `flow_relax`, keeps order, and three
+solve strategies use it and Newton; the tests check that newton and
 monotone reach the same state:
 
-  newton   : damped Newton on the sparse system, direct factorization;
-  monotone : Picard iteration u_{k+1} = (K - Delta)^{-1} (K u_k + f(u_k))
-             with K above the Lipschitz bound, which preserves ordering and
-             marches monotonically from a super- or subsolution;
-  auto     : explicit parabolic flow to get into the attracting basin, then
-             Newton to finish. The flow step selects the state the evolution
-             actually reaches, which matters when several plateaus exist.
+  newton   : damped Newton on the sparse system;
+  monotone : the flow run to tol from a supersolution, each step checked
+             to descend;
+  auto     : the flow into the basin the evolution selects, then Newton to
+             finish. This matters when several plateaus exist.
 
 The reaction term is always evaluated with its argument clipped to the
 analysis window; solutions that finish outside the window are flagged.
@@ -49,7 +48,6 @@ from .odes import integrate
 _DIRECT_MAX = 256 * 256       # unknown count up to which we factorize directly
 _NEWTON_MAX_ITER = 60
 _FLOW_MAX_STEPS = 200_000
-_FLOW_DT_FACTOR = 0.2         # explicit flow step dt = 0.2 h^2
 _WINDOW_SLACK = 1e-8
 
 
@@ -100,9 +98,9 @@ _PERIODIC = {"quarter": (False, False), "half": (False, True), "torus": (True, T
 def assemble_laplacian(grid: Grid2D, kind: str, trace: np.ndarray | None):
     """Sparse Laplacian L and boundary vector b with Delta u = L u + b.
 
-    This is the one discrete Laplacian: the flow, Newton, the monotone
-    sweep and every residual apply it. L is stored as DIA: on these
-    few-diagonal operators its matvec beats CSR, and the flow is bound by it.
+    This is the one discrete Laplacian: the flow, Newton and every residual
+    apply it. L is stored as DIA: on these few-diagonal operators its
+    matvec beats CSR.
     Unknown ordering is row-major over (i = 1..n1, j over the x2 nodes that
     are unknowns). L is the Kronecker sum (T1 kron I + I kron T2) / h^2 of
     1-D second differences, one per direction and closure. Mirror ghosts
@@ -160,19 +158,33 @@ def _fprime_numeric(nl: Nonlinearity, v: np.ndarray, delta: float = 1e-7) -> np.
     return (up - dn) / (2.0 * delta)
 
 
-def _linear_solve(A, rhs):
+def _factor(A):
+    """Solver x = solve(rhs) for A x = rhs, factored once for many right sides.
+
+    Up to _DIRECT_MAX unknowns this is SuperLU with the minimum-degree
+    ordering on A^T + A, which fills about half as much as COLAMD on these
+    5-point matrices; a singular factor is a NumericError. Above it each
+    solve runs bicgstab.
+    """
     n = A.shape[0]
     if n <= _DIRECT_MAX:
         try:
-            lu = splu(A.tocsc())
+            return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
         except RuntimeError as e:     # SuperLU: "Factor is exactly singular"
             raise NumericError(f"direct linear solve failed: {e}") from None
-        return lu.solve(rhs)
-    # mirror ghosts make the stencil nonsymmetric, so no cg here
-    x, info = bicgstab(A, rhs, rtol=1e-10, atol=0.0, maxiter=20 * n)
-    if info != 0:
-        raise NumericError(f"iterative linear solve failed (info={info})")
-    return x
+
+    def solve(rhs):
+        # bicgstab's breakdown tests are absolute (rho < eps^2), so a small
+        # right side, as near convergence, is scaled to unit norm first;
+        # mirror ghosts make the stencil nonsymmetric, so no cg here
+        scale = float(np.linalg.norm(rhs))
+        if scale == 0.0:
+            return np.zeros_like(rhs)
+        x, info = bicgstab(A, rhs / scale, rtol=1e-10, atol=0.0, maxiter=20 * n)
+        if info != 0:
+            raise NumericError(f"iterative linear solve failed (info={info})")
+        return x * scale
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +205,7 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
     it = 0
     while rn > tol and it < max_iter:
         J = L + diags(_fprime_numeric(nl, v))
-        step = _linear_solve(J.tocsc(), -r)
+        step = _factor(J)(-r)
         lam = 1.0
         while lam > 1.0 / 1024.0:
             v_try = v + lam * step
@@ -214,63 +226,22 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
                    {"method": "newton", "iterations": it})
 
 
-def monotone_iterate(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
-                     start: np.ndarray, direction: str = "above",
-                     tol: float = 1e-9, max_iter: int = 100_000) -> Field:
-    """Order-preserving Picard sweep from a super- or subsolution.
-
-    With K above the Lipschitz bound of f the map
-      u -> (K - Delta)^{-1} (K u + f(u))
-    is monotone, so iterates from a supersolution decrease toward the maximal
-    bracketed state and iterates from a subsolution increase. Monotonicity is
-    asserted every step; a violation means `start` was not actually on the
-    claimed side.
-    """
-    if direction not in ("above", "below"):
-        raise InputError("direction must be 'above' or 'below'")
-    L, b = assemble_laplacian(grid, kind, trace)
-    K = 1.1 * max(nl.lipschitz_estimate, 1e-6)
-    n = L.shape[0]
-    M = (K * identity(n, format="csr") - L).tocsc()
-    lu = splu(M)
-
-    v = _vec(start, kind)
-    sign = -1.0 if direction == "above" else 1.0
-    for it in range(max_iter):
-        v_next = lu.solve(K * v + eval_capped(nl, v) + b)
-        drift = sign * (v_next - v)
-        if np.min(drift) < -1e-10:
-            raise ConsistencyError(
-                f"monotone sweep lost ordering at step {it} "
-                f"(worst step {np.min(drift):.3e} against direction {direction})")
-        moved = float(np.max(np.abs(v_next - v)))
-        v = v_next
-        if moved * K < 0.5 * tol:
-            r = float(np.max(np.abs(L @ v + b + eval_capped(nl, v))))
-            if r <= tol:
-                break
-    else:
-        raise NumericError(f"monotone sweep did not converge in {max_iter} steps")
-    return _finish(nl, _unvec(v, start, kind), grid, kind, r,
-                   {"method": "monotone", "iterations": it + 1, "direction": direction})
-
-
 def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
-               res_target: float = 1e-3,
-               max_steps: int = _FLOW_MAX_STEPS) -> tuple[np.ndarray, int]:
-    """Explicit parabolic flow u_t = Delta u + f(u) until the residual drops.
+               res_target: float = 1e-3, max_steps: int = _FLOW_MAX_STEPS,
+               descend: bool = False) -> tuple[np.ndarray, int]:
+    """Semi-implicit parabolic flow u_t = Delta u + f(u) until the residual drops.
 
-    Forward Euler on the unknown vector with dt = _FLOW_DT_FACTOR * h^2
-    (stable for the 5-point operator with margin left for the reaction
-    term). Used as the basin selector of the auto method, not as a solver in
-    its own right. The boundary data are read from u0. Returns the state
-    and the number of steps taken; max_steps means the flow stopped at the
-    cap without reaching res_target.
+    Each step solves (K - L) dv = L v + b + f(v), K = 1.1 max(Lip f, 1e-6):
+    implicit Laplacian, explicit reaction, dt = 1/K. K - L is an M-matrix and
+    v -> K v + f(v) is nondecreasing, so ordered states stay ordered. With
+    `descend`, a step that rises above 1e-10 (the start was no supersolution)
+    is a ConsistencyError. The boundary data are read from u0. Returns the
+    state and the steps taken; max_steps means the flow stopped at the cap
+    without reaching res_target.
     """
-    dt = _FLOW_DT_FACTOR * (grid.h * grid.h)
-    if nl.lipschitz_estimate * dt > 0.5:
-        dt = 0.5 / nl.lipschitz_estimate
     L, b = assemble_laplacian(grid, kind, _trace_row(u0, kind))
+    K = 1.1 * max(nl.lipschitz_estimate, 1e-6)
+    solve = _factor(K * identity(L.shape[0], format="dia") - L)
     v = _vec(u0, kind).copy()
     for k in range(max_steps):
         rate = L @ v                  # rate = L v + b + f(v), summed in place
@@ -278,8 +249,12 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
         rate += eval_capped(nl, v)
         if float(np.max(np.abs(rate))) <= res_target:
             return _unvec(v, u0, kind), k
-        rate *= dt
-        v += rate
+        step = solve(rate)
+        if descend and np.max(step) > 1e-10:
+            raise ConsistencyError(f"monotone flow lost ordering at step {k} "
+                                   f"(worst rise {np.max(step):.3e}): the start "
+                                   "is not a supersolution")
+        v += step
     return _unvec(v, u0, kind), max_steps
 
 
@@ -347,7 +322,13 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     if method == "newton":
         f = newton_solve(nl, grid, kind, tr, u, tol=tol)
     elif method == "monotone":
-        f = monotone_iterate(nl, grid, kind, tr, u, direction="above", tol=tol)
+        u_m, steps = flow_relax(nl, u, grid, kind, res_target=tol,
+                                max_steps=_FLOW_MAX_STEPS, descend=True)
+        if steps == _FLOW_MAX_STEPS:
+            raise NumericError(f"monotone flow did not reach tol={tol:g} "
+                               f"in {steps} steps")
+        f = _finish(nl, u_m, grid, kind, residual_max(nl, u_m, grid, kind),
+                    {"method": "monotone", "iterations": steps, "direction": "above"})
     elif method == "auto":
         u_flow, steps = flow_relax(nl, u, grid, kind, res_target=flow_target,
                                    max_steps=_FLOW_MAX_STEPS)

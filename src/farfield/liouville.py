@@ -11,10 +11,13 @@ random smooth starts:
                 floor, expect the rising profile over the floor with no
                 lateral variation.
 
-Every report carries an explicit surrogate-domain banner so the results are
-never mistaken for statements about the unbounded problem. Trials are
-reproducible: trial k of a sweep with seed s draws from SeedSequence((s, k))
-regardless of thread count, and aggregation is in trial order.
+Each trial runs the order-preserving semi-implicit flow from its start until
+the residual is small, then polishes with Newton, so it reports the state
+the evolution selects. Every report carries an explicit surrogate-domain
+banner so the results are never mistaken for statements about the
+unbounded problem. Trials are reproducible: trial k of a sweep with seed s
+draws from SeedSequence((s, k)) regardless of thread count, and aggregation
+is in trial order.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ class TrialResult:
     index: int
     outcome: str                  # constant | profile | other | unconverged
     residual: float
-    method: str                   # newton | flow+newton
     deviation: float | None = None   # max - min of the converged field
     level: float | None = None    # constant trials: the level reached
     dist_to_zero_set: float | None = None
@@ -111,24 +113,17 @@ class SweepReport:
 
 
 def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace, u0: np.ndarray,
-                  tol: float = 1e-9) -> tuple[Field, str]:
-    """Newton first; fall back to flow + Newton when it fails or leaves the window.
+                  tol: float = 1e-9) -> Field:
+    """Flow to a residual of 1e-5, then polish with Newton.
 
-    A Newton run that converges outside [0, s_max] found an artifact of the
-    clipped reaction extension, not a state of the model, so it is rejected
-    the same way as a failure.
+    The semi-implicit flow keeps order, so the trial lands on the state the
+    evolution from u0 selects; Newton run straight from noise could land on
+    any state, the unstable ones included.
     """
     tr = None if kind == "torus" else as_trace(trace, grid, kind)
     u = _apply_boundary(u0, kind, tr)
-    try:
-        f = newton_solve(nl, grid, kind, tr, u, tol=tol)
-        if not f.meta["out_of_window"]:
-            return f, "newton"
-    except NumericError:
-        pass
     u_flow, _ = flow_relax(nl, u, grid, kind, res_target=1e-5)
-    f = newton_solve(nl, grid, kind, tr, u_flow, tol=tol)
-    return f, "flow+newton"
+    return newton_solve(nl, grid, kind, tr, u_flow, tol=tol)
 
 
 def _dist_to_zero_set(E, s: float) -> float:
@@ -145,10 +140,10 @@ def _classify_box(nl: Nonlinearity, f: Field, E) -> TrialResult:
     spread = float(np.max(u) - np.min(u))
     if spread < _CONST_TOL:
         level = float(np.mean(u))
-        return TrialResult(-1, "constant", f.residual, "", deviation=spread,
+        return TrialResult(-1, "constant", f.residual, deviation=spread,
                            level=level,
                            dist_to_zero_set=_dist_to_zero_set(E, level))
-    return TrialResult(-1, "other", f.residual, "", deviation=spread)
+    return TrialResult(-1, "other", f.residual, deviation=spread)
 
 
 def _classify_strip(nl: Nonlinearity, f: Field, profiles: dict) -> TrialResult:
@@ -161,7 +156,7 @@ def _classify_strip(nl: Nonlinearity, f: Field, profiles: dict) -> TrialResult:
         if d < best_d:
             best_z, best_d = z, d
     outcome = "profile" if (lat < _CONST_TOL and best_d < 1e-2) else "other"
-    return TrialResult(-1, outcome, f.residual, "", deviation=lat,
+    return TrialResult(-1, outcome, f.residual, deviation=lat,
                        lateral_variation=lat, nearest_z=best_z,
                        profile_distance=best_d)
 
@@ -194,12 +189,11 @@ def periodic_box_sweep(nl: Nonlinearity, L: float = 16.0, h: float = 0.25,
     def one_trial(k: int, rng: np.random.Generator) -> TrialResult:
         u0 = noise_start(grid, "torus", rng)
         try:
-            f, method = _robust_solve(nl, grid, "torus", None, u0)
+            f = _robust_solve(nl, grid, "torus", None, u0)
         except NumericError:
-            return TrialResult(k, "unconverged", math.nan, "")
+            return TrialResult(k, "unconverged", math.nan)
         t = _classify_box(nl, f, E)
         t.index = k
-        t.method = method
         return t
 
     trials = _run_trials(n_trials, seed, threads, one_trial)
@@ -234,12 +228,11 @@ def halfspace_strip_sweep(nl: Nonlinearity, L: float = 16.0, h: float = 0.25,
     def one_trial(k: int, rng: np.random.Generator) -> TrialResult:
         u0 = noise_start(grid, "half", rng)
         try:
-            f, method = _robust_solve(nl, grid, "half", 0.0, u0)
+            f = _robust_solve(nl, grid, "half", 0.0, u0)
         except NumericError:
-            return TrialResult(k, "unconverged", math.nan, "")
+            return TrialResult(k, "unconverged", math.nan)
         t = _classify_strip(nl, f, profiles)
         t.index = k
-        t.method = method
         return t
 
     trials = _run_trials(n_trials, seed, threads, one_trial)

@@ -45,14 +45,12 @@ class Nonlinearity:
     lipschitz_estimate: float
     fn: Callable = field(repr=False)                      # vectorized, unchecked
     antiderivative_fn: Callable | None = field(default=None, repr=False)
-    # exact integral of f over [lo, hi]; must stay accurate in RELATIVE terms
-    # when the integral is tiny (profiles divide by it arbitrarily close to a
-    # zero, where F(hi)-F(lo) would cancel catastrophically)
+    # exact integral of f over [lo, hi] for float arrays lo < hi (elementwise);
+    # must stay accurate in RELATIVE terms when the integral is tiny (profiles
+    # divide by it arbitrarily close to a zero, where F(hi)-F(lo) would cancel
+    # catastrophically)
     gap_fn: Callable | None = field(default=None, repr=False)
     params: tuple = ()
-    # gap_fn takes float arrays lo < hi (elementwise) and returns an array;
-    # when False it takes scalars only and is called once per element
-    gap_vectorized: bool = False
 
     def __post_init__(self):
         if not (self.s_max > 0 and math.isfinite(self.s_max)):
@@ -123,10 +121,8 @@ def integral_between(nl: Nonlinearity, lo, hi):
     b = np.maximum(lo_a, hi_a).ravel()
     live = np.flatnonzero(a != b)           # lo == hi stays an exact 0
     val = np.zeros(a.size)
-    if nl.gap_vectorized:
+    if nl.gap_fn is not None:
         val[live] = nl.gap_fn(a[live], b[live])
-    elif nl.gap_fn is not None:
-        val[live] = [nl.gap_fn(float(a[i]), float(b[i])) for i in live]
     else:
         for i in live:
             val[i], _ = quad(lambda x: _f1(nl, x), a[i], b[i],
@@ -227,8 +223,7 @@ def logistic() -> Nonlinearity:
         # factored so the (hi - lo) factor carries the smallness
         return (hi - lo) * (0.5 * (hi + lo) - (hi * hi + hi * lo + lo * lo) / 3.0)
 
-    return Nonlinearity("logistic", 2.0, _lipschitz_on_grid(fn, 2.0), fn, F, gap,
-                        gap_vectorized=True)
+    return Nonlinearity("logistic", 2.0, _lipschitz_on_grid(fn, 2.0), fn, F, gap)
 
 
 def abs_sin() -> Nonlinearity:
@@ -251,16 +246,14 @@ def abs_sin() -> Nonlinearity:
                  + 2.0 * (khi - klo - 1.0))
         return np.where(klo == khi, _arch(lo, hi, klo), split)
 
-    return Nonlinearity("abs-sin", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap,
-                        gap_vectorized=True)
+    return Nonlinearity("abs-sin", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap)
 
 
 def linear_decay() -> Nonlinearity:
     fn = lambda s: 1.0 - s
     F = lambda z: z - 0.5 * z * z
     gap = lambda lo, hi: (hi - lo) * (1.0 - 0.5 * (hi + lo))
-    return Nonlinearity("linear-decay", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap,
-                        gap_vectorized=True)
+    return Nonlinearity("linear-decay", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap)
 
 
 def cantor(level: int = 6) -> Nonlinearity:
@@ -285,7 +278,7 @@ def cantor(level: int = 6) -> Nonlinearity:
         vals.append(Fraction(0))
     pl = _PiecewiseLinear([float(x) for x in knots], [float(v) for v in vals])
     return Nonlinearity(f"cantor:{level}", 1.0, _lipschitz_on_grid(pl, 1.0),
-                        pl, pl.antiderivative, pl.gap, params=(level,), gap_vectorized=True)
+                        pl, pl.antiderivative, pl.gap, params=(level,))
 
 
 def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
@@ -300,7 +293,7 @@ def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
     pl = _PiecewiseLinear(xs, ys)
     s_max = float(xs[-1])
     return Nonlinearity(kind, s_max, _lipschitz_on_grid(pl, s_max),
-                        pl, pl.antiderivative, pl.gap, gap_vectorized=True)
+                        pl, pl.antiderivative, pl.gap)
 
 
 def table_from_csv(path: str) -> Nonlinearity:
@@ -762,12 +755,12 @@ def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
         return head + np.where(z > edge, (z - edge) * (-f_at_m), 0.0)
 
     def gap_g(lo, hi):
-        total = 0.0
-        b1 = min(hi, edge)
-        if b1 > lo:
-            total -= integral_between(nl, c - b1, c - lo)
-        if hi > edge:
-            total += (hi - max(lo, edge)) * (-f_at_m)
+        total = np.zeros(lo.shape)
+        b1 = np.minimum(hi, edge)
+        head = b1 > lo                  # part of the slab below the edge
+        total[head] -= integral_between(nl, c - b1[head], c - lo[head])
+        tail = hi > edge                # constant part beyond it
+        total[tail] += (hi[tail] - np.maximum(lo[tail], edge)) * (-f_at_m)
         return total
 
     s_max_g = edge + 1.0

@@ -10,10 +10,10 @@ import farfield.elliptic as elliptic
 from farfield.elliptic import (Bubble, assemble_laplacian, ball_volume,
                                bubble_energy, cap_energy, dirichlet_eigenpair,
                                flow_relax, laplacian_full, level_energy,
-                               monotone_iterate, newton_solve, radial_bubble,
-                               ramp_energy, residual_max, sliding_verify,
-                               solve_field, solve_half, solve_quarter,
-                               sphere_area, _vec)
+                               newton_solve, radial_bubble, ramp_energy,
+                               residual_max, sliding_verify, solve_field,
+                               solve_half, solve_quarter, sphere_area,
+                               _unknown_block, _unvec, _vec)
 from farfield.errors import ConsistencyError, InputError
 from farfield.grids import Field, as_trace, make_grid
 from farfield.nonlinearity import eval_capped, integral_between, make
@@ -93,38 +93,75 @@ def test_assembly_matches_dense_reference(kind, dims):
 
 
 def _reference_flow(nl, u0, grid, kind, res_target, max_steps):
-    """Explicit Euler on full arrays, with dt chosen as flow_relax does."""
-    dt = 0.2 * grid.h * grid.h
-    if nl.lipschitz_estimate * dt > 0.5:
-        dt = 0.5 / nl.lipschitz_estimate
-    u = u0.copy()
-    blk = {"quarter": u[1:, 1:], "half": u[1:, :], "torus": u}[kind]
+    """Semi-implicit Euler with dense algebra: (K - L) dv = L v + b + f(v)."""
+    L, b = _dense_laplacian(grid, kind, None if kind == "torus" else u0[0, :])
+    K = 1.1 * max(nl.lipschitz_estimate, 1e-6)
+    M = K * np.eye(L.shape[0]) - L
+    v = _vec(u0, kind).copy()
     for k in range(max_steps):
-        rate = laplacian_full(u, grid, kind) + eval_capped(nl, blk)
+        rate = L @ v + b + eval_capped(nl, v)
         if float(np.max(np.abs(rate))) <= res_target:
-            return u, k
-        blk += dt * rate
-    return u, max_steps
+            return _unvec(v, u0, kind), k
+        v += np.linalg.solve(M, rate)
+    return _unvec(v, u0, kind), max_steps
+
+
+def _flow_start(g, kind, rng):
+    if kind == "torus":
+        return rng.uniform(0.0, 3.0, (g.n1, g.n2))
+    u0 = rng.uniform(0.0, 3.0, (g.n1 + 1, g.x2(kind).size))
+    u0[0, :] = as_trace(5.0, g, kind)
+    if kind == "quarter":
+        u0[:, 0] = 0.0
+    return u0
 
 
 @pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
 def test_flow_matches_reference_euler_loop(kind):
     nl = make("abs-sin")
     g = make_grid(6.0, 4.0, 0.25)
-    rng = np.random.default_rng(3)
-    if kind == "torus":
-        u0 = rng.uniform(0.0, 3.0, (g.n1, g.n2))
-    else:
-        u0 = rng.uniform(0.0, 3.0, (g.n1 + 1, g.x2(kind).size))
-        u0[0, :] = as_trace(5.0, g, kind)
-        if kind == "quarter":
-            u0[:, 0] = 0.0
+    u0 = _flow_start(g, kind, np.random.default_rng(3))
     for cap in (1, 7, 100_000):
-        u_ref, k_ref = _reference_flow(nl, u0, g, kind, 1e-3, cap)
-        u, k = flow_relax(nl, u0, g, kind, res_target=1e-3, max_steps=cap)
+        u_ref, k_ref = _reference_flow(nl, u0, g, kind, 1e-10, cap)
+        u, k = flow_relax(nl, u0, g, kind, res_target=1e-10, max_steps=cap)
         assert k == k_ref
-        assert np.array_equal(u, u_ref)
-    assert k < cap                          # the last run reached its target
+        assert float(np.max(np.abs(u - u_ref))) <= 1e-12
+    assert 7 < k < cap                      # the last run reached its target
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+def test_flow_preserves_order(kind):
+    # the comparison principle, step by step: starts u <= w with the same
+    # boundary data stay ordered after every step
+    nl = make("abs-sin")
+    g = make_grid(6.0, 4.0, 0.5)
+    rng = np.random.default_rng(5)
+    u0 = _flow_start(g, kind, rng)
+    w0 = u0.copy()
+    w_blk = _unknown_block(w0, kind)
+    w_blk += rng.uniform(0.05, 3.0, w_blk.shape)
+    for cap in range(1, 6):
+        u, ku = flow_relax(nl, u0, g, kind, res_target=0.0, max_steps=cap)
+        w, kw = flow_relax(nl, w0, g, kind, res_target=0.0, max_steps=cap)
+        assert ku == kw == cap
+        assert np.all(w >= u)
+        assert not np.array_equal(w, u)
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+def test_flow_iterative_branch_matches_direct(kind, monkeypatch):
+    nl = make("abs-sin")
+    g = make_grid(6.0, 4.0, 0.25)
+    u0 = _flow_start(g, kind, np.random.default_rng(3))
+    u_direct, k_direct = flow_relax(nl, u0, g, kind, res_target=1e-8)
+    monkeypatch.setattr(elliptic, "_DIRECT_MAX", _vec(u0, kind).size - 1)
+    calls = []
+    real = elliptic.bicgstab
+    monkeypatch.setattr(elliptic, "bicgstab",
+                        lambda *a, **kw: calls.append(None) or real(*a, **kw))
+    u_iter, k_iter = flow_relax(nl, u0, g, kind, res_target=1e-8)
+    assert len(calls) == k_iter == k_direct
+    assert float(np.max(np.abs(u_iter - u_direct))) <= 1e-10
 
 
 def test_inserted_profile_residual_is_discretization_order():
@@ -167,8 +204,8 @@ def test_monotone_descends_from_supersolution():
 
 
 def test_monotone_rejects_wrong_side_start():
-    # f(0.5) > 0 makes the constant 0.5 a subsolution; sweeping "down" from
-    # it violates the claimed ordering on the first step
+    # f(0.5) > 0 makes the constant 0.5 a subsolution; the monotone flow
+    # from it rises on the first step instead of descending
     nl = make("logistic")
     g = make_grid(8.0, 6.0, 0.5)
     trace = as_trace(0.5, g, "quarter")
@@ -176,7 +213,7 @@ def test_monotone_rejects_wrong_side_start():
     u0[0] = trace
     u0[:, 0] = 0.0
     with pytest.raises(ConsistencyError):
-        monotone_iterate(nl, g, "quarter", trace, u0, direction="above")
+        solve_quarter(nl, g, trace, method="monotone", u0=u0)
 
 
 def test_newton_from_solved_state_is_cheap():

@@ -98,26 +98,27 @@ def test_box_sweep_counts_failed_trials_without_dying(monkeypatch):
     assert math.isnan(bad.residual)
 
 
-def test_singular_factor_is_a_numeric_error_and_takes_the_fallback(monkeypatch):
-    real = elliptic.splu
-    calls = []
+def test_every_box_trial_lands_on_pi():
+    # |sin| >= 0, so the torus mean never falls under the flow: from these
+    # nonnegative starts the evolution selects pi, never the zero state
+    nl = make("abs-sin")
+    rep = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=20, seed=0)
+    assert rep.counts == {"constant": 20}
+    assert all(abs(t.level - math.pi) < 1e-10 for t in rep.trials)
 
-    def singular_once(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise RuntimeError("Factor is exactly singular")
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(elliptic, "splu", singular_once)
+def test_singular_factor_is_a_numeric_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(elliptic, "splu", singular)
     nl = make("abs-sin")
     g = make_grid(4.0, 4.0, 0.5)
     u0 = noise_start(g, "torus", np.random.default_rng(0))
     with pytest.raises(NumericError, match="singular"):
         elliptic.newton_solve(nl, g, "torus", None, u0)
-    calls.clear()
-    f, method = liouville._robust_solve(nl, g, "torus", None, u0)
-    assert method == "flow+newton"
-    assert f.residual < 1e-9
+    with pytest.raises(NumericError, match="singular"):
+        liouville._robust_solve(nl, g, "torus", None, u0)
 
 
 def test_consistency_error_is_not_swallowed(monkeypatch):
@@ -144,17 +145,25 @@ def test_consistency_error_is_not_swallowed(monkeypatch):
 def test_strip_sweep_finds_rising_profiles():
     nl = make("abs-sin")
     rep = halfspace_strip_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=0)
-    # one trial climbs to the pi plateau, which does not fit in height 8;
-    # the classifier refuses it rather than stretching the match tolerance
-    assert rep.counts == {"profile": 3, "other": 1}
+    # every trial climbs to the pi profile; at h = 0.5 the discretization
+    # error of the profile (O(h^2), see the refinement test) exceeds the
+    # match tolerance, and the classifier refuses the match rather than
+    # stretching the tolerance
+    assert rep.counts == {"other": 4}
     for t in rep.trials:
-        if t.outcome == "profile":
-            assert t.lateral_variation < 1e-4
-            assert t.profile_distance < 1e-2
-        else:
-            assert t.nearest_z == pytest.approx(math.pi, abs=1e-6)
-            assert t.lateral_variation < 1e-4
-            assert t.profile_distance > 1e-2
+        assert t.nearest_z == pytest.approx(math.pi, abs=1e-6)
+        assert t.lateral_variation < 1e-4
+        assert t.profile_distance > 1e-2
+
+
+def test_strip_profile_distance_is_discretization_order():
+    nl = make("abs-sin")
+    dist = {h: [t.profile_distance for t in
+                halfspace_strip_sweep(nl, L=8.0, h=h, n_trials=2, seed=0).trials]
+            for h in (0.5, 0.25)}
+    for coarse, fine in zip(dist[0.5], dist[0.25]):
+        assert fine < 1e-2
+        assert 3.0 < coarse / fine < 5.0
 
 
 def test_strip_sweep_is_thread_invariant():
@@ -177,7 +186,7 @@ def test_sweep_report_json_schema():
                       "trials", "counts", "notes"}
     assert d["domain"] == "box"
     assert len(d["trials"]) == 2
-    assert set(d["trials"][0]) == {"index", "outcome", "residual", "method",
+    assert set(d["trials"][0]) == {"index", "outcome", "residual",
                                    "deviation", "level", "dist_to_zero_set",
                                    "lateral_variation", "nearest_z",
                                    "profile_distance"}
