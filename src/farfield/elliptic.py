@@ -13,11 +13,14 @@ On them the Laplacian is the Kronecker sum (T1 kron I + I kron T2) / h^2 of
 1-D second differences, each Dirichlet-mirror or periodic.
 `assemble_laplacian` builds it once per solve as a sparse matrix L with a
 boundary vector b, and it is the only discrete Laplacian here: the flow,
-Newton and every residual apply L u + b.
+Newton and every residual apply L u + b. Its eigenvectors are sine and
+Fourier modes per axis, so `shifted_solver` solves (sigma I - L) x = rhs by
+fast transforms, with no matrix factored.
 
-One relaxation, the semi-implicit flow `flow_relax`, keeps order, and three
-solve strategies use it and Newton; the tests check that newton and
-monotone reach the same state:
+One relaxation, the semi-implicit flow `flow_relax`, keeps order; each step
+is one transform solve of K - L. Three solve strategies use it and Newton,
+which factors its Jacobian; the tests check that newton and monotone reach
+the same state:
 
   newton   : damped Newton on the sparse system;
   monotone : the flow run to tol from a supersolution, each step checked
@@ -35,8 +38,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.linalg import solve_banded
-from scipy.sparse import coo_matrix, dia_matrix, diags, identity
+from scipy.sparse import coo_matrix, dia_matrix, diags
 from scipy.sparse.linalg import bicgstab, splu
 
 from . import nonlinearity as nlm
@@ -119,6 +123,46 @@ def assemble_laplacian(grid: Grid2D, kind: str, trace: np.ndarray | None):
     return L, b
 
 
+def shifted_solver(grid: Grid2D, kind: str, sigma: float):
+    """Solver x = solve(rhs) for (sigma I - L) x = rhs, L from assemble_laplacian.
+
+    Transforms diagonalize L exactly (Buzbee, Golub and Nielson 1970;
+    Swarztrauber 1977). A Dirichlet-low, mirror-high axis of n unknowns has
+    eigenvectors sin((2k + 1) pi i / (2n)), i = 1..n, with eigenvalues
+    -4 sin^2((2k + 1) pi / (4n)); dst(type=2) synthesizes them and
+    idst(type=2) analyzes. A periodic axis has Fourier modes with
+    eigenvalues -4 sin^2(pi k / n). rhs is the unknown block (n1, n2) or
+    its ravel; x comes back in the same shape. No matrix is formed or
+    factored, so the grid size has no limit.
+    """
+    _check_kind(kind)
+    n1, n2 = grid.n1, grid.n2
+    p1, p2 = _PERIODIC[kind]
+
+    def eigenvalues(n, periodic, count):
+        k = np.arange(count)
+        angle = np.pi * k / n if periodic else (2 * k + 1) * np.pi / (4 * n)
+        return -4.0 * np.sin(angle) ** 2
+
+    # rfft keeps the n // 2 + 1 nonnegative modes of the last periodic axis;
+    # on the torus the first axis keeps all n1 of fft's modes
+    mu1 = eigenvalues(n1, p1, n1)
+    mu2 = eigenvalues(n2, p2, n2 // 2 + 1 if p2 else n2)
+    den = sigma - (mu1[:, None] + mu2[None, :]) / (grid.h * grid.h)
+
+    def solve(rhs):
+        r = rhs.reshape(n1, n2)
+        if kind == "torus":
+            x = sfft.irfft2(sfft.rfft2(r) / den, s=(n1, n2))
+        elif kind == "half":
+            c = sfft.rfft(sfft.idst(r, type=2, axis=0), axis=1)
+            x = sfft.dst(sfft.irfft(c / den, n=n2, axis=1), type=2, axis=0)
+        else:
+            x = sfft.dstn(sfft.idstn(r, type=2) / den, type=2)
+        return x.reshape(rhs.shape)
+    return solve
+
+
 def _unknown_block(u: np.ndarray, kind: str) -> np.ndarray:
     if kind == "torus":
         return u
@@ -161,10 +205,11 @@ def _fprime_numeric(nl: Nonlinearity, v: np.ndarray, delta: float = 1e-7) -> np.
 def _factor(A):
     """Solver x = solve(rhs) for A x = rhs, factored once for many right sides.
 
-    Up to _DIRECT_MAX unknowns this is SuperLU with the minimum-degree
-    ordering on A^T + A, which fills about half as much as COLAMD on these
-    5-point matrices; a singular factor is a NumericError. Above it each
-    solve runs bicgstab.
+    Only Newton uses it, for its Jacobian L + diag(f'); the flow's K - L goes
+    to `shifted_solver`. Up to _DIRECT_MAX unknowns this is SuperLU with the
+    minimum-degree ordering on A^T + A, which fills about half as much as
+    COLAMD on these 5-point matrices; a singular factor is a NumericError.
+    Above it each solve runs bicgstab.
     """
     n = A.shape[0]
     if n <= _DIRECT_MAX:
@@ -232,16 +277,17 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
     """Semi-implicit parabolic flow u_t = Delta u + f(u) until the residual drops.
 
     Each step solves (K - L) dv = L v + b + f(v), K = 1.1 max(Lip f, 1e-6):
-    implicit Laplacian, explicit reaction, dt = 1/K. K - L is an M-matrix and
-    v -> K v + f(v) is nondecreasing, so ordered states stay ordered. With
-    `descend`, a step that rises above 1e-10 (the start was no supersolution)
-    is a ConsistencyError. The boundary data are read from u0. Returns the
+    implicit Laplacian, explicit reaction, dt = 1/K. The solve is
+    `shifted_solver`'s transform solve, so no grid size is too large for it.
+    K - L is an M-matrix and v -> K v + f(v) is nondecreasing, so ordered
+    states stay ordered. With `descend`, a step that rises above 1e-10 (the
+    start was no supersolution) is a ConsistencyError. The boundary data are read from u0. Returns the
     state and the steps taken; max_steps means the flow stopped at the cap
     without reaching res_target.
     """
     L, b = assemble_laplacian(grid, kind, _trace_row(u0, kind))
     K = 1.1 * max(nl.lipschitz_estimate, 1e-6)
-    solve = _factor(K * identity(L.shape[0], format="dia") - L)
+    solve = shifted_solver(grid, kind, K)
     v = _vec(u0, kind).copy()
     for k in range(max_steps):
         rate = L @ v                  # rate = L v + b + f(v), summed in place

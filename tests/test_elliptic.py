@@ -11,13 +11,14 @@ from farfield.elliptic import (Bubble, assemble_laplacian, ball_volume,
                                bubble_energy, cap_energy, dirichlet_eigenpair,
                                flow_relax, laplacian_full, level_energy,
                                newton_solve, radial_bubble, ramp_energy,
-                               residual_max, sliding_verify, solve_field,
-                               solve_half, solve_quarter, sphere_area,
+                               residual_max, shifted_solver, sliding_verify,
+                               solve_field, solve_half, solve_quarter, sphere_area,
                                _unknown_block, _unvec, _vec)
 from farfield.errors import ConsistencyError, InputError
 from farfield.grids import Field, as_trace, make_grid
 from farfield.nonlinearity import eval_capped, integral_between, make
 from farfield.profile1d import compute_profile
+from farfield.traces import make_trace
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +150,56 @@ def test_flow_preserves_order(kind):
 
 
 @pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
-def test_flow_iterative_branch_matches_direct(kind, monkeypatch):
+def test_flow_never_factors(kind, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flow must not factor or iterate on a matrix")
+
+    monkeypatch.setattr(elliptic, "splu", refuse)
+    monkeypatch.setattr(elliptic, "bicgstab", refuse)
     nl = make("abs-sin")
     g = make_grid(6.0, 4.0, 0.25)
     u0 = _flow_start(g, kind, np.random.default_rng(3))
-    u_direct, k_direct = flow_relax(nl, u0, g, kind, res_target=1e-8)
+    u, k = flow_relax(nl, u0, g, kind, res_target=1e-8)
+    assert 0 < k < 1000
+    assert residual_max(nl, u, g, kind) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 0.5), (2.5, 1.5, 0.5), (6.0, 4.0, 0.25)])
+@pytest.mark.parametrize("sigma", [1e-3, 1.0, 10.0])
+def test_shifted_solve_matches_dense_reference(kind, dims, sigma):
+    # grids with n1 = n2 = 2, odd n (5 x 3) and even n (24 x 16).
+    # The bound is on the normwise backward error ||r|| / (||A|| ||x|| + ||b||):
+    # at sigma = 1e-3 the torus is nearly singular and ||r|| / ||b|| is set by
+    # the roundoff of forming A x itself (about 1e-12 for the dense solve too)
+    g = make_grid(*dims)
+    L, _ = _dense_laplacian(g, kind, np.zeros(g.x2(kind).size))
+    A = sigma * np.eye(L.shape[0]) - L
+    rhs = np.random.default_rng(17).standard_normal(L.shape[0])
+    x = shifted_solver(g, kind, sigma)(rhs)
+    r = np.linalg.norm(A @ x - rhs)
+    assert r / (np.linalg.norm(A, 2) * np.linalg.norm(x) + np.linalg.norm(rhs)) <= 1e-12
+    x_ref = np.linalg.solve(A, rhs)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    blk = shifted_solver(g, kind, sigma)(rhs.reshape(g.n1, g.n2))
+    assert np.array_equal(blk.ravel(), x)
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+def test_newton_iterative_branch_matches_direct(kind, monkeypatch):
+    nl = make("abs-sin")
+    g = make_grid(6.0, 4.0, 0.25)
+    u0, _ = flow_relax(nl, _flow_start(g, kind, np.random.default_rng(3)), g, kind)
+    trace = None if kind == "torus" else u0[0, :]
+    direct = newton_solve(nl, g, kind, trace, u0, tol=1e-9)
     monkeypatch.setattr(elliptic, "_DIRECT_MAX", _vec(u0, kind).size - 1)
     calls = []
     real = elliptic.bicgstab
     monkeypatch.setattr(elliptic, "bicgstab",
                         lambda *a, **kw: calls.append(None) or real(*a, **kw))
-    u_iter, k_iter = flow_relax(nl, u0, g, kind, res_target=1e-8)
-    assert len(calls) == k_iter == k_direct
-    assert float(np.max(np.abs(u_iter - u_direct))) <= 1e-10
+    it = newton_solve(nl, g, kind, trace, u0, tol=1e-9)
+    assert len(calls) == it.meta["iterations"] == direct.meta["iterations"] > 0
+    assert float(np.max(np.abs(it.values - direct.values))) <= 1e-10
 
 
 def test_inserted_profile_residual_is_discretization_order():
@@ -242,6 +280,19 @@ def test_auto_method_reports_a_capped_flow(monkeypatch):
     f = solve_quarter(nl, g, as_trace(0.2, g, "quarter"), method="auto")
     assert f.meta["flow_steps"] == 3
     assert f.meta["flow_capped"] is True
+
+
+def test_auto_solves_past_the_direct_limit():
+    # 480 x 240 = 115,200 unknowns: the flow runs on transforms and Newton
+    # on bicgstab, since the count is above _DIRECT_MAX
+    nl = make("linear-decay")
+    g = make_grid(60.0, 30.0, 0.125)
+    assert g.n1 * g.n2 > elliptic._DIRECT_MAX
+    trace = make_trace("bump:15.0,5.0,0.55", nl, g, "quarter")
+    f = solve_quarter(nl, g, trace, method="auto", tol=1e-9)
+    assert f.residual <= 1e-9
+    assert 0 < f.meta["flow_steps"] <= 6
+    assert f.meta["out_of_window"] is False
 
 
 def test_auto_selects_evolution_plateau(abs_sin_half):
