@@ -201,6 +201,7 @@ def _solve_and_report(args, nl, kind: str, out: str, flow_target: float,
         "out_of_window": field.meta["out_of_window"],
         "flow_steps": field.meta.get("flow_steps"),
         "flow_capped": field.meta.get("flow_capped"),
+        "handoff": field.meta.get("handoff"),
         "wall_time_ms": wall_ms,
     }
     _write_json(summary, os.path.join(out, "solve.json"))

@@ -25,8 +25,10 @@ the same state:
   newton   : damped Newton on the sparse system;
   monotone : the flow run to tol from a supersolution, each step checked
              to descend;
-  auto     : the flow into the basin the evolution selects, then Newton to
-             finish. This matters when several plateaus exist.
+  auto     : the flow run to tol, so the answer is the state the evolution
+             selects (this matters when several plateaus exist). Once in
+             the basin, a step that does not halve the residual hands the
+             state to Newton, which finishes; the handoff is recorded.
 
 The reaction term is always evaluated with its argument clipped to the
 analysis window; solutions that finish outside the window are flagged.
@@ -52,6 +54,8 @@ from .odes import integrate
 _DIRECT_MAX = 256 * 256       # unknown count up to which we factorize directly
 _NEWTON_MAX_ITER = 60
 _FLOW_MAX_STEPS = 200_000
+_FLOW_CONTRACTION = 0.5       # in the basin, a step must cut the residual this much
+_LINE_SEARCH_MIN = 1.0 / 1024.0
 _WINDOW_SLACK = 1e-8
 
 
@@ -252,17 +256,22 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
         J = L + diags(_fprime_numeric(nl, v))
         step = _factor(J)(-r)
         lam = 1.0
-        while lam > 1.0 / 1024.0:
+        while True:
             v_try = v + lam * step
             r_try = res(v_try)
-            if np.max(np.abs(r_try)) <= (1.0 - 0.25 * lam) * rn:
+            rn_try = float(np.max(np.abs(r_try)))
+            if rn_try <= (1.0 - 0.25 * lam) * rn:
+                break
+            if lam <= _LINE_SEARCH_MIN:
+                # the shortest step is taken if it lowers the residual at all
+                if rn_try >= rn:
+                    raise NumericError(
+                        f"newton line search failed at lambda={lam:g}: residual "
+                        f"{rn_try:.3e} at the trial step, {rn:.3e} before it "
+                        f"(iteration {it + 1})")
                 break
             lam *= 0.5
-        else:
-            v_try = v + lam * step
-            r_try = res(v_try)
-        v, r = v_try, r_try
-        rn = float(np.max(np.abs(r)))
+        v, r, rn = v_try, r_try, rn_try
         it += 1
     if rn > tol:
         raise NumericError(f"newton did not reach tol={tol:g}: residual {rn:.3e} "
@@ -273,7 +282,7 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
 
 def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
                res_target: float = 1e-3, max_steps: int = _FLOW_MAX_STEPS,
-               descend: bool = False) -> tuple[np.ndarray, int]:
+               descend: bool = False, basin: float | None = None):
     """Semi-implicit parabolic flow u_t = Delta u + f(u) until the residual drops.
 
     Each step solves (K - L) dv = L v + b + f(v), K = 1.1 max(Lip f, 1e-6):
@@ -281,27 +290,41 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
     `shifted_solver`'s transform solve, so no grid size is too large for it.
     K - L is an M-matrix and v -> K v + f(v) is nondecreasing, so ordered
     states stay ordered. With `descend`, a step that rises above 1e-10 (the
-    start was no supersolution) is a ConsistencyError. The boundary data are read from u0. Returns the
-    state and the steps taken; max_steps means the flow stopped at the cap
-    without reaching res_target.
+    start was no supersolution) is a ConsistencyError. The boundary data
+    are read from u0.
+
+    The flow stops when the max-norm residual is at most res_target, after
+    max_steps steps, or, given `basin`, at the first step from a residual at
+    or below basin that does not cut it by the factor _FLOW_CONTRACTION: the
+    flow has reached the rounding floor, or a state it cannot contract
+    (where f' is about 0, as on a flat zero interval of f), and Newton
+    should finish. Returns (state, steps, residual, ratio): the residual at
+    the state, and its ratio to the previous step's (None before the first
+    step). steps == max_steps means the flow stopped at the cap.
     """
     L, b = assemble_laplacian(grid, kind, _trace_row(u0, kind))
     K = 1.1 * max(nl.lipschitz_estimate, 1e-6)
     solve = shifted_solver(grid, kind, K)
     v = _vec(u0, kind).copy()
-    for k in range(max_steps):
+    rn_prev = ratio = None
+    for k in range(max_steps + 1):
         rate = L @ v                  # rate = L v + b + f(v), summed in place
         rate += b
         rate += eval_capped(nl, v)
-        if float(np.max(np.abs(rate))) <= res_target:
-            return _unvec(v, u0, kind), k
+        rn = float(np.max(np.abs(rate)))
+        if k:
+            ratio = rn / rn_prev
+        stalled = (basin is not None and k and rn_prev <= basin
+                   and ratio > _FLOW_CONTRACTION)
+        if rn <= res_target or k == max_steps or stalled:
+            return _unvec(v, u0, kind), k, rn, ratio
         step = solve(rate)
         if descend and np.max(step) > 1e-10:
             raise ConsistencyError(f"monotone flow lost ordering at step {k} "
                                    f"(worst rise {np.max(step):.3e}): the start "
                                    "is not a supersolution")
         v += step
-    return _unvec(v, u0, kind), max_steps
+        rn_prev = rn
 
 
 def _default_start(grid: Grid2D, kind: str, trace: np.ndarray) -> np.ndarray:
@@ -342,9 +365,13 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     """Solve Delta u + f(u) = 0 on the requested domain kind.
 
     u0 may be a scalar (constant start), a full array, or None for the
-    trace-extension default. The auto method runs the parabolic flow first
-    so the answer is the state the evolution selects, then polishes with
-    Newton.
+    trace-extension default. The auto method runs the parabolic flow to tol,
+    so the answer is the state the evolution selects. Once the residual is
+    at or below flow_target, a flow step that does not cut it by the factor
+    _FLOW_CONTRACTION ends the flow, and Newton finishes from that state.
+    meta["handoff"] records the flow's residual and step ratio there, and
+    is None when the flow reached tol; meta["iterations"] is Newton's count,
+    0 when Newton did not run.
     """
     _check_kind(kind)
     if kind == "torus":
@@ -368,20 +395,24 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     if method == "newton":
         f = newton_solve(nl, grid, kind, tr, u, tol=tol)
     elif method == "monotone":
-        u_m, steps = flow_relax(nl, u, grid, kind, res_target=tol,
-                                max_steps=_FLOW_MAX_STEPS, descend=True)
-        if steps == _FLOW_MAX_STEPS:
+        u_m, steps, res, _ = flow_relax(nl, u, grid, kind, res_target=tol,
+                                        max_steps=_FLOW_MAX_STEPS, descend=True)
+        if res > tol:
             raise NumericError(f"monotone flow did not reach tol={tol:g} "
                                f"in {steps} steps")
-        f = _finish(nl, u_m, grid, kind, residual_max(nl, u_m, grid, kind),
+        f = _finish(nl, u_m, grid, kind, res,
                     {"method": "monotone", "iterations": steps, "direction": "above"})
     elif method == "auto":
-        u_flow, steps = flow_relax(nl, u, grid, kind, res_target=flow_target,
-                                   max_steps=_FLOW_MAX_STEPS)
-        f = newton_solve(nl, grid, kind, tr, u_flow, tol=tol)
-        f.meta["flow_steps"] = steps
-        f.meta["flow_capped"] = steps == _FLOW_MAX_STEPS
-        f.meta["method"] = "auto"
+        u_flow, steps, res, ratio = flow_relax(nl, u, grid, kind, res_target=tol,
+                                               max_steps=_FLOW_MAX_STEPS,
+                                               basin=flow_target)
+        if res <= tol:
+            f = _finish(nl, u_flow, grid, kind, res, {"iterations": 0, "handoff": None})
+        else:
+            f = newton_solve(nl, grid, kind, tr, u_flow, tol=tol)
+            f.meta["handoff"] = {"residual": res, "ratio": ratio}
+        f.meta.update(method="auto", flow_steps=steps,
+                      flow_capped=steps == _FLOW_MAX_STEPS)
     else:
         raise InputError(f"unknown method {method!r} (newton | monotone | auto)")
     return f

@@ -151,10 +151,26 @@ def test_solve_quarter_writes_the_artifact_set(tmp_path, capsys):
     summary = json.loads(_read(out / "solve.json"))
     assert set(summary) == {"kind", "f", "grid", "boundary", "method",
                             "iterations", "residual", "out_of_window",
-                            "flow_steps", "flow_capped", "wall_time_ms"}
+                            "flow_steps", "flow_capped", "handoff", "wall_time_ms"}
     assert summary["kind"] == "quarter"
     assert summary["flow_steps"] > 0 and summary["flow_capped"] is False
     assert not summary["out_of_window"]
+
+
+def test_solve_json_records_the_handoff(tmp_path):
+    # the quarter job's flow reaches tol; on the cantor:3 flat interval the
+    # flow stops contracting and Newton finishes
+    quarter, flat = tmp_path / "q", tmp_path / "c"
+    assert main(_SOLVE_ARGS + ["--no-plots", "--out", str(quarter)]) == 0
+    summary = json.loads(_read(quarter / "solve.json"))
+    assert summary["handoff"] is None and summary["iterations"] == 0
+    assert main(["solve-half", "--f", "cantor:3", "--L1", "8", "--L2", "4", "--h", "0.5",
+                 "--trace", "constant:0.99", "--u0", "0.97", "--no-plots",
+                 "--out", str(flat)]) == 0
+    summary = json.loads(_read(flat / "solve.json"))
+    assert set(summary["handoff"]) == {"residual", "ratio"}
+    assert summary["residual"] <= 1e-9 < summary["handoff"]["residual"]
+    assert summary["iterations"] >= 1
 
 
 def test_no_plots_suppresses_the_svg(tmp_path):

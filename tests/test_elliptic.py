@@ -13,8 +13,8 @@ from farfield.elliptic import (Bubble, assemble_laplacian, ball_volume,
                                newton_solve, radial_bubble, ramp_energy,
                                residual_max, shifted_solver, sliding_verify,
                                solve_field, solve_half, solve_quarter, sphere_area,
-                               _unknown_block, _unvec, _vec)
-from farfield.errors import ConsistencyError, InputError
+                               _apply_boundary, _unknown_block, _unvec, _vec)
+from farfield.errors import ConsistencyError, InputError, NumericError
 from farfield.grids import Field, as_trace, make_grid
 from farfield.nonlinearity import eval_capped, integral_between, make
 from farfield.profile1d import compute_profile
@@ -124,7 +124,7 @@ def test_flow_matches_reference_euler_loop(kind):
     u0 = _flow_start(g, kind, np.random.default_rng(3))
     for cap in (1, 7, 100_000):
         u_ref, k_ref = _reference_flow(nl, u0, g, kind, 1e-10, cap)
-        u, k = flow_relax(nl, u0, g, kind, res_target=1e-10, max_steps=cap)
+        u, k, _, _ = flow_relax(nl, u0, g, kind, res_target=1e-10, max_steps=cap)
         assert k == k_ref
         assert float(np.max(np.abs(u - u_ref))) <= 1e-12
     assert 7 < k < cap                      # the last run reached its target
@@ -142,8 +142,8 @@ def test_flow_preserves_order(kind):
     w_blk = _unknown_block(w0, kind)
     w_blk += rng.uniform(0.05, 3.0, w_blk.shape)
     for cap in range(1, 6):
-        u, ku = flow_relax(nl, u0, g, kind, res_target=0.0, max_steps=cap)
-        w, kw = flow_relax(nl, w0, g, kind, res_target=0.0, max_steps=cap)
+        u, ku, _, _ = flow_relax(nl, u0, g, kind, res_target=0.0, max_steps=cap)
+        w, kw, _, _ = flow_relax(nl, w0, g, kind, res_target=0.0, max_steps=cap)
         assert ku == kw == cap
         assert np.all(w >= u)
         assert not np.array_equal(w, u)
@@ -159,9 +159,9 @@ def test_flow_never_factors(kind, monkeypatch):
     nl = make("abs-sin")
     g = make_grid(6.0, 4.0, 0.25)
     u0 = _flow_start(g, kind, np.random.default_rng(3))
-    u, k = flow_relax(nl, u0, g, kind, res_target=1e-8)
+    u, k, res, _ = flow_relax(nl, u0, g, kind, res_target=1e-8)
     assert 0 < k < 1000
-    assert residual_max(nl, u, g, kind) <= 1e-8
+    assert res == residual_max(nl, u, g, kind) <= 1e-8
 
 
 @pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
@@ -189,7 +189,7 @@ def test_shifted_solve_matches_dense_reference(kind, dims, sigma):
 def test_newton_iterative_branch_matches_direct(kind, monkeypatch):
     nl = make("abs-sin")
     g = make_grid(6.0, 4.0, 0.25)
-    u0, _ = flow_relax(nl, _flow_start(g, kind, np.random.default_rng(3)), g, kind)
+    u0 = flow_relax(nl, _flow_start(g, kind, np.random.default_rng(3)), g, kind)[0]
     trace = None if kind == "torus" else u0[0, :]
     direct = newton_solve(nl, g, kind, trace, u0, tol=1e-9)
     monkeypatch.setattr(elliptic, "_DIRECT_MAX", _vec(u0, kind).size - 1)
@@ -283,16 +283,77 @@ def test_auto_method_reports_a_capped_flow(monkeypatch):
 
 
 def test_auto_solves_past_the_direct_limit():
-    # 480 x 240 = 115,200 unknowns: the flow runs on transforms and Newton
-    # on bicgstab, since the count is above _DIRECT_MAX
+    # 480 x 240 = 115,200 unknowns, above _DIRECT_MAX: the flow runs on
+    # transforms to tol and Newton never runs
     nl = make("linear-decay")
     g = make_grid(60.0, 30.0, 0.125)
     assert g.n1 * g.n2 > elliptic._DIRECT_MAX
     trace = make_trace("bump:15.0,5.0,0.55", nl, g, "quarter")
     f = solve_quarter(nl, g, trace, method="auto", tol=1e-9)
     assert f.residual <= 1e-9
-    assert 0 < f.meta["flow_steps"] <= 6
+    assert 0 < f.meta["flow_steps"] <= 20
+    assert f.meta["iterations"] == 0 and f.meta["handoff"] is None
     assert f.meta["out_of_window"] is False
+
+
+@pytest.mark.parametrize("h", [0.125, 0.0625])
+def test_auto_solves_the_fine_abs_sin_half_without_a_matrix_solve(h, monkeypatch):
+    # 76,800 and 307,200 unknowns; the limit 2 pi is a kink of |sin|, where
+    # Newton's numeric Jacobian reads f' about 0 and its bicgstab broke down
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flow alone must finish this solve")
+
+    monkeypatch.setattr(elliptic, "splu", refuse)
+    monkeypatch.setattr(elliptic, "bicgstab", refuse)
+    nl = make("abs-sin")
+    g = make_grid(60.0, 20.0, h)
+    f = solve_half(nl, g, 5.029090466054633, tol=1e-10)
+    assert f.residual <= 1e-10
+    assert f.meta["iterations"] == 0 and f.meta["handoff"] is None
+    assert 0 < f.meta["flow_steps"] <= 20
+    assert abs(float(f.far_strip(4).mean()) - 2 * math.pi) < 1e-6
+
+
+def test_auto_hands_off_where_the_flow_stops_contracting():
+    # cantor:3 vanishes on [0.963, 1]: from 0.97 under a trace of 0.99 the
+    # flow only diffuses, each step cutting the residual by about
+    # K / (K + slowest Laplacian eigenvalue), so Newton finishes
+    nl = make("cantor:3")
+    g = make_grid(8.0, 4.0, 0.5)
+    f = solve_half(nl, g, 0.99, u0=0.97, tol=1e-9)
+    handoff = f.meta["handoff"]
+    assert handoff is not None
+    assert f.residual <= 1e-9 < handoff["residual"] <= 1e-3
+    assert elliptic._FLOW_CONTRACTION < handoff["ratio"] < 1.0
+    assert f.meta["iterations"] >= 1
+    assert float(np.max(np.abs(f.values - 0.99))) < 1e-12
+
+
+def test_flow_stops_where_it_stops_contracting():
+    # from a residual at or below the basin threshold, the first step that
+    # does not halve the residual ends the flow; without a threshold the
+    # same flow runs on to its target
+    nl = make("cantor:3")
+    g = make_grid(8.0, 4.0, 0.5)
+    u0 = _apply_boundary(np.full((g.n1 + 1, g.n2), 0.97), "half", as_trace(0.99, g, "half"))
+    u, k, res, ratio = flow_relax(nl, u0, g, "half", res_target=0.0, basin=1e-3)
+    assert ratio > elliptic._FLOW_CONTRACTION
+    assert res / ratio <= 1e-3              # the step started in the basin
+    assert res == residual_max(nl, u, g, "half")
+    _, k_plain, res_plain, _ = flow_relax(nl, u0, g, "half", res_target=1e-4)
+    assert k_plain > k and res_plain <= 1e-4
+
+
+def test_line_search_failure_is_a_numeric_error(monkeypatch):
+    # a step in the wrong direction raises the residual at every lambda
+    # down to 1/1024; Newton must not take it
+    real = elliptic._factor
+    monkeypatch.setattr(elliptic, "_factor", lambda A: (lambda rhs: -real(A)(rhs)))
+    nl = make("logistic")
+    g = make_grid(6.0, 4.0, 0.5)
+    trace = as_trace(0.4, g, "quarter")
+    with pytest.raises(NumericError, match=r"line search failed at lambda=0\.000976562"):
+        solve_quarter(nl, g, trace, method="newton", u0=0.8)
 
 
 def test_auto_selects_evolution_plateau(abs_sin_half):

@@ -107,6 +107,13 @@ def test_every_box_trial_lands_on_pi():
     assert all(abs(t.level - math.pi) < 1e-10 for t in rep.trials)
 
 
+def _flat_interval_start(g):
+    # cantor:3 vanishes on [0.963, 1]: from 0.97 under a trace of 0.99 the
+    # state stays where f' = 0, a flow step cuts the residual only by about
+    # K / (K + slowest Laplacian eigenvalue), and the flow hands off to Newton
+    return make("cantor:3"), np.full((g.n1 + 1, g.n2), 0.97)
+
+
 def test_singular_factor_is_a_numeric_error(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -117,8 +124,26 @@ def test_singular_factor_is_a_numeric_error(monkeypatch):
     u0 = noise_start(g, "torus", np.random.default_rng(0))
     with pytest.raises(NumericError, match="singular"):
         elliptic.newton_solve(nl, g, "torus", None, u0)
+    nl, u0 = _flat_interval_start(g)
     with pytest.raises(NumericError, match="singular"):
-        liouville._robust_solve(nl, g, "torus", None, u0)
+        liouville._robust_solve(nl, g, "half", 0.99, u0)
+
+
+def test_flow_that_stops_contracting_hands_off_to_newton(monkeypatch):
+    calls = []
+    real = liouville.newton_solve
+    monkeypatch.setattr(liouville, "newton_solve",
+                        lambda *a, **kw: calls.append(None) or real(*a, **kw))
+    g = make_grid(4.0, 4.0, 0.5)
+    nl, u0 = _flat_interval_start(g)
+    f = liouville._robust_solve(nl, g, "half", 0.99, u0)
+    assert len(calls) == 1
+    assert f.meta["method"] == "newton" and f.meta["iterations"] >= 1
+    assert f.residual <= 1e-9
+    # a trial that needs no handoff never calls Newton
+    box = periodic_box_sweep(make("abs-sin"), L=8.0, h=0.5, n_trials=2, seed=0)
+    assert box.counts == {"constant": 2}
+    assert len(calls) == 1
 
 
 def test_consistency_error_is_not_swallowed(monkeypatch):
@@ -132,11 +157,10 @@ def test_consistency_error_is_not_swallowed(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(liouville, "newton_solve", inconsistent_once)
-    nl = make("abs-sin")
     g = make_grid(4.0, 4.0, 0.5)
-    u0 = noise_start(g, "torus", np.random.default_rng(0))
+    nl, u0 = _flat_interval_start(g)
     with pytest.raises(ConsistencyError):
-        liouville._robust_solve(nl, g, "torus", None, u0)
+        liouville._robust_solve(nl, g, "half", 0.99, u0)
 
 
 # ---------------------------------------------------------------------------
