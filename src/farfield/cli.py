@@ -1,14 +1,15 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 bad input or config, 2 numerical failure, 3 OS
-error. Every artifact-writing command is deterministic for fixed inputs
-except the wall_time_ms field of solve summaries, which is the only
-timing-dependent value emitted anywhere.
+Exit codes: 0 success, 1 bad input or config, 2 numerical failure or two
+routes to one quantity that disagree, 3 OS error. Every artifact-writing
+command is deterministic for fixed inputs except the wall_time_ms field of
+solve summaries, which is the only timing-dependent value emitted anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ import numpy as np
 
 from .elliptic import (dirichlet_eigenpair, radial_bubble, sliding_verify,
                        solve_field)
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, ConsistencyError, InputError, NumericError
 from .grids import make_grid, save_field_csv
 from .liouville import halfspace_strip_sweep, periodic_box_sweep
 from .nonlinearity import check_hypotheses, compute_Zf, make, zero_set
@@ -550,9 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args keeps no state between calls, so one parser serves them all
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -562,6 +567,9 @@ def main(argv=None) -> int:
         return 1
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
+        return 2
+    except ConsistencyError as e:
+        print(f"consistency error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"os error: {e}", file=sys.stderr)

@@ -541,7 +541,7 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2,
         y0 = np.array([a - fa * r0 * r0 / (2.0 * N), -fa * r0 / N])
 
         def rhs(r, y):
-            return np.array([y[1], -eval_capped(nl, y[0]) - (N - 1) / r * y[1]])
+            return y[1], -float(eval_capped(nl, y[0])) - (N - 1) / r * y[1]
 
         grid = np.linspace(r0, r_max, 4097)
         res = integrate(rhs, r0, y0, r_max, tol=tol, sample_ts=grid,

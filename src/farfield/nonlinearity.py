@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
@@ -153,9 +154,28 @@ class _PiecewiseLinear:
         seg = 0.5 * (self.ys[1:] + self.ys[:-1]) * np.diff(self.xs)
         self.cum = np.concatenate(([0.0], np.cumsum(seg)))
         self.seg_padded = np.append(seg, 0.0)
+        self._xl, self._yl = self.xs.tolist(), self.ys.tolist()
 
     def __call__(self, s):
-        return np.interp(s, self.xs, self.ys)
+        if type(s) is not float:
+            return np.interp(s, self.xs, self.ys)
+        # one Python float: numpy's interp formula on knot lists, without the
+        # wrapper overhead that is most of np.interp's cost on a scalar
+        if s != s:
+            return s
+        xs, ys = self._xl, self._yl
+        j = bisect_right(xs, s) - 1
+        if j < 0:
+            return ys[0]
+        if j == len(xs) - 1 or xs[j] == s:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        v = slope * (s - xs[j]) + ys[j]
+        if v != v:      # an infinite slope: try from the other end
+            v = slope * (s - xs[j + 1]) + ys[j + 1]
+            if v != v and ys[j] == ys[j + 1]:
+                v = ys[j]
+        return v
 
     def gap(self, lo, hi):
         """Exact integral over [lo, hi] for arrays lo < hi; accurate for tiny

@@ -118,9 +118,9 @@ def integrate_profile_ode(nl: Nonlinearity, z: float, xi_grid, slope_delta: floa
 
     def rhs(t, y):
         # builtin min/max: np.clip on a scalar costs more than the RK4 step
-        return np.array([y[1], -float(nl.fn(min(max(y[0], 0.0), nl.s_max)))])
+        return y[1], -float(nl.fn(min(max(y[0], 0.0), nl.s_max)))
 
-    res = integrate(rhs, 0.0, np.array([0.0, slope0]), float(xi_grid[-1]),
+    res = integrate(rhs, 0.0, (0.0, slope0), float(xi_grid[-1]),
                     tol=tol, sample_ts=xi_grid, events=events)
     filled = res.samples_filled
     return res.sample_ys[:filled, 0], res.sample_ys[:filled, 1], res
@@ -331,12 +331,15 @@ def profile_residual(p: Profile1D, nl: Nonlinearity) -> float:
 
 
 def save_profile_csv(p: Profile1D, path: str) -> None:
-    """Write xi,V,W rows with 17 significant digits (lossless round trip)."""
+    """Write xi,V,W rows with 17 significant digits (lossless round trip).
+
+    The bytes are those of a `csv.writer` in its default dialect: no field
+    needs quoting, and every line ends in \r\n.
+    """
+    rows = zip(p.xi.tolist(), p.values.tolist(), p.w.tolist())
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["xi", "V", "W"])
-        for x, v, s in zip(p.xi, p.values, p.w):
-            wr.writerow([f"{x:.17g}", f"{v:.17g}", f"{s:.17g}"])
+        fh.write("xi,V,W\r\n")
+        fh.write("".join([f"{x:.17g},{v:.17g},{s:.17g}\r\n" for x, v, s in rows]))
 
 
 def load_profile_csv(path: str):

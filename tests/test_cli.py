@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from farfield import profile1d
 from farfield.cli import load_config, main
 from farfield.errors import ConfigError
 
@@ -50,6 +51,17 @@ def test_solver_failure_exits_2(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "numeric error:" in capsys.readouterr().err
+
+
+def test_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
+    # with a tolerance no cross-check can meet, the profile's quadrature and
+    # RK4 routes disagree: a ConsistencyError, reported and mapped to exit 2
+    monkeypatch.setattr(profile1d, "_CROSSCHECK_TOL", 1e-30)
+    rc = main(["profile", "--f", "logistic", "--z", "1", "--xi-max", "8",
+               "--n", "64", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("consistency error:") and "routes disagree" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -171,6 +183,15 @@ def test_solve_json_records_the_handoff(tmp_path):
     assert set(summary["handoff"]) == {"residual", "ratio"}
     assert summary["residual"] <= 1e-9 < summary["handoff"]["residual"]
     assert summary["iterations"] >= 1
+
+
+def test_successive_calls_share_no_flag_state(tmp_path):
+    # main reuses one parser: a flag given to one call is not seen by the next
+    dumped, plain = tmp_path / "d", tmp_path / "p"
+    assert main(_SOLVE_ARGS + ["--dump-fields", "--no-plots", "--out", str(dumped)]) == 0
+    assert main(_SOLVE_ARGS + ["--out", str(plain)]) == 0
+    assert sorted(os.listdir(dumped)) == ["field.csv", "solve.json", "trajectory.json"]
+    assert sorted(os.listdir(plain)) == ["decay.svg", "solve.json", "trajectory.json"]
 
 
 def test_no_plots_suppresses_the_svg(tmp_path):

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from farfield import liouville, nonlinearity, profile1d
 from farfield.errors import NumericError
-from farfield.odes import integrate
+from farfield.nonlinearity import make
+from farfield.odes import OdeResult, integrate
+from farfield.profile1d import compute_profile, disconnectedness_probe
 
 
 def test_exponential_decay():
-    res = integrate(lambda t, y: -y, 0.0, [1.0], 5.0, tol=1e-12)
+    res = integrate(lambda t, y: (-y[0],), 0.0, [1.0], 5.0, tol=1e-12)
     assert abs(res.y[0] - math.exp(-5.0)) < 1e-10
 
 
@@ -56,4 +59,230 @@ def test_reversed_interval_rejected():
 
 def test_step_budget_enforced():
     with pytest.raises(NumericError):
-        integrate(lambda t, y: -y, 0.0, [1.0], 10.0, tol=1e-13, max_steps=3)
+        integrate(lambda t, y: (-y[0],), 0.0, [1.0], 10.0, tol=1e-13, max_steps=3)
+
+
+def test_first_stage_is_shared_by_every_attempt_from_a_state():
+    # an accepted step costs the state's rhs value plus 10 calls (3 for the
+    # full step, 3 for the first half step, 4 for the second); a rejected
+    # one costs the 10 only
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return y[1], -math.sin(y[0])
+
+    res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11, h0=2.0)
+    assert res.rejected > 0
+    assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected)
+
+
+# ---------------------------------------------------------------------------
+# the ndarray stepper this one replaced, kept as its reference: the state
+# moved to a tuple of Python floats, and every result must stay bit for bit
+
+def _ref_rk4_step(rhs, t, y, h):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _ref_double_step(rhs, t, y, h):
+    y_big = _ref_rk4_step(rhs, t, y, h)
+    y_half = _ref_rk4_step(rhs, t, y, 0.5 * h)
+    y_fine = _ref_rk4_step(rhs, t + 0.5 * h, y_half, 0.5 * h)
+    err = np.max(np.abs(y_fine - y_big)) / 15.0
+    return y_fine + (y_fine - y_big) / 15.0, err
+
+
+def _ref_locate_event(rhs, t, y, h, gfun, g0):
+    lo, hi = 0.0, h
+    y_hi = None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        y_mid = _ref_rk4_step(rhs, t, y, mid)
+        if g0 * gfun(t + mid, y_mid) <= 0.0:
+            hi, y_hi = mid, y_mid
+        else:
+            lo = mid
+        if hi - lo < 1e-15 * max(1.0, abs(t) + h):
+            break
+    if y_hi is None:
+        y_hi = _ref_rk4_step(rhs, t, y, hi)
+    return t + hi, y_hi
+
+
+def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
+                         hmax=None, sample_ts=None, events=None, max_steps=2_000_000):
+    """The ndarray stepper; rhs may return any sequence, as the tuple one allows."""
+    user_rhs = rhs
+    rhs = lambda t, y: np.array(user_rhs(t, y), dtype=float)
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    t = float(t0)
+    if t1 <= t0:
+        raise NumericError("integrate: need t1 > t0")
+    if hmax is None:
+        hmax = (t1 - t0) / 16.0
+    h = h0 if h0 is not None else min(hmax, (t1 - t0) / 100.0)
+
+    res = OdeResult(t=t, y=y)
+    if sample_ts is not None:
+        sample_ts = np.asarray(sample_ts, dtype=float)
+        res.sample_ts = sample_ts
+        res.sample_ys = np.empty((sample_ts.size, y.size))
+        while res.samples_filled < sample_ts.size and sample_ts[res.samples_filled] <= t:
+            res.sample_ys[res.samples_filled] = y
+            res.samples_filled += 1
+
+    g_prev = None
+    if events:
+        g_prev = [g(t, y) for g in events]
+
+    steps = 0
+    while t < t1:
+        if steps >= max_steps:
+            raise NumericError(f"integrate: step budget exhausted at t={t:.6g}")
+        h = min(h, hmax, t1 - t)
+        if sample_ts is not None and res.samples_filled < sample_ts.size:
+            nxt = sample_ts[res.samples_filled]
+            if nxt > t:
+                h = min(h, nxt - t)
+        h = max(h, hmin)
+
+        y_new, err = _ref_double_step(rhs, t, y, h)
+        scale = tol * (1.0 + np.max(np.abs(y)))
+        if err > scale and h > hmin:
+            res.rejected += 1
+            h *= max(0.1, 0.9 * (scale / err) ** 0.2)
+            continue
+        steps += 1
+
+        t_new = t + h
+        if events:
+            g_new = [g(t_new, y_new) for g in events]
+            hit = None
+            for k, (a, b) in enumerate(zip(g_prev, g_new)):
+                if a != 0.0 and a * b <= 0.0:
+                    hit = k
+                    break
+            if hit is not None:
+                te, ye = _ref_locate_event(rhs, t, y, h, events[hit], g_prev[hit])
+                if sample_ts is not None:
+                    while (res.samples_filled < sample_ts.size
+                           and sample_ts[res.samples_filled] <= te):
+                        st = sample_ts[res.samples_filled]
+                        res.sample_ys[res.samples_filled] = _ref_rk4_step(rhs, t, y, st - t)
+                        res.samples_filled += 1
+                res.t, res.y = te, ye
+                res.event_index, res.event_t, res.event_y = hit, te, ye
+                res.n_steps = steps
+                return res
+            g_prev = g_new
+
+        if sample_ts is not None:
+            while (res.samples_filled < sample_ts.size
+                   and sample_ts[res.samples_filled] <= t_new + 1e-15 * max(1.0, t_new)):
+                st = sample_ts[res.samples_filled]
+                if st >= t_new:
+                    res.sample_ys[res.samples_filled] = y_new
+                else:
+                    res.sample_ys[res.samples_filled] = _ref_rk4_step(rhs, t, y, st - t)
+                res.samples_filled += 1
+
+        t, y = t_new, y_new
+        if err > 0.0:
+            h *= min(4.0, 0.9 * (scale / err) ** 0.2)
+        else:
+            h *= 4.0
+
+    res.t, res.y, res.n_steps = t, y, steps
+    return res
+
+
+def _launches(monkeypatch, module, stepper, run):
+    """The OdeResults of every launch `run` makes through `module`'s stepper."""
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(stepper(*args, **kwargs))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "integrate", recorded)
+        run()
+    return seen
+
+
+def _assert_bit_identical(a: OdeResult, b: OdeResult):
+    assert (a.n_steps, a.rejected, a.samples_filled) == (b.n_steps, b.rejected, b.samples_filled)
+    assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
+    assert (a.event_index, a.event_t) == (b.event_index, b.event_t)
+    assert (a.event_y is None) == (b.event_y is None)
+    if a.event_y is not None:
+        assert a.event_y.tobytes() == b.event_y.tobytes()
+    assert (a.sample_ys is None) == (b.sample_ys is None)
+    if a.sample_ys is not None:
+        n = a.samples_filled
+        assert a.sample_ts.tobytes() == b.sample_ts.tobytes()
+        assert a.sample_ys[:n].tobytes() == b.sample_ys[:n].tobytes()
+
+
+_PROFILES = [("abs-sin", math.pi), ("abs-sin", 3.0 * math.pi), ("logistic", 1.0),
+             ("cantor:3", 0.962962962862963)]
+
+
+@pytest.mark.parametrize("spec, z", _PROFILES)
+def test_profile_launch_matches_the_ndarray_stepper(monkeypatch, spec, z):
+    nl = make(spec)
+    run = lambda: compute_profile(nl, z, xi_max=20.0)
+    new = _launches(monkeypatch, profile1d, integrate, run)
+    ref = _launches(monkeypatch, profile1d, _reference_integrate, run)
+    assert len(new) == len(ref) == 1
+    _assert_bit_identical(new[0], ref[0])
+    if spec == "cantor:3":
+        assert new[0].rejected > 100      # the retries share the first stage
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_probe_launch_matches_the_ndarray_stepper(monkeypatch, sign):
+    run = lambda: disconnectedness_probe(make("abs-sin"), math.pi, 0.1, sign)
+    new = _launches(monkeypatch, profile1d, integrate, run)
+    ref = _launches(monkeypatch, profile1d, _reference_integrate, run)
+    assert new[0].event_index is not None
+    _assert_bit_identical(new[0], ref[0])
+
+
+def test_capped_floor_matches_the_ndarray_stepper(monkeypatch):
+    run = lambda: liouville.parabolic_floor(make("linear-decay", s_max=0.5), 0.0, 2.0)
+    new = _launches(monkeypatch, liouville, integrate, run)
+    ref = _launches(monkeypatch, liouville, _reference_integrate, run)
+    assert new[0].event_index == 0        # reached the window cap
+    _assert_bit_identical(new[0], ref[0])
+
+
+# ---------------------------------------------------------------------------
+# piecewise-linear terms on one Python float
+
+@pytest.mark.parametrize("level", [1, 3, 6])
+def test_scalar_piecewise_path_matches_np_interp(level):
+    pl = make(f"cantor:{level}").fn
+    knots = pl.xs.tolist()
+    pts = (knots
+           + [math.nextafter(x, -math.inf) for x in knots]
+           + [math.nextafter(x, math.inf) for x in knots]
+           + [-1.0, -1e-300, -0.0, 1.5, 1e300, -math.inf, math.inf]
+           + np.random.default_rng(level).uniform(-0.1, 1.1, 2000).tolist())
+    for x in pts:
+        got = pl(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.interp(x, pl.xs, pl.ys).tobytes(), x
+    assert math.isnan(pl(math.nan))
+    assert isinstance(pl(np.float64(0.5)), np.floating)    # numpy input, numpy path
+
+
+def test_scalar_piecewise_path_on_a_table():
+    pl = nonlinearity.from_table([0.0, 0.25, 1.0, 2.0], [0.5, -1.0, 0.0, 3.0]).fn
+    for x in np.linspace(-0.5, 2.5, 301).tolist():
+        assert pl(x) == float(np.interp(x, pl.xs, pl.ys))

@@ -1,5 +1,6 @@
 """Rising 1-D profiles: launch slopes, quadrature grids, probes, round trips."""
 
+import csv
 import math
 
 import numpy as np
@@ -139,6 +140,23 @@ def test_profile_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(xi, p.xi)
     np.testing.assert_array_equal(v, p.values)
     np.testing.assert_array_equal(w, p.w)
+
+
+def test_profile_csv_bytes_match_csv_writer(tmp_path):
+    xi = np.linspace(0.0, 3.0, 41)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal((2, xi.size)) * 10.0 ** rng.uniform(-300, 300, (2, xi.size))
+    vals[:, :3] = [[0.0, -0.0, 1.0], [1e-320, math.inf, -math.inf]]
+    p = profile1d.Profile1D(1.0, 0.5, xi, vals[0], vals[1])
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["xi", "V", "W"])
+        for x, v, s in zip(p.xi, p.values, p.w):
+            wr.writerow([f"{x:.17g}", f"{v:.17g}", f"{s:.17g}"])
+    path = tmp_path / "profile.csv"
+    save_profile_csv(p, str(path))
+    assert path.read_bytes() == ref.read_bytes()
 
 
 # ---------------------------------------------------------------------------
