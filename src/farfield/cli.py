@@ -102,7 +102,7 @@ def _nl(args):
 def _zero_set_json(E) -> dict:
     return {"points": list(map(float, E.points)),
             "intervals": [[float(a), float(b)] for a, b in E.intervals],
-            "borderline": list(map(float, getattr(E, "borderline", ()))),
+            "borderline": list(map(float, E.borderline)),
             "notes": list(E.notes)}
 
 

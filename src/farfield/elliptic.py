@@ -53,10 +53,16 @@ from .odes import integrate
 
 _DIRECT_MAX = 256 * 256       # unknown count up to which we factorize directly
 _NEWTON_MAX_ITER = 60
+_FPRIME_DELTA = 1e-7          # central-difference step of Newton's f'
 _FLOW_MAX_STEPS = 200_000
 _FLOW_CONTRACTION = 0.5       # in the basin, a step must cut the residual this much
 _LINE_SEARCH_MIN = 1.0 / 1024.0
 _WINDOW_SLACK = 1e-8
+_EIGEN_TOL = 1e-13            # relative eigenvalue change that ends the iteration
+_EIGEN_MAX_ITER = 400
+_BUBBLE_R_MAX = 200.0         # radius a cap launch integrates out to
+_BUBBLE_TOL = 1e-11           # RK4 tolerance of a cap launch
+_RAMP_SHELL_N = 2048          # trapezoid cells across the ramp's unit shell
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +206,10 @@ def residual_max(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str) -> fl
     return float(np.max(np.abs(lap + eval_capped(nl, _unknown_block(u, kind)))))
 
 
-def _fprime_numeric(nl: Nonlinearity, v: np.ndarray, delta: float = 1e-7) -> np.ndarray:
-    up = eval_capped(nl, v + delta)
-    dn = eval_capped(nl, v - delta)
-    return (up - dn) / (2.0 * delta)
+def _fprime_numeric(nl: Nonlinearity, v: np.ndarray) -> np.ndarray:
+    up = eval_capped(nl, v + _FPRIME_DELTA)
+    dn = eval_capped(nl, v - _FPRIME_DELTA)
+    return (up - dn) / (2.0 * _FPRIME_DELTA)
 
 
 def _factor(A):
@@ -240,9 +246,9 @@ def _factor(A):
 # solvers
 
 def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
-                 u0: np.ndarray, tol: float = 1e-9,
-                 max_iter: int = _NEWTON_MAX_ITER) -> Field:
-    """Damped Newton iteration from u0 (full array, boundary rows included)."""
+                 u0: np.ndarray, tol: float = 1e-9) -> Field:
+    """Damped Newton iteration from u0 (full array, boundary rows included);
+    a final residual not at or below tol, NaN included, is a NumericError."""
     L, b = assemble_laplacian(grid, kind, trace)
     v = _vec(u0, kind)
 
@@ -252,7 +258,7 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
     r = res(v)
     rn = float(np.max(np.abs(r)))
     it = 0
-    while rn > tol and it < max_iter:
+    while rn > tol and it < _NEWTON_MAX_ITER:
         J = L + diags(_fprime_numeric(nl, v))
         step = _factor(J)(-r)
         lam = 1.0
@@ -273,7 +279,7 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
             lam *= 0.5
         v, r, rn = v_try, r_try, rn_try
         it += 1
-    if rn > tol:
+    if not rn <= tol:
         raise NumericError(f"newton did not reach tol={tol:g}: residual {rn:.3e} "
                            f"after {it} iterations")
     return _finish(nl, _unvec(v, u0, kind), grid, kind, rn,
@@ -365,8 +371,9 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     """Solve Delta u + f(u) = 0 on the requested domain kind.
 
     u0 may be a scalar (constant start), a full array, or None for the
-    trace-extension default. The auto method runs the parabolic flow to tol,
-    so the answer is the state the evolution selects. Once the residual is
+    trace-extension default; a non-finite value in it is an InputError. The
+    auto method runs the parabolic flow to tol, so the answer is the state
+    the evolution selects. Once the residual is
     at or below flow_target, a flow step that does not cut it by the factor
     _FLOW_CONTRACTION ends the flow, and Newton finishes from that state.
     meta["handoff"] records the flow's residual and step ratio there, and
@@ -384,6 +391,8 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
         shape = (grid.n1 + 1, tr.size)
     if u0 is None:
         u = _default_start(grid, kind, tr)
+    elif not np.all(np.isfinite(np.asarray(u0, dtype=float))):
+        raise InputError("u0 contains non-finite values")
     elif np.isscalar(u0):
         u = _apply_boundary(np.full(shape, float(u0)), kind, tr)
     else:
@@ -397,7 +406,7 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     elif method == "monotone":
         u_m, steps, res, _ = flow_relax(nl, u, grid, kind, res_target=tol,
                                         max_steps=_FLOW_MAX_STEPS, descend=True)
-        if res > tol:
+        if not res <= tol:
             raise NumericError(f"monotone flow did not reach tol={tol:g} "
                                f"in {steps} steps")
         f = _finish(nl, u_m, grid, kind, res,
@@ -439,8 +448,7 @@ class EigenResult:
     iterations: int
 
 
-def dirichlet_eigenpair(N: int, R: float, n: int = 4096, tol: float = 1e-13,
-                        max_iter: int = 400) -> EigenResult:
+def dirichlet_eigenpair(N: int, R: float, n: int = 4096) -> EigenResult:
     """Principal eigenvalue of -Delta on the radius-R ball, radial reduction.
 
     Solves -(phi'' + (N-1)/r phi') = lambda phi, phi'(0) = 0, phi(R) = 0 on a
@@ -474,14 +482,14 @@ def dirichlet_eigenpair(N: int, R: float, n: int = 4096, tol: float = 1e-13,
     phi = np.ones(n)
     lam_old = 0.0
     lam = 0.0
-    for it in range(max_iter):
+    for it in range(_EIGEN_MAX_ITER):
         phi_new = solve_banded((1, 1), ab, phi)
         phi_new /= np.max(np.abs(phi_new))
         Aphi = _banded_apply(upper, diag, lower, phi_new)
         num = np.sum(w * phi_new * Aphi)
         den = np.sum(w * phi_new * phi_new)
         lam = num / den
-        if it > 0 and abs(lam - lam_old) <= tol * abs(lam):
+        if it > 0 and abs(lam - lam_old) <= _EIGEN_TOL * abs(lam):
             phi = phi_new
             break
         lam_old = lam
@@ -522,13 +530,12 @@ class Bubble:
         return self.a
 
 
-def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2,
-                  r_max: float = 200.0, tol: float = 1e-11) -> Bubble:
+def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
     """Radially decreasing cap: v'' + (N-1)/r v' + f(v) = 0, v(0) = a, v'(0) = 0.
 
     Starts at a = z - eps/2 and integrates outward until v crosses 0 (the cap
     radius). If the trajectory lingers too long near the unstable top and
-    fails to cross within r_max, the start height is bisected downward inside
+    fails to cross within _BUBBLE_R_MAX, the start height is bisected down inside
     (z - eps, z). The zero extension of the cap is the sliding comparison
     object; it never exceeds its center height a.
     """
@@ -543,8 +550,8 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2,
         def rhs(r, y):
             return y[1], -float(eval_capped(nl, y[0])) - (N - 1) / r * y[1]
 
-        grid = np.linspace(r0, r_max, 4097)
-        res = integrate(rhs, r0, y0, r_max, tol=tol, sample_ts=grid,
+        grid = np.linspace(r0, _BUBBLE_R_MAX, 4097)
+        res = integrate(rhs, r0, y0, _BUBBLE_R_MAX, tol=_BUBBLE_TOL, sample_ts=grid,
                         events=[lambda r, y: y[0]])
         return res, grid
 
@@ -626,12 +633,11 @@ def bubble_energy(bub: Bubble, nl: Nonlinearity,
     return cap_energy(bub, nl, r), ramp_energy(nl, bub.z, r, N=bub.N)
 
 
-def ramp_energy(nl: Nonlinearity, z: float, r_ball: float, N: int = 2,
-                n_shell: int = 2048) -> float:
+def ramp_energy(nl: Nonlinearity, z: float, r_ball: float, N: int = 2) -> float:
     """Energy of the ramp: z inside radius r-1, z*(r - |x|) on the unit shell."""
     if r_ball <= 1.0:
         raise InputError("ramp_energy: need r_ball > 1")
-    rr = np.linspace(r_ball - 1.0, r_ball, n_shell + 1)
+    rr = np.linspace(r_ball - 1.0, r_ball, _RAMP_SHELL_N + 1)
     vv = z * (r_ball - rr)
     G = integral_between(nl, vv, z)
     dens = (0.5 * z * z + G) * rr ** (N - 1)

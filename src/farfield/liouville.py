@@ -42,6 +42,7 @@ SURROGATE_BANNER = ("results on a compact surrogate domain; "
 _CONST_TOL = 1e-4
 _N_MODES = 8
 _AMP_MAX = 3.0
+_TRIAL_TOL = 1e-9          # residual a trial's state must reach
 
 
 def noise_start(grid: Grid2D, kind: str, rng: np.random.Generator) -> np.ndarray:
@@ -112,24 +113,23 @@ class SweepReport:
         }
 
 
-def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace, u0: np.ndarray,
-                  tol: float = 1e-9) -> Field:
-    """Flow to the rounding floor; Newton finishes only if the flow stalls above tol.
+def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace, u0: np.ndarray) -> Field:
+    """Flow to the rounding floor; Newton finishes only if it stalls above _TRIAL_TOL.
 
     The semi-implicit flow keeps order, so the trial lands on the state the
     evolution from u0 selects; Newton run straight from noise could land on
     any state, the unstable ones included. Below a residual of 1e-5 the flow
     runs while each step at least halves the residual, which carries it to
     the rounding floor (about 5e-14 at h = 0.25 and 2e-13 at h = 0.125, so
-    no fixed target fits every grid). A state at or below tol is the answer;
-    otherwise Newton starts from it.
+    no fixed target fits every grid). A state at or below _TRIAL_TOL is the
+    answer; otherwise Newton starts from it.
     """
     tr = None if kind == "torus" else as_trace(trace, grid, kind)
     u = _apply_boundary(u0, kind, tr)
     u_flow, _, res, _ = flow_relax(nl, u, grid, kind, res_target=0.0, basin=1e-5)
-    if res <= tol:
+    if res <= _TRIAL_TOL:
         return _finish(nl, u_flow, grid, kind, res, {"method": "flow", "iterations": 0})
-    return newton_solve(nl, grid, kind, tr, u_flow, tol=tol)
+    return newton_solve(nl, grid, kind, tr, u_flow, tol=_TRIAL_TOL)
 
 
 def _dist_to_zero_set(E, s: float) -> float:

@@ -1,9 +1,10 @@
 """Reaction-term catalog and structure analysis.
 
 A Nonlinearity bundles a vectorized source term f on the analysis window
-[0, s_max] with an exact (or piecewise-exact) antiderivative F when one is
-available. On top of that sit the structural operations the rest of the
-package consumes: the zero set E of f, the subset of zeros reachable by
+[0, s_max] with its exact (or piecewise-exact) antiderivative F and slab
+integral; every integral of f comes from these, with no quadrature fallback.
+On top of that sit the structural operations the rest of the package
+consumes: the zero set E of f, the subset of zeros reachable by
 monotone 1-D profiles (F strictly below its value at the zero all the way
 up), hypothesis checkers for the three structural conditions the far-field
 statements assume, and the reflection that turns a decay problem into a
@@ -28,15 +29,16 @@ from typing import Callable
 
 import numpy as np
 from scipy import optimize
-from scipy.integrate import quad
 
-from .errors import InputError, NumericError
+from .errors import InputError
 
 TOL_F_DEFAULT = 1e-10    # |f| at or below this counts as zero
 TOL_F_STRICT = 1e-12     # strictness margin for the F-increase test
 _RATIO_BAND = 1e-6       # one-sided ratio estimates inside this band are inconclusive
 _DELTAS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _WINDOW_SLACK = 1e-12
+_ZF_GRID_N = 100_000     # F samples behind the reachability test
+_ZF_SCAN_N = 65_536      # zero-set scan samples behind the reachable levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,13 +47,12 @@ class Nonlinearity:
     s_max: float
     lipschitz_estimate: float
     fn: Callable = field(repr=False)                      # vectorized, unchecked
-    antiderivative_fn: Callable | None = field(default=None, repr=False)
+    antiderivative_fn: Callable = field(repr=False)       # F(z), vectorized
     # exact integral of f over [lo, hi] for float arrays lo < hi (elementwise);
     # must stay accurate in RELATIVE terms when the integral is tiny (profiles
     # divide by it arbitrarily close to a zero, where F(hi)-F(lo) would cancel
     # catastrophically)
-    gap_fn: Callable | None = field(default=None, repr=False)
-    params: tuple = ()
+    gap_fn: Callable = field(repr=False)
 
     def __post_init__(self):
         if not (self.s_max > 0 and math.isfinite(self.s_max)):
@@ -83,29 +84,13 @@ def eval_capped(nl: Nonlinearity, s):
 
 
 def antiderivative_F(nl: Nonlinearity, z):
-    """F(z) = integral of f from 0 to z, exact when the catalog knows how.
-
-    Falls back to adaptive quadrature (absolute tolerance 1e-12) otherwise.
-    """
+    """F(z) = integral of f from 0 to z, from the term's closed or
+    piecewise-exact form; every term carries one, so there is no quadrature."""
     arr = np.asarray(z, dtype=float)
     if arr.size and (arr.min() < -_WINDOW_SLACK or arr.max() > nl.s_max + _WINDOW_SLACK):
         raise InputError(
             f"{nl.kind}: antiderivative argument outside [0, {nl.s_max:g}]")
-    clipped = np.clip(arr, 0.0, nl.s_max)
-    if nl.antiderivative_fn is not None:
-        out = nl.antiderivative_fn(clipped)
-    else:
-        flat = np.atleast_1d(clipped)
-        vals = np.empty_like(flat)
-        for i, zi in enumerate(flat):
-            vi, err = quad(lambda x: _f1(nl, x), 0.0, float(zi),
-                           epsabs=1e-12, epsrel=1e-12, limit=500)
-            if err > 1e-9:
-                raise NumericError(
-                    f"{nl.kind}: antiderivative quadrature reached only {err:.2e} "
-                    f"absolute error at z={zi:g}")
-            vals[i] = vi
-        out = vals.reshape(clipped.shape)
+    out = nl.antiderivative_fn(np.clip(arr, 0.0, nl.s_max))
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
@@ -113,21 +98,16 @@ def integral_between(nl: Nonlinearity, lo, hi):
     """Integral of f over [lo, hi] with relative accuracy even when tiny.
 
     `lo` and `hi` are scalars or arrays, broadcast together; scalar inputs
-    give a float, array inputs an array. Catalog members carry closed or
-    piecewise-exact forms; anything else falls back to adaptive quadrature in
-    relative mode, one element at a time.
+    give a float, array inputs an array. Every term carries its slab
+    integral in closed or piecewise-exact form (`gap_fn`); there is no
+    quadrature fallback.
     """
     lo_a, hi_a = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     a = np.minimum(lo_a, hi_a).ravel()
     b = np.maximum(lo_a, hi_a).ravel()
     live = np.flatnonzero(a != b)           # lo == hi stays an exact 0
     val = np.zeros(a.size)
-    if nl.gap_fn is not None:
-        val[live] = nl.gap_fn(a[live], b[live])
-    else:
-        for i in live:
-            val[i], _ = quad(lambda x: _f1(nl, x), a[i], b[i],
-                             epsabs=1e-300, epsrel=1e-12, limit=500)
+    val[live] = nl.gap_fn(a[live], b[live])
     val = np.where(hi_a.ravel() < lo_a.ravel(), -val, val).reshape(lo_a.shape)
     return float(val) if val.ndim == 0 else val
 
@@ -298,7 +278,7 @@ def cantor(level: int = 6) -> Nonlinearity:
         vals.append(Fraction(0))
     pl = _PiecewiseLinear([float(x) for x in knots], [float(v) for v in vals])
     return Nonlinearity(f"cantor:{level}", 1.0, _lipschitz_on_grid(pl, 1.0),
-                        pl, pl.antiderivative, pl.gap, params=(level,))
+                        pl, pl.antiderivative, pl.gap)
 
 
 def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
@@ -409,13 +389,6 @@ class ZeroSet:
             if any(a - 1e-12 <= p <= b + 1e-12 for a, b in ivs):
                 raise InputError("zero set: point inside an interval")
 
-    def all_members(self):
-        """Points plus interval endpoints, sorted (for reporting)."""
-        vals = list(self.points)
-        for a, b in self.intervals:
-            vals.extend((a, b))
-        return sorted(vals)
-
 
 def _edge_inward(absfn, tol_f: float, outside: float, inside: float) -> float:
     """Edge of a sub-tolerance run, bisected so |f(edge)| <= tol_f holds.
@@ -432,22 +405,17 @@ def _edge_inward(absfn, tol_f: float, outside: float, inside: float) -> float:
     return float(inside)
 
 
-def zero_set(nl: Nonlinearity, s_max: float | None = None, grid_n: int = 4096,
-             tol_f: float = TOL_F_DEFAULT) -> ZeroSet:
-    """Scan [0, s_max] for zeros of f.
+def zero_set(nl: Nonlinearity, grid_n: int = 4096, tol_f: float = TOL_F_DEFAULT) -> ZeroSet:
+    """Scan the analysis window [0, s_max] for zeros of f.
 
     Grid scan + three refiners: sign changes go to a bracketing root solve,
     kink/tangential minima go to golden-section, and flat sub-tolerance
     stretches become closed intervals whose edges are re-bisected against the
     tolerance so endpoint error is far below the scan spacing.
     """
-    if s_max is None:
-        s_max = nl.s_max
-    if not (0 < s_max <= nl.s_max + 1e-12):
-        raise InputError(f"zero_set: s_max must lie in (0, {nl.s_max:g}]")
     if grid_n < 16:
         raise InputError("zero_set: grid_n too small")
-    xs = np.linspace(0.0, s_max, grid_n)
+    xs = np.linspace(0.0, nl.s_max, grid_n)
     h = xs[1] - xs[0]
     fs = nl.fn(xs)
     absf = np.abs(fs)
@@ -458,15 +426,10 @@ def zero_set(nl: Nonlinearity, s_max: float | None = None, grid_n: int = 4096,
     def absfn(x):
         return abs(_f1(nl, x))
 
-    # flat runs and isolated sub-tolerance samples
-    i = 0
-    while i < grid_n:
-        if not sub[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid_n and sub[j + 1]:
-            j += 1
+    # flat runs i..j and isolated sub-tolerance samples, where the mask steps
+    step = np.diff(sub.astype(np.int8), prepend=0, append=0)
+    for i, j in zip(np.flatnonzero(step > 0).tolist(),
+                    (np.flatnonzero(step < 0) - 1).tolist()):
         if j == i:
             points.append(float(xs[i]))
         else:
@@ -477,7 +440,6 @@ def zero_set(nl: Nonlinearity, s_max: float | None = None, grid_n: int = 4096,
             if j + 1 < grid_n:
                 right = _edge_inward(absfn, tol_f, xs[j + 1], xs[j])
             intervals.append((float(left), float(right)))
-        i = j + 1
 
     # sign changes between samples
     for i in np.nonzero(fs[:-1] * fs[1:] < 0.0)[0]:
@@ -506,49 +468,31 @@ def zero_set(nl: Nonlinearity, s_max: float | None = None, grid_n: int = 4096,
     for p in sorted(points):
         if any(a - h * 0.5 <= p <= b + h * 0.5 for a, b in intervals):
             continue
-        if cleaned and p - cleaned[-1] < 1e-9 * max(1.0, s_max):
+        if cleaned and p - cleaned[-1] < 1e-9 * max(1.0, nl.s_max):
             continue
-        cleaned.append(min(max(p, 0.0), s_max))
-    return ZeroSet(tuple(cleaned), tuple(sorted(intervals)), float(s_max), tol_f)
+        cleaned.append(min(max(p, 0.0), nl.s_max))
+    return ZeroSet(tuple(cleaned), tuple(sorted(intervals)), float(nl.s_max), tol_f)
 
 
-def _antiderivative_grid(nl: Nonlinearity, zs: np.ndarray) -> np.ndarray:
-    """F on a dense increasing grid; exact path when available, else
-    cumulative composite Simpson on a refined grid (internal helper)."""
-    if nl.antiderivative_fn is not None:
-        return np.asarray(nl.antiderivative_fn(zs), dtype=float)
-    fine = np.linspace(zs[0], zs[-1], 4 * (zs.size - 1) + 1)
-    fv = nl.fn(fine)
-    hh = fine[1] - fine[0]
-    # Simpson over consecutive pairs of fine cells = one coarse-half segment
-    pair = (fv[0:-2:2] + 4.0 * fv[1:-1:2] + fv[2::2]) * (hh / 3.0)
-    cum = np.concatenate(([0.0], np.cumsum(pair)))
-    return np.interp(zs, fine[::2], cum)
-
-
-def compute_Zf(nl: Nonlinearity, s_max: float | None = None, grid_n: int = 100_000,
-               tol_f: float = TOL_F_DEFAULT, tol_F: float = TOL_F_STRICT) -> ZeroSet:
+def compute_Zf(nl: Nonlinearity, tol_f: float = TOL_F_DEFAULT) -> ZeroSet:
     """Zeros z0 whose antiderivative strictly dominates everything below.
 
-    Membership test: F(z0) - F(z) > tol_F for every grid point z at or below
-    z0 - h_grid. The origin joins whenever f(0) <= tol_f (its condition is
-    vacuous); that convention is recorded in the notes. Candidates whose
-    margin sits inside [-tol_F, tol_F] are reported separately as borderline
-    rather than guessed either way.
+    Membership test: F(z0) - F(z) > TOL_F_STRICT for every point z at or
+    below z0 - h_grid of a _ZF_GRID_N-point grid. The origin joins whenever
+    f(0) <= tol_f (its condition is vacuous); that convention is recorded in
+    the notes. Candidates whose margin sits inside +-TOL_F_STRICT are
+    reported separately as borderline rather than guessed either way.
     """
-    if s_max is None:
-        s_max = nl.s_max
-    E = zero_set(nl, s_max=s_max, grid_n=max(4096, min(grid_n, 65_536)), tol_f=tol_f)
+    E = zero_set(nl, grid_n=_ZF_SCAN_N, tol_f=tol_f)
 
     candidates = list(E.points)
     for a, b in E.intervals:
         candidates.extend((a, b))
     candidates = sorted(set(candidates))
 
-    zs = np.linspace(0.0, s_max, grid_n)
+    zs = np.linspace(0.0, nl.s_max, _ZF_GRID_N)
     h_grid = zs[1] - zs[0]
-    Fs = _antiderivative_grid(nl, zs)
-    prefix = np.maximum.accumulate(Fs)
+    prefix = np.maximum.accumulate(nl.antiderivative_fn(zs))
 
     members, borderline, notes = [], [], []
     for z0 in candidates:
@@ -561,12 +505,12 @@ def compute_Zf(nl: Nonlinearity, s_max: float | None = None, grid_n: int = 100_0
                                  "strict-increase condition below 0 is vacuous")
             continue
         margin = float(antiderivative_F(nl, z0)) - float(prefix[j])
-        if margin > tol_F:
+        if margin > TOL_F_STRICT:
             members.append(z0)
-        elif margin >= -tol_F:
+        elif margin >= -TOL_F_STRICT:
             borderline.append(z0)
 
-    return ZeroSet(tuple(members), (), float(s_max), tol_f,
+    return ZeroSet(tuple(members), (), float(nl.s_max), tol_f,
                    borderline=tuple(borderline), notes=tuple(notes))
 
 
@@ -600,16 +544,14 @@ def _verdict_from_ratio(r: float):
     return None
 
 
-def check_hypotheses(nl: Nonlinearity, s_max: float | None = None,
-                     tol_f: float = TOL_F_DEFAULT) -> HypothesisReport:
+def check_hypotheses(nl: Nonlinearity, tol_f: float = TOL_F_DEFAULT) -> HypothesisReport:
     """Numerically probe the three structural conditions on [0, s_max].
 
     One-sided liminf ratios are estimated as the minimum of f(z +- d)/(+-d)
     over d in {1e-3 ... 1e-7}; estimates inside the +-1e-6 band come back as
     inconclusive (None), never as a silent pass.
     """
-    if s_max is None:
-        s_max = nl.s_max
+    s_max = nl.s_max
     notes = []
     xs = np.linspace(0.0, s_max, 8001)
     h = xs[1] - xs[0]
@@ -680,7 +622,7 @@ def check_hypotheses(nl: Nonlinearity, s_max: float | None = None,
             h1 = False
             notes.append("f(0) < 0")
 
-    E = zero_set(nl, s_max=s_max, tol_f=tol_f)
+    E = zero_set(nl, tol_f=tol_f)
 
     # --- second condition: f >= 0 and definite right-slope at every zero
     h2: bool | None = True
@@ -763,15 +705,10 @@ def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
         inner = np.clip(c - s, 0.0, nl.s_max)
         return np.where(s <= edge, -nl.fn(inner), -f_at_m)
 
-    Fsrc = nl.antiderivative_fn
-
     def G(z):
         z = np.asarray(z, dtype=float)
         zc = np.minimum(z, edge)
-        if Fsrc is not None:
-            head = Fsrc(np.clip(c - zc, 0.0, nl.s_max)) - F_at_c
-        else:
-            head = antiderivative_F(nl, np.clip(c - zc, 0.0, nl.s_max)) - F_at_c
+        head = nl.antiderivative_fn(np.clip(c - zc, 0.0, nl.s_max)) - F_at_c
         return head + np.where(z > edge, (z - edge) * (-f_at_m), 0.0)
 
     def gap_g(lo, hi):
@@ -785,5 +722,4 @@ def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
 
     s_max_g = edge + 1.0
     return Nonlinearity(f"reflect({nl.kind},{M_prime:g},{m:g})", s_max_g,
-                        _lipschitz_on_grid(g, s_max_g), g, G, gap_g,
-                        params=(M_prime, m))
+                        _lipschitz_on_grid(g, s_max_g), g, G, gap_g)

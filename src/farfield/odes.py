@@ -26,6 +26,7 @@ from .errors import NumericError
 _SAFETY = 0.9
 _GROW_MAX = 4.0
 _SHRINK_MIN = 0.1
+_HMIN = 1e-13         # smallest step; a step this small is always accepted
 
 
 def _rk4_step(rhs, t, y, h, k1):
@@ -59,7 +60,9 @@ def _double_step(rhs, t, y, h, k1):
     hh = 0.5 * h
     y_half = _rk4_step(rhs, t, y, hh, k1)
     y_fine = _rk4_step(rhs, t + hh, y_half, hh, rhs(t + hh, y_half))
-    err = max([abs(a - b) for a, b in zip(y_fine, y_big)]) / 15.0
+    diff = [abs(a - b) for a, b in zip(y_fine, y_big)]
+    total = sum(diff)           # NaN if any component is; max can skip one
+    err = (max(diff) if total == total else total) / 15.0
     return tuple([a + (a - b) / 15.0 for a, b in zip(y_fine, y_big)]), err
 
 
@@ -81,8 +84,8 @@ def _locate_event(rhs, t, y, h, k1, gfun, g0):
     return t + hi, y_hi
 
 
-def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
-              hmax=None, sample_ts=None, events=None, max_steps=2_000_000):
+def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
+              max_steps=2_000_000):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
     y0: a float or a 1-D sequence of floats. rhs and the event functions get
@@ -91,14 +94,14 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
     exactly, so sampled states carry no interpolation error.
     events: list of scalar functions g(t, y); integration stops at the first
     sign change of any of them, located by bisection inside the step.
+    A NaN state raises NumericError naming t; steps are at most (t1 - t0)/16.
     """
     y = tuple(np.atleast_1d(np.asarray(y0, dtype=float)).tolist())
     t = float(t0)
     if t1 <= t0:
         raise NumericError("integrate: need t1 > t0")
     t1 = float(t1)
-    if hmax is None:
-        hmax = (t1 - t0) / 16.0
+    hmax = (t1 - t0) / 16.0
     h = h0 if h0 is not None else min(hmax, (t1 - t0) / 100.0)
 
     res = OdeResult(t=t, y=np.array(y))
@@ -127,13 +130,15 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
             nxt = sample_ts[filled]
             if nxt > t:
                 h = min(h, nxt - t)
-        h = max(h, hmin)
+        h = max(h, _HMIN)
 
         if k1 is None:
             k1 = rhs(t, y)
         y_new, err = _double_step(rhs, t, y, h, k1)
+        if err != err:
+            raise NumericError(f"integrate: NaN state in the step from t={t:.6g}")
         scale = tol * (1.0 + max([abs(a) for a in y]))
-        if err > scale and h > hmin:
+        if err > scale and h > _HMIN:
             res.rejected += 1
             h *= max(_SHRINK_MIN, _SAFETY * (scale / err) ** 0.2)
             continue

@@ -36,6 +36,7 @@ from .nonlinearity import Nonlinearity, integral_between
 from .odes import integrate
 
 _CROSSCHECK_TOL = 1e-6
+_EXIT_TOL = 1e-8      # the mesh ends this far below the limit z
 # stop comparing once within this distance of the limit: the launch route's
 # error is amplified like exp(xi) there, so the window must end while the
 # amplification is still a few orders below the check tolerance
@@ -83,21 +84,21 @@ class Profile1D:
     values: np.ndarray
     w: np.ndarray
     crosscheck: float = 0.0      # max |quadrature route - ODE route|
-    xi_attained: float = 0.0     # where the mesh reaches z - exit_tol
+    xi_attained: float = 0.0     # where the mesh reaches z - _EXIT_TOL
 
     def __len__(self):
         return self.xi.size
 
 
-def shoot_slope(nl: Nonlinearity, z: float, tol_f: float = nlm.TOL_F_DEFAULT) -> float:
+def shoot_slope(nl: Nonlinearity, z: float) -> float:
     """Launch slope sqrt(2 F(z)) of the profile ending at z."""
     if not (0.0 <= z <= nl.s_max + 1e-12):
         raise InputError(f"shoot_slope: z={z:g} outside [0, {nl.s_max:g}]")
     if z <= 1e-14:
-        if abs(nlm._f1(nl, 0.0)) > tol_f:
+        if abs(nlm._f1(nl, 0.0)) > nlm.TOL_F_DEFAULT:
             raise InfeasibleProfileError("zero profile needs f(0) = 0")
         return 0.0
-    if abs(nlm._f1(nl, z)) > tol_f:
+    if abs(nlm._f1(nl, z)) > nlm.TOL_F_DEFAULT:
         raise InfeasibleProfileError(f"z={z:g} is not a zero of f (f(z)={nlm._f1(nl, z):.3e})")
     Fz = integral_between(nl, 0.0, z)
     if Fz <= 0.0:
@@ -231,27 +232,28 @@ def _xi_quadrature_mesh(nl: Nonlinearity, z: float, exit_tol: float):
     return v_mesh, w_mesh, xi_nodes
 
 
-def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0, n: int = 2048,
-                    exit_tol: float = 1e-8, tol_f: float = nlm.TOL_F_DEFAULT) -> Profile1D:
+def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
+                    n: int = 2048) -> Profile1D:
     """Build the profile ending at z on a uniform grid of n+1 points.
 
     Quadrature-and-inversion is the primary route (cubic Hermite inversion
     with the exact first-integral slopes); an independent RK4 launch is run
-    on the same grid and the maximum disagreement is stored. Beyond the xi
-    where the mesh reaches z - exit_tol the profile is clamped at that value.
+    on the same grid and the maximum disagreement is stored. One not at or
+    below _CROSSCHECK_TOL, NaN included, is a ConsistencyError. Beyond the
+    xi where the mesh reaches z - _EXIT_TOL the profile is clamped there.
     """
     if xi_max <= 0 or n < 8:
         raise InputError("compute_profile: need xi_max > 0 and n >= 8")
     xi = np.linspace(0.0, xi_max, n + 1)
 
     if z <= 1e-14:
-        if abs(nlm._f1(nl, 0.0)) > tol_f:
+        if abs(nlm._f1(nl, 0.0)) > nlm.TOL_F_DEFAULT:
             raise InfeasibleProfileError("zero profile needs f(0) = 0")
         zeros = np.zeros_like(xi)
         return Profile1D(0.0, 0.0, xi, zeros, zeros.copy(), 0.0, xi_max)
 
-    slope0 = shoot_slope(nl, z, tol_f=tol_f)
-    v_mesh, w_mesh, xi_nodes = _xi_quadrature_mesh(nl, z, exit_tol)
+    slope0 = shoot_slope(nl, z)
+    v_mesh, w_mesh, xi_nodes = _xi_quadrature_mesh(nl, z, _EXIT_TOL)
     spline = CubicHermiteSpline(xi_nodes, v_mesh, w_mesh)
 
     values = np.where(xi <= xi_nodes[-1], spline(np.minimum(xi, xi_nodes[-1])), v_mesh[-1])
@@ -265,7 +267,7 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0, n: int = 2
     n_chk = min(n_chk, xi.size)
     v_ode, _, _ = integrate_profile_ode(nl, z, xi[:n_chk], tol=1e-11)
     crosscheck = float(np.max(np.abs(values[:v_ode.size] - v_ode)))
-    if crosscheck > _CROSSCHECK_TOL:
+    if not crosscheck <= _CROSSCHECK_TOL:
         raise ConsistencyError(
             f"profile construction routes disagree by {crosscheck:.3e} at z={z:g} "
             f"(quadrature inversion vs direct launch)")

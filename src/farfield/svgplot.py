@@ -16,15 +16,16 @@ from .errors import InputError
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 34, 46
 _COLORS = ("#1f6f8b", "#c0541e", "#3f784c", "#7b4b94", "#9e2b25", "#2b50aa")
+_N_TICKS = 6          # at most this many tick intervals per axis
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / _N_TICKS))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= _N_TICKS:
             step *= mult
             break
     t0 = math.ceil(lo / step) * step

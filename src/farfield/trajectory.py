@@ -32,6 +32,7 @@ from .profile1d import compute_profile, shoot_slope
 _M_MARGIN = 0.5            # levels up to M + this stay candidates
 _MARGIN_FACTOR = 2.0       # runner-up must be this many times farther
 _CONV_TOL = 1e-2
+_WINDOW_FRAC = 0.25        # comparison window length, as a share of n1
 
 
 def shift(field: Field, delta: float) -> Field:
@@ -165,7 +166,6 @@ class TrajectoryReport:
 
 def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = None,
                 n_shifts: int = 16, conv_tol: float = _CONV_TOL,
-                window_frac: float = 0.25,
                 tol_f: float = nlm.TOL_F_DEFAULT) -> TrajectoryReport:
     """Detect the far-field limit of a solved field.
 
@@ -188,7 +188,7 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
         return TrajectoryReport(None, False, est.M, est.m, None, [],
                                 ("no candidate levels at or below the field amplitude",))
 
-    w = max(2, int(math.floor(window_frac * g.n1)))
+    w = max(2, int(math.floor(_WINDOW_FRAC * g.n1)))
     k_max = g.n1 - w
     if k_max < 1:
         raise InputError("field too short in x1 for trajectory analysis")

@@ -64,6 +64,31 @@ def test_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("consistency error:") and "routes disagree" in err
 
 
+def test_nan_start_exits_1(tmp_path, capsys):
+    rc = main(["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4",
+               "--h", "0.5", "--u0", "nan", "--no-plots", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "input error: u0 contains non-finite values" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
+    real = profile1d.integrate_profile_ode
+
+    def nan_sample(*args, **kwargs):
+        v, w, res = real(*args, **kwargs)
+        v = v.copy()
+        v[v.size // 2] = math.nan
+        return v, w, res
+
+    monkeypatch.setattr(profile1d, "integrate_profile_ode", nan_sample)
+    rc = main(["profile", "--f", "logistic", "--z", "1", "--xi-max", "8",
+               "--n", "64", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("consistency error:") and "disagree by nan" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["zf", "--f", "abs-sin", "--out", "x"],
     ["solve-quarter", "--f", "logistic", "--threads", "2"],

@@ -376,6 +376,28 @@ def test_solve_field_validation():
         solve_field(nl, g, "quarter", 0.3, u0=np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "array"])
+def test_solve_field_rejects_a_non_finite_start(bad):
+    nl = make("logistic")
+    g = make_grid(4.0, 4.0, 0.5)
+    u0 = bad
+    if bad == "array":
+        u0 = np.full((g.n1 + 1, g.n2 + 1), 0.5)
+        u0[3, 4] = math.nan
+    for method in ("auto", "newton", "monotone"):
+        with pytest.raises(InputError, match="non-finite"):
+            solve_field(nl, g, "quarter", 0.3, method=method, u0=u0)
+
+
+def test_newton_from_a_nan_start_raises():
+    # every comparison with NaN is False: the gate must read "not <= tol"
+    nl = make("logistic")
+    g = make_grid(4.0, 4.0, 0.5)
+    trace = as_trace(0.3, g, "quarter")
+    with pytest.raises(NumericError, match="did not reach tol"):
+        newton_solve(nl, g, "quarter", trace, np.full((g.n1 + 1, g.n2 + 1), math.nan))
+
+
 def test_torus_constant_state():
     nl = make("abs-sin")
     g = make_grid(4.0, 4.0, 0.25)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.integrate import quad
 
+from farfield import nonlinearity as nlm
 from farfield.errors import InputError
 from farfield.nonlinearity import (antiderivative_F, cantor_prefractal,
                                    check_hypotheses, compute_Zf, eval_capped,
@@ -140,6 +142,18 @@ def test_integral_between_array_matches_scalar(spec, tmp_path):
     np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("spec", CATALOG + ("table", "reflect"))
+def test_antiderivative_difference_matches_gap(spec, tmp_path):
+    # F and the slab integral are two closed forms of one function; nothing
+    # else integrates f, so they must agree to rounding
+    nl = _array_case(spec, tmp_path)
+    rng = np.random.default_rng(13)
+    a, b = np.sort(rng.uniform(0.0, nl.s_max, size=(2, 200)), axis=0)
+    Fa, Fb = antiderivative_F(nl, a), antiderivative_F(nl, b)
+    gap = integral_between(nl, a, b)
+    assert np.all(np.abs((Fb - Fa) - gap) <= 1e-12 * np.maximum(1.0, np.abs(Fb)))
+
+
 def _trapezoid_sum(xs, ys, lo, hi):
     """Reference for piecewise-linear f: trapezoids between consecutive knots."""
     pts = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
@@ -220,6 +234,112 @@ def test_zero_set_catalog():
     E = zero_set(make("cantor:3"))
     assert not E.points
     assert len(E.intervals) == 8
+
+
+def _reference_zero_set(nl, grid_n=4096, tol_f=nlm.TOL_F_DEFAULT):
+    """zero_set as it was with the sample-by-sample scan for flat runs."""
+    s_max = nl.s_max
+    xs = np.linspace(0.0, s_max, grid_n)
+    h = xs[1] - xs[0]
+    fs = nl.fn(xs)
+    absf = np.abs(fs)
+    sub = absf <= tol_f
+    points, intervals = [], []
+
+    def absfn(x):
+        return abs(nlm._f1(nl, x))
+
+    i = 0
+    while i < grid_n:
+        if not sub[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < grid_n and sub[j + 1]:
+            j += 1
+        if j == i:
+            points.append(float(xs[i]))
+        else:
+            left = xs[i]
+            if i > 0:
+                left = nlm._edge_inward(absfn, tol_f, xs[i - 1], xs[i])
+            right = xs[j]
+            if j + 1 < grid_n:
+                right = nlm._edge_inward(absfn, tol_f, xs[j + 1], xs[j])
+            intervals.append((float(left), float(right)))
+        i = j + 1
+
+    for i in np.nonzero(fs[:-1] * fs[1:] < 0.0)[0]:
+        if sub[i] or sub[i + 1]:
+            continue
+        r = optimize.brentq(lambda x: nlm._f1(nl, x), xs[i], xs[i + 1],
+                            xtol=1e-14, rtol=8.9e-16)
+        points.append(float(r))
+
+    interior = np.nonzero((absf[1:-1] < absf[:-2]) & (absf[1:-1] < absf[2:])
+                          & ~sub[1:-1])[0] + 1
+    for i in interior:
+        if absf[i] > 0.5 * h * max(1.0, nl.lipschitz_estimate):
+            continue
+        try:
+            res = optimize.minimize_scalar(absfn, bracket=(xs[i - 1], xs[i], xs[i + 1]),
+                                           method="golden", options={"xtol": 1e-13})
+        except ValueError:
+            continue
+        if abs(res.fun) <= tol_f:
+            points.append(float(res.x))
+
+    cleaned = []
+    for p in sorted(points):
+        if any(a - h * 0.5 <= p <= b + h * 0.5 for a, b in intervals):
+            continue
+        if cleaned and p - cleaned[-1] < 1e-9 * max(1.0, s_max):
+            continue
+        cleaned.append(min(max(p, 0.0), s_max))
+    return nlm.ZeroSet(tuple(cleaned), tuple(sorted(intervals)), float(s_max), tol_f)
+
+
+def _bits(E):
+    return [np.array(E.points).tobytes(), np.array(E.intervals).tobytes(),
+            E.s_max, E.tol_f, E.borderline, E.notes]
+
+
+@pytest.mark.parametrize("spec", CATALOG + ("cantor:6",))
+@pytest.mark.parametrize("grid_n", (4096, 65_536))
+def test_zero_set_matches_the_sample_loop_on_the_catalog(spec, grid_n):
+    nl = make(spec)
+    assert _bits(zero_set(nl, grid_n=grid_n)) == _bits(_reference_zero_set(nl, grid_n))
+
+
+def _random_tables():
+    # knots on the scan grid itself, so every zero knot is a sub-tolerance
+    # sample: zero runs of every length, at both ends and in the middle
+    n = 64
+    xs = np.linspace(0.0, 2.0, n)
+    rng = np.random.default_rng(17)
+    tables = [np.zeros(n), rng.uniform(0.5, 1.0, n)]        # all zero, no zero
+    for k in range(40):
+        ys = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 1.0, n)
+        ys[rng.random(n) < rng.uniform(0.1, 0.6)] = 0.0
+        if k % 4 == 1:
+            ys[:rng.integers(1, 4)] = 0.0
+        if k % 4 == 2:
+            ys[-rng.integers(1, 4):] = 0.0
+        tables.append(ys)
+    return [(xs, ys) for ys in tables]
+
+
+def test_zero_set_matches_the_sample_loop_on_random_tables():
+    runs = {"single": 0, "low end": 0, "high end": 0}
+    for xs, ys in _random_tables():
+        nl = from_table(xs, ys)
+        got = zero_set(nl, grid_n=xs.size)
+        assert _bits(got) == _bits(_reference_zero_set(nl, xs.size))
+        z = ys == 0.0
+        runs["single"] += int(np.any(z[1:-1] & ~z[:-2] & ~z[2:]))
+        runs["low end"] += int(z[0] and z[1])
+        runs["high end"] += int(z[-1] and z[-2])
+    assert all(v > 0 for v in runs.values()), runs
 
 
 def test_flat_interval_edges_stay_sub_tolerance():

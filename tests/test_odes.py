@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from farfield import liouville, nonlinearity, profile1d
+from farfield import liouville, nonlinearity, odes, profile1d
 from farfield.errors import NumericError
 from farfield.nonlinearity import make
 from farfield.odes import OdeResult, integrate
@@ -60,6 +60,32 @@ def test_reversed_interval_rejected():
 def test_step_budget_enforced():
     with pytest.raises(NumericError):
         integrate(lambda t, y: (-y[0],), 0.0, [1.0], 10.0, tol=1e-13, max_steps=3)
+
+
+@pytest.mark.parametrize("rhs", [
+    lambda t, y: (math.nan,),
+    lambda t, y: (y[0] if t < 0.5 else math.nan,),
+    lambda t, y: (1.0, math.nan),        # max over the components skips this NaN
+])
+def test_nan_state_raises(rhs):
+    with pytest.raises(NumericError, match=r"NaN state in the step from t="):
+        integrate(rhs, 0.0, [1.0] * len(rhs(0.0, (1.0,))), 1.0)
+
+
+def test_infinite_error_estimate_shrinks_the_step(monkeypatch):
+    real = odes._double_step
+    calls = []
+
+    def first_infinite(rhs, t, y, h, k1):
+        calls.append(h)
+        y_new, err = real(rhs, t, y, h, k1)
+        return y_new, (math.inf if len(calls) == 1 else err)
+
+    monkeypatch.setattr(odes, "_double_step", first_infinite)
+    res = integrate(lambda t, y: (-y[0],), 0.0, [1.0], 1.0, tol=1e-12)
+    assert res.rejected >= 1
+    assert calls[1] == odes._SHRINK_MIN * calls[0]
+    assert abs(res.y[0] - math.exp(-1.0)) < 1e-10
 
 
 def test_first_stage_is_shared_by_every_attempt_from_a_state():

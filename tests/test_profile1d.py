@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from farfield import profile1d
-from farfield.errors import InputError, NumericError
+from farfield.errors import ConsistencyError, InputError, NumericError
 from farfield.nonlinearity import antiderivative_F, make
 from farfield.profile1d import (compute_profile, disconnectedness_probe,
                                 load_profile_csv, profile_residual,
@@ -198,3 +198,18 @@ def test_quad_escalation_reproduces_batched_nodes(monkeypatch):
     dxi = np.abs(xi2 - xi)
     assert np.all(dxi * w <= 1e-12)
     assert np.all(dxi[v <= z - 1e-6] <= 1e-8)
+
+
+def test_nan_launch_fails_the_crosscheck(monkeypatch):
+    # NaN compares False with everything: the gate must read "not <= tol"
+    real = profile1d.integrate_profile_ode
+
+    def nan_sample(*args, **kwargs):
+        v, w, res = real(*args, **kwargs)
+        v = v.copy()
+        v[1] = math.nan
+        return v, w, res
+
+    monkeypatch.setattr(profile1d, "integrate_profile_ode", nan_sample)
+    with pytest.raises(ConsistencyError, match="disagree by nan"):
+        compute_profile(make("logistic"), 1.0, n=64)
