@@ -61,7 +61,7 @@ _WINDOW_SLACK = 1e-8
 _EIGEN_TOL = 1e-13            # relative eigenvalue change that ends the iteration
 _EIGEN_MAX_ITER = 400
 _BUBBLE_R_MAX = 200.0         # radius a cap launch integrates out to
-_BUBBLE_TOL = 1e-11           # RK4 tolerance of a cap launch
+_BUBBLE_TOL = 1e-12           # RK4 tolerance of a cap launch
 _RAMP_SHELL_N = 2048          # trapezoid cells across the ramp's unit shell
 
 
@@ -306,7 +306,8 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
     (where f' is about 0, as on a flat zero interval of f), and Newton
     should finish. Returns (state, steps, residual, ratio): the residual at
     the state, and its ratio to the previous step's (None before the first
-    step). steps == max_steps means the flow stopped at the cap.
+    step). steps == max_steps means the flow stopped at the cap. A NaN or
+    infinite residual is a NumericError naming the step.
     """
     L, b = assemble_laplacian(grid, kind, _trace_row(u0, kind))
     K = 1.1 * max(nl.lipschitz_estimate, 1e-6)
@@ -318,6 +319,8 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
         rate += b
         rate += eval_capped(nl, v)
         rn = float(np.max(np.abs(rate)))
+        if not math.isfinite(rn):
+            raise NumericError(f"flow_relax: non-finite residual at step {k}")
         if k:
             ratio = rn / rn_prev
         stalled = (basin is not None and k and rn_prev <= basin

@@ -283,7 +283,7 @@ def parabolic_floor(nl: Nonlinearity, s0: float, t_end: float,
     def rhs(t, y):
         return (float(nl.fn(min(max(y[0], 0.0), nl.s_max))),)
 
-    res = integrate(rhs, 0.0, (float(s0),), t_end, tol=1e-11,
+    res = integrate(rhs, 0.0, (float(s0),), t_end, tol=1e-12,
                     sample_ts=ts, events=[lambda t, y: y[0] - nl.s_max])
     filled = res.samples_filled
     capped = res.event_index is not None

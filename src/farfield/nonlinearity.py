@@ -288,6 +288,8 @@ def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
         raise InputError("table: s and f columns have different lengths")
     if xs.size < 2:
         raise InputError("table: need at least two rows")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise InputError("table: s and f columns must be finite")
     if abs(xs[0]) > 1e-12:
         raise InputError(f"table: first sample must sit at s=0, got {xs[0]:g}")
     pl = _PiecewiseLinear(xs, ys)

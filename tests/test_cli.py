@@ -72,6 +72,14 @@ def test_nan_start_exits_1(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_nan_table_exits_1(tmp_path, capsys):
+    table = tmp_path / "f.csv"
+    table.write_text("0,1\n1,nan\n2,-1\n")
+    rc = main(["analyze-f", "--f", f"table:{table}", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "input error: table: s and f columns must be finite" in capsys.readouterr().err
+
+
 def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
     real = profile1d.integrate_profile_ode
 

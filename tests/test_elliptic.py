@@ -1,5 +1,6 @@
 """Domain solvers, eigenpair, radial caps, energies, sliding comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -342,6 +343,19 @@ def test_flow_stops_where_it_stops_contracting():
     assert res == residual_max(nl, u, g, "half")
     _, k_plain, res_plain, _ = flow_relax(nl, u0, g, "half", res_target=1e-4)
     assert k_plain > k and res_plain <= 1e-4
+
+
+def test_flow_stops_at_a_nan_residual():
+    # f is NaN above 0.5: the start's unknowns sit below it, the first step
+    # lifts some above it, and the flow raises there instead of running on
+    # to its 200,000-step cap
+    nl = make("logistic")
+    nan_above = dataclasses.replace(nl, fn=lambda s: np.where(s > 0.5, np.nan, s * (1.0 - s)))
+    g = make_grid(4.0, 4.0, 0.5)
+    trace = as_trace(0.9, g, "quarter")
+    u0 = _apply_boundary(np.full((g.n1 + 1, trace.size), 0.45), "quarter", trace)
+    with pytest.raises(NumericError, match="non-finite residual at step 1$"):
+        flow_relax(nan_above, u0, g, "quarter")
 
 
 def test_line_search_failure_is_a_numeric_error(monkeypatch):

@@ -430,6 +430,11 @@ def test_from_table_validation():
         from_table([0.0, 1.0], [1.0])
     with pytest.raises(InputError):
         from_table([0.5, 1.0], [1.0, 0.0])     # first sample off the origin
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="must be finite"):
+            from_table([0.0, bad, 2.0], [1.0, 0.0, -1.0])
+        with pytest.raises(InputError, match="must be finite"):
+            from_table([0.0, 1.0, 2.0], [1.0, bad, -1.0])
     nl = from_table([0.0, 1.0, 2.0], [1.0, 0.0, -1.0])
     assert float(nl.fn(np.float64(0.5))) == pytest.approx(0.5)
     assert nl.s_max == 2.0

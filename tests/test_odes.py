@@ -1,4 +1,4 @@
-"""Adaptive RK4 stepper: accuracy, exact sample landing, event location."""
+"""Adaptive RK4 stepper: accuracy, corrected samples, event location."""
 
 import math
 
@@ -25,7 +25,7 @@ def test_harmonic_oscillator_period():
     assert abs(res.y[1]) < 1e-9
 
 
-def test_samples_land_exactly():
+def test_samples_inside_steps_are_accurate():
     ts = np.array([0.1, 0.7, 1.3, 2.0])
     res = integrate(lambda t, y: y, 0.0, [1.0], 2.0, tol=1e-12, sample_ts=ts)
     assert res.samples_filled == ts.size
@@ -78,8 +78,8 @@ def test_infinite_error_estimate_shrinks_the_step(monkeypatch):
 
     def first_infinite(rhs, t, y, h, k1):
         calls.append(h)
-        y_new, err = real(rhs, t, y, h, k1)
-        return y_new, (math.inf if len(calls) == 1 else err)
+        y_new, err, *rest = real(rhs, t, y, h, k1)
+        return (y_new, math.inf if len(calls) == 1 else err, *rest)
 
     monkeypatch.setattr(odes, "_double_step", first_infinite)
     res = integrate(lambda t, y: (-y[0],), 0.0, [1.0], 1.0, tol=1e-12)
@@ -103,9 +103,46 @@ def test_first_stage_is_shared_by_every_attempt_from_a_state():
     assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected)
 
 
+def test_a_sample_inside_a_step_costs_three_rhs_calls():
+    # samples do not cut steps short: each one lies strictly inside an
+    # accepted step (none at a step's end, where it would be free) and costs
+    # the 3 later stages of its RK4 sub-step
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return y[1], -math.sin(y[0])
+
+    ts = np.sort(np.random.default_rng(7).uniform(0.5, 29.5, 400))
+    res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11, h0=2.0, sample_ts=ts)
+    assert res.samples_filled == ts.size
+    assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected) + 3 * ts.size
+
+
+def test_steps_follow_the_tolerance_not_the_samples(monkeypatch):
+    # the abs-sin pi launch fills 850 grid samples on its way up
+    run = lambda: compute_profile(make("abs-sin"), math.pi, xi_max=20.0, n=2048)
+    (res,) = _launches(monkeypatch, profile1d, integrate, run)
+    assert res.samples_filled > 800
+    assert res.n_steps <= 250
+
+
+def test_corrected_samples_are_as_accurate_as_the_end_state():
+    # without the (s/h)^5 local-error correction the interior samples are
+    # about 56 times worse than the final state
+    ts = np.linspace(0.0, 5.0, 1001)
+    res = integrate(lambda t, y: (-y[0],), 0.0, [1.0], 5.0, tol=1e-12, sample_ts=ts)
+    err = np.max(np.abs(res.sample_ys[:, 0] - np.exp(-ts)))
+    end_err = abs(res.y[0] - math.exp(-5.0))
+    assert err <= 1e-12
+    assert err <= 2.0 * end_err
+
+
 # ---------------------------------------------------------------------------
 # the ndarray stepper this one replaced, kept as its reference: the state
-# moved to a tuple of Python floats, and every result must stay bit for bit
+# moved to a tuple of Python floats, and every result must stay bit for bit.
+# Steps follow the tolerance alone, and a sample strictly inside a step is
+# the RK4 sub-step to it less (s/h)^5 of the step's measured local error.
 
 def _ref_rk4_step(rhs, t, y, h):
     k1 = rhs(t, y)
@@ -119,8 +156,13 @@ def _ref_double_step(rhs, t, y, h):
     y_big = _ref_rk4_step(rhs, t, y, h)
     y_half = _ref_rk4_step(rhs, t, y, 0.5 * h)
     y_fine = _ref_rk4_step(rhs, t + 0.5 * h, y_half, 0.5 * h)
-    err = np.max(np.abs(y_fine - y_big)) / 15.0
-    return y_fine + (y_fine - y_big) / 15.0, err
+    d = y_big - y_fine
+    err = np.max(np.abs(d)) / 15.0
+    return y_fine - d / 15.0, err, d
+
+
+def _ref_sample(rhs, t, y, s, h, d):
+    return _ref_rk4_step(rhs, t, y, s) - (s / h) ** 5 * (16.0 / 15.0) * d
 
 
 def _ref_locate_event(rhs, t, y, h, gfun, g0):
@@ -170,14 +212,9 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
     while t < t1:
         if steps >= max_steps:
             raise NumericError(f"integrate: step budget exhausted at t={t:.6g}")
-        h = min(h, hmax, t1 - t)
-        if sample_ts is not None and res.samples_filled < sample_ts.size:
-            nxt = sample_ts[res.samples_filled]
-            if nxt > t:
-                h = min(h, nxt - t)
-        h = max(h, hmin)
+        h = max(min(h, hmax, t1 - t), hmin)
 
-        y_new, err = _ref_double_step(rhs, t, y, h)
+        y_new, err, d = _ref_double_step(rhs, t, y, h)
         scale = tol * (1.0 + np.max(np.abs(y)))
         if err > scale and h > hmin:
             res.rejected += 1
@@ -199,7 +236,7 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
                     while (res.samples_filled < sample_ts.size
                            and sample_ts[res.samples_filled] <= te):
                         st = sample_ts[res.samples_filled]
-                        res.sample_ys[res.samples_filled] = _ref_rk4_step(rhs, t, y, st - t)
+                        res.sample_ys[res.samples_filled] = _ref_sample(rhs, t, y, st - t, h, d)
                         res.samples_filled += 1
                 res.t, res.y = te, ye
                 res.event_index, res.event_t, res.event_y = hit, te, ye
@@ -214,7 +251,7 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
                 if st >= t_new:
                     res.sample_ys[res.samples_filled] = y_new
                 else:
-                    res.sample_ys[res.samples_filled] = _ref_rk4_step(rhs, t, y, st - t)
+                    res.sample_ys[res.samples_filled] = _ref_sample(rhs, t, y, st - t, h, d)
                 res.samples_filled += 1
 
         t, y = t_new, y_new
