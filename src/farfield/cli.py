@@ -320,12 +320,10 @@ def cmd_liouville_sweep(args) -> int:
     out = _outdir(args)
     if args.domain == "box":
         rep = periodic_box_sweep(nl, L=args.L, h=args.h, n_trials=args.trials,
-                                 seed=args.seed, threads=args.threads)
-    elif args.domain == "strip":
-        rep = halfspace_strip_sweep(nl, L=args.L, h=args.h, n_trials=args.trials,
-                                    seed=args.seed, threads=args.threads)
+                                 seed=args.seed)
     else:
-        raise InputError(f"unknown sweep domain {args.domain!r} (box | strip)")
+        rep = halfspace_strip_sweep(nl, L=args.L, h=args.h, n_trials=args.trials,
+                                    seed=args.seed)
     _write_json(rep.to_json_dict(), os.path.join(out, f"sweep_{args.domain}.json"))
     for note in rep.notes:
         print(f"note: {note}")
@@ -424,7 +422,9 @@ class _Parser(argparse.ArgumentParser):
 _FLAGS = {
     "out": {"default": ".", "help": "output directory"},
     "seed": {"type": int, "default": 0},
-    "threads": {"type": int, "default": 1},
+    "threads": {"type": int, "default": 1, "choices": (1,),
+                "help": "trials run serially; kept for existing command lines, "
+                        "accepts only 1"},
     "dump-fields": {"action": "store_true", "dest": "dump_fields"},
     "no-plots": {"action": "store_false", "dest": "plots"},
     "n-shifts": {"type": int, "default": 16},

@@ -383,6 +383,8 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     is None when the flow reached tol; meta["iterations"] is Newton's count,
     0 when Newton did not run.
     """
+    if not 0 < tol < math.inf:
+        raise InputError(f"solve_field: tol must be finite and positive, got {tol!r}")
     _check_kind(kind)
     if kind == "torus":
         tr = None
@@ -460,8 +462,8 @@ def dirichlet_eigenpair(N: int, R: float, n: int = 4096) -> EigenResult:
     Rayleigh quotient in the r^(N-1)-weighted inner product that makes the
     radial operator self-adjoint. phi is normalized to phi(0) = 1.
     """
-    if N < 1 or R <= 0 or n < 16:
-        raise InputError("dirichlet_eigenpair: need N >= 1, R > 0, n >= 16")
+    if N < 1 or not 0 < R < math.inf or n < 16:
+        raise InputError("dirichlet_eigenpair: need N >= 1, finite R > 0, n >= 16")
     hr = R / n
     h2 = hr * hr
     # banded (ab) layout for solve_banded: unknowns phi_0 .. phi_{n-1}
@@ -675,6 +677,8 @@ def sliding_verify(field: Field, bub: Bubble, start, stop, steps: int = 61) -> S
     means the field dominates the sliding cap along the whole path, so the
     field exceeds the cap height at every visited center.
     """
+    if steps < 1:
+        raise InputError("sliding_verify: need steps >= 1")
     if not bub.feasible:
         raise InputError("sliding_verify: cap never closed (not feasible)")
     if field.kind != "quarter":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,8 @@ def _check_kind(kind: str) -> None:
 
 
 def make_grid(L1: float, L2: float, h: float) -> Grid2D:
-    if h <= 0 or L1 <= 0 or L2 <= 0:
-        raise InputError("make_grid: need positive L1, L2, h")
+    if not all(0 < v < math.inf for v in (L1, L2, h)):
+        raise InputError("make_grid: need finite positive L1, L2, h")
     n1 = round(L1 / h)
     n2 = round(L2 / h)
     if abs(n1 * h - L1) > 1e-9 * max(1.0, L1) or abs(n2 * h - L2) > 1e-9 * max(1.0, L2):

@@ -16,19 +16,18 @@ to the rounding floor, so it reports the state the evolution selects; Newton
 finishes only a trial whose flow stops contracting above tol. Every report
 carries an explicit surrogate-domain banner so the results are never
 mistaken for statements about the unbounded problem. Trials are
-reproducible: trial k of a sweep with seed s draws from SeedSequence((s, k))
-regardless of thread count, and aggregation is in trial order.
+reproducible: trials run one after another, trial k of a sweep with seed s
+draws from SeedSequence((s, k)), and aggregation is in trial order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import nonlinearity as nlm
 from .elliptic import _apply_boundary, _finish, flow_relax, newton_solve
 from .errors import InputError, NumericError
 from .grids import Field, Grid2D, as_trace, make_grid
@@ -78,7 +77,7 @@ class TrialResult:
     profile_distance: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
+        return dict(self.__dict__)
 
 
 @dataclass(eq=False)
@@ -113,7 +112,7 @@ class SweepReport:
         }
 
 
-def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace, u0: np.ndarray) -> Field:
+def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray) -> Field:
     """Flow to the rounding floor; Newton finishes only if it stalls above _TRIAL_TOL.
 
     The semi-implicit flow keeps order, so the trial lands on the state the
@@ -124,7 +123,6 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace, u0: np.ndarr
     no fixed target fits every grid). A state at or below _TRIAL_TOL is the
     answer; otherwise Newton starts from it.
     """
-    tr = None if kind == "torus" else as_trace(trace, grid, kind)
     u = _apply_boundary(u0, kind, tr)
     u_flow, _, res, _ = flow_relax(nl, u, grid, kind, res_target=0.0, basin=1e-5)
     if res <= _TRIAL_TOL:
@@ -133,26 +131,21 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace, u0: np.ndarr
 
 
 def _dist_to_zero_set(E, s: float) -> float:
-    d = np.inf
-    for p in E.points:
-        d = min(d, abs(s - p))
-    for a, b in E.intervals:
-        d = min(d, 0.0 if a <= s <= b else min(abs(s - a), abs(s - b)))
-    return float(d)
+    d = [abs(s - p) for p in E.points] + [max(a - s, s - b, 0.0) for a, b in E.intervals]
+    return float(min(d, default=np.inf))
 
 
-def _classify_box(nl: Nonlinearity, f: Field, E) -> TrialResult:
+def _classify_box(f: Field, E) -> TrialResult:
     u = f.values
     spread = float(np.max(u) - np.min(u))
-    if spread < _CONST_TOL:
-        level = float(np.mean(u))
-        return TrialResult(-1, "constant", f.residual, deviation=spread,
-                           level=level,
-                           dist_to_zero_set=_dist_to_zero_set(E, level))
-    return TrialResult(-1, "other", f.residual, deviation=spread)
+    if spread >= _CONST_TOL:
+        return TrialResult(-1, "other", f.residual, deviation=spread)
+    level = float(np.mean(u))
+    return TrialResult(-1, "constant", f.residual, deviation=spread, level=level,
+                       dist_to_zero_set=_dist_to_zero_set(E, level))
 
 
-def _classify_strip(nl: Nonlinearity, f: Field, profiles: dict) -> TrialResult:
+def _classify_strip(f: Field, profiles: dict) -> TrialResult:
     u = f.values
     lat = float(np.max(np.max(u, axis=1) - np.min(u, axis=1)))
     height_mean = np.mean(u, axis=1)
@@ -167,23 +160,9 @@ def _classify_strip(nl: Nonlinearity, f: Field, profiles: dict) -> TrialResult:
                        profile_distance=best_d)
 
 
-def _run_trials(n_trials, seed, threads, one_trial):
-    def run(k):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        return one_trial(k, rng)
-
-    if threads <= 1:
-        results = [run(k) for k in range(n_trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, range(n_trials)))
-    return results
-
-
-def periodic_box_sweep(nl: Nonlinearity, L: float = 16.0, h: float = 0.25,
-                       n_trials: int = 20, seed: int = 0,
-                       threads: int = 1) -> SweepReport:
-    """Random-start sweep on the doubly periodic box."""
+def _sweep(nl: Nonlinearity, domain: str, L: float, h: float, n_trials: int,
+           seed: int) -> SweepReport:
+    """Trials run in order; trial k draws its start from SeedSequence((seed, k))."""
     if n_trials < 1:
         raise InputError("need n_trials >= 1")
     grid = make_grid(L, L, h)
@@ -191,24 +170,46 @@ def periodic_box_sweep(nl: Nonlinearity, L: float = 16.0, h: float = 0.25,
     if not E.points and not E.intervals:
         raise InputError("the nonlinearity has no zeros in its window; "
                          "every bounded state would be transient")
+    box = domain == "box"
+    kind, tr = ("torus", None) if box else ("half", as_trace(0.0, grid, "half"))
+    if not box:
+        zf = compute_Zf(nl)
+        profiles = {float(z): compute_profile(nl, z, xi_max=L, n=grid.n1).values
+                    for z in zf.points if 0 < z <= _AMP_MAX + 0.5}
+        if 0.0 in zf.points:
+            profiles[0.0] = np.zeros(grid.n1 + 1)
 
-    def one_trial(k: int, rng: np.random.Generator) -> TrialResult:
-        u0 = noise_start(grid, "torus", rng)
+    trials = []
+    for k in range(n_trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+        u0 = noise_start(grid, kind, rng)
         try:
-            f = _robust_solve(nl, grid, "torus", None, u0)
+            f = _robust_solve(nl, grid, kind, tr, u0)
         except NumericError:
-            return TrialResult(k, "unconverged", math.nan)
-        t = _classify_box(nl, f, E)
+            trials.append(TrialResult(k, "unconverged", math.nan))
+            continue
+        t = _classify_box(f, E) if box else _classify_strip(f, profiles)
         t.index = k
-        return t
+        trials.append(t)
 
-    trials = _run_trials(n_trials, seed, threads, one_trial)
-    return _aggregate("box", L, h, n_trials, seed, trials)
+    counts = dict(Counter(t.outcome for t in trials))
+    conv = [t for t in trials if t.outcome != "unconverged"]
+    return SweepReport(domain, float(L), float(h), n_trials, seed, trials,
+                       counts, converged=len(conv),
+                       constant_count=counts.get("constant", 0),
+                       max_deviation=max((t.deviation for t in conv), default=None),
+                       zero_distance=max((t.dist_to_zero_set for t in conv
+                                          if t.outcome == "constant"), default=None))
+
+
+def periodic_box_sweep(nl: Nonlinearity, L: float = 16.0, h: float = 0.25,
+                       n_trials: int = 20, seed: int = 0) -> SweepReport:
+    """Random-start sweep on the doubly periodic box."""
+    return _sweep(nl, "box", L, h, n_trials, seed)
 
 
 def halfspace_strip_sweep(nl: Nonlinearity, L: float = 16.0, h: float = 0.25,
-                          n_trials: int = 20, seed: int = 0,
-                          threads: int = 1) -> SweepReport:
+                          n_trials: int = 20, seed: int = 0) -> SweepReport:
     """Random-start sweep on the floor-anchored, laterally periodic strip.
 
     The strip reuses the half-domain stencil with a zero trace: the trace
@@ -216,48 +217,7 @@ def halfspace_strip_sweep(nl: Nonlinearity, L: float = 16.0, h: float = 0.25,
     height profiles are taken from the reachable-zero table under the start
     amplitude cap.
     """
-    if n_trials < 1:
-        raise InputError("need n_trials >= 1")
-    grid = make_grid(L, L, h)
-    E = zero_set(nl)
-    if not E.points and not E.intervals:
-        raise InputError("the nonlinearity has no zeros in its window; "
-                         "every bounded state would be transient")
-    zf = compute_Zf(nl)
-    profiles = {}
-    for z in zf.points:
-        if z <= _AMP_MAX + 0.5 and z > 0:
-            profiles[float(z)] = compute_profile(nl, z, xi_max=L, n=grid.n1).values
-    if 0.0 in zf.points:
-        profiles[0.0] = np.zeros(grid.n1 + 1)
-
-    def one_trial(k: int, rng: np.random.Generator) -> TrialResult:
-        u0 = noise_start(grid, "half", rng)
-        try:
-            f = _robust_solve(nl, grid, "half", 0.0, u0)
-        except NumericError:
-            return TrialResult(k, "unconverged", math.nan)
-        t = _classify_strip(nl, f, profiles)
-        t.index = k
-        return t
-
-    trials = _run_trials(n_trials, seed, threads, one_trial)
-    return _aggregate("strip", L, h, n_trials, seed, trials)
-
-
-def _aggregate(domain: str, L: float, h: float, n_trials: int, seed: int,
-               trials: list) -> SweepReport:
-    counts: dict = {}
-    for t in trials:
-        counts[t.outcome] = counts.get(t.outcome, 0) + 1
-    conv = [t for t in trials if t.outcome != "unconverged"]
-    devs = [t.deviation for t in conv if t.deviation is not None]
-    dz = [t.dist_to_zero_set for t in conv if t.dist_to_zero_set is not None]
-    return SweepReport(domain, float(L), float(h), n_trials, seed, trials,
-                       counts, converged=len(conv),
-                       constant_count=counts.get("constant", 0),
-                       max_deviation=max(devs) if devs else None,
-                       zero_distance=max(dz) if dz else None)
+    return _sweep(nl, "strip", L, h, n_trials, seed)
 
 
 @dataclass(eq=False)

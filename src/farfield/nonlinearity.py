@@ -39,6 +39,7 @@ _DELTAS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _WINDOW_SLACK = 1e-12
 _ZF_GRID_N = 100_000     # F samples behind the reachability test
 _ZF_SCAN_N = 65_536      # zero-set scan samples behind the reachable levels
+_CANTOR_MAX_LEVEL = 6    # finest level whose 2^level intervals the zero-set scan resolves
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,6 +264,9 @@ def cantor(level: int = 6) -> Nonlinearity:
     gaps (so the largest value on [0,1] is 1/6, attained midway across the
     first removed third regardless of level).
     """
+    if not (isinstance(level, int) and 1 <= level <= _CANTOR_MAX_LEVEL):
+        raise InputError(f"cantor level must be an integer in [1, {_CANTOR_MAX_LEVEL}], "
+                         f"got {level!r}")
     iv = _cantor_intervals(level)
     knots = [iv[0][0]]
     vals = [Fraction(0)]

@@ -23,6 +23,7 @@ The two must agree to 1e-6 or construction fails loudly.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -242,8 +243,8 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
     below _CROSSCHECK_TOL, NaN included, is a ConsistencyError. Beyond the
     xi where the mesh reaches z - _EXIT_TOL the profile is clamped there.
     """
-    if xi_max <= 0 or n < 8:
-        raise InputError("compute_profile: need xi_max > 0 and n >= 8")
+    if not 0 < xi_max < math.inf or n < 8:
+        raise InputError("compute_profile: need finite xi_max > 0 and n >= 8")
     xi = np.linspace(0.0, xi_max, n + 1)
 
     if z <= 1e-14:

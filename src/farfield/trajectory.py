@@ -27,7 +27,7 @@ from . import nonlinearity as nlm
 from .errors import ConsistencyError, InputError
 from .grids import Field, Grid2D
 from .nonlinearity import Nonlinearity, ZeroSet, compute_Zf, zero_set
-from .profile1d import compute_profile, shoot_slope
+from .profile1d import compute_profile
 
 _M_MARGIN = 0.5            # levels up to M + this stay candidates
 _MARGIN_FACTOR = 2.0       # runner-up must be this many times farther
@@ -105,15 +105,12 @@ def attractor_table(nl: Nonlinearity, grid: Grid2D, kind: str, M_cap: float,
     if kind == "quarter":
         zf = compute_Zf(nl, tol_f=tol_f)
         zs = [z for z in zf.points if z <= M_cap]
-        profs = []
-        for z in zs:
-            p = compute_profile(nl, z, xi_max=grid.L2, n=grid.n2)
-            profs.append(p.values)
-        slopes = np.array([shoot_slope(nl, z) if z > 0 else 0.0 for z in zs])
-        if np.any(np.diff(slopes) <= 0):
+        profiles = [compute_profile(nl, z, xi_max=grid.L2, n=grid.n2) for z in zs]
+        if np.any(np.diff([p.slope0 for p in profiles]) <= 0):
             raise ConsistencyError("candidate launch slopes fail to increase; "
                                    "the level table cannot separate its entries")
-        return AttractorTable("quarter", M_cap, np.asarray(zs, dtype=float), profs)
+        return AttractorTable("quarter", M_cap, np.asarray(zs, dtype=float),
+                              [p.values for p in profiles])
     E = zero_set(nl, tol_f=tol_f)
     pts = [z for z in E.points if z <= M_cap]
     ivs = tuple((a, min(b, M_cap)) for a, b in E.intervals if a <= M_cap)
@@ -177,6 +174,8 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
     fitted exponential rate of the winner's distance over the shift ladder,
     a health check on the truncation size.
     """
+    if n_shifts < 1 or not 0 < conv_tol < math.inf:
+        raise InputError("omega_limit: need n_shifts >= 1 and finite conv_tol > 0")
     g = field.grid
     notes = []
     est = estimate_M(field)

@@ -40,6 +40,11 @@ def test_unknown_nonlinearity_exits_1(capsys):
     assert "input error:" in capsys.readouterr().err
 
 
+def test_unresolvable_cantor_level_exits_1(tmp_path, capsys):
+    assert main(["analyze-f", "--f", "cantor:7", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("input error: cantor level")
+
+
 def test_missing_required_flag_exits_1(capsys):
     assert main(["profile", "--f", "logistic"]) == 1
     assert "input error:" in capsys.readouterr().err
@@ -111,6 +116,26 @@ def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
 def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-quarter", "--f", "logistic", "--L1", "nan"],
+    ["solve-quarter", "--f", "logistic", "--L1", "inf"],
+    ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--L", "nan"],
+    ["profile", "--f", "logistic", "--z", "1", "--xi-max", "nan"],
+    ["eigen", "--N", "2", "--R", "nan"],
+    ["slide", "--f", "logistic", "--L1", "20", "--L2", "12", "--h", "0.5",
+     "--z", "1", "--eps", "0.5", "--from", "8,6", "--to", "9,6", "--steps", "0"],
+    ["trajectory", "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.5",
+     "--n-shifts", "0"],
+    ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
+     "--tol", "-1"],
+    ["solve-quarter", "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.5",
+     "--conv-tol", "nan"],
+])
+def test_bad_numeric_flag_exits_1(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_unreadable_input_exits_3(tmp_path, capsys):
@@ -317,13 +342,17 @@ def test_sweep_command_banner_and_report(tmp_path, capsys):
     assert rep["counts"] == {"constant": 3}
 
 
-def test_sweep_thread_flag_does_not_change_the_report(tmp_path):
+def test_sweep_thread_flag_does_not_change_the_report(tmp_path, capsys):
+    # trials run serially: --threads is accepted only at 1
     a, b = tmp_path / "a", tmp_path / "b"
     base = ["liouville-sweep", "--f", "abs-sin", "--domain", "box",
             "--L", "8", "--h", "0.5", "--trials", "3"]
     assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--threads", "2", "--out", str(b)]) == 0
+    assert main(base + ["--threads", "1", "--out", str(b)]) == 0
     assert _read(a / "sweep_box.json") == _read(b / "sweep_box.json")
+    capsys.readouterr()
+    assert main(base + ["--threads", "2", "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 # ---------------------------------------------------------------------------

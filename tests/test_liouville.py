@@ -69,13 +69,13 @@ def test_box_sweep_is_reproducible_bit_exact():
         assert ta.to_json_dict() == tb.to_json_dict()
 
 
-def test_box_sweep_is_thread_invariant():
+def test_box_sweep_trials_are_a_prefix_of_longer_sweeps():
+    # trial k depends only on (seed, k), not on how many trials follow it
     nl = make("abs-sin")
-    a = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=0, threads=1)
-    b = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=0, threads=3)
-    for ta, tb in zip(a.trials, b.trials):
-        assert ta.to_json_dict() == tb.to_json_dict()
-    assert a.counts == b.counts
+    a = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=2, seed=0)
+    b = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=0)
+    assert [t.to_json_dict() for t in a.trials] == \
+        [t.to_json_dict() for t in b.trials[:2]]
 
 
 def test_box_sweep_counts_failed_trials_without_dying(monkeypatch):
@@ -190,12 +190,12 @@ def test_strip_profile_distance_is_discretization_order():
         assert 3.0 < coarse / fine < 5.0
 
 
-def test_strip_sweep_is_thread_invariant():
+def test_strip_sweep_trials_are_a_prefix_of_longer_sweeps():
     nl = make("abs-sin")
-    a = halfspace_strip_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=0, threads=1)
-    b = halfspace_strip_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=0, threads=3)
-    for ta, tb in zip(a.trials, b.trials):
-        assert ta.to_json_dict() == tb.to_json_dict()
+    a = halfspace_strip_sweep(nl, L=8.0, h=0.5, n_trials=2, seed=0)
+    b = halfspace_strip_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=0)
+    assert [t.to_json_dict() for t in a.trials] == \
+        [t.to_json_dict() for t in b.trials[:2]]
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,29 @@ def test_cantor_tent_geometry():
     assert float(nl.fn(np.float64(0.5))) == pytest.approx(1 / 6, abs=1e-15)
 
 
+@pytest.mark.parametrize("level", range(1, 7))
+def test_cantor_zero_set_resolves_every_interval(level):
+    nl = make(f"cantor:{level}")
+    for grid_n in (4096, 65_536):
+        E = zero_set(nl, grid_n=grid_n)
+        assert (len(E.points), len(E.intervals)) == (0, 2 ** level)
+
+
+@pytest.mark.parametrize("level", (0, -1, 7))
+def test_cantor_level_outside_1_to_6_is_rejected(level):
+    # below 1 the tent is f = 0; above 6 the zero-set scan merges intervals
+    with pytest.raises(InputError):
+        make(f"cantor:{level}")
+
+
+@pytest.mark.xfail(strict=True, reason="on [0, 3] the 4096-sample scan merges the "
+                   "level-6 intervals: 12 points and 52 intervals")
+def test_cantor_zero_set_in_a_wide_window():
+    # f = 0 on [1, 3], so the last interval runs to the window's end
+    E = zero_set(make("cantor:6", s_max=3.0))
+    assert (len(E.points), len(E.intervals)) == (0, 64)
+
+
 # ---------------------------------------------------------------------------
 # zero sets and reachable levels
 
