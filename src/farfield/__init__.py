@@ -12,9 +12,9 @@ from .profile1d import (ProbeReport, Profile1D, compute_profile,
                         disconnectedness_probe, integrate_profile_ode,
                         load_profile_csv, profile_residual, save_profile_csv,
                         shoot_slope)
-from .elliptic import (Bubble, EigenResult, SlideReport, ball_volume,
+from .elliptic import (Bubble, EigenResult, FlowOperator, SlideReport, ball_volume,
                        bubble_energy, cap_energy, dirichlet_eigenpair,
-                       flow_relax, laplacian_full, level_energy,
+                       flow_operator, flow_relax, laplacian_full, level_energy,
                        newton_solve, radial_bubble, ramp_energy, residual_max,
                        sliding_verify, solve_field, solve_half, solve_quarter,
                        sphere_area)

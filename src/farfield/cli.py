@@ -27,7 +27,7 @@ from .nonlinearity import check_hypotheses, compute_Zf, make, zero_set
 from .profile1d import compute_profile, save_profile_csv
 from .svgplot import svg_line_plot
 from .traces import make_trace
-from .trajectory import omega_limit
+from .trajectory import check_ladder, omega_limit
 
 # ---------------------------------------------------------------------------
 # config files
@@ -228,6 +228,7 @@ def _solve_and_report(args, nl, kind: str, out: str, flow_target: float,
 
 
 def _cmd_solve(args, kind: str) -> int:
+    check_ladder(args.n_shifts, args.conv_tol)     # before the solve it follows
     _solve_and_report(args, _nl(args), kind, _outdir(args),
                       flow_target=_DEFAULT_CONFIG["solver"]["flow_target"],
                       tol_f=_DEFAULT_CONFIG["analysis"]["tol_f"])
@@ -243,6 +244,7 @@ def cmd_solve_half(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    check_ladder(args.n_shifts, args.conv_tol)
     nl = _nl(args)
     out = _outdir(args)
     grid = make_grid(args.L1, args.L2, args.h)
@@ -353,6 +355,7 @@ def cmd_plot(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    check_ladder(cfg["analysis"]["n_shifts"], cfg["analysis"]["conv_tol"])
     if args.out != ".":
         cfg["output"]["dir"] = args.out
     out = cfg["output"]["dir"]

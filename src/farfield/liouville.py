@@ -13,7 +13,9 @@ random smooth starts:
 
 Each trial runs the order-preserving semi-implicit flow from its start down
 to the rounding floor, so it reports the state the evolution selects; Newton
-finishes only a trial whose flow stops contracting above tol. Every report
+finishes only a trial whose flow stops contracting above tol. The flow's
+operator (L, b and the K - L solver) is fixed by the sweep's grid and
+trace, so a sweep builds it once and its trials share it. Every report
 carries an explicit surrogate-domain banner so the results are never
 mistaken for statements about the unbounded problem. Trials are
 reproducible: trials run one after another, trial k of a sweep with seed s
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _apply_boundary, _finish, flow_relax, newton_solve
+from .elliptic import (FlowOperator, _apply_boundary, _finish, flow_operator,
+                       flow_relax, newton_solve)
 from .errors import InputError, NumericError
 from .grids import Field, Grid2D, as_trace, make_grid
 from .nonlinearity import Nonlinearity, compute_Zf, zero_set
@@ -112,7 +115,8 @@ class SweepReport:
         }
 
 
-def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray) -> Field:
+def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray,
+                  op: FlowOperator) -> Field:
     """Flow to the rounding floor; Newton finishes only if it stalls above _TRIAL_TOL.
 
     The semi-implicit flow keeps order, so the trial lands on the state the
@@ -121,10 +125,12 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray)
     runs while each step at least halves the residual, which carries it to
     the rounding floor (about 5e-14 at h = 0.25 and 2e-13 at h = 0.125, so
     no fixed target fits every grid). A state at or below _TRIAL_TOL is the
-    answer; otherwise Newton starts from it.
+    answer; otherwise Newton starts from it. `op` is the sweep's shared
+    `flow_operator`, built for the trace tr.
     """
     u = _apply_boundary(u0, kind, tr)
-    u_flow, _, res, _ = flow_relax(nl, u, grid, kind, res_target=0.0, basin=1e-5)
+    u_flow, _, res, _ = flow_relax(nl, u, grid, kind, res_target=0.0, basin=1e-5,
+                                   op=op)
     if res <= _TRIAL_TOL:
         return _finish(nl, u_flow, grid, kind, res, {"method": "flow", "iterations": 0})
     return newton_solve(nl, grid, kind, tr, u_flow, tol=_TRIAL_TOL)
@@ -178,13 +184,14 @@ def _sweep(nl: Nonlinearity, domain: str, L: float, h: float, n_trials: int,
                     for z in zf.points if 0 < z <= _AMP_MAX + 0.5}
         if 0.0 in zf.points:
             profiles[0.0] = np.zeros(grid.n1 + 1)
+    op = flow_operator(nl, grid, kind, tr)
 
     trials = []
     for k in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         u0 = noise_start(grid, kind, rng)
         try:
-            f = _robust_solve(nl, grid, kind, tr, u0)
+            f = _robust_solve(nl, grid, kind, tr, u0, op)
         except NumericError:
             trials.append(TrialResult(k, "unconverged", math.nan))
             continue

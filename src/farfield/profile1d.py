@@ -107,16 +107,17 @@ def shoot_slope(nl: Nonlinearity, z: float) -> float:
     return float(np.sqrt(2.0 * Fz))
 
 
-def integrate_profile_ode(nl: Nonlinearity, z: float, xi_grid, slope_delta: float = 0.0,
+def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid,
                           tol: float = 1e-11, events=None):
-    """Direct RK4 route: integrate V'' = -f(V) from (0, slope0 + slope_delta).
+    """Direct RK4 route: integrate V'' = -f(V) from (V, V') = (0, slope0).
 
-    Returns (V samples, W samples, raw ode result). The reaction term is
-    evaluated with its argument clipped to the analysis window so overshoot
-    experiments remain well defined.
+    The caller supplies the launch slope: `shoot_slope` for the profile
+    itself, or that slope plus a kick for a probe. Returns (V samples, W
+    samples, raw ode result). The reaction term is evaluated with its
+    argument clipped to the analysis window so overshoot experiments remain
+    well defined.
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
-    slope0 = shoot_slope(nl, z) + slope_delta
 
     def rhs(t, y):
         # builtin min/max: np.clip on a scalar costs more than the RK4 step
@@ -266,7 +267,7 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
     # profile is still a fixed distance below its limit.
     n_chk = max(int(np.searchsorted(values, z - _CROSSCHECK_FLOOR, side="right")), 2)
     n_chk = min(n_chk, xi.size)
-    v_ode, _, _ = integrate_profile_ode(nl, z, xi[:n_chk], tol=1e-11)
+    v_ode, _, _ = integrate_profile_ode(nl, slope0, xi[:n_chk], tol=1e-11)
     crosscheck = float(np.max(np.abs(values[:v_ode.size] - v_ode)))
     if not crosscheck <= _CROSSCHECK_TOL:
         raise ConsistencyError(
@@ -314,7 +315,8 @@ def disconnectedness_probe(nl: Nonlinearity, z: float, delta: float, sign: int,
     ]
     names = {0: "crossed_limit", 1: "stalled_below", 2: "returned_to_zero", 3: "left_window"}
 
-    v, w, res = integrate_profile_ode(nl, z, xi, slope_delta=kick, tol=1e-11, events=events)
+    v, w, res = integrate_profile_ode(nl, shoot_slope(nl, z) + kick, xi, tol=1e-11,
+                                      events=events)
     if res.event_index is None:
         event, xe, ve, we = "none", None, None, None
     else:

@@ -161,6 +161,12 @@ class TrajectoryReport:
         }
 
 
+def check_ladder(n_shifts: int, conv_tol: float) -> None:
+    """omega_limit's argument check, for callers that run it before a solve."""
+    if n_shifts < 1 or not 0 < conv_tol < math.inf:
+        raise InputError("omega_limit: need n_shifts >= 1 and finite conv_tol > 0")
+
+
 def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = None,
                 n_shifts: int = 16, conv_tol: float = _CONV_TOL,
                 tol_f: float = nlm.TOL_F_DEFAULT) -> TrajectoryReport:
@@ -174,8 +180,7 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
     fitted exponential rate of the winner's distance over the shift ladder,
     a health check on the truncation size.
     """
-    if n_shifts < 1 or not 0 < conv_tol < math.inf:
-        raise InputError("omega_limit: need n_shifts >= 1 and finite conv_tol > 0")
+    check_ladder(n_shifts, conv_tol)
     g = field.grid
     notes = []
     est = estimate_M(field)

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from farfield import profile1d
+from farfield import cli, profile1d
 from farfield.cli import load_config, main
 from farfield.errors import ConfigError
 
@@ -136,6 +136,36 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
 def test_bad_numeric_flag_exits_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command", ["solve-quarter", "solve-half", "trajectory"])
+@pytest.mark.parametrize("flag", [("--n-shifts", "0"), ("--conv-tol", "nan")])
+def test_bad_ladder_flag_exits_1_before_the_solve(command, flag, tmp_path, capsys,
+                                                  monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ladder flags must be checked before the solve")
+
+    monkeypatch.setattr(cli, "solve_field", refuse)
+    out = tmp_path / "out"
+    argv = [command, "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.5",
+            *flag, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
+
+
+def test_bad_ladder_config_exits_1_before_the_solve(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ladder settings must be checked before the solve")
+
+    monkeypatch.setattr(cli, "solve_field", refuse)
+    out = tmp_path / "out"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"analysis": {"n_shifts": 0},
+                             "output": {"dir": str(out)}}))
+    assert main(["run", "--config", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
 
 
 def test_unreadable_input_exits_3(tmp_path, capsys):

@@ -10,8 +10,8 @@ from scipy.special import jn_zeros
 import farfield.elliptic as elliptic
 from farfield.elliptic import (Bubble, assemble_laplacian, ball_volume,
                                bubble_energy, cap_energy, dirichlet_eigenpair,
-                               flow_relax, laplacian_full, level_energy,
-                               newton_solve, radial_bubble, ramp_energy,
+                               flow_operator, flow_relax, laplacian_full,
+                               level_energy, newton_solve, radial_bubble, ramp_energy,
                                residual_max, shifted_solver, sliding_verify,
                                solve_field, solve_half, solve_quarter, sphere_area,
                                _apply_boundary, _unknown_block, _unvec, _vec)
@@ -168,8 +168,10 @@ def test_flow_never_factors(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
 @pytest.mark.parametrize("dims", [(1.0, 1.0, 0.5), (2.5, 1.5, 0.5), (6.0, 4.0, 0.25)])
 @pytest.mark.parametrize("sigma", [1e-3, 1.0, 10.0])
-def test_shifted_solve_matches_dense_reference(kind, dims, sigma):
-    # grids with n1 = n2 = 2, odd n (5 x 3) and even n (24 x 16).
+def test_shifted_solve_matches_dense_reference(kind, dims, sigma, monkeypatch):
+    # grids with n1 = n2 = 2, odd n (5 x 3) and even n (24 x 16), all under
+    # the dense kernel's size limit; lowering the limit to 0 runs the
+    # transform kernel on the same grids, under the same bounds.
     # The bound is on the normwise backward error ||r|| / (||A|| ||x|| + ||b||):
     # at sigma = 1e-3 the torus is nearly singular and ||r|| / ||b|| is set by
     # the roundoff of forming A x itself (about 1e-12 for the dense solve too)
@@ -177,13 +179,55 @@ def test_shifted_solve_matches_dense_reference(kind, dims, sigma):
     L, _ = _dense_laplacian(g, kind, np.zeros(g.x2(kind).size))
     A = sigma * np.eye(L.shape[0]) - L
     rhs = np.random.default_rng(17).standard_normal(L.shape[0])
-    x = shifted_solver(g, kind, sigma)(rhs)
-    r = np.linalg.norm(A @ x - rhs)
-    assert r / (np.linalg.norm(A, 2) * np.linalg.norm(x) + np.linalg.norm(rhs)) <= 1e-12
     x_ref = np.linalg.solve(A, rhs)
-    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-    blk = shifted_solver(g, kind, sigma)(rhs.reshape(g.n1, g.n2))
-    assert np.array_equal(blk.ravel(), x)
+    for max_axis in (elliptic._DENSE_MAX_AXIS, 0):
+        monkeypatch.setattr(elliptic, "_DENSE_MAX_AXIS", max_axis)
+        x = shifted_solver(g, kind, sigma)(rhs)
+        r = np.linalg.norm(A @ x - rhs)
+        assert r / (np.linalg.norm(A, 2) * np.linalg.norm(x) + np.linalg.norm(rhs)) <= 1e-12
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        blk = shifted_solver(g, kind, sigma)(rhs.reshape(g.n1, g.n2))
+        assert np.array_equal(blk.ravel(), x)
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+def test_shifted_solve_kernels_agree_on_a_64_grid(kind, monkeypatch):
+    # 64 unknowns per axis is the largest grid the dense kernel takes. The
+    # nearly singular sigma = 1e-3 is left to the backward-error test above:
+    # there the two kernels' roundoff differs by the condition number, 1e5
+    g = make_grid(16.0, 16.0, 0.25)
+    assert g.n1 == g.n2 == elliptic._DENSE_MAX_AXIS
+    rhs = np.random.default_rng(23).standard_normal(g.n1 * g.n2)
+    for sigma in (0.1, 1.1, 10.0):
+        dense = shifted_solver(g, kind, sigma)(rhs)
+        monkeypatch.setattr(elliptic, "_DENSE_MAX_AXIS", 0)
+        fast = shifted_solver(g, kind, sigma)(rhs)
+        monkeypatch.undo()
+        assert float(np.max(np.abs(dense - fast))) <= 1e-12 * float(np.max(np.abs(fast)))
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+def test_flow_with_a_prebuilt_operator_is_bit_identical(kind):
+    nl = make("abs-sin")
+    g = make_grid(6.0, 4.0, 0.25)
+    u0 = _flow_start(g, kind, np.random.default_rng(3))
+    op = flow_operator(nl, g, kind, None if kind == "torus" else u0[0, :])
+    for cap in (1, 7, 100_000):
+        u, k, res, ratio = flow_relax(nl, u0, g, kind, res_target=1e-10, max_steps=cap)
+        u_op, k_op, res_op, ratio_op = flow_relax(nl, u0, g, kind, res_target=1e-10,
+                                                  max_steps=cap, op=op)
+        assert np.array_equal(u_op, u)
+        assert (k_op, res_op, ratio_op) == (k, res, ratio)
+
+
+@pytest.mark.parametrize("kind", ["quarter", "half"])
+def test_flow_rejects_an_operator_built_for_another_trace(kind):
+    nl = make("abs-sin")
+    g = make_grid(6.0, 4.0, 0.25)
+    u0 = _flow_start(g, kind, np.random.default_rng(3))
+    op = flow_operator(nl, g, kind, u0[0, :] + 0.5)
+    with pytest.raises(ConsistencyError, match="trace row"):
+        flow_relax(nl, u0, g, kind, op=op)
 
 
 @pytest.mark.parametrize("kind", ["quarter", "half", "torus"])

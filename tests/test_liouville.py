@@ -1,6 +1,10 @@
 """Random-start sweeps on compact surrogates, uniform floor evolution."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +82,39 @@ def test_box_sweep_trials_are_a_prefix_of_longer_sweeps():
         [t.to_json_dict() for t in b.trials[:2]]
 
 
+@pytest.mark.parametrize("sweep", [periodic_box_sweep, halfspace_strip_sweep])
+def test_sweep_assembles_once(sweep, monkeypatch):
+    # L, b and the shifted solver are fixed for the sweep: every trial's
+    # flow shares the one flow operator built before the first trial
+    real = elliptic.assemble_laplacian
+    calls = []
+    monkeypatch.setattr(elliptic, "assemble_laplacian",
+                        lambda *a, **kw: calls.append(None) or real(*a, **kw))
+    rep = sweep(make("abs-sin"), L=8.0, h=0.5, n_trials=3, seed=0)
+    assert rep.converged == 3
+    assert len(calls) == 1
+
+
+def test_sweep_is_blas_thread_invariant():
+    # on 64 x 64 unknowns the flow's shifted solves are dense matrix
+    # products; the sweep's report must not depend on the BLAS thread count
+    code = ("import json; from farfield.nonlinearity import make; "
+            "from farfield.liouville import periodic_box_sweep, halfspace_strip_sweep; "
+            "nl = make('abs-sin'); "
+            "print(json.dumps([s(nl, L=16.0, h=0.25, n_trials=4, seed=5).to_json_dict() "
+            "for s in (periodic_box_sweep, halfspace_strip_sweep)]))")
+    src = os.path.dirname(os.path.dirname(liouville.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outs.append(proc.stdout)
+    reports = json.loads(outs[0])
+    assert [r["converged"] for r in reports] == [4, 4]
+    assert outs[0] == outs[1]
+
+
 def test_box_sweep_counts_failed_trials_without_dying(monkeypatch):
     nl = make("abs-sin")
     real = liouville._robust_solve
@@ -110,8 +147,11 @@ def test_every_box_trial_lands_on_pi():
 def _flat_interval_start(g):
     # cantor:3 vanishes on [0.963, 1]: from 0.97 under a trace of 0.99 the
     # state stays where f' = 0, a flow step cuts the residual only by about
-    # K / (K + slowest Laplacian eigenvalue), and the flow hands off to Newton
-    return make("cantor:3"), np.full((g.n1 + 1, g.n2), 0.97)
+    # K / (K + slowest Laplacian eigenvalue), and the flow hands off to Newton.
+    # Returns the term, the start and the flow operator for that trace
+    nl = make("cantor:3")
+    return (nl, np.full((g.n1 + 1, g.n2), 0.97),
+            elliptic.flow_operator(nl, g, "half", np.full(g.n2, 0.99)))
 
 
 def test_singular_factor_is_a_numeric_error(monkeypatch):
@@ -124,9 +164,9 @@ def test_singular_factor_is_a_numeric_error(monkeypatch):
     u0 = noise_start(g, "torus", np.random.default_rng(0))
     with pytest.raises(NumericError, match="singular"):
         elliptic.newton_solve(nl, g, "torus", None, u0)
-    nl, u0 = _flat_interval_start(g)
+    nl, u0, op = _flat_interval_start(g)
     with pytest.raises(NumericError, match="singular"):
-        liouville._robust_solve(nl, g, "half", 0.99, u0)
+        liouville._robust_solve(nl, g, "half", 0.99, u0, op)
 
 
 def test_flow_that_stops_contracting_hands_off_to_newton(monkeypatch):
@@ -135,8 +175,8 @@ def test_flow_that_stops_contracting_hands_off_to_newton(monkeypatch):
     monkeypatch.setattr(liouville, "newton_solve",
                         lambda *a, **kw: calls.append(None) or real(*a, **kw))
     g = make_grid(4.0, 4.0, 0.5)
-    nl, u0 = _flat_interval_start(g)
-    f = liouville._robust_solve(nl, g, "half", 0.99, u0)
+    nl, u0, op = _flat_interval_start(g)
+    f = liouville._robust_solve(nl, g, "half", 0.99, u0, op)
     assert len(calls) == 1
     assert f.meta["method"] == "newton" and f.meta["iterations"] >= 1
     assert f.residual <= 1e-9
@@ -158,9 +198,9 @@ def test_consistency_error_is_not_swallowed(monkeypatch):
 
     monkeypatch.setattr(liouville, "newton_solve", inconsistent_once)
     g = make_grid(4.0, 4.0, 0.5)
-    nl, u0 = _flat_interval_start(g)
+    nl, u0, op = _flat_interval_start(g)
     with pytest.raises(ConsistencyError):
-        liouville._robust_solve(nl, g, "half", 0.99, u0)
+        liouville._robust_solve(nl, g, "half", 0.99, u0, op)
 
 
 # ---------------------------------------------------------------------------

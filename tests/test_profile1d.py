@@ -200,6 +200,17 @@ def test_quad_escalation_reproduces_batched_nodes(monkeypatch):
     assert np.all(dxi[v <= z - 1e-6] <= 1e-8)
 
 
+def test_compute_profile_shoots_the_launch_slope_once(monkeypatch):
+    # the RK4 cross-check launches from the slope compute_profile already has
+    real = profile1d.shoot_slope
+    calls = []
+    monkeypatch.setattr(profile1d, "shoot_slope",
+                        lambda *a, **kw: calls.append(None) or real(*a, **kw))
+    p = compute_profile(make("abs-sin"), math.pi)
+    assert len(calls) == 1
+    assert p.slope0 == real(make("abs-sin"), math.pi)
+
+
 def test_nan_launch_fails_the_crosscheck(monkeypatch):
     # NaN compares False with everything: the gate must read "not <= tol"
     real = profile1d.integrate_profile_ode
