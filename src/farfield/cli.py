@@ -43,8 +43,25 @@ _DEFAULT_CONFIG = {
 }
 
 
+def _json_type(val) -> str:
+    """The JSON type of a loaded value; a bool is not a number."""
+    if val is None:
+        return "null"
+    if isinstance(val, bool):
+        return "boolean"
+    if isinstance(val, (int, float)):
+        return "number"
+    if isinstance(val, str):
+        return "string"
+    return "array" if isinstance(val, list) else "object"
+
+
 def load_config(path: str) -> dict:
-    """Load and validate a config file; unknown keys are hard errors."""
+    """Load and validate a config file; unknown keys are hard errors.
+
+    A value must have its default's JSON type. The keys whose default is
+    null (s_max, u0) take a number or null, and only they take null.
+    """
     try:
         with open(path) as fh:
             try:
@@ -69,6 +86,10 @@ def load_config(path: str) -> dict:
         for k2, v2 in val.items():
             if k2 not in _DEFAULT_CONFIG[key]:
                 raise ConfigError(f"{path}: unknown key {k2!r} in section {key!r}")
+            want, got = _json_type(_DEFAULT_CONFIG[key][k2]), _json_type(v2)
+            if got != want and not (want == "null" and got == "number"):
+                want = "number or null" if want == "null" else want
+                raise ConfigError(f"{path}: {key}.{k2} must be a {want} (got {got})")
             cfg[key][k2] = v2
     return cfg
 

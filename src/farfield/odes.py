@@ -7,20 +7,35 @@ step and two half steps, compare, accept when the difference passes the
 tolerance, and use the extrapolated (locally 5th-order) value. The step size
 follows the tolerance alone; sample times do not cut steps short.
 
-A sample time strictly inside an accepted step [t, t + h] gets the RK4
-sub-step of size s from (t, y), less (s/h)^5 times the step's measured
-leading local error 16/15 (y_big - y_fine): a one-step method from a fixed
-state has local error C s^5 + O(s^6), and the doubling measures C h^5. At
-s = h this is the extrapolated value, so samples carry no interpolation.
+A sample time strictly inside an accepted step [t, t + h] reads the step's
+quintic Hermite interpolant (dense output; Hairer, Norsett and Wanner,
+Solving ODEs I, II.6). It matches value and slope at three points: the
+start (t, y); the midpoint, where the first half step's state y_half less
+d/30 with d = y_big - y_fine carries the step's measured local error at
+s = h/2 (a one-step method from a fixed state has local error C s^5 +
+O(s^6), and the doubling measures C h^5 = 16/15 d); and the end, the
+extrapolated state. Every slope is already known: the start's is the first
+stage, the midpoint's is the first stage of the second half step, and the
+end's is the next step's first stage, computed early and handed on.
+
+Event location bisects the same interpolant. The first step found to hold
+an event is then taken again, cut at the time its quintic gave, and the
+event is located on whichever step holds it after that. An event function
+often marks where the rhs changes form: the floor's cap event sits on the
+kink of its clip at the window cap. The first quintic takes its end from
+past that kink, which moved the cap time by 1.5e-11; the cut step ends on it.
 
 The state is a tuple of Python floats: the systems here have one or two
 components, where numpy's per-call overhead would cost more than the
 arithmetic. rhs(t, y) gets such a tuple and may return any sequence of
 floats. Its value at a state, the first RK4 stage, is computed once and
 shared by the full step, the first half step, every retry after a rejected
-step, and the event bisection and sample fills from that state. Without
-events a run costs n_steps + 10 (n_steps + rejected) + 3 (samples inside a
-step) rhs calls: 11 per accepted step, 10 per rejected one and 3 per sample.
+step, and the interpolant of the step before that state. Without events a
+run costs n_steps + 10 (n_steps + rejected) rhs calls, 11 per accepted step
+and 10 per rejected one, plus 1 when the last step holds a sample; samples
+cost none. An event inside a step costs 12 more: the 10 calls and the end
+slope of the step the cut discards, and the end slope of the step that
+holds the event.
 """
 
 from __future__ import annotations
@@ -64,41 +79,55 @@ class OdeResult:
 
 def _double_step(rhs, t, y, h, k1):
     """One h-step vs two h/2-steps; returns (extrapolated y, err_inf,
-    y_big - y_fine)."""
+    y_big - y_fine, y_half, rhs at (t + h/2, y_half))."""
     y_big = _rk4_step(rhs, t, y, h, k1)
     hh = 0.5 * h
     y_half = _rk4_step(rhs, t, y, hh, k1)
-    y_fine = _rk4_step(rhs, t + hh, y_half, hh, rhs(t + hh, y_half))
+    k_half = rhs(t + hh, y_half)
+    y_fine = _rk4_step(rhs, t + hh, y_half, hh, k_half)
     d = [b - a for a, b in zip(y_fine, y_big)]
     diff = [abs(a) for a in d]
     total = sum(diff)           # NaN if any component is; max can skip one
     err = (max(diff) if total == total else total) / 15.0
-    return tuple([a - b / 15.0 for a, b in zip(y_fine, d)]), err, d
+    return tuple([a - b / 15.0 for a, b in zip(y_fine, d)]), err, d, y_half, k_half
 
 
-def _sample(rhs, t, y, k1, s, h, d):
-    """The state at t + s inside the accepted step (t, h) whose doubling gave
-    d = y_big - y_fine: the RK4 sub-step less its share of the step's
-    leading local error, (s/h)^5 * 16/15 * d."""
-    w = (s / h) ** 5 * (16.0 / 15.0)
-    return tuple([a - w * b for a, b in zip(_rk4_step(rhs, t, y, s, k1), d)])
+def _quintic(h, y, k1, y_half, k_half, d, y_new, k_end):
+    """Per component, the coefficients in theta = s/h of the quintic through
+    (0, y), (1/2, y_half - d/30) and (1, y_new) with slopes h k1, h k_half
+    and h k_end there."""
+    coefs = []
+    for y0, ym, y1, f0, fm, f1, dk in zip(y, y_half, y_new, k1, k_half, k_end, d):
+        d1 = ym - dk / 30.0 - y0
+        d2 = y1 - y0
+        g0, gm, g1 = h * f0, h * fm, h * f1
+        coefs.append((y0, g0,
+                      16.0 * d1 + 7.0 * d2 - 6.0 * g0 - g1 - 8.0 * gm,
+                      -32.0 * d1 - 34.0 * d2 + 13.0 * g0 + 5.0 * g1 + 32.0 * gm,
+                      16.0 * d1 + 52.0 * d2 - 12.0 * g0 - 8.0 * g1 - 40.0 * gm,
+                      -24.0 * d2 + 4.0 * g0 + 4.0 * g1 + 16.0 * gm))
+    return coefs
 
 
-def _locate_event(rhs, t, y, h, k1, gfun, g0):
-    """Bisect the step fraction at which gfun first changes sign."""
+def _at(coefs, th):
+    """The quintic's state at the step fraction th."""
+    return tuple([c0 + th * (c1 + th * (c2 + th * (c3 + th * (c4 + th * c5))))
+                  for c0, c1, c2, c3, c4, c5 in coefs])
+
+
+def _locate_event(coefs, t, h, y_new, gfun, g0):
+    """Bisect the step for the first sign change of gfun on the quintic."""
     lo, hi = 0.0, h
-    y_hi = None
+    y_hi = y_new
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        y_mid = _rk4_step(rhs, t, y, mid, k1)
+        y_mid = _at(coefs, mid / h)
         if g0 * gfun(t + mid, y_mid) <= 0.0:
             hi, y_hi = mid, y_mid
         else:
             lo = mid
         if hi - lo < 1e-15 * max(1.0, abs(t) + h):
             break
-    if y_hi is None:
-        y_hi = _rk4_step(rhs, t, y, hi, k1)
     return t + hi, y_hi
 
 
@@ -109,11 +138,12 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     y0: a float or a 1-D sequence of floats. rhs and the event functions get
     the state as a tuple of floats; rhs returns a sequence of floats.
     sample_ts: increasing times inside [t0, t1]. They do not limit the step:
-    one strictly inside an accepted step gets the RK4 sub-step to it, less
-    its (s/h)^5 share of the step's measured local error, which costs 3 rhs
-    calls; one on a step's end gets that step's state.
+    one strictly inside an accepted step gets the step's quintic Hermite
+    interpolant there, which costs no rhs call (the step's end slope is the
+    next step's first stage); one on a step's end gets that step's state.
     events: list of scalar functions g(t, y); integration stops at the first
-    sign change of any of them, located by bisection inside the step.
+    sign change of any of them, located by bisecting the step's quintic
+    (the first step to hold it is taken again, cut at it).
     A NaN state raises NumericError naming t; steps are at most (t1 - t0)/16.
     """
     y = tuple(np.atleast_1d(np.asarray(y0, dtype=float)).tolist())
@@ -142,6 +172,7 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
 
     steps = 0
     k1 = None
+    cut = False                 # a step holding an event was taken again, cut at it
     while t < t1:
         if steps >= max_steps:
             raise NumericError(f"integrate: step budget exhausted at t={t:.6g}")
@@ -149,7 +180,7 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
 
         if k1 is None:
             k1 = rhs(t, y)
-        y_new, err, d = _double_step(rhs, t, y, h, k1)
+        y_new, err, d, y_half, k_half = _double_step(rhs, t, y, h, k1)
         if err != err:
             raise NumericError(f"integrate: NaN state in the step from t={t:.6g}")
         scale = tol * (1.0 + max([abs(a) for a in y]))
@@ -157,9 +188,9 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
             res.rejected += 1
             h *= max(_SHRINK_MIN, _SAFETY * (scale / err) ** 0.2)
             continue
-        steps += 1
 
         t_new = t + h
+        k_end = coefs = None            # built when a sample or an event needs them
         if events:
             g_new = [g(t_new, y_new) for g in events]
             hit = None
@@ -168,15 +199,21 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
                     hit = k
                     break
             if hit is not None:
-                te, ye = _locate_event(rhs, t, y, h, k1, events[hit], g_prev[hit])
+                coefs = _quintic(h, y, k1, y_half, k_half, d, y_new, rhs(t_new, y_new))
+                te, ye = _locate_event(coefs, t, h, y_new, events[hit], g_prev[hit])
+                if te < t_new and not cut:
+                    cut, h = True, te - t
+                    continue
+                steps += 1
                 while filled < n_samples and sample_ts[filled] <= te:
-                    res.sample_ys[filled] = _sample(rhs, t, y, k1, sample_ts[filled] - t, h, d)
+                    res.sample_ys[filled] = _at(coefs, (sample_ts[filled] - t) / h)
                     filled += 1
                 res.t, res.y = te, np.array(ye)
                 res.event_index, res.event_t, res.event_y = hit, te, res.y
                 res.n_steps, res.samples_filled = steps, filled
                 return res
             g_prev = g_new
+        steps += 1
 
         while (filled < n_samples
                and sample_ts[filled] <= t_new + 1e-15 * max(1.0, t_new)):
@@ -184,10 +221,13 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
             if st >= t_new:
                 res.sample_ys[filled] = y_new
             else:
-                res.sample_ys[filled] = _sample(rhs, t, y, k1, st - t, h, d)
+                if coefs is None:
+                    k_end = rhs(t_new, y_new)
+                    coefs = _quintic(h, y, k1, y_half, k_half, d, y_new, k_end)
+                res.sample_ys[filled] = _at(coefs, (st - t) / h)
             filled += 1
 
-        t, y, k1 = t_new, y_new, None
+        t, y, k1 = t_new, y_new, k_end
         if err > 0.0:
             h *= min(_GROW_MAX, _SAFETY * (scale / err) ** 0.2)
         else:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -223,6 +224,40 @@ def test_config_rejects_unknown_names(tmp_path):
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(ConfigError, match="top level must be an object"):
         load_config(str(p))
+
+
+_WRONG_TYPES = [
+    ({"analysis": {"n_shifts": "8"}}, "analysis.n_shifts must be a number (got string)"),
+    ({"solver": {"tol": "1e-9"}}, "solver.tol must be a number (got string)"),
+    ({"domain": {"L1": "60"}}, "domain.L1 must be a number (got string)"),
+    ({"domain": {"h": True}}, "domain.h must be a number (got boolean)"),
+    ({"domain": {"h": None}}, "domain.h must be a number (got null)"),
+    ({"domain": {"trace": 0.5}}, "domain.trace must be a string (got number)"),
+    ({"output": {"plots": 1}}, "output.plots must be a boolean (got number)"),
+    ({"nonlinearity": {"s_max": "4"}}, "nonlinearity.s_max must be a number or null (got string)"),
+    ({"domain": {"u0": [0.5]}}, "domain.u0 must be a number or null (got array)"),
+    ({"solver": {"method": {}}}, "solver.method must be a string (got object)"),
+]
+
+
+@pytest.mark.parametrize("raw, message", _WRONG_TYPES,
+                         ids=[m.split()[0] + "-" + m.split()[-1][:-1] for _, m in _WRONG_TYPES])
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, raw, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**raw, "output": {**raw.get("output", {}),
+                                               "dir": str(tmp_path / "out")}}))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(p))
+    assert main(["run", "--config", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_takes_numbers_and_null_where_the_default_is_null(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"nonlinearity": {"s_max": 4}, "domain": {"u0": None, "L1": 60}}))
+    cfg = load_config(str(p))
+    assert (cfg["nonlinearity"]["s_max"], cfg["domain"]["u0"], cfg["domain"]["L1"]) == (4, None, 60)
 
 
 def test_config_errors_exit_1(tmp_path, capsys):

@@ -103,20 +103,47 @@ def test_first_stage_is_shared_by_every_attempt_from_a_state():
     assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected)
 
 
-def test_a_sample_inside_a_step_costs_three_rhs_calls():
-    # samples do not cut steps short: each one lies strictly inside an
-    # accepted step (none at a step's end, where it would be free) and costs
-    # the 3 later stages of its RK4 sub-step
+def test_samples_cost_only_the_last_steps_end_slope():
+    # samples do not cut steps short, and one strictly inside an accepted step
+    # reads the step's quintic: its end slope is the next step's first stage,
+    # so only a sample inside the last step costs one more rhs call
+    def run(ts):
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            return y[1], -math.sin(y[0])
+
+        res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11, h0=2.0, sample_ts=ts)
+        return res, calls[0]
+
+    bare, bare_calls = run(None)
+    assert bare_calls == bare.n_steps + 10 * (bare.n_steps + bare.rejected)
+    inner = np.sort(np.random.default_rng(7).uniform(0.5, 29.5, 400))
+    for ts, last in ((inner, 0), (np.append(inner, 30.0 - 1e-9), 1)):
+        res, calls = run(ts)
+        assert res.samples_filled == ts.size
+        assert (res.n_steps, res.rejected) == (bare.n_steps, bare.rejected)
+        assert res.y.tobytes() == bare.y.tobytes()
+        assert calls == res.n_steps + 10 * (res.n_steps + res.rejected) + last
+
+
+def test_an_event_costs_one_cut_step_and_two_end_slopes():
+    # the step holding the event is taken again, cut where its quintic puts
+    # the event: the discarded step costs its 10 rhs calls and its end slope,
+    # and the step that then holds the event one more end slope
     calls = [0]
 
     def rhs(t, y):
         calls[0] += 1
         return y[1], -math.sin(y[0])
 
-    ts = np.sort(np.random.default_rng(7).uniform(0.5, 29.5, 400))
-    res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11, h0=2.0, sample_ts=ts)
-    assert res.samples_filled == ts.size
-    assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected) + 3 * ts.size
+    res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11, events=[lambda t, y: y[0] - 2.0])
+    assert res.event_index == 0
+    assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected) + 12
+    tight = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-13, events=[lambda t, y: y[0] - 2.0])
+    assert abs(res.event_t - tight.event_t) < 1e-10
+    assert abs(res.event_y[0] - 2.0) < 1e-14
 
 
 def test_steps_follow_the_tolerance_not_the_samples(monkeypatch):
@@ -127,9 +154,23 @@ def test_steps_follow_the_tolerance_not_the_samples(monkeypatch):
     assert res.n_steps <= 250
 
 
+def test_pendulum_samples_match_a_tighter_run():
+    # y'' = -sin y over about five swings of amplitude 1: the quintic samples
+    # at tol 1e-11 agree with a tol-1e-13 run's as well as the end states do
+    ts = np.linspace(0.0, 30.0, 3001)
+    rhs = lambda t, y: (y[1], -math.sin(y[0]))
+    coarse = integrate(rhs, 0.0, [1.0, 0.0], 30.0, tol=1e-11, sample_ts=ts)
+    fine = integrate(rhs, 0.0, [1.0, 0.0], 30.0, tol=1e-13, sample_ts=ts)
+    assert coarse.samples_filled == fine.samples_filled == ts.size
+    assert 3 * coarse.n_steps < ts.size          # most samples lie inside steps
+    err = np.max(np.abs(coarse.sample_ys - fine.sample_ys))
+    assert err < 1e-9
+    assert err <= 2.0 * np.max(np.abs(coarse.y - fine.y))
+
+
 def test_corrected_samples_are_as_accurate_as_the_end_state():
-    # without the (s/h)^5 local-error correction the interior samples are
-    # about 56 times worse than the final state
+    # without the d/30 local-error correction of the quintic's midpoint the
+    # interior samples are 2.3 times worse than the final state
     ts = np.linspace(0.0, 5.0, 1001)
     res = integrate(lambda t, y: (-y[0],), 0.0, [1.0], 5.0, tol=1e-12, sample_ts=ts)
     err = np.max(np.abs(res.sample_ys[:, 0] - np.exp(-ts)))
@@ -141,8 +182,9 @@ def test_corrected_samples_are_as_accurate_as_the_end_state():
 # ---------------------------------------------------------------------------
 # the ndarray stepper this one replaced, kept as its reference: the state
 # moved to a tuple of Python floats, and every result must stay bit for bit.
-# Steps follow the tolerance alone, and a sample strictly inside a step is
-# the RK4 sub-step to it less (s/h)^5 of the step's measured local error.
+# Steps follow the tolerance alone, and a sample strictly inside a step, or
+# an event's bisection, reads the step's quintic Hermite interpolant through
+# its start, its corrected midpoint y_half - d/30 and its end.
 
 def _ref_rk4_step(rhs, t, y, h):
     k1 = rhs(t, y)
@@ -158,27 +200,37 @@ def _ref_double_step(rhs, t, y, h):
     y_fine = _ref_rk4_step(rhs, t + 0.5 * h, y_half, 0.5 * h)
     d = y_big - y_fine
     err = np.max(np.abs(d)) / 15.0
-    return y_fine - d / 15.0, err, d
+    return y_fine - d / 15.0, err, d, y_half
 
 
-def _ref_sample(rhs, t, y, s, h, d):
-    return _ref_rk4_step(rhs, t, y, s) - (s / h) ** 5 * (16.0 / 15.0) * d
+def _ref_quintic(rhs, t, y, h, y_half, d, y_new):
+    d1 = y_half - d / 30.0 - y
+    d2 = y_new - y
+    g0, gm, g1 = h * rhs(t, y), h * rhs(t + 0.5 * h, y_half), h * rhs(t + h, y_new)
+    return (y, g0,
+            16.0 * d1 + 7.0 * d2 - 6.0 * g0 - g1 - 8.0 * gm,
+            -32.0 * d1 - 34.0 * d2 + 13.0 * g0 + 5.0 * g1 + 32.0 * gm,
+            16.0 * d1 + 52.0 * d2 - 12.0 * g0 - 8.0 * g1 - 40.0 * gm,
+            -24.0 * d2 + 4.0 * g0 + 4.0 * g1 + 16.0 * gm)
 
 
-def _ref_locate_event(rhs, t, y, h, gfun, g0):
+def _ref_sample(c, s, h):
+    th = s / h
+    return c[0] + th * (c[1] + th * (c[2] + th * (c[3] + th * (c[4] + th * c[5]))))
+
+
+def _ref_locate_event(c, t, h, y_new, gfun, g0):
     lo, hi = 0.0, h
-    y_hi = None
+    y_hi = y_new
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        y_mid = _ref_rk4_step(rhs, t, y, mid)
+        y_mid = _ref_sample(c, mid, h)
         if g0 * gfun(t + mid, y_mid) <= 0.0:
             hi, y_hi = mid, y_mid
         else:
             lo = mid
         if hi - lo < 1e-15 * max(1.0, abs(t) + h):
             break
-    if y_hi is None:
-        y_hi = _ref_rk4_step(rhs, t, y, hi)
     return t + hi, y_hi
 
 
@@ -209,18 +261,18 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
         g_prev = [g(t, y) for g in events]
 
     steps = 0
+    cut = False
     while t < t1:
         if steps >= max_steps:
             raise NumericError(f"integrate: step budget exhausted at t={t:.6g}")
         h = max(min(h, hmax, t1 - t), hmin)
 
-        y_new, err, d = _ref_double_step(rhs, t, y, h)
+        y_new, err, d, y_half = _ref_double_step(rhs, t, y, h)
         scale = tol * (1.0 + np.max(np.abs(y)))
         if err > scale and h > hmin:
             res.rejected += 1
             h *= max(0.1, 0.9 * (scale / err) ** 0.2)
             continue
-        steps += 1
 
         t_new = t + h
         if events:
@@ -231,18 +283,24 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
                     hit = k
                     break
             if hit is not None:
-                te, ye = _ref_locate_event(rhs, t, y, h, events[hit], g_prev[hit])
+                c = _ref_quintic(rhs, t, y, h, y_half, d, y_new)
+                te, ye = _ref_locate_event(c, t, h, y_new, events[hit], g_prev[hit])
+                if te < t_new and not cut:
+                    cut, h = True, te - t
+                    continue
+                steps += 1
                 if sample_ts is not None:
                     while (res.samples_filled < sample_ts.size
                            and sample_ts[res.samples_filled] <= te):
                         st = sample_ts[res.samples_filled]
-                        res.sample_ys[res.samples_filled] = _ref_sample(rhs, t, y, st - t, h, d)
+                        res.sample_ys[res.samples_filled] = _ref_sample(c, st - t, h)
                         res.samples_filled += 1
                 res.t, res.y = te, ye
                 res.event_index, res.event_t, res.event_y = hit, te, ye
                 res.n_steps = steps
                 return res
             g_prev = g_new
+        steps += 1
 
         if sample_ts is not None:
             while (res.samples_filled < sample_ts.size
@@ -251,7 +309,8 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
                 if st >= t_new:
                     res.sample_ys[res.samples_filled] = y_new
                 else:
-                    res.sample_ys[res.samples_filled] = _ref_sample(rhs, t, y, st - t, h, d)
+                    c = _ref_quintic(rhs, t, y, h, y_half, d, y_new)
+                    res.sample_ys[res.samples_filled] = _ref_sample(c, st - t, h)
                 res.samples_filled += 1
 
         t, y = t_new, y_new
