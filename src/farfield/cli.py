@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -79,7 +80,7 @@ def load_config(path: str) -> dict:
                 raise ConfigError(f"{path}: seed must be an integer")
             cfg["seed"] = val
             continue
-        if key not in _DEFAULT_CONFIG or key == "seed":
+        if key not in _DEFAULT_CONFIG:
             raise ConfigError(f"{path}: unknown section {key!r}")
         if not isinstance(val, dict):
             raise ConfigError(f"{path}: section {key!r} must be an object")
@@ -142,24 +143,14 @@ def _plot_ladder(path: str, rows: list) -> None:
                   xlabel="shift", ylabel="sup distance", logy=True)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-def cmd_analyze_f(args) -> int:
-    nl = _nl(args)
-    out = _outdir(args)
-    E = zero_set(nl)
-    zf = compute_Zf(nl)
-    hyp = check_hypotheses(nl)
-    print(f"window: [0, {nl.s_max:g}], Lipschitz estimate {nl.lipschitz_estimate:.6g}")
-    print(f"zeros: {len(E.points)} points, {len(E.intervals)} flat intervals")
-    print("reachable plateau levels: "
-          + (", ".join(f"{z:.12g}" for z in zf.points) or "(none)"))
-    for name, verdict in (("h1", hyp.h1), ("h2", hyp.h2), ("h3", hyp.h3)):
-        word = {True: "satisfied", False: "violated", None: "inconclusive"}[verdict]
-        print(f"hypothesis {name}: {word}")
+def _write_analysis(nl, spec: str, tol_f: float, out: str):
+    """Zero set, reachable levels and hypothesis verdicts at tol_f, written to
+    analysis.json; returns them as (E, zf, hyp)."""
+    E = zero_set(nl, tol_f=tol_f)
+    zf = compute_Zf(nl, tol_f=tol_f)
+    hyp = check_hypotheses(nl, tol_f=tol_f)
     report = {
-        "f": args.f,
+        "f": spec,
         "s_max": nl.s_max,
         "lipschitz": nl.lipschitz_estimate,
         "zero_set": _zero_set_json(E),
@@ -168,6 +159,49 @@ def cmd_analyze_f(args) -> int:
                        "h2": hyp.h2, "h3": hyp.h3, "notes": list(hyp.notes)},
     }
     _write_json(report, os.path.join(out, "analysis.json"))
+    return E, zf, hyp
+
+
+def _solve(args, nl):
+    """The one solve path: grid, trace, then solve_field, set from args (kind,
+    L1, L2, h, trace, u0, method, tol, flow_target). Returns the field and
+    the solve's wall time in ms."""
+    grid = make_grid(args.L1, args.L2, args.h)
+    trace = make_trace(args.trace, nl, grid, args.kind)
+    t0 = time.perf_counter()
+    field = solve_field(nl, grid, args.kind, trace, method=args.method,
+                        u0=args.u0, tol=args.tol, flow_target=args.flow_target)
+    return field, 1000.0 * (time.perf_counter() - t0)
+
+
+def _far_field(args, nl, field, out: str):
+    """Detect the far-field limit with args.n_shifts, conv_tol and tol_f;
+    write trajectory.json, and decay.svg when args.plots asks for it.
+    Returns the report and the names of the files written."""
+    rep = omega_limit(nl, field, n_shifts=args.n_shifts, conv_tol=args.conv_tol,
+                      tol_f=args.tol_f)
+    _write_json(rep.to_json_dict(), os.path.join(out, "trajectory.json"))
+    written = ["trajectory.json"]
+    if args.plots:
+        _plot_ladder(os.path.join(out, "decay.svg"), rep.distances)
+        written.append("decay.svg")
+    return rep, written
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+def cmd_analyze_f(args) -> int:
+    nl = _nl(args)
+    E, zf, hyp = _write_analysis(nl, args.f, _DEFAULT_CONFIG["analysis"]["tol_f"],
+                                 _outdir(args))
+    print(f"window: [0, {nl.s_max:g}], Lipschitz estimate {nl.lipschitz_estimate:.6g}")
+    print(f"zeros: {len(E.points)} points, {len(E.intervals)} flat intervals")
+    print("reachable plateau levels: "
+          + (", ".join(f"{z:.12g}" for z in zf.points) or "(none)"))
+    for name, verdict in (("h1", hyp.h1), ("h2", hyp.h2), ("h3", hyp.h3)):
+        word = {True: "satisfied", False: "violated", None: "inconclusive"}[verdict]
+        print(f"hypothesis {name}: {word}")
     return 0
 
 
@@ -196,25 +230,18 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _solve_and_report(args, nl, kind: str, out: str, flow_target: float,
-                      tol_f: float) -> list:
+def _solve_and_report(args, nl, out: str) -> list:
     """Solve, detect the far-field limit, write the artifacts, print a summary.
 
-    `args` carries the domain, solver and output settings of the solve
-    commands (`run` fills the same names from its config). Writes solve.json
+    `args` carries the domain, solver, analysis and output settings under
+    their config names (`run` fills them from its config). Writes solve.json
     and trajectory.json, plus field.csv and decay.svg when args.dump_fields
     and args.plots ask for them. Returns the names of the files written.
     """
-    grid = make_grid(args.L1, args.L2, args.h)
-    trace = make_trace(args.trace, nl, grid, kind)
-    t0 = time.perf_counter()
-    field = solve_field(nl, grid, kind, trace, method=args.method,
-                        u0=args.u0, tol=args.tol, flow_target=flow_target)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    rep = omega_limit(nl, field, n_shifts=args.n_shifts, conv_tol=args.conv_tol,
-                      tol_f=tol_f)
+    field, wall_ms = _solve(args, nl)
+    rep, written = _far_field(args, nl, field, out)
     summary = {
-        "kind": kind, "f": args.f,
+        "kind": args.kind, "f": args.f,
         "grid": {"L1": args.L1, "L2": args.L2, "h": args.h},
         "boundary": {"trace": args.trace, "u0": args.u0},
         "method": field.meta.get("method", args.method),
@@ -227,8 +254,7 @@ def _solve_and_report(args, nl, kind: str, out: str, flow_target: float,
         "wall_time_ms": wall_ms,
     }
     _write_json(summary, os.path.join(out, "solve.json"))
-    _write_json(rep.to_json_dict(), os.path.join(out, "trajectory.json"))
-    written = ["solve.json", "trajectory.json"]
+    written.append("solve.json")
     if args.dump_fields:
         save_field_csv(field, os.path.join(out, "field.csv"))
         written.append("field.csv")
@@ -242,41 +268,21 @@ def _solve_and_report(args, nl, kind: str, out: str, flow_target: float,
             print(f"  note: {note}")
     print(f"residual {field.residual:.3e}, eventual amplitude "
           f"[{rep.m:.6g}, {rep.M:.6g}]")
-    if args.plots:
-        _plot_ladder(os.path.join(out, "decay.svg"), rep.distances)
-        written.append("decay.svg")
     return written
 
 
-def _cmd_solve(args, kind: str) -> int:
+def cmd_solve(args) -> int:
     check_ladder(args.n_shifts, args.conv_tol)     # before the solve it follows
-    _solve_and_report(args, _nl(args), kind, _outdir(args),
-                      flow_target=_DEFAULT_CONFIG["solver"]["flow_target"],
-                      tol_f=_DEFAULT_CONFIG["analysis"]["tol_f"])
+    _solve_and_report(args, _nl(args), _outdir(args))
     return 0
-
-
-def cmd_solve_quarter(args) -> int:
-    return _cmd_solve(args, "quarter")
-
-
-def cmd_solve_half(args) -> int:
-    return _cmd_solve(args, "half")
 
 
 def cmd_trajectory(args) -> int:
     check_ladder(args.n_shifts, args.conv_tol)
     nl = _nl(args)
     out = _outdir(args)
-    grid = make_grid(args.L1, args.L2, args.h)
-    kind = args.kind
-    trace = make_trace(args.trace, nl, grid, kind)
-    field = solve_field(nl, grid, kind, trace, method=args.method,
-                        u0=args.u0, tol=args.tol)
-    rep = omega_limit(nl, field, n_shifts=args.n_shifts, conv_tol=args.conv_tol)
-    _write_json(rep.to_json_dict(), os.path.join(out, "trajectory.json"))
-    if args.plots:
-        _plot_ladder(os.path.join(out, "decay.svg"), rep.distances)
+    field, _ = _solve(args, nl)
+    rep, _ = _far_field(args, nl, field, out)
     state = "converged" if rep.converged else "unresolved"
     print(f"trajectory: {state}, level {rep.detected_z}, "
           f"tail slope {rep.tail_slope}")
@@ -315,16 +321,11 @@ def cmd_eigen(args) -> int:
 def cmd_slide(args) -> int:
     nl = _nl(args)
     out = _outdir(args)
-    grid = make_grid(args.L1, args.L2, args.h)
-    trace = make_trace(args.trace, nl, grid, "quarter")
-    field = solve_field(nl, grid, "quarter", trace, method=args.method,
-                        u0=args.u0, tol=args.tol)
+    field, _ = _solve(args, nl)
     cap_nl = make(args.cap_f) if args.cap_f else nl
     bub = radial_bubble(cap_nl, args.z, args.eps, N=2)
-    start = tuple(float(v) for v in args.frm.split(","))
-    stop = tuple(float(v) for v in args.to.split(","))
-    rep = sliding_verify(field, bub, start, stop, steps=args.steps)
-    _write_json({"start": list(start), "stop": list(stop), "steps": args.steps,
+    rep = sliding_verify(field, bub, args.frm, args.to, steps=args.steps)
+    _write_json({"start": list(args.frm), "stop": list(args.to), "steps": args.steps,
                  "cap_height": rep.implied_floor, "cap_radius": bub.R,
                  "min_margin": rep.min_margin, "ok": rep.ok,
                  "margins": [float(m) for m in rep.margins]},
@@ -365,9 +366,6 @@ def cmd_plot(args) -> int:
         raise InputError(f"{args.input}: expected a report object")
     rows = data.get("distances")
     if not rows:
-        traj = data.get("trajectory")
-        rows = traj.get("distances") if isinstance(traj, dict) else None
-    if not rows:
         raise InputError(f"{args.input}: no distance ladder to plot")
     _plot_ladder(args.output, rows)
     print(f"wrote {args.output}")
@@ -381,44 +379,28 @@ def cmd_run(args) -> int:
         cfg["output"]["dir"] = args.out
     out = cfg["output"]["dir"]
     os.makedirs(out, exist_ok=True)
-    written = []
-
-    spec = cfg["nonlinearity"]["spec"]
-    nl = (make(spec) if cfg["nonlinearity"]["s_max"] is None
-          else make(spec, s_max=cfg["nonlinearity"]["s_max"]))
+    # the settings under the names the solve commands' flags give them
+    run = argparse.Namespace(
+        f=cfg["nonlinearity"]["spec"], smax=cfg["nonlinearity"]["s_max"],
+        **cfg["domain"], **cfg["solver"], **cfg["analysis"], **cfg["output"])
+    nl = _nl(run)
 
     # 1. nonlinearity analysis
-    E = zero_set(nl, tol_f=cfg["analysis"]["tol_f"])
-    zf = compute_Zf(nl, tol_f=cfg["analysis"]["tol_f"])
-    hyp = check_hypotheses(nl, tol_f=cfg["analysis"]["tol_f"])
-    _write_json({"f": spec, "s_max": nl.s_max,
-                 "zero_set": _zero_set_json(E),
-                 "reachable_levels": _zero_set_json(zf),
-                 "hypotheses": {"h1": hyp.h1, "h2": hyp.h2, "h3": hyp.h3}},
-                os.path.join(out, "analysis.json"))
-    written.append("analysis.json")
+    _, zf, _ = _write_analysis(nl, run.f, run.tol_f, out)
+    written = ["analysis.json"]
     print(f"levels reachable from the floor: "
           + (", ".join(f"{z:.6g}" for z in zf.points) or "(none)"))
 
     # 2. profiles for every reachable level
-    dom = cfg["domain"]
     for i, z in enumerate(zf.points):
-        p = compute_profile(nl, z, xi_max=dom["L2"],
-                            n=max(int(round(dom["L2"] / dom["h"])), 8))
+        p = compute_profile(nl, z, xi_max=run.L2, n=max(int(round(run.L2 / run.h)), 8))
         name = f"profile_{i}.csv"
         save_profile_csv(p, os.path.join(out, name))
         written.append(name)
     print(f"wrote {len(zf.points)} profile tables")
 
     # 3. solve + trajectory
-    solve_args = argparse.Namespace(
-        f=spec, L1=dom["L1"], L2=dom["L2"], h=dom["h"], trace=dom["trace"],
-        u0=dom["u0"], method=cfg["solver"]["method"], tol=cfg["solver"]["tol"],
-        n_shifts=cfg["analysis"]["n_shifts"], conv_tol=cfg["analysis"]["conv_tol"],
-        dump_fields=cfg["output"]["dump_fields"], plots=cfg["output"]["plots"])
-    written += _solve_and_report(solve_args, nl, dom["kind"], out,
-                                 flow_target=cfg["solver"]["flow_target"],
-                                 tol_f=cfg["analysis"]["tol_f"])
+    written += _solve_and_report(run, nl, out)
 
     # 4. manifest
     manifest = {"seed": cfg["seed"],
@@ -451,8 +433,8 @@ _FLAGS = {
                         "accepts only 1"},
     "dump-fields": {"action": "store_true", "dest": "dump_fields"},
     "no-plots": {"action": "store_false", "dest": "plots"},
-    "n-shifts": {"type": int, "default": 16},
-    "conv-tol": {"type": float, "default": 1e-2},
+    "n-shifts": {"type": int, "default": _DEFAULT_CONFIG["analysis"]["n_shifts"]},
+    "conv-tol": {"type": float, "default": _DEFAULT_CONFIG["analysis"]["conv_tol"]},
 }
 
 
@@ -471,16 +453,34 @@ def _add_f(p):
 
 
 def _add_domain(p, kind_choice=False):
-    p.add_argument("--L1", type=float, default=40.0)
-    p.add_argument("--L2", type=float, default=20.0)
-    p.add_argument("--h", type=float, default=0.25)
-    p.add_argument("--trace", default="constant:0.5")
-    p.add_argument("--method", default="auto",
+    """The domain and solver flags, with their defaults from _DEFAULT_CONFIG.
+
+    flow_target and tol_f have no flag; they ride along at their defaults,
+    so the solve helpers read every setting from args as `run` gives it.
+    """
+    dom, sol = _DEFAULT_CONFIG["domain"], _DEFAULT_CONFIG["solver"]
+    for name in ("L1", "L2", "h"):
+        p.add_argument(f"--{name}", type=float, default=dom[name])
+    p.add_argument("--trace", default=dom["trace"])
+    p.add_argument("--method", default=sol["method"],
                    choices=("newton", "monotone", "auto"))
-    p.add_argument("--u0", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--u0", type=float, default=dom["u0"])
+    p.add_argument("--tol", type=float, default=sol["tol"])
     if kind_choice:
-        p.add_argument("--kind", default="quarter", choices=("quarter", "half"))
+        p.add_argument("--kind", default=dom["kind"], choices=("quarter", "half"))
+    p.set_defaults(flow_target=sol["flow_target"],
+                   tol_f=_DEFAULT_CONFIG["analysis"]["tol_f"])
+
+
+def _point(text: str) -> tuple:
+    """An X,Y flag value: exactly two finite numbers."""
+    try:
+        x, y = (float(v) for v in text.split(","))
+    except ValueError:
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise argparse.ArgumentTypeError(f"want X,Y (two finite numbers), got {text!r}")
+    return x, y
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,17 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "out")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("solve-quarter", help="solve on the quarter domain")
-    _add_f(p)
-    _add_domain(p)
-    _add_flags(p, "out", "dump-fields", "no-plots", "n-shifts", "conv-tol")
-    p.set_defaults(func=cmd_solve_quarter)
-
-    p = sub.add_parser("solve-half", help="solve on the laterally periodic strip")
-    _add_f(p)
-    _add_domain(p)
-    _add_flags(p, "out", "dump-fields", "no-plots", "n-shifts", "conv-tol")
-    p.set_defaults(func=cmd_solve_half)
+    for kind, help_ in (("quarter", "solve on the quarter domain"),
+                        ("half", "solve on the laterally periodic strip")):
+        p = sub.add_parser(f"solve-{kind}", help=help_)
+        _add_f(p)
+        _add_domain(p)
+        _add_flags(p, "out", "dump-fields", "no-plots", "n-shifts", "conv-tol")
+        p.set_defaults(func=cmd_solve, kind=kind)
 
     p = sub.add_parser("trajectory", help="solve and classify the far-field limit")
     _add_f(p)
@@ -546,11 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nonlinearity for the cap (default: same as --f)")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--from", required=True, dest="frm", metavar="X,Y")
-    p.add_argument("--to", required=True, metavar="X,Y")
+    p.add_argument("--from", required=True, dest="frm", metavar="X,Y", type=_point)
+    p.add_argument("--to", required=True, metavar="X,Y", type=_point)
     p.add_argument("--steps", type=int, default=61)
     _add_flags(p, "out")
-    p.set_defaults(func=cmd_slide)
+    p.set_defaults(func=cmd_slide, kind="quarter")
 
     p = sub.add_parser("liouville-sweep", help="random-start sweeps on "
                                                "compact surrogate domains")

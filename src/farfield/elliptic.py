@@ -20,12 +20,14 @@ per axis, by sine and Fourier transforms on larger ones.
 
 One relaxation, the semi-implicit flow `flow_relax`, keeps order; each step
 is one shifted solve of K - L. `flow_operator` builds its fixed parts once,
-so flows that share them (a sweep's trials) assemble nothing more. Three
-solve strategies use it and Newton,
-which factors its Jacobian; the tests check that newton and monotone reach
-the same state:
+so flows that share them (a sweep's trials) assemble nothing more.
+`solve_field` builds its three methods from this flow and one damped Newton
+iteration, `newton_solve`, whose steps solve with the Jacobian L + diag(f')
+through `_factor` (a sparse LU up to _DIRECT_MAX unknowns, bicgstab above);
+a test checks that newton and monotone reach the same state on a logistic
+quarter:
 
-  newton   : damped Newton on the sparse system;
+  newton   : damped Newton on the sparse system, from the start state;
   monotone : the flow run to tol from a supersolution, each step checked
              to descend;
   auto     : the flow run to tol, so the answer is the state the evolution
@@ -63,7 +65,6 @@ _FLOW_MAX_STEPS = 200_000
 _FLOW_CONTRACTION = 0.5       # in the basin, a step must cut the residual this much
 _LINE_SEARCH_MIN = 1.0 / 1024.0
 _WINDOW_SLACK = 1e-8
-_EIGEN_TOL = 1e-13            # relative eigenvalue change that ends the iteration
 _EIGEN_MAX_ITER = 400
 _BUBBLE_R_MAX = 200.0         # radius a cap launch integrates out to
 _BUBBLE_TOL = 1e-12           # RK4 tolerance of a cap launch
@@ -544,7 +545,10 @@ def dirichlet_eigenpair(N: int, R: float, n: int = 4096) -> EigenResult:
     uniform radial mesh by inverse power iteration; at r = 0 the operator
     limit Delta phi(0) = N phi''(0) closes the stencil. The eigenvalue is a
     Rayleigh quotient in the r^(N-1)-weighted inner product that makes the
-    radial operator self-adjoint. phi is normalized to phi(0) = 1.
+    radial operator self-adjoint. phi is normalized to phi(0) = 1. The
+    iteration stops when the weighted residual |A phi - lambda phi| stops
+    shrinking, at roundoff; one still shrinking after _EIGEN_MAX_ITER
+    iterations is a NumericError.
     """
     if N < 1 or not 0 < R < math.inf or n < 16:
         raise InputError("dirichlet_eigenpair: need N >= 1, finite R > 0, n >= 16")
@@ -569,25 +573,27 @@ def dirichlet_eigenpair(N: int, R: float, n: int = 4096) -> EigenResult:
     w[0] = w[0] if N == 1 else 0.0
 
     phi = np.ones(n)
-    lam_old = 0.0
-    lam = 0.0
+    res_old = math.inf
     for it in range(_EIGEN_MAX_ITER):
         phi_new = solve_banded((1, 1), ab, phi)
         phi_new /= np.max(np.abs(phi_new))
         Aphi = _banded_apply(upper, diag, lower, phi_new)
-        num = np.sum(w * phi_new * Aphi)
         den = np.sum(w * phi_new * phi_new)
-        lam = num / den
-        if it > 0 and abs(lam - lam_old) <= _EIGEN_TOL * abs(lam):
-            phi = phi_new
+        lam_new = np.sum(w * phi_new * Aphi) / den
+        res = math.sqrt(np.sum(w * (Aphi - lam_new * phi_new) ** 2) / den) / lam_new
+        # the residual shrinks by about lambda_1/lambda_2 a step until it
+        # reaches roundoff; the iterate before it stops shrinking is the answer
+        if res >= res_old:
             break
-        lam_old = lam
-        phi = phi_new
+        phi, lam, res_old = phi_new, lam_new, res
+    else:
+        raise NumericError(f"dirichlet_eigenpair: residual {res:.1e} still shrinking "
+                           f"after {_EIGEN_MAX_ITER} iterations")
     r = np.arange(n + 1) * hr
     phi_full = np.empty(n + 1)
     phi_full[:n] = phi / phi[0]
     phi_full[n] = 0.0
-    return EigenResult(N, float(R), float(lam), r, phi_full, it + 1)
+    return EigenResult(N, float(R), float(lam), r, phi_full, it)
 
 
 def _banded_apply(upper, diag, lower, x):

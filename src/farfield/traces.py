@@ -39,9 +39,12 @@ def trace_from_table(path: str, y_nodes: np.ndarray) -> np.ndarray:
         header = next(rd, None)
         if header is None or [c.strip() for c in header[:2]] != ["y", "value"]:
             raise InputError(f"{path}: expected header y,value")
-        for row in rd:
-            ys.append(float(row[0]))
-            vs.append(float(row[1]))
+        for lineno, row in enumerate(rd, start=2):
+            try:
+                ys.append(float(row[0]))
+                vs.append(float(row[1]))
+            except (ValueError, IndexError):
+                raise InputError(f"{path}:{lineno}: want two numbers y,value") from None
     if len(ys) < 2:
         raise InputError(f"{path}: need at least 2 rows")
     ys = np.asarray(ys)
@@ -51,6 +54,17 @@ def trace_from_table(path: str, y_nodes: np.ndarray) -> np.ndarray:
     return np.interp(y_nodes, ys, vs)
 
 
+def _numbers(spec: str, args: str, names: str) -> list:
+    """A spec's comma-separated numeric arguments, one for each of `names`."""
+    try:
+        vals = [float(p) for p in args.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != len(names.split(",")):
+        raise InputError(f"trace {spec!r}: want numeric {names}")
+    return vals
+
+
 def make_trace(spec: str, nl: Nonlinearity, grid: Grid2D, kind: str) -> np.ndarray:
     """Build the trace node array for a spec string (see module docstring)."""
     if not isinstance(spec, str) or ":" not in spec:
@@ -58,14 +72,12 @@ def make_trace(spec: str, nl: Nonlinearity, grid: Grid2D, kind: str) -> np.ndarr
     name, _, args = spec.partition(":")
     y = grid.x2(kind)
     if name == "constant":
-        return np.full(y.size, float(args))
+        c, = _numbers(spec, args, "c")
+        return np.full(y.size, c)
     if name == "bump":
-        parts = [float(p) for p in args.split(",")]
-        if len(parts) != 3:
-            raise InputError("bump trace wants center,width,height")
-        return bump(y, *parts)
+        return bump(y, *_numbers(spec, args, "center,width,height"))
     if name == "profile":
-        z = float(args)
+        z, = _numbers(spec, args, "z")
         if z == 0.0:
             return np.zeros(y.size)
         p = compute_profile(nl, z, xi_max=float(y[-1]) if y[-1] > 0 else grid.L2,

@@ -12,6 +12,8 @@ from farfield import cli, profile1d
 from farfield.cli import load_config, main
 from farfield.errors import ConfigError
 
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
 
 def _read(path):
     with open(path, "rb") as fh:
@@ -133,6 +135,20 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
      "--tol", "-1"],
     ["solve-quarter", "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.5",
      "--conv-tol", "nan"],
+    ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
+     "--trace", "constant:abc"],
+    ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
+     "--trace", "bump:1,x,2"],
+    ["solve-half", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
+     "--trace", "profile:x"],
+    ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
+     "--trace", "table:" + os.path.join(_DATA, "trace_text_row.csv")],
+    ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
+     "--trace", "table:" + os.path.join(_DATA, "trace_short_row.csv")],
+    ["slide", "--f", "logistic", "--L1", "20", "--L2", "12", "--h", "0.5",
+     "--z", "1", "--eps", "0.5", "--from", "1", "--to", "9,6"],
+    ["slide", "--f", "logistic", "--L1", "20", "--L2", "12", "--h", "0.5",
+     "--z", "1", "--eps", "0.5", "--from", "8,6", "--to", "a,b"],
 ])
 def test_bad_numeric_flag_exits_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 1

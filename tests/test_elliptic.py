@@ -478,6 +478,19 @@ def test_eigenvalue_three_dimensional():
     assert abs(e.value - math.pi**2) < 1e-5
 
 
+def test_eigenvalue_stops_at_the_roundoff_floor(monkeypatch):
+    # at N = 3 the Rayleigh quotient's relative change stalls near 3.5e-13,
+    # above any fixed 1e-13 gate; the iteration ends when its residual stops
+    # shrinking.  9.869603917248348 is the 400th iterate of the fixed gate;
+    # consecutive iterates at the floor differ by up to 5e-12
+    e = dirichlet_eigenpair(3, 1.0)
+    assert e.iterations < 40
+    assert abs(e.value - 9.869603917248348) < 5e-12 * e.value
+    monkeypatch.setattr(elliptic, "_EIGEN_MAX_ITER", 2)
+    with pytest.raises(NumericError, match="still shrinking"):
+        dirichlet_eigenpair(3, 1.0)
+
+
 def test_eigenvalue_scaling_is_exact_in_floats():
     a = dirichlet_eigenpair(2, 1.0, n=512)
     b = dirichlet_eigenpair(2, 2.0, n=512)

@@ -224,3 +224,10 @@ def test_nan_launch_fails_the_crosscheck(monkeypatch):
     monkeypatch.setattr(profile1d, "integrate_profile_ode", nan_sample)
     with pytest.raises(ConsistencyError, match="disagree by nan"):
         compute_profile(make("logistic"), 1.0, n=64)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericError,
+                   reason="the slope-weighted error bound exceeds _ERR_BUDGET at 2 of "
+                          "cantor:4's 15 positive levels (11/31 at level 5, 31/63 at 6)")
+def test_cantor_4_profile_meets_the_error_budget():
+    compute_profile(make("cantor:4"), 0.9135802468135803)
