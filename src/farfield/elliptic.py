@@ -647,7 +647,7 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
 
         grid = np.linspace(r0, _BUBBLE_R_MAX, 4097)
         res = integrate(rhs, r0, y0, _BUBBLE_R_MAX, tol=_BUBBLE_TOL, sample_ts=grid,
-                        events=[lambda r, y: y[0]])
+                        events=[lambda r, y: y[0]], breaks=nl.kinks)
         return res, grid
 
     a = z - 0.5 * eps

@@ -250,8 +250,8 @@ def parabolic_floor(nl: Nonlinearity, s0: float, t_end: float,
     def rhs(t, y):
         return (float(nl.fn(min(max(y[0], 0.0), nl.s_max))),)
 
-    res = integrate(rhs, 0.0, (float(s0),), t_end, tol=1e-12,
-                    sample_ts=ts, events=[lambda t, y: y[0] - nl.s_max])
+    res = integrate(rhs, 0.0, (float(s0),), t_end, tol=1e-12, sample_ts=ts,
+                    events=[lambda t, y: y[0] - nl.s_max], breaks=nl.kinks)
     filled = res.samples_filled
     capped = res.event_index is not None
     return FloorResult(ts[:filled], res.sample_ys[:filled, 0], capped,

@@ -54,6 +54,9 @@ class Nonlinearity:
     # divide by it arbitrarily close to a zero, where F(hi)-F(lo) would cancel
     # catastrophically)
     gap_fn: Callable = field(repr=False)
+    # the sorted points in (0, s_max) where f is not differentiable; the RK4
+    # launches on f land their steps on them
+    kinks: tuple = field(repr=False)
 
     def __post_init__(self):
         if not (self.s_max > 0 and math.isfinite(self.s_max)):
@@ -113,6 +116,22 @@ def integral_between(nl: Nonlinearity, lo, hi):
     return float(val) if val.ndim == 0 else val
 
 
+def _kinks_in(points, s_max: float) -> tuple:
+    """The distinct points strictly inside (0, s_max), sorted, as floats."""
+    return tuple(sorted({float(p) for p in points if 0.0 < p < s_max}))
+
+
+def _window_kinks(kind: str, fn, s_max: float) -> tuple:
+    """A catalog term's kinks in the window (0, s_max): every k pi for
+    |sin|, every slope change of a piecewise-linear term (f is constant
+    beyond its outer knots), none for the smooth terms."""
+    if kind == "abs-sin":
+        return _kinks_in((k * math.pi for k in range(1, int(s_max / math.pi) + 1)), s_max)
+    if isinstance(fn, _PiecewiseLinear):
+        return _kinks_in(fn.kinks, s_max)
+    return ()
+
+
 def _lipschitz_on_grid(fn, s_max: float) -> float:
     xs = np.linspace(0.0, s_max, 10_001)
     fs = fn(xs)
@@ -136,6 +155,11 @@ class _PiecewiseLinear:
         self.cum = np.concatenate(([0.0], np.cumsum(seg)))
         self.seg_padded = np.append(seg, 0.0)
         self._xl, self._yl = self.xs.tolist(), self.ys.tolist()
+        # knots where the slope changes, with slope 0 beyond the outer knots;
+        # a change at rounding level is a straight line through a knot
+        slopes = np.concatenate(([0.0], np.diff(self.ys) / np.diff(self.xs), [0.0]))
+        jump = np.abs(np.diff(slopes))
+        self.kinks = self.xs[jump > 1e-12 * (np.abs(slopes[1:]) + np.abs(slopes[:-1]))].tolist()
 
     def __call__(self, s):
         if type(s) is not float:
@@ -224,7 +248,7 @@ def logistic() -> Nonlinearity:
         # factored so the (hi - lo) factor carries the smallness
         return (hi - lo) * (0.5 * (hi + lo) - (hi * hi + hi * lo + lo * lo) / 3.0)
 
-    return Nonlinearity("logistic", 2.0, _lipschitz_on_grid(fn, 2.0), fn, F, gap)
+    return Nonlinearity("logistic", 2.0, _lipschitz_on_grid(fn, 2.0), fn, F, gap, ())
 
 
 def abs_sin() -> Nonlinearity:
@@ -247,14 +271,15 @@ def abs_sin() -> Nonlinearity:
                  + 2.0 * (khi - klo - 1.0))
         return np.where(klo == khi, _arch(lo, hi, klo), split)
 
-    return Nonlinearity("abs-sin", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap)
+    return Nonlinearity("abs-sin", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap,
+                        _window_kinks("abs-sin", fn, 10.0))
 
 
 def linear_decay() -> Nonlinearity:
     fn = lambda s: 1.0 - s
     F = lambda z: z - 0.5 * z * z
     gap = lambda lo, hi: (hi - lo) * (1.0 - 0.5 * (hi + lo))
-    return Nonlinearity("linear-decay", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap)
+    return Nonlinearity("linear-decay", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap, ())
 
 
 def cantor(level: int = 6) -> Nonlinearity:
@@ -282,7 +307,7 @@ def cantor(level: int = 6) -> Nonlinearity:
         vals.append(Fraction(0))
     pl = _PiecewiseLinear([float(x) for x in knots], [float(v) for v in vals])
     return Nonlinearity(f"cantor:{level}", 1.0, _lipschitz_on_grid(pl, 1.0),
-                        pl, pl.antiderivative, pl.gap)
+                        pl, pl.antiderivative, pl.gap, _window_kinks("cantor", pl, 1.0))
 
 
 def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
@@ -299,7 +324,7 @@ def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
     pl = _PiecewiseLinear(xs, ys)
     s_max = float(xs[-1])
     return Nonlinearity(kind, s_max, _lipschitz_on_grid(pl, s_max),
-                        pl, pl.antiderivative, pl.gap)
+                        pl, pl.antiderivative, pl.gap, _window_kinks(kind, pl, s_max))
 
 
 def table_from_csv(path: str) -> Nonlinearity:
@@ -325,7 +350,7 @@ def make(spec: str, s_max: float | None = None) -> Nonlinearity:
     """Build a catalog nonlinearity from its config-file name.
 
     A non-None `s_max` narrows or widens the analysis window; the Lipschitz
-    estimate is re-derived for the new window.
+    estimate and the kinks are re-derived for the new window.
     """
     if not isinstance(spec, str):
         raise InputError(f"nonlinearity spec must be a string, got {type(spec).__name__}")
@@ -359,7 +384,8 @@ def make(spec: str, s_max: float | None = None) -> Nonlinearity:
     w = float(s_max)
     if not (w > 0 and math.isfinite(w)):
         raise InputError(f"analysis window must be positive, got s_max={s_max}")
-    return replace(nl, s_max=w, lipschitz_estimate=_lipschitz_on_grid(nl.fn, w))
+    return replace(nl, s_max=w, lipschitz_estimate=_lipschitz_on_grid(nl.fn, w),
+                   kinks=_window_kinks(nl.kind, nl.fn, w))
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +752,8 @@ def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
         total[tail] += (hi[tail] - np.maximum(lo[tail], edge)) * (-f_at_m)
         return total
 
+    # f's kinks above m map to c - k below the edge, where g turns constant
+    kinks = _kinks_in([c - k for k in nl.kinks if k > m] + [edge], edge + 1.0)
     s_max_g = edge + 1.0
     return Nonlinearity(f"reflect({nl.kind},{M_prime:g},{m:g})", s_max_g,
-                        _lipschitz_on_grid(g, s_max_g), g, G, gap_g)
+                        _lipschitz_on_grid(g, s_max_g), g, G, gap_g, kinks)

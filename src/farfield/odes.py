@@ -5,7 +5,8 @@ cross-checked against this integrator, so the two routes must not share code
 with any library solver. Step control is the textbook scheme: take one full
 step and two half steps, compare, accept when the difference passes the
 tolerance, and use the extrapolated (locally 5th-order) value. The step size
-follows the tolerance alone; sample times do not cut steps short.
+follows the tolerance and the breaks below; sample times do not cut steps
+short.
 
 A sample time strictly inside an accepted step [t, t + h] reads the step's
 quintic Hermite interpolant (dense output; Hairer, Norsett and Wanner,
@@ -25,21 +26,34 @@ often marks where the rhs changes form: the floor's cap event sits on the
 kink of its clip at the window cap. The first quintic takes its end from
 past that kink, which moved the cap time by 1.5e-11; the cut step ends on it.
 
+A break is a value of y[0] where the rhs has a kink. Step doubling
+under-reads the error of a step across one, and the controller, growing h
+after each accepted step, keeps running into the next. So an attempt whose
+end passes a break by more than _BREAK_SLACK is taken again, cut where the
+secant of y[0] between its two ends meets the break; the next step starts
+on it (Gear and Osterby, ACM TOMS 10, 1984, locate the discontinuity and
+restart there). The secant costs no rhs call, and a cut counts as a
+rejected attempt.
+
 The state is a tuple of Python floats: the systems here have one or two
 components, where numpy's per-call overhead would cost more than the
 arithmetic. rhs(t, y) gets such a tuple and may return any sequence of
 floats. Its value at a state, the first RK4 stage, is computed once and
 shared by the full step, the first half step, every retry after a rejected
-step, and the interpolant of the step before that state. Without events a
-run costs n_steps + 10 (n_steps + rejected) rhs calls, 11 per accepted step
-and 10 per rejected one, plus 1 when the last step holds a sample; samples
-cost none. An event inside a step costs 12 more: the 10 calls and the end
-slope of the step the cut discards, and the end slope of the step that
-holds the event.
+attempt or a cut, and the interpolant of the step before that state.
+Without events a run costs n_steps + 10 (n_steps + rejected) rhs calls, 11
+per accepted step and 10 per rejected attempt or cut, plus 1 when the last
+step holds a sample; samples cost none. An event inside a step costs 12
+more: the 10 calls and the end slope of the step the cut discards, and the
+end slope of the step that holds the event. A step records the quintic
+coefficients and the sample range of the samples inside it, and one numpy
+Horner pass fills them all at the end of the run (or at the event), with
+the operations and their order of a Python loop over the samples.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +64,7 @@ _SAFETY = 0.9
 _GROW_MAX = 4.0
 _SHRINK_MIN = 0.1
 _HMIN = 1e-13         # smallest step; a step this small is always accepted
+_BREAK_SLACK = 1e-9   # an attempt may end this far past a break of y[0]
 
 
 def _rk4_step(rhs, t, y, h, k1):
@@ -131,8 +146,38 @@ def _locate_event(coefs, t, h, y_new, gfun, g0):
     return t + hi, y_hi
 
 
+def _break_fraction(breaks, a, b):
+    """The secant's step fraction at the first break that y[0], going from
+    a to b, passes by more than _BREAK_SLACK, or None. A break within
+    _BREAK_SLACK of a is the one the step starts on."""
+    if b > a:
+        i = bisect_right(breaks, a + _BREAK_SLACK)
+        if i < len(breaks) and breaks[i] < b - _BREAK_SLACK:
+            return (breaks[i] - a) / (b - a)
+    else:
+        i = bisect_left(breaks, a - _BREAK_SLACK) - 1
+        if i >= 0 and breaks[i] > b + _BREAK_SLACK:
+            return (breaks[i] - a) / (b - a)
+    return None
+
+
+def _fill_from_quintics(sample_ys, sample_ts, pending):
+    """Fill every recorded step's samples from its quintic by one Horner
+    pass: pending holds (first sample, end sample, t, h, coefficients)."""
+    if not pending:
+        return
+    lo, hi, t, h, coefs = (np.array(v) for v in zip(*pending))
+    counts = hi - lo
+    step = np.repeat(np.arange(lo.size), counts)
+    idx = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    th = ((sample_ts[idx] - t[step]) / h[step])[:, None]
+    c = coefs[step]                             # (samples, components, 6)
+    sample_ys[idx] = c[..., 0] + th * (c[..., 1] + th * (c[..., 2] + th * (
+        c[..., 3] + th * (c[..., 4] + th * c[..., 5]))))
+
+
 def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
-              max_steps=2_000_000):
+              breaks=(), max_steps=2_000_000):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
     y0: a float or a 1-D sequence of floats. rhs and the event functions get
@@ -144,6 +189,8 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     events: list of scalar functions g(t, y); integration stops at the first
     sign change of any of them, located by bisecting the step's quintic
     (the first step to hold it is taken again, cut at it).
+    breaks: sorted values of y[0] where the rhs has a kink; an attempt that
+    passes one by more than _BREAK_SLACK is taken again, cut at it.
     A NaN state raises NumericError naming t; steps are at most (t1 - t0)/16.
     """
     y = tuple(np.atleast_1d(np.asarray(y0, dtype=float)).tolist())
@@ -162,9 +209,9 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
         sample_ts = res.sample_ts.tolist()
         n_samples = len(sample_ts)
         res.sample_ys = np.empty((n_samples, len(y)))
-        while filled < n_samples and sample_ts[filled] <= t:
-            res.sample_ys[filled] = y
-            filled += 1
+        filled = bisect_right(sample_ts, t)
+        res.sample_ys[:filled] = y
+    pending = []                # steps whose samples read their quintic
 
     g_prev = None
     if events:
@@ -183,6 +230,12 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
         y_new, err, d, y_half, k_half = _double_step(rhs, t, y, h, k1)
         if err != err:
             raise NumericError(f"integrate: NaN state in the step from t={t:.6g}")
+        if breaks and h > _HMIN:
+            frac = _break_fraction(breaks, y[0], y_new[0])
+            if frac is not None:
+                res.rejected += 1
+                h *= frac
+                continue
         scale = tol * (1.0 + max([abs(a) for a in y]))
         if err > scale and h > _HMIN:
             res.rejected += 1
@@ -205,9 +258,11 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
                     cut, h = True, te - t
                     continue
                 steps += 1
-                while filled < n_samples and sample_ts[filled] <= te:
-                    res.sample_ys[filled] = _at(coefs, (sample_ts[filled] - t) / h)
-                    filled += 1
+                end = bisect_right(sample_ts, te, filled) if n_samples else 0
+                if end > filled:
+                    pending.append((filled, end, t, h, coefs))
+                    filled = end
+                _fill_from_quintics(res.sample_ys, res.sample_ts, pending)
                 res.t, res.y = te, np.array(ye)
                 res.event_index, res.event_t, res.event_y = hit, te, res.y
                 res.n_steps, res.samples_filled = steps, filled
@@ -215,17 +270,18 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
             g_prev = g_new
         steps += 1
 
-        while (filled < n_samples
-               and sample_ts[filled] <= t_new + 1e-15 * max(1.0, t_new)):
-            st = sample_ts[filled]
-            if st >= t_new:
-                res.sample_ys[filled] = y_new
-            else:
+        if filled < n_samples:
+            # samples before t_new read the quintic; those on the end, the end state
+            inner = bisect_left(sample_ts, t_new, filled)
+            end = bisect_right(sample_ts, t_new + 1e-15 * max(1.0, t_new), inner)
+            if inner > filled:
                 if coefs is None:
                     k_end = rhs(t_new, y_new)
                     coefs = _quintic(h, y, k1, y_half, k_half, d, y_new, k_end)
-                res.sample_ys[filled] = _at(coefs, (st - t) / h)
-            filled += 1
+                pending.append((filled, inner, t, h, coefs))
+            if end > inner:
+                res.sample_ys[inner:end] = y_new
+            filled = end
 
         t, y, k1 = t_new, y_new, k_end
         if err > 0.0:
@@ -233,5 +289,6 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
         else:
             h *= _GROW_MAX
 
+    _fill_from_quintics(res.sample_ys, res.sample_ts, pending)
     res.t, res.y, res.n_steps, res.samples_filled = t, np.array(y), steps, filled
     return res

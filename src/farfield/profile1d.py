@@ -17,7 +17,10 @@ estimate is accepted as it stands, and the error budget weights it by the
 local slope. A segment still open at the subdivision cap is re-integrated by
 scipy's scalar quad. Every profile is then cross-checked against a
 completely separate route: direct RK4 integration of the launch problem.
-The two must agree to 1e-6 or construction fails loudly.
+The two must agree to 1e-6 or construction fails loudly. The launch steps
+from kink to kink of f: a step that would carry V past one of `nl.kinks`
+(the knots of a piecewise-linear term, k pi for |sin|) is taken again, cut
+at it, because step doubling under-reads the error of a step across a kink.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid,
     itself, or that slope plus a kick for a probe. Returns (V samples, W
     samples, raw ode result). The reaction term is evaluated with its
     argument clipped to the analysis window so overshoot experiments remain
-    well defined.
+    well defined, and steps land on f's kinks (`nl.kinks`, breaks of V).
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
 
@@ -124,7 +127,7 @@ def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid,
         return y[1], -float(nl.fn(min(max(y[0], 0.0), nl.s_max)))
 
     res = integrate(rhs, 0.0, (0.0, slope0), float(xi_grid[-1]),
-                    tol=tol, sample_ts=xi_grid, events=events)
+                    tol=tol, sample_ts=xi_grid, events=events, breaks=nl.kinks)
     filled = res.samples_filled
     return res.sample_ys[:filled, 0], res.sample_ys[:filled, 1], res
 

@@ -433,6 +433,63 @@ def test_hypotheses_cantor():
 
 
 # ---------------------------------------------------------------------------
+# kinks
+
+_TENT = ([0.0, 0.5, 1.0, 1.5, 2.0, 3.0], [0.0, 0.5, 1.0, 0.2, 0.2, -0.3])   # 0.5 is no kink
+
+
+def _kink_case(name, tmp_path):
+    if name == "table":
+        return from_table(*_TENT)
+    if name == "table widened":
+        path = tmp_path / "tent.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(*_TENT)))
+        return make(f"table:{path}", s_max=4.0)      # the outer knot 3 turns into a kink
+    if name == "reflect abs-sin":
+        return reflect(make("abs-sin"), 7.0, 0.5)
+    if name == "reflect cantor":
+        return reflect(make("cantor:2", s_max=3.0), 1.5, 0.4)
+    spec, _, window = name.partition(" s_max=")
+    return make(spec, s_max=float(window)) if window else make(spec)
+
+
+_KINK_CASES = CATALOG + ("cantor:1", "cantor:6", "abs-sin s_max=20", "abs-sin s_max=3",
+                         "cantor:2 s_max=3", "logistic s_max=5", "table", "table widened",
+                         "reflect abs-sin", "reflect cantor")
+
+
+@pytest.mark.parametrize("name", _KINK_CASES)
+def test_kinks_list_every_point_where_f_is_not_differentiable(name, tmp_path):
+    nl = _kink_case(name, tmp_path)
+    kinks = np.array(nl.kinks)
+    assert np.all(np.diff(kinks) > 0)
+    assert np.all((kinks > 0.0) & (kinks < nl.s_max))
+    # at each listed kink the one-sided difference quotients differ
+    d = 1e-7
+    left = (nl.fn(kinks) - nl.fn(kinks - d)) / d
+    right = (nl.fn(kinks + d) - nl.fn(kinks)) / d
+    assert np.all(np.abs(right - left) > 1e-3)
+    # between them second differences stay bounded: a missing kink with a
+    # slope jump J would read about J / (2 h) on the stencil that straddles it
+    xs = np.linspace(0.0, nl.s_max, 200_001)
+    h = xs[1] - xs[0]
+    second = np.abs(np.diff(nl.fn(xs), 2)) / (h * h)
+    lo, hi = xs[:-2], xs[2:]
+    touches = np.searchsorted(kinks, hi, side="right") > np.searchsorted(kinks, lo, side="left")
+    assert float(np.max(second[~touches])) < 10.0
+
+
+def test_kinks_of_the_catalog():
+    assert make("logistic").kinks == make("linear-decay").kinks == ()
+    assert make("abs-sin").kinks == (math.pi, 2.0 * math.pi, 3.0 * math.pi)
+    assert make("abs-sin", s_max=3.0).kinks == ()
+    assert len(make("cantor:3").kinks) == 3 * 2 ** 3 - 3     # 2^3 - 1 tents, none at 0 or 1
+    assert from_table(*_TENT).kinks == (1.0, 1.5, 2.0)
+    g = reflect(make("abs-sin"), 7.0, 0.5)
+    assert g.kinks == (8.0 - 2.0 * math.pi, 8.0 - math.pi, 7.5)
+
+
+# ---------------------------------------------------------------------------
 # reflection and tables
 
 def test_reflect_involution():

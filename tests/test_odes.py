@@ -1,5 +1,6 @@
-"""Adaptive RK4 stepper: accuracy, corrected samples, event location."""
+"""Adaptive RK4 stepper: accuracy, corrected samples, event location, kink landing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -179,6 +180,43 @@ def test_corrected_samples_are_as_accurate_as_the_end_state():
     assert err <= 2.0 * end_err
 
 
+@pytest.mark.parametrize("sign, y0, t1, exact_end", [
+    (+1.0, 0.0, 2.0, math.exp(2.0) / 2.0),               # y = 2 - 2 e^-t, then e^t / 2
+    (-1.0, 2.0, 1.2, 2.0 - math.exp(1.2) / 2.0),         # y = 2 e^-t, then 2 - e^t / 2
+])
+def test_steps_land_on_a_kink_of_the_rhs(sign, y0, t1, exact_end):
+    # y' = +-(1 + |y - 1|) has its kink at y = 1, which the solution reaches
+    # at t = ln 2 from either side
+    def run(breaks):
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            return (sign * (1.0 + abs(y[0] - 1.0)),)
+
+        res = integrate(rhs, 0.0, [y0], t1, tol=1e-12, sample_ts=[math.log(2.0)],
+                        breaks=breaks)
+        assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected)
+        return res
+
+    res = run((1.0,))
+    assert abs(res.y[0] / exact_end - 1.0) < 1e-11
+    assert abs(res.sample_ys[0, 0] - 1.0) < 1e-12
+    # the step across the kink passes step doubling with this much more error
+    assert abs(run(()).sample_ys[0, 0] - 1.0) > 5e-12
+
+
+def test_a_step_starting_on_a_break_is_not_cut():
+    # the landing rule measures passes from the step's start, so a run that
+    # starts on a break, or within the slack of one, steps as if it had none
+    rhs = lambda t, y: (1.0 + abs(y[0] - 1.0),)
+    for y0 in (1.0, 1.0 - 0.5 * odes._BREAK_SLACK):
+        bare = integrate(rhs, 0.0, [y0], 1.0, tol=1e-12)
+        res = integrate(rhs, 0.0, [y0], 1.0, tol=1e-12, breaks=(1.0,))
+        assert (res.n_steps, res.rejected) == (bare.n_steps, bare.rejected)
+        assert res.y.tobytes() == bare.y.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the ndarray stepper this one replaced, kept as its reference: the state
 # moved to a tuple of Python floats, and every result must stay bit for bit.
@@ -234,9 +272,25 @@ def _ref_locate_event(c, t, h, y_new, gfun, g0):
     return t + hi, y_hi
 
 
+def _ref_break_fraction(breaks, a, b, slack=1e-9):
+    # the break nearest a among those the step passes, neither within slack
+    # of its start nor within slack of its end
+    if b > a:
+        passed = [k for k in breaks if a + slack < k < b - slack]
+        k = min(passed, default=None)
+    else:
+        passed = [k for k in breaks if b + slack < k < a - slack]
+        k = max(passed, default=None)
+    return None if k is None else (k - a) / (b - a)
+
+
 def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
-                         hmax=None, sample_ts=None, events=None, max_steps=2_000_000):
-    """The ndarray stepper; rhs may return any sequence, as the tuple one allows."""
+                         hmax=None, sample_ts=None, events=None, breaks=(),
+                         max_steps=2_000_000):
+    """The ndarray stepper; rhs may return any sequence, as the tuple one allows.
+    An attempt that passes a break of y[0] is taken again, cut where the
+    secant of y[0] between its ends meets the break; the cut counts as a
+    rejected attempt."""
     user_rhs = rhs
     rhs = lambda t, y: np.array(user_rhs(t, y), dtype=float)
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
@@ -268,6 +322,11 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
         h = max(min(h, hmax, t1 - t), hmin)
 
         y_new, err, d, y_half = _ref_double_step(rhs, t, y, h)
+        frac = _ref_break_fraction(breaks, y[0], y_new[0]) if h > hmin else None
+        if frac is not None:
+            res.rejected += 1
+            h *= frac
+            continue
         scale = tol * (1.0 + np.max(np.abs(y)))
         if err > scale and h > hmin:
             res.rejected += 1
@@ -364,7 +423,18 @@ def test_profile_launch_matches_the_ndarray_stepper(monkeypatch, spec, z):
     assert len(new) == len(ref) == 1
     _assert_bit_identical(new[0], ref[0])
     if spec == "cantor:3":
-        assert new[0].rejected > 100      # the retries share the first stage
+        assert new[0].rejected < 100      # steps land on the knots: few retries
+
+
+def test_retries_share_the_first_stage_on_a_launch_without_breaks(monkeypatch):
+    # with its kinks dropped the cantor:3 launch runs into the knots and
+    # retries many rejected steps, each from the state's one first stage
+    nl = dataclasses.replace(make("cantor:3"), kinks=())
+    run = lambda: compute_profile(nl, 0.962962962862963, xi_max=20.0)
+    new = _launches(monkeypatch, profile1d, integrate, run)
+    ref = _launches(monkeypatch, profile1d, _reference_integrate, run)
+    _assert_bit_identical(new[0], ref[0])
+    assert new[0].rejected > 100
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
