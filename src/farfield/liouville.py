@@ -34,7 +34,7 @@ from .elliptic import (FlowOperator, _apply_boundary, _finish, flow_operator,
                        flow_relax, newton_solve)
 from .errors import InputError, NumericError
 from .grids import Field, Grid2D, as_trace, make_grid
-from .nonlinearity import Nonlinearity, compute_Zf, zero_set
+from .nonlinearity import Nonlinearity, compute_Zf, eval_capped_float, zero_set
 from .odes import integrate
 from .profile1d import compute_profile
 
@@ -248,7 +248,7 @@ def parabolic_floor(nl: Nonlinearity, s0: float, t_end: float,
     ts = np.linspace(0.0, t_end, n_samples + 1)
 
     def rhs(t, y):
-        return (float(nl.fn(min(max(y[0], 0.0), nl.s_max))),)
+        return (eval_capped_float(nl, y[0]),)
 
     res = integrate(rhs, 0.0, (float(s0),), t_end, tol=1e-12, sample_ts=ts,
                     events=[lambda t, y: y[0] - nl.s_max], breaks=nl.kinks)

@@ -87,6 +87,15 @@ def eval_capped(nl: Nonlinearity, s):
     return nl.fn(np.clip(np.asarray(s, dtype=float), 0.0, nl.s_max))
 
 
+def eval_capped_float(nl: Nonlinearity, v: float) -> float:
+    """eval_capped on one Python float, as a float: the RK4 launches call it
+    at every stage, where np.clip on a scalar costs more than the step. The
+    comparisons let NaN and -0.0 through as np.clip does."""
+    v = 0.0 if v < 0.0 else v
+    s_max = nl.s_max
+    return float(nl.fn(s_max if v > s_max else v))
+
+
 def antiderivative_F(nl: Nonlinearity, z):
     """F(z) = integral of f from 0 to z, from the term's closed or
     piecewise-exact form; every term carries one, so there is no quadrature."""

@@ -35,10 +35,16 @@ on it (Gear and Osterby, ACM TOMS 10, 1984, locate the discontinuity and
 restart there). The secant costs no rhs call, and a cut counts as a
 rejected attempt.
 
-The state is a tuple of Python floats: the systems here have one or two
-components, where numpy's per-call overhead would cost more than the
-arithmetic. rhs(t, y) gets such a tuple and may return any sequence of
-floats. Its value at a state, the first RK4 stage, is computed once and
+The state is exactly two Python floats, and each RK4 stage is written out
+on the two scalars: for these small systems the interpreter's cost of
+building a state, not the arithmetic, is what a step spends, and numpy's
+per-call overhead would cost more still. A one-component system runs with
+a constant-zero second component: its rhs, called on the first component,
+is padded with 0.0, and y, event_y and sample_ys come back with one
+column. The zero component leaves the error estimate, the step scale, the
+NaN check, the breaks and the rhs-call count as they would be on one
+component. rhs(t, y) gets the state as a tuple of floats and may return any sequence
+of floats. Its value at a state, the first RK4 stage, is computed once and
 shared by the full step, the first half step, every retry after a rejected
 attempt or a cut, and the interpolant of the step before that state.
 Without events a run costs n_steps + 10 (n_steps + rejected) rhs calls, 11
@@ -58,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import InputError, NumericError
 
 _SAFETY = 0.9
 _GROW_MAX = 4.0
@@ -69,13 +75,15 @@ _BREAK_SLACK = 1e-9   # an attempt may end this far past a break of y[0]
 
 def _rk4_step(rhs, t, y, h, k1):
     """One RK4 step of size h from (t, y), whose rhs value k1 is given."""
+    a, b = y
+    p1, q1 = k1
     hh = 0.5 * h
-    k2 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k1)]))
-    k3 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k2)]))
-    k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
+    p2, q2 = rhs(t + hh, (a + hh * p1, b + hh * q1))
+    p3, q3 = rhs(t + hh, (a + hh * p2, b + hh * q2))
+    p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
     h6 = h / 6.0
-    return tuple([a + h6 * (p + 2.0 * q + 2.0 * r + s)
-                  for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
+    return (a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+            b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
 
 
 @dataclass
@@ -99,12 +107,12 @@ def _double_step(rhs, t, y, h, k1):
     hh = 0.5 * h
     y_half = _rk4_step(rhs, t, y, hh, k1)
     k_half = rhs(t + hh, y_half)
-    y_fine = _rk4_step(rhs, t + hh, y_half, hh, k_half)
-    d = [b - a for a, b in zip(y_fine, y_big)]
-    diff = [abs(a) for a in d]
-    total = sum(diff)           # NaN if any component is; max can skip one
-    err = (max(diff) if total == total else total) / 15.0
-    return tuple([a - b / 15.0 for a, b in zip(y_fine, d)]), err, d, y_half, k_half
+    a, b = _rk4_step(rhs, t + hh, y_half, hh, k_half)
+    da, db = y_big[0] - a, y_big[1] - b
+    ea, eb = abs(da), abs(db)
+    total = ea + eb             # NaN if either is; max can skip one
+    err = ((eb if eb > ea else ea) if total == total else total) / 15.0
+    return (a - da / 15.0, b - db / 15.0), err, (da, db), y_half, k_half
 
 
 def _quintic(h, y, k1, y_half, k_half, d, y_new, k_end):
@@ -180,8 +188,11 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
               breaks=(), max_steps=2_000_000):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
-    y0: a float or a 1-D sequence of floats. rhs and the event functions get
-    the state as a tuple of floats; rhs returns a sequence of floats.
+    y0: a float or a sequence of one or two floats; three or more raise
+    InputError. rhs and the event functions get the state as a tuple of
+    floats, with as many components as y0; rhs returns a sequence of floats.
+    A one-component system steps with a constant-zero second component and
+    gets y, event_y and sample_ys back with one column.
     sample_ts: increasing times inside [t0, t1]. They do not limit the step:
     one strictly inside an accepted step gets the step's quintic Hermite
     interpolant there, which costs no rhs call (the step's end slope is the
@@ -194,6 +205,23 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     A NaN state raises NumericError naming t; steps are at most (t1 - t0)/16.
     """
     y = tuple(np.atleast_1d(np.asarray(y0, dtype=float)).tolist())
+    if len(y) == 2:
+        return _integrate(rhs, t0, y, t1, tol, h0, sample_ts, events, breaks, max_steps)
+    if len(y) != 1:
+        raise InputError(f"integrate: y0 has {len(y)} components; one or two are supported")
+    res = _integrate(lambda t, y: (rhs(t, y[:1])[0], 0.0), t0, y + (0.0,), t1, tol, h0,
+                     sample_ts, events and [lambda t, y, g=g: g(t, y[:1]) for g in events],
+                     breaks, max_steps)
+    res.y = res.y[:1]
+    if res.event_y is not None:
+        res.event_y = res.y
+    if res.sample_ys is not None:
+        res.sample_ys = res.sample_ys[:, :1]
+    return res
+
+
+def _integrate(rhs, t0, y, t1, tol, h0, sample_ts, events, breaks, max_steps):
+    """integrate on a state y of exactly two Python floats."""
     t = float(t0)
     if t1 <= t0:
         raise NumericError("integrate: need t1 > t0")
@@ -208,7 +236,7 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
         res.sample_ts = np.asarray(sample_ts, dtype=float)
         sample_ts = res.sample_ts.tolist()
         n_samples = len(sample_ts)
-        res.sample_ys = np.empty((n_samples, len(y)))
+        res.sample_ys = np.empty((n_samples, 2))
         filled = bisect_right(sample_ts, t)
         res.sample_ys[:filled] = y
     pending = []                # steps whose samples read their quintic
@@ -236,7 +264,7 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
                 res.rejected += 1
                 h *= frac
                 continue
-        scale = tol * (1.0 + max([abs(a) for a in y]))
+        scale = tol * (1.0 + max(abs(y[0]), abs(y[1])))
         if err > scale and h > _HMIN:
             res.rejected += 1
             h *= max(_SHRINK_MIN, _SAFETY * (scale / err) ** 0.2)

@@ -123,8 +123,8 @@ def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid,
     xi_grid = np.asarray(xi_grid, dtype=float)
 
     def rhs(t, y):
-        # builtin min/max: np.clip on a scalar costs more than the RK4 step
-        return y[1], -float(nl.fn(min(max(y[0], 0.0), nl.s_max)))
+        # f on one Python float: numpy on a scalar costs more than the RK4 step
+        return y[1], -nlm.eval_capped_float(nl, y[0])
 
     res = integrate(rhs, 0.0, (0.0, slope0), float(xi_grid[-1]),
                     tol=tol, sample_ts=xi_grid, events=events, breaks=nl.kinks)
@@ -342,12 +342,13 @@ def save_profile_csv(p: Profile1D, path: str) -> None:
     """Write xi,V,W rows with 17 significant digits (lossless round trip).
 
     The bytes are those of a `csv.writer` in its default dialect: no field
-    needs quoting, and every line ends in \r\n.
+    needs quoting, and every line ends in \r\n. The whole file is formatted
+    by one `%` on a repeated row template.
     """
-    rows = zip(p.xi.tolist(), p.values.tolist(), p.w.tolist())
+    cols = np.column_stack((p.xi, p.values, p.w))
     with open(path, "w", newline="") as fh:
         fh.write("xi,V,W\r\n")
-        fh.write("".join([f"{x:.17g},{v:.17g},{s:.17g}\r\n" for x, v, s in rows]))
+        fh.write("%.17g,%.17g,%.17g\r\n" * len(cols) % tuple(cols.ravel().tolist()))
 
 
 def load_profile_csv(path: str):

@@ -11,7 +11,7 @@ from farfield import nonlinearity as nlm
 from farfield.errors import InputError
 from farfield.nonlinearity import (antiderivative_F, cantor_prefractal,
                                    check_hypotheses, compute_Zf, eval_capped,
-                                   eval_f, from_table, integral_between, make,
+                                   eval_capped_float, eval_f, from_table, integral_between, make,
                                    reflect, zero_set)
 
 CATALOG = ("logistic", "abs-sin", "linear-decay", "cantor:3")
@@ -57,6 +57,26 @@ def test_eval_window_enforced():
         eval_f(nl, -0.1)
     # the capped entry point clips instead of raising
     assert eval_capped(nl, np.array([2.5]))[0] == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("cantor:1", "cantor:6", "table", "reflect"))
+def test_capped_float_matches_eval_capped(name):
+    # the launches' scalar clip, comparisons on one float, gives eval_capped's
+    # np.clip value bit for bit: the sign of a zero and NaN included
+    if name == "table":
+        nl = from_table(*_TENT)
+    elif name == "reflect":
+        nl = reflect(make("cantor:2", s_max=3.0), 1.5, 0.3)
+    else:
+        nl = make(name)
+    for v in (-1.0, -0.0, 0.0, 0.37 * nl.s_max, nl.s_max, nl.s_max + 1.0, math.nan):
+        got = eval_capped_float(nl, v)
+        want = float(eval_capped(nl, v))
+        assert type(got) is float
+        if math.isnan(want):
+            assert math.isnan(got), v
+        else:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), v
 
 
 # ---------------------------------------------------------------------------

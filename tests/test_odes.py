@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from farfield import liouville, nonlinearity, odes, profile1d
-from farfield.errors import NumericError
-from farfield.nonlinearity import make
+from farfield import elliptic, liouville, nonlinearity, odes, profile1d
+from farfield.errors import InputError, NumericError
+from farfield.nonlinearity import compute_Zf, make
 from farfield.odes import OdeResult, integrate
 from farfield.profile1d import compute_profile, disconnectedness_probe
 
@@ -71,6 +72,41 @@ def test_step_budget_enforced():
 def test_nan_state_raises(rhs):
     with pytest.raises(NumericError, match=r"NaN state in the step from t="):
         integrate(rhs, 0.0, [1.0] * len(rhs(0.0, (1.0,))), 1.0)
+
+
+def test_one_component_system_steps_with_a_zero_second_component():
+    # y' = -y up to the event y = 0.3: the run steps as the two-component
+    # system (y, 0) would, hands back one column and costs no extra rhs call
+    def run(y0, rhs, ts, events=None):
+        calls = [0]
+
+        def counted(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+
+        res = integrate(counted, 0.0, y0, 3.0, tol=1e-12, sample_ts=ts, events=events)
+        return res, calls[0]
+
+    ts = np.linspace(0.0, 2.9, 40)
+    one, calls = run([1.0], lambda t, y: (-y[0],), ts)
+    two, _ = run([1.0, 0.0], lambda t, y: (-y[0], 0.0), ts)
+    assert one.y.shape == (1,) and one.sample_ys.shape == (ts.size, 1)
+    assert calls == one.n_steps + 10 * (one.n_steps + one.rejected)
+    assert (one.n_steps, one.rejected) == (two.n_steps, two.rejected)
+    assert one.y.tobytes() == two.y[:1].tobytes()
+    assert one.sample_ys.tobytes() == two.sample_ys[:, :1].tobytes()
+
+    seen = []
+    event = lambda t, y: seen.append(len(y)) or y[0] - 0.3
+    hit, calls = run([1.0], lambda t, y: (-y[0],), ts, [event])
+    assert hit.event_index == 0 and set(seen) == {1}
+    assert hit.y.shape == hit.event_y.shape == (1,)
+    assert hit.sample_ys.shape == (ts.size, 1)
+    assert abs(hit.event_t - math.log(1.0 / 0.3)) < 1e-10
+    assert calls == hit.n_steps + 10 * (hit.n_steps + hit.rejected) + 12
+
+    with pytest.raises(InputError, match="one or two"):
+        integrate(lambda t, y: y, 0.0, [1.0, 0.0, 0.0], 1.0)
 
 
 def test_infinite_error_estimate_shrinks_the_step(monkeypatch):
@@ -410,8 +446,13 @@ def _assert_bit_identical(a: OdeResult, b: OdeResult):
         assert a.sample_ys[:n].tobytes() == b.sample_ys[:n].tobytes()
 
 
+_TENT_TABLE = "table:" + str(Path(__file__).resolve().parents[1] / "demos" / "tent_table.csv")
 _PROFILES = [("abs-sin", math.pi), ("abs-sin", 3.0 * math.pi), ("logistic", 1.0),
              ("cantor:3", 0.962962962862963)]
+# every positive reachable level of the catalog terms, and the tent table's
+_PROFILES += [(spec, z) for spec in ("abs-sin", "logistic", "linear-decay", "cantor:3")
+              for z in compute_Zf(make(spec)).points if z > 0 and (spec, z) not in _PROFILES]
+_PROFILES.append(pytest.param(_TENT_TABLE, 1.0, id="tent_table-1.0"))
 
 
 @pytest.mark.parametrize("spec, z", _PROFILES)
@@ -435,6 +476,19 @@ def test_retries_share_the_first_stage_on_a_launch_without_breaks(monkeypatch):
     ref = _launches(monkeypatch, profile1d, _reference_integrate, run)
     _assert_bit_identical(new[0], ref[0])
     assert new[0].rejected > 100
+
+
+@pytest.mark.parametrize("spec, z, eps", [("logistic", 1.0, 0.1),
+                                          ("cantor:3", 0.96296296286296301, 0.05)])
+def test_bubble_launch_matches_the_ndarray_stepper(monkeypatch, spec, z, eps):
+    # the cap's rhs carries the non-autonomous (N - 1)/r v' term
+    run = lambda: elliptic.radial_bubble(make(spec), z, eps)
+    new = _launches(monkeypatch, elliptic, integrate, run)
+    ref = _launches(monkeypatch, elliptic, _reference_integrate, run)
+    assert len(new) == len(ref) >= 1
+    assert new[-1].event_index == 0       # the cap reached 0
+    for a, b in zip(new, ref):
+        _assert_bit_identical(a, b)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
