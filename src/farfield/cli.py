@@ -152,7 +152,7 @@ def _write_analysis(nl, spec: str, tol_f: float, out: str):
     report = {
         "f": spec,
         "s_max": nl.s_max,
-        "lipschitz": nl.lipschitz_estimate,
+        "lipschitz": nl.lipschitz,
         "zero_set": _zero_set_json(E),
         "reachable_levels": _zero_set_json(zf),
         "hypotheses": {"h1": hyp.h1, "mu": hyp.mu, "mu_prime": hyp.mu_prime,
@@ -195,7 +195,7 @@ def cmd_analyze_f(args) -> int:
     nl = _nl(args)
     E, zf, hyp = _write_analysis(nl, args.f, _DEFAULT_CONFIG["analysis"]["tol_f"],
                                  _outdir(args))
-    print(f"window: [0, {nl.s_max:g}], Lipschitz estimate {nl.lipschitz_estimate:.6g}")
+    print(f"window: [0, {nl.s_max:g}], Lipschitz constant {nl.lipschitz:.6g}")
     print(f"zeros: {len(E.points)} points, {len(E.intervals)} flat intervals")
     print("reachable plateau levels: "
           + (", ".join(f"{z:.12g}" for z in zf.points) or "(none)"))

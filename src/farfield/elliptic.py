@@ -354,12 +354,14 @@ def flow_operator(nl: Nonlinearity, grid: Grid2D, kind: str,
                   trace: np.ndarray | None) -> FlowOperator:
     """Build the flow's operator once, for any number of flows that share it.
 
-    K = 1.1 max(Lip f, 1e-6) is the flow's shift: its implicit step solves
-    K - L.
+    K = max(Lip f, 1e-6) is the flow's shift: its implicit step solves
+    K - L. K at or above the two-sided Lip f keeps v -> K v + f(v)
+    nondecreasing and dt = 1/K at or below the reaction's fastest time scale;
+    near a zero where f' = -K, one step cancels the error to first order.
     """
     trace = None if trace is None else np.array(trace, dtype=float)
     L, b = assemble_laplacian(grid, kind, trace)
-    K = 1.1 * max(nl.lipschitz_estimate, 1e-6)
+    K = max(nl.lipschitz, 1e-6)
     return FlowOperator(L, b, shifted_solver(grid, kind, K), trace)
 
 
@@ -369,7 +371,7 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
                op: FlowOperator | None = None):
     """Semi-implicit parabolic flow u_t = Delta u + f(u) until the residual drops.
 
-    Each step solves (K - L) dv = L v + b + f(v), K = 1.1 max(Lip f, 1e-6):
+    Each step solves (K - L) dv = L v + b + f(v), K = max(Lip f, 1e-6):
     implicit Laplacian, explicit reaction, dt = 1/K. The solve is
     `shifted_solver`'s, so no grid size is too large for it.
     K - L is an M-matrix and v -> K v + f(v) is nondecreasing, so ordered

@@ -46,7 +46,7 @@ _CANTOR_MAX_LEVEL = 6    # finest level whose 2^level intervals the zero-set sca
 class Nonlinearity:
     kind: str
     s_max: float
-    lipschitz_estimate: float
+    lipschitz: float        # of f on [0, s_max]: exact, a bound for reflect
     fn: Callable = field(repr=False)                      # vectorized, unchecked
     antiderivative_fn: Callable = field(repr=False)       # F(z), vectorized
     # exact integral of f over [lo, hi] for float arrays lo < hi (elementwise);
@@ -141,12 +141,15 @@ def _window_kinks(kind: str, fn, s_max: float) -> tuple:
     return ()
 
 
-def _lipschitz_on_grid(fn, s_max: float) -> float:
-    xs = np.linspace(0.0, s_max, 10_001)
-    fs = fn(xs)
-    h = xs[1] - xs[0]
-    quot = np.abs(fs[2:] - fs[:-2]) / (2.0 * h)
-    return 1.1 * float(quot.max(initial=0.0))
+def _window_lipschitz(kind: str, fn, s_max: float) -> float:
+    """A catalog term's exact Lipschitz constant on [0, s_max], in closed
+    form: max |1 - 2 s| for the logistic, 1 for |sin| and 1 - s, the
+    steepest cell that starts inside the window for a piecewise-linear term."""
+    if kind == "logistic":
+        return max(1.0, 2.0 * s_max - 1.0)
+    if isinstance(fn, _PiecewiseLinear):
+        return fn.lipschitz(s_max)
+    return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,12 @@ class _PiecewiseLinear:
         slopes = np.concatenate(([0.0], np.diff(self.ys) / np.diff(self.xs), [0.0]))
         jump = np.abs(np.diff(slopes))
         self.kinks = self.xs[jump > 1e-12 * (np.abs(slopes[1:]) + np.abs(slopes[:-1]))].tolist()
+        self._slopes = np.abs(slopes[1:-1])
+
+    def lipschitz(self, s_max: float) -> float:
+        """The largest |slope| of the cells that start below s_max; f is
+        constant beyond the outer knots."""
+        return float(self._slopes[self.xs[:-1] < s_max].max(initial=0.0))
 
     def __call__(self, s):
         if type(s) is not float:
@@ -257,11 +266,13 @@ def logistic() -> Nonlinearity:
         # factored so the (hi - lo) factor carries the smallness
         return (hi - lo) * (0.5 * (hi + lo) - (hi * hi + hi * lo + lo * lo) / 3.0)
 
-    return Nonlinearity("logistic", 2.0, _lipschitz_on_grid(fn, 2.0), fn, F, gap, ())
+    return Nonlinearity("logistic", 2.0, _window_lipschitz("logistic", fn, 2.0), fn, F, gap, ())
 
 
 def abs_sin() -> Nonlinearity:
-    fn = lambda s: np.abs(np.sin(s))
+    def fn(s):
+        # one Python float (a launch's rhs) skips the numpy scalar ufuncs
+        return abs(math.sin(s)) if type(s) is float else np.abs(np.sin(s))
 
     def F(z):
         k = np.floor(z / math.pi)
@@ -280,7 +291,7 @@ def abs_sin() -> Nonlinearity:
                  + 2.0 * (khi - klo - 1.0))
         return np.where(klo == khi, _arch(lo, hi, klo), split)
 
-    return Nonlinearity("abs-sin", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap,
+    return Nonlinearity("abs-sin", 10.0, _window_lipschitz("abs-sin", fn, 10.0), fn, F, gap,
                         _window_kinks("abs-sin", fn, 10.0))
 
 
@@ -288,7 +299,8 @@ def linear_decay() -> Nonlinearity:
     fn = lambda s: 1.0 - s
     F = lambda z: z - 0.5 * z * z
     gap = lambda lo, hi: (hi - lo) * (1.0 - 0.5 * (hi + lo))
-    return Nonlinearity("linear-decay", 10.0, _lipschitz_on_grid(fn, 10.0), fn, F, gap, ())
+    return Nonlinearity("linear-decay", 10.0, _window_lipschitz("linear-decay", fn, 10.0),
+                        fn, F, gap, ())
 
 
 def cantor(level: int = 6) -> Nonlinearity:
@@ -315,7 +327,7 @@ def cantor(level: int = 6) -> Nonlinearity:
         knots.append(b)
         vals.append(Fraction(0))
     pl = _PiecewiseLinear([float(x) for x in knots], [float(v) for v in vals])
-    return Nonlinearity(f"cantor:{level}", 1.0, _lipschitz_on_grid(pl, 1.0),
+    return Nonlinearity(f"cantor:{level}", 1.0, _window_lipschitz("cantor", pl, 1.0),
                         pl, pl.antiderivative, pl.gap, _window_kinks("cantor", pl, 1.0))
 
 
@@ -332,7 +344,7 @@ def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
         raise InputError(f"table: first sample must sit at s=0, got {xs[0]:g}")
     pl = _PiecewiseLinear(xs, ys)
     s_max = float(xs[-1])
-    return Nonlinearity(kind, s_max, _lipschitz_on_grid(pl, s_max),
+    return Nonlinearity(kind, s_max, _window_lipschitz(kind, pl, s_max),
                         pl, pl.antiderivative, pl.gap, _window_kinks(kind, pl, s_max))
 
 
@@ -359,7 +371,7 @@ def make(spec: str, s_max: float | None = None) -> Nonlinearity:
     """Build a catalog nonlinearity from its config-file name.
 
     A non-None `s_max` narrows or widens the analysis window; the Lipschitz
-    estimate and the kinks are re-derived for the new window.
+    constant and the kinks are re-derived for the new window.
     """
     if not isinstance(spec, str):
         raise InputError(f"nonlinearity spec must be a string, got {type(spec).__name__}")
@@ -393,7 +405,7 @@ def make(spec: str, s_max: float | None = None) -> Nonlinearity:
     w = float(s_max)
     if not (w > 0 and math.isfinite(w)):
         raise InputError(f"analysis window must be positive, got s_max={s_max}")
-    return replace(nl, s_max=w, lipschitz_estimate=_lipschitz_on_grid(nl.fn, w),
+    return replace(nl, s_max=w, lipschitz=_window_lipschitz(nl.kind, nl.fn, w),
                    kinks=_window_kinks(nl.kind, nl.fn, w))
 
 
@@ -494,7 +506,7 @@ def zero_set(nl: Nonlinearity, grid_n: int = 4096, tol_f: float = TOL_F_DEFAULT)
     interior = np.nonzero((absf[1:-1] < absf[:-2]) & (absf[1:-1] < absf[2:])
                           & ~sub[1:-1])[0] + 1
     for i in interior:
-        if absf[i] > 0.5 * h * max(1.0, nl.lipschitz_estimate):
+        if absf[i] > 0.5 * h * max(1.0, nl.lipschitz):
             continue   # cannot dip to zero within one cell
         try:
             res = optimize.minimize_scalar(absfn, bracket=(xs[i - 1], xs[i], xs[i + 1]),
@@ -761,8 +773,14 @@ def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
         total[tail] += (hi[tail] - np.maximum(lo[tail], edge)) * (-f_at_m)
         return total
 
-    # f's kinks above m map to c - k below the edge, where g turns constant
-    kinks = _kinks_in([c - k for k in nl.kinks if k > m] + [edge], edge + 1.0)
-    s_max_g = edge + 1.0
-    return Nonlinearity(f"reflect({nl.kind},{M_prime:g},{m:g})", s_max_g,
-                        _lipschitz_on_grid(g, s_max_g), g, G, gap_g, kinks)
+    # f's kinks above m map to c - k below the edge. There g turns constant,
+    # a kink where f still slopes just above m: the slope is read over a
+    # step short of f's next kink, and at a critical point of a smooth f it
+    # reads at the step's size, under the threshold
+    above = [k for k in nl.kinks if k > m]
+    d = min(1e-7, 0.5 * (min(above + [c]) - m))
+    sloped = abs(_f1(nl, m + d) - f_at_m) > 1e-6 * max(1.0, nl.lipschitz) * d
+    kinks = _kinks_in([c - k for k in above] + ([edge] if sloped else []), edge + 1.0)
+    # g's slopes are f's on [m, c], and 0 beyond the edge
+    return Nonlinearity(f"reflect({nl.kind},{M_prime:g},{m:g})", edge + 1.0,
+                        nl.lipschitz, g, G, gap_g, kinks)

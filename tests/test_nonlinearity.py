@@ -25,7 +25,7 @@ def test_make_catalog():
         nl = make(spec)
         assert nl.kind.startswith(spec.split(":")[0])
         assert nl.s_max > 0
-        assert nl.lipschitz_estimate > 0
+        assert nl.lipschitz > 0
 
 
 def test_make_rejects_unknown():
@@ -40,8 +40,9 @@ def test_make_rejects_unknown():
 def test_window_override():
     nl = make("linear-decay", s_max=0.5)
     assert nl.s_max == 0.5
-    # the slope estimate is re-derived on the new window, not inherited
-    assert abs(nl.lipschitz_estimate - 1.1) < 1e-6
+    # the Lipschitz constant is re-derived on the new window, not inherited
+    assert nl.lipschitz == 1.0
+    assert make("logistic", s_max=5.0).lipschitz == 9.0
     with pytest.raises(InputError):
         make("logistic", s_max=-1.0)
     with pytest.raises(InputError):
@@ -322,7 +323,7 @@ def _reference_zero_set(nl, grid_n=4096, tol_f=nlm.TOL_F_DEFAULT):
     interior = np.nonzero((absf[1:-1] < absf[:-2]) & (absf[1:-1] < absf[2:])
                           & ~sub[1:-1])[0] + 1
     for i in interior:
-        if absf[i] > 0.5 * h * max(1.0, nl.lipschitz_estimate):
+        if absf[i] > 0.5 * h * max(1.0, nl.lipschitz):
             continue
         try:
             res = optimize.minimize_scalar(absfn, bracket=(xs[i - 1], xs[i], xs[i + 1]),
@@ -467,15 +468,24 @@ def _kink_case(name, tmp_path):
         return make(f"table:{path}", s_max=4.0)      # the outer knot 3 turns into a kink
     if name == "reflect abs-sin":
         return reflect(make("abs-sin"), 7.0, 0.5)
+    if name == "table narrowed":
+        path = tmp_path / "tent.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(*_TENT)))
+        return make(f"table:{path}", s_max=1.0)      # the cell [1, 1.5] is outside
     if name == "reflect cantor":
         return reflect(make("cantor:2", s_max=3.0), 1.5, 0.4)
+    if name == "reflect cantor flat edge":
+        return reflect(make("cantor:2", s_max=3.0), 1.5, 0.3)   # f is flat above m
+    if name == "reflect logistic":
+        return reflect(make("logistic"), 1.0, 0.5)              # f'(m) = 0
     spec, _, window = name.partition(" s_max=")
     return make(spec, s_max=float(window)) if window else make(spec)
 
 
 _KINK_CASES = CATALOG + ("cantor:1", "cantor:6", "abs-sin s_max=20", "abs-sin s_max=3",
                          "cantor:2 s_max=3", "logistic s_max=5", "table", "table widened",
-                         "reflect abs-sin", "reflect cantor")
+                         "reflect abs-sin", "reflect cantor", "reflect cantor flat edge",
+                         "reflect logistic")
 
 
 @pytest.mark.parametrize("name", _KINK_CASES)
@@ -507,6 +517,32 @@ def test_kinks_of_the_catalog():
     assert from_table(*_TENT).kinks == (1.0, 1.5, 2.0)
     g = reflect(make("abs-sin"), 7.0, 0.5)
     assert g.kinks == (8.0 - 2.0 * math.pi, 8.0 - math.pi, 7.5)
+    # the edge c - m is a kink only where f slopes just above m
+    assert reflect(make("cantor:2", s_max=3.0), 1.5, 0.4).kinks[-1] == 2.1
+    assert 2.2 not in reflect(make("cantor:2", s_max=3.0), 1.5, 0.3).kinks
+    assert reflect(make("logistic"), 1.0, 0.5).kinks == ()
+
+
+_LIPSCHITZ_CASES = (CATALOG + ("cantor:1", "cantor:2", "cantor:4", "cantor:5", "cantor:6",
+                               "logistic s_max=0.3", "logistic s_max=5", "abs-sin s_max=3",
+                               "cantor:6 s_max=3", "cantor:3 s_max=0.5", "table",
+                               "table widened", "table narrowed", "reflect abs-sin",
+                               "reflect cantor", "reflect logistic"))
+
+
+@pytest.mark.parametrize("name", _LIPSCHITZ_CASES)
+def test_lipschitz_constant_is_exact(name, tmp_path):
+    # every secant slope on a fine grid plus the kinks stays under the
+    # constant, and the steepest comes within 1e-6 of it; a smooth term's
+    # |f'| peaks at an end of the window or at a kink, so the grid also
+    # holds the points 1e-7 to either side of those
+    nl = _kink_case(name, tmp_path)
+    marks = np.array((0.0, *nl.kinks, nl.s_max))
+    xs = np.unique(np.clip(np.concatenate([np.linspace(0.0, nl.s_max, 100_001), marks,
+                                           marks - 1e-7, marks + 1e-7]), 0.0, nl.s_max))
+    slopes = np.abs(np.diff(nl.fn(xs)) / np.diff(xs))
+    assert float(slopes.max()) <= nl.lipschitz * (1.0 + 1e-8)
+    assert float(slopes.max()) >= nl.lipschitz - 1e-6
 
 
 # ---------------------------------------------------------------------------
