@@ -144,10 +144,10 @@ def _plot_ladder(path: str, rows: list) -> None:
 
 
 def _write_analysis(nl, spec: str, tol_f: float, out: str):
-    """Zero set, reachable levels and hypothesis verdicts at tol_f, written to
-    analysis.json; returns them as (E, zf, hyp)."""
-    E = zero_set(nl, tol_f=tol_f)
-    zf = compute_Zf(nl, tol_f=tol_f)
+    """Zero set, reachable levels and hypothesis verdicts (checked at tol_f),
+    written to analysis.json; returns them as (E, zf, hyp)."""
+    E = zero_set(nl)
+    zf = compute_Zf(nl)
     hyp = check_hypotheses(nl, tol_f=tol_f)
     report = {
         "f": spec,
@@ -175,11 +175,10 @@ def _solve(args, nl):
 
 
 def _far_field(args, nl, field, out: str):
-    """Detect the far-field limit with args.n_shifts, conv_tol and tol_f;
+    """Detect the far-field limit with args.n_shifts and conv_tol;
     write trajectory.json, and decay.svg when args.plots asks for it.
     Returns the report and the names of the files written."""
-    rep = omega_limit(nl, field, n_shifts=args.n_shifts, conv_tol=args.conv_tol,
-                      tol_f=args.tol_f)
+    rep = omega_limit(nl, field, n_shifts=args.n_shifts, conv_tol=args.conv_tol)
     _write_json(rep.to_json_dict(), os.path.join(out, "trajectory.json"))
     written = ["trajectory.json"]
     if args.plots:
@@ -455,8 +454,8 @@ def _add_f(p):
 def _add_domain(p, kind_choice=False):
     """The domain and solver flags, with their defaults from _DEFAULT_CONFIG.
 
-    flow_target and tol_f have no flag; they ride along at their defaults,
-    so the solve helpers read every setting from args as `run` gives it.
+    flow_target has no flag; it rides along at its default, so the solve
+    helpers read every setting from args as `run` gives it.
     """
     dom, sol = _DEFAULT_CONFIG["domain"], _DEFAULT_CONFIG["solver"]
     for name in ("L1", "L2", "h"):
@@ -468,8 +467,7 @@ def _add_domain(p, kind_choice=False):
     p.add_argument("--tol", type=float, default=sol["tol"])
     if kind_choice:
         p.add_argument("--kind", default=dom["kind"], choices=("quarter", "half"))
-    p.set_defaults(flow_target=sol["flow_target"],
-                   tol_f=_DEFAULT_CONFIG["analysis"]["tol_f"])
+    p.set_defaults(flow_target=sol["flow_target"])
 
 
 def _point(text: str) -> tuple:

@@ -3,12 +3,14 @@
 A Nonlinearity bundles a vectorized source term f on the analysis window
 [0, s_max] with its exact (or piecewise-exact) antiderivative F and slab
 integral; every integral of f comes from these, with no quadrature fallback.
-On top of that sit the structural operations the rest of the package
-consumes: the zero set E of f, the subset of zeros reachable by
-monotone 1-D profiles (F strictly below its value at the zero all the way
-up), hypothesis checkers for the three structural conditions the far-field
-statements assume, and the reflection that turns a decay problem into a
-growth problem.
+Each constructor also builds, in closed form, the term's exact Lipschitz
+constant, its kinks and its zero set E (isolated points and flat intervals),
+so nothing samples f to find them. On top of that sit the structural
+operations the rest of the package consumes: the subset of zeros reachable
+by monotone 1-D profiles (F strictly below its value at the zero all the
+way up), hypothesis checkers for the three structural conditions the
+far-field statements assume, and the reflection that turns a decay problem
+into a growth problem.
 
 Catalog names accepted by make():
     logistic        s (1 - s)
@@ -37,9 +39,7 @@ TOL_F_STRICT = 1e-12     # strictness margin for the F-increase test
 _RATIO_BAND = 1e-6       # one-sided ratio estimates inside this band are inconclusive
 _DELTAS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _WINDOW_SLACK = 1e-12
-_ZF_GRID_N = 100_000     # F samples behind the reachability test
-_ZF_SCAN_N = 65_536      # zero-set scan samples behind the reachable levels
-_CANTOR_MAX_LEVEL = 6    # finest level whose 2^level intervals the zero-set scan resolves
+_CANTOR_MAX_LEVEL = 6    # finest level whose every reachable profile the tests build
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +57,9 @@ class Nonlinearity:
     # the sorted points in (0, s_max) where f is not differentiable; the RK4
     # launches on f land their steps on them
     kinks: tuple = field(repr=False)
+    # the exact zero set of f on [0, s_max], as (points, intervals): sorted
+    # isolated zeros and the closed intervals where f vanishes identically
+    zeros: tuple = field(repr=False)
 
     def __post_init__(self):
         if not (self.s_max > 0 and math.isfinite(self.s_max)):
@@ -141,6 +144,39 @@ def _window_kinks(kind: str, fn, s_max: float) -> tuple:
     return ()
 
 
+def _zeros_in(points, intervals, s_max: float) -> tuple:
+    """A zero set cut to [0, s_max], as (points, intervals): intervals that
+    touch are merged, one the window cuts to a single point becomes that
+    point, and points on an interval are dropped."""
+    ivs = []
+    for a, b in sorted((max(a, 0.0), min(b, s_max)) for a, b in intervals if a <= s_max):
+        if ivs and a <= ivs[-1][1]:
+            ivs[-1] = (ivs[-1][0], max(b, ivs[-1][1]))
+        else:
+            ivs.append((a, b))
+    pts = [a for a, b in ivs if a == b]
+    ivs = [(float(a), float(b)) for a, b in ivs if a < b]
+    lefts = [a for a, _ in ivs]
+    for p in points:
+        j = bisect_right(lefts, p) - 1
+        if 0.0 <= p <= s_max and (j < 0 or p > ivs[j][1]):
+            pts.append(p)
+    return tuple(sorted({float(p) for p in pts})), tuple(ivs)
+
+
+def _window_zeros(kind: str, fn, s_max: float) -> tuple:
+    """A catalog term's zeros on [0, s_max], in closed form: 0 and 1 for
+    the logistic, 1 for 1 - s, every k pi for |sin| (the floats of its
+    kinks); a piecewise-linear term reads them off its knots."""
+    if isinstance(fn, _PiecewiseLinear):
+        return fn.zeros(s_max)
+    if kind == "abs-sin":
+        points = [k * math.pi for k in range(int(s_max / math.pi) + 1)]
+    else:
+        points = (0.0, 1.0) if kind == "logistic" else (1.0,)
+    return _zeros_in(points, (), s_max)
+
+
 def _window_lipschitz(kind: str, fn, s_max: float) -> float:
     """A catalog term's exact Lipschitz constant on [0, s_max], in closed
     form: max |1 - 2 s| for the logistic, 1 for |sin| and 1 - s, the
@@ -178,6 +214,22 @@ class _PiecewiseLinear:
         """The largest |slope| of the cells that start below s_max; f is
         constant beyond the outer knots."""
         return float(self._slopes[self.xs[:-1] < s_max].max(initial=0.0))
+
+    def zeros(self, s_max: float) -> tuple:
+        """f's zeros on [0, s_max], as (points, intervals), read off the
+        knots: a cell with both knot values 0 is an interval, a knot with
+        value 0 a point, a sign change across a cell its secant point; the
+        last value holds to s_max."""
+        xs, ys = self.xs, self.ys
+        zero = ys == 0.0
+        flat = zero[:-1] & zero[1:]
+        ivs = list(zip(xs[:-1][flat].tolist(), xs[1:][flat].tolist()))
+        if zero[-1] and s_max > xs[-1]:
+            ivs.append((float(xs[-1]), s_max))
+        cross = ys[:-1] * ys[1:] < 0.0
+        x0, x1, y0, y1 = xs[:-1][cross], xs[1:][cross], ys[:-1][cross], ys[1:][cross]
+        secant = x0 - y0 * (x1 - x0) / (y1 - y0)
+        return _zeros_in(xs[zero].tolist() + secant.tolist(), ivs, s_max)
 
     def __call__(self, s):
         if type(s) is not float:
@@ -266,7 +318,8 @@ def logistic() -> Nonlinearity:
         # factored so the (hi - lo) factor carries the smallness
         return (hi - lo) * (0.5 * (hi + lo) - (hi * hi + hi * lo + lo * lo) / 3.0)
 
-    return Nonlinearity("logistic", 2.0, _window_lipschitz("logistic", fn, 2.0), fn, F, gap, ())
+    return Nonlinearity("logistic", 2.0, _window_lipschitz("logistic", fn, 2.0), fn, F, gap, (),
+                        _window_zeros("logistic", fn, 2.0))
 
 
 def abs_sin() -> Nonlinearity:
@@ -292,7 +345,7 @@ def abs_sin() -> Nonlinearity:
         return np.where(klo == khi, _arch(lo, hi, klo), split)
 
     return Nonlinearity("abs-sin", 10.0, _window_lipschitz("abs-sin", fn, 10.0), fn, F, gap,
-                        _window_kinks("abs-sin", fn, 10.0))
+                        _window_kinks("abs-sin", fn, 10.0), _window_zeros("abs-sin", fn, 10.0))
 
 
 def linear_decay() -> Nonlinearity:
@@ -300,7 +353,7 @@ def linear_decay() -> Nonlinearity:
     F = lambda z: z - 0.5 * z * z
     gap = lambda lo, hi: (hi - lo) * (1.0 - 0.5 * (hi + lo))
     return Nonlinearity("linear-decay", 10.0, _window_lipschitz("linear-decay", fn, 10.0),
-                        fn, F, gap, ())
+                        fn, F, gap, (), _window_zeros("linear-decay", fn, 10.0))
 
 
 def cantor(level: int = 6) -> Nonlinearity:
@@ -328,7 +381,8 @@ def cantor(level: int = 6) -> Nonlinearity:
         vals.append(Fraction(0))
     pl = _PiecewiseLinear([float(x) for x in knots], [float(v) for v in vals])
     return Nonlinearity(f"cantor:{level}", 1.0, _window_lipschitz("cantor", pl, 1.0),
-                        pl, pl.antiderivative, pl.gap, _window_kinks("cantor", pl, 1.0))
+                        pl, pl.antiderivative, pl.gap, _window_kinks("cantor", pl, 1.0),
+                        pl.zeros(1.0))
 
 
 def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
@@ -345,7 +399,8 @@ def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
     pl = _PiecewiseLinear(xs, ys)
     s_max = float(xs[-1])
     return Nonlinearity(kind, s_max, _window_lipschitz(kind, pl, s_max),
-                        pl, pl.antiderivative, pl.gap, _window_kinks(kind, pl, s_max))
+                        pl, pl.antiderivative, pl.gap, _window_kinks(kind, pl, s_max),
+                        pl.zeros(s_max))
 
 
 def table_from_csv(path: str) -> Nonlinearity:
@@ -371,7 +426,7 @@ def make(spec: str, s_max: float | None = None) -> Nonlinearity:
     """Build a catalog nonlinearity from its config-file name.
 
     A non-None `s_max` narrows or widens the analysis window; the Lipschitz
-    constant and the kinks are re-derived for the new window.
+    constant, the kinks and the zeros are re-derived for the new window.
     """
     if not isinstance(spec, str):
         raise InputError(f"nonlinearity spec must be a string, got {type(spec).__name__}")
@@ -406,7 +461,7 @@ def make(spec: str, s_max: float | None = None) -> Nonlinearity:
     if not (w > 0 and math.isfinite(w)):
         raise InputError(f"analysis window must be positive, got s_max={s_max}")
     return replace(nl, s_max=w, lipschitz=_window_lipschitz(nl.kind, nl.fn, w),
-                   kinks=_window_kinks(nl.kind, nl.fn, w))
+                   kinks=_window_kinks(nl.kind, nl.fn, w), zeros=_window_zeros(nl.kind, nl.fn, w))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +477,6 @@ class ZeroSet:
     points: tuple
     intervals: tuple
     s_max: float
-    tol_f: float
     borderline: tuple = ()
     notes: tuple = ()
 
@@ -443,128 +497,34 @@ class ZeroSet:
                 raise InputError("zero set: point inside an interval")
 
 
-def _edge_inward(absfn, tol_f: float, outside: float, inside: float) -> float:
-    """Edge of a sub-tolerance run, bisected so |f(edge)| <= tol_f holds.
-
-    A root solve on |f| - tol_f can land a half-ulp outside the run, and the
-    reported endpoint must stay usable as a profile target downstream.
-    """
-    for _ in range(64):
-        mid = 0.5 * (outside + inside)
-        if absfn(mid) <= tol_f:
-            inside = mid
-        else:
-            outside = mid
-    return float(inside)
+def zero_set(nl: Nonlinearity) -> ZeroSet:
+    """The zeros of f on [0, s_max]: the exact set `nl.zeros` that every
+    constructor builds in closed form, as it builds `nl.kinks`."""
+    return ZeroSet(*nl.zeros, float(nl.s_max))
 
 
-def zero_set(nl: Nonlinearity, grid_n: int = 4096, tol_f: float = TOL_F_DEFAULT) -> ZeroSet:
-    """Scan the analysis window [0, s_max] for zeros of f.
-
-    Grid scan + three refiners: sign changes go to a bracketing root solve,
-    kink/tangential minima go to golden-section, and flat sub-tolerance
-    stretches become closed intervals whose edges are re-bisected against the
-    tolerance so endpoint error is far below the scan spacing.
-    """
-    if grid_n < 16:
-        raise InputError("zero_set: grid_n too small")
-    xs = np.linspace(0.0, nl.s_max, grid_n)
-    h = xs[1] - xs[0]
-    fs = nl.fn(xs)
-    absf = np.abs(fs)
-    sub = absf <= tol_f
-
-    points, intervals = [], []
-
-    def absfn(x):
-        return abs(_f1(nl, x))
-
-    # flat runs i..j and isolated sub-tolerance samples, where the mask steps
-    step = np.diff(sub.astype(np.int8), prepend=0, append=0)
-    for i, j in zip(np.flatnonzero(step > 0).tolist(),
-                    (np.flatnonzero(step < 0) - 1).tolist()):
-        if j == i:
-            points.append(float(xs[i]))
-        else:
-            left = xs[i]
-            if i > 0:
-                left = _edge_inward(absfn, tol_f, xs[i - 1], xs[i])
-            right = xs[j]
-            if j + 1 < grid_n:
-                right = _edge_inward(absfn, tol_f, xs[j + 1], xs[j])
-            intervals.append((float(left), float(right)))
-
-    # sign changes between samples
-    for i in np.nonzero(fs[:-1] * fs[1:] < 0.0)[0]:
-        if sub[i] or sub[i + 1]:
-            continue
-        r = optimize.brentq(lambda x: _f1(nl, x), xs[i], xs[i + 1],
-                            xtol=1e-14, rtol=8.9e-16)
-        points.append(float(r))
-
-    # kink or tangential minima of |f| that the grid does not resolve to tol
-    interior = np.nonzero((absf[1:-1] < absf[:-2]) & (absf[1:-1] < absf[2:])
-                          & ~sub[1:-1])[0] + 1
-    for i in interior:
-        if absf[i] > 0.5 * h * max(1.0, nl.lipschitz):
-            continue   # cannot dip to zero within one cell
-        try:
-            res = optimize.minimize_scalar(absfn, bracket=(xs[i - 1], xs[i], xs[i + 1]),
-                                           method="golden", options={"xtol": 1e-13})
-        except ValueError:
-            continue
-        if abs(res.fun) <= tol_f:
-            points.append(float(res.x))
-
-    # merge: drop points swallowed by intervals, dedupe, sort
-    cleaned = []
-    for p in sorted(points):
-        if any(a - h * 0.5 <= p <= b + h * 0.5 for a, b in intervals):
-            continue
-        if cleaned and p - cleaned[-1] < 1e-9 * max(1.0, nl.s_max):
-            continue
-        cleaned.append(min(max(p, 0.0), nl.s_max))
-    return ZeroSet(tuple(cleaned), tuple(sorted(intervals)), float(nl.s_max), tol_f)
-
-
-def compute_Zf(nl: Nonlinearity, tol_f: float = TOL_F_DEFAULT) -> ZeroSet:
+def compute_Zf(nl: Nonlinearity) -> ZeroSet:
     """Zeros z0 whose antiderivative strictly dominates everything below.
 
-    Membership test: F(z0) - F(z) > TOL_F_STRICT for every point z at or
-    below z0 - h_grid of a _ZF_GRID_N-point grid. The origin joins whenever
-    f(0) <= tol_f (its condition is vacuous); that convention is recorded in
-    the notes. Candidates whose margin sits inside +-TOL_F_STRICT are
-    reported separately as borderline rather than guessed either way.
+    F's maximum over [0, z0) lies at 0 or at a zero of f, so the candidates
+    are the isolated zeros and the interval ends, and a candidate's margin
+    is F(z0) less the running maximum of F over 0 and the candidates below
+    it. A margin above TOL_F_STRICT makes a member; one inside
+    +-TOL_F_STRICT is reported separately as borderline rather than guessed
+    either way. The origin joins whenever it is a zero (its condition is
+    vacuous); that convention is recorded in the notes.
     """
-    E = zero_set(nl, grid_n=_ZF_SCAN_N, tol_f=tol_f)
-
-    candidates = list(E.points)
-    for a, b in E.intervals:
-        candidates.extend((a, b))
-    candidates = sorted(set(candidates))
-
-    zs = np.linspace(0.0, nl.s_max, _ZF_GRID_N)
-    h_grid = zs[1] - zs[0]
-    prefix = np.maximum.accumulate(nl.antiderivative_fn(zs))
-
-    members, borderline, notes = [], [], []
-    for z0 in candidates:
-        j = int(np.searchsorted(zs, z0 - h_grid, side="right")) - 1
-        if j < 0:
-            if abs(_f1(nl, z0)) <= tol_f:
-                members.append(z0)
-                if z0 <= h_grid:
-                    notes.append("origin included by convention: f(0)=0 and the "
-                                 "strict-increase condition below 0 is vacuous")
-            continue
-        margin = float(antiderivative_F(nl, z0)) - float(prefix[j])
-        if margin > TOL_F_STRICT:
-            members.append(z0)
-        elif margin >= -TOL_F_STRICT:
-            borderline.append(z0)
-
-    return ZeroSet(tuple(members), (), float(nl.s_max), tol_f,
-                   borderline=tuple(borderline), notes=tuple(notes))
+    E = zero_set(nl)
+    zs = np.unique(np.concatenate((E.points, np.ravel(E.intervals))))
+    F = nl.antiderivative_fn(np.concatenate(([0.0], zs)))
+    margin = F[1:] - np.maximum.accumulate(F[:-1])
+    origin = zs == 0.0
+    members = zs[(margin > TOL_F_STRICT) | origin]
+    borderline = zs[(np.abs(margin) <= TOL_F_STRICT) & ~origin]
+    notes = (("origin included by convention: f(0)=0 and the strict-increase "
+              "condition below 0 is vacuous",) if origin.any() else ())
+    return ZeroSet(tuple(members.tolist()), (), float(nl.s_max),
+                   borderline=tuple(borderline.tolist()), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +635,7 @@ def check_hypotheses(nl: Nonlinearity, tol_f: float = TOL_F_DEFAULT) -> Hypothes
             h1 = False
             notes.append("f(0) < 0")
 
-    E = zero_set(nl, tol_f=tol_f)
+    E = zero_set(nl)
 
     # --- second condition: f >= 0 and definite right-slope at every zero
     h2: bool | None = True
@@ -781,6 +741,13 @@ def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
     d = min(1e-7, 0.5 * (min(above + [c]) - m))
     sloped = abs(_f1(nl, m + d) - f_at_m) > 1e-6 * max(1.0, nl.lipschitz) * d
     kinks = _kinks_in([c - k for k in above] + ([edge] if sloped else []), edge + 1.0)
+    # f's zeros in [m, c] map to c - zeta; where m is one of them, g = 0 on
+    # the constant tail beyond the edge as well
+    pts, ivs = nl.zeros
+    g_ivs = [(c - min(b, c), c - max(a, m)) for a, b in ivs if a <= c and b >= m]
+    if m in pts or any(a <= m <= b for a, b in ivs):
+        g_ivs.append((edge, edge + 1.0))
+    zeros = _zeros_in([c - p for p in pts if m <= p <= c], g_ivs, edge + 1.0)
     # g's slopes are f's on [m, c], and 0 beyond the edge
     return Nonlinearity(f"reflect({nl.kind},{M_prime:g},{m:g})", edge + 1.0,
-                        nl.lipschitz, g, G, gap_g, kinks)
+                        nl.lipschitz, g, G, gap_g, kinks, zeros)

@@ -8,30 +8,32 @@ W^2 = 2 (F(z) - F(V)). Construction inverts the quadrature
 
 on a mesh graded toward V = z (log approach; the endpoint is softened by the
 substitution sigma = z - t^2, and the first segment by sigma = u^2 for the
-f(0) > 0 case). All mesh segments are integrated at once: each pass applies
-QUADPACK's Gauss-Kronrod 10/21 rule and error estimate to every open piece in
-one array evaluation of the integrand, then bisects only the pieces that
-miss their tolerance. Deep in the tail the integrand carries roundoff that
-no bisection removes; a piece whose bisection did not halve its error
-estimate is accepted as it stands, and the error budget weights it by the
-local slope. A segment still open at the subdivision cap is re-integrated by
-scipy's scalar quad. Every profile is then cross-checked against a
-completely separate route: direct RK4 integration of the launch problem.
-The two must agree to 1e-6 or construction fails loudly. The launch steps
-from kink to kink of f: a step that would carry V past one of `nl.kinks`
-(the knots of a piecewise-linear term, k pi for |sin|) is taken again, cut
-at it, because step doubling under-reads the error of a step across a kink.
+f(0) > 0 case). The mesh breaks at f's kinks, as QUADPACK's QAGP takes its
+break points, so no segment integrates across a kink of the integrand. All
+mesh segments are integrated at once: each pass applies QUADPACK's
+Gauss-Kronrod 10/21 rule and error estimate to every open piece in one
+array evaluation of the integrand, then bisects only the pieces that miss
+their tolerance. Deep in the tail the integrand carries roundoff that no
+bisection removes; a piece whose bisection did not halve its error estimate
+is accepted as it stands, and the error budget weights it by the local
+slope. A segment still open at the subdivision cap is a NumericError.
+Every profile is then cross-checked against a completely separate route:
+direct RK4 integration of the launch problem. The two must agree to 1e-6
+or construction fails loudly. The launch steps from kink to kink of f: a
+step that would carry V past one of `nl.kinks` (the knots of a
+piecewise-linear term, k pi for |sin|) is taken again, cut at it, because
+step doubling under-reads the error of a step across a kink.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+# bench/tracer.py counts calls to profile1d.quad; nothing here calls it
+from scipy.integrate import quad  # noqa: F401
 from scipy.interpolate import CubicHermiteSpline
 
 from . import nonlinearity as nlm
@@ -49,7 +51,7 @@ _MESH_LOW = 384       # uniform-in-V part up to 0.9 z
 _MESH_TAIL = 384      # geometric approach of the limit
 _QUAD_EPSABS = 1e-13  # per mesh segment
 _QUAD_EPSREL = 1e-11
-_GK_MAX_DEPTH = 16    # bisections of a segment before it falls back to quad
+_GK_MAX_DEPTH = 16    # bisections of a segment before it is an error
 _ERR_BUDGET = 1e-9    # bound on the slope-weighted quadrature error, in V
 
 # Gauss-Kronrod 10/21 (QUADPACK qk21) on [-1, 1]: the Kronrod nodes from the
@@ -163,8 +165,8 @@ def _integrate_segments(nl: Nonlinearity, z: float, lo, hi, coef):
     Each pass evaluates all open pieces together; a piece is closed when it
     meets max(epsabs * its share of the segment, epsrel * |its value|), or
     when the bisection that made it did not halve the pair's error (the
-    roundoff regime). Segments still open after _GK_MAX_DEPTH bisections are
-    re-integrated by quad.
+    roundoff regime). A segment still open after _GK_MAX_DEPTH bisections
+    is a NumericError that names it.
     """
     val = np.zeros(lo.size)
     err = np.zeros(lo.size)
@@ -188,23 +190,26 @@ def _integrate_segments(nl: Nonlinearity, z: float, lo, hi, coef):
         mid = 0.5 * (a + b)
         seg, a, b = np.tile(seg, 2), np.concatenate((a, mid)), np.concatenate((mid, b))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for k in np.unique(seg[still_open]):
-            pk, qk, rk = coef[k]
-            val[k], err[k] = quad(lambda x: float(_xi_integrand(nl, z, x, pk, qk, rk)),
-                                  lo[k], hi[k], epsabs=_QUAD_EPSABS,
-                                  epsrel=_QUAD_EPSREL, limit=200)
+    if still_open.any():
+        k = seg[still_open][0]
+        x = np.array((lo[k], hi[k]))
+        v = np.sort(coef[k, 0] + coef[k, 1] * x + coef[k, 2] * x * x)
+        raise NumericError(f"profile quadrature: mesh segment {k}, V in [{v[0]:.17g}, "
+                           f"{v[1]:.17g}], still open after {_GK_MAX_DEPTH} bisections")
     return val, err
 
 
 def _xi_quadrature_mesh(nl: Nonlinearity, z: float, exit_tol: float):
-    """Graded V-mesh and cumulative xi(V) with endpoint-softening substitutions."""
+    """Graded V-mesh, broken at f's kinks below z - exit_tol, and cumulative
+    xi(V) with endpoint-softening substitutions."""
     if 0.1 * z <= exit_tol:
         raise InputError(f"compute_profile: z={z:g} too small for exit_tol={exit_tol:g}")
     v_low = np.linspace(0.0, 0.9 * z, _MESH_LOW + 1)
     t_hi = np.geomspace(np.sqrt(0.1 * z), np.sqrt(exit_tol), _MESH_TAIL + 1)
-    v_mesh = np.concatenate((v_low, z - t_hi[1:] ** 2))
+    kinks = [k for k in nl.kinks if k < z - exit_tol]
+    v_mesh = np.sort(np.concatenate((v_low, z - t_hi[1:] ** 2, kinks)))
+    # a kink within rounding of a mesh node would leave a sliver segment
+    v_mesh = v_mesh[np.concatenate(([True], np.diff(v_mesh) > 1e-12 * z))]
 
     gaps = integral_between(nl, v_mesh, z)
     if np.any(gaps[:-1] <= 0.0):

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nonlinearity as nlm
 from .errors import ConsistencyError, InputError
 from .grids import Field, Grid2D
-from .nonlinearity import Nonlinearity, ZeroSet, compute_Zf, zero_set
+from .nonlinearity import Nonlinearity, compute_Zf, zero_set
 from .profile1d import compute_profile
 
 _M_MARGIN = 0.5            # levels up to M + this stay candidates
@@ -94,8 +93,8 @@ class AttractorTable:
     intervals: tuple = ()                # half: flat ranges of admissible constants
 
 
-def attractor_table(nl: Nonlinearity, grid: Grid2D, kind: str, M_cap: float,
-                    tol_f: float = nlm.TOL_F_DEFAULT) -> AttractorTable:
+def attractor_table(nl: Nonlinearity, grid: Grid2D, kind: str,
+                    M_cap: float) -> AttractorTable:
     """Candidate limit states with levels at most M_cap.
 
     Quarter candidates are full profiles sampled on the grid's x2 nodes; the
@@ -103,7 +102,7 @@ def attractor_table(nl: Nonlinearity, grid: Grid2D, kind: str, M_cap: float,
     separates them. Half candidates are the admissible constants.
     """
     if kind == "quarter":
-        zf = compute_Zf(nl, tol_f=tol_f)
+        zf = compute_Zf(nl)
         zs = [z for z in zf.points if z <= M_cap]
         profiles = [compute_profile(nl, z, xi_max=grid.L2, n=grid.n2) for z in zs]
         if np.any(np.diff([p.slope0 for p in profiles]) <= 0):
@@ -111,7 +110,7 @@ def attractor_table(nl: Nonlinearity, grid: Grid2D, kind: str, M_cap: float,
                                    "the level table cannot separate its entries")
         return AttractorTable("quarter", M_cap, np.asarray(zs, dtype=float),
                               [p.values for p in profiles])
-    E = zero_set(nl, tol_f=tol_f)
+    E = zero_set(nl)
     pts = [z for z in E.points if z <= M_cap]
     ivs = tuple((a, min(b, M_cap)) for a, b in E.intervals if a <= M_cap)
     return AttractorTable("half", M_cap, np.asarray(pts, dtype=float), None, ivs)
@@ -168,8 +167,7 @@ def check_ladder(n_shifts: int, conv_tol: float) -> None:
 
 
 def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = None,
-                n_shifts: int = 16, conv_tol: float = _CONV_TOL,
-                tol_f: float = nlm.TOL_F_DEFAULT) -> TrajectoryReport:
+                n_shifts: int = 16, conv_tol: float = _CONV_TOL) -> TrajectoryReport:
     """Detect the far-field limit of a solved field.
 
     Measures the sup-distance from trailing windows to every candidate at a
@@ -185,7 +183,7 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
     notes = []
     est = estimate_M(field)
     if table is None:
-        table = attractor_table(nl, g, field.kind, est.M + _M_MARGIN, tol_f=tol_f)
+        table = attractor_table(nl, g, field.kind, est.M + _M_MARGIN)
     n_cand = (len(table.zs) if table.kind == "quarter"
               else table.zs.size + len(table.intervals))
     if n_cand == 0:

@@ -245,25 +245,23 @@ def test_cantor_tent_geometry():
 
 @pytest.mark.parametrize("level", range(1, 7))
 def test_cantor_zero_set_resolves_every_interval(level):
-    nl = make(f"cantor:{level}")
-    for grid_n in (4096, 65_536):
-        E = zero_set(nl, grid_n=grid_n)
-        assert (len(E.points), len(E.intervals)) == (0, 2 ** level)
+    E = zero_set(make(f"cantor:{level}"))
+    assert (len(E.points), len(E.intervals)) == (0, 2 ** level)
+    assert E.intervals == tuple(cantor_prefractal(level))
 
 
 @pytest.mark.parametrize("level", (0, -1, 7))
 def test_cantor_level_outside_1_to_6_is_rejected(level):
-    # below 1 the tent is f = 0; above 6 the zero-set scan merges intervals
+    # below 1 the tent is f = 0; above 6 no level's profiles are checked
     with pytest.raises(InputError):
         make(f"cantor:{level}")
 
 
-@pytest.mark.xfail(strict=True, reason="on [0, 3] the 4096-sample scan merges the "
-                   "level-6 intervals: 12 points and 52 intervals")
 def test_cantor_zero_set_in_a_wide_window():
     # f = 0 on [1, 3], so the last interval runs to the window's end
     E = zero_set(make("cantor:6", s_max=3.0))
     assert (len(E.points), len(E.intervals)) == (0, 64)
+    assert E.intervals[-1] == (cantor_prefractal(6)[-1][0], 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +278,51 @@ def test_zero_set_catalog():
     assert len(E.intervals) == 8
 
 
+def test_cantor_3_levels_are_the_exact_interval_ends():
+    # the reachable levels are the left ends k/27 of the kept intervals, as
+    # floats equal to the knots, and every interval end is a knot where f
+    # is exactly 0
+    nl = make("cantor:3")
+    want = [0, 2, 6, 8, 18, 20, 24, 26]
+    assert compute_Zf(nl).points == tuple(k / 27 for k in want)
+    knots = set(nl.fn.xs.tolist())
+    for a, b in zero_set(nl).intervals:
+        assert a in knots and b in knots
+        assert nl.fn(a) == nl.fn(b) == 0.0
+
+
+@pytest.mark.parametrize("source, M_prime, m", [("abs-sin", 7.0, 0.5),
+                                                 ("cantor:2 s_max=3", 1.5, 0.3),
+                                                 ("logistic", 1.0, 0.5)])
+def test_zero_set_of_a_reflection_is_the_mapped_zero_set(source, M_prime, m):
+    # g(s) = -f(c - s) up to the edge c - m: each zero zeta >= m of f maps
+    # to c - zeta, and where f(m) = 0 the constant tail beyond the edge is a
+    # zero interval too, joined to the one that ends at the edge
+    c = M_prime + 1.0
+    want = {"abs-sin": ((c - 2.0 * math.pi, c - math.pi), ()),
+            "cantor:2 s_max=3": ((), ((0.0, c - 8 / 9), (c - 7 / 9, c - 2 / 3),
+                                      (c - 1 / 3, c - m + 1.0))),
+            "logistic": ((c - 1.0,), ())}[source]
+    spec, _, window = source.partition(" s_max=")
+    nl = make(spec, s_max=float(window)) if window else make(spec)
+    E = zero_set(reflect(nl, M_prime, m))
+    assert (E.points, E.intervals) == want
+
+
+def _edge_inward(absfn, tol_f, outside, inside):
+    """Edge of a sub-tolerance run, bisected so |f(edge)| <= tol_f holds."""
+    for _ in range(64):
+        mid = 0.5 * (outside + inside)
+        if absfn(mid) <= tol_f:
+            inside = mid
+        else:
+            outside = mid
+    return float(inside)
+
+
 def _reference_zero_set(nl, grid_n=4096, tol_f=nlm.TOL_F_DEFAULT):
-    """zero_set as it was with the sample-by-sample scan for flat runs."""
+    """An independent zero set: a sample scan with a root solve on sign
+    changes, golden-section on dips of |f| and bisected run edges."""
     s_max = nl.s_max
     xs = np.linspace(0.0, s_max, grid_n)
     h = xs[1] - xs[0]
@@ -306,10 +347,10 @@ def _reference_zero_set(nl, grid_n=4096, tol_f=nlm.TOL_F_DEFAULT):
         else:
             left = xs[i]
             if i > 0:
-                left = nlm._edge_inward(absfn, tol_f, xs[i - 1], xs[i])
+                left = _edge_inward(absfn, tol_f, xs[i - 1], xs[i])
             right = xs[j]
             if j + 1 < grid_n:
-                right = nlm._edge_inward(absfn, tol_f, xs[j + 1], xs[j])
+                right = _edge_inward(absfn, tol_f, xs[j + 1], xs[j])
             intervals.append((float(left), float(right)))
         i = j + 1
 
@@ -340,19 +381,22 @@ def _reference_zero_set(nl, grid_n=4096, tol_f=nlm.TOL_F_DEFAULT):
         if cleaned and p - cleaned[-1] < 1e-9 * max(1.0, s_max):
             continue
         cleaned.append(min(max(p, 0.0), s_max))
-    return nlm.ZeroSet(tuple(cleaned), tuple(sorted(intervals)), float(s_max), tol_f)
+    return nlm.ZeroSet(tuple(cleaned), tuple(sorted(intervals)), float(s_max))
 
 
-def _bits(E):
-    return [np.array(E.points).tobytes(), np.array(E.intervals).tobytes(),
-            E.s_max, E.tol_f, E.borderline, E.notes]
+def _assert_close_zero_sets(got, ref):
+    # the same counts, with points and interval ends within 1e-9
+    assert (len(got.points), len(got.intervals)) == (len(ref.points), len(ref.intervals))
+    np.testing.assert_allclose(got.points, ref.points, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(np.ravel(got.intervals), np.ravel(ref.intervals),
+                               rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("spec", CATALOG + ("cantor:6",))
 @pytest.mark.parametrize("grid_n", (4096, 65_536))
 def test_zero_set_matches_the_sample_loop_on_the_catalog(spec, grid_n):
     nl = make(spec)
-    assert _bits(zero_set(nl, grid_n=grid_n)) == _bits(_reference_zero_set(nl, grid_n))
+    _assert_close_zero_sets(zero_set(nl), _reference_zero_set(nl, grid_n))
 
 
 def _random_tables():
@@ -377,8 +421,7 @@ def test_zero_set_matches_the_sample_loop_on_random_tables():
     runs = {"single": 0, "low end": 0, "high end": 0}
     for xs, ys in _random_tables():
         nl = from_table(xs, ys)
-        got = zero_set(nl, grid_n=xs.size)
-        assert _bits(got) == _bits(_reference_zero_set(nl, xs.size))
+        _assert_close_zero_sets(zero_set(nl), _reference_zero_set(nl, xs.size))
         z = ys == 0.0
         runs["single"] += int(np.any(z[1:-1] & ~z[:-2] & ~z[2:]))
         runs["low end"] += int(z[0] and z[1])
@@ -387,12 +430,12 @@ def test_zero_set_matches_the_sample_loop_on_random_tables():
 
 
 def test_flat_interval_edges_stay_sub_tolerance():
-    # reported edges must be usable as profile targets: |f(edge)| <= tol_f
+    # reported edges are exact zeros, so they serve as profile targets
     nl = make("cantor:3")
     E = zero_set(nl)
     for a, b in E.intervals:
-        assert abs(float(nl.fn(np.float64(a)))) <= E.tol_f
-        assert abs(float(nl.fn(np.float64(b)))) <= E.tol_f
+        assert float(nl.fn(np.float64(a))) == 0.0
+        assert float(nl.fn(np.float64(b))) == 0.0
 
 
 def test_reachable_levels_catalog():
@@ -403,6 +446,9 @@ def test_reachable_levels_catalog():
                                atol=1e-8)
     np.testing.assert_allclose(compute_Zf(make("linear-decay")).points, [1.0],
                                atol=1e-9)
+    # F(6) = 0.5 tops F(4) = 0 but not F(2) = 1, two zeros below it
+    nl = from_table(np.arange(7.0), [0.0, 1.0, 0.0, -1.0, 0.0, 0.5, 0.0])
+    assert compute_Zf(nl).points == (0.0, 2.0)
 
 
 def test_reachable_levels_sit_in_zero_set():

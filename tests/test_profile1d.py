@@ -5,11 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from farfield import profile1d
 from farfield.errors import ConsistencyError, InputError, NumericError
-from farfield.nonlinearity import antiderivative_F, make
+from farfield.nonlinearity import antiderivative_F, compute_Zf, make
 from farfield.profile1d import (compute_profile, disconnectedness_probe,
                                 load_profile_csv, profile_residual,
                                 save_profile_csv, shoot_slope)
@@ -178,26 +177,22 @@ def test_quadrature_budget_raises(monkeypatch):
         compute_profile(make("logistic"), 1.0, n=64)
 
 
-def test_quad_escalation_reproduces_batched_nodes(monkeypatch):
-    # a subdivision cap of 0 sends every segment that one Gauss-Kronrod pass
-    # leaves open to the scalar quad route
-    nl = make("cantor:3")
-    z = 0.2962962961962963          # a reachable level of cantor:3
-    v, w, xi = profile1d._xi_quadrature_mesh(nl, z, 1e-8)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return quad(*args, **kwargs)
-
+def test_segment_open_at_the_subdivision_cap_raises(monkeypatch):
+    # a subdivision cap of 0 leaves open every segment that one
+    # Gauss-Kronrod pass does not close; the error names the first of them
     monkeypatch.setattr(profile1d, "_GK_MAX_DEPTH", 0)
-    monkeypatch.setattr(profile1d, "quad", counted)
-    v2, _, xi2 = profile1d._xi_quadrature_mesh(nl, z, 1e-8)
-    assert calls
-    np.testing.assert_array_equal(v2, v)
-    dxi = np.abs(xi2 - xi)
-    assert np.all(dxi * w <= 1e-12)
-    assert np.all(dxi[v <= z - 1e-6] <= 1e-8)
+    with pytest.raises(NumericError, match=r"mesh segment \d+, V in \[.*\], still open "
+                                           r"after 0 bisections"):
+        profile1d._xi_quadrature_mesh(make("cantor:3"), 8 / 27, 1e-8)
+
+
+def test_mesh_breaks_at_the_kinks_below_the_exit():
+    nl = make("cantor:3")
+    z = 8 / 27
+    v, _, _ = profile1d._xi_quadrature_mesh(nl, z, 1e-8)
+    below = [k for k in nl.kinks if k < z - 1e-8]
+    assert below and set(below) <= set(v.tolist())
+    assert np.all(np.diff(v) > 1e-12 * z)
 
 
 def test_compute_profile_shoots_the_launch_slope_once(monkeypatch):
@@ -226,8 +221,11 @@ def test_nan_launch_fails_the_crosscheck(monkeypatch):
         compute_profile(make("logistic"), 1.0, n=64)
 
 
-@pytest.mark.xfail(strict=True, raises=NumericError,
-                   reason="the slope-weighted error bound exceeds _ERR_BUDGET at 2 of "
-                          "cantor:4's 15 positive levels (11/31 at level 5, 31/63 at 6)")
-def test_cantor_4_profile_meets_the_error_budget():
-    compute_profile(make("cantor:4"), 0.9135802468135803)
+@pytest.mark.parametrize("level", (4, 5))
+def test_cantor_profiles_meet_the_error_budget(level):
+    # the mesh breaks at the knots, so every positive level builds
+    nl = make(f"cantor:{level}")
+    levels = [z for z in compute_Zf(nl).points if z > 0]
+    assert len(levels) == 2 ** level - 1
+    for z in levels:
+        assert compute_profile(nl, z).crosscheck <= 1e-6
