@@ -39,7 +39,7 @@ _DEFAULT_CONFIG = {
     "domain": {"kind": "quarter", "L1": 40.0, "L2": 20.0, "h": 0.25,
                "trace": "constant:0.5", "u0": None},
     "solver": {"method": "auto", "tol": 1e-9, "flow_target": 1e-3},
-    "analysis": {"n_shifts": 16, "conv_tol": 1e-2, "tol_f": 1e-10},
+    "analysis": {"n_shifts": 16, "conv_tol": 1e-2},
     "output": {"dir": "out", "dump_fields": False, "plots": True},
 }
 
@@ -118,7 +118,7 @@ def _outdir(args) -> str:
 
 
 def _nl(args):
-    return make(args.f) if args.smax is None else make(args.f, s_max=args.smax)
+    return make(args.f, s_max=args.smax)
 
 
 def _zero_set_json(E) -> dict:
@@ -143,12 +143,12 @@ def _plot_ladder(path: str, rows: list) -> None:
                   xlabel="shift", ylabel="sup distance", logy=True)
 
 
-def _write_analysis(nl, spec: str, tol_f: float, out: str):
-    """Zero set, reachable levels and hypothesis verdicts (checked at tol_f),
-    written to analysis.json; returns them as (E, zf, hyp)."""
+def _write_analysis(nl, spec: str, out: str):
+    """Zero set, reachable levels and hypothesis verdicts, written to
+    analysis.json; returns them as (E, zf, hyp)."""
     E = zero_set(nl)
     zf = compute_Zf(nl)
-    hyp = check_hypotheses(nl, tol_f=tol_f)
+    hyp = check_hypotheses(nl)
     report = {
         "f": spec,
         "s_max": nl.s_max,
@@ -192,8 +192,7 @@ def _far_field(args, nl, field, out: str):
 
 def cmd_analyze_f(args) -> int:
     nl = _nl(args)
-    E, zf, hyp = _write_analysis(nl, args.f, _DEFAULT_CONFIG["analysis"]["tol_f"],
-                                 _outdir(args))
+    E, zf, hyp = _write_analysis(nl, args.f, _outdir(args))
     print(f"window: [0, {nl.s_max:g}], Lipschitz constant {nl.lipschitz:.6g}")
     print(f"zeros: {len(E.points)} points, {len(E.intervals)} flat intervals")
     print("reachable plateau levels: "
@@ -385,7 +384,7 @@ def cmd_run(args) -> int:
     nl = _nl(run)
 
     # 1. nonlinearity analysis
-    _, zf, _ = _write_analysis(nl, run.f, run.tol_f, out)
+    _, zf, _ = _write_analysis(nl, run.f, out)
     written = ["analysis.json"]
     print(f"levels reachable from the floor: "
           + (", ".join(f"{z:.6g}" for z in zf.points) or "(none)"))

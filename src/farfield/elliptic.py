@@ -519,14 +519,6 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     return f
 
 
-def solve_quarter(nl: Nonlinearity, grid: Grid2D, trace, **kw) -> Field:
-    return solve_field(nl, grid, "quarter", trace, **kw)
-
-
-def solve_half(nl: Nonlinearity, grid: Grid2D, trace, **kw) -> Field:
-    return solve_field(nl, grid, "half", trace, **kw)
-
-
 # ---------------------------------------------------------------------------
 # radial Dirichlet eigenpair (drives the truncation-size heuristics)
 

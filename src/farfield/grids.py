@@ -100,10 +100,6 @@ class Field:
     def trace(self) -> np.ndarray:
         return self.values[0, :]
 
-    def far_strip(self, width: int = 1) -> np.ndarray:
-        """The last `width` rows in x1 (far side of the truncation)."""
-        return self.values[-width:, :]
-
 
 def save_field_csv(f: Field, path: str) -> None:
     """Row-major x1,x2,u dump with 17 significant digits.

@@ -1,16 +1,17 @@
 """Reaction-term catalog and structure analysis.
 
 A Nonlinearity bundles a vectorized source term f on the analysis window
-[0, s_max] with its exact (or piecewise-exact) antiderivative F and slab
-integral; every integral of f comes from these, with no quadrature fallback.
-Each constructor also builds, in closed form, the term's exact Lipschitz
-constant, its kinks and its zero set E (isolated points and flat intervals),
-so nothing samples f to find them. On top of that sit the structural
-operations the rest of the package consumes: the subset of zeros reachable
-by monotone 1-D profiles (F strictly below its value at the zero all the
-way up), hypothesis checkers for the three structural conditions the
-far-field statements assume, and the reflection that turns a decay problem
-into a growth problem.
+[0, s_max] with its exact slab integral, the one integral of f: F(z) is the
+slab from 0 to z, and there is no quadrature fallback. Each constructor
+takes its window and builds on it, in closed form, the term's exact
+Lipschitz constant, its kinks and its zero set E (isolated points and flat
+intervals), so nothing samples f to find them. On top of that sit the
+structural operations the rest of the package consumes: the subset of zeros
+reachable by monotone 1-D profiles (F strictly below its value at the zero
+all the way up), hypothesis checkers for the three structural conditions
+the far-field statements assume, which read f's sign between consecutive
+points of E, and the reflection that turns a decay problem into a growth
+problem.
 
 Catalog names accepted by make():
     logistic        s (1 - s)
@@ -25,20 +26,18 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InputError
 
-TOL_F_DEFAULT = 1e-10    # |f| at or below this counts as zero
+TOL_F_DEFAULT = 1e-10    # |f(z)| above this: z is no zero (profile1d's input check)
 TOL_F_STRICT = 1e-12     # strictness margin for the F-increase test
 _RATIO_BAND = 1e-6       # one-sided ratio estimates inside this band are inconclusive
 _DELTAS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-_WINDOW_SLACK = 1e-12
 _CANTOR_MAX_LEVEL = 6    # finest level whose every reachable profile the tests build
 
 
@@ -48,11 +47,10 @@ class Nonlinearity:
     s_max: float
     lipschitz: float        # of f on [0, s_max]: exact, a bound for reflect
     fn: Callable = field(repr=False)                      # vectorized, unchecked
-    antiderivative_fn: Callable = field(repr=False)       # F(z), vectorized
     # exact integral of f over [lo, hi] for float arrays lo < hi (elementwise);
     # must stay accurate in RELATIVE terms when the integral is tiny (profiles
-    # divide by it arbitrarily close to a zero, where F(hi)-F(lo) would cancel
-    # catastrophically)
+    # divide by it arbitrarily close to a zero, where a difference of two
+    # integrals from 0 would cancel catastrophically)
     gap_fn: Callable = field(repr=False)
     # the sorted points in (0, s_max) where f is not differentiable; the RK4
     # launches on f land their steps on them
@@ -61,28 +59,9 @@ class Nonlinearity:
     # isolated zeros and the closed intervals where f vanishes identically
     zeros: tuple = field(repr=False)
 
-    def __post_init__(self):
-        if not (self.s_max > 0 and math.isfinite(self.s_max)):
-            raise InputError(f"analysis window must be positive, got s_max={self.s_max}")
-
-
-def _f1(nl: Nonlinearity, x: float) -> float:
-    return float(nl.fn(np.asarray(x, dtype=float)))
-
-
-def eval_f(nl: Nonlinearity, s):
-    """f(s) for scalar or array s; rejects arguments outside [0, s_max]."""
-    arr = np.asarray(s, dtype=float)
-    if arr.size and (arr.min() < -_WINDOW_SLACK or arr.max() > nl.s_max + _WINDOW_SLACK):
-        raise InputError(
-            f"{nl.kind}: argument outside analysis window [0, {nl.s_max:g}] "
-            f"(got range [{arr.min():g}, {arr.max():g}])")
-    out = nl.fn(np.clip(arr, 0.0, nl.s_max))
-    return float(out) if np.isscalar(s) or arr.ndim == 0 else out
-
 
 def eval_capped(nl: Nonlinearity, s):
-    """f evaluated with the argument clipped to the analysis window.
+    """f on an array, with the argument clipped to the analysis window.
 
     Iterative solvers may step outside [0, s_max] transiently; they use this
     entry point and validate their final answer instead.
@@ -99,24 +78,13 @@ def eval_capped_float(nl: Nonlinearity, v: float) -> float:
     return float(nl.fn(s_max if v > s_max else v))
 
 
-def antiderivative_F(nl: Nonlinearity, z):
-    """F(z) = integral of f from 0 to z, from the term's closed or
-    piecewise-exact form; every term carries one, so there is no quadrature."""
-    arr = np.asarray(z, dtype=float)
-    if arr.size and (arr.min() < -_WINDOW_SLACK or arr.max() > nl.s_max + _WINDOW_SLACK):
-        raise InputError(
-            f"{nl.kind}: antiderivative argument outside [0, {nl.s_max:g}]")
-    out = nl.antiderivative_fn(np.clip(arr, 0.0, nl.s_max))
-    return float(out) if np.isscalar(z) or arr.ndim == 0 else out
-
-
 def integral_between(nl: Nonlinearity, lo, hi):
     """Integral of f over [lo, hi] with relative accuracy even when tiny.
 
     `lo` and `hi` are scalars or arrays, broadcast together; scalar inputs
     give a float, array inputs an array. Every term carries its slab
     integral in closed or piecewise-exact form (`gap_fn`); there is no
-    quadrature fallback.
+    quadrature fallback. F(z) is integral_between(nl, 0.0, z).
     """
     lo_a, hi_a = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     a = np.minimum(lo_a, hi_a).ravel()
@@ -128,20 +96,18 @@ def integral_between(nl: Nonlinearity, lo, hi):
     return float(val) if val.ndim == 0 else val
 
 
+def _window(s_max) -> float:
+    """The analysis window's right end as a float; it must be positive and
+    finite before any fact of a term is derived on it."""
+    w = float(s_max)
+    if not (w > 0 and math.isfinite(w)):
+        raise InputError(f"analysis window must be positive, got s_max={s_max}")
+    return w
+
+
 def _kinks_in(points, s_max: float) -> tuple:
     """The distinct points strictly inside (0, s_max), sorted, as floats."""
     return tuple(sorted({float(p) for p in points if 0.0 < p < s_max}))
-
-
-def _window_kinks(kind: str, fn, s_max: float) -> tuple:
-    """A catalog term's kinks in the window (0, s_max): every k pi for
-    |sin|, every slope change of a piecewise-linear term (f is constant
-    beyond its outer knots), none for the smooth terms."""
-    if kind == "abs-sin":
-        return _kinks_in((k * math.pi for k in range(1, int(s_max / math.pi) + 1)), s_max)
-    if isinstance(fn, _PiecewiseLinear):
-        return _kinks_in(fn.kinks, s_max)
-    return ()
 
 
 def _zeros_in(points, intervals, s_max: float) -> tuple:
@@ -164,35 +130,11 @@ def _zeros_in(points, intervals, s_max: float) -> tuple:
     return tuple(sorted({float(p) for p in pts})), tuple(ivs)
 
 
-def _window_zeros(kind: str, fn, s_max: float) -> tuple:
-    """A catalog term's zeros on [0, s_max], in closed form: 0 and 1 for
-    the logistic, 1 for 1 - s, every k pi for |sin| (the floats of its
-    kinks); a piecewise-linear term reads them off its knots."""
-    if isinstance(fn, _PiecewiseLinear):
-        return fn.zeros(s_max)
-    if kind == "abs-sin":
-        points = [k * math.pi for k in range(int(s_max / math.pi) + 1)]
-    else:
-        points = (0.0, 1.0) if kind == "logistic" else (1.0,)
-    return _zeros_in(points, (), s_max)
-
-
-def _window_lipschitz(kind: str, fn, s_max: float) -> float:
-    """A catalog term's exact Lipschitz constant on [0, s_max], in closed
-    form: max |1 - 2 s| for the logistic, 1 for |sin| and 1 - s, the
-    steepest cell that starts inside the window for a piecewise-linear term."""
-    if kind == "logistic":
-        return max(1.0, 2.0 * s_max - 1.0)
-    if isinstance(fn, _PiecewiseLinear):
-        return fn.lipschitz(s_max)
-    return 1.0
-
-
 # ---------------------------------------------------------------------------
 # piecewise-linear backbone (cantor + table share it)
 
 class _PiecewiseLinear:
-    """f linear between knots; antiderivative exact (piecewise quadratic)."""
+    """f linear between knots; its slab integral is exact (trapezoids)."""
 
     def __init__(self, xs, ys):
         self.xs = np.asarray(xs, dtype=float)
@@ -200,7 +142,6 @@ class _PiecewiseLinear:
         if self.xs.size < 2 or np.any(np.diff(self.xs) <= 0):
             raise InputError("piecewise-linear table needs at least two strictly increasing knots")
         seg = 0.5 * (self.ys[1:] + self.ys[:-1]) * np.diff(self.xs)
-        self.cum = np.concatenate(([0.0], np.cumsum(seg)))
         self.seg_padded = np.append(seg, 0.0)
         self._xl, self._yl = self.xs.tolist(), self.ys.tolist()
         # knots where the slope changes, with slope 0 beyond the outer knots;
@@ -210,17 +151,15 @@ class _PiecewiseLinear:
         self.kinks = self.xs[jump > 1e-12 * (np.abs(slopes[1:]) + np.abs(slopes[:-1]))].tolist()
         self._slopes = np.abs(slopes[1:-1])
 
-    def lipschitz(self, s_max: float) -> float:
-        """The largest |slope| of the cells that start below s_max; f is
-        constant beyond the outer knots."""
-        return float(self._slopes[self.xs[:-1] < s_max].max(initial=0.0))
-
-    def zeros(self, s_max: float) -> tuple:
-        """f's zeros on [0, s_max], as (points, intervals), read off the
+    def term(self, kind: str, s_max: float) -> Nonlinearity:
+        """This f as the term `kind` on the window [0, s_max]. Its Lipschitz
+        constant is the largest |slope| of the cells that start below s_max
+        (f is constant beyond the outer knots). Its zeros are read off the
         knots: a cell with both knot values 0 is an interval, a knot with
         value 0 a point, a sign change across a cell its secant point; the
         last value holds to s_max."""
         xs, ys = self.xs, self.ys
+        lipschitz = float(self._slopes[xs[:-1] < s_max].max(initial=0.0))
         zero = ys == 0.0
         flat = zero[:-1] & zero[1:]
         ivs = list(zip(xs[:-1][flat].tolist(), xs[1:][flat].tolist()))
@@ -229,7 +168,9 @@ class _PiecewiseLinear:
         cross = ys[:-1] * ys[1:] < 0.0
         x0, x1, y0, y1 = xs[:-1][cross], xs[1:][cross], ys[:-1][cross], ys[1:][cross]
         secant = x0 - y0 * (x1 - x0) / (y1 - y0)
-        return _zeros_in(xs[zero].tolist() + secant.tolist(), ivs, s_max)
+        zeros = _zeros_in(xs[zero].tolist() + secant.tolist(), ivs, s_max)
+        return Nonlinearity(kind, s_max, lipschitz, self, self.gap,
+                            _kinks_in(self.kinks, s_max), zeros)
 
     def __call__(self, s):
         if type(s) is not float:
@@ -255,8 +196,8 @@ class _PiecewiseLinear:
     def gap(self, lo, hi):
         """Exact integral over [lo, hi] for arrays lo < hi; accurate for tiny
         values because it adds the two partial end cells to the sum of the
-        whole cells between them instead of differencing the antiderivative.
-        f is constant beyond the outer knots."""
+        whole cells between them instead of differencing two integrals
+        from 0. f is constant beyond the outer knots."""
         xs, ys = self.xs, self.ys
         a = np.clip(lo, xs[0], xs[-1])
         b = np.clip(hi, xs[0], xs[-1])
@@ -277,15 +218,6 @@ class _PiecewiseLinear:
         below = np.minimum(hi, xs[0]) - np.minimum(lo, xs[0])
         above = np.maximum(hi, xs[-1]) - np.maximum(lo, xs[-1])
         return core + ys[0] * below + ys[-1] * above
-
-    def antiderivative(self, z):
-        z = np.asarray(z, dtype=float)
-        zc = np.clip(z, self.xs[0], self.xs[-1])
-        idx = np.clip(np.searchsorted(self.xs, zc, side="right") - 1, 0, self.xs.size - 2)
-        x0 = self.xs[idx]
-        f0 = self.ys[idx]
-        fz = np.interp(zc, self.xs, self.ys)
-        return self.cum[idx] + 0.5 * (zc - x0) * (f0 + fz)
 
 
 def _cantor_intervals(level: int):
@@ -310,26 +242,25 @@ def cantor_prefractal(level: int):
 # ---------------------------------------------------------------------------
 # catalog constructors
 
-def logistic() -> Nonlinearity:
+def logistic(s_max: float = 2.0) -> Nonlinearity:
+    s_max = _window(s_max)
     fn = lambda s: s * (1.0 - s)
-    F = lambda z: 0.5 * z * z - z ** 3 / 3.0
 
     def gap(lo, hi):
         # factored so the (hi - lo) factor carries the smallness
         return (hi - lo) * (0.5 * (hi + lo) - (hi * hi + hi * lo + lo * lo) / 3.0)
 
-    return Nonlinearity("logistic", 2.0, _window_lipschitz("logistic", fn, 2.0), fn, F, gap, (),
-                        _window_zeros("logistic", fn, 2.0))
+    # |f'| = |1 - 2 s| peaks at an end of the window
+    return Nonlinearity("logistic", s_max, max(1.0, 2.0 * s_max - 1.0), fn, gap, (),
+                        _zeros_in((0.0, 1.0), (), s_max))
 
 
-def abs_sin() -> Nonlinearity:
+def abs_sin(s_max: float = 10.0) -> Nonlinearity:
+    s_max = _window(s_max)
+
     def fn(s):
         # one Python float (a launch's rhs) skips the numpy scalar ufuncs
         return abs(math.sin(s)) if type(s) is float else np.abs(np.sin(s))
-
-    def F(z):
-        k = np.floor(z / math.pi)
-        return 2.0 * k + 1.0 - np.cos(z - k * math.pi)
 
     def _arch(a, b, k):
         # integral of |sin| over [a, b] within arch k: product form, no cancellation
@@ -344,19 +275,20 @@ def abs_sin() -> Nonlinearity:
                  + 2.0 * (khi - klo - 1.0))
         return np.where(klo == khi, _arch(lo, hi, klo), split)
 
-    return Nonlinearity("abs-sin", 10.0, _window_lipschitz("abs-sin", fn, 10.0), fn, F, gap,
-                        _window_kinks("abs-sin", fn, 10.0), _window_zeros("abs-sin", fn, 10.0))
+    # f vanishes at every k pi, and every one inside the window is a kink
+    multiples = [k * math.pi for k in range(int(s_max / math.pi) + 1)]
+    return Nonlinearity("abs-sin", s_max, 1.0, fn, gap, _kinks_in(multiples, s_max),
+                        _zeros_in(multiples, (), s_max))
 
 
-def linear_decay() -> Nonlinearity:
+def linear_decay(s_max: float = 10.0) -> Nonlinearity:
+    s_max = _window(s_max)
     fn = lambda s: 1.0 - s
-    F = lambda z: z - 0.5 * z * z
     gap = lambda lo, hi: (hi - lo) * (1.0 - 0.5 * (hi + lo))
-    return Nonlinearity("linear-decay", 10.0, _window_lipschitz("linear-decay", fn, 10.0),
-                        fn, F, gap, (), _window_zeros("linear-decay", fn, 10.0))
+    return Nonlinearity("linear-decay", s_max, 1.0, fn, gap, (), _zeros_in((1.0,), (), s_max))
 
 
-def cantor(level: int = 6) -> Nonlinearity:
+def cantor(level: int = 6, s_max: float = 1.0) -> Nonlinearity:
     """Distance to the level-`level` middle-thirds pre-fractal on [0, 1].
 
     Zero exactly on the 2^level closed intervals; tent-shaped on the removed
@@ -366,6 +298,7 @@ def cantor(level: int = 6) -> Nonlinearity:
     if not (isinstance(level, int) and 1 <= level <= _CANTOR_MAX_LEVEL):
         raise InputError(f"cantor level must be an integer in [1, {_CANTOR_MAX_LEVEL}], "
                          f"got {level!r}")
+    s_max = _window(s_max)
     iv = _cantor_intervals(level)
     knots = [iv[0][0]]
     vals = [Fraction(0)]
@@ -380,12 +313,12 @@ def cantor(level: int = 6) -> Nonlinearity:
         knots.append(b)
         vals.append(Fraction(0))
     pl = _PiecewiseLinear([float(x) for x in knots], [float(v) for v in vals])
-    return Nonlinearity(f"cantor:{level}", 1.0, _window_lipschitz("cantor", pl, 1.0),
-                        pl, pl.antiderivative, pl.gap, _window_kinks("cantor", pl, 1.0),
-                        pl.zeros(1.0))
+    return pl.term(f"cantor:{level}", s_max)
 
 
-def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
+def from_table(s_knots, f_knots, kind: str = "table", s_max: float | None = None) -> Nonlinearity:
+    """Linear interpolation of (s, f) knots; the window runs to the last
+    knot unless `s_max` says otherwise (f is constant beyond it)."""
     xs = np.asarray(s_knots, dtype=float)
     ys = np.asarray(f_knots, dtype=float)
     if xs.size != ys.size:
@@ -396,14 +329,11 @@ def from_table(s_knots, f_knots, kind: str = "table") -> Nonlinearity:
         raise InputError("table: s and f columns must be finite")
     if abs(xs[0]) > 1e-12:
         raise InputError(f"table: first sample must sit at s=0, got {xs[0]:g}")
-    pl = _PiecewiseLinear(xs, ys)
-    s_max = float(xs[-1])
-    return Nonlinearity(kind, s_max, _window_lipschitz(kind, pl, s_max),
-                        pl, pl.antiderivative, pl.gap, _window_kinks(kind, pl, s_max),
-                        pl.zeros(s_max))
+    s_max = _window(xs[-1] if s_max is None else s_max)
+    return _PiecewiseLinear(xs, ys).term(kind, s_max)
 
 
-def table_from_csv(path: str) -> Nonlinearity:
+def table_from_csv(path: str, s_max: float | None = None) -> Nonlinearity:
     xs, ys = [], []
     try:
         with open(path, newline="") as fh:
@@ -419,26 +349,28 @@ def table_from_csv(path: str) -> Nonlinearity:
                     raise InputError(f"table {path}: bad row {row!r}") from None
     except OSError as exc:
         raise InputError(f"table {path}: {exc}") from exc
-    return from_table(xs, ys, kind=f"table:{path}")
+    return from_table(xs, ys, kind=f"table:{path}", s_max=s_max)
 
 
 def make(spec: str, s_max: float | None = None) -> Nonlinearity:
     """Build a catalog nonlinearity from its config-file name.
 
-    A non-None `s_max` narrows or widens the analysis window; the Lipschitz
-    constant, the kinks and the zeros are re-derived for the new window.
+    A non-None `s_max` narrows or widens the analysis window; the
+    constructor derives the Lipschitz constant, the kinks and the zeros on
+    the window it is given.
     """
     if not isinstance(spec, str):
         raise InputError(f"nonlinearity spec must be a string, got {type(spec).__name__}")
     name, _, arg = spec.partition(":")
     name = name.strip()
+    window = {} if s_max is None else {"s_max": s_max}
     if name == "logistic":
-        nl = logistic()
-    elif name == "abs-sin":
-        nl = abs_sin()
-    elif name == "linear-decay":
-        nl = linear_decay()
-    elif name == "cantor":
+        return logistic(**window)
+    if name == "abs-sin":
+        return abs_sin(**window)
+    if name == "linear-decay":
+        return linear_decay(**window)
+    if name == "cantor":
         if arg.strip():
             try:
                 level = int(arg)
@@ -446,22 +378,14 @@ def make(spec: str, s_max: float | None = None) -> Nonlinearity:
                 raise InputError(f"cantor level must be an integer, got {arg!r}") from None
         else:
             level = 6
-        nl = cantor(level)
-    elif name == "table":
+        return cantor(level, **window)
+    if name == "table":
         if not arg:
             raise InputError("table nonlinearity needs a path: table:<path>")
-        nl = table_from_csv(arg)
-    else:
-        raise InputError(
-            f"unknown nonlinearity {spec!r}; catalog: logistic, abs-sin, "
-            f"linear-decay, cantor:<level>, table:<path>")
-    if s_max is None:
-        return nl
-    w = float(s_max)
-    if not (w > 0 and math.isfinite(w)):
-        raise InputError(f"analysis window must be positive, got s_max={s_max}")
-    return replace(nl, s_max=w, lipschitz=_window_lipschitz(nl.kind, nl.fn, w),
-                   kinks=_window_kinks(nl.kind, nl.fn, w), zeros=_window_zeros(nl.kind, nl.fn, w))
+        return table_from_csv(arg, **window)
+    raise InputError(
+        f"unknown nonlinearity {spec!r}; catalog: logistic, abs-sin, "
+        f"linear-decay, cantor:<level>, table:<path>")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +428,8 @@ def zero_set(nl: Nonlinearity) -> ZeroSet:
 
 
 def compute_Zf(nl: Nonlinearity) -> ZeroSet:
-    """Zeros z0 whose antiderivative strictly dominates everything below.
+    """Zeros z0 where F, the integral of f from 0, strictly dominates
+    everything below.
 
     F's maximum over [0, z0) lies at 0 or at a zero of f, so the candidates
     are the isolated zeros and the interval ends, and a candidate's margin
@@ -516,7 +441,7 @@ def compute_Zf(nl: Nonlinearity) -> ZeroSet:
     """
     E = zero_set(nl)
     zs = np.unique(np.concatenate((E.points, np.ravel(E.intervals))))
-    F = nl.antiderivative_fn(np.concatenate(([0.0], zs)))
+    F = np.concatenate(([0.0], integral_between(nl, 0.0, zs)))
     margin = F[1:] - np.maximum.accumulate(F[:-1])
     origin = zs == 0.0
     members = zs[(margin > TOL_F_STRICT) | origin]
@@ -557,57 +482,51 @@ def _verdict_from_ratio(r: float):
     return None
 
 
-def check_hypotheses(nl: Nonlinearity, tol_f: float = TOL_F_DEFAULT) -> HypothesisReport:
-    """Numerically probe the three structural conditions on [0, s_max].
+def _ratio(nl: Nonlinearity, z: float, side: int) -> float | None:
+    """One-sided liminf estimate at z: the minimum of f(z + side d) / (side d)
+    over the steps d of _DELTAS that stay in the window; None if none does."""
+    d = side * np.array([d for d in _DELTAS if 0.0 <= z + side * d <= nl.s_max])
+    return float(np.min(nl.fn(z + d) / d)) if d.size else None
 
-    One-sided liminf ratios are estimated as the minimum of f(z +- d)/(+-d)
+
+def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
+    """Probe the three structural conditions on [0, s_max].
+
+    f's sign structure is exact: no zero of f lies inside a gap between
+    consecutive points of its zero set and the window's ends, so f's value
+    at a gap's midpoint gives its sign on the whole gap. mu, the end of the
+    positive hump, is the upper end of the last positive gap. One-sided
+    liminf ratios at the zeros are estimated as the minimum of f(z +- d)/(+-d)
     over d in {1e-3 ... 1e-7}; estimates inside the +-1e-6 band come back as
     inconclusive (None), never as a silent pass.
     """
     s_max = nl.s_max
     notes = []
-    xs = np.linspace(0.0, s_max, 8001)
-    h = xs[1] - xs[0]
-    fs = nl.fn(xs)
+    E = zero_set(nl)
+    zs = np.unique(np.concatenate((E.points, np.ravel(E.intervals))))
+    ends = np.unique(np.concatenate(([0.0], zs, [s_max])))
+    sign = np.sign(nl.fn(0.5 * (ends[:-1] + ends[1:])))     # 0 on a flat interval
 
     # --- first condition: positive hump then nonpositive tail
     h1: bool | None = True
     mu = mu_prime = None
-    pos = fs > tol_f
-    if pos[1:].any():
-        i_last = int(np.nonzero(pos)[0][-1])
-    else:
-        i_last = 0
-    if i_last >= len(xs) - 1:
+    pos = np.flatnonzero(sign > 0)
+    if not pos.size:
+        h1 = False
+        notes.append("no positive hump: f <= 0 on the window")
+    elif ends[pos[-1] + 1] not in zs:
         h1 = False
         notes.append("no nonpositive tail inside the window: f > 0 up to s_max")
     else:
-        # refine mu where f comes down through zero
-        lo, hi = xs[i_last], xs[i_last + 1]
-        if _f1(nl, lo) > tol_f and _f1(nl, hi) < -tol_f:
-            mu = float(optimize.brentq(lambda x: _f1(nl, x), lo, hi,
-                                       xtol=1e-14, rtol=8.9e-16))
-        else:
-            a, b = lo, hi
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                if _f1(nl, mid) > tol_f:
-                    a = mid
-                else:
-                    b = mid
-            mu = float(b)
-        body = fs[1:i_last + 1][xs[1:i_last + 1] < mu - h]
-        if body.size and body.min() <= tol_f:
+        mu = float(ends[pos[-1] + 1])
+        if np.any((zs > 0.0) & (zs < mu)):
             h1 = False
             notes.append("f touches zero strictly between 0 and mu")
-        tail = fs[xs > mu + h]
-        if tail.size and tail.max() > tol_f:
-            h1 = False
-            notes.append("f pops back above zero beyond mu")
-    if h1 and mu is not None:
-        k = int(np.searchsorted(xs, mu)) - 1
-        k = max(k, 1)
-        j = k
+    if h1:
+        xs = np.linspace(0.0, s_max, 8001)
+        h = xs[1] - xs[0]
+        fs = nl.fn(xs)
+        j = max(int(np.searchsorted(xs, mu)) - 1, 1)
         while j - 1 >= 0 and fs[j - 1] >= fs[j] - 1e-12:
             j -= 1
         if xs[j] < mu - h:
@@ -616,39 +535,30 @@ def check_hypotheses(nl: Nonlinearity, tol_f: float = TOL_F_DEFAULT) -> Hypothes
             h1 = False
             notes.append("no nonincreasing window immediately left of mu")
 
+    # f(0) > 0 unless 0 is a zero: f < 0 below the hump would put a zero in (0, mu)
     origin_ratio = None
     if h1:
-        f0 = float(fs[0])
-        if f0 > tol_f:
-            origin_ratio = math.inf
-        elif f0 >= -tol_f:
-            usable = [d for d in _DELTAS if d <= s_max]
-            origin_ratio = min(_f1(nl, d) / d for d in usable)
-            v = _verdict_from_ratio(origin_ratio)
-            if v is False:
-                h1 = False
-                notes.append("slope ratio at the origin is negative")
-            elif v is None:
-                h1 = None
-                notes.append("slope ratio at the origin is inconclusive")
-        else:
+        origin_ratio = _ratio(nl, 0.0, 1) if zs[0] == 0.0 else math.inf
+        v = _verdict_from_ratio(origin_ratio)
+        if v is False:
             h1 = False
-            notes.append("f(0) < 0")
-
-    E = zero_set(nl)
+            notes.append("slope ratio at the origin is negative")
+        elif v is None:
+            h1 = None
+            notes.append("slope ratio at the origin is inconclusive")
 
     # --- second condition: f >= 0 and definite right-slope at every zero
     h2: bool | None = True
     h2_ratios = []
-    if fs.min() < -tol_f:
+    neg = np.flatnonzero(sign < 0)
+    if neg.size:
         h2 = False
-        notes.append(f"f dips below zero near s={xs[int(np.argmin(fs))]:.6g}")
+        notes.append(f"f < 0 on the gap ({ends[neg[0]]:.6g}, {ends[neg[0] + 1]:.6g})")
     for z in E.points:
-        usable = [d for d in _DELTAS if z + d <= s_max]
-        if not usable:
+        r = _ratio(nl, z, 1)
+        if r is None:
             notes.append(f"zero at the window edge s={z:.6g}: right ratio not estimable")
             continue
-        r = min(_f1(nl, z + d) / d for d in usable)
         h2_ratios.append((z, r))
         v = _verdict_from_ratio(r)
         if v is False and h2 is not False:
@@ -665,15 +575,13 @@ def check_hypotheses(nl: Nonlinearity, tol_f: float = TOL_F_DEFAULT) -> Hypothes
     # --- third condition: definite left-slope at zeros beyond mu
     h3: bool | None
     h3_ratios = []
-    if h1 is not True or mu is None:
+    if h1 is not True:
         h3 = None
         notes.append("left-slope condition not evaluated: no positive hump structure")
     else:
         h3 = True
-        beyond = [z for z in E.points if z > mu + 1e-9]
-        for z in beyond:
-            usable = [d for d in _DELTAS if z - d >= 0.0]
-            r = min(-_f1(nl, z - d) / d for d in usable)
+        for z in (z for z in E.points if z > mu):
+            r = _ratio(nl, z, -1)
             h3_ratios.append((z, r))
             v = _verdict_from_ratio(r)
             if v is False and h3 is not False:
@@ -682,7 +590,7 @@ def check_hypotheses(nl: Nonlinearity, tol_f: float = TOL_F_DEFAULT) -> Hypothes
                 h3 = None
                 notes.append(f"left ratio at zero s={z:.6g} is inconclusive")
         for a, b in E.intervals:
-            if a > mu + 1e-9:
+            if a > mu:
                 h3_ratios.append((a, 0.0))
                 if h3 is not False:
                     h3 = False
@@ -710,19 +618,12 @@ def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
         raise InputError(
             f"reflect: source window [0, {nl.s_max:g}] does not cover M'+1 = {c:g}")
     edge = c - m
-    f_at_m = _f1(nl, m)
-    F_at_c = float(antiderivative_F(nl, c))
+    f_at_m = eval_capped_float(nl, m)
 
     def g(s):
         s = np.asarray(s, dtype=float)
         inner = np.clip(c - s, 0.0, nl.s_max)
         return np.where(s <= edge, -nl.fn(inner), -f_at_m)
-
-    def G(z):
-        z = np.asarray(z, dtype=float)
-        zc = np.minimum(z, edge)
-        head = nl.antiderivative_fn(np.clip(c - zc, 0.0, nl.s_max)) - F_at_c
-        return head + np.where(z > edge, (z - edge) * (-f_at_m), 0.0)
 
     def gap_g(lo, hi):
         total = np.zeros(lo.shape)
@@ -739,7 +640,7 @@ def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
     # reads at the step's size, under the threshold
     above = [k for k in nl.kinks if k > m]
     d = min(1e-7, 0.5 * (min(above + [c]) - m))
-    sloped = abs(_f1(nl, m + d) - f_at_m) > 1e-6 * max(1.0, nl.lipschitz) * d
+    sloped = abs(eval_capped_float(nl, m + d) - f_at_m) > 1e-6 * max(1.0, nl.lipschitz) * d
     kinks = _kinks_in([c - k for k in above] + ([edge] if sloped else []), edge + 1.0)
     # f's zeros in [m, c] map to c - zeta; where m is one of them, g = 0 on
     # the constant tail beyond the edge as well
@@ -750,4 +651,4 @@ def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
     zeros = _zeros_in([c - p for p in pts if m <= p <= c], g_ivs, edge + 1.0)
     # g's slopes are f's on [m, c], and 0 beyond the edge
     return Nonlinearity(f"reflect({nl.kind},{M_prime:g},{m:g})", edge + 1.0,
-                        nl.lipschitz, g, G, gap_g, kinks, zeros)
+                        nl.lipschitz, g, gap_g, kinks, zeros)

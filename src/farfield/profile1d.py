@@ -27,7 +27,6 @@ step doubling under-reads the error of a step across a kink.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -101,11 +100,12 @@ def shoot_slope(nl: Nonlinearity, z: float) -> float:
     if not (0.0 <= z <= nl.s_max + 1e-12):
         raise InputError(f"shoot_slope: z={z:g} outside [0, {nl.s_max:g}]")
     if z <= 1e-14:
-        if abs(nlm._f1(nl, 0.0)) > nlm.TOL_F_DEFAULT:
+        if abs(nlm.eval_capped_float(nl, 0.0)) > nlm.TOL_F_DEFAULT:
             raise InfeasibleProfileError("zero profile needs f(0) = 0")
         return 0.0
-    if abs(nlm._f1(nl, z)) > nlm.TOL_F_DEFAULT:
-        raise InfeasibleProfileError(f"z={z:g} is not a zero of f (f(z)={nlm._f1(nl, z):.3e})")
+    fz = nlm.eval_capped_float(nl, z)
+    if abs(fz) > nlm.TOL_F_DEFAULT:
+        raise InfeasibleProfileError(f"z={z:g} is not a zero of f (f(z)={fz:.3e})")
     Fz = integral_between(nl, 0.0, z)
     if Fz <= 0.0:
         raise InfeasibleProfileError(f"F(z)={Fz:.3e} <= 0 at z={z:g}: no real launch slope")
@@ -257,7 +257,7 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
     xi = np.linspace(0.0, xi_max, n + 1)
 
     if z <= 1e-14:
-        if abs(nlm._f1(nl, 0.0)) > nlm.TOL_F_DEFAULT:
+        if abs(nlm.eval_capped_float(nl, 0.0)) > nlm.TOL_F_DEFAULT:
             raise InfeasibleProfileError("zero profile needs f(0) = 0")
         zeros = np.zeros_like(xi)
         return Profile1D(0.0, 0.0, xi, zeros, zeros.copy(), 0.0, xi_max)
@@ -354,18 +354,3 @@ def save_profile_csv(p: Profile1D, path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("xi,V,W\r\n")
         fh.write("%.17g,%.17g,%.17g\r\n" * len(cols) % tuple(cols.ravel().tolist()))
-
-
-def load_profile_csv(path: str):
-    """Read back a profile CSV; returns (xi, V, W) arrays."""
-    xi, v, w = [], [], []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None or [c.strip() for c in header[:3]] != ["xi", "V", "W"]:
-            raise InputError(f"{path}: expected header xi,V,W")
-        for row in rd:
-            xi.append(float(row[0]))
-            v.append(float(row[1]))
-            w.append(float(row[2]))
-    return np.asarray(xi), np.asarray(v), np.asarray(w)

@@ -231,41 +231,3 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
     detected = float(levels[-1, best])
     return TrajectoryReport(detected, converged, est.M, est.m, tail_slope,
                             dist_rows, tuple(notes))
-
-
-def window_norm(field: Field, window, order: int = 0) -> float:
-    """Sup-norm of the field over a coordinate window, optionally with
-    first and second central differences (order 2).
-
-    window is ((x1_lo, x1_hi), (x2_lo, x2_hi)) in coordinates; nodes inside
-    the closed rectangle participate. Difference quotients are taken inside
-    the window only, so order 2 needs at least 3 nodes per direction.
-    """
-    if order not in (0, 2):
-        raise InputError("order must be 0 or 2")
-    g = field.grid
-    (a1, b1), (a2, b2) = window
-    h = g.h
-    x1 = g.x1_nodes(field.kind)
-    x2 = g.x2(field.kind)
-    if a1 < x1[0] - 1e-9 or b1 > x1[-1] + 1e-9 or a2 < x2[0] - 1e-9 or b2 > x2[-1] + 1e-9:
-        raise InputError("window extends outside the field's domain")
-    i0 = int(np.searchsorted(x1, a1 - 1e-9))
-    i1 = int(np.searchsorted(x1, b1 + 1e-9))
-    j0 = int(np.searchsorted(x2, a2 - 1e-9))
-    j1 = int(np.searchsorted(x2, b2 + 1e-9))
-    sub = field.values[i0:i1, j0:j1]
-    if sub.size == 0:
-        raise InputError("window contains no grid nodes")
-    norm = float(np.max(np.abs(sub)))
-    if order == 0:
-        return norm
-    if sub.shape[0] < 3 or sub.shape[1] < 3:
-        raise InputError("order-2 window needs at least 3 nodes per direction")
-    d1 = np.abs(sub[2:, :] - sub[:-2, :]) / (2 * h)
-    d2 = np.abs(sub[:, 2:] - sub[:, :-2]) / (2 * h)
-    dd1 = np.abs(sub[2:, :] - 2 * sub[1:-1, :] + sub[:-2, :]) / h**2
-    dd2 = np.abs(sub[:, 2:] - 2 * sub[:, 1:-1] + sub[:, :-2]) / h**2
-    norm += max(float(np.max(d1)), float(np.max(d2)))
-    norm += max(float(np.max(dd1)), float(np.max(dd2)))
-    return norm

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from farfield.elliptic import solve_half, solve_quarter
+from farfield.elliptic import solve_field
 from farfield.grids import make_grid
 from farfield.nonlinearity import make
 from farfield.traces import bump
@@ -20,7 +20,7 @@ def decay_quarter():
     grid = make_grid(60.0, 30.0, 0.25)
     trace = bump(grid.x2("quarter"), 10.0, 5.0, 0.5)
     t0 = time.perf_counter()
-    field = solve_quarter(nl, grid, trace, method="auto", tol=1e-9)
+    field = solve_field(nl, grid, "quarter", trace, method="auto", tol=1e-9)
     return nl, field, time.perf_counter() - t0
 
 
@@ -31,5 +31,5 @@ def abs_sin_half():
     nl = make("abs-sin")
     grid = make_grid(60.0, 20.0, 0.25)
     t0 = time.perf_counter()
-    field = solve_half(nl, grid, 5.0, method="auto", tol=1e-8)
+    field = solve_field(nl, grid, "half", 5.0, method="auto", tol=1e-8)
     return nl, field, time.perf_counter() - t0

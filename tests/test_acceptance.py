@@ -20,8 +20,8 @@ from farfield.elliptic import (bubble_energy, dirichlet_eigenpair,
                                sliding_verify, solve_field)
 from farfield.grids import Field, make_grid
 from farfield.liouville import halfspace_strip_sweep, periodic_box_sweep
-from farfield.nonlinearity import (antiderivative_F, check_hypotheses,
-                                   compute_Zf, make)
+from farfield.nonlinearity import (check_hypotheses, compute_Zf,
+                                   integral_between, make)
 from farfield.profile1d import compute_profile
 from farfield.trajectory import estimate_M, omega_limit, shift
 
@@ -56,7 +56,7 @@ def test_first_integral_conservation():
     for nl, zs in cases:
         for z in zs:
             p = compute_profile(nl, z)
-            gap = antiderivative_F(nl, z) - antiderivative_F(nl, p.values)
+            gap = integral_between(nl, p.values, z)
             worst = max(worst, float(np.max(np.abs(p.w ** 2 - 2.0 * gap))))
             n_profiles += 1
     ok = worst < 1e-8

@@ -269,6 +269,16 @@ def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, raw, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_the_tol_f_key(tmp_path, capsys):
+    # the hypothesis checks read f's exact zero set and take no tolerance
+    out = tmp_path / "out"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"analysis": {"tol_f": 1e-10}, "output": {"dir": str(out)}}))
+    assert main(["run", "--config", str(p)]) == 1
+    assert "unknown key 'tol_f' in section 'analysis'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_takes_numbers_and_null_where_the_default_is_null(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"nonlinearity": {"s_max": 4}, "domain": {"u0": None, "L1": 60}}))

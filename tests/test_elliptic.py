@@ -13,7 +13,7 @@ from farfield.elliptic import (Bubble, assemble_laplacian, ball_volume,
                                flow_operator, flow_relax, laplacian_full,
                                level_energy, newton_solve, radial_bubble, ramp_energy,
                                residual_max, shifted_solver, sliding_verify,
-                               solve_field, solve_half, solve_quarter, sphere_area,
+                               solve_field, sphere_area,
                                _apply_boundary, _unknown_block, _unvec, _vec)
 from farfield.errors import ConsistencyError, InputError, NumericError
 from farfield.grids import Field, as_trace, make_grid
@@ -290,8 +290,8 @@ def test_newton_and_monotone_agree():
     nl = make("logistic")
     g = make_grid(12.0, 8.0, 0.25)
     trace = as_trace(0.4, g, "quarter")
-    fn = solve_quarter(nl, g, trace, method="newton", tol=1e-11)
-    fm = solve_quarter(nl, g, trace, method="monotone", u0=1.2, tol=1e-11)
+    fn = solve_field(nl, g, "quarter", trace, method="newton", tol=1e-11)
+    fm = solve_field(nl, g, "quarter", trace, method="monotone", u0=1.2, tol=1e-11)
     assert fn.residual < 1e-11
     assert fm.residual < 1e-11
     assert float(np.max(np.abs(fn.values - fm.values))) < 1e-9
@@ -302,7 +302,7 @@ def test_monotone_descends_from_supersolution():
     nl = make("logistic")
     g = make_grid(8.0, 6.0, 0.5)
     trace = as_trace(0.4, g, "quarter")
-    f = solve_quarter(nl, g, trace, method="monotone", u0=1.2, tol=1e-10)
+    f = solve_field(nl, g, "quarter", trace, method="monotone", u0=1.2, tol=1e-10)
     assert f.meta["direction"] == "above"
     assert f.values.max() <= 1.2 + 1e-10
     assert f.residual < 1e-10
@@ -318,14 +318,14 @@ def test_monotone_rejects_wrong_side_start():
     u0[0] = trace
     u0[:, 0] = 0.0
     with pytest.raises(ConsistencyError):
-        solve_quarter(nl, g, trace, method="monotone", u0=u0)
+        solve_field(nl, g, "quarter", trace, method="monotone", u0=u0)
 
 
 def test_newton_from_solved_state_is_cheap():
     nl = make("logistic")
     g = make_grid(10.0, 6.0, 0.5)
     trace = as_trace(0.3, g, "quarter")
-    f1 = solve_quarter(nl, g, trace, method="auto", tol=1e-10)
+    f1 = solve_field(nl, g, "quarter", trace, method="auto", tol=1e-10)
     f2 = newton_solve(nl, g, "quarter", trace, f1.values, tol=1e-10)
     assert f2.meta["iterations"] <= 1
 
@@ -333,7 +333,7 @@ def test_newton_from_solved_state_is_cheap():
 def test_auto_method_reports_flow_steps():
     nl = make("linear-decay")
     g = make_grid(10.0, 6.0, 0.5)
-    f = solve_quarter(nl, g, as_trace(0.2, g, "quarter"), method="auto")
+    f = solve_field(nl, g, "quarter", as_trace(0.2, g, "quarter"), method="auto")
     assert f.meta["method"] == "auto"
     assert f.meta["flow_steps"] > 0
     assert f.meta["flow_capped"] is False
@@ -345,7 +345,7 @@ def test_auto_method_reports_a_capped_flow(monkeypatch):
     monkeypatch.setattr(elliptic, "_FLOW_MAX_STEPS", 3)
     nl = make("cantor:3")
     g = make_grid(10.0, 6.0, 0.5)
-    f = solve_quarter(nl, g, as_trace(0.2, g, "quarter"), method="auto")
+    f = solve_field(nl, g, "quarter", as_trace(0.2, g, "quarter"), method="auto")
     assert f.meta["flow_steps"] == 3
     assert f.meta["flow_capped"] is True
 
@@ -357,7 +357,7 @@ def test_auto_solves_past_the_direct_limit():
     g = make_grid(60.0, 30.0, 0.125)
     assert g.n1 * g.n2 > elliptic._DIRECT_MAX
     trace = make_trace("bump:15.0,5.0,0.55", nl, g, "quarter")
-    f = solve_quarter(nl, g, trace, method="auto", tol=1e-9)
+    f = solve_field(nl, g, "quarter", trace, method="auto", tol=1e-9)
     assert f.residual <= 1e-9
     assert 0 < f.meta["flow_steps"] <= 20
     assert f.meta["iterations"] == 0 and f.meta["handoff"] is None
@@ -375,11 +375,11 @@ def test_auto_solves_the_fine_abs_sin_half_without_a_matrix_solve(h, monkeypatch
     monkeypatch.setattr(elliptic, "bicgstab", refuse)
     nl = make("abs-sin")
     g = make_grid(60.0, 20.0, h)
-    f = solve_half(nl, g, 5.029090466054633, tol=1e-10)
+    f = solve_field(nl, g, "half", 5.029090466054633, tol=1e-10)
     assert f.residual <= 1e-10
     assert f.meta["iterations"] == 0 and f.meta["handoff"] is None
     assert 0 < f.meta["flow_steps"] <= 20
-    assert abs(float(f.far_strip(4).mean()) - 2 * math.pi) < 1e-6
+    assert abs(float(f.values[-4:].mean()) - 2 * math.pi) < 1e-6
 
 
 def test_auto_hands_off_where_the_flow_stops_contracting():
@@ -388,7 +388,7 @@ def test_auto_hands_off_where_the_flow_stops_contracting():
     # K / (K + slowest Laplacian eigenvalue), so Newton finishes
     nl = make("cantor:3")
     g = make_grid(8.0, 4.0, 0.5)
-    f = solve_half(nl, g, 0.99, u0=0.97, tol=1e-9)
+    f = solve_field(nl, g, "half", 0.99, u0=0.97, tol=1e-9)
     handoff = f.meta["handoff"]
     assert handoff is not None
     assert f.residual <= 1e-9 < handoff["residual"] <= 1e-3
@@ -434,14 +434,14 @@ def test_line_search_failure_is_a_numeric_error(monkeypatch):
     g = make_grid(6.0, 4.0, 0.5)
     trace = as_trace(0.4, g, "quarter")
     with pytest.raises(NumericError, match=r"line search failed at lambda=0\.000976562"):
-        solve_quarter(nl, g, trace, method="newton", u0=0.8)
+        solve_field(nl, g, "quarter", trace, method="newton", u0=0.8)
 
 
 def test_auto_selects_evolution_plateau(abs_sin_half):
     # from a start of 5.0 the parabolic flow climbs to the 2*pi plateau, not
     # the higher 3*pi one; the solver must land on the selected state
     _, field, _ = abs_sin_half
-    far = field.far_strip(4)
+    far = field.values[-4:]
     assert abs(float(far.mean()) - 2 * math.pi) < 1e-6
     assert field.residual < 1e-7
 

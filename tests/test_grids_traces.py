@@ -129,7 +129,6 @@ def test_field_views():
     vals = np.arange(9 * 5, dtype=float).reshape(9, 5)
     f = Field(vals, g, "quarter")
     np.testing.assert_array_equal(f.trace, vals[0])
-    np.testing.assert_array_equal(f.far_strip(2), vals[-2:])
 
 
 def test_svg_bytes_deterministic(tmp_path):

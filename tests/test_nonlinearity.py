@@ -9,10 +9,9 @@ from scipy.integrate import quad
 
 from farfield import nonlinearity as nlm
 from farfield.errors import InputError
-from farfield.nonlinearity import (antiderivative_F, cantor_prefractal,
-                                   check_hypotheses, compute_Zf, eval_capped,
-                                   eval_capped_float, eval_f, from_table, integral_between, make,
-                                   reflect, zero_set)
+from farfield.nonlinearity import (cantor_prefractal, check_hypotheses, compute_Zf,
+                                   eval_capped, eval_capped_float, from_table,
+                                   integral_between, make, reflect, zero_set)
 
 CATALOG = ("logistic", "abs-sin", "linear-decay", "cantor:3")
 
@@ -50,14 +49,11 @@ def test_window_override():
 
 
 def test_eval_window_enforced():
+    # both entry points clip their argument to the window [0, 2]
     nl = make("logistic")
-    assert eval_f(nl, 0.5) == pytest.approx(0.25)
-    with pytest.raises(InputError):
-        eval_f(nl, 2.5)
-    with pytest.raises(InputError):
-        eval_f(nl, -0.1)
-    # the capped entry point clips instead of raising
-    assert eval_capped(nl, np.array([2.5]))[0] == pytest.approx(-2.0)
+    got = eval_capped(nl, np.array([-0.1, 0.5, 2.5]))
+    assert got.tolist() == [0.0, 0.25, -2.0]
+    assert [eval_capped_float(nl, v) for v in (-0.1, 0.5, 2.5)] == [0.0, 0.25, -2.0]
 
 
 @pytest.mark.parametrize("name", CATALOG + ("cantor:1", "cantor:6", "table", "reflect"))
@@ -81,18 +77,26 @@ def test_capped_float_matches_eval_capped(name):
 
 
 # ---------------------------------------------------------------------------
-# antiderivative and the cancellation-free integral
+# F, the integral from 0, and the cancellation-free slab integral
+
+def _abs_sin_F(z):
+    # 2 per whole arch, then 1 - cos on the arch that holds z
+    k = np.floor(z / math.pi)
+    return 2.0 * k + 1.0 - np.cos(z - k * math.pi)
+
 
 def test_antiderivative_closed_forms():
-    nl = make("logistic")
-    zs = np.linspace(0.0, 2.0, 41)
-    np.testing.assert_allclose(antiderivative_F(nl, zs),
-                               zs**2 / 2 - zs**3 / 3, atol=1e-14)
+    # F(z) = integral_between(nl, 0, z) against F written out in closed form
+    for spec, F in (("logistic", lambda z: z**2 / 2 - z**3 / 3),
+                    ("abs-sin", _abs_sin_F),
+                    ("linear-decay", lambda z: z - z**2 / 2)):
+        nl = make(spec)
+        zs = np.linspace(0.0, nl.s_max, 401)
+        np.testing.assert_allclose(integral_between(nl, 0.0, zs), F(zs), rtol=0.0, atol=1e-13)
     nl = make("abs-sin")
-    assert antiderivative_F(nl, math.pi) == pytest.approx(2.0, abs=1e-12)
-    assert antiderivative_F(nl, 2 * math.pi) == pytest.approx(4.0, abs=1e-12)
-    nl = make("linear-decay")
-    assert antiderivative_F(nl, 3.0) == pytest.approx(3.0 - 4.5, abs=1e-14)
+    assert integral_between(nl, 0.0, math.pi) == pytest.approx(2.0, abs=1e-15)
+    assert integral_between(nl, 0.0, 2 * math.pi) == pytest.approx(4.0, abs=1e-15)
+    assert integral_between(make("linear-decay"), 0.0, 3.0) == -1.5
 
 
 @pytest.mark.parametrize("spec", CATALOG)
@@ -113,14 +117,14 @@ def test_integral_between_against_quadrature(spec):
 
 def test_integral_between_tiny_slab_relative_accuracy():
     # just below the kink of |sin| the slab integral is ~5e-15; the closed
-    # form keeps relative accuracy where the antiderivative difference
-    # cancels catastrophically
+    # form keeps relative accuracy where the difference of two integrals
+    # from 0 cancels catastrophically
     nl = make("abs-sin")
     d = 1e-7
     exact = 2.0 * math.sin(0.5 * d) ** 2
     got = integral_between(nl, math.pi - d, math.pi)
     assert abs(got - exact) / exact < 1e-6
-    via_F = float(antiderivative_F(nl, math.pi) - antiderivative_F(nl, math.pi - d))
+    via_F = integral_between(nl, 0.0, math.pi) - integral_between(nl, 0.0, math.pi - d)
     assert abs(got - exact) * 100.0 < abs(via_F - exact)
 
 
@@ -165,14 +169,16 @@ def test_integral_between_array_matches_scalar(spec, tmp_path):
 
 @pytest.mark.parametrize("spec", CATALOG + ("table", "reflect"))
 def test_antiderivative_difference_matches_gap(spec, tmp_path):
-    # F and the slab integral are two closed forms of one function; nothing
-    # else integrates f, so they must agree to rounding
+    # the slab integral is additive: F(b) - F(a), with F the integral from
+    # 0, and the slabs [a, m] and [m, b] both sum to the slab [a, b] to rounding
     nl = _array_case(spec, tmp_path)
     rng = np.random.default_rng(13)
-    a, b = np.sort(rng.uniform(0.0, nl.s_max, size=(2, 200)), axis=0)
-    Fa, Fb = antiderivative_F(nl, a), antiderivative_F(nl, b)
+    a, m, b = np.sort(rng.uniform(0.0, nl.s_max, size=(3, 200)), axis=0)
+    Fa, Fb = integral_between(nl, 0.0, a), integral_between(nl, 0.0, b)
     gap = integral_between(nl, a, b)
     assert np.all(np.abs((Fb - Fa) - gap) <= 1e-12 * np.maximum(1.0, np.abs(Fb)))
+    halves = integral_between(nl, a, m) + integral_between(nl, m, b)
+    assert np.all(np.abs(halves - gap) <= 1e-12 * np.maximum(1.0, np.abs(gap)))
 
 
 def _trapezoid_sum(xs, ys, lo, hi):
@@ -205,7 +211,7 @@ def test_integral_between_tiny_slab_on_array_input():
     exact = 0.5 * (hi - knot) ** 2
     got = integral_between(nl, lo, hi)
     assert np.all(np.abs(got - exact) / exact < 1e-12)
-    via_F = antiderivative_F(nl, hi) - antiderivative_F(nl, lo)
+    via_F = integral_between(nl, 0.0, hi) - integral_between(nl, 0.0, lo)
     assert abs(via_F[0] - exact[0]) > 100.0 * abs(got[0] - exact[0])
     # abs-sin: slabs ending exactly on the arch boundaries k pi
     nl = make("abs-sin")
@@ -331,8 +337,11 @@ def _reference_zero_set(nl, grid_n=4096, tol_f=nlm.TOL_F_DEFAULT):
     sub = absf <= tol_f
     points, intervals = [], []
 
+    def f1(x):
+        return float(nl.fn(np.float64(x)))
+
     def absfn(x):
-        return abs(nlm._f1(nl, x))
+        return abs(f1(x))
 
     i = 0
     while i < grid_n:
@@ -357,7 +366,7 @@ def _reference_zero_set(nl, grid_n=4096, tol_f=nlm.TOL_F_DEFAULT):
     for i in np.nonzero(fs[:-1] * fs[1:] < 0.0)[0]:
         if sub[i] or sub[i + 1]:
             continue
-        r = optimize.brentq(lambda x: nlm._f1(nl, x), xs[i], xs[i + 1],
+        r = optimize.brentq(f1, xs[i], xs[i + 1],
                             xtol=1e-14, rtol=8.9e-16)
         points.append(float(r))
 
@@ -497,6 +506,75 @@ def test_hypotheses_cantor():
     assert r.h2 is False          # flat zero stretches
     assert r.h3 is None
     assert any("flat zero stretch" in n for n in r.notes)
+
+
+def _hypothesis_case(name):
+    if name == "tent":
+        return from_table(*_TENT)
+    if name == "sin 3s table":
+        xs = np.linspace(0.0, 3.0, 31)
+        return from_table(xs, np.sin(3.0 * xs))
+    if name == "reflect abs-sin":
+        return reflect(make("abs-sin"), 7.0, 0.5)
+    if name == "reflect logistic":
+        return reflect(make("logistic"), 0.5, 0.2)
+    spec, _, window = name.partition(" s_max=")
+    return make(spec, s_max=float(window)) if window else make(spec)
+
+
+# name: (h1, h2, h3, mu'), the verdicts an 8,001-sample sign scan also reaches
+_VERDICTS = {
+    "logistic": (True, False, True, 0.5),
+    "abs-sin": (False, True, None, None),
+    "linear-decay": (True, False, True, 0.0),
+    **{f"cantor:{k}": (False, False, None, None) for k in range(1, 7)},
+    "tent": (True, False, True, 1.000125),
+    "sin 3s table": (False, False, None, None),
+    "reflect abs-sin": (False, False, None, None),
+    "reflect logistic": (True, False, True, 0.0),
+    "logistic s_max=1.5": (True, False, True, 0.5000625),
+    "logistic s_max=0.8": (False, True, None, None),
+    "abs-sin s_max=3": (False, True, None, None),
+    "linear-decay s_max=0.5": (False, True, None, None),
+}
+
+
+@pytest.mark.parametrize("name", _VERDICTS)
+def test_hypothesis_verdicts_and_exact_mu(name):
+    # mu, the upper end of the last gap of E where f > 0, is a point of E
+    # or an interval end; it is None where f <= 0 throughout or f > 0 at s_max
+    nl = _hypothesis_case(name)
+    r = check_hypotheses(nl)
+    assert (r.h1, r.h2, r.h3, r.mu_prime) == _VERDICTS[name]
+    pts, ivs = nl.zeros
+    assert r.mu is None or r.mu in pts or r.mu in np.ravel(ivs)
+
+
+@pytest.mark.parametrize("name, mu", [("logistic", 1.0), ("linear-decay", 1.0), ("tent", 2.4),
+                                      ("reflect abs-sin", None)]
+                         + [(f"cantor:{k}", cantor_prefractal(k)[-1][0]) for k in range(1, 7)])
+def test_mu_is_exact(name, mu):
+    assert check_hypotheses(_hypothesis_case(name)).mu == mu
+
+
+@pytest.mark.parametrize("xs, ys", [
+    # the hump touches zero at 0.30001, between two samples of a scan
+    ([0.0, 0.3, 0.30001, 0.30002, 1.0, 2.0], [0.0, 0.5, 0.0, 0.5, 0.0, -1.0]),
+    # the tail pops above zero on (1.50001, 1.50003), between two samples
+    ([0.0, 0.5, 1.0, 1.50001, 1.50002, 1.50003, 2.0], [0.0, 0.5, 0.0, -0.5, 0.3, -0.5, -1.0]),
+], ids=["hump touches zero", "tail pops above zero"])
+def test_narrow_sign_changes_fail_the_first_condition(xs, ys):
+    r = check_hypotheses(from_table(xs, ys))
+    assert r.h1 is False
+    assert "f touches zero strictly between 0 and mu" in r.notes
+    assert r.h3 is None
+
+
+def test_second_condition_names_the_negative_gap():
+    r = check_hypotheses(make("logistic"))
+    assert "f < 0 on the gap (1, 2)" in r.notes
+    r = check_hypotheses(reflect(make("abs-sin"), 7.0, 0.5))
+    assert r.mu is None and "no positive hump: f <= 0 on the window" in r.notes
 
 
 # ---------------------------------------------------------------------------

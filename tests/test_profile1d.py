@@ -8,21 +8,22 @@ import pytest
 
 from farfield import profile1d
 from farfield.errors import ConsistencyError, InputError, NumericError
-from farfield.nonlinearity import antiderivative_F, compute_Zf, make
+from farfield.nonlinearity import compute_Zf, integral_between, make
 from farfield.profile1d import (compute_profile, disconnectedness_probe,
-                                load_profile_csv, profile_residual,
-                                save_profile_csv, shoot_slope)
+                                profile_residual, save_profile_csv, shoot_slope)
 
 
 def test_launch_slope_squares_to_energy():
-    # W(0)^2 = 2 F(z) on the nose, for every reachable level
-    for spec, zs in (("logistic", [1.0]),
-                     ("abs-sin", [math.pi, 2 * math.pi]),
-                     ("linear-decay", [1.0])):
+    # W(0)^2 = 2 F(z) on the nose, for every reachable level, against the
+    # closed forms F(1) = 1/6 (logistic), F(k pi) = 2 k (|sin|) and
+    # F(1) = 1/2 (1 - s)
+    for spec, levels in (("logistic", [(1.0, 1.0 / 6.0)]),
+                         ("abs-sin", [(math.pi, 2.0), (2 * math.pi, 4.0)]),
+                         ("linear-decay", [(1.0, 0.5)])):
         nl = make(spec)
-        for z in zs:
+        for z, Fz in levels:
             s = shoot_slope(nl, z)
-            assert abs(s * s - 2.0 * float(antiderivative_F(nl, z))) < 1e-10
+            assert abs(s * s - 2.0 * Fz) < 1e-10
 
 
 def test_launch_slope_known_values():
@@ -71,8 +72,7 @@ def test_profile_shape_invariants():
 def test_first_integral_along_profile():
     nl = make("abs-sin")
     p = compute_profile(nl, math.pi, xi_max=10.0, n=512)
-    Fz = float(antiderivative_F(nl, math.pi))
-    drift = np.abs(p.w**2 - 2.0 * (Fz - antiderivative_F(nl, p.values)))
+    drift = np.abs(p.w**2 - 2.0 * integral_between(nl, p.values, math.pi))
     assert float(np.max(drift)) < 1e-8
 
 
@@ -135,7 +135,8 @@ def test_profile_csv_round_trip(tmp_path):
     p = compute_profile(nl, 1.0, xi_max=8.0, n=128)
     path = tmp_path / "profile.csv"
     save_profile_csv(p, str(path))
-    xi, v, w = load_profile_csv(str(path))
+    assert path.read_text().splitlines()[0] == "xi,V,W"
+    xi, v, w = np.loadtxt(path, delimiter=",", skiprows=1).T
     np.testing.assert_array_equal(xi, p.xi)
     np.testing.assert_array_equal(v, p.values)
     np.testing.assert_array_equal(w, p.w)

@@ -1,4 +1,4 @@
-"""Translation semiflow, amplitude estimates, limit detection, window norms."""
+"""Translation semiflow, amplitude estimates, limit detection."""
 
 import math
 
@@ -9,8 +9,7 @@ from farfield.errors import InputError
 from farfield.grids import Field, make_grid
 from farfield.nonlinearity import make
 from farfield.profile1d import compute_profile
-from farfield.trajectory import (attractor_table, estimate_M, omega_limit,
-                                 shift, window_norm)
+from farfield.trajectory import attractor_table, estimate_M, omega_limit, shift
 
 
 def _random_field(rng, kind="half", L1=12.0, L2=4.0, h=0.5):
@@ -197,35 +196,3 @@ def test_report_json_schema(abs_sin_half):
     assert set(d) == {"detected_z", "converged", "M", "m", "tail_slope",
                       "distances", "notes"}
     assert all(set(row) == {"h", "z", "d"} for row in d["distances"])
-
-
-# ---------------------------------------------------------------------------
-# window norms
-
-def test_window_norm_constant():
-    g = make_grid(8.0, 4.0, 0.5)
-    f = Field(np.full((g.n1 + 1, g.n2), -2.5), g, "half")
-    assert window_norm(f, ((1.0, 7.0), (0.5, 3.0))) == 2.5
-    # flat fields have zero difference quotients
-    assert window_norm(f, ((1.0, 7.0), (0.5, 3.0)), order=2) == 2.5
-
-
-def test_window_norm_quadratic():
-    # u = x1^2: sup 16 over [0,4], central quotient 2 x1 peaks at the last
-    # interior node x1 = 3.5, second difference is exactly 2
-    g = make_grid(8.0, 4.0, 0.5)
-    x1 = g.x1_nodes("half")
-    f = Field(np.tile((x1 ** 2)[:, None], (1, g.n2)), g, "half")
-    got = window_norm(f, ((0.0, 4.0), (0.0, 3.0)), order=2)
-    assert got == pytest.approx(16.0 + 7.0 + 2.0, abs=1e-9)
-
-
-def test_window_norm_validation():
-    g = make_grid(8.0, 4.0, 0.5)
-    f = Field(np.zeros((g.n1 + 1, g.n2)), g, "half")
-    with pytest.raises(InputError):
-        window_norm(f, ((0.0, 9.0), (0.0, 2.0)))          # outside domain
-    with pytest.raises(InputError):
-        window_norm(f, ((0.0, 2.0), (0.0, 2.0)), order=1)
-    with pytest.raises(InputError):
-        window_norm(f, ((0.0, 0.5), (0.0, 2.0)), order=2)  # too few nodes
