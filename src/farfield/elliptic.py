@@ -400,12 +400,13 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
                                "one the flow operator was built from")
     L, b, solve = op.L, op.b, op.solve
     v = _vec(u0, kind).copy()
+    abs_rate = np.empty_like(v)       # |rate|, rewritten every step
     rn_prev = ratio = None
     for k in range(max_steps + 1):
         rate = L @ v                  # rate = L v + b + f(v), summed in place
         rate += b
         rate += eval_capped(nl, v)
-        rn = float(np.max(np.abs(rate)))
+        rn = float(np.abs(rate, out=abs_rate).max())
         if not math.isfinite(rn):
             raise NumericError(f"flow_relax: non-finite residual at step {k}")
         if k:

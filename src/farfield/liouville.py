@@ -52,15 +52,16 @@ def noise_start(grid: Grid2D, kind: str, rng: np.random.Generator) -> np.ndarray
 
     The 1/8 mode averaging keeps the field at or below 3, so sweeps with the
     oscillatory member stay under its first positive plateau. Strip starts
-    get the floor row zeroed.
+    get the floor row zeroed. The 24 uniforms come in one draw, three per
+    mode (amplitude, then the two phases), and the modes
+    a cos(2 pi k x + ph1) cos(2 pi k y + ph2) sum as one rank-8 product.
     """
-    x = grid.x1_nodes(kind)[:, None] / grid.L1
-    y = grid.x2(kind)[None, :] / grid.L2
-    u = np.zeros((x.size, y.shape[1]))
-    for k in range(1, _N_MODES + 1):
-        a = rng.uniform(0.0, _AMP_MAX)
-        ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        u += a * np.cos(2.0 * np.pi * k * x + ph1) * np.cos(2.0 * np.pi * k * y + ph2)
+    a, ph1, ph2 = rng.random(3 * _N_MODES).reshape(_N_MODES, 3).T
+    wave = 2.0 * np.pi * np.arange(1, _N_MODES + 1)
+    x = grid.x1_nodes(kind) / grid.L1
+    y = grid.x2(kind) / grid.L2
+    u = ((_AMP_MAX * a) * np.cos(np.outer(x, wave) + 2.0 * np.pi * ph1)
+         @ np.cos(np.outer(wave, y) + (2.0 * np.pi * ph2)[:, None]))
     u = np.clip(u / _N_MODES, 0.0, None)
     if kind == "half":
         u[0, :] = 0.0

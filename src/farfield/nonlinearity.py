@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import InputError
 
-TOL_F_DEFAULT = 1e-10    # |f(z)| above this: z is no zero (profile1d's input check)
 TOL_F_STRICT = 1e-12     # strictness margin for the F-increase test
 _RATIO_BAND = 1e-6       # one-sided ratio estimates inside this band are inconclusive
 _DELTAS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
@@ -64,9 +63,10 @@ def eval_capped(nl: Nonlinearity, s):
     """f on an array, with the argument clipped to the analysis window.
 
     Iterative solvers may step outside [0, s_max] transiently; they use this
-    entry point and validate their final answer instead.
+    entry point and validate their final answer instead. The argument is
+    never written to.
     """
-    return nl.fn(np.clip(np.asarray(s, dtype=float), 0.0, nl.s_max))
+    return nl.fn(np.asarray(s, dtype=float).clip(0.0, nl.s_max))
 
 
 def eval_capped_float(nl: Nonlinearity, v: float) -> float:
@@ -259,8 +259,12 @@ def abs_sin(s_max: float = 10.0) -> Nonlinearity:
     s_max = _window(s_max)
 
     def fn(s):
-        # one Python float (a launch's rhs) skips the numpy scalar ufuncs
-        return abs(math.sin(s)) if type(s) is float else np.abs(np.sin(s))
+        # one Python float (a launch's rhs) skips the numpy scalar ufuncs;
+        # an array takes abs in place on its own fresh sin
+        if type(s) is float:
+            return abs(math.sin(s))
+        r = np.sin(s)
+        return np.abs(r, out=r) if type(r) is np.ndarray else np.abs(r)
 
     def _arch(a, b, k):
         # integral of |sin| over [a, b] within arch k: product form, no cancellation
@@ -419,6 +423,10 @@ class ZeroSet:
         for p in pts:
             if any(a - 1e-12 <= p <= b + 1e-12 for a, b in ivs):
                 raise InputError("zero set: point inside an interval")
+
+    def __contains__(self, s) -> bool:
+        """s is one of the points, or lies in one of the closed intervals."""
+        return s in self.points or any(a <= s <= b for a, b in self.intervals)
 
 
 def zero_set(nl: Nonlinearity) -> ZeroSet:

@@ -37,7 +37,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from . import nonlinearity as nlm
 from .errors import ConsistencyError, InfeasibleProfileError, InputError, NumericError
-from .nonlinearity import Nonlinearity, integral_between
+from .nonlinearity import Nonlinearity, integral_between, zero_set
 from .odes import integrate
 
 _CROSSCHECK_TOL = 1e-6
@@ -100,12 +100,12 @@ def shoot_slope(nl: Nonlinearity, z: float) -> float:
     if not (0.0 <= z <= nl.s_max + 1e-12):
         raise InputError(f"shoot_slope: z={z:g} outside [0, {nl.s_max:g}]")
     if z <= 1e-14:
-        if abs(nlm.eval_capped_float(nl, 0.0)) > nlm.TOL_F_DEFAULT:
+        if 0.0 not in zero_set(nl):
             raise InfeasibleProfileError("zero profile needs f(0) = 0")
         return 0.0
-    fz = nlm.eval_capped_float(nl, z)
-    if abs(fz) > nlm.TOL_F_DEFAULT:
-        raise InfeasibleProfileError(f"z={z:g} is not a zero of f (f(z)={fz:.3e})")
+    if z not in zero_set(nl):
+        raise InfeasibleProfileError(f"z={z:.17g} is not a zero of f "
+                                     f"(f(z)={nlm.eval_capped_float(nl, z):.3e})")
     Fz = integral_between(nl, 0.0, z)
     if Fz <= 0.0:
         raise InfeasibleProfileError(f"F(z)={Fz:.3e} <= 0 at z={z:g}: no real launch slope")
@@ -257,7 +257,7 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
     xi = np.linspace(0.0, xi_max, n + 1)
 
     if z <= 1e-14:
-        if abs(nlm.eval_capped_float(nl, 0.0)) > nlm.TOL_F_DEFAULT:
+        if 0.0 not in zero_set(nl):
             raise InfeasibleProfileError("zero profile needs f(0) = 0")
         zeros = np.zeros_like(xi)
         return Profile1D(0.0, 0.0, xi, zeros, zeros.copy(), 0.0, xi_max)

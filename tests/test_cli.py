@@ -61,6 +61,19 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     assert "numeric error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f, z", [("logistic", "0.99999999995"), ("linear-decay", "0")])
+def test_profile_to_a_level_off_the_zero_set_exits_2(tmp_path, capsys, f, z):
+    # a profile ends only on a member of f's exact zero set (here {0, 1} and
+    # {1}); f(z) = 5e-11 is small, not zero, and f(0) = 1 rules out the
+    # zero profile of linear-decay
+    rc = main(["profile", "--f", f, "--z", z, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:")
+    assert ("not a zero of f" if float(z) else "zero profile needs f(0) = 0") in err
+    assert not os.listdir(tmp_path)
+
+
 def test_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
     # with a tolerance no cross-check can meet, the profile's quadrature and
     # RK4 routes disagree: a ConsistencyError, reported and mapped to exit 2

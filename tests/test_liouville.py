@@ -40,6 +40,35 @@ def test_noise_start_is_deterministic_per_seed():
     assert not np.array_equal(u1, u3)
 
 
+def _reference_noise_start(grid, kind, rng):
+    # one mode at a time, each drawing its amplitude, then its two phases
+    x = grid.x1_nodes(kind)[:, None] / grid.L1
+    y = grid.x2(kind)[None, :] / grid.L2
+    u = np.zeros((x.size, y.shape[1]))
+    for k in range(1, 9):
+        a = rng.uniform(0.0, 3.0)
+        ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        u += a * np.cos(2.0 * np.pi * k * x + ph1) * np.cos(2.0 * np.pi * k * y + ph2)
+    u = np.clip(u / 8, 0.0, None)
+    if kind == "half":
+        u[0, :] = 0.0
+    return u
+
+
+@pytest.mark.parametrize("kind", ["torus", "half"])
+def test_noise_start_matches_the_mode_loop(kind):
+    # the rank-8 product sums the loop's mode products in another order
+    g = make_grid(8.0, 8.0, 0.25)
+    for seed in range(20):
+        u = noise_start(g, kind, np.random.default_rng(seed))
+        ref = _reference_noise_start(g, kind, np.random.default_rng(seed))
+        assert u.shape == ref.shape
+        assert np.max(np.abs(u - ref)) <= 1e-15, seed
+        assert u.min() >= 0.0
+        if kind == "half":
+            assert np.all(u[0, :] == 0.0)
+
+
 def test_noise_start_half_zeroes_the_floor():
     g = make_grid(8.0, 8.0, 0.5)
     u = noise_start(g, "half", np.random.default_rng(7))

@@ -56,16 +56,39 @@ def test_eval_window_enforced():
     assert [eval_capped_float(nl, v) for v in (-0.1, 0.5, 2.5)] == [0.0, 0.25, -2.0]
 
 
-@pytest.mark.parametrize("name", CATALOG + ("cantor:1", "cantor:6", "table", "reflect"))
+_CAPPED_TERMS = CATALOG + ("cantor:1", "cantor:6", "table", "reflect")
+
+
+def _capped_term(name):
+    if name == "table":
+        return from_table(*_TENT)
+    if name == "reflect":
+        return reflect(make("cantor:2", s_max=3.0), 1.5, 0.3)
+    return make(name)
+
+
+@pytest.mark.parametrize("name", _CAPPED_TERMS)
+def test_eval_capped_is_f_on_the_clipped_argument(name):
+    # bit for bit nl.fn(np.clip(s, 0, s_max)) on an array and on 0-d inputs,
+    # NaN, -0.0 and both sides of the window included; f may work in place
+    # on its own fresh arrays, but the argument is never written to
+    nl = _capped_term(name)
+    s = np.array([math.nan, -0.0, 0.0, -1.0, -1e-300, 0.37 * nl.s_max, nl.s_max,
+                  nl.s_max + 1.0, 1e300])
+    for arg in (s, *(np.array(v) for v in s)):
+        before = arg.copy()
+        got = np.asarray(eval_capped(nl, arg))
+        want = np.asarray(nl.fn(np.clip(before, 0.0, nl.s_max)))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), arg
+        assert arg.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("name", _CAPPED_TERMS)
 def test_capped_float_matches_eval_capped(name):
     # the launches' scalar clip, comparisons on one float, gives eval_capped's
     # np.clip value bit for bit: the sign of a zero and NaN included
-    if name == "table":
-        nl = from_table(*_TENT)
-    elif name == "reflect":
-        nl = reflect(make("cantor:2", s_max=3.0), 1.5, 0.3)
-    else:
-        nl = make(name)
+    nl = _capped_term(name)
     for v in (-1.0, -0.0, 0.0, 0.37 * nl.s_max, nl.s_max, nl.s_max + 1.0, math.nan):
         got = eval_capped_float(nl, v)
         want = float(eval_capped(nl, v))
@@ -315,6 +338,9 @@ def test_zero_set_of_a_reflection_is_the_mapped_zero_set(source, M_prime, m):
     assert (E.points, E.intervals) == want
 
 
+_REF_TOL_F = 1e-10    # |f| at or below this counts as a zero in the reference scan
+
+
 def _edge_inward(absfn, tol_f, outside, inside):
     """Edge of a sub-tolerance run, bisected so |f(edge)| <= tol_f holds."""
     for _ in range(64):
@@ -326,7 +352,7 @@ def _edge_inward(absfn, tol_f, outside, inside):
     return float(inside)
 
 
-def _reference_zero_set(nl, grid_n=4096, tol_f=nlm.TOL_F_DEFAULT):
+def _reference_zero_set(nl, grid_n=4096, tol_f=_REF_TOL_F):
     """An independent zero set: a sample scan with a root solve on sign
     changes, golden-section on dips of |f| and bisected run edges."""
     s_max = nl.s_max

@@ -9,9 +9,9 @@ import pytest
 
 from farfield import elliptic, liouville, nonlinearity, odes, profile1d
 from farfield.errors import InputError, NumericError
-from farfield.nonlinearity import compute_Zf, make
+from farfield.nonlinearity import compute_Zf, integral_between, make
 from farfield.odes import OdeResult, integrate
-from farfield.profile1d import compute_profile, disconnectedness_probe
+from farfield.profile1d import compute_profile, disconnectedness_probe, integrate_profile_ode
 
 
 def test_exponential_decay():
@@ -449,8 +449,10 @@ def _assert_bit_identical(a: OdeResult, b: OdeResult):
 _TENT_TABLE = "table:" + str(Path(__file__).resolve().parents[1] / "demos" / "tent_table.csv")
 _PROFILES = [("abs-sin", math.pi), ("abs-sin", 3.0 * math.pi), ("logistic", 1.0),
              ("cantor:3", 26 / 27)]
-# levels a grid scan lands on a few ulps short of the zeros pi and 3 pi
-_PROFILES += [("abs-sin", 3.141592653589779), ("abs-sin", 9.424777960769353)]
+# levels a grid scan lands on a few ulps short of the zeros pi and 3 pi; no
+# profile ends there, so their launches run directly at slope sqrt(2 F(z))
+_NEAR_ZEROS = (3.141592653589779, 9.424777960769353)
+_PROFILES += [("abs-sin", z) for z in _NEAR_ZEROS]
 # every positive reachable level of the catalog terms, and the tent table's
 _PROFILES += [(spec, z) for spec in ("abs-sin", "logistic", "linear-decay", "cantor:3")
               for z in compute_Zf(make(spec)).points if z > 0 and (spec, z) not in _PROFILES]
@@ -460,7 +462,11 @@ _PROFILES.append(pytest.param(_TENT_TABLE, 1.0, id="tent_table-1.0"))
 @pytest.mark.parametrize("spec, z", _PROFILES)
 def test_profile_launch_matches_the_ndarray_stepper(monkeypatch, spec, z):
     nl = make(spec)
-    run = lambda: compute_profile(nl, z, xi_max=20.0)
+    if z in _NEAR_ZEROS:
+        slope0 = math.sqrt(2.0 * integral_between(nl, 0.0, z))
+        run = lambda: integrate_profile_ode(nl, slope0, np.linspace(0.0, 10.0, 1025), tol=1e-11)
+    else:
+        run = lambda: compute_profile(nl, z, xi_max=20.0)
     new = _launches(monkeypatch, profile1d, integrate, run)
     ref = _launches(monkeypatch, profile1d, _reference_integrate, run)
     assert len(new) == len(ref) == 1
