@@ -5,8 +5,7 @@ from .errors import (ConfigError, ConsistencyError, FarfieldError,
 from .grids import Field, Grid2D, as_trace, load_field_csv, make_grid, save_field_csv
 from .nonlinearity import (HypothesisReport, Nonlinearity, ZeroSet, abs_sin, cantor,
                            check_hypotheses, compute_Zf, eval_capped, from_table,
-                           integral_between, linear_decay, logistic, make, reflect,
-                           zero_set)
+                           integral_between, linear_decay, logistic, make, zero_set)
 from .odes import OdeResult, integrate
 from .profile1d import (ProbeReport, Profile1D, compute_profile,
                         disconnectedness_probe, integrate_profile_ode,
@@ -18,8 +17,7 @@ from .elliptic import (Bubble, EigenResult, FlowOperator, SlideReport, ball_volu
                        sliding_verify, solve_field, sphere_area)
 from .trajectory import (AttractorTable, MEstimate, TrajectoryReport,
                          attractor_table, estimate_M, omega_limit, shift)
-from .liouville import (FloorResult, SweepReport, TrialResult,
-                        halfspace_strip_sweep, noise_start, parabolic_floor,
+from .liouville import (SweepReport, TrialResult, halfspace_strip_sweep, noise_start,
                         periodic_box_sweep)
 from .traces import bump, make_trace, trace_from_table
 

@@ -34,7 +34,6 @@ from .trajectory import check_ladder, omega_limit
 # config files
 
 _DEFAULT_CONFIG = {
-    "seed": 0,
     "nonlinearity": {"spec": "abs-sin", "s_max": None},
     "domain": {"kind": "quarter", "L1": 40.0, "L2": 20.0, "h": 0.25,
                "trace": "constant:0.5", "u0": None},
@@ -75,11 +74,6 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: top level must be an object")
     cfg = json.loads(json.dumps(_DEFAULT_CONFIG))   # deep copy
     for key, val in raw.items():
-        if key == "seed":
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError(f"{path}: seed must be an integer")
-            cfg["seed"] = val
-            continue
         if key not in _DEFAULT_CONFIG:
             raise ConfigError(f"{path}: unknown section {key!r}")
         if not isinstance(val, dict):
@@ -401,8 +395,7 @@ def cmd_run(args) -> int:
     written += _solve_and_report(run, nl, out)
 
     # 4. manifest
-    manifest = {"seed": cfg["seed"],
-                "files": {name: _sha256(os.path.join(out, name))
+    manifest = {"files": {name: _sha256(os.path.join(out, name))
                           for name in sorted(written)}}
     _write_json(manifest, os.path.join(out, "manifest.json"))
     print(f"wrote manifest for {len(written)} artifacts")

@@ -629,8 +629,11 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
     (z - eps, z). The zero extension of the cap is the sliding comparison
     object; it never exceeds its center height a.
     """
-    if not (0 < eps <= z):
-        raise InputError(f"radial_bubble: need 0 < eps <= z, got eps={eps:g}, z={z:g}")
+    if not (0 < eps <= z <= nl.s_max):
+        raise InputError(f"radial_bubble: need 0 < eps <= z <= s_max = {nl.s_max:g}, "
+                         f"got eps={eps:g}, z={z:g}")
+    if N < 1:
+        raise InputError(f"radial_bubble: need N >= 1, got N={N}")
 
     def shoot(a: float):
         r0 = 1e-8

@@ -34,8 +34,7 @@ from .elliptic import (FlowOperator, _apply_boundary, _finish, flow_operator,
                        flow_relax, newton_solve)
 from .errors import InputError, NumericError
 from .grids import Field, Grid2D, as_trace, make_grid
-from .nonlinearity import Nonlinearity, compute_Zf, eval_capped_float, zero_set
-from .odes import integrate
+from .nonlinearity import Nonlinearity, compute_Zf, zero_set
 from .profile1d import compute_profile
 
 SURROGATE_BANNER = ("results on a compact surrogate domain; "
@@ -227,33 +226,3 @@ def halfspace_strip_sweep(nl: Nonlinearity, L: float = 16.0, h: float = 0.25,
     """
     return _sweep(nl, "strip", L, h, n_trials, seed)
 
-
-@dataclass(eq=False)
-class FloorResult:
-    t: np.ndarray
-    u: np.ndarray
-    capped: bool
-    t_cap: float | None = None   # when the state reached the window cap
-
-
-def parabolic_floor(nl: Nonlinearity, s0: float, t_end: float,
-                    n_samples: int = 256) -> FloorResult:
-    """Spatially uniform evolution s' = f(s) from s0, stopped at the window cap.
-
-    The uniform state is the floor of the comparison argument: any field
-    starting at or above s0 everywhere stays above this curve. Integration
-    stops early (capped = True) if the state reaches s_max.
-    """
-    if not (0.0 <= s0 <= nl.s_max):
-        raise InputError(f"parabolic_floor: s0={s0:g} outside the window")
-    ts = np.linspace(0.0, t_end, n_samples + 1)
-
-    def rhs(t, y):
-        return (eval_capped_float(nl, y[0]),)
-
-    res = integrate(rhs, 0.0, (float(s0),), t_end, tol=1e-12, sample_ts=ts,
-                    events=[lambda t, y: y[0] - nl.s_max], breaks=nl.kinks)
-    filled = res.samples_filled
-    capped = res.event_index is not None
-    return FloorResult(ts[:filled], res.sample_ys[:filled, 0], capped,
-                       float(res.event_t) if capped else None)

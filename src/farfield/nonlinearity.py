@@ -10,8 +10,7 @@ structural operations the rest of the package consumes: the subset of zeros
 reachable by monotone 1-D profiles (F strictly below its value at the zero
 all the way up), hypothesis checkers for the three structural conditions
 the far-field statements assume, which read f's sign between consecutive
-points of E, and the reflection that turns a decay problem into a growth
-problem.
+points of E.
 
 Catalog names accepted by make():
     logistic        s (1 - s)
@@ -44,7 +43,7 @@ _CANTOR_MAX_LEVEL = 6    # finest level whose every reachable profile the tests 
 class Nonlinearity:
     kind: str
     s_max: float
-    lipschitz: float        # of f on [0, s_max]: exact, a bound for reflect
+    lipschitz: float        # of f on [0, s_max], exact
     fn: Callable = field(repr=False)                      # vectorized, unchecked
     # exact integral of f over [lo, hi] for float arrays lo < hi (elementwise);
     # must stay accurate in RELATIVE terms when the integral is tiny (profiles
@@ -607,56 +606,3 @@ def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
     return HypothesisReport(h1, mu, mu_prime, origin_ratio,
                             h2, tuple(h2_ratios), h3, tuple(h3_ratios),
                             notes=tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# reflection
-
-def reflect(nl: Nonlinearity, M_prime: float, m: float) -> Nonlinearity:
-    """Flip f about the level M'+1: g(s) = -f(M'+1-s) while that argument
-    stays at or above m, constant -f(m) beyond.
-
-    Used to convert trailing-decay questions into growth questions. Needs the
-    source window to reach M'+1.
-    """
-    if not (0.0 <= m <= M_prime):
-        raise InputError(f"reflect: need 0 <= m <= M', got m={m:g}, M'={M_prime:g}")
-    c = M_prime + 1.0
-    if c > nl.s_max + 1e-12:
-        raise InputError(
-            f"reflect: source window [0, {nl.s_max:g}] does not cover M'+1 = {c:g}")
-    edge = c - m
-    f_at_m = eval_capped_float(nl, m)
-
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        inner = np.clip(c - s, 0.0, nl.s_max)
-        return np.where(s <= edge, -nl.fn(inner), -f_at_m)
-
-    def gap_g(lo, hi):
-        total = np.zeros(lo.shape)
-        b1 = np.minimum(hi, edge)
-        head = b1 > lo                  # part of the slab below the edge
-        total[head] -= integral_between(nl, c - b1[head], c - lo[head])
-        tail = hi > edge                # constant part beyond it
-        total[tail] += (hi[tail] - np.maximum(lo[tail], edge)) * (-f_at_m)
-        return total
-
-    # f's kinks above m map to c - k below the edge. There g turns constant,
-    # a kink where f still slopes just above m: the slope is read over a
-    # step short of f's next kink, and at a critical point of a smooth f it
-    # reads at the step's size, under the threshold
-    above = [k for k in nl.kinks if k > m]
-    d = min(1e-7, 0.5 * (min(above + [c]) - m))
-    sloped = abs(eval_capped_float(nl, m + d) - f_at_m) > 1e-6 * max(1.0, nl.lipschitz) * d
-    kinks = _kinks_in([c - k for k in above] + ([edge] if sloped else []), edge + 1.0)
-    # f's zeros in [m, c] map to c - zeta; where m is one of them, g = 0 on
-    # the constant tail beyond the edge as well
-    pts, ivs = nl.zeros
-    g_ivs = [(c - min(b, c), c - max(a, m)) for a, b in ivs if a <= c and b >= m]
-    if m in pts or any(a <= m <= b for a, b in ivs):
-        g_ivs.append((edge, edge + 1.0))
-    zeros = _zeros_in([c - p for p in pts if m <= p <= c], g_ivs, edge + 1.0)
-    # g's slopes are f's on [m, c], and 0 beyond the edge
-    return Nonlinearity(f"reflect({nl.kind},{M_prime:g},{m:g})", edge + 1.0,
-                        nl.lipschitz, g, gap_g, kinks, zeros)

@@ -22,9 +22,10 @@ end's is the next step's first stage, computed early and handed on.
 Event location bisects the same interpolant. The first step found to hold
 an event is then taken again, cut at the time its quintic gave, and the
 event is located on whichever step holds it after that. An event function
-often marks where the rhs changes form: the floor's cap event sits on the
-kink of its clip at the window cap. The first quintic takes its end from
-past that kink, which moved the cap time by 1.5e-11; the cut step ends on it.
+often marks where the rhs changes form: the logistic radial cap's v = 0
+event sits on the kink of its reaction's clip at 0, where f' drops from 1
+to 0. The first quintic takes its end from past that kink; the cut step
+ends on it.
 
 A break is a value of y[0] where the rhs has a kink. Step doubling
 under-reads the error of a step across one, and the controller, growing h
@@ -38,15 +39,11 @@ rejected attempt.
 The state is exactly two Python floats, and each RK4 stage is written out
 on the two scalars: for these small systems the interpreter's cost of
 building a state, not the arithmetic, is what a step spends, and numpy's
-per-call overhead would cost more still. A one-component system runs with
-a constant-zero second component: its rhs, called on the first component,
-is padded with 0.0, and y, event_y and sample_ys come back with one
-column. The zero component leaves the error estimate, the step scale, the
-NaN check, the breaks and the rhs-call count as they would be on one
-component. rhs(t, y) gets the state as a tuple of floats and may return any sequence
-of floats. Its value at a state, the first RK4 stage, is computed once and
-shared by the full step, the first half step, every retry after a rejected
-attempt or a cut, and the interpolant of the step before that state.
+per-call overhead would cost more still. rhs(t, y) gets the state as a
+tuple of two floats and may return any sequence of two floats. Its value
+at a state, the first RK4 stage, is computed once and shared by the full
+step, the first half step, every retry after a rejected attempt or a cut,
+and the interpolant of the step before that state.
 Without events a run costs n_steps + 10 (n_steps + rejected) rhs calls, 11
 per accepted step and 10 per rejected attempt or cut, plus 1 when the last
 step holds a sample; samples cost none. An event inside a step costs 12
@@ -91,7 +88,7 @@ class OdeResult:
     t: float                      # time integration actually ended at
     y: np.ndarray                 # state there
     sample_ts: np.ndarray | None = None
-    sample_ys: np.ndarray | None = None   # shape (len(sample_ts), dim)
+    sample_ys: np.ndarray | None = None   # shape (len(sample_ts), 2)
     event_index: int | None = None
     event_t: float | None = None
     event_y: np.ndarray | None = None
@@ -188,11 +185,9 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
               breaks=(), max_steps=2_000_000):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
-    y0: a float or a sequence of one or two floats; three or more raise
-    InputError. rhs and the event functions get the state as a tuple of
-    floats, with as many components as y0; rhs returns a sequence of floats.
-    A one-component system steps with a constant-zero second component and
-    gets y, event_y and sample_ys back with one column.
+    y0: a sequence of exactly two floats; any other shape raises InputError.
+    rhs and the event functions get the state as a tuple of two floats; rhs
+    returns a sequence of two floats.
     sample_ts: increasing times inside [t0, t1]. They do not limit the step:
     one strictly inside an accepted step gets the step's quintic Hermite
     interpolant there, which costs no rhs call (the step's end slope is the
@@ -204,24 +199,10 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     passes one by more than _BREAK_SLACK is taken again, cut at it.
     A NaN state raises NumericError naming t; steps are at most (t1 - t0)/16.
     """
-    y = tuple(np.atleast_1d(np.asarray(y0, dtype=float)).tolist())
-    if len(y) == 2:
-        return _integrate(rhs, t0, y, t1, tol, h0, sample_ts, events, breaks, max_steps)
-    if len(y) != 1:
-        raise InputError(f"integrate: y0 has {len(y)} components; one or two are supported")
-    res = _integrate(lambda t, y: (rhs(t, y[:1])[0], 0.0), t0, y + (0.0,), t1, tol, h0,
-                     sample_ts, events and [lambda t, y, g=g: g(t, y[:1]) for g in events],
-                     breaks, max_steps)
-    res.y = res.y[:1]
-    if res.event_y is not None:
-        res.event_y = res.y
-    if res.sample_ys is not None:
-        res.sample_ys = res.sample_ys[:, :1]
-    return res
-
-
-def _integrate(rhs, t0, y, t1, tol, h0, sample_ts, events, breaks, max_steps):
-    """integrate on a state y of exactly two Python floats."""
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (2,):
+        raise InputError(f"integrate: y0 has shape {y0.shape}; a state of two floats is needed")
+    y = tuple(y0.tolist())
     t = float(t0)
     if t1 <= t0:
         raise NumericError("integrate: need t1 > t0")

@@ -162,6 +162,9 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
      "--z", "1", "--eps", "0.5", "--from", "1", "--to", "9,6"],
     ["slide", "--f", "logistic", "--L1", "20", "--L2", "12", "--h", "0.5",
      "--z", "1", "--eps", "0.5", "--from", "8,6", "--to", "a,b"],
+    ["bubble", "--f", "logistic", "--z", "1", "--eps", "0.1", "--N", "0"],
+    ["bubble", "--f", "logistic", "--z", "1", "--eps", "0.1", "--N", "-1"],
+    ["bubble", "--f", "logistic", "--z", "5", "--eps", "0.1"],
 ])
 def test_bad_numeric_flag_exits_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -212,16 +215,15 @@ def test_config_defaults_fill_missing_sections(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text("{}")
     cfg = load_config(str(p))
-    assert cfg["seed"] == 0
     assert cfg["domain"]["kind"] == "quarter"
     assert cfg["solver"]["tol"] == 1e-9
 
 
 def test_config_round_trip(tmp_path):
     p1 = tmp_path / "a.json"
-    p1.write_text(json.dumps({"seed": 7, "domain": {"h": 0.5}}))
+    p1.write_text(json.dumps({"solver": {"tol": 1e-7}, "domain": {"h": 0.5}}))
     cfg = load_config(str(p1))
-    assert cfg["seed"] == 7
+    assert cfg["solver"]["tol"] == 1e-7
     assert cfg["domain"]["h"] == 0.5
     p2 = tmp_path / "b.json"
     p2.write_text(json.dumps(cfg))
@@ -230,7 +232,7 @@ def test_config_round_trip(tmp_path):
 
 def test_config_syntax_error_reports_the_line(tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text('{\n"seed": 0\n"domain": {}\n}')
+    p.write_text('{\n"solver": {}\n"domain": {}\n}')
     with pytest.raises(ConfigError) as e:
         load_config(str(p))
     assert ":3:" in str(e.value)
@@ -247,8 +249,8 @@ def test_config_rejects_unknown_names(tmp_path):
     p.write_text(json.dumps({"solver": 5}))
     with pytest.raises(ConfigError, match="must be an object"):
         load_config(str(p))
-    p.write_text(json.dumps({"seed": True}))
-    with pytest.raises(ConfigError, match="seed must be an integer"):
+    p.write_text(json.dumps({"seed": 0}))
+    with pytest.raises(ConfigError, match="unknown section 'seed'"):
         load_config(str(p))
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(ConfigError, match="top level must be an object"):
@@ -498,7 +500,7 @@ def test_run_pipeline_writes_manifest_with_matching_digests(tmp_path, capsys):
                                        "manifest.json", "profile_0.csv",
                                        "solve.json", "trajectory.json"]
     manifest = json.loads(_read(out / "manifest.json"))
-    assert manifest["seed"] == 0
+    assert list(manifest) == ["files"]
     for name, digest in manifest["files"].items():
         assert _sha256(out / name) == digest
     levels = json.loads(_read(out / "analysis.json"))["reachable_levels"]

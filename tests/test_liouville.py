@@ -1,4 +1,4 @@
-"""Random-start sweeps on compact surrogates, uniform floor evolution."""
+"""Random-start sweeps on compact surrogates."""
 
 import json
 import math
@@ -15,8 +15,7 @@ from farfield.elliptic import solve_field
 from farfield.errors import ConsistencyError, InputError, NumericError
 from farfield.grids import make_grid
 from farfield.liouville import (SURROGATE_BANNER, halfspace_strip_sweep,
-                                noise_start, parabolic_floor,
-                                periodic_box_sweep)
+                                noise_start, periodic_box_sweep)
 from farfield.nonlinearity import from_table, make
 
 
@@ -314,39 +313,3 @@ def test_zero_start_on_torus_stays_zero():
                     u0=np.zeros((g.n1, g.n2)))
     assert np.max(np.abs(f.values)) == 0.0
 
-
-# ---------------------------------------------------------------------------
-# uniform floor evolution
-
-def test_floor_matches_scalar_ode_closed_form():
-    nl = make("linear-decay")
-    res = parabolic_floor(nl, 0.0, 2.0, n_samples=128)
-    assert not res.capped
-    assert res.t_cap is None
-    i = int(np.searchsorted(res.t, 0.5))
-    assert res.t[i] == pytest.approx(0.5, abs=1e-12)
-    assert abs(res.u[i] - (1.0 - math.exp(-0.5))) < 1e-12
-    assert np.all(np.diff(res.u) >= 0.0)
-
-
-def test_floor_stops_at_the_window_cap():
-    nl = make("linear-decay", s_max=0.5)
-    res = parabolic_floor(nl, 0.0, 2.0)
-    assert res.capped
-    assert abs(res.t_cap - math.log(2.0)) < 1e-12
-    assert res.t[-1] <= res.t_cap
-    assert res.u.max() <= 0.5 + 1e-12
-
-
-def test_floor_from_a_zero_stays_put():
-    nl = make("abs-sin")
-    res = parabolic_floor(nl, math.pi, 1.0, n_samples=32)
-    assert np.max(np.abs(res.u - math.pi)) < 1e-9
-
-
-def test_floor_validates_start_level():
-    nl = make("linear-decay", s_max=0.5)
-    with pytest.raises(InputError):
-        parabolic_floor(nl, -0.1, 1.0)
-    with pytest.raises(InputError):
-        parabolic_floor(nl, 0.7, 1.0)

@@ -11,7 +11,7 @@ from farfield import nonlinearity as nlm
 from farfield.errors import InputError
 from farfield.nonlinearity import (cantor_prefractal, check_hypotheses, compute_Zf,
                                    eval_capped, eval_capped_float, from_table,
-                                   integral_between, make, reflect, zero_set)
+                                   integral_between, make, zero_set)
 
 CATALOG = ("logistic", "abs-sin", "linear-decay", "cantor:3")
 
@@ -56,14 +56,12 @@ def test_eval_window_enforced():
     assert [eval_capped_float(nl, v) for v in (-0.1, 0.5, 2.5)] == [0.0, 0.25, -2.0]
 
 
-_CAPPED_TERMS = CATALOG + ("cantor:1", "cantor:6", "table", "reflect")
+_CAPPED_TERMS = CATALOG + ("cantor:1", "cantor:6", "table")
 
 
 def _capped_term(name):
     if name == "table":
         return from_table(*_TENT)
-    if name == "reflect":
-        return reflect(make("cantor:2", s_max=3.0), 1.5, 0.3)
     return make(name)
 
 
@@ -167,12 +165,14 @@ def _array_case(spec, tmp_path):
         rows = "".join(f"{x!r},{math.sin(3.0 * x)!r}\n" for x in xs.tolist())
         path.write_text("s,f\n" + rows)
         return make(f"table:{path}")
-    if spec == "reflect":
-        return reflect(make("abs-sin"), 7.0, 0.5)
+    if spec == "table tail":
+        # f holds its last knot value on [3, 4], a constant tail to the window end
+        xs = np.linspace(0.0, 3.0, 31)
+        return from_table(xs, np.sin(3.0 * xs), s_max=4.0)
     return make(spec)
 
 
-@pytest.mark.parametrize("spec", CATALOG + ("table", "reflect"))
+@pytest.mark.parametrize("spec", CATALOG + ("table", "table tail"))
 def test_integral_between_array_matches_scalar(spec, tmp_path):
     nl = _array_case(spec, tmp_path)
     rng = np.random.default_rng(11)
@@ -190,7 +190,7 @@ def test_integral_between_array_matches_scalar(spec, tmp_path):
     np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("spec", CATALOG + ("table", "reflect"))
+@pytest.mark.parametrize("spec", CATALOG + ("table", "table tail"))
 def test_antiderivative_difference_matches_gap(spec, tmp_path):
     # the slab integral is additive: F(b) - F(a), with F the integral from
     # 0, and the slabs [a, m] and [m, b] both sum to the slab [a, b] to rounding
@@ -318,24 +318,6 @@ def test_cantor_3_levels_are_the_exact_interval_ends():
     for a, b in zero_set(nl).intervals:
         assert a in knots and b in knots
         assert nl.fn(a) == nl.fn(b) == 0.0
-
-
-@pytest.mark.parametrize("source, M_prime, m", [("abs-sin", 7.0, 0.5),
-                                                 ("cantor:2 s_max=3", 1.5, 0.3),
-                                                 ("logistic", 1.0, 0.5)])
-def test_zero_set_of_a_reflection_is_the_mapped_zero_set(source, M_prime, m):
-    # g(s) = -f(c - s) up to the edge c - m: each zero zeta >= m of f maps
-    # to c - zeta, and where f(m) = 0 the constant tail beyond the edge is a
-    # zero interval too, joined to the one that ends at the edge
-    c = M_prime + 1.0
-    want = {"abs-sin": ((c - 2.0 * math.pi, c - math.pi), ()),
-            "cantor:2 s_max=3": ((), ((0.0, c - 8 / 9), (c - 7 / 9, c - 2 / 3),
-                                      (c - 1 / 3, c - m + 1.0))),
-            "logistic": ((c - 1.0,), ())}[source]
-    spec, _, window = source.partition(" s_max=")
-    nl = make(spec, s_max=float(window)) if window else make(spec)
-    E = zero_set(reflect(nl, M_prime, m))
-    assert (E.points, E.intervals) == want
 
 
 _REF_TOL_F = 1e-10    # |f| at or below this counts as a zero in the reference scan
@@ -534,16 +516,17 @@ def test_hypotheses_cantor():
     assert any("flat zero stretch" in n for n in r.notes)
 
 
+_NONPOSITIVE = ([0.0, 1.0, 2.0], [0.0, -1.0, -0.5])     # f <= 0 on its whole window
+
+
 def _hypothesis_case(name):
     if name == "tent":
         return from_table(*_TENT)
     if name == "sin 3s table":
         xs = np.linspace(0.0, 3.0, 31)
         return from_table(xs, np.sin(3.0 * xs))
-    if name == "reflect abs-sin":
-        return reflect(make("abs-sin"), 7.0, 0.5)
-    if name == "reflect logistic":
-        return reflect(make("logistic"), 0.5, 0.2)
+    if name == "table f <= 0":
+        return from_table(*_NONPOSITIVE)
     spec, _, window = name.partition(" s_max=")
     return make(spec, s_max=float(window)) if window else make(spec)
 
@@ -556,8 +539,7 @@ _VERDICTS = {
     **{f"cantor:{k}": (False, False, None, None) for k in range(1, 7)},
     "tent": (True, False, True, 1.000125),
     "sin 3s table": (False, False, None, None),
-    "reflect abs-sin": (False, False, None, None),
-    "reflect logistic": (True, False, True, 0.0),
+    "table f <= 0": (False, False, None, None),
     "logistic s_max=1.5": (True, False, True, 0.5000625),
     "logistic s_max=0.8": (False, True, None, None),
     "abs-sin s_max=3": (False, True, None, None),
@@ -577,7 +559,7 @@ def test_hypothesis_verdicts_and_exact_mu(name):
 
 
 @pytest.mark.parametrize("name, mu", [("logistic", 1.0), ("linear-decay", 1.0), ("tent", 2.4),
-                                      ("reflect abs-sin", None)]
+                                      ("table f <= 0", None)]
                          + [(f"cantor:{k}", cantor_prefractal(k)[-1][0]) for k in range(1, 7)])
 def test_mu_is_exact(name, mu):
     assert check_hypotheses(_hypothesis_case(name)).mu == mu
@@ -599,7 +581,7 @@ def test_narrow_sign_changes_fail_the_first_condition(xs, ys):
 def test_second_condition_names_the_negative_gap():
     r = check_hypotheses(make("logistic"))
     assert "f < 0 on the gap (1, 2)" in r.notes
-    r = check_hypotheses(reflect(make("abs-sin"), 7.0, 0.5))
+    r = check_hypotheses(from_table(*_NONPOSITIVE))
     assert r.mu is None and "no positive hump: f <= 0 on the window" in r.notes
 
 
@@ -616,26 +598,16 @@ def _kink_case(name, tmp_path):
         path = tmp_path / "tent.csv"
         path.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(*_TENT)))
         return make(f"table:{path}", s_max=4.0)      # the outer knot 3 turns into a kink
-    if name == "reflect abs-sin":
-        return reflect(make("abs-sin"), 7.0, 0.5)
     if name == "table narrowed":
         path = tmp_path / "tent.csv"
         path.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(*_TENT)))
         return make(f"table:{path}", s_max=1.0)      # the cell [1, 1.5] is outside
-    if name == "reflect cantor":
-        return reflect(make("cantor:2", s_max=3.0), 1.5, 0.4)
-    if name == "reflect cantor flat edge":
-        return reflect(make("cantor:2", s_max=3.0), 1.5, 0.3)   # f is flat above m
-    if name == "reflect logistic":
-        return reflect(make("logistic"), 1.0, 0.5)              # f'(m) = 0
     spec, _, window = name.partition(" s_max=")
     return make(spec, s_max=float(window)) if window else make(spec)
 
 
 _KINK_CASES = CATALOG + ("cantor:1", "cantor:6", "abs-sin s_max=20", "abs-sin s_max=3",
-                         "cantor:2 s_max=3", "logistic s_max=5", "table", "table widened",
-                         "reflect abs-sin", "reflect cantor", "reflect cantor flat edge",
-                         "reflect logistic")
+                         "cantor:2 s_max=3", "logistic s_max=5", "table", "table widened")
 
 
 @pytest.mark.parametrize("name", _KINK_CASES)
@@ -665,19 +637,12 @@ def test_kinks_of_the_catalog():
     assert make("abs-sin", s_max=3.0).kinks == ()
     assert len(make("cantor:3").kinks) == 3 * 2 ** 3 - 3     # 2^3 - 1 tents, none at 0 or 1
     assert from_table(*_TENT).kinks == (1.0, 1.5, 2.0)
-    g = reflect(make("abs-sin"), 7.0, 0.5)
-    assert g.kinks == (8.0 - 2.0 * math.pi, 8.0 - math.pi, 7.5)
-    # the edge c - m is a kink only where f slopes just above m
-    assert reflect(make("cantor:2", s_max=3.0), 1.5, 0.4).kinks[-1] == 2.1
-    assert 2.2 not in reflect(make("cantor:2", s_max=3.0), 1.5, 0.3).kinks
-    assert reflect(make("logistic"), 1.0, 0.5).kinks == ()
 
 
 _LIPSCHITZ_CASES = (CATALOG + ("cantor:1", "cantor:2", "cantor:4", "cantor:5", "cantor:6",
                                "logistic s_max=0.3", "logistic s_max=5", "abs-sin s_max=3",
                                "cantor:6 s_max=3", "cantor:3 s_max=0.5", "table",
-                               "table widened", "table narrowed", "reflect abs-sin",
-                               "reflect cantor", "reflect logistic"))
+                               "table widened", "table narrowed"))
 
 
 @pytest.mark.parametrize("name", _LIPSCHITZ_CASES)
@@ -696,20 +661,7 @@ def test_lipschitz_constant_is_exact(name, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# reflection and tables
-
-def test_reflect_involution():
-    nl = make("abs-sin")
-    g = reflect(reflect(nl, 7.0, 0.0), 7.0, 0.0)
-    xs = np.linspace(0.0, 7.0, 1001)
-    assert float(np.max(np.abs(g.fn(xs) - nl.fn(xs)))) < 1e-13
-
-
-def test_reflect_validates_window():
-    nl = make("cantor:3")          # window [0, 1] cannot reach M'+1 = 2
-    with pytest.raises(InputError):
-        reflect(nl, 1.0, 0.0)
-
+# tables
 
 def test_from_table_validation():
     with pytest.raises(InputError):

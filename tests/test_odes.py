@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from farfield import elliptic, liouville, nonlinearity, odes, profile1d
+from farfield import elliptic, nonlinearity, odes, profile1d
 from farfield.errors import InputError, NumericError
 from farfield.nonlinearity import compute_Zf, integral_between, make
 from farfield.odes import OdeResult, integrate
@@ -15,7 +15,7 @@ from farfield.profile1d import compute_profile, disconnectedness_probe, integrat
 
 
 def test_exponential_decay():
-    res = integrate(lambda t, y: (-y[0],), 0.0, [1.0], 5.0, tol=1e-12)
+    res = integrate(lambda t, y: (-y[0], 0.0), 0.0, [1.0, 0.0], 5.0, tol=1e-12)
     assert abs(res.y[0] - math.exp(-5.0)) < 1e-10
 
 
@@ -29,7 +29,7 @@ def test_harmonic_oscillator_period():
 
 def test_samples_inside_steps_are_accurate():
     ts = np.array([0.1, 0.7, 1.3, 2.0])
-    res = integrate(lambda t, y: y, 0.0, [1.0], 2.0, tol=1e-12, sample_ts=ts)
+    res = integrate(lambda t, y: (y[0], 0.0), 0.0, [1.0, 0.0], 2.0, tol=1e-12, sample_ts=ts)
     assert res.samples_filled == ts.size
     np.testing.assert_array_equal(res.sample_ts, ts)
     err = np.max(np.abs(res.sample_ys[:, 0] - np.exp(ts)))
@@ -38,7 +38,7 @@ def test_samples_inside_steps_are_accurate():
 
 def test_event_bisection():
     # y = t - 1 crosses zero at exactly t = 1
-    res = integrate(lambda t, y: np.array([1.0]), 0.0, [-1.0], 3.0,
+    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [-1.0, 0.0], 3.0,
                     events=[lambda t, y: y[0]])
     assert res.event_index == 0
     assert abs(res.event_t - 1.0) < 1e-9
@@ -48,7 +48,7 @@ def test_event_bisection():
 def test_event_starting_at_zero_does_not_fire():
     # sign changes are detected from a nonzero reference, so a trajectory
     # launched on the zero line runs to completion
-    res = integrate(lambda t, y: np.array([1.0]), 0.0, [0.0], 1.0,
+    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [0.0, 0.0], 1.0,
                     events=[lambda t, y: y[0]])
     assert res.event_index is None
     assert abs(res.y[0] - 1.0) < 1e-12
@@ -56,57 +56,28 @@ def test_event_starting_at_zero_does_not_fire():
 
 def test_reversed_interval_rejected():
     with pytest.raises(NumericError):
-        integrate(lambda t, y: -y, 1.0, [1.0], 0.0)
+        integrate(lambda t, y: (-y[0], 0.0), 1.0, [1.0, 0.0], 0.0)
 
 
 def test_step_budget_enforced():
     with pytest.raises(NumericError):
-        integrate(lambda t, y: (-y[0],), 0.0, [1.0], 10.0, tol=1e-13, max_steps=3)
+        integrate(lambda t, y: (-y[0], 0.0), 0.0, [1.0, 0.0], 10.0, tol=1e-13, max_steps=3)
 
 
 @pytest.mark.parametrize("rhs", [
-    lambda t, y: (math.nan,),
-    lambda t, y: (y[0] if t < 0.5 else math.nan,),
+    lambda t, y: (math.nan, 0.0),
+    lambda t, y: (y[0] if t < 0.5 else math.nan, 0.0),
     lambda t, y: (1.0, math.nan),        # max over the components skips this NaN
 ])
 def test_nan_state_raises(rhs):
     with pytest.raises(NumericError, match=r"NaN state in the step from t="):
-        integrate(rhs, 0.0, [1.0] * len(rhs(0.0, (1.0,))), 1.0)
+        integrate(rhs, 0.0, [1.0, 0.0], 1.0)
 
 
-def test_one_component_system_steps_with_a_zero_second_component():
-    # y' = -y up to the event y = 0.3: the run steps as the two-component
-    # system (y, 0) would, hands back one column and costs no extra rhs call
-    def run(y0, rhs, ts, events=None):
-        calls = [0]
-
-        def counted(t, y):
-            calls[0] += 1
-            return rhs(t, y)
-
-        res = integrate(counted, 0.0, y0, 3.0, tol=1e-12, sample_ts=ts, events=events)
-        return res, calls[0]
-
-    ts = np.linspace(0.0, 2.9, 40)
-    one, calls = run([1.0], lambda t, y: (-y[0],), ts)
-    two, _ = run([1.0, 0.0], lambda t, y: (-y[0], 0.0), ts)
-    assert one.y.shape == (1,) and one.sample_ys.shape == (ts.size, 1)
-    assert calls == one.n_steps + 10 * (one.n_steps + one.rejected)
-    assert (one.n_steps, one.rejected) == (two.n_steps, two.rejected)
-    assert one.y.tobytes() == two.y[:1].tobytes()
-    assert one.sample_ys.tobytes() == two.sample_ys[:, :1].tobytes()
-
-    seen = []
-    event = lambda t, y: seen.append(len(y)) or y[0] - 0.3
-    hit, calls = run([1.0], lambda t, y: (-y[0],), ts, [event])
-    assert hit.event_index == 0 and set(seen) == {1}
-    assert hit.y.shape == hit.event_y.shape == (1,)
-    assert hit.sample_ys.shape == (ts.size, 1)
-    assert abs(hit.event_t - math.log(1.0 / 0.3)) < 1e-10
-    assert calls == hit.n_steps + 10 * (hit.n_steps + hit.rejected) + 12
-
-    with pytest.raises(InputError, match="one or two"):
-        integrate(lambda t, y: y, 0.0, [1.0, 0.0, 0.0], 1.0)
+def test_a_state_of_other_than_two_components_is_rejected():
+    for y0 in (1.0, [1.0], [1.0, 0.0, 0.0], [[1.0], [0.0]]):
+        with pytest.raises(InputError, match="a state of two floats is needed"):
+            integrate(lambda t, y: (-y[0], 0.0), 0.0, y0, 1.0)
 
 
 def test_infinite_error_estimate_shrinks_the_step(monkeypatch):
@@ -119,7 +90,7 @@ def test_infinite_error_estimate_shrinks_the_step(monkeypatch):
         return (y_new, math.inf if len(calls) == 1 else err, *rest)
 
     monkeypatch.setattr(odes, "_double_step", first_infinite)
-    res = integrate(lambda t, y: (-y[0],), 0.0, [1.0], 1.0, tol=1e-12)
+    res = integrate(lambda t, y: (-y[0], 0.0), 0.0, [1.0, 0.0], 1.0, tol=1e-12)
     assert res.rejected >= 1
     assert calls[1] == odes._SHRINK_MIN * calls[0]
     assert abs(res.y[0] - math.exp(-1.0)) < 1e-10
@@ -209,7 +180,7 @@ def test_corrected_samples_are_as_accurate_as_the_end_state():
     # without the d/30 local-error correction of the quintic's midpoint the
     # interior samples are 2.3 times worse than the final state
     ts = np.linspace(0.0, 5.0, 1001)
-    res = integrate(lambda t, y: (-y[0],), 0.0, [1.0], 5.0, tol=1e-12, sample_ts=ts)
+    res = integrate(lambda t, y: (-y[0], 0.0), 0.0, [1.0, 0.0], 5.0, tol=1e-12, sample_ts=ts)
     err = np.max(np.abs(res.sample_ys[:, 0] - np.exp(-ts)))
     end_err = abs(res.y[0] - math.exp(-5.0))
     assert err <= 1e-12
@@ -228,9 +199,9 @@ def test_steps_land_on_a_kink_of_the_rhs(sign, y0, t1, exact_end):
 
         def rhs(t, y):
             calls[0] += 1
-            return (sign * (1.0 + abs(y[0] - 1.0)),)
+            return sign * (1.0 + abs(y[0] - 1.0)), 0.0
 
-        res = integrate(rhs, 0.0, [y0], t1, tol=1e-12, sample_ts=[math.log(2.0)],
+        res = integrate(rhs, 0.0, [y0, 0.0], t1, tol=1e-12, sample_ts=[math.log(2.0)],
                         breaks=breaks)
         assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected)
         return res
@@ -245,10 +216,10 @@ def test_steps_land_on_a_kink_of_the_rhs(sign, y0, t1, exact_end):
 def test_a_step_starting_on_a_break_is_not_cut():
     # the landing rule measures passes from the step's start, so a run that
     # starts on a break, or within the slack of one, steps as if it had none
-    rhs = lambda t, y: (1.0 + abs(y[0] - 1.0),)
+    rhs = lambda t, y: (1.0 + abs(y[0] - 1.0), 0.0)
     for y0 in (1.0, 1.0 - 0.5 * odes._BREAK_SLACK):
-        bare = integrate(rhs, 0.0, [y0], 1.0, tol=1e-12)
-        res = integrate(rhs, 0.0, [y0], 1.0, tol=1e-12, breaks=(1.0,))
+        bare = integrate(rhs, 0.0, [y0, 0.0], 1.0, tol=1e-12)
+        res = integrate(rhs, 0.0, [y0, 0.0], 1.0, tol=1e-12, breaks=(1.0,))
         assert (res.n_steps, res.rejected) == (bare.n_steps, bare.rejected)
         assert res.y.tobytes() == bare.y.tobytes()
 
@@ -507,13 +478,6 @@ def test_probe_launch_matches_the_ndarray_stepper(monkeypatch, sign):
     assert new[0].event_index is not None
     _assert_bit_identical(new[0], ref[0])
 
-
-def test_capped_floor_matches_the_ndarray_stepper(monkeypatch):
-    run = lambda: liouville.parabolic_floor(make("linear-decay", s_max=0.5), 0.0, 2.0)
-    new = _launches(monkeypatch, liouville, integrate, run)
-    ref = _launches(monkeypatch, liouville, _reference_integrate, run)
-    assert new[0].event_index == 0        # reached the window cap
-    _assert_bit_identical(new[0], ref[0])
 
 
 # ---------------------------------------------------------------------------
