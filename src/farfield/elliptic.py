@@ -18,9 +18,12 @@ so `shifted_solver` solves (sigma I - L) x = rhs with no matrix factored:
 by dense eigenbasis products on grids of at most _DENSE_MAX_AXIS unknowns
 per axis, by sine and Fourier transforms on larger ones.
 
-One relaxation, the semi-implicit flow `flow_relax`, keeps order; each step
-is one shifted solve of K - L. `flow_operator` builds its fixed parts once,
-so flows that share them (a sweep's trials) assemble nothing more.
+One relaxation, the semi-implicit flow `flow_relax`, keeps order down to
+its basin; each step is one shifted solve of K - L. In the basin, where one
+mode's geometric decay dominates, a step whose last two residual ratios
+agree is stretched by 1 / (1 - ratio) to the sum of that tail, at most 2x
+a step. `flow_operator` builds its fixed parts once, so flows that share
+them (a sweep's trials) assemble nothing more.
 `solve_field` builds its three methods from this flow and one damped Newton
 iteration, `newton_solve`, whose steps solve with the Jacobian L + diag(f')
 through `_factor` (a sparse LU up to _DIRECT_MAX unknowns, bicgstab above);
@@ -63,6 +66,7 @@ _NEWTON_MAX_ITER = 60
 _FPRIME_DELTA = 1e-7          # central-difference step of Newton's f'
 _FLOW_MAX_STEPS = 200_000
 _FLOW_CONTRACTION = 0.5       # in the basin, a step must cut the residual this much
+_TAIL_AGREE = 0.05            # relative gap of two ratios that make a geometric tail
 _LINE_SEARCH_MIN = 1.0 / 1024.0
 _WINDOW_SLACK = 1e-8
 _EIGEN_MAX_ITER = 400
@@ -375,20 +379,27 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
     implicit Laplacian, explicit reaction, dt = 1/K. The solve is
     `shifted_solver`'s, so no grid size is too large for it.
     K - L is an M-matrix and v -> K v + f(v) is nondecreasing, so ordered
-    states stay ordered. With `descend`, a step that rises above 1e-10 (the
-    start was no supersolution) is a ConsistencyError. The boundary data
-    are read from u0. `op` is a prebuilt `flow_operator` for flows that
-    share one (nl, grid, kind, trace), as a sweep's trials do; without it
-    the flow builds its own. A u0 whose trace row is not the one `op` was
-    built from is a ConsistencyError.
+    states stay ordered down to the basin. With `descend`, a step that rises
+    above 1e-10 (the start was no supersolution) is a ConsistencyError. The
+    boundary data are read from u0. `op` is a prebuilt `flow_operator` for
+    flows that share one (nl, grid, kind, trace), as a sweep's trials do;
+    without it the flow builds its own. A u0 whose trace row is not the one
+    `op` was built from is a ConsistencyError.
 
     The flow stops when the max-norm residual is at most res_target, after
     max_steps steps, or, given `basin`, at the first step from a residual at
     or below basin that does not cut it by the factor _FLOW_CONTRACTION: the
     flow has reached the rounding floor, or a state it cannot contract
     (where f' is about 0, as on a flat zero interval of f), and Newton
-    should finish. Returns (state, steps, residual, ratio): the residual at
-    the state, and its ratio to the previous step's (None before the first
+    should finish. In the basin (from a residual at or below it), once the
+    last two residual ratios since the last jump agree to _TAIL_AGREE, the
+    step is multiplied by 1 / (1 - ratio): the sum of the geometric tail
+    that ratio describes, which removes the dominant mode at once (Aitken's
+    delta-squared process on the flow's linear tail). The stall check
+    returns first when the ratio exceeds _FLOW_CONTRACTION, so the factor
+    is at most 2; such a jump keeps no order. Flows with no basin take no
+    jump. Returns (state, steps, residual, ratio): the residual at the
+    state, and its ratio to the previous step's (None before the first
     step). steps == max_steps means the flow stopped at the cap. A NaN or
     infinite residual is a NumericError naming the step.
     """
@@ -401,7 +412,8 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
     L, b, solve = op.L, op.b, op.solve
     v = _vec(u0, kind).copy()
     abs_rate = np.empty_like(v)       # |rate|, rewritten every step
-    rn_prev = ratio = None
+    rn_prev = ratio = ratio_prev = None
+    k_tail = -1                       # step of the last tail jump
     for k in range(max_steps + 1):
         rate = L @ v                  # rate = L v + b + f(v), summed in place
         rate += b
@@ -410,16 +422,21 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
         if not math.isfinite(rn):
             raise NumericError(f"flow_relax: non-finite residual at step {k}")
         if k:
-            ratio = rn / rn_prev
-        stalled = (basin is not None and k and rn_prev <= basin
-                   and ratio > _FLOW_CONTRACTION)
-        if rn <= res_target or k == max_steps or stalled:
+            ratio_prev, ratio = ratio, rn / rn_prev
+        in_basin = basin is not None and k and rn_prev <= basin
+        if rn <= res_target or k == max_steps or (in_basin and ratio > _FLOW_CONTRACTION):
             return _unvec(v, u0, kind), k, rn, ratio
         step = solve(rate)
         if descend and np.max(step) > 1e-10:
             raise ConsistencyError(f"monotone flow lost ordering at step {k} "
                                    f"(worst rise {np.max(step):.3e}): the start "
                                    "is not a supersolution")
+        # two steady ratios since the last jump: one mode's geometric tail,
+        # whose sum is the step times 1 / (1 - ratio), at most 2 here
+        if (in_basin and k >= k_tail + 3
+                and abs(ratio - ratio_prev) <= _TAIL_AGREE * ratio):
+            step *= 1.0 / (1.0 - ratio)
+            k_tail = k
         v += step
         rn_prev = rn
 
@@ -465,8 +482,9 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     trace-extension default; a non-finite value in it is an InputError. The
     auto method runs the parabolic flow to tol, so the answer is the state
     the evolution selects. Once the residual is
-    at or below flow_target, a flow step that does not cut it by the factor
-    _FLOW_CONTRACTION ends the flow, and Newton finishes from that state.
+    at or below flow_target, the flow takes its tail jumps, and a flow step
+    that does not cut the residual by the factor _FLOW_CONTRACTION ends the
+    flow, and Newton finishes from that state.
     meta["handoff"] records the flow's residual and step ratio there, and
     is None when the flow reached tol; meta["iterations"] is Newton's count,
     0 when Newton did not run.

@@ -11,15 +11,17 @@ random smooth starts:
                 floor, expect the rising profile over the floor with no
                 lateral variation.
 
-Each trial runs the order-preserving semi-implicit flow from its start down
-to the rounding floor, so it reports the state the evolution selects; Newton
-finishes only a trial whose flow stops contracting above tol. The flow's
-operator (L, b and the K - L solver) is fixed by the sweep's grid and
-trace, so a sweep builds it once and its trials share it. Every report
-carries an explicit surrogate-domain banner so the results are never
-mistaken for statements about the unbounded problem. Trials are
-reproducible: trials run one after another, trial k of a sweep with seed s
-draws from SeedSequence((s, k)), and aggregation is in trial order.
+Each trial runs the semi-implicit flow from its start down to the rounding
+floor, so it reports the state the evolution selects: the flow keeps order
+down to its basin, and in the basin it sums its geometric tail in jumps of
+at most 2x a step. Newton finishes only a trial whose flow stops
+contracting above tol. The flow's operator (L, b and the K - L solver) is
+fixed by the sweep's grid and trace, so a sweep builds it once and its
+trials share it. Every report carries an explicit surrogate-domain banner
+so the results are never mistaken for statements about the unbounded
+problem. Trials are reproducible: trials run one after another, trial k of
+a sweep with seed s draws from SeedSequence((s, k)), and aggregation is in
+trial order.
 """
 
 from __future__ import annotations
@@ -119,14 +121,16 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray,
                   op: FlowOperator) -> Field:
     """Flow to the rounding floor; Newton finishes only if it stalls above _TRIAL_TOL.
 
-    The semi-implicit flow keeps order, so the trial lands on the state the
-    evolution from u0 selects; Newton run straight from noise could land on
-    any state, the unstable ones included. Below a residual of 1e-5 the flow
-    runs while each step at least halves the residual, which carries it to
-    the rounding floor (about 5e-14 at h = 0.25 and 2e-13 at h = 0.125, so
-    no fixed target fits every grid). A state at or below _TRIAL_TOL is the
-    answer; otherwise Newton starts from it. `op` is the sweep's shared
-    `flow_operator`, built for the trace tr.
+    The semi-implicit flow keeps order down to a residual of 1e-5, so the
+    trial lands on the state the evolution from u0 selects; Newton run
+    straight from noise could land on any state, the unstable ones
+    included. Below 1e-5 the flow runs while each step at least halves the
+    residual, and jumps its geometric tail once two ratios agree (at most 2x
+    a step), which carries it to the rounding floor (about 5e-14 at
+    h = 0.25 and 2e-13 at h = 0.125, so no fixed target fits every grid).
+    A state at or below _TRIAL_TOL is the answer; otherwise Newton starts
+    from it. `op` is the sweep's shared `flow_operator`, built for the
+    trace tr.
     """
     u = _apply_boundary(u0, kind, tr)
     u_flow, _, res, _ = flow_relax(nl, u, grid, kind, res_target=0.0, basin=1e-5,
@@ -171,6 +175,8 @@ def _sweep(nl: Nonlinearity, domain: str, L: float, h: float, n_trials: int,
     """Trials run in order; trial k draws its start from SeedSequence((seed, k))."""
     if n_trials < 1:
         raise InputError("need n_trials >= 1")
+    if seed < 0:
+        raise InputError(f"need seed >= 0, got {seed}")
     grid = make_grid(L, L, h)
     E = zero_set(nl)
     if not E.points and not E.intervals:

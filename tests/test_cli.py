@@ -138,6 +138,8 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     ["solve-quarter", "--f", "logistic", "--L1", "nan"],
     ["solve-quarter", "--f", "logistic", "--L1", "inf"],
     ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--L", "nan"],
+    ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--L", "8", "--h", "0.25",
+     "--trials", "1", "--seed", "-1"],
     ["profile", "--f", "logistic", "--z", "1", "--xi-max", "nan"],
     ["eigen", "--N", "2", "--R", "nan"],
     ["slide", "--f", "logistic", "--L1", "20", "--L2", "12", "--h", "0.5",

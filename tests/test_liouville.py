@@ -13,7 +13,7 @@ import farfield.elliptic as elliptic
 import farfield.liouville as liouville
 from farfield.elliptic import solve_field
 from farfield.errors import ConsistencyError, InputError, NumericError
-from farfield.grids import make_grid
+from farfield.grids import as_trace, make_grid
 from farfield.liouville import (SURROGATE_BANNER, halfspace_strip_sweep,
                                 noise_start, periodic_box_sweep)
 from farfield.nonlinearity import from_table, make
@@ -229,6 +229,74 @@ def test_consistency_error_is_not_swallowed(monkeypatch):
     nl, u0, op = _flat_interval_start(g)
     with pytest.raises(ConsistencyError):
         liouville._robust_solve(nl, g, "half", 0.99, u0, op)
+
+
+def _strip_starts(n=20):
+    # the sweep's own abs-sin strip starts (L 8, h 0.25, seed 0), with the op
+    nl = make("abs-sin")
+    g = make_grid(8.0, 8.0, 0.25)
+    tr = as_trace(0.0, g, "half")
+    starts = [liouville._apply_boundary(
+        noise_start(g, "half", np.random.default_rng(np.random.SeedSequence((0, k)))),
+        "half", tr) for k in range(n)]
+    return nl, g, starts, elliptic.flow_operator(nl, g, "half", tr)
+
+
+def test_basin_flow_jumps_its_geometric_tail_to_the_plain_flow_state():
+    # in the basin the strip flow contracts by a steady 0.335 a step; the
+    # tail jump sums that geometric tail, so the flow reaches the rounding
+    # floor in fewer steps and lands where the plain flow does
+    nl, g, starts, op = _strip_starts()
+    steps = []
+    for u0 in starts:
+        u, k, res, _ = elliptic.flow_relax(nl, u0, g, "half", res_target=0.0,
+                                           basin=1e-5, op=op)
+        u_plain, _, res_plain, _ = elliptic.flow_relax(nl, u0, g, "half",
+                                                       res_target=1e-12, op=op)
+        assert res <= 1e-12 and res_plain <= 1e-12
+        assert float(np.max(np.abs(u - u_plain))) <= 1e-12
+        steps.append(k)
+    assert np.median(steps) <= 28, steps
+
+
+def test_tail_jump_waits_for_the_basin():
+    # above the basin the flow is the plain order-keeping step: a basin flow
+    # matches the plain flow bit for bit until one step after its residual
+    # first reaches the basin; the step after that is the first jump
+    basin = 1e-5
+    nl, g, starts, op = _strip_starts(1)
+    for k0 in range(1, 40):
+        _, _, res, _ = elliptic.flow_relax(nl, starts[0], g, "half", res_target=0.0,
+                                           max_steps=k0, op=op)
+        if res <= basin:
+            break
+    runs = {cap: [elliptic.flow_relax(nl, starts[0], g, "half", res_target=0.0,
+                                      max_steps=cap, basin=b, op=op)[0]
+                  for b in (basin, None)]
+            for cap in (k0 + 1, k0 + 2)}
+    assert np.array_equal(*runs[k0 + 1])
+    assert not np.array_equal(*runs[k0 + 2])
+
+
+_SWEEP_COUNTS = {   # (domain, h): verdicts of 20 abs-sin trials, L 8, seed 0
+    ("box", 0.5): {"constant": 20}, ("strip", 0.5): {"other": 20},
+    ("box", 0.25): {"constant": 20}, ("strip", 0.25): {"profile": 20},
+    ("box", 0.125): {"constant": 20}, ("strip", 0.125): {"profile": 20},
+}
+
+
+@pytest.mark.parametrize("domain, h", list(_SWEEP_COUNTS))
+def test_sweep_tails_keep_verdicts_without_newton(domain, h, monkeypatch):
+    # the tail jump lands every trial on the rounding floor: no trial stalls
+    # above _TRIAL_TOL, so none reaches Newton
+    def refuse(*args, **kwargs):
+        raise AssertionError("no abs-sin trial should reach Newton")
+
+    monkeypatch.setattr(liouville, "newton_solve", refuse)
+    sweep = periodic_box_sweep if domain == "box" else halfspace_strip_sweep
+    rep = sweep(make("abs-sin"), L=8.0, h=h, n_trials=20, seed=0)
+    assert rep.counts == _SWEEP_COUNTS[domain, h]
+    assert all(t.residual <= 1e-12 for t in rep.trials)
 
 
 # ---------------------------------------------------------------------------
