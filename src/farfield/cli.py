@@ -17,8 +17,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .elliptic import (dirichlet_eigenpair, radial_bubble, sliding_verify,
                        solve_field)
 from .errors import ConfigError, ConsistencyError, InputError, NumericError
@@ -37,10 +35,11 @@ _DEFAULT_CONFIG = {
     "nonlinearity": {"spec": "abs-sin", "s_max": None},
     "domain": {"kind": "quarter", "L1": 40.0, "L2": 20.0, "h": 0.25,
                "trace": "constant:0.5", "u0": None},
-    "solver": {"method": "auto", "tol": 1e-9, "flow_target": 1e-3},
+    "solver": {"method": "auto", "tol": 1e-9},
     "analysis": {"n_shifts": 16, "conv_tol": 1e-2},
     "output": {"dir": "out", "dump_fields": False, "plots": True},
 }
+_METHODS = ("newton", "auto")     # solve_field's methods
 
 
 def _json_type(val) -> str:
@@ -61,6 +60,7 @@ def load_config(path: str) -> dict:
 
     A value must have its default's JSON type. The keys whose default is
     null (s_max, u0) take a number or null, and only they take null.
+    solver.method must be one of _METHODS.
     """
     try:
         with open(path) as fh:
@@ -86,6 +86,9 @@ def load_config(path: str) -> dict:
                 want = "number or null" if want == "null" else want
                 raise ConfigError(f"{path}: {key}.{k2} must be a {want} (got {got})")
             cfg[key][k2] = v2
+    if cfg["solver"]["method"] not in _METHODS:
+        raise ConfigError(f"{path}: solver.method must be one of {', '.join(_METHODS)} "
+                          f"(got {cfg['solver']['method']!r})")
     return cfg
 
 
@@ -134,7 +137,7 @@ def _plot_ladder(path: str, rows: list) -> None:
         raise InputError("distance ladder rows must be {h, z, d} with every "
                          "candidate present at every shift") from None
     svg_line_plot(path, hs, series, title="window distance vs shift",
-                  xlabel="shift", ylabel="sup distance", logy=True)
+                  xlabel="shift", ylabel="sup distance")
 
 
 def _write_analysis(nl, spec: str, out: str):
@@ -158,13 +161,13 @@ def _write_analysis(nl, spec: str, out: str):
 
 def _solve(args, nl):
     """The one solve path: grid, trace, then solve_field, set from args (kind,
-    L1, L2, h, trace, u0, method, tol, flow_target). Returns the field and
-    the solve's wall time in ms."""
+    L1, L2, h, trace, u0, method, tol). Returns the field and the solve's
+    wall time in ms."""
     grid = make_grid(args.L1, args.L2, args.h)
     trace = make_trace(args.trace, nl, grid, args.kind)
     t0 = time.perf_counter()
     field = solve_field(nl, grid, args.kind, trace, method=args.method,
-                        u0=args.u0, tol=args.tol, flow_target=args.flow_target)
+                        u0=args.u0, tol=args.tol)
     return field, 1000.0 * (time.perf_counter() - t0)
 
 
@@ -269,18 +272,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_trajectory(args) -> int:
-    check_ladder(args.n_shifts, args.conv_tol)
-    nl = _nl(args)
-    out = _outdir(args)
-    field, _ = _solve(args, nl)
-    rep, _ = _far_field(args, nl, field, out)
-    state = "converged" if rep.converged else "unresolved"
-    print(f"trajectory: {state}, level {rep.detected_z}, "
-          f"tail slope {rep.tail_slope}")
-    return 0
-
-
 def cmd_bubble(args) -> int:
     nl = _nl(args)
     out = _outdir(args)
@@ -292,11 +283,11 @@ def cmd_bubble(args) -> int:
         fh.write("r,v,vp\n")
         for r, v, vp in zip(bub.r, bub.v, bub.vp):
             fh.write(f"{r:.17g},{v:.17g},{vp:.17g}\n")
-    _write_json({"z": bub.z, "eps": bub.eps, "N": bub.N, "v0": bub.v0,
+    _write_json({"z": bub.z, "eps": bub.eps, "N": bub.N, "v0": bub.a,
                  "R": bub.R, "bisections": bub.bisections,
                  "energy": bub.energy},
                 os.path.join(out, "bubble.json"))
-    print(f"cap: center height {bub.v0:.12g}, radius {bub.R:.12g}, "
+    print(f"cap: center height {bub.a:.12g}, radius {bub.R:.12g}, "
           f"energy {bub.energy:.12g}")
     return 0
 
@@ -443,23 +434,15 @@ def _add_f(p):
                    help="override the analysis window")
 
 
-def _add_domain(p, kind_choice=False):
-    """The domain and solver flags, with their defaults from _DEFAULT_CONFIG.
-
-    flow_target has no flag; it rides along at its default, so the solve
-    helpers read every setting from args as `run` gives it.
-    """
+def _add_domain(p):
+    """The domain and solver flags, with their defaults from _DEFAULT_CONFIG."""
     dom, sol = _DEFAULT_CONFIG["domain"], _DEFAULT_CONFIG["solver"]
     for name in ("L1", "L2", "h"):
         p.add_argument(f"--{name}", type=float, default=dom[name])
     p.add_argument("--trace", default=dom["trace"])
-    p.add_argument("--method", default=sol["method"],
-                   choices=("newton", "monotone", "auto"))
+    p.add_argument("--method", default=sol["method"], choices=_METHODS)
     p.add_argument("--u0", type=float, default=dom["u0"])
     p.add_argument("--tol", type=float, default=sol["tol"])
-    if kind_choice:
-        p.add_argument("--kind", default=dom["kind"], choices=("quarter", "half"))
-    p.set_defaults(flow_target=sol["flow_target"])
 
 
 def _point(text: str) -> tuple:
@@ -503,12 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_domain(p)
         _add_flags(p, "out", "dump-fields", "no-plots", "n-shifts", "conv-tol")
         p.set_defaults(func=cmd_solve, kind=kind)
-
-    p = sub.add_parser("trajectory", help="solve and classify the far-field limit")
-    _add_f(p)
-    _add_domain(p, kind_choice=True)
-    _add_flags(p, "out", "no-plots", "n-shifts", "conv-tol")
-    p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("bubble", help="radial cap for sliding comparisons")
     _add_f(p)

@@ -24,19 +24,18 @@ mode's geometric decay dominates, a step whose last two residual ratios
 agree is stretched by 1 / (1 - ratio) to the sum of that tail, at most 2x
 a step. `flow_operator` builds its fixed parts once, so flows that share
 them (a sweep's trials) assemble nothing more.
-`solve_field` builds its three methods from this flow and one damped Newton
+`solve_field` builds its two methods from this flow and one damped Newton
 iteration, `newton_solve`, whose steps solve with the Jacobian L + diag(f')
 through `_factor` (a sparse LU up to _DIRECT_MAX unknowns, bicgstab above);
-a test checks that newton and monotone reach the same state on a logistic
-quarter:
+a test checks that Newton and the flow run to tol with no basin reach the
+same state on a logistic quarter:
 
-  newton   : damped Newton on the sparse system, from the start state;
-  monotone : the flow run to tol from a supersolution, each step checked
-             to descend;
-  auto     : the flow run to tol, so the answer is the state the evolution
-             selects (this matters when several plateaus exist). Once in
-             the basin, a step that does not halve the residual hands the
-             state to Newton, which finishes; the handoff is recorded.
+  newton : damped Newton on the sparse system, from the start state;
+  auto   : the flow run to tol, so the answer is the state the evolution
+           selects (this matters when several plateaus exist). Once in
+           the basin (a residual at or below _FLOW_TARGET), a step that
+           does not halve the residual hands the state to Newton, which
+           finishes; the handoff is recorded.
 
 The reaction term is always evaluated with its argument clipped to the
 analysis window; solutions that finish outside the window are flagged.
@@ -54,7 +53,6 @@ from scipy.linalg import solve_banded
 from scipy.sparse import dia_matrix, diags
 from scipy.sparse.linalg import bicgstab, splu
 
-from . import nonlinearity as nlm
 from .errors import ConsistencyError, InputError, NumericError
 from .grids import Field, Grid2D, _check_kind, as_trace
 from .nonlinearity import Nonlinearity, eval_capped, eval_capped_float, integral_between
@@ -65,6 +63,7 @@ _DENSE_MAX_AXIS = 64          # shifted solves by dense eigenbasis products up t
 _NEWTON_MAX_ITER = 60
 _FPRIME_DELTA = 1e-7          # central-difference step of Newton's f'
 _FLOW_MAX_STEPS = 200_000
+_FLOW_TARGET = 1e-3           # solve_field's basin: residual below which Newton may finish
 _FLOW_CONTRACTION = 0.5       # in the basin, a step must cut the residual this much
 _TAIL_AGREE = 0.05            # relative gap of two ratios that make a geometric tail
 _LINE_SEARCH_MIN = 1.0 / 1024.0
@@ -302,11 +301,13 @@ def _factor(A):
 # ---------------------------------------------------------------------------
 # solvers
 
-def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, trace: np.ndarray,
-                 u0: np.ndarray, tol: float = 1e-9) -> Field:
-    """Damped Newton iteration from u0 (full array, boundary rows included);
-    a final residual not at or below tol, NaN included, is a NumericError."""
-    L, b = assemble_laplacian(grid, kind, trace)
+def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, u0: np.ndarray,
+                 tol: float = 1e-9) -> Field:
+    """Damped Newton iteration from u0 (full array, boundary rows included).
+
+    The boundary data are read from u0, as the flow reads them. A final
+    residual not at or below tol, NaN included, is a NumericError."""
+    L, b = assemble_laplacian(grid, kind, _trace_row(u0, kind))
     v = _vec(u0, kind)
 
     def res(vv):
@@ -371,20 +372,18 @@ def flow_operator(nl: Nonlinearity, grid: Grid2D, kind: str,
 
 def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
                res_target: float = 1e-3, max_steps: int = _FLOW_MAX_STEPS,
-               descend: bool = False, basin: float | None = None,
-               op: FlowOperator | None = None):
+               basin: float | None = None, op: FlowOperator | None = None):
     """Semi-implicit parabolic flow u_t = Delta u + f(u) until the residual drops.
 
     Each step solves (K - L) dv = L v + b + f(v), K = max(Lip f, 1e-6):
     implicit Laplacian, explicit reaction, dt = 1/K. The solve is
     `shifted_solver`'s, so no grid size is too large for it.
     K - L is an M-matrix and v -> K v + f(v) is nondecreasing, so ordered
-    states stay ordered down to the basin. With `descend`, a step that rises
-    above 1e-10 (the start was no supersolution) is a ConsistencyError. The
-    boundary data are read from u0. `op` is a prebuilt `flow_operator` for
-    flows that share one (nl, grid, kind, trace), as a sweep's trials do;
-    without it the flow builds its own. A u0 whose trace row is not the one
-    `op` was built from is a ConsistencyError.
+    states stay ordered down to the basin. The boundary data are read from
+    u0. `op` is a prebuilt `flow_operator` for flows that share one (nl,
+    grid, kind, trace), as a sweep's trials do; without it the flow builds
+    its own. A u0 whose trace row is not the one `op` was built from is a
+    ConsistencyError.
 
     The flow stops when the max-norm residual is at most res_target, after
     max_steps steps, or, given `basin`, at the first step from a residual at
@@ -427,10 +426,6 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
         if rn <= res_target or k == max_steps or (in_basin and ratio > _FLOW_CONTRACTION):
             return _unvec(v, u0, kind), k, rn, ratio
         step = solve(rate)
-        if descend and np.max(step) > 1e-10:
-            raise ConsistencyError(f"monotone flow lost ordering at step {k} "
-                                   f"(worst rise {np.max(step):.3e}): the start "
-                                   "is not a supersolution")
         # two steady ratios since the last jump: one mode's geometric tail,
         # whose sum is the step times 1 / (1 - ratio), at most 2 here
         if (in_basin and k >= k_tail + 3
@@ -439,16 +434,6 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
             k_tail = k
         v += step
         rn_prev = rn
-
-
-def _default_start(grid: Grid2D, kind: str, trace: np.ndarray) -> np.ndarray:
-    """Trace extended constantly in x1; floor row zeroed on the quarter."""
-    n1 = grid.n1
-    u = np.tile(trace, (n1 + 1, 1)).astype(float)
-    if kind == "quarter":
-        u[:, 0] = 0.0
-        u[0, :] = trace
-    return u
 
 
 def _apply_boundary(u: np.ndarray, kind: str, trace: np.ndarray | None) -> np.ndarray:
@@ -474,20 +459,19 @@ def _finish(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str,
 
 
 def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
-                method: str = "auto", u0=None, tol: float = 1e-9,
-                flow_target: float = 1e-3) -> Field:
+                method: str = "auto", u0=None, tol: float = 1e-9) -> Field:
     """Solve Delta u + f(u) = 0 on the requested domain kind.
 
     u0 may be a scalar (constant start), a full array, or None for the
-    trace-extension default; a non-finite value in it is an InputError. The
+    trace extended constantly in x1; a non-finite value in it is an
+    InputError. The newton method runs `newton_solve` from that start. The
     auto method runs the parabolic flow to tol, so the answer is the state
-    the evolution selects. Once the residual is
-    at or below flow_target, the flow takes its tail jumps, and a flow step
-    that does not cut the residual by the factor _FLOW_CONTRACTION ends the
-    flow, and Newton finishes from that state.
-    meta["handoff"] records the flow's residual and step ratio there, and
-    is None when the flow reached tol; meta["iterations"] is Newton's count,
-    0 when Newton did not run.
+    the evolution selects. Once the residual is at or below _FLOW_TARGET,
+    the flow takes its tail jumps, and a flow step that does not cut the
+    residual by the factor _FLOW_CONTRACTION ends the flow, and Newton
+    finishes from that state. meta["handoff"] records the flow's residual
+    and step ratio there, and is None when the flow reached tol;
+    meta["iterations"] is Newton's count, 0 when Newton did not run.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"solve_field: tol must be finite and positive, got {tol!r}")
@@ -501,40 +485,29 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
         tr = as_trace(trace, grid, kind)
         shape = (grid.n1 + 1, tr.size)
     if u0 is None:
-        u = _default_start(grid, kind, tr)
-    elif not np.all(np.isfinite(np.asarray(u0, dtype=float))):
-        raise InputError("u0 contains non-finite values")
+        u0 = np.tile(tr, (grid.n1 + 1, 1))
     elif np.isscalar(u0):
-        u = _apply_boundary(np.full(shape, float(u0)), kind, tr)
-    else:
-        u0 = np.asarray(u0, dtype=float)
-        if u0.shape != shape:
-            raise InputError(f"u0 has shape {u0.shape}, domain wants {shape}")
-        u = _apply_boundary(u0, kind, tr)
+        u0 = np.full(shape, float(u0))
+    u0 = np.asarray(u0, dtype=float)
+    if not np.all(np.isfinite(u0)):
+        raise InputError("u0 contains non-finite values")
+    if u0.shape != shape:
+        raise InputError(f"u0 has shape {u0.shape}, domain wants {shape}")
+    u = _apply_boundary(u0, kind, tr)
 
     if method == "newton":
-        f = newton_solve(nl, grid, kind, tr, u, tol=tol)
-    elif method == "monotone":
-        u_m, steps, res, _ = flow_relax(nl, u, grid, kind, res_target=tol,
-                                        max_steps=_FLOW_MAX_STEPS, descend=True)
-        if not res <= tol:
-            raise NumericError(f"monotone flow did not reach tol={tol:g} "
-                               f"in {steps} steps")
-        f = _finish(nl, u_m, grid, kind, res,
-                    {"method": "monotone", "iterations": steps, "direction": "above"})
-    elif method == "auto":
-        u_flow, steps, res, ratio = flow_relax(nl, u, grid, kind, res_target=tol,
-                                               max_steps=_FLOW_MAX_STEPS,
-                                               basin=flow_target)
-        if res <= tol:
-            f = _finish(nl, u_flow, grid, kind, res, {"iterations": 0, "handoff": None})
-        else:
-            f = newton_solve(nl, grid, kind, tr, u_flow, tol=tol)
-            f.meta["handoff"] = {"residual": res, "ratio": ratio}
-        f.meta.update(method="auto", flow_steps=steps,
-                      flow_capped=steps == _FLOW_MAX_STEPS)
+        return newton_solve(nl, grid, kind, u, tol=tol)
+    if method != "auto":
+        raise InputError(f"unknown method {method!r} (newton | auto)")
+    u_flow, steps, res, ratio = flow_relax(nl, u, grid, kind, res_target=tol,
+                                           max_steps=_FLOW_MAX_STEPS,
+                                           basin=_FLOW_TARGET)
+    if res <= tol:
+        f = _finish(nl, u_flow, grid, kind, res, {"iterations": 0, "handoff": None})
     else:
-        raise InputError(f"unknown method {method!r} (newton | monotone | auto)")
+        f = newton_solve(nl, grid, kind, u_flow, tol=tol)
+        f.meta["handoff"] = {"residual": res, "ratio": ratio}
+    f.meta.update(method="auto", flow_steps=steps, flow_capped=steps == _FLOW_MAX_STEPS)
     return f
 
 
@@ -632,10 +605,6 @@ class Bubble:
     feasible: bool
     bisections: int
     energy: float = math.nan   # cap energy over its own ball (feasible caps)
-
-    @property
-    def v0(self) -> float:
-        return self.a
 
 
 def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
@@ -800,9 +769,7 @@ def sliding_verify(field: Field, bub: Bubble, start, stop, steps: int = 61) -> S
                 f"sliding_verify: footprint of radius {R:g} at ({c[0]:g},{c[1]:g}) "
                 "leaves the open domain")
 
-    x1 = g.x1
-    x2 = g.x2(field.kind)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    X1, X2 = np.meshgrid(g.x1_nodes("quarter"), g.x2("quarter"), indexing="ij")
     margins = np.empty(steps)
     for k, c in enumerate(centers):
         d = np.hypot(X1 - c[0], X2 - c[1])

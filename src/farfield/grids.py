@@ -30,10 +30,6 @@ class Grid2D:
     n1: int
     n2: int
 
-    @property
-    def x1(self) -> np.ndarray:
-        return np.arange(self.n1 + 1) * self.h
-
     def x1_nodes(self, kind: str) -> np.ndarray:
         _check_kind(kind)
         n = self.n1 if kind == "torus" else self.n1 + 1

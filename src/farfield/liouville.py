@@ -137,7 +137,7 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray,
                                    op=op)
     if res <= _TRIAL_TOL:
         return _finish(nl, u_flow, grid, kind, res, {"method": "flow", "iterations": 0})
-    return newton_solve(nl, grid, kind, tr, u_flow, tol=_TRIAL_TOL)
+    return newton_solve(nl, grid, kind, u_flow, tol=_TRIAL_TOL)
 
 
 def _dist_to_zero_set(E, s: float) -> float:

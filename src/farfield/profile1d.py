@@ -41,6 +41,7 @@ from .nonlinearity import Nonlinearity, integral_between, zero_set
 from .odes import integrate
 
 _CROSSCHECK_TOL = 1e-6
+_LAUNCH_TOL = 1e-11   # RK4 tolerance of a profile or probe launch
 _EXIT_TOL = 1e-8      # the mesh ends this far below the limit z
 # stop comparing once within this distance of the limit: the launch route's
 # error is amplified like exp(xi) there, so the window must end while the
@@ -112,8 +113,7 @@ def shoot_slope(nl: Nonlinearity, z: float) -> float:
     return float(np.sqrt(2.0 * Fz))
 
 
-def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid,
-                          tol: float = 1e-11, events=None):
+def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None):
     """Direct RK4 route: integrate V'' = -f(V) from (V, V') = (0, slope0).
 
     The caller supplies the launch slope: `shoot_slope` for the profile
@@ -129,7 +129,7 @@ def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid,
         return y[1], -nlm.eval_capped_float(nl, y[0])
 
     res = integrate(rhs, 0.0, (0.0, slope0), float(xi_grid[-1]),
-                    tol=tol, sample_ts=xi_grid, events=events, breaks=nl.kinks)
+                    tol=_LAUNCH_TOL, sample_ts=xi_grid, events=events, breaks=nl.kinks)
     filled = res.samples_filled
     return res.sample_ys[:filled, 0], res.sample_ys[:filled, 1], res
 
@@ -255,14 +255,11 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
     if not 0 < xi_max < math.inf or n < 8:
         raise InputError("compute_profile: need finite xi_max > 0 and n >= 8")
     xi = np.linspace(0.0, xi_max, n + 1)
-
-    if z <= 1e-14:
-        if 0.0 not in zero_set(nl):
-            raise InfeasibleProfileError("zero profile needs f(0) = 0")
+    slope0 = shoot_slope(nl, z)
+    if slope0 == 0.0:      # the zero profile
         zeros = np.zeros_like(xi)
         return Profile1D(0.0, 0.0, xi, zeros, zeros.copy(), 0.0, xi_max)
 
-    slope0 = shoot_slope(nl, z)
     v_mesh, w_mesh, xi_nodes = _xi_quadrature_mesh(nl, z, _EXIT_TOL)
     spline = CubicHermiteSpline(xi_nodes, v_mesh, w_mesh)
 
@@ -275,7 +272,7 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
     # profile is still a fixed distance below its limit.
     n_chk = max(int(np.searchsorted(values, z - _CROSSCHECK_FLOOR, side="right")), 2)
     n_chk = min(n_chk, xi.size)
-    v_ode, _, _ = integrate_profile_ode(nl, slope0, xi[:n_chk], tol=1e-11)
+    v_ode, _, _ = integrate_profile_ode(nl, slope0, xi[:n_chk])
     crosscheck = float(np.max(np.abs(values[:v_ode.size] - v_ode)))
     if not crosscheck <= _CROSSCHECK_TOL:
         raise ConsistencyError(
@@ -323,8 +320,7 @@ def disconnectedness_probe(nl: Nonlinearity, z: float, delta: float, sign: int,
     ]
     names = {0: "crossed_limit", 1: "stalled_below", 2: "returned_to_zero", 3: "left_window"}
 
-    v, w, res = integrate_profile_ode(nl, shoot_slope(nl, z) + kick, xi, tol=1e-11,
-                                      events=events)
+    v, w, res = integrate_profile_ode(nl, shoot_slope(nl, z) + kick, xi, events=events)
     if res.event_index is None:
         event, xe, ve, we = "none", None, None, None
     else:

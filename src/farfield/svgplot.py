@@ -1,8 +1,8 @@
 """Tiny deterministic SVG line plots (no plotting stack, no timestamps).
 
 Output bytes are a pure function of the inputs, so replotting the same data
-gives identical files. Only what the reports need: line series on linear or
-log-y axes with ticks and labels.
+gives identical files. Only what the reports need: line series on a log-y
+axis with ticks and labels.
 """
 
 from __future__ import annotations
@@ -38,19 +38,17 @@ def _ticks(lo: float, hi: float):
 
 
 def svg_line_plot(path: str, xs, series: dict, title: str = "",
-                  xlabel: str = "", ylabel: str = "", logy: bool = False) -> None:
-    """Write a line plot; series maps label -> y array over the shared xs."""
+                  xlabel: str = "", ylabel: str = "") -> None:
+    """Write a log-y line plot; series maps label -> y array over the shared
+    xs. Values at or below 0 are left out of the axis range and the lines."""
     xs = np.asarray(xs, dtype=float)
     if xs.size < 2 or not series:
         raise InputError("svg_line_plot: need at least 2 points and one series")
     ys_all = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    if logy:
-        ys_all = ys_all[ys_all > 0]
-        if ys_all.size == 0:
-            raise InputError("svg_line_plot: log axis needs positive values")
-        ylo, yhi = math.log10(ys_all.min()), math.log10(ys_all.max())
-    else:
-        ylo, yhi = float(ys_all.min()), float(ys_all.max())
+    ys_all = ys_all[ys_all > 0]
+    if ys_all.size == 0:
+        raise InputError("svg_line_plot: log axis needs positive values")
+    ylo, yhi = math.log10(ys_all.min()), math.log10(ys_all.max())
     if yhi - ylo < 1e-300:
         yhi = ylo + 1.0
     xlo, xhi = float(xs.min()), float(xs.max())
@@ -59,8 +57,7 @@ def svg_line_plot(path: str, xs, series: dict, title: str = "",
         return _ML + (x - xlo) / (xhi - xlo) * (_W - _ML - _MR)
 
     def py(y):
-        yy = math.log10(y) if logy else y
-        return _H - _MB - (yy - ylo) / (yhi - ylo) * (_H - _MT - _MB)
+        return _H - _MB - (math.log10(y) - ylo) / (yhi - ylo) * (_H - _MT - _MB)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
              f'viewBox="0 0 {_W} {_H}">',
@@ -81,12 +78,11 @@ def svg_line_plot(path: str, xs, series: dict, title: str = "",
     # y ticks
     yticks = _ticks(ylo, yhi)
     for t in yticks:
-        y = py(10.0 ** t) if logy else py(t)
-        lab = f"1e{t:g}" if logy else f"{t:g}"
+        y = py(10.0 ** t)
         parts.append(f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" '
                      f'stroke="#333333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end" '
-                     f'font-family="monospace" font-size="11">{lab}</text>')
+                     f'font-family="monospace" font-size="11">1e{t:g}</text>')
     if xlabel:
         parts.append(f'<text x="{_W // 2}" y="{_H - 10}" text-anchor="middle" '
                      f'font-family="monospace" font-size="12">{_esc(xlabel)}</text>')
@@ -101,7 +97,7 @@ def svg_line_plot(path: str, xs, series: dict, title: str = "",
         color = _COLORS[ci % len(_COLORS)]
         pts = []
         for x, y in zip(xs, ys):
-            if logy and y <= 0:
+            if y <= 0:
                 continue
             pts.append(f"{px(x):.2f},{py(y):.2f}")
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '

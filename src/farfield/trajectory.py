@@ -32,6 +32,7 @@ _M_MARGIN = 0.5            # levels up to M + this stay candidates
 _MARGIN_FACTOR = 2.0       # runner-up must be this many times farther
 _CONV_TOL = 1e-2
 _WINDOW_FRAC = 0.25        # comparison window length, as a share of n1
+_M_FRACS = (0.25, 0.5, 0.75)  # estimate_M: trailing windows from these shares of L1
 
 
 def shift(field: Field, delta: float) -> Field:
@@ -63,21 +64,18 @@ class MEstimate:
     deltas: np.ndarray      # |change of M| between successive windows
 
 
-def estimate_M(field: Field,
-               window_fracs: tuple = (0.25, 0.5, 0.75)) -> MEstimate:
+def estimate_M(field: Field) -> MEstimate:
     """Bound the eventual amplitude from trailing windows x1 >= frac * L1.
 
-    The fractions must increase inside (0, 1); later (smaller) windows see
-    only the far field, and the drift of the sup between windows is the
-    Cauchy indicator for whether the truncation was long enough.
+    The fractions are _M_FRACS, increasing inside (0, 1); later (smaller)
+    windows see only the far field, and the drift of the sup between
+    windows is the Cauchy indicator for whether the truncation was long
+    enough.
     """
-    fr = tuple(float(f) for f in window_fracs)
-    if not fr or any(not 0.0 < f < 1.0 for f in fr) or list(fr) != sorted(set(fr)):
-        raise InputError("window_fracs must increase strictly inside (0, 1)")
     vals = field.values
     g = field.grid
     Ms, ms = [], []
-    for f in fr:
+    for f in _M_FRACS:
         k0 = min(int(math.ceil(f * g.n1 - 1e-9)), g.n1 - 1)
         Ms.append(float(np.max(vals[k0:, :])))
         ms.append(float(np.min(vals[k0:, :])))
@@ -114,14 +112,6 @@ def attractor_table(nl: Nonlinearity, grid: Grid2D, kind: str,
     pts = [z for z in E.points if z <= M_cap]
     ivs = tuple((a, min(b, M_cap)) for a, b in E.intervals if a <= M_cap)
     return AttractorTable("half", M_cap, np.asarray(pts, dtype=float), None, ivs)
-
-
-def _window(field: Field, k0: int, w: int):
-    """Trailing comparison window: rows k0..k0+w, bottom 3/4 of x2 (quarter)."""
-    if field.kind == "quarter":
-        j_hi = int(math.floor(0.75 * field.grid.n2)) + 1
-        return field.values[k0:k0 + w + 1, :j_hi]
-    return field.values[k0:k0 + w + 1, :]
 
 
 def _candidate_distance(win: np.ndarray, table: AttractorTable, idx: int,
@@ -161,9 +151,13 @@ class TrajectoryReport:
 
 
 def check_ladder(n_shifts: int, conv_tol: float) -> None:
-    """omega_limit's argument check, for callers that run it before a solve."""
-    if n_shifts < 1 or not 0 < conv_tol < math.inf:
-        raise InputError("omega_limit: need n_shifts >= 1 and finite conv_tol > 0")
+    """omega_limit's argument check, for callers that run it before a solve.
+
+    n_shifts must be a whole number (a config file may give it as a float).
+    """
+    if not (n_shifts >= 1 and n_shifts % 1 == 0) or not 0 < conv_tol < math.inf:
+        raise InputError("omega_limit: need a whole n_shifts >= 1 and finite "
+                         "conv_tol > 0")
 
 
 def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = None,
@@ -195,13 +189,14 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
     if k_max < 1:
         raise InputError("field too short in x1 for trajectory analysis")
     ks = np.unique(np.clip(np.round(
-        np.geomspace(1, k_max, n_shifts)).astype(int), 1, k_max))
+        np.geomspace(1, k_max, int(n_shifts))).astype(int), 1, k_max))
+    # quarter windows keep the bottom 3/4 of the x2 nodes
     j_cap = int(math.floor(0.75 * g.n2)) + 1 if field.kind == "quarter" else g.n2
 
     per_cand = np.empty((ks.size, n_cand))
     levels = np.empty((ks.size, n_cand))
     for a, k0 in enumerate(ks):
-        win = _window(field, int(k0), w)
+        win = field.values[k0:k0 + w + 1, :j_cap]
         for idx in range(n_cand):
             per_cand[a, idx], levels[a, idx] = _candidate_distance(win, table, idx, j_cap)
 

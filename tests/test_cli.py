@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 
 import pytest
 
@@ -122,7 +123,7 @@ def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
     ["zf", "--f", "abs-sin", "--out", "x"],
     ["solve-quarter", "--f", "logistic", "--threads", "2"],
     ["solve-half", "--f", "logistic", "--seed", "1"],
-    ["trajectory", "--f", "logistic", "--dump-fields"],
+    ["solve-half", "--f", "logistic", "--kind", "half"],
     ["slide", "--f", "logistic", "--z", "1", "--eps", "0.1", "--from", "8,6",
      "--to", "9,6", "--n-shifts", "3"],
     ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--no-plots"],
@@ -144,7 +145,7 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     ["eigen", "--N", "2", "--R", "nan"],
     ["slide", "--f", "logistic", "--L1", "20", "--L2", "12", "--h", "0.5",
      "--z", "1", "--eps", "0.5", "--from", "8,6", "--to", "9,6", "--steps", "0"],
-    ["trajectory", "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.5",
+    ["solve-half", "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.5",
      "--n-shifts", "0"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
      "--tol", "-1"],
@@ -167,13 +168,15 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     ["bubble", "--f", "logistic", "--z", "1", "--eps", "0.1", "--N", "0"],
     ["bubble", "--f", "logistic", "--z", "1", "--eps", "0.1", "--N", "-1"],
     ["bubble", "--f", "logistic", "--z", "5", "--eps", "0.1"],
+    ["profile", "--f", "logistic", "--z", "-1"],
+    ["profile", "--f", "logistic", "--z=-inf"],
 ])
 def test_bad_numeric_flag_exits_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("input error:")
 
 
-@pytest.mark.parametrize("command", ["solve-quarter", "solve-half", "trajectory"])
+@pytest.mark.parametrize("command", ["solve-quarter", "solve-half"])
 @pytest.mark.parametrize("flag", [("--n-shifts", "0"), ("--conv-tol", "nan")])
 def test_bad_ladder_flag_exits_1_before_the_solve(command, flag, tmp_path, capsys,
                                                   monkeypatch):
@@ -201,6 +204,30 @@ def test_bad_ladder_config_exits_1_before_the_solve(tmp_path, capsys, monkeypatc
     assert main(["run", "--config", str(p)]) == 1
     assert capsys.readouterr().err.startswith("input error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_shifts", ["2.5", "1e400"])
+def test_fractional_n_shifts_config_exits_1_before_anything_is_written(n_shifts, tmp_path,
+                                                                       capsys):
+    # JSON reads 1e400 as inf; np.geomspace takes neither value
+    out = tmp_path / "out"
+    p = tmp_path / "cfg.json"
+    p.write_text('{"analysis": {"n_shifts": %s}, "output": {"dir": %s}}'
+                 % (n_shifts, json.dumps(str(out))))
+    assert main(["run", "--config", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--f", "linear-decay", "--kind", "half"],
+    ["solve-quarter", "--f", "logistic", "--method", "monotone"],
+])
+def test_removed_command_and_method_exit_1(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "invalid choice" in err
+    assert not os.listdir(tmp_path)
 
 
 def test_unreadable_input_exits_3(tmp_path, capsys):
@@ -293,6 +320,21 @@ def test_run_rejects_the_tol_f_key(tmp_path, capsys):
     p.write_text(json.dumps({"analysis": {"tol_f": 1e-10}, "output": {"dir": str(out)}}))
     assert main(["run", "--config", str(p)]) == 1
     assert "unknown key 'tol_f' in section 'analysis'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver, message", [
+    ({"flow_target": 1e-3}, "unknown key 'flow_target' in section 'solver'"),
+    ({"method": "monotone"}, "solver.method must be one of newton, auto (got 'monotone')"),
+], ids=["flow_target", "method"])
+def test_run_rejects_removed_solver_settings(solver, message, tmp_path, capsys):
+    # the flow's basin is a constant, and the monotone method is gone
+    out = tmp_path / "out"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"solver": solver, "output": {"dir": str(out)}}))
+    assert main(["run", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
     assert not out.exists()
 
 
@@ -428,13 +470,14 @@ def test_slide_command_reports_domination(tmp_path, capsys):
     assert len(rep["margins"]) == 3
 
 
-def test_trajectory_command_on_a_constant_strip(tmp_path, capsys):
-    rc = main(["trajectory", "--f", "linear-decay", "--kind", "half",
+def test_solve_half_detects_a_constant_strip(tmp_path, capsys):
+    rc = main(["solve-half", "--f", "linear-decay",
                "--L1", "12", "--L2", "4", "--h", "0.5",
                "--trace", "constant:1", "--out", str(tmp_path)])
     assert rc == 0
-    assert "trajectory: converged, level 1.0" in capsys.readouterr().out
-    assert (tmp_path / "trajectory.json").exists()
+    assert "far-field limit: level 1 (converged" in capsys.readouterr().out
+    rep = json.loads(_read(tmp_path / "trajectory.json"))
+    assert rep["converged"] is True and rep["detected_z"] == 1.0
 
 
 def test_sweep_command_banner_and_report(tmp_path, capsys):
@@ -512,3 +555,34 @@ def test_run_pipeline_writes_manifest_with_matching_digests(tmp_path, capsys):
     assert "residual" in text
     solve = json.loads(_read(out / "solve.json"))
     assert solve["f"] == "linear-decay"
+
+
+# ---------------------------------------------------------------------------
+# README
+
+def _quick_tour_commands():
+    """The farfield command lines of README's "## Quick tour" sh block."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    start = text.index("```sh\n", text.index("## Quick tour")) + len("```sh\n")
+    block = text[start:text.index("```", start)]
+    lines = block.replace("\\\n", " ").splitlines()
+    return root, [shlex.split(line) for line in lines
+                  if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_quick_tour_runs(tmp_path, monkeypatch, capsys):
+    # outputs go to tmp_path: commands without --out write to the cwd
+    root, commands = _quick_tour_commands()
+    monkeypatch.chdir(tmp_path)
+    assert commands
+    for words in commands:
+        assert words[0] == "farfield", words
+        argv = words[1:]
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path)
+        if "--config" in argv:
+            i = argv.index("--config") + 1
+            argv[i] = os.path.join(root, argv[i])
+        assert main(argv) == 0, (argv, capsys.readouterr().err)

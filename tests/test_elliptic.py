@@ -257,14 +257,13 @@ def test_newton_iterative_branch_matches_direct(kind, monkeypatch):
     nl = make("abs-sin")
     g = make_grid(6.0, 4.0, 0.25)
     u0 = flow_relax(nl, _flow_start(g, kind, np.random.default_rng(3)), g, kind)[0]
-    trace = None if kind == "torus" else u0[0, :]
-    direct = newton_solve(nl, g, kind, trace, u0, tol=1e-9)
+    direct = newton_solve(nl, g, kind, u0, tol=1e-9)
     monkeypatch.setattr(elliptic, "_DIRECT_MAX", _vec(u0, kind).size - 1)
     calls = []
     real = elliptic.bicgstab
     monkeypatch.setattr(elliptic, "bicgstab",
                         lambda *a, **kw: calls.append(None) or real(*a, **kw))
-    it = newton_solve(nl, g, kind, trace, u0, tol=1e-9)
+    it = newton_solve(nl, g, kind, u0, tol=1e-9)
     assert len(calls) == it.meta["iterations"] == direct.meta["iterations"] > 0
     assert float(np.max(np.abs(it.values - direct.values))) <= 1e-10
 
@@ -286,39 +285,59 @@ def test_inserted_profile_residual_is_discretization_order():
 # ---------------------------------------------------------------------------
 # solvers
 
-def test_newton_and_monotone_agree():
+def _supersolution_start(g):
+    # f(1.2) < 0, so the constant 1.2 extension of the logistic quarter's
+    # trace 0.4 is a supersolution
+    return _apply_boundary(np.full((g.n1 + 1, g.n2 + 1), 1.2), "quarter",
+                           as_trace(0.4, g, "quarter"))
+
+
+def test_newton_and_flow_agree():
+    # two independent routes to one state: Newton from the trace extension,
+    # and the order-keeping flow from a supersolution, with no basin, so it
+    # takes no tail jump and never hands off to Newton
     nl = make("logistic")
     g = make_grid(12.0, 8.0, 0.25)
-    trace = as_trace(0.4, g, "quarter")
-    fn = solve_field(nl, g, "quarter", trace, method="newton", tol=1e-11)
-    fm = solve_field(nl, g, "quarter", trace, method="monotone", u0=1.2, tol=1e-11)
+    fn = solve_field(nl, g, "quarter", 0.4, method="newton", tol=1e-11)
+    u, _, res, _ = flow_relax(nl, _supersolution_start(g), g, "quarter", res_target=1e-11)
     assert fn.residual < 1e-11
-    assert fm.residual < 1e-11
-    assert float(np.max(np.abs(fn.values - fm.values))) < 1e-9
+    assert res < 1e-11
+    assert float(np.max(np.abs(fn.values - u))) < 1e-9
 
 
 def test_monotone_descends_from_supersolution():
-    # f(1.2) < 0, so the constant 1.2 extension is a supersolution
+    # the comparison principle: the flow from a supersolution falls at
+    # every node, step by step, to the solution below it
     nl = make("logistic")
     g = make_grid(8.0, 6.0, 0.5)
-    trace = as_trace(0.4, g, "quarter")
-    f = solve_field(nl, g, "quarter", trace, method="monotone", u0=1.2, tol=1e-10)
-    assert f.meta["direction"] == "above"
-    assert f.values.max() <= 1.2 + 1e-10
-    assert f.residual < 1e-10
+    prev = _supersolution_start(g)
+    for cap in range(1, 6):
+        u, k, _, _ = flow_relax(nl, _supersolution_start(g), g, "quarter",
+                                res_target=0.0, max_steps=cap)
+        assert k == cap
+        assert np.all(u <= prev), cap
+        prev = u
+    u, _, res, _ = flow_relax(nl, prev, g, "quarter", res_target=1e-10)
+    assert np.all(u <= prev)
+    assert res < 1e-10
 
 
-def test_monotone_rejects_wrong_side_start():
-    # f(0.5) > 0 makes the constant 0.5 a subsolution; the monotone flow
-    # from it rises on the first step instead of descending
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+def test_newton_reads_its_boundary_from_the_start(kind):
+    # the start's row 0 (0.5) is the trace: the returned field keeps it,
+    # and its residual is the one Newton reports
     nl = make("logistic")
-    g = make_grid(8.0, 6.0, 0.5)
-    trace = as_trace(0.5, g, "quarter")
-    u0 = np.full((g.n1 + 1, g.n2 + 1), 0.5)
-    u0[0] = trace
-    u0[:, 0] = 0.0
-    with pytest.raises(ConsistencyError):
-        solve_field(nl, g, "quarter", trace, method="monotone", u0=u0)
+    g = make_grid(4.0, 2.0, 0.5)
+    rows = g.n1 if kind == "torus" else g.n1 + 1
+    u0 = np.full((rows, g.x2(kind).size), 0.8)
+    u0[0] = 0.5
+    if kind == "quarter":
+        u0[:, 0] = 0.0
+    f = newton_solve(nl, g, kind, u0, tol=1e-10)
+    assert residual_max(nl, f.values, g, kind) <= 1e-10
+    assert f.residual <= 1e-10
+    if kind != "torus":
+        assert np.array_equal(f.values[0], u0[0])
 
 
 def test_newton_from_solved_state_is_cheap():
@@ -326,7 +345,7 @@ def test_newton_from_solved_state_is_cheap():
     g = make_grid(10.0, 6.0, 0.5)
     trace = as_trace(0.3, g, "quarter")
     f1 = solve_field(nl, g, "quarter", trace, method="auto", tol=1e-10)
-    f2 = newton_solve(nl, g, "quarter", trace, f1.values, tol=1e-10)
+    f2 = newton_solve(nl, g, "quarter", f1.values, tol=1e-10)
     assert f2.meta["iterations"] <= 1
 
 
@@ -453,6 +472,8 @@ def test_solve_field_validation():
         solve_field(nl, g, "torus", None, method="newton")     # torus needs u0
     with pytest.raises(InputError):
         solve_field(nl, g, "quarter", 0.3, method="bogus")
+    with pytest.raises(InputError, match=r"\(newton \| auto\)"):
+        solve_field(nl, g, "quarter", 0.3, method="monotone")
     with pytest.raises(InputError):
         solve_field(nl, g, "quarter", 0.3, u0=np.zeros((3, 3)))
 
@@ -465,7 +486,7 @@ def test_solve_field_rejects_a_non_finite_start(bad):
     if bad == "array":
         u0 = np.full((g.n1 + 1, g.n2 + 1), 0.5)
         u0[3, 4] = math.nan
-    for method in ("auto", "newton", "monotone"):
+    for method in ("auto", "newton"):
         with pytest.raises(InputError, match="non-finite"):
             solve_field(nl, g, "quarter", 0.3, method=method, u0=u0)
 
@@ -474,9 +495,8 @@ def test_newton_from_a_nan_start_raises():
     # every comparison with NaN is False: the gate must read "not <= tol"
     nl = make("logistic")
     g = make_grid(4.0, 4.0, 0.5)
-    trace = as_trace(0.3, g, "quarter")
     with pytest.raises(NumericError, match="did not reach tol"):
-        newton_solve(nl, g, "quarter", trace, np.full((g.n1 + 1, g.n2 + 1), math.nan))
+        newton_solve(nl, g, "quarter", np.full((g.n1 + 1, g.n2 + 1), math.nan))
 
 
 def test_torus_constant_state():
@@ -542,10 +562,10 @@ def test_cap_frozen_geometry():
     nl = make("logistic")
     bub = radial_bubble(nl, 1.0, 0.1, N=2)
     assert bub.feasible
-    assert bub.v0 == pytest.approx(0.95, abs=1e-12)
+    assert bub.a == pytest.approx(0.95, abs=1e-12)
     assert bub.R == pytest.approx(5.374486997730586, abs=1e-6)
     assert bub.v[-1] == 0.0
-    assert float(bub.v.max()) <= bub.v0
+    assert float(bub.v.max()) <= bub.a
     assert bub.energy == pytest.approx(10.478046836328078, rel=1e-6)
 
 
@@ -559,7 +579,7 @@ def test_cap_radius_grows_as_eps_shrinks():
 def test_cap_trivial_feasibility_at_full_eps():
     bub = radial_bubble(make("logistic"), 1.0, 1.0, N=2)
     assert bub.feasible
-    assert bub.v0 == pytest.approx(0.5)
+    assert bub.a == pytest.approx(0.5)
 
 
 def test_cap_validates_eps():

@@ -20,7 +20,7 @@ def test_make_grid_node_counts():
     assert g.x2("half").size == 80       # periodic, top identified with bottom
     assert g.x1_nodes("quarter").size == 161
     assert g.x1_nodes("torus").size == 160
-    assert g.x1[1] == 0.25
+    assert g.x1_nodes("quarter")[1] == 0.25
 
 
 def test_make_grid_rejects_bad_spacing():
@@ -135,8 +135,8 @@ def test_svg_bytes_deterministic(tmp_path):
     xs = [1.0, 2.0, 4.0, 8.0]
     series = {"a": [1.0, 0.1, 0.01, 0.001], "b": [2.0, 0.5, 0.2, 0.1]}
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    svg_line_plot(str(p1), xs, series, title="t", logy=True)
-    svg_line_plot(str(p2), xs, series, title="t", logy=True)
+    svg_line_plot(str(p1), xs, series, title="t")
+    svg_line_plot(str(p2), xs, series, title="t")
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     assert b1.startswith(b"<svg") or b"<svg" in b1[:200]

@@ -191,7 +191,7 @@ def test_singular_factor_is_a_numeric_error(monkeypatch):
     g = make_grid(4.0, 4.0, 0.5)
     u0 = noise_start(g, "torus", np.random.default_rng(0))
     with pytest.raises(NumericError, match="singular"):
-        elliptic.newton_solve(nl, g, "torus", None, u0)
+        elliptic.newton_solve(nl, g, "torus", u0)
     nl, u0, op = _flat_interval_start(g)
     with pytest.raises(NumericError, match="singular"):
         liouville._robust_solve(nl, g, "half", 0.99, u0, op)

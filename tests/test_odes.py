@@ -435,7 +435,7 @@ def test_profile_launch_matches_the_ndarray_stepper(monkeypatch, spec, z):
     nl = make(spec)
     if z in _NEAR_ZEROS:
         slope0 = math.sqrt(2.0 * integral_between(nl, 0.0, z))
-        run = lambda: integrate_profile_ode(nl, slope0, np.linspace(0.0, 10.0, 1025), tol=1e-11)
+        run = lambda: integrate_profile_ode(nl, slope0, np.linspace(0.0, 10.0, 1025))
     else:
         run = lambda: compute_profile(nl, z, xi_max=20.0)
     new = _launches(monkeypatch, profile1d, integrate, run)

@@ -82,14 +82,6 @@ def test_estimate_settling_transient():
     assert abs(est.M - (1.0 + math.exp(-0.75 * 24.0))) < 1e-12
 
 
-def test_estimate_validates_fractions():
-    g = make_grid(8.0, 4.0, 0.5)
-    f = Field(np.zeros((g.n1 + 1, g.n2)), g, "half")
-    for bad in ((), (0.5, 0.25), (0.25, 0.25), (0.0, 0.5), (0.5, 1.0)):
-        with pytest.raises(InputError):
-            estimate_M(f, window_fracs=bad)
-
-
 # ---------------------------------------------------------------------------
 # candidate tables
 
