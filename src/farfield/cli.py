@@ -40,6 +40,7 @@ _DEFAULT_CONFIG = {
     "output": {"dir": "out", "dump_fields": False, "plots": True},
 }
 _METHODS = ("newton", "auto")     # solve_field's methods
+_KINDS = ("quarter", "half")      # the domains with a solve command
 
 
 def _json_type(val) -> str:
@@ -60,7 +61,7 @@ def load_config(path: str) -> dict:
 
     A value must have its default's JSON type. The keys whose default is
     null (s_max, u0) take a number or null, and only they take null.
-    solver.method must be one of _METHODS.
+    solver.method must be one of _METHODS and domain.kind one of _KINDS.
     """
     try:
         with open(path) as fh:
@@ -86,9 +87,10 @@ def load_config(path: str) -> dict:
                 want = "number or null" if want == "null" else want
                 raise ConfigError(f"{path}: {key}.{k2} must be a {want} (got {got})")
             cfg[key][k2] = v2
-    if cfg["solver"]["method"] not in _METHODS:
-        raise ConfigError(f"{path}: solver.method must be one of {', '.join(_METHODS)} "
-                          f"(got {cfg['solver']['method']!r})")
+    for section, key, allowed in (("solver", "method", _METHODS), ("domain", "kind", _KINDS)):
+        if cfg[section][key] not in allowed:
+            raise ConfigError(f"{path}: {section}.{key} must be one of {', '.join(allowed)} "
+                              f"(got {cfg[section][key]!r})")
     return cfg
 
 

@@ -55,7 +55,7 @@ from scipy.sparse.linalg import bicgstab, splu
 
 from .errors import ConsistencyError, InputError, NumericError
 from .grids import Field, Grid2D, _check_kind, as_trace
-from .nonlinearity import Nonlinearity, eval_capped, eval_capped_float, integral_between
+from .nonlinearity import Nonlinearity, capped_float, eval_capped, integral_between
 from .odes import integrate
 
 _DIRECT_MAX = 256 * 256       # unknown count up to which we factorize directly
@@ -621,6 +621,7 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
                          f"got eps={eps:g}, z={z:g}")
     if N < 1:
         raise InputError(f"radial_bubble: need N >= 1, got N={N}")
+    f = capped_float(nl)
 
     def shoot(a: float):
         r0 = 1e-8
@@ -628,7 +629,7 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
         y0 = np.array([a - fa * r0 * r0 / (2.0 * N), -fa * r0 / N])
 
         def rhs(r, y):
-            return y[1], -eval_capped_float(nl, y[0]) - (N - 1) / r * y[1]
+            return y[1], -f(y[0]) - (N - 1) / r * y[1]
 
         grid = np.linspace(r0, _BUBBLE_R_MAX, 4097)
         res = integrate(rhs, r0, y0, _BUBBLE_R_MAX, tol=_BUBBLE_TOL, sample_ts=grid,

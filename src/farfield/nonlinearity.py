@@ -45,10 +45,10 @@ class Nonlinearity:
     s_max: float
     lipschitz: float        # of f on [0, s_max], exact
     fn: Callable = field(repr=False)                      # vectorized, unchecked
-    # exact integral of f over [lo, hi] for float arrays lo < hi (elementwise);
-    # must stay accurate in RELATIVE terms when the integral is tiny (profiles
-    # divide by it arbitrarily close to a zero, where a difference of two
-    # integrals from 0 would cancel catastrophically)
+    # exact integral of f over [lo, hi] for float arrays lo < hi (elementwise;
+    # hi may be one float); must stay accurate in RELATIVE terms when the
+    # integral is tiny (profiles divide by it arbitrarily close to a zero,
+    # where a difference of two integrals from 0 would cancel catastrophically)
     gap_fn: Callable = field(repr=False)
     # the sorted points in (0, s_max) where f is not differentiable; the RK4
     # launches on f land their steps on them
@@ -68,13 +68,17 @@ def eval_capped(nl: Nonlinearity, s):
     return nl.fn(np.asarray(s, dtype=float).clip(0.0, nl.s_max))
 
 
-def eval_capped_float(nl: Nonlinearity, v: float) -> float:
-    """eval_capped on one Python float, as a float: the RK4 launches call it
-    at every stage, where np.clip on a scalar costs more than the step. The
-    comparisons let NaN and -0.0 through as np.clip does."""
-    v = 0.0 if v < 0.0 else v
-    s_max = nl.s_max
-    return float(nl.fn(s_max if v > s_max else v))
+def capped_float(nl: Nonlinearity) -> Callable[[float], float]:
+    """eval_capped on one Python float, as a float. The RK4 launches build
+    it once per launch and call it at every stage, where np.clip on a scalar
+    costs more than the step. The comparisons let NaN and -0.0 through as
+    np.clip does."""
+    fn, s_max = nl.fn, nl.s_max
+
+    def f(v: float) -> float:
+        v = 0.0 if v < 0.0 else v
+        return float(fn(s_max if v > s_max else v))
+    return f
 
 
 def integral_between(nl: Nonlinearity, lo, hi):
@@ -84,8 +88,15 @@ def integral_between(nl: Nonlinearity, lo, hi):
     give a float, array inputs an array. Every term carries its slab
     integral in closed or piecewise-exact form (`gap_fn`); there is no
     quadrature fallback. F(z) is integral_between(nl, 0.0, z).
+
+    An array `lo` entirely below a scalar `hi` (a profile's slabs up to its
+    level z) goes to `gap_fn` in one call, with no broadcast and no mask;
+    the values are those of the general route, bit for bit.
     """
-    lo_a, hi_a = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo = np.asarray(lo, dtype=float)
+    if lo.ndim and np.ndim(hi) == 0 and (lo < hi).all():
+        return nl.gap_fn(lo, float(hi))
+    lo_a, hi_a = np.broadcast_arrays(lo, np.asarray(hi, dtype=float))
     a = np.minimum(lo_a, hi_a).ravel()
     b = np.maximum(lo_a, hi_a).ravel()
     live = np.flatnonzero(a != b)           # lo == hi stays an exact 0
@@ -208,11 +219,16 @@ class _PiecewiseLinear:
         tail = 0.5 * (fb + ys[j]) * (b - xs[j])
         # whole cells i+1 .. j-1: reduceat over (start, stop) index pairs
         # gives the sum where start < stop; the padded zero keeps every
-        # index in range
-        start, stop = i + 1, np.maximum(j, i + 1)
+        # index in range. A scalar hi has one upper cell j, so one pair per
+        # start cell makes a table that each element reads at its own i
+        scalar_hi = np.ndim(j) == 0
+        start = np.arange(1, xs.size) if scalar_hi else i + 1
+        stop = np.maximum(j, start)
         bounds = np.stack([start, stop], axis=-1).ravel()
         whole = np.add.reduceat(self.seg_padded, bounds)[0::2].reshape(start.shape)
         whole = np.where(stop > start, whole, 0.0)
+        if scalar_hi:
+            whole = whole[i]
         core = np.where(i == j, 0.5 * (fb + fa) * (b - a), head + (whole + tail))
         below = np.minimum(hi, xs[0]) - np.minimum(lo, xs[0])
         above = np.maximum(hi, xs[-1]) - np.maximum(lo, xs[-1])

@@ -17,6 +17,12 @@ their tolerance. Deep in the tail the integrand carries roundoff that no
 bisection removes; a piece whose bisection did not halve its error estimate
 is accepted as it stands, and the error budget weights it by the local
 slope. A segment still open at the subdivision cap is a NumericError.
+Every slab integral the profile takes (the integrand's F(z) - F(sigma),
+the mesh gaps, the slopes W) runs from an array of nodes up to the scalar
+z, the route on which `integral_between` calls the term's `gap_fn` once.
+The profile on its uniform grid is the cubic Hermite interpolant of the
+mesh nodes (xi, V) with the exact slopes W, evaluated in numpy bit for bit
+as scipy's CubicHermiteSpline would.
 Every profile is then cross-checked against a completely separate route:
 direct RK4 integration of the launch problem. The two must agree to 1e-6
 or construction fails loudly. The launch steps from kink to kink of f: a
@@ -33,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 # bench/tracer.py counts calls to profile1d.quad; nothing here calls it
 from scipy.integrate import quad  # noqa: F401
-from scipy.interpolate import CubicHermiteSpline
 
 from . import nonlinearity as nlm
 from .errors import ConsistencyError, InfeasibleProfileError, InputError, NumericError
@@ -106,7 +111,7 @@ def shoot_slope(nl: Nonlinearity, z: float) -> float:
         return 0.0
     if z not in zero_set(nl):
         raise InfeasibleProfileError(f"z={z:.17g} is not a zero of f "
-                                     f"(f(z)={nlm.eval_capped_float(nl, z):.3e})")
+                                     f"(f(z)={nlm.capped_float(nl)(z):.3e})")
     Fz = integral_between(nl, 0.0, z)
     if Fz <= 0.0:
         raise InfeasibleProfileError(f"F(z)={Fz:.3e} <= 0 at z={z:g}: no real launch slope")
@@ -123,10 +128,11 @@ def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None)
     well defined, and steps land on f's kinks (`nl.kinks`, breaks of V).
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
+    # f on one Python float: numpy on a scalar costs more than the RK4 step
+    f = nlm.capped_float(nl)
 
     def rhs(t, y):
-        # f on one Python float: numpy on a scalar costs more than the RK4 step
-        return y[1], -nlm.eval_capped_float(nl, y[0])
+        return y[1], -f(y[0])
 
     res = integrate(rhs, 0.0, (0.0, slope0), float(xi_grid[-1]),
                     tol=_LAUNCH_TOL, sample_ts=xi_grid, events=events, breaks=nl.kinks)
@@ -242,12 +248,27 @@ def _xi_quadrature_mesh(nl: Nonlinearity, z: float, exit_tol: float):
     return v_mesh, w_mesh, xi_nodes
 
 
+def _hermite(x, y, dydx, xe):
+    """The cubic Hermite interpolant of values y and slopes dydx at nodes x,
+    evaluated at points xe in [x[0], x[-1]], bit for bit as scipy's
+    CubicHermiteSpline: its PPoly coefficients, the cell x[i] <= xe < x[i+1]
+    (the last cell closed on the right) and PPoly's power sum, left to right."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c0, c1 = t / dx, (slope - dydx[:-1]) / dx - t
+    i = np.clip(np.searchsorted(x, xe, side="right") - 1, 0, x.size - 2)
+    s = xe - x[i]
+    return y[i] + dydx[i] * s + c1[i] * (s * s) + c0[i] * ((s * s) * s)
+
+
 def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
                     n: int = 2048) -> Profile1D:
     """Build the profile ending at z on a uniform grid of n+1 points.
 
     Quadrature-and-inversion is the primary route (cubic Hermite inversion
-    with the exact first-integral slopes); an independent RK4 launch is run
+    with the exact first-integral slopes, `_hermite`; the slab integrals
+    all end at the scalar z); an independent RK4 launch is run
     on the same grid and the maximum disagreement is stored. One not at or
     below _CROSSCHECK_TOL, NaN included, is a ConsistencyError. Beyond the
     xi where the mesh reaches z - _EXIT_TOL the profile is clamped there.
@@ -261,9 +282,8 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
         return Profile1D(0.0, 0.0, xi, zeros, zeros.copy(), 0.0, xi_max)
 
     v_mesh, w_mesh, xi_nodes = _xi_quadrature_mesh(nl, z, _EXIT_TOL)
-    spline = CubicHermiteSpline(xi_nodes, v_mesh, w_mesh)
-
-    values = np.where(xi <= xi_nodes[-1], spline(np.minimum(xi, xi_nodes[-1])), v_mesh[-1])
+    inverse = _hermite(xi_nodes, v_mesh, w_mesh, np.minimum(xi, xi_nodes[-1]))
+    values = np.where(xi <= xi_nodes[-1], inverse, v_mesh[-1])
     values = np.maximum.accumulate(np.clip(values, 0.0, v_mesh[-1]))
     w = np.sqrt(2.0 * np.maximum(integral_between(nl, values, z), 0.0))
 

@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -338,6 +340,19 @@ def test_run_rejects_removed_solver_settings(solver, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["torus", "bogus"])
+def test_run_rejects_a_domain_kind_without_a_solve_command(kind, tmp_path, capsys):
+    # checked with the config, before analysis.json or any profile is written
+    out = tmp_path / "out"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"domain": {"kind": kind}, "output": {"dir": str(out)}}))
+    assert main(["run", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"domain.kind must be one of quarter, half (got {kind!r})" in err
+    assert not out.exists()
+
+
 def test_config_takes_numbers_and_null_where_the_default_is_null(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"nonlinearity": {"s_max": 4}, "domain": {"u0": None, "L1": 60}}))
@@ -446,6 +461,20 @@ def test_profile_command_writes_table_and_summary(tmp_path, capsys):
                             "xi_max", "n"}
     assert summary["slope0"] == pytest.approx(1 / math.sqrt(3), abs=1e-10)
     assert "floor slope" in capsys.readouterr().out
+
+
+def test_profile_command_does_not_import_scipy_interpolate(tmp_path):
+    # a cold start pays for no interpolation module: the profile inverts its
+    # quadrature with its own Hermite cubic
+    code = ("import sys; from farfield.cli import main; "
+            f"rc = main(['profile', '--f', 'logistic', '--z', '1', '--n', '64', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(rc, 'scipy.interpolate' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_eigen_command_writes_summary(tmp_path, capsys):

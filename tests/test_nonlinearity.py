@@ -1,6 +1,7 @@
 """Catalog construction, exact integrals, zero sets, structural probes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.integrate import quad
 
 from farfield import nonlinearity as nlm
 from farfield.errors import InputError
-from farfield.nonlinearity import (cantor_prefractal, check_hypotheses, compute_Zf,
-                                   eval_capped, eval_capped_float, from_table,
+from farfield.nonlinearity import (cantor_prefractal, capped_float, check_hypotheses,
+                                   compute_Zf, eval_capped, from_table,
                                    integral_between, make, zero_set)
 
 CATALOG = ("logistic", "abs-sin", "linear-decay", "cantor:3")
@@ -53,7 +54,7 @@ def test_eval_window_enforced():
     nl = make("logistic")
     got = eval_capped(nl, np.array([-0.1, 0.5, 2.5]))
     assert got.tolist() == [0.0, 0.25, -2.0]
-    assert [eval_capped_float(nl, v) for v in (-0.1, 0.5, 2.5)] == [0.0, 0.25, -2.0]
+    assert [capped_float(nl)(v) for v in (-0.1, 0.5, 2.5)] == [0.0, 0.25, -2.0]
 
 
 _CAPPED_TERMS = CATALOG + ("cantor:1", "cantor:6", "table")
@@ -88,7 +89,7 @@ def test_capped_float_matches_eval_capped(name):
     # np.clip value bit for bit: the sign of a zero and NaN included
     nl = _capped_term(name)
     for v in (-1.0, -0.0, 0.0, 0.37 * nl.s_max, nl.s_max, nl.s_max + 1.0, math.nan):
-        got = eval_capped_float(nl, v)
+        got = capped_float(nl)(v)
         want = float(eval_capped(nl, v))
         assert type(got) is float
         if math.isnan(want):
@@ -222,6 +223,57 @@ def test_piecewise_gap_matches_trapezoid_loop(spec, tmp_path):
     for g, a, b in zip(got, lo, hi):
         traps = _trapezoid_sum(xs, ys, a, b)
         assert abs(g - traps.sum()) <= 8 * np.finfo(float).eps * np.abs(traps).sum()
+
+
+_TENT_TABLE = "table:" + str(Path(__file__).resolve().parents[1] / "demos" / "tent_table.csv")
+_SLAB_TERMS = ("abs-sin", "logistic", "linear-decay", *(f"cantor:{k}" for k in range(1, 7)),
+               _TENT_TABLE, "cantor:6 on [0, 3]")
+
+
+def _slab_term(name):
+    return make("cantor:6", s_max=3.0) if name == "cantor:6 on [0, 3]" else make(name)
+
+
+@pytest.mark.parametrize("name", _SLAB_TERMS,
+                         ids=[n.rsplit("/", 1)[-1] for n in _SLAB_TERMS])
+def test_slabs_to_a_scalar_level_match_the_general_route(name):
+    # a profile's slabs: nodes below a scalar level z go to gap_fn in one
+    # call, and give the broadcast route's values bit for bit, at every
+    # reachable level and at the window's end (beyond a table's last knot)
+    nl = _slab_term(name)
+    rng = np.random.default_rng(24)
+    for z in [z for z in compute_Zf(nl).points if z > 0] + [nl.s_max]:
+        lo = z * rng.uniform(0.0, 1.0, (768, 21))
+        lo[:384] = z - z * 10.0 ** rng.uniform(-12.0, 0.0, (384, 21))   # the approach of z
+        knots = [k for k in nl.kinks if k < z]
+        lo.flat[:len(knots)] = knots
+        lo[-1, 0] = 0.0
+        assert (lo < z).all()
+        fast = integral_between(nl, lo, z)
+        assert fast.shape == lo.shape
+        assert fast.tobytes() == integral_between(nl, lo, np.full_like(lo, z)).tobytes()
+        # lo == hi is still an exact 0, and hi < lo the negated slab
+        lo[0, :2] = z, z + 0.1
+        got = integral_between(nl, lo, z)
+        assert got[0, 0] == 0.0 and math.copysign(1.0, got[0, 0]) == 1.0
+        assert got[0, 1] == -integral_between(nl, z, z + 0.1)
+        assert got.ravel()[2:].tobytes() == fast.ravel()[2:].tobytes()
+
+
+@pytest.mark.parametrize("name", _SLAB_TERMS[3:],
+                         ids=[n.rsplit("/", 1)[-1] for n in _SLAB_TERMS[3:]])
+def test_piecewise_gap_to_a_scalar_matches_the_array_form(name):
+    # one whole-cell table per scalar upper end, read by each element's start
+    # cell: the same reduceat sums as one (start, stop) pair per element
+    pl = _slab_term(name).fn
+    xs = pl.xs
+    rng = np.random.default_rng(7)
+    for z in (xs[xs.size // 2], 0.5 * (xs[1] + xs[2]), xs[-1], xs[-1] + 0.5):
+        lo = np.concatenate((xs[xs < z], [xs[0] - 0.5, xs[0] - 1e-3],
+                             rng.uniform(xs[0] - 0.5, z, 500)))
+        if z > xs[-1]:
+            lo = np.append(lo, [xs[-1] + 1e-3, xs[-1] + 0.25])     # beyond the last knot
+        assert pl.gap(lo, z).tobytes() == pl.gap(lo, np.full_like(lo, z)).tobytes()
 
 
 def test_integral_between_tiny_slab_on_array_input():

@@ -230,3 +230,23 @@ def test_cantor_profiles_meet_the_error_budget(level):
     assert len(levels) == 2 ** level - 1
     for z in levels:
         assert compute_profile(nl, z).crosscheck <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Hermite inversion of xi(V)
+
+@pytest.mark.parametrize("spec", ("abs-sin", "logistic", "cantor:3", "linear-decay"))
+def test_hermite_inversion_matches_scipy(spec):
+    # scipy's CubicHermiteSpline is the oracle: the same PPoly coefficients,
+    # cells and evaluation order give its values bit for bit, on the grids
+    # compute_profile evaluates, on the mesh nodes and at the last node
+    from scipy.interpolate import CubicHermiteSpline
+    nl = make(spec)
+    for z in [z for z in compute_Zf(nl).points if z > 0]:
+        v, w, xi = profile1d._xi_quadrature_mesh(nl, z, profile1d._EXIT_TOL)
+        oracle = CubicHermiteSpline(xi, v, w)
+        for xi_max in (10.0, 20.0, 30.0):
+            at = np.concatenate((np.minimum(np.linspace(0.0, xi_max, 2049), xi[-1]), xi))
+            got = profile1d._hermite(xi, v, w, at)
+            assert got.tobytes() == oracle(at).tobytes(), (z, xi_max)
+        assert profile1d._hermite(xi, v, w, xi[-1:])[0] == oracle(xi[-1])
