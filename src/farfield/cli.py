@@ -175,12 +175,13 @@ def _solve(args, nl):
 
 def _far_field(args, nl, field, out: str):
     """Detect the far-field limit with args.n_shifts and conv_tol;
-    write trajectory.json, and decay.svg when args.plots asks for it.
+    write trajectory.json, and decay.svg when args.plots asks for it and
+    the ladder has two shifts to draw (so at least one candidate).
     Returns the report and the names of the files written."""
     rep = omega_limit(nl, field, n_shifts=args.n_shifts, conv_tol=args.conv_tol)
     _write_json(rep.to_json_dict(), os.path.join(out, "trajectory.json"))
     written = ["trajectory.json"]
-    if args.plots:
+    if args.plots and len({r["h"] for r in rep.distances}) >= 2:
         _plot_ladder(os.path.join(out, "decay.svg"), rep.distances)
         written.append("decay.svg")
     return rep, written
@@ -233,7 +234,8 @@ def _solve_and_report(args, nl, out: str) -> list:
     `args` carries the domain, solver, analysis and output settings under
     their config names (`run` fills them from its config). Writes solve.json
     and trajectory.json, plus field.csv and decay.svg when args.dump_fields
-    and args.plots ask for them. Returns the names of the files written.
+    and args.plots ask for them (see `_far_field`). Returns the names of the
+    files written.
     """
     field, wall_ms = _solve(args, nl)
     rep, written = _far_field(args, nl, field, out)

@@ -26,7 +26,7 @@ a step. `flow_operator` builds its fixed parts once, so flows that share
 them (a sweep's trials) assemble nothing more.
 `solve_field` builds its two methods from this flow and one damped Newton
 iteration, `newton_solve`, whose steps solve with the Jacobian L + diag(f')
-through `_factor` (a sparse LU up to _DIRECT_MAX unknowns, bicgstab above);
+through `_factor`, a sparse LU at every grid size;
 a test checks that Newton and the flow run to tol with no basin reach the
 same state on a logistic quarter:
 
@@ -51,14 +51,15 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.linalg import solve_banded
 from scipy.sparse import dia_matrix, diags
-from scipy.sparse.linalg import bicgstab, splu
+from scipy.sparse.linalg import splu
+# bench/tracer.py counts calls to elliptic.bicgstab; nothing here calls it
+from scipy.sparse.linalg import bicgstab  # noqa: F401
 
 from .errors import ConsistencyError, InputError, NumericError
 from .grids import Field, Grid2D, _check_kind, as_trace
 from .nonlinearity import Nonlinearity, capped_float, eval_capped, integral_between
 from .odes import integrate
 
-_DIRECT_MAX = 256 * 256       # unknown count up to which we factorize directly
 _DENSE_MAX_AXIS = 64          # shifted solves by dense eigenbasis products up to this
 _NEWTON_MAX_ITER = 60
 _FPRIME_DELTA = 1e-7          # central-difference step of Newton's f'
@@ -272,30 +273,16 @@ def _factor(A):
     """Solver x = solve(rhs) for A x = rhs, factored once for many right sides.
 
     Only Newton uses it, for its Jacobian L + diag(f'); the flow's K - L goes
-    to `shifted_solver`. Up to _DIRECT_MAX unknowns this is SuperLU with the
+    to `shifted_solver`. It is SuperLU at every grid size, with the
     minimum-degree ordering on A^T + A, which fills about half as much as
     COLAMD on these 5-point matrices; a singular factor is a NumericError.
-    Above it each solve runs bicgstab.
+    At 307,200 unknowns the factor holds about 28 M entries and the solve
+    peaks near 0.55 GB; its memory on larger grids is unmeasured.
     """
-    n = A.shape[0]
-    if n <= _DIRECT_MAX:
-        try:
-            return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-        except RuntimeError as e:     # SuperLU: "Factor is exactly singular"
-            raise NumericError(f"direct linear solve failed: {e}") from None
-
-    def solve(rhs):
-        # bicgstab's breakdown tests are absolute (rho < eps^2), so a small
-        # right side, as near convergence, is scaled to unit norm first;
-        # mirror ghosts make the stencil nonsymmetric, so no cg here
-        scale = float(np.linalg.norm(rhs))
-        if scale == 0.0:
-            return np.zeros_like(rhs)
-        x, info = bicgstab(A, rhs / scale, rtol=1e-10, atol=0.0, maxiter=20 * n)
-        if info != 0:
-            raise NumericError(f"iterative linear solve failed (info={info})")
-        return x * scale
-    return solve
+    try:
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    except RuntimeError as e:     # SuperLU: "Factor is exactly singular"
+        raise NumericError(f"direct linear solve failed: {e}") from None
 
 
 # ---------------------------------------------------------------------------

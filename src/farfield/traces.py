@@ -34,7 +34,11 @@ def bump(y, center: float, width: float, height: float):
 
 def trace_from_table(path: str, y_nodes: np.ndarray) -> np.ndarray:
     ys, vs = [], []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise InputError(f"trace table {path}: {exc}") from exc
+    with fh:
         rd = csv.reader(fh)
         header = next(rd, None)
         if header is None or [c.strip() for c in header[:2]] != ["y", "value"]:

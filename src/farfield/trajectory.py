@@ -32,7 +32,7 @@ _M_MARGIN = 0.5            # levels up to M + this stay candidates
 _MARGIN_FACTOR = 2.0       # runner-up must be this many times farther
 _CONV_TOL = 1e-2
 _WINDOW_FRAC = 0.25        # comparison window length, as a share of n1
-_M_FRACS = (0.25, 0.5, 0.75)  # estimate_M: trailing windows from these shares of L1
+_M_FRAC = 0.75             # estimate_M: trailing window from this share of L1
 
 
 def shift(field: Field, delta: float) -> Field:
@@ -59,27 +59,16 @@ def shift(field: Field, delta: float) -> Field:
 
 @dataclass(eq=False)
 class MEstimate:
-    M: float                # sup of u over the last trailing window
-    m: float                # inf of u over the last trailing window
-    deltas: np.ndarray      # |change of M| between successive windows
+    M: float                # sup of u over the trailing window
+    m: float                # inf of u over the trailing window
 
 
 def estimate_M(field: Field) -> MEstimate:
-    """Bound the eventual amplitude from trailing windows x1 >= frac * L1.
-
-    The fractions are _M_FRACS, increasing inside (0, 1); later (smaller)
-    windows see only the far field, and the drift of the sup between
-    windows is the Cauchy indicator for whether the truncation was long
-    enough.
-    """
+    """Bound the eventual amplitude from the trailing window x1 >= _M_FRAC * L1,
+    which sees only the far field."""
     vals = field.values
-    g = field.grid
-    Ms, ms = [], []
-    for f in _M_FRACS:
-        k0 = min(int(math.ceil(f * g.n1 - 1e-9)), g.n1 - 1)
-        Ms.append(float(np.max(vals[k0:, :])))
-        ms.append(float(np.min(vals[k0:, :])))
-    return MEstimate(Ms[-1], ms[-1], np.abs(np.diff(np.array(Ms))))
+    k0 = min(int(math.ceil(_M_FRAC * field.grid.n1 - 1e-9)), field.grid.n1 - 1)
+    return MEstimate(float(np.max(vals[k0:, :])), float(np.min(vals[k0:, :])))
 
 
 @dataclass(eq=False)

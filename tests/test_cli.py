@@ -172,6 +172,8 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     ["bubble", "--f", "logistic", "--z", "5", "--eps", "0.1"],
     ["profile", "--f", "logistic", "--z", "-1"],
     ["profile", "--f", "logistic", "--z=-inf"],
+    ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
+     "--trace", "table:" + os.path.join(_DATA, "no_such_trace.csv")],
 ])
 def test_bad_numeric_flag_exits_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -421,6 +423,22 @@ def test_no_plots_suppresses_the_svg(tmp_path):
     out = tmp_path / "s"
     assert main(_SOLVE_ARGS + ["--no-plots", "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["solve.json", "trajectory.json"]
+
+
+def test_short_ladder_writes_no_svg(tmp_path):
+    # a table term whose only zero is 3 leaves no candidate at or below
+    # M + 0.5, and one shift leaves one point a curve: both solves finish
+    # with their reports and no plot
+    table = tmp_path / "f.csv"
+    table.write_text("0,1\n1,1\n3,0\n")
+    no_candidate = ["solve-half", "--f", f"table:{table}", "--L1", "2", "--L2", "2",
+                    "--h", "0.5", "--trace", "constant:0"]
+    one_shift = ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4",
+                 "--h", "0.5", "--trace", "profile:1", "--n-shifts", "1"]
+    for k, argv in enumerate((no_candidate, one_shift)):
+        out = tmp_path / f"s{k}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["solve.json", "trajectory.json"]
 
 
 def test_solve_outputs_are_deterministic(tmp_path):

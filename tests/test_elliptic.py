@@ -175,10 +175,9 @@ def test_flow_preserves_order(kind):
 @pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
 def test_flow_never_factors(kind, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the flow must not factor or iterate on a matrix")
+        raise AssertionError("the flow must not factor a matrix")
 
     monkeypatch.setattr(elliptic, "splu", refuse)
-    monkeypatch.setattr(elliptic, "bicgstab", refuse)
     nl = make("abs-sin")
     g = make_grid(6.0, 4.0, 0.25)
     u0 = _flow_start(g, kind, np.random.default_rng(3))
@@ -250,22 +249,6 @@ def test_flow_rejects_an_operator_built_for_another_trace(kind):
     op = flow_operator(nl, g, kind, u0[0, :] + 0.5)
     with pytest.raises(ConsistencyError, match="trace row"):
         flow_relax(nl, u0, g, kind, op=op)
-
-
-@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
-def test_newton_iterative_branch_matches_direct(kind, monkeypatch):
-    nl = make("abs-sin")
-    g = make_grid(6.0, 4.0, 0.25)
-    u0 = flow_relax(nl, _flow_start(g, kind, np.random.default_rng(3)), g, kind)[0]
-    direct = newton_solve(nl, g, kind, u0, tol=1e-9)
-    monkeypatch.setattr(elliptic, "_DIRECT_MAX", _vec(u0, kind).size - 1)
-    calls = []
-    real = elliptic.bicgstab
-    monkeypatch.setattr(elliptic, "bicgstab",
-                        lambda *a, **kw: calls.append(None) or real(*a, **kw))
-    it = newton_solve(nl, g, kind, u0, tol=1e-9)
-    assert len(calls) == it.meta["iterations"] == direct.meta["iterations"] > 0
-    assert float(np.max(np.abs(it.values - direct.values))) <= 1e-10
 
 
 def test_inserted_profile_residual_is_discretization_order():
@@ -370,11 +353,11 @@ def test_auto_method_reports_a_capped_flow(monkeypatch):
 
 
 def test_auto_solves_past_the_direct_limit():
-    # 480 x 240 = 115,200 unknowns, above _DIRECT_MAX: the flow runs on
+    # 480 x 240 = 115,200 unknowns, above 256^2: the flow runs on
     # transforms to tol and Newton never runs
     nl = make("linear-decay")
     g = make_grid(60.0, 30.0, 0.125)
-    assert g.n1 * g.n2 > elliptic._DIRECT_MAX
+    assert g.n1 * g.n2 > 256 * 256
     trace = make_trace("bump:15.0,5.0,0.55", nl, g, "quarter")
     f = solve_field(nl, g, "quarter", trace, method="auto", tol=1e-9)
     assert f.residual <= 1e-9
@@ -386,12 +369,11 @@ def test_auto_solves_past_the_direct_limit():
 @pytest.mark.parametrize("h", [0.125, 0.0625])
 def test_auto_solves_the_fine_abs_sin_half_without_a_matrix_solve(h, monkeypatch):
     # 76,800 and 307,200 unknowns; the limit 2 pi is a kink of |sin|, where
-    # Newton's numeric Jacobian reads f' about 0 and its bicgstab broke down
+    # Newton's numeric Jacobian reads f' about 0 and its line search fails
     def refuse(*args, **kwargs):
         raise AssertionError("the flow alone must finish this solve")
 
     monkeypatch.setattr(elliptic, "splu", refuse)
-    monkeypatch.setattr(elliptic, "bicgstab", refuse)
     nl = make("abs-sin")
     g = make_grid(60.0, 20.0, h)
     f = solve_field(nl, g, "half", 5.029090466054633, tol=1e-10)
@@ -414,6 +396,23 @@ def test_auto_hands_off_where_the_flow_stops_contracting():
     assert elliptic._FLOW_CONTRACTION < handoff["ratio"] < 1.0
     assert f.meta["iterations"] >= 1
     assert float(np.max(np.abs(f.values - 0.99))) < 1e-12
+
+
+def test_fine_handoff_factors_its_jacobian(monkeypatch):
+    # the handoff above at h = 0.125: 480 x 160 = 76,800 unknowns, above
+    # 256^2, and Newton still solves each step through one sparse LU
+    calls = []
+    real = elliptic.splu
+    monkeypatch.setattr(elliptic, "splu",
+                        lambda *a, **kw: calls.append(None) or real(*a, **kw))
+    nl = make("cantor:3")
+    g = make_grid(60.0, 20.0, 0.125)
+    assert g.n1 * g.n2 == 76_800
+    f = solve_field(nl, g, "half", 0.99, u0=0.97, tol=1e-9)
+    assert f.meta["handoff"] is not None
+    assert f.meta["iterations"] >= 1 and len(calls) >= 1
+    assert f.residual <= 1e-9
+    assert float(np.max(np.abs(f.values - 0.99))) <= 1e-12
 
 
 def test_flow_stops_where_it_stops_contracting():

@@ -68,17 +68,14 @@ def test_estimate_constant_field():
     est = estimate_M(f)
     assert est.M == 1.7
     assert est.m == 1.7
-    assert np.all(est.deltas == 0.0)
 
 
 def test_estimate_settling_transient():
-    # u = 1 + exp(-x1): trailing windows see smaller and smaller sup drift
+    # u = 1 + exp(-x1): the sup of the trailing window x1 >= 0.75 L1
     g = make_grid(24.0, 4.0, 0.5)
     x1 = g.x1_nodes("half")
     vals = np.tile(1.0 + np.exp(-x1)[:, None], (1, g.n2))
     est = estimate_M(Field(vals, g, "half"))
-    assert est.deltas.size == 2
-    assert est.deltas[1] < est.deltas[0]
     assert abs(est.M - (1.0 + math.exp(-0.75 * 24.0))) < 1e-12
 
 
