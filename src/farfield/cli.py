@@ -129,15 +129,11 @@ def _zero_set_json(E) -> dict:
 
 def _plot_ladder(path: str, rows: list) -> None:
     """Distance-vs-shift SVG, one polyline per candidate level."""
-    try:
-        hs = sorted({r["h"] for r in rows})
-        by: dict = {}
-        for r in rows:
-            by.setdefault(r["z"], {})[r["h"]] = max(r["d"], 1e-300)
-        series = {f"level {z:.6g}": [by[z][h] for h in hs] for z in sorted(by)}
-    except (KeyError, TypeError):
-        raise InputError("distance ladder rows must be {h, z, d} with every "
-                         "candidate present at every shift") from None
+    hs = sorted({r["h"] for r in rows})
+    by: dict = {}
+    for r in rows:
+        by.setdefault(r["z"], {})[r["h"]] = max(r["d"], 1e-300)
+    series = {f"level {z:.6g}": [by[z][h] for h in hs] for z in sorted(by)}
     svg_line_plot(path, hs, series, title="window distance vs shift",
                   xlabel="shift", ylabel="sup distance")
 
@@ -198,7 +194,7 @@ def cmd_analyze_f(args) -> int:
     print("reachable plateau levels: "
           + (", ".join(f"{z:.12g}" for z in zf.points) or "(none)"))
     for name, verdict in (("h1", hyp.h1), ("h2", hyp.h2), ("h3", hyp.h3)):
-        word = {True: "satisfied", False: "violated", None: "inconclusive"}[verdict]
+        word = {True: "satisfied", False: "violated", None: "not evaluated"}[verdict]
         print(f"hypothesis {name}: {word}")
     return 0
 
@@ -340,22 +336,6 @@ def cmd_liouville_sweep(args) -> int:
         print(f"note: {note}")
     counts = ", ".join(f"{k}: {v}" for k, v in sorted(rep.counts.items()))
     print(f"{args.domain} sweep ({rep.n_trials} trials, seed {rep.seed}): {counts}")
-    return 0
-
-
-def cmd_plot(args) -> int:
-    with open(args.input) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{args.input}:{e.lineno}: {e.msg}") from None
-    if not isinstance(data, dict):
-        raise InputError(f"{args.input}: expected a report object")
-    rows = data.get("distances")
-    if not rows:
-        raise InputError(f"{args.input}: no distance ladder to plot")
-    _plot_ladder(args.output, rows)
-    print(f"wrote {args.output}")
     return 0
 
 
@@ -528,11 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     _add_flags(p, "out", "seed", "threads")
     p.set_defaults(func=cmd_liouville_sweep)
-
-    p = sub.add_parser("plot", help="replot a saved distance ladder")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True)

@@ -25,7 +25,8 @@ agree is stretched by 1 / (1 - ratio) to the sum of that tail, at most 2x
 a step. `flow_operator` builds its fixed parts once, so flows that share
 them (a sweep's trials) assemble nothing more.
 `solve_field` builds its two methods from this flow and one damped Newton
-iteration, `newton_solve`, whose steps solve with the Jacobian L + diag(f')
+iteration, `newton_solve`, whose steps solve with the Jacobian
+L + diag(f'(v+)), f' the exact one-sided slope `fprime` of the clipped f,
 through `_factor`, a sparse LU at every grid size;
 a test checks that Newton and the flow run to tol with no basin reach the
 same state on a logistic quarter:
@@ -57,12 +58,12 @@ from scipy.sparse.linalg import bicgstab  # noqa: F401
 
 from .errors import ConsistencyError, InputError, NumericError
 from .grids import Field, Grid2D, _check_kind, as_trace
-from .nonlinearity import Nonlinearity, capped_float, eval_capped, integral_between
+from .nonlinearity import (Nonlinearity, capped_float, eval_capped, fprime,
+                           integral_between)
 from .odes import integrate
 
 _DENSE_MAX_AXIS = 64          # shifted solves by dense eigenbasis products up to this
 _NEWTON_MAX_ITER = 60
-_FPRIME_DELTA = 1e-7          # central-difference step of Newton's f'
 _FLOW_MAX_STEPS = 200_000
 _FLOW_TARGET = 1e-3           # solve_field's basin: residual below which Newton may finish
 _FLOW_CONTRACTION = 0.5       # in the basin, a step must cut the residual this much
@@ -263,12 +264,6 @@ def residual_max(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str) -> fl
     return float(np.max(np.abs(lap + eval_capped(nl, _unknown_block(u, kind)))))
 
 
-def _fprime_numeric(nl: Nonlinearity, v: np.ndarray) -> np.ndarray:
-    up = eval_capped(nl, v + _FPRIME_DELTA)
-    dn = eval_capped(nl, v - _FPRIME_DELTA)
-    return (up - dn) / (2.0 * _FPRIME_DELTA)
-
-
 def _factor(A):
     """Solver x = solve(rhs) for A x = rhs, factored once for many right sides.
 
@@ -304,7 +299,7 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, u0: np.ndarray,
     rn = float(np.max(np.abs(r)))
     it = 0
     while rn > tol and it < _NEWTON_MAX_ITER:
-        J = L + diags(_fprime_numeric(nl, v))
+        J = L + diags(fprime(nl, v))
         step = _factor(J)(-r)
         lam = 1.0
         while True:
@@ -608,6 +603,7 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
                          f"got eps={eps:g}, z={z:g}")
     if N < 1:
         raise InputError(f"radial_bubble: need N >= 1, got N={N}")
+    sphere_area(N)      # the cap's energy needs it: an N where it overflows fails here
     f = capped_float(nl)
 
     def shoot(a: float):
@@ -652,13 +648,19 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
 
 
 def sphere_area(N: int) -> float:
-    from math import gamma, pi
-    return 2.0 * pi ** (N / 2.0) / gamma(N / 2.0)
+    """Area of the unit sphere in R^N; an overflow is a NumericError."""
+    try:
+        return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    except OverflowError:
+        raise NumericError(f"unit sphere area in dimension N={N} overflows a float") from None
 
 
 def ball_volume(N: int) -> float:
-    from math import gamma, pi
-    return pi ** (N / 2.0) / gamma(N / 2.0 + 1.0)
+    """Volume of the unit ball in R^N; an overflow is a NumericError."""
+    try:
+        return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
+    except OverflowError:
+        raise NumericError(f"unit ball volume in dimension N={N} overflows a float") from None
 
 
 def cap_energy(bub: Bubble, nl: Nonlinearity, r_ball: float) -> float:
@@ -666,7 +668,8 @@ def cap_energy(bub: Bubble, nl: Nonlinearity, r_ball: float) -> float:
 
     E = int ( |grad v|^2 / 2 + G(v) ) with G(s) = F(z) - F(s), the potential
     gap to the top level. Outside the cap the integrand is the constant
-    G(0) = F(z).
+    G(0) = F(z). An energy that is not finite (r^(N-1) overflows for large
+    N) is a NumericError.
     """
     if not bub.feasible:
         raise InputError("cap_energy: cap never closed (not feasible)")
@@ -677,11 +680,15 @@ def cap_energy(bub: Bubble, nl: Nonlinearity, r_ball: float) -> float:
     vv = np.interp(rr, bub.r, bub.v)
     vp = np.interp(rr, bub.r, bub.vp)
     G = integral_between(nl, vv, bub.z)
-    dens = (0.5 * vp * vp + G) * rr ** (N - 1)
-    E = sphere_area(N) * np.trapezoid(dens, rr)
+    with np.errstate(over="ignore"):      # a non-finite energy is refused below
+        dens = (0.5 * vp * vp + G) * rr ** (N - 1)
+        E = sphere_area(N) * np.trapezoid(dens, rr)
     if r_ball > bub.R:
         G0 = integral_between(nl, 0.0, bub.z)
         E += G0 * ball_volume(N) * (r_ball ** N - bub.R ** N)
+    if not math.isfinite(E):
+        raise NumericError(f"cap energy over radius {r_ball:g} in dimension N={N} "
+                           f"is not finite ({E})")
     return float(E)
 
 

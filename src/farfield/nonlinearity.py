@@ -4,13 +4,14 @@ A Nonlinearity bundles a vectorized source term f on the analysis window
 [0, s_max] with its exact slab integral, the one integral of f: F(z) is the
 slab from 0 to z, and there is no quadrature fallback. Each constructor
 takes its window and builds on it, in closed form, the term's exact
-Lipschitz constant, its kinks and its zero set E (isolated points and flat
-intervals), so nothing samples f to find them. On top of that sit the
-structural operations the rest of the package consumes: the subset of zeros
-reachable by monotone 1-D profiles (F strictly below its value at the zero
-all the way up), hypothesis checkers for the three structural conditions
-the far-field statements assume, which read f's sign between consecutive
-points of E.
+Lipschitz constant, its kinks, its zero set E (isolated points and flat
+intervals) and its one-sided slopes, so nothing samples or differences f;
+`fprime`, the slope of the clipped f, is the package's one f'. On top of
+that sit the structural operations the rest of the package consumes: the
+subset of zeros reachable by monotone 1-D profiles (F strictly below its
+value at the zero all the way up), hypothesis checkers for the three
+structural conditions the far-field statements assume, which read f's sign
+between consecutive points of E and its exact slopes at them.
 
 Catalog names accepted by make():
     logistic        s (1 - s)
@@ -34,8 +35,6 @@ import numpy as np
 from .errors import InputError
 
 TOL_F_STRICT = 1e-12     # strictness margin for the F-increase test
-_RATIO_BAND = 1e-6       # one-sided ratio estimates inside this band are inconclusive
-_DELTAS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _CANTOR_MAX_LEVEL = 6    # finest level whose every reachable profile the tests build
 
 
@@ -45,6 +44,7 @@ class Nonlinearity:
     s_max: float
     lipschitz: float        # of f on [0, s_max], exact
     fn: Callable = field(repr=False)                      # vectorized, unchecked
+    slope: Callable = field(repr=False)   # (s, side): f'(s+) if side > 0, else f'(s-)
     # exact integral of f over [lo, hi] for float arrays lo < hi (elementwise;
     # hi may be one float); must stay accurate in RELATIVE terms when the
     # integral is tiny (profiles divide by it arbitrarily close to a zero,
@@ -66,6 +66,17 @@ def eval_capped(nl: Nonlinearity, s):
     never written to.
     """
     return nl.fn(np.asarray(s, dtype=float).clip(0.0, nl.s_max))
+
+
+def fprime(nl: Nonlinearity, s, side: int = 1) -> np.ndarray:
+    """The one-sided derivative of eval_capped on an array: f'(s+) for
+    side > 0 and f'(s-) for side < 0, and 0 where the clip holds the
+    argument at an end of [0, s_max] (outside the window, and at an end on
+    its outer side). At a kink it is one element of Clarke's generalized
+    Jacobian (Qi and Sun, Math. Programming 58, 1993)."""
+    s = np.asarray(s, dtype=float)
+    inside = (0.0 <= s) & (s < nl.s_max) if side > 0 else (0.0 < s) & (s <= nl.s_max)
+    return np.where(inside, nl.slope(s.clip(0.0, nl.s_max), side), 0.0)
 
 
 def capped_float(nl: Nonlinearity) -> Callable[[float], float]:
@@ -154,12 +165,12 @@ class _PiecewiseLinear:
         seg = 0.5 * (self.ys[1:] + self.ys[:-1]) * np.diff(self.xs)
         self.seg_padded = np.append(seg, 0.0)
         self._xl, self._yl = self.xs.tolist(), self.ys.tolist()
-        # knots where the slope changes, with slope 0 beyond the outer knots;
-        # a change at rounding level is a straight line through a knot
+        # cell slopes, 0 beyond the outer knots, and the knots where they
+        # change; a change at rounding level is a straight line through a knot
         slopes = np.concatenate(([0.0], np.diff(self.ys) / np.diff(self.xs), [0.0]))
         jump = np.abs(np.diff(slopes))
         self.kinks = self.xs[jump > 1e-12 * (np.abs(slopes[1:]) + np.abs(slopes[:-1]))].tolist()
-        self._slopes = np.abs(slopes[1:-1])
+        self.slopes = slopes
 
     def term(self, kind: str, s_max: float) -> Nonlinearity:
         """This f as the term `kind` on the window [0, s_max]. Its Lipschitz
@@ -169,7 +180,7 @@ class _PiecewiseLinear:
         value 0 a point, a sign change across a cell its secant point; the
         last value holds to s_max."""
         xs, ys = self.xs, self.ys
-        lipschitz = float(self._slopes[xs[:-1] < s_max].max(initial=0.0))
+        lipschitz = float(np.abs(self.slopes[1:-1][xs[:-1] < s_max]).max(initial=0.0))
         zero = ys == 0.0
         flat = zero[:-1] & zero[1:]
         ivs = list(zip(xs[:-1][flat].tolist(), xs[1:][flat].tolist()))
@@ -179,7 +190,7 @@ class _PiecewiseLinear:
         x0, x1, y0, y1 = xs[:-1][cross], xs[1:][cross], ys[:-1][cross], ys[1:][cross]
         secant = x0 - y0 * (x1 - x0) / (y1 - y0)
         zeros = _zeros_in(xs[zero].tolist() + secant.tolist(), ivs, s_max)
-        return Nonlinearity(kind, s_max, lipschitz, self, self.gap,
+        return Nonlinearity(kind, s_max, lipschitz, self, self.slope, self.gap,
                             _kinks_in(self.kinks, s_max), zeros)
 
     def __call__(self, s):
@@ -202,6 +213,11 @@ class _PiecewiseLinear:
             if v != v and ys[j] == ys[j + 1]:
                 v = ys[j]
         return v
+
+    def slope(self, s, side):
+        """The slope of the cell on the `side` of s (at a knot, the cell that
+        starts there for side > 0 and the one that ends there for side < 0)."""
+        return self.slopes[np.searchsorted(self.xs, s, "right" if side > 0 else "left")]
 
     def gap(self, lo, hi):
         """Exact integral over [lo, hi] for arrays lo < hi; accurate for tiny
@@ -247,26 +263,20 @@ def _cantor_intervals(level: int):
     return iv
 
 
-def cantor_prefractal(level: int):
-    """The 2^level closed intervals of the level-`level` middle-thirds set, as floats."""
-    if not (isinstance(level, int) and 1 <= level <= 16):
-        raise InputError(f"cantor level must be an integer in [1, 16], got {level!r}")
-    return [(float(a), float(b)) for a, b in _cantor_intervals(level)]
-
-
 # ---------------------------------------------------------------------------
 # catalog constructors
 
 def logistic(s_max: float = 2.0) -> Nonlinearity:
     s_max = _window(s_max)
     fn = lambda s: s * (1.0 - s)
+    slope = lambda s, side: 1.0 - 2.0 * s
 
     def gap(lo, hi):
         # factored so the (hi - lo) factor carries the smallness
         return (hi - lo) * (0.5 * (hi + lo) - (hi * hi + hi * lo + lo * lo) / 3.0)
 
     # |f'| = |1 - 2 s| peaks at an end of the window
-    return Nonlinearity("logistic", s_max, max(1.0, 2.0 * s_max - 1.0), fn, gap, (),
+    return Nonlinearity("logistic", s_max, max(1.0, 2.0 * s_max - 1.0), fn, slope, gap, (),
                         _zeros_in((0.0, 1.0), (), s_max))
 
 
@@ -280,6 +290,12 @@ def abs_sin(s_max: float = 10.0) -> Nonlinearity:
             return abs(math.sin(s))
         r = np.sin(s)
         return np.abs(r, out=r) if type(r) is np.ndarray else np.abs(r)
+
+    def slope(s, side):
+        # sign(sin s) cos s, except on the floats k pi, which sin does not
+        # map to 0 (sin(2 math.pi) is -2.4e-16): there f'(s+-) is +-1
+        on_zero = np.round(s / math.pi) * math.pi == s
+        return np.where(on_zero, 1.0 if side > 0 else -1.0, np.sign(np.sin(s)) * np.cos(s))
 
     def _arch(a, b, k):
         # integral of |sin| over [a, b] within arch k: product form, no cancellation
@@ -296,15 +312,17 @@ def abs_sin(s_max: float = 10.0) -> Nonlinearity:
 
     # f vanishes at every k pi, and every one inside the window is a kink
     multiples = [k * math.pi for k in range(int(s_max / math.pi) + 1)]
-    return Nonlinearity("abs-sin", s_max, 1.0, fn, gap, _kinks_in(multiples, s_max),
+    return Nonlinearity("abs-sin", s_max, 1.0, fn, slope, gap, _kinks_in(multiples, s_max),
                         _zeros_in(multiples, (), s_max))
 
 
 def linear_decay(s_max: float = 10.0) -> Nonlinearity:
     s_max = _window(s_max)
     fn = lambda s: 1.0 - s
+    slope = lambda s, side: np.full(np.shape(s), -1.0)
     gap = lambda lo, hi: (hi - lo) * (1.0 - 0.5 * (hi + lo))
-    return Nonlinearity("linear-decay", s_max, 1.0, fn, gap, (), _zeros_in((1.0,), (), s_max))
+    return Nonlinearity("linear-decay", s_max, 1.0, fn, slope, gap, (),
+                        _zeros_in((1.0,), (), s_max))
 
 
 def cantor(level: int = 6, s_max: float = 1.0) -> Nonlinearity:
@@ -482,46 +500,60 @@ def compute_Zf(nl: Nonlinearity) -> ZeroSet:
 class HypothesisReport:
     """Verdicts for the three structural conditions.
 
-    Each verdict is True / False / None, with None meaning a one-sided ratio
-    estimate landed inside the inconclusive band and we refuse to guess.
-    Ratio lists hold (zero, estimated liminf ratio) pairs.
+    h1 and h2 are bools; h3 is None only when it is not evaluated (h1
+    fails). Where f(z) = 0, the liminf of f(z +- d)/(+-d) is the one-sided
+    slope f'(z+-), so the ratio lists hold (zero, exact slope) pairs, and
+    origin_ratio is f'(0+) (inf when f(0) > 0).
     """
-    h1: bool | None
+    h1: bool
     mu: float | None
     mu_prime: float | None
     origin_ratio: float | None
-    h2: bool | None
+    h2: bool
     h2_ratios: tuple
     h3: bool | None
     h3_ratios: tuple
     notes: tuple = ()
 
 
-def _verdict_from_ratio(r: float):
-    if r > _RATIO_BAND:
-        return True
-    if r < -_RATIO_BAND:
-        return False
-    return None
-
-
-def _ratio(nl: Nonlinearity, z: float, side: int) -> float | None:
-    """One-sided liminf estimate at z: the minimum of f(z + side d) / (side d)
-    over the steps d of _DELTAS that stay in the window; None if none does."""
-    d = side * np.array([d for d in _DELTAS if 0.0 <= z + side * d <= nl.s_max])
-    return float(np.min(nl.fn(z + d) / d)) if d.size else None
+def _turning_point(nl: Nonlinearity, mu: float) -> float:
+    """mu', the least point with f' <= 0 on [mu', mu]: a walk down from mu
+    over the kink-free cells between 0, the kinks below mu and mu. It relies
+    on f' being monotone on each such cell, as it is for every constructor
+    (the logistic's f' is linear, abs-sin's is +-cos on one arch, a table's
+    constant), so f' <= 0 at both ends of a cell holds throughout it, and in
+    the first cell where it does not, mu' is the right end or the one sign
+    change of f' inside, found by bisection."""
+    ends = [0.0, *(k for k in nl.kinks if k < mu), mu]
+    for a, b in zip(ends[-2::-1], ends[:0:-1]):
+        if fprime(nl, b, -1) > 0.0:
+            return b
+        if fprime(nl, a) > 0.0:
+            lo, hi = a, b           # f' > 0 at lo, f' <= 0 at hi
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                if fprime(nl, mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+    return 0.0
 
 
 def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
-    """Probe the three structural conditions on [0, s_max].
+    """Test the three structural conditions on [0, s_max].
 
     f's sign structure is exact: no zero of f lies inside a gap between
     consecutive points of its zero set and the window's ends, so f's value
     at a gap's midpoint gives its sign on the whole gap. mu, the end of the
-    positive hump, is the upper end of the last positive gap. One-sided
-    liminf ratios at the zeros are estimated as the minimum of f(z +- d)/(+-d)
-    over d in {1e-3 ... 1e-7}; estimates inside the +-1e-6 band come back as
-    inconclusive (None), never as a silent pass.
+    positive hump, is the upper end of the last positive gap. The slope
+    conditions read `fprime` at the zeros, so a verdict is the sign of an
+    exact number, and an exact 0 fails its strict inequality:
+
+      h1: f > 0 on (0, mu), f <= 0 beyond, f'(0+) > 0 if f(0) = 0, and
+          f' <= 0 on [mu', mu] (`_turning_point`);
+      h2: f >= 0, and f'(z+) > 0 at every zero z < s_max (none on a flat
+          stretch; a zero at s_max is noted and skipped);
+      h3 (only when h1 holds): f'(z-) > 0 at every zero z > mu.
     """
     s_max = nl.s_max
     notes = []
@@ -531,7 +563,7 @@ def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
     sign = np.sign(nl.fn(0.5 * (ends[:-1] + ends[1:])))     # 0 on a flat interval
 
     # --- first condition: positive hump then nonpositive tail
-    h1: bool | None = True
+    h1 = True
     mu = mu_prime = None
     pos = np.flatnonzero(sign > 0)
     if not pos.size:
@@ -546,76 +578,51 @@ def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
             h1 = False
             notes.append("f touches zero strictly between 0 and mu")
     if h1:
-        xs = np.linspace(0.0, s_max, 8001)
-        h = xs[1] - xs[0]
-        fs = nl.fn(xs)
-        j = max(int(np.searchsorted(xs, mu)) - 1, 1)
-        while j - 1 >= 0 and fs[j - 1] >= fs[j] - 1e-12:
-            j -= 1
-        if xs[j] < mu - h:
-            mu_prime = float(xs[j])
-        else:
-            h1 = False
-            notes.append("no nonincreasing window immediately left of mu")
+        mu_prime = _turning_point(nl, mu)
 
     # f(0) > 0 unless 0 is a zero: f < 0 below the hump would put a zero in (0, mu)
     origin_ratio = None
     if h1:
-        origin_ratio = _ratio(nl, 0.0, 1) if zs[0] == 0.0 else math.inf
-        v = _verdict_from_ratio(origin_ratio)
-        if v is False:
+        origin_ratio = float(fprime(nl, 0.0)) if zs[0] == 0.0 else math.inf
+        if not origin_ratio > 0.0:
             h1 = False
-            notes.append("slope ratio at the origin is negative")
-        elif v is None:
-            h1 = None
-            notes.append("slope ratio at the origin is inconclusive")
+            notes.append("right slope at the origin is not positive")
 
-    # --- second condition: f >= 0 and definite right-slope at every zero
-    h2: bool | None = True
+    # --- second condition: f >= 0 and positive right slope at every zero
+    h2 = True
     h2_ratios = []
     neg = np.flatnonzero(sign < 0)
     if neg.size:
         h2 = False
         notes.append(f"f < 0 on the gap ({ends[neg[0]]:.6g}, {ends[neg[0] + 1]:.6g})")
     for z in E.points:
-        r = _ratio(nl, z, 1)
-        if r is None:
+        if z == s_max:
             notes.append(f"zero at the window edge s={z:.6g}: right ratio not estimable")
             continue
+        r = float(fprime(nl, z))
         h2_ratios.append((z, r))
-        v = _verdict_from_ratio(r)
-        if v is False and h2 is not False:
-            h2 = False
-        elif v is None and h2 is True:
-            h2 = None
-            notes.append(f"right ratio at zero s={z:.6g} is inconclusive")
+        h2 = h2 and r > 0.0
     for a, b in E.intervals:
         h2_ratios.append((a, 0.0))
-        if h2 is not False:
+        if h2:
             h2 = False
             notes.append(f"flat zero stretch [{a:.6g}, {b:.6g}] kills the right-slope condition")
 
-    # --- third condition: definite left-slope at zeros beyond mu
-    h3: bool | None
+    # --- third condition: positive left slope at zeros beyond mu
+    h3 = None
     h3_ratios = []
-    if h1 is not True:
-        h3 = None
+    if not h1:
         notes.append("left-slope condition not evaluated: no positive hump structure")
     else:
         h3 = True
         for z in (z for z in E.points if z > mu):
-            r = _ratio(nl, z, -1)
+            r = float(fprime(nl, z, -1))
             h3_ratios.append((z, r))
-            v = _verdict_from_ratio(r)
-            if v is False and h3 is not False:
-                h3 = False
-            elif v is None and h3 is True:
-                h3 = None
-                notes.append(f"left ratio at zero s={z:.6g} is inconclusive")
+            h3 = h3 and r > 0.0
         for a, b in E.intervals:
             if a > mu:
                 h3_ratios.append((a, 0.0))
-                if h3 is not False:
+                if h3:
                     h3 = False
                     notes.append(f"flat zero stretch beyond mu at [{a:.6g}, {b:.6g}]")
 

@@ -77,6 +77,17 @@ def test_profile_to_a_level_off_the_zero_set_exits_2(tmp_path, capsys, f, z):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("N", ["200", "400"])
+def test_bubble_energy_that_overflows_exits_2(tmp_path, capsys, N):
+    # r^(N-1) overflows the cap energy at N = 200, and the area of the unit
+    # sphere itself at N = 400; either is refused before bubble.json is written
+    rc = main(["bubble", "--f", "logistic", "--z", "1", "--eps", "0.1", "--N", N,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("numeric error:")
+    assert not os.listdir(tmp_path)
+
+
 def test_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
     # with a tolerance no cross-check can meet, the profile's quadrature and
     # RK4 routes disagree: a ConsistencyError, reported and mapped to exit 2
@@ -129,7 +140,7 @@ def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
     ["slide", "--f", "logistic", "--z", "1", "--eps", "0.1", "--from", "8,6",
      "--to", "9,6", "--n-shifts", "3"],
     ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--no-plots"],
-    ["plot", "--input", "a.json", "--output", "b.svg", "--out", "x"],
+    ["eigen", "--N", "2", "--R", "1", "--no-plots"],
     ["run", "--config", "c.json", "--no-plots"],
 ])
 def test_flags_a_command_does_not_read_exit_1(argv, capsys):
@@ -226,6 +237,7 @@ def test_fractional_n_shifts_config_exits_1_before_anything_is_written(n_shifts,
 @pytest.mark.parametrize("argv", [
     ["trajectory", "--f", "linear-decay", "--kind", "half"],
     ["solve-quarter", "--f", "logistic", "--method", "monotone"],
+    ["plot", "--input", "a.json", "--output", "b.svg"],
 ])
 def test_removed_command_and_method_exit_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -235,8 +247,9 @@ def test_removed_command_and_method_exit_1(argv, tmp_path, capsys):
 
 
 def test_unreadable_input_exits_3(tmp_path, capsys):
-    rc = main(["plot", "--input", str(tmp_path / "nope.json"),
-               "--output", str(tmp_path / "x.svg")])
+    taken = tmp_path / "file"        # an output directory that is a regular file
+    taken.write_text("")
+    rc = main(["analyze-f", "--f", "logistic", "--out", str(taken)])
     assert rc == 3
     assert "os error:" in capsys.readouterr().err
 
@@ -551,29 +564,6 @@ def test_sweep_thread_flag_does_not_change_the_report(tmp_path, capsys):
     capsys.readouterr()
     assert main(base + ["--threads", "2", "--out", str(tmp_path / "c")]) == 1
     assert capsys.readouterr().err.startswith("input error:")
-
-
-# ---------------------------------------------------------------------------
-# plot command
-
-def test_plot_rerenders_the_solve_figure_byte_identically(tmp_path):
-    out = tmp_path / "s"
-    assert main(_SOLVE_ARGS + ["--out", str(out)]) == 0
-    re = tmp_path / "re.svg"
-    rc = main(["plot", "--input", str(out / "trajectory.json"),
-               "--output", str(re)])
-    assert rc == 0
-    assert _read(re) == _read(out / "decay.svg")
-
-
-def test_plot_rejects_reports_without_a_ladder(tmp_path, capsys):
-    p = tmp_path / "empty.json"
-    p.write_text(json.dumps({"distances": []}))
-    assert main(["plot", "--input", str(p), "--output", str(tmp_path / "x.svg")]) == 1
-    assert "no distance ladder" in capsys.readouterr().err
-    p.write_text(json.dumps([1, 2]))
-    assert main(["plot", "--input", str(p), "--output", str(tmp_path / "x.svg")]) == 1
-    assert "expected a report object" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Catalog construction, exact integrals, zero sets, structural probes."""
 
+import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ from scipy.integrate import quad
 
 from farfield import nonlinearity as nlm
 from farfield.errors import InputError
-from farfield.nonlinearity import (cantor_prefractal, capped_float, check_hypotheses,
-                                   compute_Zf, eval_capped, from_table,
+from farfield.nonlinearity import (capped_float, check_hypotheses, compute_Zf,
+                                   eval_capped, fprime, from_table,
                                    integral_between, make, zero_set)
 
 CATALOG = ("logistic", "abs-sin", "linear-decay", "cantor:3")
@@ -300,24 +302,30 @@ def test_integral_between_tiny_slab_on_array_input():
 # ---------------------------------------------------------------------------
 # prefractal catalog member
 
+def _prefractal(level):
+    """The level-`level` middle-thirds intervals as floats, built in exact
+    rationals from ternary digits, independently of the catalog: one
+    interval [sum d_i 3^-i, sum d_i 3^-i + 3^-level] per d in {0, 2}^level."""
+    third = Fraction(1, 3)
+    lefts = sorted(sum(d * third ** i for i, d in enumerate(digits, 1))
+                   for digits in itertools.product((0, 2), repeat=level))
+    return [(float(a), float(a + third ** level)) for a in lefts]
+
+
 def test_prefractal_intervals():
-    iv = cantor_prefractal(1)
+    iv = _prefractal(1)
     assert iv == [(0.0, 1 / 3), (2 / 3, 1.0)]
-    iv3 = cantor_prefractal(3)
+    iv3 = _prefractal(3)
     assert len(iv3) == 8
     lefts = [a for a, _ in iv3]
     want = [0.0, 2 / 27, 2 / 9, 8 / 27, 2 / 3, 20 / 27, 8 / 9, 26 / 27]
     np.testing.assert_allclose(lefts, want, atol=1e-15)
-    with pytest.raises(InputError):
-        cantor_prefractal(0)
-    with pytest.raises(InputError):
-        cantor_prefractal(17)
 
 
 def test_cantor_tent_geometry():
     nl = make("cantor:3")
     # zero exactly on the kept intervals
-    for a, b in cantor_prefractal(3):
+    for a, b in _prefractal(3):
         for s in np.linspace(a, b, 5):
             assert float(nl.fn(np.float64(s))) == 0.0
     # the first removed third peaks at height 1/6 in its middle
@@ -328,7 +336,7 @@ def test_cantor_tent_geometry():
 def test_cantor_zero_set_resolves_every_interval(level):
     E = zero_set(make(f"cantor:{level}"))
     assert (len(E.points), len(E.intervals)) == (0, 2 ** level)
-    assert E.intervals == tuple(cantor_prefractal(level))
+    assert E.intervals == tuple(_prefractal(level))
 
 
 @pytest.mark.parametrize("level", (0, -1, 7))
@@ -342,7 +350,7 @@ def test_cantor_zero_set_in_a_wide_window():
     # f = 0 on [1, 3], so the last interval runs to the window's end
     E = zero_set(make("cantor:6", s_max=3.0))
     assert (len(E.points), len(E.intervals)) == (0, 64)
-    assert E.intervals[-1] == (cantor_prefractal(6)[-1][0], 3.0)
+    assert E.intervals[-1] == (_prefractal(6)[-1][0], 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +546,7 @@ def test_hypotheses_logistic():
     r = check_hypotheses(make("logistic"))
     assert r.h1 is True
     assert r.mu == pytest.approx(1.0, abs=1e-6)
-    assert r.mu_prime == pytest.approx(0.5, abs=1e-3)
+    assert r.mu_prime == 0.5
     assert r.h2 is False          # f goes negative past the hump
     assert r.h3 is True
 
@@ -550,7 +558,7 @@ def test_hypotheses_abs_sin():
     assert r.h3 is None
     ratios = dict((round(z, 6), v) for z, v in r.h2_ratios)
     for z in (0.0, round(math.pi, 6), round(2 * math.pi, 6)):
-        assert ratios[z] == pytest.approx(1.0, abs=1e-2)
+        assert ratios[z] == 1.0      # f'(z+) of |sin| at k pi, exactly
 
 
 def test_hypotheses_linear_decay():
@@ -583,16 +591,17 @@ def _hypothesis_case(name):
     return make(spec, s_max=float(window)) if window else make(spec)
 
 
-# name: (h1, h2, h3, mu'), the verdicts an 8,001-sample sign scan also reaches
+# name: (h1, h2, h3, mu'); mu' is where f turns down: the logistic's 1/2 and
+# the tent table's peak knot 1
 _VERDICTS = {
     "logistic": (True, False, True, 0.5),
     "abs-sin": (False, True, None, None),
     "linear-decay": (True, False, True, 0.0),
     **{f"cantor:{k}": (False, False, None, None) for k in range(1, 7)},
-    "tent": (True, False, True, 1.000125),
+    "tent": (True, False, True, 1.0),
     "sin 3s table": (False, False, None, None),
     "table f <= 0": (False, False, None, None),
-    "logistic s_max=1.5": (True, False, True, 0.5000625),
+    "logistic s_max=1.5": (True, False, True, 0.5),
     "logistic s_max=0.8": (False, True, None, None),
     "abs-sin s_max=3": (False, True, None, None),
     "linear-decay s_max=0.5": (False, True, None, None),
@@ -612,7 +621,7 @@ def test_hypothesis_verdicts_and_exact_mu(name):
 
 @pytest.mark.parametrize("name, mu", [("logistic", 1.0), ("linear-decay", 1.0), ("tent", 2.4),
                                       ("table f <= 0", None)]
-                         + [(f"cantor:{k}", cantor_prefractal(k)[-1][0]) for k in range(1, 7)])
+                         + [(f"cantor:{k}", _prefractal(k)[-1][0]) for k in range(1, 7)])
 def test_mu_is_exact(name, mu):
     assert check_hypotheses(_hypothesis_case(name)).mu == mu
 
@@ -673,6 +682,15 @@ def test_kinks_list_every_point_where_f_is_not_differentiable(name, tmp_path):
     left = (nl.fn(kinks) - nl.fn(kinks - d)) / d
     right = (nl.fn(kinks + d) - nl.fn(kinks)) / d
     assert np.all(np.abs(right - left) > 1e-3)
+    # fprime gives those one-sided quotients at each kink, and the central
+    # differences between the kinks, on either side
+    np.testing.assert_allclose(fprime(nl, kinks, -1), left, atol=1e-6)
+    np.testing.assert_allclose(fprime(nl, kinks, 1), right, atol=1e-6)
+    mid, d2 = np.linspace(0.0, nl.s_max, 2001)[1:-1], 1e-6
+    away = np.searchsorted(kinks, mid + d2) == np.searchsorted(kinks, mid - d2)
+    central = (nl.fn(mid + d2) - nl.fn(mid - d2)) / (2.0 * d2)
+    for side in (-1, 1):
+        np.testing.assert_allclose(fprime(nl, mid[away], side), central[away], atol=1e-6)
     # between them second differences stay bounded: a missing kink with a
     # slope jump J would read about J / (2 h) on the stencil that straddles it
     xs = np.linspace(0.0, nl.s_max, 200_001)
@@ -710,6 +728,8 @@ def test_lipschitz_constant_is_exact(name, tmp_path):
     slopes = np.abs(np.diff(nl.fn(xs)) / np.diff(xs))
     assert float(slopes.max()) <= nl.lipschitz * (1.0 + 1e-8)
     assert float(slopes.max()) >= nl.lipschitz - 1e-6
+    # the largest exact slope on those points, either side, is the constant
+    assert max(float(np.abs(fprime(nl, xs, side)).max()) for side in (-1, 1)) == nl.lipschitz
 
 
 # ---------------------------------------------------------------------------
