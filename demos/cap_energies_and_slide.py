@@ -9,10 +9,10 @@ floor along the path.
 
 import numpy as np
 
-from farfield.elliptic import (bubble_energy, level_energy, radial_bubble,
-                               ramp_energy, sliding_verify, solve_field)
+from farfield.elliptic import solve_field
 from farfield.grids import make_grid
 from farfield.nonlinearity import make
+from farfield.sliding import level_energy, radial_bubble, ramp_energy, sliding_verify
 from farfield.traces import bump
 
 
@@ -21,7 +21,7 @@ def main():
     cap = radial_bubble(lg, 1.0, 0.1)
     print(f"cap: center height {cap.v[0]:g}, radius {cap.R:.6f}, "
           f"{cap.bisections} bisections")
-    e_cap, e_ramp = bubble_energy(cap, lg)
+    e_cap, e_ramp = cap.energy, ramp_energy(lg, cap.z, cap.R, N=cap.N)
     print(f"energy over its own ball: cap {e_cap:.4f} vs ramp {e_ramp:.4f}")
 
     rs = np.array([5.0, 10.0, 20.0])

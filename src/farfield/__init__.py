@@ -10,11 +10,11 @@ from .odes import OdeResult, integrate
 from .profile1d import (ProbeReport, Profile1D, compute_profile,
                         disconnectedness_probe, integrate_profile_ode,
                         profile_residual, save_profile_csv, shoot_slope)
-from .elliptic import (Bubble, EigenResult, FlowOperator, SlideReport, ball_volume,
-                       bubble_energy, cap_energy, dirichlet_eigenpair,
-                       flow_operator, flow_relax, laplacian_full, level_energy,
-                       newton_solve, radial_bubble, ramp_energy, residual_max,
-                       sliding_verify, solve_field, sphere_area)
+from .elliptic import (FlowOperator, flow_operator, flow_relax, laplacian_full,
+                       newton_solve, residual_max, solve_field)
+from .sliding import (Bubble, EigenResult, SlideReport, ball_volume, cap_energy,
+                      dirichlet_eigenpair, level_energy, radial_bubble, ramp_energy,
+                      sliding_verify, sphere_area)
 from .trajectory import (AttractorTable, MEstimate, TrajectoryReport,
                          attractor_table, estimate_M, omega_limit, shift)
 from .liouville import (SweepReport, TrialResult, halfspace_strip_sweep, noise_start,

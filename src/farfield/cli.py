@@ -16,14 +16,15 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
-from .elliptic import (dirichlet_eigenpair, radial_bubble, sliding_verify,
-                       solve_field)
+from .elliptic import solve_field
 from .errors import ConfigError, ConsistencyError, InputError, NumericError
 from .grids import make_grid, save_field_csv
 from .liouville import halfspace_strip_sweep, periodic_box_sweep
 from .nonlinearity import check_hypotheses, compute_Zf, make, zero_set
 from .profile1d import compute_profile, save_profile_csv
+from .sliding import dirichlet_eigenpair, radial_bubble, sliding_verify
 from .svgplot import svg_line_plot
 from .traces import make_trace
 from .trajectory import check_ladder, omega_limit
@@ -36,7 +37,7 @@ _DEFAULT_CONFIG = {
     "domain": {"kind": "quarter", "L1": 40.0, "L2": 20.0, "h": 0.25,
                "trace": "constant:0.5", "u0": None},
     "solver": {"method": "auto", "tol": 1e-9},
-    "analysis": {"n_shifts": 16, "conv_tol": 1e-2},
+    "analysis": {"n_shifts": 16},
     "output": {"dir": "out", "dump_fields": False, "plots": True},
 }
 _METHODS = ("newton", "auto")     # solve_field's methods
@@ -170,12 +171,12 @@ def _solve(args, nl):
 
 
 def _far_field(args, nl, field, out: str):
-    """Detect the far-field limit with args.n_shifts and conv_tol;
-    write trajectory.json, and decay.svg when args.plots asks for it and
-    the ladder has two shifts to draw (so at least one candidate).
-    Returns the report and the names of the files written."""
-    rep = omega_limit(nl, field, n_shifts=args.n_shifts, conv_tol=args.conv_tol)
-    _write_json(rep.to_json_dict(), os.path.join(out, "trajectory.json"))
+    """Detect the far-field limit with args.n_shifts; write trajectory.json,
+    and decay.svg when args.plots asks for it and the ladder has two shifts
+    to draw (so at least one candidate). Returns the report and the names of
+    the files written."""
+    rep = omega_limit(nl, field, n_shifts=args.n_shifts)
+    _write_json(asdict(rep), os.path.join(out, "trajectory.json"))
     written = ["trajectory.json"]
     if args.plots and len({r["h"] for r in rep.distances}) >= 2:
         _plot_ladder(os.path.join(out, "decay.svg"), rep.distances)
@@ -267,7 +268,7 @@ def _solve_and_report(args, nl, out: str) -> list:
 
 
 def cmd_solve(args) -> int:
-    check_ladder(args.n_shifts, args.conv_tol)     # before the solve it follows
+    check_ladder(args.n_shifts)     # before the solve it follows
     _solve_and_report(args, _nl(args), _outdir(args))
     return 0
 
@@ -331,7 +332,7 @@ def cmd_liouville_sweep(args) -> int:
     else:
         rep = halfspace_strip_sweep(nl, L=args.L, h=args.h, n_trials=args.trials,
                                     seed=args.seed)
-    _write_json(rep.to_json_dict(), os.path.join(out, f"sweep_{args.domain}.json"))
+    _write_json(asdict(rep), os.path.join(out, f"sweep_{args.domain}.json"))
     for note in rep.notes:
         print(f"note: {note}")
     counts = ", ".join(f"{k}: {v}" for k, v in sorted(rep.counts.items()))
@@ -341,7 +342,7 @@ def cmd_liouville_sweep(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    check_ladder(cfg["analysis"]["n_shifts"], cfg["analysis"]["conv_tol"])
+    check_ladder(cfg["analysis"]["n_shifts"])
     if args.out != ".":
         cfg["output"]["dir"] = args.out
     out = cfg["output"]["dir"]
@@ -400,7 +401,6 @@ _FLAGS = {
     "dump-fields": {"action": "store_true", "dest": "dump_fields"},
     "no-plots": {"action": "store_false", "dest": "plots"},
     "n-shifts": {"type": int, "default": _DEFAULT_CONFIG["analysis"]["n_shifts"]},
-    "conv-tol": {"type": float, "default": _DEFAULT_CONFIG["analysis"]["conv_tol"]},
 }
 
 
@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(f"solve-{kind}", help=help_)
         _add_f(p)
         _add_domain(p)
-        _add_flags(p, "out", "dump-fields", "no-plots", "n-shifts", "conv-tol")
+        _add_flags(p, "out", "dump-fields", "no-plots", "n-shifts")
         p.set_defaults(func=cmd_solve, kind=kind)
 
     p = sub.add_parser("bubble", help="radial cap for sliding comparisons")

@@ -81,9 +81,6 @@ class TrialResult:
     nearest_z: float | None = None
     profile_distance: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass(eq=False)
 class SweepReport:
@@ -99,22 +96,6 @@ class SweepReport:
     max_deviation: float | None = None
     zero_distance: float | None = None   # worst distance of a level to the zero set
     notes: tuple = (SURROGATE_BANNER,)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "L": self.L,
-            "h": self.h,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "converged": self.converged,
-            "constant_count": self.constant_count,
-            "max_deviation": self.max_deviation,
-            "zero_distance": self.zero_distance,
-            "trials": [t.to_json_dict() for t in self.trials],
-            "counts": dict(self.counts),
-            "notes": list(self.notes),
-        }
 
 
 def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray,

@@ -30,7 +30,7 @@ from .profile1d import compute_profile
 
 _M_MARGIN = 0.5            # levels up to M + this stay candidates
 _MARGIN_FACTOR = 2.0       # runner-up must be this many times farther
-_CONV_TOL = 1e-2
+_CONV_TOL = 1e-2           # converged: the winner's final distance is at most this
 _WINDOW_FRAC = 0.25        # comparison window length, as a share of n1
 _M_FRAC = 0.75             # estimate_M: trailing window from this share of L1
 
@@ -127,41 +127,29 @@ class TrajectoryReport:
     distances: list          # [{"h": shift, "z": best level, "d": distance}, ...]
     notes: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "detected_z": self.detected_z,
-            "converged": self.converged,
-            "M": self.M,
-            "m": self.m,
-            "tail_slope": self.tail_slope,
-            "distances": self.distances,
-            "notes": list(self.notes),
-        }
 
-
-def check_ladder(n_shifts: int, conv_tol: float) -> None:
+def check_ladder(n_shifts: int) -> None:
     """omega_limit's argument check, for callers that run it before a solve.
 
     n_shifts must be a whole number (a config file may give it as a float).
     """
-    if not (n_shifts >= 1 and n_shifts % 1 == 0) or not 0 < conv_tol < math.inf:
-        raise InputError("omega_limit: need a whole n_shifts >= 1 and finite "
-                         "conv_tol > 0")
+    if not (n_shifts >= 1 and n_shifts % 1 == 0):
+        raise InputError("omega_limit: need a whole n_shifts >= 1")
 
 
 def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = None,
-                n_shifts: int = 16, conv_tol: float = _CONV_TOL) -> TrajectoryReport:
+                n_shifts: int = 16) -> TrajectoryReport:
     """Detect the far-field limit of a solved field.
 
     Measures the sup-distance from trailing windows to every candidate at a
     geometric ladder of shifts. Candidates come from the supplied table, or
     from attractor_table capped just above the field's trailing amplitude.
-    Converged means the winning candidate's final distance is below conv_tol
-    and the runner-up (if any) is at least twice as far. tail_slope is the
-    fitted exponential rate of the winner's distance over the shift ladder,
-    a health check on the truncation size.
+    Converged means the winning candidate's final distance is at most
+    _CONV_TOL and the runner-up (if any) is at least twice as far.
+    tail_slope is the fitted exponential rate of the winner's distance over
+    the shift ladder, a health check on the truncation size.
     """
-    check_ladder(n_shifts, conv_tol)
+    check_ladder(n_shifts)
     g = field.grid
     notes = []
     est = estimate_M(field)
@@ -197,7 +185,7 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
         ok_margin = runner >= _MARGIN_FACTOR * final[best]
         if not ok_margin:
             notes.append("runner-up candidate too close; detection ambiguous")
-    converged = bool(final[best] <= conv_tol and ok_margin)
+    converged = bool(final[best] <= _CONV_TOL and ok_margin)
 
     # One row per (shift, candidate); each candidate keeps the level it
     # settled on at the final shift so rows group into per-candidate curves.

@@ -15,14 +15,14 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import jn_zeros
 
 import farfield.cli as cli
-from farfield.elliptic import (bubble_energy, dirichlet_eigenpair,
-                               level_energy, radial_bubble, ramp_energy,
-                               sliding_verify, solve_field)
+from farfield.elliptic import solve_field
 from farfield.grids import Field, make_grid
 from farfield.liouville import halfspace_strip_sweep, periodic_box_sweep
 from farfield.nonlinearity import (check_hypotheses, compute_Zf,
                                    integral_between, make)
 from farfield.profile1d import compute_profile
+from farfield.sliding import (dirichlet_eigenpair, level_energy, radial_bubble,
+                              ramp_energy, sliding_verify)
 from farfield.trajectory import estimate_M, omega_limit, shift
 
 
@@ -163,7 +163,7 @@ def test_cap_existence_and_energy_split():
     nl = make("logistic")
     cap01 = radial_bubble(nl, 1.0, 0.1)
     cap05 = radial_bubble(nl, 1.0, 0.05)
-    cap, ramp = bubble_energy(cap01, nl)
+    cap, ramp = cap01.energy, ramp_energy(nl, cap01.z, cap01.R, N=cap01.N)
     rs = np.array([5.0, 10.0, 20.0])
     grow_ramp = np.polyfit(np.log(rs),
                            np.log([ramp_energy(nl, 1.0, r) for r in rs]), 1)[0]

@@ -142,6 +142,9 @@ def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
     ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--no-plots"],
     ["eigen", "--N", "2", "--R", "1", "--no-plots"],
     ["run", "--config", "c.json", "--no-plots"],
+    # far-field detection converges at the fixed distance trajectory._CONV_TOL
+    ["solve-quarter", "--f", "logistic", "--conv-tol", "1e-2"],
+    ["solve-half", "--f", "logistic", "--conv-tol", "1e-2"],
 ])
 def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -162,8 +165,7 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
      "--n-shifts", "0"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
      "--tol", "-1"],
-    ["solve-quarter", "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.5",
-     "--conv-tol", "nan"],
+    ["eigen", "--N", "2", "--R", "1", "--n", "8"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
      "--trace", "constant:abc"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
@@ -192,7 +194,7 @@ def test_bad_numeric_flag_exits_1(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve-quarter", "solve-half"])
-@pytest.mark.parametrize("flag", [("--n-shifts", "0"), ("--conv-tol", "nan")])
+@pytest.mark.parametrize("flag", [("--n-shifts", "0"), ("--n-shifts", "2.5")])
 def test_bad_ladder_flag_exits_1_before_the_solve(command, flag, tmp_path, capsys,
                                                   monkeypatch):
     def refuse(*args, **kwargs):
@@ -340,15 +342,18 @@ def test_run_rejects_the_tol_f_key(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("solver, message", [
-    ({"flow_target": 1e-3}, "unknown key 'flow_target' in section 'solver'"),
-    ({"method": "monotone"}, "solver.method must be one of newton, auto (got 'monotone')"),
-], ids=["flow_target", "method"])
-def test_run_rejects_removed_solver_settings(solver, message, tmp_path, capsys):
-    # the flow's basin is a constant, and the monotone method is gone
+@pytest.mark.parametrize("config, message", [
+    ({"solver": {"flow_target": 1e-3}}, "unknown key 'flow_target' in section 'solver'"),
+    ({"solver": {"method": "monotone"}},
+     "solver.method must be one of newton, auto (got 'monotone')"),
+    ({"analysis": {"conv_tol": 1e-2}}, "unknown key 'conv_tol' in section 'analysis'"),
+], ids=["flow_target", "method", "conv_tol"])
+def test_run_rejects_removed_solver_settings(config, message, tmp_path, capsys):
+    # the flow's basin and the far-field detection's tolerance are constants,
+    # and the monotone method is gone
     out = tmp_path / "out"
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"solver": solver, "output": {"dir": str(out)}}))
+    p.write_text(json.dumps({**config, "output": {"dir": str(out)}}))
     assert main(["run", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def test_box_sweep_is_reproducible_bit_exact():
     a = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=3)
     b = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=3)
     for ta, tb in zip(a.trials, b.trials):
-        assert ta.to_json_dict() == tb.to_json_dict()
+        assert asdict(ta) == asdict(tb)
 
 
 def test_box_sweep_trials_are_a_prefix_of_longer_sweeps():
@@ -106,8 +107,8 @@ def test_box_sweep_trials_are_a_prefix_of_longer_sweeps():
     nl = make("abs-sin")
     a = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=2, seed=0)
     b = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=0)
-    assert [t.to_json_dict() for t in a.trials] == \
-        [t.to_json_dict() for t in b.trials[:2]]
+    assert [asdict(t) for t in a.trials] == \
+        [asdict(t) for t in b.trials[:2]]
 
 
 @pytest.mark.parametrize("sweep", [periodic_box_sweep, halfspace_strip_sweep])
@@ -126,10 +127,11 @@ def test_sweep_assembles_once(sweep, monkeypatch):
 def test_sweep_is_blas_thread_invariant():
     # on 64 x 64 unknowns the flow's shifted solves are dense matrix
     # products; the sweep's report must not depend on the BLAS thread count
-    code = ("import json; from farfield.nonlinearity import make; "
+    code = ("import json; from dataclasses import asdict; "
+            "from farfield.nonlinearity import make; "
             "from farfield.liouville import periodic_box_sweep, halfspace_strip_sweep; "
             "nl = make('abs-sin'); "
-            "print(json.dumps([s(nl, L=16.0, h=0.25, n_trials=4, seed=5).to_json_dict() "
+            "print(json.dumps([asdict(s(nl, L=16.0, h=0.25, n_trials=4, seed=5)) "
             "for s in (periodic_box_sweep, halfspace_strip_sweep)]))")
     src = os.path.dirname(os.path.dirname(liouville.__file__))
     outs = []
@@ -330,8 +332,8 @@ def test_strip_sweep_trials_are_a_prefix_of_longer_sweeps():
     nl = make("abs-sin")
     a = halfspace_strip_sweep(nl, L=8.0, h=0.5, n_trials=2, seed=0)
     b = halfspace_strip_sweep(nl, L=8.0, h=0.5, n_trials=4, seed=0)
-    assert [t.to_json_dict() for t in a.trials] == \
-        [t.to_json_dict() for t in b.trials[:2]]
+    assert [asdict(t) for t in a.trials] == \
+        [asdict(t) for t in b.trials[:2]]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +342,7 @@ def test_strip_sweep_trials_are_a_prefix_of_longer_sweeps():
 def test_sweep_report_json_schema():
     nl = make("abs-sin")
     rep = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=2, seed=1)
-    d = rep.to_json_dict()
+    d = asdict(rep)
     assert set(d) == {"domain", "L", "h", "n_trials", "seed", "converged",
                       "constant_count", "max_deviation", "zero_distance",
                       "trials", "counts", "notes"}

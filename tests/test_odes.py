@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from farfield import elliptic, nonlinearity, odes, profile1d
+from farfield import nonlinearity, odes, profile1d, sliding
 from farfield.errors import InputError, NumericError
 from farfield.nonlinearity import compute_Zf, integral_between, make
 from farfield.odes import OdeResult, integrate
@@ -461,9 +461,9 @@ def test_retries_share_the_first_stage_on_a_launch_without_breaks(monkeypatch):
                                           ("cantor:3", 26 / 27, 0.05)])
 def test_bubble_launch_matches_the_ndarray_stepper(monkeypatch, spec, z, eps):
     # the cap's rhs carries the non-autonomous (N - 1)/r v' term
-    run = lambda: elliptic.radial_bubble(make(spec), z, eps)
-    new = _launches(monkeypatch, elliptic, integrate, run)
-    ref = _launches(monkeypatch, elliptic, _reference_integrate, run)
+    run = lambda: sliding.radial_bubble(make(spec), z, eps)
+    new = _launches(monkeypatch, sliding, integrate, run)
+    ref = _launches(monkeypatch, sliding, _reference_integrate, run)
     assert len(new) == len(ref) >= 1
     assert new[-1].event_index == 0       # the cap reached 0
     for a, b in zip(new, ref):

@@ -1,6 +1,7 @@
 """Translation semiflow, amplitude estimates, limit detection."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ def test_distance_rows_cover_every_candidate(abs_sin_half):
 
 def test_report_json_schema(abs_sin_half):
     nl, field, _ = abs_sin_half
-    d = omega_limit(nl, field).to_json_dict()
+    d = asdict(omega_limit(nl, field))
     assert set(d) == {"detected_z", "converged", "M", "m", "tail_slope",
                       "distances", "notes"}
     assert all(set(row) == {"h", "z", "d"} for row in d["distances"])
