@@ -361,7 +361,7 @@ def cmd_run(args) -> int:
 
     # 2. profiles for every reachable level
     for i, z in enumerate(zf.points):
-        p = compute_profile(nl, z, xi_max=run.L2, n=max(int(round(run.L2 / run.h)), 8))
+        p = compute_profile(nl, z, xi_max=run.L2, n=int(round(run.L2 / run.h)))
         name = f"profile_{i}.csv"
         save_profile_csv(p, os.path.join(out, name))
         written.append(name)

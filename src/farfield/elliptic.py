@@ -423,13 +423,9 @@ def _apply_boundary(u: np.ndarray, kind: str, trace: np.ndarray | None) -> np.nd
 
 def _finish(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str,
             residual: float, meta: dict) -> Field:
-    out_low = float(np.min(u))
-    out_high = float(np.max(u))
     meta = dict(meta)
-    meta["out_of_window"] = bool(out_low < -_WINDOW_SLACK
-                                 or out_high > nl.s_max + _WINDOW_SLACK)
-    meta["min_value"] = out_low
-    meta["max_value"] = out_high
+    meta["out_of_window"] = bool(np.min(u) < -_WINDOW_SLACK
+                                 or np.max(u) > nl.s_max + _WINDOW_SLACK)
     return Field(u, grid, kind, residual, meta)
 
 

@@ -92,10 +92,6 @@ class Field:
     residual: float = np.inf
     meta: dict = field(default_factory=dict)
 
-    @property
-    def trace(self) -> np.ndarray:
-        return self.values[0, :]
-
 
 def save_field_csv(f: Field, path: str) -> None:
     """Row-major x1,x2,u dump with 17 significant digits.

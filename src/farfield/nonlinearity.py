@@ -501,18 +501,13 @@ class HypothesisReport:
     """Verdicts for the three structural conditions.
 
     h1 and h2 are bools; h3 is None only when it is not evaluated (h1
-    fails). Where f(z) = 0, the liminf of f(z +- d)/(+-d) is the one-sided
-    slope f'(z+-), so the ratio lists hold (zero, exact slope) pairs, and
-    origin_ratio is f'(0+) (inf when f(0) > 0).
+    fails).
     """
     h1: bool
     mu: float | None
     mu_prime: float | None
-    origin_ratio: float | None
     h2: bool
-    h2_ratios: tuple
     h3: bool | None
-    h3_ratios: tuple
     notes: tuple = ()
 
 
@@ -581,7 +576,6 @@ def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
         mu_prime = _turning_point(nl, mu)
 
     # f(0) > 0 unless 0 is a zero: f < 0 below the hump would put a zero in (0, mu)
-    origin_ratio = None
     if h1:
         origin_ratio = float(fprime(nl, 0.0)) if zs[0] == 0.0 else math.inf
         if not origin_ratio > 0.0:
@@ -590,7 +584,6 @@ def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
 
     # --- second condition: f >= 0 and positive right slope at every zero
     h2 = True
-    h2_ratios = []
     neg = np.flatnonzero(sign < 0)
     if neg.size:
         h2 = False
@@ -599,33 +592,23 @@ def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
         if z == s_max:
             notes.append(f"zero at the window edge s={z:.6g}: right ratio not estimable")
             continue
-        r = float(fprime(nl, z))
-        h2_ratios.append((z, r))
-        h2 = h2 and r > 0.0
+        h2 = h2 and float(fprime(nl, z)) > 0.0
     for a, b in E.intervals:
-        h2_ratios.append((a, 0.0))
         if h2:
             h2 = False
             notes.append(f"flat zero stretch [{a:.6g}, {b:.6g}] kills the right-slope condition")
 
     # --- third condition: positive left slope at zeros beyond mu
     h3 = None
-    h3_ratios = []
     if not h1:
         notes.append("left-slope condition not evaluated: no positive hump structure")
     else:
         h3 = True
         for z in (z for z in E.points if z > mu):
-            r = float(fprime(nl, z, -1))
-            h3_ratios.append((z, r))
-            h3 = h3 and r > 0.0
+            h3 = h3 and float(fprime(nl, z, -1)) > 0.0
         for a, b in E.intervals:
-            if a > mu:
-                h3_ratios.append((a, 0.0))
-                if h3:
-                    h3 = False
-                    notes.append(f"flat zero stretch beyond mu at [{a:.6g}, {b:.6g}]")
+            if a > mu and h3:
+                h3 = False
+                notes.append(f"flat zero stretch beyond mu at [{a:.6g}, {b:.6g}]")
 
-    return HypothesisReport(h1, mu, mu_prime, origin_ratio,
-                            h2, tuple(h2_ratios), h3, tuple(h3_ratios),
-                            notes=tuple(notes))
+    return HypothesisReport(h1, mu, mu_prime, h2, h3, notes=tuple(notes))

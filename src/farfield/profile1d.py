@@ -97,9 +97,6 @@ class Profile1D:
     crosscheck: float = 0.0      # max |quadrature route - ODE route|
     xi_attained: float = 0.0     # where the mesh reaches z - _EXIT_TOL
 
-    def __len__(self):
-        return self.xi.size
-
 
 def shoot_slope(nl: Nonlinearity, z: float) -> float:
     """Launch slope sqrt(2 F(z)) of the profile ending at z."""
@@ -273,8 +270,8 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
     below _CROSSCHECK_TOL, NaN included, is a ConsistencyError. Beyond the
     xi where the mesh reaches z - _EXIT_TOL the profile is clamped there.
     """
-    if not 0 < xi_max < math.inf or n < 8:
-        raise InputError("compute_profile: need finite xi_max > 0 and n >= 8")
+    if not 0 < xi_max < math.inf or n < 1:
+        raise InputError("compute_profile: need finite xi_max > 0 and n >= 1")
     xi = np.linspace(0.0, xi_max, n + 1)
     slope0 = shoot_slope(nl, z)
     if slope0 == 0.0:      # the zero profile
@@ -289,11 +286,18 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
 
     # The launch problem is unstable along the limit (deviations grow like
     # exp(xi) once V hugs z), so the direct route is only compared while the
-    # profile is still a fixed distance below its limit.
-    n_chk = max(int(np.searchsorted(values, z - _CROSSCHECK_FLOOR, side="right")), 2)
-    n_chk = min(n_chk, xi.size)
-    v_ode, _, _ = integrate_profile_ode(nl, slope0, xi[:n_chk])
-    crosscheck = float(np.max(np.abs(values[:v_ode.size] - v_ode)))
+    # profile is still a fixed distance below its limit. On a grid too coarse
+    # to hold two nodes there, both routes are compared at xi = 0 and at the
+    # mesh xi where V reaches that distance (half of z when z is smaller).
+    n_chk = int(np.searchsorted(values, z - _CROSSCHECK_FLOOR, side="right"))
+    if n_chk >= 2:
+        at, v_quad = xi[:n_chk], values[:n_chk]
+    else:
+        level = z - min(_CROSSCHECK_FLOOR, 0.5 * z)
+        at = np.array((0.0, np.interp(level, v_mesh, xi_nodes)))
+        v_quad = _hermite(xi_nodes, v_mesh, w_mesh, at)
+    v_ode, _, _ = integrate_profile_ode(nl, slope0, at)
+    crosscheck = float(np.max(np.abs(v_quad[:v_ode.size] - v_ode)))
     if not crosscheck <= _CROSSCHECK_TOL:
         raise ConsistencyError(
             f"profile construction routes disagree by {crosscheck:.3e} at z={z:g} "

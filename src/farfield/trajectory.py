@@ -33,6 +33,7 @@ _MARGIN_FACTOR = 2.0       # runner-up must be this many times farther
 _CONV_TOL = 1e-2           # converged: the winner's final distance is at most this
 _WINDOW_FRAC = 0.25        # comparison window length, as a share of n1
 _M_FRAC = 0.75             # estimate_M: trailing window from this share of L1
+_SLOPE_SPAN = 10.0         # tail_slope fits rungs at least this many times the final distance
 
 
 def shift(field: Field, delta: float) -> Field:
@@ -52,9 +53,7 @@ def shift(field: Field, delta: float) -> Field:
         raise InputError(f"shift by {delta:g} leaves fewer than 3 x1 nodes")
     vals = field.values[k:, :].copy()
     g2 = Grid2D((g.n1 - k) * g.h, g.L2, g.h, g.n1 - k, g.n2)
-    meta = dict(field.meta)
-    meta["shifted_by"] = meta.get("shifted_by", 0.0) + k * g.h
-    return Field(vals, g2, field.kind, field.residual, meta)
+    return Field(vals, g2, field.kind, field.residual, dict(field.meta))
 
 
 @dataclass(eq=False)
@@ -147,7 +146,8 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
     Converged means the winning candidate's final distance is at most
     _CONV_TOL and the runner-up (if any) is at least twice as far.
     tail_slope is the fitted exponential rate of the winner's distance over
-    the shift ladder, a health check on the truncation size.
+    the rungs of the shift ladder at least _SLOPE_SPAN times its final
+    distance, None when fewer than 3 qualify.
     """
     check_ladder(n_shifts)
     g = field.grid
@@ -194,11 +194,13 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
         for idx in range(n_cand):
             dist_rows.append({"h": float(k0 * g.h), "z": float(levels[-1, idx]),
                               "d": float(per_cand[a, idx])})
+    # the fit skips the rungs near the final distance, which sit at the
+    # solver's tolerance or the grid's error floor and read as noise
     dbest = per_cand[:, best]
-    pos = dbest > 0
+    fit = (dbest > 0) & (dbest >= _SLOPE_SPAN * dbest[-1])
     tail_slope = None
-    if np.count_nonzero(pos) >= 3:
-        tail_slope = float(np.polyfit(ks[pos] * g.h, np.log(dbest[pos]), 1)[0])
+    if np.count_nonzero(fit) >= 3:
+        tail_slope = float(np.polyfit(ks[fit] * g.h, np.log(dbest[fit]), 1)[0])
 
     detected = float(levels[-1, best])
     return TrajectoryReport(detected, converged, est.M, est.m, tail_slope,

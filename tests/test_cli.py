@@ -499,6 +499,26 @@ def test_profile_command_writes_table_and_summary(tmp_path, capsys):
     assert "floor slope" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--f", "abs-sin", "--z", "3.141592653589793", "--xi-max", "120", "--n", "8"],
+    ["--f", "abs-sin", "--z", "3.141592653589793", "--xi-max", "200", "--n", "8"],
+    ["--f", "logistic", "--z", "1", "--xi-max", "200", "--n", "8"],
+])
+def test_coarse_profile_crosschecks_below_the_floor(tmp_path, argv):
+    # the second grid node already hugs the limit, where the launch is
+    # unstable; the routes are compared where V is still 1e-3 below it
+    assert main(["profile", *argv, "--out", str(tmp_path)]) == 0
+    assert json.loads(_read(tmp_path / "profile.json"))["crosscheck"] <= 1e-6
+
+
+def test_narrow_quarter_solve_reports_its_trajectory(tmp_path):
+    # L2 / h = 7 rows: the far-field profiles are built on 7 intervals
+    rc = main(["solve-quarter", "--f", "logistic", "--L1", "60", "--L2", "1.75",
+               "--h", "0.25", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "trajectory.json").exists()
+
+
 def test_profile_command_does_not_import_scipy_interpolate(tmp_path):
     # a cold start pays for no interpolation module: the profile inverts its
     # quadrature with its own Hermite cubic
@@ -511,6 +531,19 @@ def test_profile_command_does_not_import_scipy_interpolate(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_package_root_loads_no_submodule():
+    # the root holds only __version__, so a module loads only its own imports
+    code = ("import sys; import farfield; "
+            "print(sorted(m for m in sys.modules if m.startswith('farfield.'))); "
+            "import farfield.nonlinearity; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_eigen_command_writes_summary(tmp_path, capsys):

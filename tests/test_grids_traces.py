@@ -124,13 +124,6 @@ def test_field_csv_bytes_match_csv_writer(tmp_path, kind):
     np.testing.assert_array_equal(bx2, x2)
 
 
-def test_field_views():
-    g = make_grid(2.0, 1.0, 0.25)
-    vals = np.arange(9 * 5, dtype=float).reshape(9, 5)
-    f = Field(vals, g, "quarter")
-    np.testing.assert_array_equal(f.trace, vals[0])
-
-
 def test_svg_bytes_deterministic(tmp_path):
     xs = [1.0, 2.0, 4.0, 8.0]
     series = {"a": [1.0, 0.1, 0.01, 0.001], "b": [2.0, 0.5, 0.2, 0.1]}

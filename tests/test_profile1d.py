@@ -8,7 +8,7 @@ import pytest
 
 from farfield import profile1d
 from farfield.errors import ConsistencyError, InputError, NumericError
-from farfield.nonlinearity import compute_Zf, integral_between, make
+from farfield.nonlinearity import compute_Zf, from_table, integral_between, make
 from farfield.profile1d import (compute_profile, disconnectedness_probe,
                                 profile_residual, save_profile_csv, shoot_slope)
 
@@ -220,6 +220,16 @@ def test_nan_launch_fails_the_crosscheck(monkeypatch):
     monkeypatch.setattr(profile1d, "integrate_profile_ode", nan_sample)
     with pytest.raises(ConsistencyError, match="disagree by nan"):
         compute_profile(make("logistic"), 1.0, n=64)
+
+
+def test_level_below_the_crosscheck_floor_crosschecks_halfway():
+    # z = 5e-4 lies within the 1e-3 floor of its own start, so no grid node
+    # is below the floor; on a coarse long grid the routes are compared at
+    # xi = 0 and where V reaches z / 2
+    nl = from_table([0.0, 2.5e-4, 5e-4, 1.0], [0.0, 1e-3, 0.0, -1.0])
+    assert compute_Zf(nl).points[-1] == 5e-4
+    p = compute_profile(nl, 5e-4, xi_max=200.0, n=8)
+    assert p.crosscheck <= 1e-12
 
 
 @pytest.mark.parametrize("level", (4, 5))

@@ -186,3 +186,13 @@ def test_report_json_schema(abs_sin_half):
     assert set(d) == {"detected_z", "converged", "M", "m", "tail_slope",
                       "distances", "notes"}
     assert all(set(row) == {"h", "z", "d"} for row in d["distances"])
+
+
+def test_tail_slope_reads_the_discrete_decay_rate(decay_quarter, abs_sin_half):
+    # both limits have f'(z) = -1, so the far-field error decays at the rate r
+    # with (2 cosh(r h) - 2) / h^2 = 1, that is r = 8 asinh(1/8) at h = 0.25;
+    # the rungs at the solver's floor would drag the fit toward 0
+    rate = 8.0 * math.asinh(1.0 / 8.0)
+    for nl, field, _ in (decay_quarter, abs_sin_half):
+        slope = omega_limit(nl, field).tail_slope
+        assert slope == pytest.approx(-rate, rel=1e-2)
