@@ -18,6 +18,8 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from .elliptic import solve_field
 from .errors import ConfigError, ConsistencyError, InputError, NumericError
 from .grids import make_grid, save_field_csv
@@ -279,11 +281,10 @@ def cmd_bubble(args) -> int:
     bub = radial_bubble(nl, args.z, args.eps, N=args.N)
     if not bub.feasible:
         raise NumericError("cap never closed within the radial range")
-    path = os.path.join(out, "bubble.csv")
-    with open(path, "w", newline="") as fh:
+    cols = np.column_stack((bub.r, bub.v, bub.vp))
+    with open(os.path.join(out, "bubble.csv"), "w", newline="") as fh:
         fh.write("r,v,vp\n")
-        for r, v, vp in zip(bub.r, bub.v, bub.vp):
-            fh.write(f"{r:.17g},{v:.17g},{vp:.17g}\n")
+        fh.write("%.17g,%.17g,%.17g\n" * len(cols) % tuple(cols.ravel().tolist()))
     _write_json({"z": bub.z, "eps": bub.eps, "N": bub.N, "v0": bub.a,
                  "R": bub.R, "bisections": bub.bisections,
                  "energy": bub.energy},

@@ -93,19 +93,33 @@ class Field:
     meta: dict = field(default_factory=dict)
 
 
+# "%.17g" of each float of an array, as an object array of str; the floats
+# reach it as Python floats, with no list of them
+_format_17g = np.frompyfunc("%.17g".__mod__, 1, 1)
+
+
 def save_field_csv(f: Field, path: str) -> None:
     """Row-major x1,x2,u dump with 17 significant digits.
 
     The bytes are those of a `csv.writer` in its default dialect: no field
-    needs quoting, and every line ends in \r\n. Each row of u is formatted
-    by one `%` on a template that carries the row's x1 and x2 strings;
-    `%.17g` and `{:.17g}` share CPython's float-to-string path.
+    needs quoting, and every line ends in \r\n. Solved fields repeat their
+    values (rows settle on the far-field limit row, and half rows are nearly
+    constant in x2), so each distinct float is formatted once with `%.17g`,
+    and each row of u fills a template that carries the row's x1 and x2
+    strings with `%s`. Values are keyed by bit pattern, not by float
+    equality, so 0.0 and -0.0 keep their own strings; `%.17g` and
+    `{:.17g}` share CPython's float-to-string path.
     """
+    vals = np.ascontiguousarray(f.values, dtype=np.float64)
+    # keyed on the flat bit patterns: the shape of np.unique's inverse
+    # differs between numpy 2.x releases for inputs of more than one axis
+    bits, inv = np.unique(vals.view(np.int64).ravel(), return_inverse=True)
+    cells = _format_17g(bits.view(np.float64))[inv].reshape(vals.shape)
     x1 = [f"{v:.17g}," for v in f.grid.x1_nodes(f.kind).tolist()]
-    x2 = [f"{v:.17g},%.17g\r\n" for v in f.grid.x2(f.kind).tolist()]
+    x2 = [f"{v:.17g},%s\r\n" for v in f.grid.x2(f.kind).tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("x1,x2,u\r\n")
-        for a, row in zip(x1, f.values.tolist()):
+        for a, row in zip(x1, cells):
             fh.write((a + a.join(x2)) % tuple(row))
 
 

@@ -577,8 +577,8 @@ def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
 
     # f(0) > 0 unless 0 is a zero: f < 0 below the hump would put a zero in (0, mu)
     if h1:
-        origin_ratio = float(fprime(nl, 0.0)) if zs[0] == 0.0 else math.inf
-        if not origin_ratio > 0.0:
+        origin_slope = float(fprime(nl, 0.0)) if zs[0] == 0.0 else math.inf
+        if not origin_slope > 0.0:
             h1 = False
             notes.append("right slope at the origin is not positive")
 
@@ -590,7 +590,7 @@ def check_hypotheses(nl: Nonlinearity) -> HypothesisReport:
         notes.append(f"f < 0 on the gap ({ends[neg[0]]:.6g}, {ends[neg[0] + 1]:.6g})")
     for z in E.points:
         if z == s_max:
-            notes.append(f"zero at the window edge s={z:.6g}: right ratio not estimable")
+            notes.append(f"zero at the window edge s={z:.6g}: right slope not evaluated")
             continue
         h2 = h2 and float(fprime(nl, z)) > 0.0
     for a, b in E.intervals:

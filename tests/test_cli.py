@@ -14,6 +14,8 @@ import pytest
 from farfield import cli, profile1d
 from farfield.cli import load_config, main
 from farfield.errors import ConfigError
+from farfield.nonlinearity import make
+from farfield.sliding import radial_bubble
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -485,6 +487,17 @@ def test_analyze_f_prints_hypothesis_verdicts(tmp_path, capsys):
     report = json.loads(_read(tmp_path / "analysis.json"))
     assert report["hypotheses"]["h1"] is True
     assert report["reachable_levels"]["points"] == pytest.approx([0.0, 1.0])
+
+
+def test_bubble_csv_bytes_match_a_per_row_writer(tmp_path):
+    # the table is formatted by one `%`; a row-by-row f-string writer with
+    # \n line ends gives the same bytes
+    assert main(["bubble", "--f", "logistic", "--z", "1", "--eps", "0.1",
+                 "--out", str(tmp_path)]) == 0
+    bub = radial_bubble(make("logistic"), 1.0, 0.1)
+    ref = "r,v,vp\n" + "".join(f"{r:.17g},{v:.17g},{vp:.17g}\n"
+                               for r, v, vp in zip(bub.r, bub.v, bub.vp))
+    assert _read(tmp_path / "bubble.csv") == ref.encode()
 
 
 def test_profile_command_writes_table_and_summary(tmp_path, capsys):

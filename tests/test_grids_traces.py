@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from farfield.elliptic import solve_field
 from farfield.errors import InputError
-from farfield.grids import Field, as_trace, load_field_csv, make_grid, save_field_csv
+from farfield.grids import KINDS, Field, as_trace, load_field_csv, make_grid, save_field_csv
 from farfield.nonlinearity import make
 from farfield.svgplot import svg_line_plot
 from farfield.traces import bump, make_trace
@@ -100,14 +101,43 @@ def test_field_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(x2, g.x2("quarter"))
 
 
-@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
-def test_field_csv_bytes_match_csv_writer(tmp_path, kind):
-    g = make_grid(3.0, 0.7, 0.1)
-    x1, x2 = g.x1_nodes(kind), g.x2(kind)
+def _random_block(shape):
     rng = np.random.default_rng(4)
-    shape = (x1.size, x2.size)
     vals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
     vals.flat[:3] = [0.0, -0.0, 1.0]
+    return vals
+
+
+def _repeating_block(shape):
+    # what the writer keys its strings on: whole rows repeated (a settled far
+    # field), rows constant in x2, 0.0 beside -0.0, two NaN bit patterns that
+    # print alike, and both infinities
+    rng = np.random.default_rng(5)
+    n1, n2 = shape
+    vals = np.tile(rng.standard_normal(n2), (n1, 1))
+    vals[: n1 // 2] = rng.standard_normal((n1 // 2, 1))
+    vals[1, ::2], vals[1, 1::2] = 0.0, -0.0
+    vals[2, :4] = [math.nan, -math.nan, math.inf, -math.inf]
+    vals[-1, -3:] = [-0.0, math.inf, 0.0]
+    return vals
+
+
+def _byte_case(kind, block):
+    if block == "solved":
+        # a settled half field: rows repeat their limit, each nearly constant in x2
+        g = make_grid(8.0, 2.0, 0.25)
+        return g, solve_field(make("abs-sin"), g, kind, 5.2, tol=1e-9).values
+    g = make_grid(3.0, 0.7, 0.1)
+    shape = (g.x1_nodes(kind).size, g.x2(kind).size)
+    return g, (_random_block if block == "random" else _repeating_block)(shape)
+
+
+@pytest.mark.parametrize("kind, block", [pytest.param(k, "random", id=k) for k in KINDS]
+                         + [pytest.param(k, "repeats", id=f"{k}-repeats") for k in KINDS]
+                         + [pytest.param("half", "solved", id="half-solved")])
+def test_field_csv_bytes_match_csv_writer(tmp_path, kind, block):
+    g, vals = _byte_case(kind, block)
+    x1, x2 = g.x1_nodes(kind), g.x2(kind)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -120,6 +150,8 @@ def test_field_csv_bytes_match_csv_writer(tmp_path, kind):
     assert path.read_bytes() == ref.read_bytes()
     bx1, bx2, back = load_field_csv(str(path))
     np.testing.assert_array_equal(back, vals)
+    signed = ~np.isnan(vals)        # a NaN reads back without its sign
+    np.testing.assert_array_equal(np.signbit(back[signed]), np.signbit(vals[signed]))
     np.testing.assert_array_equal(bx1, x1)
     np.testing.assert_array_equal(bx2, x2)
 

@@ -645,6 +645,15 @@ def test_second_condition_names_the_negative_gap():
     assert r.mu is None and "no positive hump: f <= 0 on the window" in r.notes
 
 
+@pytest.mark.parametrize("spec, s_max, edge", [("logistic", 1.0, "1"), ("linear-decay", 1.0, "1"),
+                                               ("abs-sin", 2 * math.pi, "6.28319")])
+def test_zero_at_the_window_edge_is_noted_and_skipped(spec, s_max, edge):
+    # f'(s_max+) lies outside the window, so the second condition skips the
+    # zero there and says so; no slope is read
+    r = check_hypotheses(make(spec, s_max=s_max))
+    assert f"zero at the window edge s={edge}: right slope not evaluated" in r.notes
+
+
 # ---------------------------------------------------------------------------
 # kinks
 
