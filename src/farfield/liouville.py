@@ -36,8 +36,8 @@ from .elliptic import (FlowOperator, _apply_boundary, _finish, flow_operator,
                        flow_relax, newton_solve)
 from .errors import InputError, NumericError
 from .grids import Field, Grid2D, as_trace, make_grid
-from .nonlinearity import Nonlinearity, compute_Zf, zero_set
-from .profile1d import compute_profile
+from .nonlinearity import Nonlinearity
+from .trajectory import AttractorTable, attractor_table
 
 SURROGATE_BANNER = ("results on a compact surrogate domain; "
                     "not direct evidence about the unbounded problem")
@@ -121,27 +121,23 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray,
     return newton_solve(nl, grid, kind, u_flow, tol=_TRIAL_TOL)
 
 
-def _dist_to_zero_set(E, s: float) -> float:
-    d = [abs(s - p) for p in E.points] + [max(a - s, s - b, 0.0) for a, b in E.intervals]
-    return float(min(d, default=np.inf))
-
-
-def _classify_box(f: Field, E) -> TrialResult:
+def _classify_box(f: Field, table: AttractorTable) -> TrialResult:
     u = f.values
     spread = float(np.max(u) - np.min(u))
     if spread >= _CONST_TOL:
         return TrialResult(-1, "other", f.residual, deviation=spread)
     level = float(np.mean(u))
     return TrialResult(-1, "constant", f.residual, deviation=spread, level=level,
-                       dist_to_zero_set=_dist_to_zero_set(E, level))
+                       dist_to_zero_set=min(max(a - level, level - b, 0.0)
+                                            for a, b in table.ranges))
 
 
-def _classify_strip(f: Field, profiles: dict) -> TrialResult:
+def _classify_strip(f: Field, table: AttractorTable) -> TrialResult:
     u = f.values
     lat = float(np.max(np.max(u, axis=1) - np.min(u, axis=1)))
     height_mean = np.mean(u, axis=1)
     best_z, best_d = None, np.inf
-    for z, prof in profiles.items():
+    for (z, _), prof in zip(table.ranges, table.profiles):
         d = float(np.max(np.abs(height_mean - prof)))
         if d < best_d:
             best_z, best_d = z, d
@@ -159,18 +155,13 @@ def _sweep(nl: Nonlinearity, domain: str, L: float, h: float, n_trials: int,
     if seed < 0:
         raise InputError(f"need seed >= 0, got {seed}")
     grid = make_grid(L, L, h)
-    E = zero_set(nl)
-    if not E.points and not E.intervals:
+    zeros = attractor_table(nl, nl.s_max)
+    if not zeros.ranges:
         raise InputError("the nonlinearity has no zeros in its window; "
                          "every bounded state would be transient")
     box = domain == "box"
     kind, tr = ("torus", None) if box else ("half", as_trace(0.0, grid, "half"))
-    if not box:
-        zf = compute_Zf(nl)
-        profiles = {float(z): compute_profile(nl, z, xi_max=L, n=grid.n1).values
-                    for z in zf.points if 0 < z <= _AMP_MAX + 0.5}
-        if 0.0 in zf.points:
-            profiles[0.0] = np.zeros(grid.n1 + 1)
+    table = zeros if box else attractor_table(nl, _AMP_MAX + 0.5, (L, grid.n1))
     op = flow_operator(nl, grid, kind, tr)
 
     trials = []
@@ -182,7 +173,7 @@ def _sweep(nl: Nonlinearity, domain: str, L: float, h: float, n_trials: int,
         except NumericError:
             trials.append(TrialResult(k, "unconverged", math.nan))
             continue
-        t = _classify_box(f, E) if box else _classify_strip(f, profiles)
+        t = _classify_box(f, table) if box else _classify_strip(f, table)
         t.index = k
         trials.append(t)
 
@@ -208,8 +199,9 @@ def halfspace_strip_sweep(nl: Nonlinearity, L: float = 16.0, h: float = 0.25,
 
     The strip reuses the half-domain stencil with a zero trace: the trace
     column is the floor, x1 is height, and x2 wraps laterally. Candidate
-    height profiles are taken from the reachable-zero table under the start
-    amplitude cap.
+    height profiles come from `attractor_table`, the candidate table that
+    `omega_limit` and the box sweep also read, sampled along the height
+    axis and capped just above the start amplitude.
     """
     return _sweep(nl, "strip", L, h, n_trials, seed)
 

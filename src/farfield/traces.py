@@ -82,11 +82,7 @@ def make_trace(spec: str, nl: Nonlinearity, grid: Grid2D, kind: str) -> np.ndarr
         return bump(y, *_numbers(spec, args, "center,width,height"))
     if name == "profile":
         z, = _numbers(spec, args, "z")
-        if z == 0.0:
-            return np.zeros(y.size)
-        p = compute_profile(nl, z, xi_max=float(y[-1]) if y[-1] > 0 else grid.L2,
-                            n=y.size - 1)
-        return p.values.copy()
+        return compute_profile(nl, z, xi_max=float(y[-1]), n=y.size - 1).values
     if name == "table":
         return trace_from_table(args, y)
     raise InputError(f"unknown trace kind {name!r} "

@@ -3,13 +3,16 @@
 A solved field on a truncated domain is read as a trajectory: sliding the
 view toward larger x1 is the semiflow, and the question is what the view
 settles on. Shifting is pure array slicing, so the semigroup laws hold
-bit-exactly by construction. The limit candidates form a small table:
+bit-exactly by construction. The limit candidates form one table,
+`attractor_table`, which serves `omega_limit` here and both sweeps in
+`liouville`. Each candidate is a closed level range, (z, z) for one level:
 
-  quarter : the rising profiles V_z for z in the reachable-zero set, plus
-            the zero state when f(0) = 0 (the table's launch slopes are
-            strictly increasing, which is what makes detection well posed);
-  half    : the constants in the zero set of f (flat intervals count as
-            ranges of constants).
+  quarter, strip : the rising profiles V_z for z in the reachable-zero set,
+                   plus the zero state when f(0) = 0 (their launch slopes
+                   are strictly increasing, which is what makes detection
+                   well posed);
+  half, box      : the constants in the zero set of f (flat intervals count
+                   as ranges of constants).
 
 Detection measures sup-distance between trailing windows of the field and
 each candidate at a ladder of shifts, then asks whether the best candidate
@@ -72,48 +75,32 @@ def estimate_M(field: Field) -> MEstimate:
 
 @dataclass(eq=False)
 class AttractorTable:
-    kind: str
-    M_cap: float                         # admission ceiling for levels
-    zs: np.ndarray                       # representative levels
-    profiles: list[np.ndarray] | None    # quarter: V_z over the x2 nodes
-    intervals: tuple = ()                # half: flat ranges of admissible constants
+    ranges: list[tuple[float, float]]    # closed level ranges, (z, z) for one level
+    profiles: list[np.ndarray] | None    # with an axis: V_z for each range (z, z)
 
 
-def attractor_table(nl: Nonlinearity, grid: Grid2D, kind: str,
-                    M_cap: float) -> AttractorTable:
-    """Candidate limit states with levels at most M_cap.
+def attractor_table(nl: Nonlinearity, M_cap: float,
+                    axis: tuple[float, int] | None = None) -> AttractorTable:
+    """The far-field candidates with levels at most M_cap.
 
-    Quarter candidates are full profiles sampled on the grid's x2 nodes; the
-    strict increase of their launch slopes is asserted because that is what
-    separates them. Half candidates are the admissible constants.
+    With axis = (xi_max, n), the candidates are the rising profiles V_z for
+    z in the reachable-zero set, sampled on the n + 1 nodes normal to the
+    floor; the strict increase of their launch slopes is asserted because
+    that is what separates them. Without it, they are the constants in the
+    zero set of f: its points, then its flat intervals cut at M_cap.
     """
-    if kind == "quarter":
-        zf = compute_Zf(nl)
-        zs = [z for z in zf.points if z <= M_cap]
-        profiles = [compute_profile(nl, z, xi_max=grid.L2, n=grid.n2) for z in zs]
+    if axis is not None:
+        xi_max, n = axis
+        zs = [z for z in compute_Zf(nl).points if z <= M_cap]
+        profiles = [compute_profile(nl, z, xi_max=xi_max, n=n) for z in zs]
         if np.any(np.diff([p.slope0 for p in profiles]) <= 0):
             raise ConsistencyError("candidate launch slopes fail to increase; "
                                    "the level table cannot separate its entries")
-        return AttractorTable("quarter", M_cap, np.asarray(zs, dtype=float),
-                              [p.values for p in profiles])
+        return AttractorTable([(z, z) for z in zs], [p.values for p in profiles])
     E = zero_set(nl)
-    pts = [z for z in E.points if z <= M_cap]
-    ivs = tuple((a, min(b, M_cap)) for a, b in E.intervals if a <= M_cap)
-    return AttractorTable("half", M_cap, np.asarray(pts, dtype=float), None, ivs)
-
-
-def _candidate_distance(win: np.ndarray, table: AttractorTable, idx: int,
-                        j_cap: int) -> tuple[float, float]:
-    """Sup-distance of a window to candidate idx; returns (distance, level)."""
-    if table.kind == "quarter":
-        prof = table.profiles[idx][:j_cap]
-        return float(np.max(np.abs(win - prof[None, :]))), float(table.zs[idx])
-    if idx < table.zs.size:
-        z = float(table.zs[idx])
-        return float(np.max(np.abs(win - z))), z
-    a, b = table.intervals[idx - table.zs.size]
-    c = float(np.clip(np.median(win), a, b))
-    return float(np.max(np.abs(win - c))), c
+    return AttractorTable([(z, z) for z in E.points if z <= M_cap]
+                          + [(a, min(b, M_cap)) for a, b in E.intervals if a <= M_cap],
+                          None)
 
 
 @dataclass(eq=False)
@@ -154,9 +141,9 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
     notes = []
     est = estimate_M(field)
     if table is None:
-        table = attractor_table(nl, g, field.kind, est.M + _M_MARGIN)
-    n_cand = (len(table.zs) if table.kind == "quarter"
-              else table.zs.size + len(table.intervals))
+        table = attractor_table(nl, est.M + _M_MARGIN,
+                                (g.L2, g.n2) if field.kind == "quarter" else None)
+    n_cand = len(table.ranges)
     if n_cand == 0:
         return TrajectoryReport(None, False, est.M, est.m, None, [],
                                 ("no candidate levels at or below the field amplitude",))
@@ -174,8 +161,12 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
     levels = np.empty((ks.size, n_cand))
     for a, k0 in enumerate(ks):
         win = field.values[k0:k0 + w + 1, :j_cap]
-        for idx in range(n_cand):
-            per_cand[a, idx], levels[a, idx] = _candidate_distance(win, table, idx, j_cap)
+        for idx, (lo, hi) in enumerate(table.ranges):
+            if table.profiles is not None:
+                c, levels[a, idx] = table.profiles[idx][None, :j_cap], lo
+            else:
+                c = levels[a, idx] = lo if lo == hi else float(np.clip(np.median(win), lo, hi))
+            per_cand[a, idx] = np.max(np.abs(win - c))
 
     final = per_cand[-1]
     best = int(np.argmin(final))

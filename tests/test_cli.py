@@ -79,6 +79,15 @@ def test_profile_to_a_level_off_the_zero_set_exits_2(tmp_path, capsys, f, z):
     assert not os.listdir(tmp_path)
 
 
+def test_zero_profile_trace_needs_a_zero_at_the_origin(tmp_path, capsys):
+    # linear-decay has f(0) = 1, so no zero profile exists to be its trace
+    rc = main(["solve-quarter", "--f", "linear-decay", "--L1", "8", "--L2", "4",
+               "--h", "0.5", "--trace", "profile:0", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "zero profile needs f(0) = 0" in err
+
+
 @pytest.mark.parametrize("N", ["200", "400"])
 def test_bubble_energy_that_overflows_exits_2(tmp_path, capsys, N):
     # r^(N-1) overflows the cap energy at N = 200, and the area of the unit

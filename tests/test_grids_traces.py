@@ -88,6 +88,15 @@ def test_make_trace_specs(tmp_path):
         make_trace("bump:1,2", nl, g, "half")
 
 
+@pytest.mark.parametrize("kind", ["quarter", "half"])
+def test_zero_profile_trace_is_zero_where_f_vanishes(kind):
+    # abs-sin has f(0) = 0, so profile:0 is the zero profile on every node
+    g = make_grid(8.0, 4.0, 0.5)
+    tp = make_trace("profile:0", make("abs-sin"), g, kind)
+    assert tp.size == g.x2(kind).size
+    assert not tp.any()
+
+
 def test_field_csv_round_trip(tmp_path):
     g = make_grid(2.0, 1.0, 0.25)
     rng = np.random.default_rng(3)

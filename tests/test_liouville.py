@@ -17,7 +17,7 @@ from farfield.errors import ConsistencyError, InputError, NumericError
 from farfield.grids import as_trace, make_grid
 from farfield.liouville import (SURROGATE_BANNER, halfspace_strip_sweep,
                                 noise_start, periodic_box_sweep)
-from farfield.nonlinearity import from_table, make
+from farfield.nonlinearity import from_table, make, zero_set
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +172,19 @@ def test_every_box_trial_lands_on_pi():
     rep = periodic_box_sweep(nl, L=8.0, h=0.5, n_trials=20, seed=0)
     assert rep.counts == {"constant": 20}
     assert all(abs(t.level - math.pi) < 1e-10 for t in rep.trials)
+
+
+def test_box_levels_inside_flat_zero_intervals_are_at_distance_zero():
+    # cantor:3 vanishes on flat intervals and has no isolated zero, so every
+    # distance comes from a candidate range (a, b) with a < b; a level strictly
+    # inside one is a zero, at distance exactly 0
+    nl = make("cantor:3")
+    rep = periodic_box_sweep(nl, L=4.0, h=0.25, n_trials=4, seed=0)
+    assert rep.counts == {"constant": 4}
+    assert all(t.dist_to_zero_set == 0.0 for t in rep.trials)
+    assert rep.zero_distance == 0.0
+    intervals = zero_set(nl).intervals
+    assert any(a < t.level < b for t in rep.trials for a, b in intervals)
 
 
 def _flat_interval_start(g):

@@ -86,10 +86,8 @@ def test_estimate_settling_transient():
 def test_quarter_table_single_level():
     nl = make("linear-decay")
     g = make_grid(20.0, 10.0, 0.25)
-    t = attractor_table(nl, g, "quarter", M_cap=1.5)
-    assert t.kind == "quarter"
-    assert t.M_cap == 1.5
-    np.testing.assert_allclose(t.zs, [1.0], atol=1e-9)
+    t = attractor_table(nl, 1.5, (g.L2, g.n2))
+    np.testing.assert_allclose(t.ranges, [(1.0, 1.0)], atol=1e-9)
     assert len(t.profiles) == 1
     assert t.profiles[0].size == g.n2 + 1
 
@@ -97,26 +95,32 @@ def test_quarter_table_single_level():
 def test_quarter_table_caps_levels():
     nl = make("abs-sin")
     g = make_grid(20.0, 10.0, 0.25)
-    t = attractor_table(nl, g, "quarter", M_cap=7.0)
-    np.testing.assert_allclose(t.zs, [0.0, math.pi, 2 * math.pi], atol=1e-8)
+    t = attractor_table(nl, 7.0, (g.L2, g.n2))
+    zs = [0.0, math.pi, 2 * math.pi]
+    np.testing.assert_allclose(t.ranges, list(zip(zs, zs)), atol=1e-8)
+    assert all(a == b for a, b in t.ranges)
+    assert [p.size for p in t.profiles] == [g.n2 + 1] * 3
+    assert not t.profiles[0].any()       # f(0) = 0: V_0 is the zero state
 
 
 def test_half_table_constants_and_zero_residual():
     nl = make("abs-sin")
-    g = make_grid(20.0, 10.0, 0.25)
-    t = attractor_table(nl, g, "half", M_cap=7.0)
-    np.testing.assert_allclose(t.zs, [0.0, math.pi, 2 * math.pi], atol=1e-8)
-    assert t.intervals == ()
-    for z in t.zs:
+    t = attractor_table(nl, 7.0)
+    zs = [0.0, math.pi, 2 * math.pi]
+    np.testing.assert_allclose(t.ranges, list(zip(zs, zs)), atol=1e-8)
+    assert all(a == b for a, b in t.ranges)      # no flat interval
+    assert t.profiles is None
+    for z, _ in t.ranges:
         assert abs(float(nl.fn(np.float64(z)))) < 1e-8
 
 
 def test_half_table_flat_intervals():
     nl = make("cantor:3")
-    g = make_grid(10.0, 5.0, 0.25)
-    t = attractor_table(nl, g, "half", M_cap=0.5)
-    assert len(t.intervals) == 4      # kept intervals meeting [0, 0.5]
-    assert all(a <= 0.5 for a, _ in t.intervals)
+    t = attractor_table(nl, 0.5)
+    assert len(t.ranges) == 4         # kept intervals meeting [0, 0.5]
+    assert all(a < b <= 0.5 for a, b in t.ranges)
+    # an interval that straddles the cap is cut at it
+    assert attractor_table(nl, 0.25).ranges[-1] == (t.ranges[2][0], 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +153,7 @@ def test_ambiguous_midpoint_is_flagged():
     # factor-two separation rule
     nl = make("abs-sin")
     g = make_grid(30.0, 10.0, 0.25)
-    table = attractor_table(nl, g, "half", M_cap=7.0)
+    table = attractor_table(nl, 7.0)
     f = Field(np.full((g.n1 + 1, g.n2), 1.5 * math.pi), g, "half", residual=0.0)
     rep = omega_limit(nl, f, table=table)
     assert not rep.converged
