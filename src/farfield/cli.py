@@ -27,7 +27,6 @@ from .liouville import halfspace_strip_sweep, periodic_box_sweep
 from .nonlinearity import check_hypotheses, compute_Zf, make, zero_set
 from .profile1d import compute_profile, save_profile_csv
 from .sliding import dirichlet_eigenpair, radial_bubble, sliding_verify
-from .svgplot import svg_line_plot
 from .traces import make_trace
 from .trajectory import check_ladder, omega_limit
 
@@ -40,7 +39,7 @@ _DEFAULT_CONFIG = {
                "trace": "constant:0.5", "u0": None},
     "solver": {"method": "auto", "tol": 1e-9},
     "analysis": {"n_shifts": 16},
-    "output": {"dir": "out", "dump_fields": False, "plots": True},
+    "output": {"dir": "out", "dump_fields": False},
 }
 _METHODS = ("newton", "auto")     # solve_field's methods
 _KINDS = ("quarter", "half")      # the domains with a solve command
@@ -130,17 +129,6 @@ def _zero_set_json(E) -> dict:
             "notes": list(E.notes)}
 
 
-def _plot_ladder(path: str, rows: list) -> None:
-    """Distance-vs-shift SVG, one polyline per candidate level."""
-    hs = sorted({r["h"] for r in rows})
-    by: dict = {}
-    for r in rows:
-        by.setdefault(r["z"], {})[r["h"]] = max(r["d"], 1e-300)
-    series = {f"level {z:.6g}": [by[z][h] for h in hs] for z in sorted(by)}
-    svg_line_plot(path, hs, series, title="window distance vs shift",
-                  xlabel="shift", ylabel="sup distance")
-
-
 def _write_analysis(nl, spec: str, out: str):
     """Zero set, reachable levels and hypothesis verdicts, written to
     analysis.json; returns them as (E, zf, hyp)."""
@@ -170,20 +158,6 @@ def _solve(args, nl):
     field = solve_field(nl, grid, args.kind, trace, method=args.method,
                         u0=args.u0, tol=args.tol)
     return field, 1000.0 * (time.perf_counter() - t0)
-
-
-def _far_field(args, nl, field, out: str):
-    """Detect the far-field limit with args.n_shifts; write trajectory.json,
-    and decay.svg when args.plots asks for it and the ladder has two shifts
-    to draw (so at least one candidate). Returns the report and the names of
-    the files written."""
-    rep = omega_limit(nl, field, n_shifts=args.n_shifts)
-    _write_json(asdict(rep), os.path.join(out, "trajectory.json"))
-    written = ["trajectory.json"]
-    if args.plots and len({r["h"] for r in rep.distances}) >= 2:
-        _plot_ladder(os.path.join(out, "decay.svg"), rep.distances)
-        written.append("decay.svg")
-    return rep, written
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +205,16 @@ def _solve_and_report(args, nl, out: str) -> list:
     """Solve, detect the far-field limit, write the artifacts, print a summary.
 
     `args` carries the domain, solver, analysis and output settings under
-    their config names (`run` fills them from its config). Writes solve.json
-    and trajectory.json, plus field.csv and decay.svg when args.dump_fields
-    and args.plots ask for them (see `_far_field`). Returns the names of the
+    their config names (`run` fills them from its config). Detects the limit
+    with args.n_shifts and writes trajectory.json and solve.json, plus
+    field.csv when args.dump_fields asks for it. Returns the names of the
     files written.
     """
     field, wall_ms = _solve(args, nl)
-    rep, written = _far_field(args, nl, field, out)
+    rep = omega_limit(nl, field, n_shifts=args.n_shifts)
+    # the report holds no nested dataclass, so its fields serialize as they are
+    _write_json(vars(rep), os.path.join(out, "trajectory.json"))
+    written = ["trajectory.json"]
     summary = {
         "kind": args.kind, "f": args.f,
         "grid": {"L1": args.L1, "L2": args.L2, "h": args.h},
@@ -400,7 +377,6 @@ _FLAGS = {
                 "help": "trials run serially; kept for existing command lines, "
                         "accepts only 1"},
     "dump-fields": {"action": "store_true", "dest": "dump_fields"},
-    "no-plots": {"action": "store_false", "dest": "plots"},
     "n-shifts": {"type": int, "default": _DEFAULT_CONFIG["analysis"]["n_shifts"]},
 }
 
@@ -469,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(f"solve-{kind}", help=help_)
         _add_f(p)
         _add_domain(p)
-        _add_flags(p, "out", "dump-fields", "no-plots", "n-shifts")
+        _add_flags(p, "out", "dump-fields", "n-shifts")
         p.set_defaults(func=cmd_solve, kind=kind)
 
     p = sub.add_parser("bubble", help="radial cap for sliding comparisons")

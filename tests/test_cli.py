@@ -112,7 +112,7 @@ def test_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_nan_start_exits_1(tmp_path, capsys):
     rc = main(["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4",
-               "--h", "0.5", "--u0", "nan", "--no-plots", "--out", str(tmp_path)])
+               "--h", "0.5", "--u0", "nan", "--out", str(tmp_path)])
     assert rc == 1
     assert "input error: u0 contains non-finite values" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
@@ -153,6 +153,9 @@ def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
     ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--no-plots"],
     ["eigen", "--N", "2", "--R", "1", "--no-plots"],
     ["run", "--config", "c.json", "--no-plots"],
+    # the shift ladder is data in trajectory.json; no solve draws it
+    ["solve-quarter", "--f", "logistic", "--no-plots"],
+    ["solve-half", "--f", "logistic", "--no-plots"],
     # far-field detection converges at the fixed distance trajectory._CONV_TOL
     ["solve-quarter", "--f", "logistic", "--conv-tol", "1e-2"],
     ["solve-half", "--f", "logistic", "--conv-tol", "1e-2"],
@@ -323,7 +326,7 @@ _WRONG_TYPES = [
     ({"domain": {"h": True}}, "domain.h must be a number (got boolean)"),
     ({"domain": {"h": None}}, "domain.h must be a number (got null)"),
     ({"domain": {"trace": 0.5}}, "domain.trace must be a string (got number)"),
-    ({"output": {"plots": 1}}, "output.plots must be a boolean (got number)"),
+    ({"output": {"dump_fields": 1}}, "output.dump_fields must be a boolean (got number)"),
     ({"nonlinearity": {"s_max": "4"}}, "nonlinearity.s_max must be a number or null (got string)"),
     ({"domain": {"u0": [0.5]}}, "domain.u0 must be a number or null (got array)"),
     ({"solver": {"method": {}}}, "solver.method must be a string (got object)"),
@@ -358,13 +361,15 @@ def test_run_rejects_the_tol_f_key(tmp_path, capsys):
     ({"solver": {"method": "monotone"}},
      "solver.method must be one of newton, auto (got 'monotone')"),
     ({"analysis": {"conv_tol": 1e-2}}, "unknown key 'conv_tol' in section 'analysis'"),
-], ids=["flow_target", "method", "conv_tol"])
+    ({"output": {"plots": True}}, "unknown key 'plots' in section 'output'"),
+], ids=["flow_target", "method", "conv_tol", "plots"])
 def test_run_rejects_removed_solver_settings(config, message, tmp_path, capsys):
     # the flow's basin and the far-field detection's tolerance are constants,
-    # and the monotone method is gone
+    # the monotone method is gone, and no solve writes a plot
     out = tmp_path / "out"
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({**config, "output": {"dir": str(out)}}))
+    p.write_text(json.dumps({**config, "output": {**config.get("output", {}),
+                                                  "dir": str(out)}}))
     assert main(["run", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
@@ -409,8 +414,7 @@ def test_solve_quarter_writes_the_artifact_set(tmp_path, capsys):
     out = tmp_path / "s"
     rc = main(_SOLVE_ARGS + ["--dump-fields", "--out", str(out)])
     assert rc == 0
-    assert sorted(os.listdir(out)) == ["decay.svg", "field.csv",
-                                       "solve.json", "trajectory.json"]
+    assert sorted(os.listdir(out)) == ["field.csv", "solve.json", "trajectory.json"]
     text = capsys.readouterr().out
     assert "far-field limit: level 1 (converged" in text
     assert "residual" in text
@@ -427,12 +431,11 @@ def test_solve_json_records_the_handoff(tmp_path):
     # the quarter job's flow reaches tol; on the cantor:3 flat interval the
     # flow stops contracting and Newton finishes
     quarter, flat = tmp_path / "q", tmp_path / "c"
-    assert main(_SOLVE_ARGS + ["--no-plots", "--out", str(quarter)]) == 0
+    assert main(_SOLVE_ARGS + ["--out", str(quarter)]) == 0
     summary = json.loads(_read(quarter / "solve.json"))
     assert summary["handoff"] is None and summary["iterations"] == 0
     assert main(["solve-half", "--f", "cantor:3", "--L1", "8", "--L2", "4", "--h", "0.5",
-                 "--trace", "constant:0.99", "--u0", "0.97", "--no-plots",
-                 "--out", str(flat)]) == 0
+                 "--trace", "constant:0.99", "--u0", "0.97", "--out", str(flat)]) == 0
     summary = json.loads(_read(flat / "solve.json"))
     assert set(summary["handoff"]) == {"residual", "ratio"}
     assert summary["residual"] <= 1e-9 < summary["handoff"]["residual"]
@@ -442,22 +445,16 @@ def test_solve_json_records_the_handoff(tmp_path):
 def test_successive_calls_share_no_flag_state(tmp_path):
     # main reuses one parser: a flag given to one call is not seen by the next
     dumped, plain = tmp_path / "d", tmp_path / "p"
-    assert main(_SOLVE_ARGS + ["--dump-fields", "--no-plots", "--out", str(dumped)]) == 0
+    assert main(_SOLVE_ARGS + ["--dump-fields", "--out", str(dumped)]) == 0
     assert main(_SOLVE_ARGS + ["--out", str(plain)]) == 0
     assert sorted(os.listdir(dumped)) == ["field.csv", "solve.json", "trajectory.json"]
-    assert sorted(os.listdir(plain)) == ["decay.svg", "solve.json", "trajectory.json"]
+    assert sorted(os.listdir(plain)) == ["solve.json", "trajectory.json"]
 
 
-def test_no_plots_suppresses_the_svg(tmp_path):
-    out = tmp_path / "s"
-    assert main(_SOLVE_ARGS + ["--no-plots", "--out", str(out)]) == 0
-    assert sorted(os.listdir(out)) == ["solve.json", "trajectory.json"]
-
-
-def test_short_ladder_writes_no_svg(tmp_path):
+def test_short_ladder_solves_write_their_reports(tmp_path):
     # a table term whose only zero is 3 leaves no candidate at or below
-    # M + 0.5, and one shift leaves one point a curve: both solves finish
-    # with their reports and no plot
+    # M + 0.5, and one shift leaves a one-rung ladder: both solves finish
+    # with their reports
     table = tmp_path / "f.csv"
     table.write_text("0,1\n1,1\n3,0\n")
     no_candidate = ["solve-half", "--f", f"table:{table}", "--L1", "2", "--L2", "2",
@@ -474,7 +471,7 @@ def test_solve_outputs_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(_SOLVE_ARGS + ["--dump-fields", "--out", str(a)]) == 0
     assert main(_SOLVE_ARGS + ["--dump-fields", "--out", str(b)]) == 0
-    for name in ("field.csv", "trajectory.json", "decay.svg"):
+    for name in ("field.csv", "trajectory.json"):
         assert _read(a / name) == _read(b / name)
     ja = json.loads(_read(a / "solve.json"))
     jb = json.loads(_read(b / "solve.json"))
@@ -638,8 +635,7 @@ def test_run_pipeline_writes_manifest_with_matching_digests(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(p)]) == 0
     out = tmp_path / "out"
-    assert sorted(os.listdir(out)) == ["analysis.json", "decay.svg",
-                                       "manifest.json", "profile_0.csv",
+    assert sorted(os.listdir(out)) == ["analysis.json", "manifest.json", "profile_0.csv",
                                        "solve.json", "trajectory.json"]
     manifest = json.loads(_read(out / "manifest.json"))
     assert list(manifest) == ["files"]

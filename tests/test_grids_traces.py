@@ -1,4 +1,4 @@
-"""Grids, trace construction, field CSV round trips, SVG determinism."""
+"""Grids, trace construction, field CSV round trips."""
 
 import csv
 import math
@@ -10,7 +10,6 @@ from farfield.elliptic import solve_field
 from farfield.errors import InputError
 from farfield.grids import KINDS, Field, as_trace, load_field_csv, make_grid, save_field_csv
 from farfield.nonlinearity import make
-from farfield.svgplot import svg_line_plot
 from farfield.traces import bump, make_trace
 
 
@@ -163,14 +162,3 @@ def test_field_csv_bytes_match_csv_writer(tmp_path, kind, block):
     np.testing.assert_array_equal(np.signbit(back[signed]), np.signbit(vals[signed]))
     np.testing.assert_array_equal(bx1, x1)
     np.testing.assert_array_equal(bx2, x2)
-
-
-def test_svg_bytes_deterministic(tmp_path):
-    xs = [1.0, 2.0, 4.0, 8.0]
-    series = {"a": [1.0, 0.1, 0.01, 0.001], "b": [2.0, 0.5, 0.2, 0.1]}
-    p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    svg_line_plot(str(p1), xs, series, title="t")
-    svg_line_plot(str(p2), xs, series, title="t")
-    b1, b2 = p1.read_bytes(), p2.read_bytes()
-    assert b1 == b2
-    assert b1.startswith(b"<svg") or b"<svg" in b1[:200]
