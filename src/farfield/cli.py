@@ -22,7 +22,7 @@ import numpy as np
 
 from .elliptic import solve_field
 from .errors import ConfigError, ConsistencyError, InputError, NumericError
-from .grids import make_grid, save_field_csv
+from .grids import format_17g, make_grid, save_field_csv
 from .liouville import halfspace_strip_sweep, periodic_box_sweep
 from .nonlinearity import check_hypotheses, compute_Zf, make, zero_set
 from .profile1d import compute_profile, save_profile_csv
@@ -258,10 +258,10 @@ def cmd_bubble(args) -> int:
     bub = radial_bubble(nl, args.z, args.eps, N=args.N)
     if not bub.feasible:
         raise NumericError("cap never closed within the radial range")
-    cols = np.column_stack((bub.r, bub.v, bub.vp))
-    with open(os.path.join(out, "bubble.csv"), "w", newline="") as fh:
-        fh.write("r,v,vp\n")
-        fh.write("%.17g,%.17g,%.17g\n" * len(cols) % tuple(cols.ravel().tolist()))
+    cells = format_17g(np.column_stack((bub.r, bub.v, bub.vp)))
+    with open(os.path.join(out, "bubble.csv"), "wb") as fh:
+        fh.write(b"r,v,vp\n")
+        fh.write(b"%s,%s,%s\n" * bub.r.size % tuple(cells))
     _write_json({"z": bub.z, "eps": bub.eps, "N": bub.N, "v0": bub.a,
                  "R": bub.R, "bisections": bub.bisections,
                  "energy": bub.energy},

@@ -42,6 +42,7 @@ from scipy.integrate import quad  # noqa: F401
 
 from . import nonlinearity as nlm
 from .errors import ConsistencyError, InfeasibleProfileError, InputError, NumericError
+from .grids import format_17g
 from .nonlinearity import Nonlinearity, integral_between, zero_set
 from .odes import integrate
 
@@ -366,11 +367,12 @@ def profile_residual(p: Profile1D, nl: Nonlinearity) -> float:
 def save_profile_csv(p: Profile1D, path: str) -> None:
     """Write xi,V,W rows with 17 significant digits (lossless round trip).
 
-    The bytes are those of a `csv.writer` in its default dialect: no field
-    needs quoting, and every line ends in \r\n. The whole file is formatted
-    by one `%` on a repeated row template.
+    The bytes are those of a `csv.writer` in its default dialect given
+    `f"{v:.17g}"` strings: no field needs quoting, and every line ends in
+    \r\n. `format_17g` formats every value, and one `%` on a repeated row
+    template lays out the file.
     """
-    cols = np.column_stack((p.xi, p.values, p.w))
-    with open(path, "w", newline="") as fh:
-        fh.write("xi,V,W\r\n")
-        fh.write("%.17g,%.17g,%.17g\r\n" * len(cols) % tuple(cols.ravel().tolist()))
+    cells = format_17g(np.column_stack((p.xi, p.values, p.w)))
+    with open(path, "wb") as fh:
+        fh.write(b"xi,V,W\r\n")
+        fh.write(b"%s,%s,%s\r\n" * p.xi.size % tuple(cells))

@@ -1,14 +1,16 @@
-"""Grids, trace construction, field CSV round trips."""
+"""Grids, trace construction, field CSV round trips, the exact %.17g formatter."""
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from farfield.elliptic import solve_field
 from farfield.errors import InputError
-from farfield.grids import KINDS, Field, as_trace, load_field_csv, make_grid, save_field_csv
+from farfield.grids import (KINDS, Field, as_trace, format_17g, load_field_csv, make_grid,
+                            save_field_csv)
 from farfield.nonlinearity import make
 from farfield.traces import bump, make_trace
 
@@ -131,10 +133,17 @@ def _repeating_block(shape):
 
 
 def _byte_case(kind, block):
-    if block == "solved":
+    if block == "solved" and kind == "half":
         # a settled half field: rows repeat their limit, each nearly constant in x2
         g = make_grid(8.0, 2.0, 0.25)
         return g, solve_field(make("abs-sin"), g, kind, 5.2, tol=1e-9).values
+    if block == "solved":
+        # a quarter field under a bump: nearly every value distinct
+        g = make_grid(8.0, 4.0, 0.25)
+        nl = make("linear-decay")
+        vals = solve_field(nl, g, kind, make_trace("bump:2,1,0.5", nl, g, kind)).values
+        assert np.unique(vals).size > vals.size // 2
+        return g, vals
     g = make_grid(3.0, 0.7, 0.1)
     shape = (g.x1_nodes(kind).size, g.x2(kind).size)
     return g, (_random_block if block == "random" else _repeating_block)(shape)
@@ -142,7 +151,7 @@ def _byte_case(kind, block):
 
 @pytest.mark.parametrize("kind, block", [pytest.param(k, "random", id=k) for k in KINDS]
                          + [pytest.param(k, "repeats", id=f"{k}-repeats") for k in KINDS]
-                         + [pytest.param("half", "solved", id="half-solved")])
+                         + [pytest.param(k, "solved", id=f"{k}-solved") for k in ("half", "quarter")])
 def test_field_csv_bytes_match_csv_writer(tmp_path, kind, block):
     g, vals = _byte_case(kind, block)
     x1, x2 = g.x1_nodes(kind), g.x2(kind)
@@ -162,3 +171,61 @@ def test_field_csv_bytes_match_csv_writer(tmp_path, kind, block):
     np.testing.assert_array_equal(np.signbit(back[signed]), np.signbit(vals[signed]))
     np.testing.assert_array_equal(bx1, x1)
     np.testing.assert_array_equal(bx2, x2)
+
+
+# ---------------------------------------------------------------------------
+# format_17g against CPython's "%.17g"
+
+def _signed(rng, v):
+    return v * rng.choice([-1.0, 1.0], v.size)
+
+
+def _ties(rng):
+    """Dyadic m 2**(d - 17), m odd: 18 significant digits ending in 5, so the
+    17th digit is an exact tie whenever the value stays in decade d."""
+    d = np.repeat(np.arange(-7, 14), 100)
+    lo = np.ceil(5.0 ** d * 2.0 ** 17)
+    m = lo + np.floor(rng.random(d.size) * 9.0 * lo)
+    m += m % 2 == 0
+    return np.ldexp(m, d - 17)
+
+
+def _is_tie(v: float) -> bool:
+    d = int((b"%.16e" % v).split(b"e")[1])
+    return (Fraction(v) * Fraction(10) ** (16 - d)).denominator == 2
+
+
+def _oracle_values():
+    rng = np.random.default_rng(1990)
+    # every exponent of the format, then every binade of the fast path
+    bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64)
+    exps = rng.integers(1023 - 37, 1023 + 51, 400_000).astype(np.uint64)
+    mant = rng.integers(0, 2 ** 52, 400_000, dtype=np.uint64)
+    fast = _signed(rng, ((exps << np.uint64(52)) | mant).view(np.float64))
+    smooth = [rng.random(100_000), -np.expm1(-rng.uniform(0.0, 40.0, 100_000)),
+              _signed(rng, rng.random(100_000) * 10.0 ** rng.integers(-14, 18, 100_000))]
+    nbits = rng.integers(1, 54, 200_000)
+    odd = rng.integers(2 ** (nbits - 1), 2 ** nbits) | 1
+    dyadic = _signed(rng, np.ldexp(odd.astype(np.float64), rng.integers(-100, 60, 200_000)))
+    ties = _signed(rng, _ties(rng))
+    # each power of ten with its neighbours: among them the fast path's edges
+    # 1e-10 and 1e14 and the fixed/scientific switch between 1e-5 and 1e-4
+    anchors = np.array([float(f"1e{k}") for k in range(-12, 17)])
+    edges = np.concatenate([anchors, np.nextafter(anchors, 0.0), np.nextafter(anchors, np.inf),
+                            np.geomspace(1e-6, 1e-3, 10_001)])
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,
+                        2.2250738585072014e-308, 1.7976931348623157e308,
+                        math.inf, -math.inf, math.nan, -math.nan])
+    return ties, np.concatenate([bits, fast, *smooth, dyadic, ties, _signed(rng, edges),
+                                 edges, special])
+
+
+def test_format_17g_matches_cpython():
+    ties, values = _oracle_values()
+    assert values.size >= 10 ** 6
+    assert sum(_is_tie(v) for v in ties.tolist()) >= 1000
+    got = format_17g(values)
+    want = [b"%.17g" % v for v in values.tolist()]
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        pytest.fail(f"{len(bad)} of {values.size} differ, e.g. {bad[:5]}")

@@ -147,16 +147,18 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path):
     rng = np.random.default_rng(7)
     vals = rng.standard_normal((2, xi.size)) * 10.0 ** rng.uniform(-300, 300, (2, xi.size))
     vals[:, :3] = [[0.0, -0.0, 1.0], [1e-320, math.inf, -math.inf]]
-    p = profile1d.Profile1D(1.0, 0.5, xi, vals[0], vals[1])
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["xi", "V", "W"])
-        for x, v, s in zip(p.xi, p.values, p.w):
-            wr.writerow([f"{x:.17g}", f"{v:.17g}", f"{s:.17g}"])
-    path = tmp_path / "profile.csv"
-    save_profile_csv(p, str(path))
-    assert path.read_bytes() == ref.read_bytes()
+    # a real profile too: the cantor:3 W tail reaches scientific notation
+    for p in (profile1d.Profile1D(1.0, 0.5, xi, vals[0], vals[1]),
+              compute_profile(make("cantor:3"), 26 / 27, xi_max=20.0, n=2048)):
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["xi", "V", "W"])
+            for x, v, s in zip(p.xi, p.values, p.w):
+                wr.writerow([f"{x:.17g}", f"{v:.17g}", f"{s:.17g}"])
+        path = tmp_path / "profile.csv"
+        save_profile_csv(p, str(path))
+        assert path.read_bytes() == ref.read_bytes()
 
 
 # ---------------------------------------------------------------------------
