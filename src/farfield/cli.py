@@ -100,9 +100,14 @@ def load_config(path: str) -> dict:
 # helpers
 
 def _write_json(obj, path: str) -> None:
+    """Write obj as JSON in one write (indent 2, sorted keys, a newline). A
+    NaN or Infinity, which JSON lacks, is a NumericError; nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericError(f"{os.path.basename(path)}: {e}") from None
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _sha256(path: str) -> str:

@@ -26,7 +26,6 @@ trial order.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -73,7 +72,7 @@ def noise_start(grid: Grid2D, kind: str, rng: np.random.Generator) -> np.ndarray
 class TrialResult:
     index: int
     outcome: str                  # constant | profile | other | unconverged
-    residual: float
+    residual: float | None        # None when the trial did not converge
     deviation: float | None = None   # max - min of the converged field
     level: float | None = None    # constant trials: the level reached
     dist_to_zero_set: float | None = None
@@ -171,7 +170,7 @@ def _sweep(nl: Nonlinearity, domain: str, L: float, h: float, n_trials: int,
         try:
             f = _robust_solve(nl, grid, kind, tr, u0, op)
         except NumericError:
-            trials.append(TrialResult(k, "unconverged", math.nan))
+            trials.append(TrialResult(k, "unconverged", None))
             continue
         t = _classify_box(f, table) if box else _classify_strip(f, table)
         t.index = k

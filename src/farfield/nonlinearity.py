@@ -43,7 +43,7 @@ class Nonlinearity:
     kind: str
     s_max: float
     lipschitz: float        # of f on [0, s_max], exact
-    fn: Callable = field(repr=False)                      # vectorized, unchecked
+    fn: Callable = field(repr=False)   # vectorized, unchecked; maps a float to a float
     slope: Callable = field(repr=False)   # (s, side): f'(s+) if side > 0, else f'(s-)
     # exact integral of f over [lo, hi] for float arrays lo < hi (elementwise;
     # hi may be one float); must stay accurate in RELATIVE terms when the
@@ -79,16 +79,20 @@ def fprime(nl: Nonlinearity, s, side: int = 1) -> np.ndarray:
     return np.where(inside, nl.slope(s.clip(0.0, nl.s_max), side), 0.0)
 
 
+def scalar_fn(nl: Nonlinearity) -> Callable[[float], float]:
+    """f on one Python float, unclipped, as a float: fn itself, or a
+    piecewise-linear term's float path without fn's type dispatch."""
+    return nl.fn.at_float if isinstance(nl.fn, _PiecewiseLinear) else nl.fn
+
+
 def capped_float(nl: Nonlinearity) -> Callable[[float], float]:
-    """eval_capped on one Python float, as a float. The RK4 launches build
-    it once per launch and call it at every stage, where np.clip on a scalar
-    costs more than the step. The comparisons let NaN and -0.0 through as
-    np.clip does."""
-    fn, s_max = nl.fn, nl.s_max
+    """eval_capped on one Python float, as a float, by the clip the launch
+    rhs write inline: np.clip on a scalar costs more than an RK4 step. The
+    comparisons let NaN and -0.0 through as np.clip does."""
+    fn, s_max = scalar_fn(nl), nl.s_max
 
     def f(v: float) -> float:
-        v = 0.0 if v < 0.0 else v
-        return float(fn(s_max if v > s_max else v))
+        return fn(0.0 if v < 0.0 else (s_max if v > s_max else v))
     return f
 
 
@@ -154,6 +158,30 @@ def _zeros_in(points, intervals, s_max: float) -> tuple:
 # ---------------------------------------------------------------------------
 # piecewise-linear backbone (cantor + table share it)
 
+def _interp_float(xs: list, ys: list) -> Callable[[float], float]:
+    """np.interp on one Python float, as a float: its formula on knot lists,
+    each cell's slope divided once, without the wrapper overhead of numpy."""
+    slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+    last = len(xs) - 1
+
+    def f(s: float) -> float:
+        if s != s:
+            return s
+        j = bisect_right(xs, s) - 1
+        if j < 0:
+            return ys[0]
+        if j == last or xs[j] == s:
+            return ys[j]
+        slope = slopes[j]
+        v = slope * (s - xs[j]) + ys[j]
+        if v != v:      # an infinite slope: try from the other end
+            v = slope * (s - xs[j + 1]) + ys[j + 1]
+            if v != v and ys[j] == ys[j + 1]:
+                v = ys[j]
+        return v
+    return f
+
+
 class _PiecewiseLinear:
     """f linear between knots; its slab integral is exact (trapezoids)."""
 
@@ -164,7 +192,7 @@ class _PiecewiseLinear:
             raise InputError("piecewise-linear table needs at least two strictly increasing knots")
         seg = 0.5 * (self.ys[1:] + self.ys[:-1]) * np.diff(self.xs)
         self.seg_padded = np.append(seg, 0.0)
-        self._xl, self._yl = self.xs.tolist(), self.ys.tolist()
+        self.at_float = _interp_float(self.xs.tolist(), self.ys.tolist())
         # cell slopes, 0 beyond the outer knots, and the knots where they
         # change; a change at rounding level is a straight line through a knot
         slopes = np.concatenate(([0.0], np.diff(self.ys) / np.diff(self.xs), [0.0]))
@@ -196,23 +224,7 @@ class _PiecewiseLinear:
     def __call__(self, s):
         if type(s) is not float:
             return np.interp(s, self.xs, self.ys)
-        # one Python float: numpy's interp formula on knot lists, without the
-        # wrapper overhead that is most of np.interp's cost on a scalar
-        if s != s:
-            return s
-        xs, ys = self._xl, self._yl
-        j = bisect_right(xs, s) - 1
-        if j < 0:
-            return ys[0]
-        if j == len(xs) - 1 or xs[j] == s:
-            return ys[j]
-        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        v = slope * (s - xs[j]) + ys[j]
-        if v != v:      # an infinite slope: try from the other end
-            v = slope * (s - xs[j + 1]) + ys[j + 1]
-            if v != v and ys[j] == ys[j + 1]:
-                v = ys[j]
-        return v
+        return self.at_float(s)
 
     def slope(self, s, side):
         """The slope of the cell on the `side` of s (at a knot, the cell that

@@ -36,14 +36,15 @@ on it (Gear and Osterby, ACM TOMS 10, 1984, locate the discontinuity and
 restart there). The secant costs no rhs call, and a cut counts as a
 rejected attempt.
 
-The state is exactly two Python floats, and each RK4 stage is written out
-on the two scalars: for these small systems the interpreter's cost of
-building a state, not the arithmetic, is what a step spends, and numpy's
-per-call overhead would cost more still. rhs(t, y) gets the state as a
-tuple of two floats and may return any sequence of two floats. Its value
-at a state, the first RK4 stage, is computed once and shared by the full
-step, the first half step, every retry after a rejected attempt or a cut,
-and the interpolant of the step before that state.
+The state is exactly two Python floats, and a whole attempt (full step,
+two half steps, error estimate, extrapolated state) is written out on them
+in the loop, a frame that calls only the rhs: for these small systems the
+interpreter's frames and state building, not the arithmetic, are what a
+step spends, and numpy's per-call overhead would cost more still. rhs(t, y)
+gets the state as a tuple of two floats and may return any sequence of two
+floats. Its value at a state, the first RK4 stage, is computed once and
+shared by the full step, the first half step, every retry after a rejected
+attempt or a cut, and the interpolant of the step before that state.
 Without events a run costs n_steps + 10 (n_steps + rejected) rhs calls, 11
 per accepted step and 10 per rejected attempt or cut, plus 1 when the last
 step holds a sample; samples cost none. An event inside a step costs 12
@@ -68,19 +69,7 @@ _GROW_MAX = 4.0
 _SHRINK_MIN = 0.1
 _HMIN = 1e-13         # smallest step; a step this small is always accepted
 _BREAK_SLACK = 1e-9   # an attempt may end this far past a break of y[0]
-
-
-def _rk4_step(rhs, t, y, h, k1):
-    """One RK4 step of size h from (t, y), whose rhs value k1 is given."""
-    a, b = y
-    p1, q1 = k1
-    hh = 0.5 * h
-    p2, q2 = rhs(t + hh, (a + hh * p1, b + hh * q1))
-    p3, q3 = rhs(t + hh, (a + hh * p2, b + hh * q2))
-    p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
-    h6 = h / 6.0
-    return (a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-            b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
+_MAX_STEPS = 2_000_000  # accepted steps before a run is a NumericError
 
 
 @dataclass
@@ -95,21 +84,6 @@ class OdeResult:
     n_steps: int = 0
     rejected: int = 0
     samples_filled: int = field(default=0, repr=False)
-
-
-def _double_step(rhs, t, y, h, k1):
-    """One h-step vs two h/2-steps; returns (extrapolated y, err_inf,
-    y_big - y_fine, y_half, rhs at (t + h/2, y_half))."""
-    y_big = _rk4_step(rhs, t, y, h, k1)
-    hh = 0.5 * h
-    y_half = _rk4_step(rhs, t, y, hh, k1)
-    k_half = rhs(t + hh, y_half)
-    a, b = _rk4_step(rhs, t + hh, y_half, hh, k_half)
-    da, db = y_big[0] - a, y_big[1] - b
-    ea, eb = abs(da), abs(db)
-    total = ea + eb             # NaN if either is; max can skip one
-    err = ((eb if eb > ea else ea) if total == total else total) / 15.0
-    return (a - da / 15.0, b - db / 15.0), err, (da, db), y_half, k_half
 
 
 def _quintic(h, y, k1, y_half, k_half, d, y_new, k_end):
@@ -182,7 +156,7 @@ def _fill_from_quintics(sample_ys, sample_ts, pending):
 
 
 def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
-              breaks=(), max_steps=2_000_000):
+              breaks=()):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
     y0: a sequence of exactly two floats; any other shape raises InputError.
@@ -197,7 +171,8 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     (the first step to hold it is taken again, cut at it).
     breaks: sorted values of y[0] where the rhs has a kink; an attempt that
     passes one by more than _BREAK_SLACK is taken again, cut at it.
-    A NaN state raises NumericError naming t; steps are at most (t1 - t0)/16.
+    A NaN state raises NumericError naming t, and so does a run past
+    _MAX_STEPS accepted steps; steps are at most (t1 - t0)/16.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (2,):
@@ -230,22 +205,49 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     k1 = None
     cut = False                 # a step holding an event was taken again, cut at it
     while t < t1:
-        if steps >= max_steps:
+        if steps >= _MAX_STEPS:
             raise NumericError(f"integrate: step budget exhausted at t={t:.6g}")
         h = max(min(h, hmax, t1 - t), _HMIN)
 
         if k1 is None:
             k1 = rhs(t, y)
-        y_new, err, d, y_half, k_half = _double_step(rhs, t, y, h, k1)
+        # the attempt: one RK4 step of h and two of h/2 from (t, y)
+        a, b = y
+        p1, q1 = k1
+        hh = 0.5 * h
+        p2, q2 = rhs(t + hh, (a + hh * p1, b + hh * q1))
+        p3, q3 = rhs(t + hh, (a + hh * p2, b + hh * q2))
+        p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
+        h6 = h / 6.0
+        big_a = a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        big_b = b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        hq = 0.5 * hh
+        p2, q2 = rhs(t + hq, (a + hq * p1, b + hq * q1))
+        p3, q3 = rhs(t + hq, (a + hq * p2, b + hq * q2))
+        p4, q4 = rhs(t + hh, (a + hh * p3, b + hh * q3))
+        h6 = hh / 6.0
+        y_half = ma, mb = (a + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+                           b + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
+        pm, qm = k_half = rhs(t + hh, y_half)
+        p2, q2 = rhs(t + hh + hq, (ma + hq * pm, mb + hq * qm))
+        p3, q3 = rhs(t + hh + hq, (ma + hq * p2, mb + hq * q2))
+        p4, q4 = rhs(t + hh + hh, (ma + hh * p3, mb + hh * q3))
+        fine_a = ma + h6 * (pm + 2.0 * p2 + 2.0 * p3 + p4)
+        fine_b = mb + h6 * (qm + 2.0 * q2 + 2.0 * q3 + q4)
+        d = da, db = big_a - fine_a, big_b - fine_b
+        ea, eb = abs(da), abs(db)
+        total = ea + eb             # NaN if either is; max can skip one
+        err = ((eb if eb > ea else ea) if total == total else total) / 15.0
+        y_new = (fine_a - da / 15.0, fine_b - db / 15.0)
         if err != err:
             raise NumericError(f"integrate: NaN state in the step from t={t:.6g}")
         if breaks and h > _HMIN:
-            frac = _break_fraction(breaks, y[0], y_new[0])
+            frac = _break_fraction(breaks, a, y_new[0])
             if frac is not None:
                 res.rejected += 1
                 h *= frac
                 continue
-        scale = tol * (1.0 + max(abs(y[0]), abs(y[1])))
+        scale = tol * (1.0 + max(abs(a), abs(b)))
         if err > scale and h > _HMIN:
             res.rejected += 1
             h *= max(_SHRINK_MIN, _SAFETY * (scale / err) ** 0.2)

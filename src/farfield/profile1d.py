@@ -126,11 +126,12 @@ def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None)
     well defined, and steps land on f's kinks (`nl.kinks`, breaks of V).
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
-    # f on one Python float: numpy on a scalar costs more than the RK4 step
-    f = nlm.capped_float(nl)
+    # one call into f a stage, clipped inline as nlm.capped_float clips
+    f, s_max = nlm.scalar_fn(nl), nl.s_max
 
     def rhs(t, y):
-        return y[1], -f(y[0])
+        v = y[0]
+        return y[1], -f(0.0 if v < 0.0 else (s_max if v > s_max else v))
 
     res = integrate(rhs, 0.0, (0.0, slope0), float(xi_grid[-1]),
                     tol=_LAUNCH_TOL, sample_ts=xi_grid, events=events, breaks=nl.kinks)

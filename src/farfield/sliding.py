@@ -30,7 +30,7 @@ from scipy.linalg import solve_banded
 
 from .errors import InputError, NumericError
 from .grids import Field
-from .nonlinearity import Nonlinearity, capped_float, eval_capped, integral_between
+from .nonlinearity import Nonlinearity, eval_capped, integral_between, scalar_fn
 from .odes import integrate
 
 _EIGEN_MAX_ITER = 400
@@ -150,7 +150,7 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
     if N < 1:
         raise InputError(f"radial_bubble: need N >= 1, got N={N}")
     sphere_area(N)      # the cap's energy needs it: an N where it overflows fails here
-    f = capped_float(nl)
+    f, s_max = scalar_fn(nl), nl.s_max
 
     def shoot(a: float):
         r0 = 1e-8
@@ -158,7 +158,8 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
         y0 = np.array([a - fa * r0 * r0 / (2.0 * N), -fa * r0 / N])
 
         def rhs(r, y):
-            return y[1], -f(y[0]) - (N - 1) / r * y[1]
+            v = y[0]    # clipped inline as capped_float clips
+            return y[1], -f(0.0 if v < 0.0 else (s_max if v > s_max else v)) - (N - 1) / r * y[1]
 
         grid = np.linspace(r0, _BUBBLE_R_MAX, 4097)
         res = integrate(rhs, r0, y0, _BUBBLE_R_MAX, tol=_BUBBLE_TOL, sample_ts=grid,

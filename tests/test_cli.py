@@ -11,11 +11,11 @@ import sys
 
 import pytest
 
-from farfield import cli, profile1d
+from farfield import cli, liouville, profile1d
 from farfield.cli import load_config, main
-from farfield.errors import ConfigError
+from farfield.errors import ConfigError, NumericError
 from farfield.nonlinearity import make
-from farfield.sliding import radial_bubble
+from farfield.sliding import EigenResult, radial_bubble
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -608,6 +608,54 @@ def test_sweep_command_banner_and_report(tmp_path, capsys):
     rep = json.loads(_read(tmp_path / "sweep_box.json"))
     assert rep["n_trials"] == 3
     assert rep["counts"] == {"constant": 3}
+
+
+def _strict_json(path):
+    # NaN and Infinity are not JSON: refuse them rather than parse them
+    def refuse(name):
+        raise ValueError(f"{name} in {path}")
+    return json.loads(_read(path), parse_constant=refuse)
+
+
+def test_unconverged_trial_writes_a_null_residual(tmp_path, monkeypatch, capsys):
+    # one trial whose solve fails: the sweep still exits 0, and its report
+    # parses as strict JSON with that trial's residual null
+    real = liouville._robust_solve
+    calls = []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericError("injected failure")
+        return real(*args)
+
+    monkeypatch.setattr(liouville, "_robust_solve", flaky)
+    assert main(["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--L", "8",
+                 "--h", "0.5", "--trials", "3", "--out", str(tmp_path)]) == 0
+    rep = _strict_json(tmp_path / "sweep_box.json")
+    assert rep["counts"] == {"constant": 2, "unconverged": 1}
+    assert rep["trials"][1]["outcome"] == "unconverged"
+    assert rep["trials"][1]["residual"] is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_report_json_cannot_hold_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                               capsys, bad):
+    monkeypatch.setattr(cli, "dirichlet_eigenpair",
+                        lambda N, R, n: EigenResult(N, R, bad, None, None, 0))
+    assert main(["eigen", "--N", "2", "--R", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("numeric error: eigen.json:")
+    assert os.listdir(tmp_path) == []
+
+
+def test_json_report_bytes_are_those_of_json_dump(tmp_path):
+    # one write of the dumped text: indent 2, sorted keys, a trailing newline
+    obj = {"b": [1, 2.5, None], "a": {"y": True, "x": "s"}, "c": 1e-300}
+    cli._write_json(obj, str(tmp_path / "r.json"))
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert _read(tmp_path / "r.json") == _read(tmp_path / "ref.json")
 
 
 def test_sweep_thread_flag_does_not_change_the_report(tmp_path, capsys):

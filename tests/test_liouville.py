@@ -162,7 +162,7 @@ def test_box_sweep_counts_failed_trials_without_dying(monkeypatch):
     assert rep.converged == 3
     bad = rep.trials[1]
     assert bad.outcome == "unconverged"
-    assert math.isnan(bad.residual)
+    assert bad.residual is None
 
 
 def test_every_box_trial_lands_on_pi():

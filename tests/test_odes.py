@@ -9,7 +9,7 @@ import pytest
 
 from farfield import nonlinearity, odes, profile1d, sliding
 from farfield.errors import InputError, NumericError
-from farfield.nonlinearity import compute_Zf, integral_between, make
+from farfield.nonlinearity import compute_Zf, eval_capped, integral_between, make
 from farfield.odes import OdeResult, integrate
 from farfield.profile1d import compute_profile, disconnectedness_probe, integrate_profile_ode
 
@@ -59,9 +59,10 @@ def test_reversed_interval_rejected():
         integrate(lambda t, y: (-y[0], 0.0), 1.0, [1.0, 0.0], 0.0)
 
 
-def test_step_budget_enforced():
-    with pytest.raises(NumericError):
-        integrate(lambda t, y: (-y[0], 0.0), 0.0, [1.0, 0.0], 10.0, tol=1e-13, max_steps=3)
+def test_step_budget_enforced(monkeypatch):
+    monkeypatch.setattr(odes, "_MAX_STEPS", 3)
+    with pytest.raises(NumericError, match="step budget exhausted"):
+        integrate(lambda t, y: (-y[0], 0.0), 0.0, [1.0, 0.0], 10.0, tol=1e-13)
 
 
 @pytest.mark.parametrize("rhs", [
@@ -80,19 +81,20 @@ def test_a_state_of_other_than_two_components_is_rejected():
             integrate(lambda t, y: (-y[0], 0.0), 0.0, y0, 1.0)
 
 
-def test_infinite_error_estimate_shrinks_the_step(monkeypatch):
-    real = odes._double_step
-    calls = []
+def test_infinite_error_estimate_shrinks_the_step():
+    # the 4th rhs call is the first attempt's last full-step stage: an
+    # infinite one makes the full step infinite and both half steps finite,
+    # so the error estimate is inf, not NaN. An attempt costs 10 calls after
+    # the shared k1, so the 2nd and the 12th are each attempt's first, at h/2
+    ts = []
 
-    def first_infinite(rhs, t, y, h, k1):
-        calls.append(h)
-        y_new, err, *rest = real(rhs, t, y, h, k1)
-        return (y_new, math.inf if len(calls) == 1 else err, *rest)
+    def rhs(t, y):
+        ts.append(t)
+        return (math.inf if len(ts) == 4 else -y[0]), 0.0
 
-    monkeypatch.setattr(odes, "_double_step", first_infinite)
-    res = integrate(lambda t, y: (-y[0], 0.0), 0.0, [1.0, 0.0], 1.0, tol=1e-12)
+    res = integrate(rhs, 0.0, [1.0, 0.0], 1.0, tol=1e-12)
     assert res.rejected >= 1
-    assert calls[1] == odes._SHRINK_MIN * calls[0]
+    assert ts[11] == odes._SHRINK_MIN * ts[1]
     assert abs(res.y[0] - math.exp(-1.0)) < 1e-10
 
 
@@ -457,6 +459,49 @@ def test_retries_share_the_first_stage_on_a_launch_without_breaks(monkeypatch):
     assert new[0].rejected > 100
 
 
+def test_stage_times_match_the_ndarray_stepper():
+    # a forced oscillator from a t0 off the binary grid: the rhs reads every
+    # stage's time, which the written-out attempt must form as the ndarray
+    # stepper does, t + h/2 + h/4 and t + h/2 + h/2 for the second half step
+    rhs = lambda t, y: (y[1], math.sin(3.0 * t) - y[0])
+    args = (rhs, 0.1, [1.0, 0.0], 7.3)
+    kw = dict(tol=1e-11, sample_ts=np.linspace(0.1, 7.3, 37))
+    _assert_bit_identical(integrate(*args, **kw), _reference_integrate(*args, **kw))
+
+
+def _clip_checked(monkeypatch, module, nl, extra=lambda r, y: 0.0):
+    # every stage of `module`'s launches against f on the np.clip-ped state,
+    # bit for bit; returns the list of the states' V
+    seen = []
+
+    def checked(rhs, *args, **kwargs):
+        def rhs_checked(t, y):
+            got = rhs(t, y)
+            assert got == (y[1], -float(eval_capped(nl, y[0])) - extra(t, y)), (t, y)
+            seen.append(y[0])
+            return got
+        return integrate(rhs_checked, *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", checked)
+    return seen
+
+
+@pytest.mark.parametrize("spec", ["logistic", "abs-sin", "cantor:3"])
+def test_profile_launch_rhs_clips_the_state_to_the_window(monkeypatch, spec):
+    nl = make(spec)
+    seen = _clip_checked(monkeypatch, profile1d, nl)
+    for slope0 in (-1.0, 3.0 * nl.s_max):      # leave [0, s_max] below and above
+        integrate_profile_ode(nl, slope0, np.linspace(0.0, 2.0, 9))
+    assert min(seen) < 0.0 and max(seen) > nl.s_max
+
+
+def test_bubble_launch_rhs_clips_the_state_to_the_window(monkeypatch):
+    nl = make("logistic")
+    seen = _clip_checked(monkeypatch, sliding, nl, lambda r, y: (2 - 1) / r * y[1])
+    assert sliding.radial_bubble(nl, 1.0, 0.1).feasible
+    assert min(seen) < 0.0      # the stages of the step that holds v = 0
+
+
 @pytest.mark.parametrize("spec, z, eps", [("logistic", 1.0, 0.1),
                                           ("cantor:3", 26 / 27, 0.05)])
 def test_bubble_launch_matches_the_ndarray_stepper(monkeypatch, spec, z, eps):
@@ -483,24 +528,53 @@ def test_probe_launch_matches_the_ndarray_stepper(monkeypatch, sign):
 # ---------------------------------------------------------------------------
 # piecewise-linear terms on one Python float
 
+_TABLE = ([0.0, 0.25, 1.0, 2.0], [0.5, -1.0, 0.0, 3.0])
+
+
+def _float_paths(nl):
+    # the term's fn on a float and the closure the launches call, which
+    # skips fn's type dispatch
+    f = nonlinearity.scalar_fn(nl)
+    assert f is not nl.fn
+    return nl.fn, f
+
+
 @pytest.mark.parametrize("level", [1, 3, 6])
 def test_scalar_piecewise_path_matches_np_interp(level):
-    pl = make(f"cantor:{level}").fn
+    nl = make(f"cantor:{level}")
+    pl = nl.fn
     knots = pl.xs.tolist()
     pts = (knots
            + [math.nextafter(x, -math.inf) for x in knots]
            + [math.nextafter(x, math.inf) for x in knots]
            + [-1.0, -1e-300, -0.0, 1.5, 1e300, -math.inf, math.inf]
            + np.random.default_rng(level).uniform(-0.1, 1.1, 2000).tolist())
-    for x in pts:
-        got = pl(x)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.interp(x, pl.xs, pl.ys).tobytes(), x
-    assert math.isnan(pl(math.nan))
+    for f in _float_paths(nl):
+        for x in pts:
+            got = f(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.interp(x, pl.xs, pl.ys).tobytes(), x
+        assert math.isnan(f(math.nan))
     assert isinstance(pl(np.float64(0.5)), np.floating)    # numpy input, numpy path
 
 
 def test_scalar_piecewise_path_on_a_table():
-    pl = nonlinearity.from_table([0.0, 0.25, 1.0, 2.0], [0.5, -1.0, 0.0, 3.0]).fn
-    for x in np.linspace(-0.5, 2.5, 301).tolist():
-        assert pl(x) == float(np.interp(x, pl.xs, pl.ys))
+    nl = nonlinearity.from_table(*_TABLE)
+    pl = nl.fn
+    for f in _float_paths(nl):
+        for x in np.linspace(-0.5, 2.5, 301).tolist():
+            assert f(x) == float(np.interp(x, pl.xs, pl.ys))
+
+
+@pytest.mark.parametrize("name", ["logistic", "abs-sin", "linear-decay", "cantor:1",
+                                  "cantor:3", "cantor:6", "table"])
+def test_scalar_f_maps_a_float_to_a_float(name):
+    # the launches' rhs negate the scalar f's value with no float() around it
+    nl = nonlinearity.from_table(*_TABLE) if name == "table" else make(name)
+    f = nonlinearity.scalar_fn(nl)
+    pts = (np.linspace(0.0, nl.s_max, 1001).tolist() + list(nl.kinks)
+           + list(nl.zeros[0]) + [v for iv in nl.zeros[1] for v in iv])
+    for x in pts:
+        got = f(x)
+        assert type(got) is float, (x, type(got))
+        assert got == pytest.approx(float(nl.fn(np.array(x))), rel=0.0, abs=1e-15), x
