@@ -28,7 +28,7 @@ from .nonlinearity import check_hypotheses, compute_Zf, make, zero_set
 from .profile1d import compute_profile, save_profile_csv
 from .sliding import dirichlet_eigenpair, radial_bubble, sliding_verify
 from .traces import make_trace
-from .trajectory import check_ladder, omega_limit
+from .trajectory import omega_limit, quarter_table
 
 # ---------------------------------------------------------------------------
 # config files
@@ -38,7 +38,6 @@ _DEFAULT_CONFIG = {
     "domain": {"kind": "quarter", "L1": 40.0, "L2": 20.0, "h": 0.25,
                "trace": "constant:0.5", "u0": None},
     "solver": {"method": "auto", "tol": 1e-9},
-    "analysis": {"n_shifts": 16},
     "output": {"dir": "out", "dump_fields": False},
 }
 _METHODS = ("newton", "auto")     # solve_field's methods
@@ -194,11 +193,11 @@ def cmd_zf(args) -> int:
 def cmd_profile(args) -> int:
     nl = _nl(args)
     out = _outdir(args)
-    p = compute_profile(nl, args.z, xi_max=args.xi_max, n=args.n)
+    p = compute_profile(nl, args.z, xi_max=20.0)     # n: compute_profile's 2048
     csv_path = os.path.join(out, "profile.csv")
     save_profile_csv(p, csv_path)
     summary = {"z": p.z, "slope0": p.slope0, "crosscheck": p.crosscheck,
-               "xi_attained": p.xi_attained, "xi_max": args.xi_max, "n": args.n}
+               "xi_attained": p.xi_attained, "xi_max": float(p.xi[-1]), "n": p.xi.size - 1}
     _write_json(summary, os.path.join(out, "profile.json"))
     print(f"profile to level {p.z:.12g}: floor slope {p.slope0:.12g}, "
           f"route agreement {p.crosscheck:.3e}")
@@ -206,17 +205,17 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _solve_and_report(args, nl, out: str) -> list:
-    """Solve, detect the far-field limit, write the artifacts, print a summary.
+def _report(args, nl, out: str, field, wall_ms: float, table=None) -> list:
+    """Detect the far-field limit of a solved field, write the artifacts,
+    print a summary.
 
-    `args` carries the domain, solver, analysis and output settings under
-    their config names (`run` fills them from its config). Detects the limit
-    with args.n_shifts and writes trajectory.json and solve.json, plus
-    field.csv when args.dump_fields asks for it. Returns the names of the
-    files written.
+    `args` carries the domain, solver and output settings under their config
+    names (`run` fills them from its config). Detects the limit against
+    `table`, or omega_limit's own candidates, and writes trajectory.json and
+    solve.json, plus field.csv when args.dump_fields asks for it. Returns the
+    names of the files written.
     """
-    field, wall_ms = _solve(args, nl)
-    rep = omega_limit(nl, field, n_shifts=args.n_shifts)
+    rep = omega_limit(nl, field, table)
     # the report holds no nested dataclass, so its fields serialize as they are
     _write_json(vars(rep), os.path.join(out, "trajectory.json"))
     written = ["trajectory.json"]
@@ -252,8 +251,8 @@ def _solve_and_report(args, nl, out: str) -> list:
 
 
 def cmd_solve(args) -> int:
-    check_ladder(args.n_shifts)     # before the solve it follows
-    _solve_and_report(args, _nl(args), _outdir(args))
+    nl = _nl(args)
+    _report(args, nl, _outdir(args), *_solve(args, nl))
     return 0
 
 
@@ -278,7 +277,7 @@ def cmd_bubble(args) -> int:
 
 def cmd_eigen(args) -> int:
     out = _outdir(args)
-    e = dirichlet_eigenpair(args.N, args.R, n=args.n)
+    e = dirichlet_eigenpair(args.N, args.R)
     _write_json({"N": e.N, "R": e.R, "value": e.value, "iterations": e.iterations},
                 os.path.join(out, "eigen.json"))
     print(f"principal eigenvalue (N={e.N}, R={e.R:g}): {e.value:.15g}")
@@ -291,8 +290,8 @@ def cmd_slide(args) -> int:
     field, _ = _solve(args, nl)
     cap_nl = make(args.cap_f) if args.cap_f else nl
     bub = radial_bubble(cap_nl, args.z, args.eps, N=2)
-    rep = sliding_verify(field, bub, args.frm, args.to, steps=args.steps)
-    _write_json({"start": list(args.frm), "stop": list(args.to), "steps": args.steps,
+    rep = sliding_verify(field, bub, args.frm, args.to)
+    _write_json({"start": list(args.frm), "stop": list(args.to), "steps": rep.margins.size,
                  "cap_height": rep.implied_floor, "cap_radius": bub.R,
                  "min_margin": rep.min_margin, "ok": rep.ok,
                  "margins": [float(m) for m in rep.margins]},
@@ -325,35 +324,39 @@ def cmd_liouville_sweep(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    check_ladder(cfg["analysis"]["n_shifts"])
-    if args.out != ".":
+    if args.out is not None:
         cfg["output"]["dir"] = args.out
-    out = cfg["output"]["dir"]
-    os.makedirs(out, exist_ok=True)
     # the settings under the names the solve commands' flags give them
     run = argparse.Namespace(
         f=cfg["nonlinearity"]["spec"], smax=cfg["nonlinearity"]["s_max"],
-        **cfg["domain"], **cfg["solver"], **cfg["analysis"], **cfg["output"])
+        **cfg["domain"], **cfg["solver"], **cfg["output"])
     nl = _nl(run)
 
-    # 1. nonlinearity analysis
+    # 1. solve first: a bad grid, trace or tol is refused before any write
+    field, wall_ms = _solve(run, nl)
+    out = run.dir
+    os.makedirs(out, exist_ok=True)
+
+    # 2. nonlinearity analysis
     _, zf, _ = _write_analysis(nl, run.f, out)
     written = ["analysis.json"]
     print(f"levels reachable from the floor: "
           + (", ".join(f"{z:.6g}" for z in zf.points) or "(none)"))
 
-    # 2. profiles for every reachable level
-    for i, z in enumerate(zf.points):
-        p = compute_profile(nl, z, xi_max=run.L2, n=int(round(run.L2 / run.h)))
+    # 3. profiles for every reachable level, on the field's x2 nodes
+    g = field.grid
+    profiles = {z: compute_profile(nl, z, xi_max=g.L2, n=g.n2) for z in zf.points}
+    for i, p in enumerate(profiles.values()):
         name = f"profile_{i}.csv"
         save_profile_csv(p, os.path.join(out, name))
         written.append(name)
     print(f"wrote {len(zf.points)} profile tables")
 
-    # 3. solve + trajectory
-    written += _solve_and_report(run, nl, out)
+    # 4. trajectory against the same profiles, and the solve summary
+    table = quarter_table(field, profiles) if run.kind == "quarter" else None
+    written += _report(run, nl, out, field, wall_ms, table)
 
-    # 4. manifest
+    # 5. manifest
     manifest = {"files": {name: _sha256(os.path.join(out, name))
                           for name in sorted(written)}}
     _write_json(manifest, os.path.join(out, "manifest.json"))
@@ -382,7 +385,6 @@ _FLAGS = {
                 "help": "trials run serially; kept for existing command lines, "
                         "accepts only 1"},
     "dump-fields": {"action": "store_true", "dest": "dump_fields"},
-    "n-shifts": {"type": int, "default": _DEFAULT_CONFIG["analysis"]["n_shifts"]},
 }
 
 
@@ -440,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="build a rising profile")
     _add_f(p)
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--xi-max", type=float, default=20.0, dest="xi_max")
-    p.add_argument("--n", type=int, default=2048)
     _add_flags(p, "out")
     p.set_defaults(func=cmd_profile)
 
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(f"solve-{kind}", help=help_)
         _add_f(p)
         _add_domain(p)
-        _add_flags(p, "out", "dump-fields", "n-shifts")
+        _add_flags(p, "out", "dump-fields")
         p.set_defaults(func=cmd_solve, kind=kind)
 
     p = sub.add_parser("bubble", help="radial cap for sliding comparisons")
@@ -464,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="principal Dirichlet eigenvalue of the ball")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--R", type=float, required=True)
-    p.add_argument("--n", type=int, default=4096)
     _add_flags(p, "out")
     p.set_defaults(func=cmd_eigen)
 
@@ -477,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--from", required=True, dest="frm", metavar="X,Y", type=_point)
     p.add_argument("--to", required=True, metavar="X,Y", type=_point)
-    p.add_argument("--steps", type=int, default=61)
     _add_flags(p, "out")
     p.set_defaults(func=cmd_slide, kind="quarter")
 
@@ -494,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True)
     _add_flags(p, "out")
-    p.set_defaults(func=cmd_run)
+    # an --out, "." included, overrides the config's output.dir
+    p.set_defaults(func=cmd_run, out=None)
 
     return ap
 

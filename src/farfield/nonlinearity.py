@@ -81,19 +81,8 @@ def fprime(nl: Nonlinearity, s, side: int = 1) -> np.ndarray:
 
 def scalar_fn(nl: Nonlinearity) -> Callable[[float], float]:
     """f on one Python float, unclipped, as a float: fn itself, or a
-    piecewise-linear term's float path without fn's type dispatch."""
+    piecewise-linear term's float path, np.interp's formula without numpy."""
     return nl.fn.at_float if isinstance(nl.fn, _PiecewiseLinear) else nl.fn
-
-
-def capped_float(nl: Nonlinearity) -> Callable[[float], float]:
-    """eval_capped on one Python float, as a float, by the clip the launch
-    rhs write inline: np.clip on a scalar costs more than an RK4 step. The
-    comparisons let NaN and -0.0 through as np.clip does."""
-    fn, s_max = scalar_fn(nl), nl.s_max
-
-    def f(v: float) -> float:
-        return fn(0.0 if v < 0.0 else (s_max if v > s_max else v))
-    return f
 
 
 def integral_between(nl: Nonlinearity, lo, hi):
@@ -222,9 +211,7 @@ class _PiecewiseLinear:
                             _kinks_in(self.kinks, s_max), zeros)
 
     def __call__(self, s):
-        if type(s) is not float:
-            return np.interp(s, self.xs, self.ys)
-        return self.at_float(s)
+        return np.interp(s, self.xs, self.ys)
 
     def slope(self, s, side):
         """The slope of the cell on the `side` of s (at a knot, the cell that

@@ -109,7 +109,7 @@ def shoot_slope(nl: Nonlinearity, z: float) -> float:
         return 0.0
     if z not in zero_set(nl):
         raise InfeasibleProfileError(f"z={z:.17g} is not a zero of f "
-                                     f"(f(z)={nlm.capped_float(nl)(z):.3e})")
+                                     f"(f(z)={float(nlm.eval_capped(nl, z)):.3e})")
     Fz = integral_between(nl, 0.0, z)
     if Fz <= 0.0:
         raise InfeasibleProfileError(f"F(z)={Fz:.3e} <= 0 at z={z:g}: no real launch slope")
@@ -126,7 +126,8 @@ def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None)
     well defined, and steps land on f's kinks (`nl.kinks`, breaks of V).
     """
     xi_grid = np.asarray(xi_grid, dtype=float)
-    # one call into f a stage, clipped inline as nlm.capped_float clips
+    # one call into f a stage, V clipped inline to [0, s_max] bit for bit as
+    # eval_capped clips (np.clip on a scalar costs more than an RK4 step)
     f, s_max = nlm.scalar_fn(nl), nl.s_max
 
     def rhs(t, y):

@@ -4,8 +4,9 @@ A solved field on a truncated domain is read as a trajectory: sliding the
 view toward larger x1 is the semiflow, and the question is what the view
 settles on. Shifting is pure array slicing, so the semigroup laws hold
 bit-exactly by construction. The limit candidates form one table,
-`attractor_table`, which serves `omega_limit` here and both sweeps in
-`liouville`. Each candidate is a closed level range, (z, z) for one level:
+`attractor_table` (or `quarter_table`, from profiles already built), which
+serves `omega_limit` here and both sweeps in `liouville`. Each candidate is
+a closed level range, (z, z) for one level:
 
   quarter, strip : the rising profiles V_z for z in the reachable-zero set,
                    plus the zero state when f(0) = 0 (their launch slopes
@@ -37,6 +38,7 @@ _CONV_TOL = 1e-2           # converged: the winner's final distance is at most t
 _WINDOW_FRAC = 0.25        # comparison window length, as a share of n1
 _M_FRAC = 0.75             # estimate_M: trailing window from this share of L1
 _SLOPE_SPAN = 10.0         # tail_slope fits rungs at least this many times the final distance
+_N_SHIFTS = 16             # rungs of the geometric shift ladder, before duplicates merge
 
 
 def shift(field: Field, delta: float) -> Field:
@@ -91,16 +93,28 @@ def attractor_table(nl: Nonlinearity, M_cap: float,
     """
     if axis is not None:
         xi_max, n = axis
-        zs = [z for z in compute_Zf(nl).points if z <= M_cap]
-        profiles = [compute_profile(nl, z, xi_max=xi_max, n=n) for z in zs]
-        if np.any(np.diff([p.slope0 for p in profiles]) <= 0):
-            raise ConsistencyError("candidate launch slopes fail to increase; "
-                                   "the level table cannot separate its entries")
-        return AttractorTable([(z, z) for z in zs], [p.values for p in profiles])
+        return _profile_table({z: compute_profile(nl, z, xi_max=xi_max, n=n)
+                               for z in compute_Zf(nl).points if z <= M_cap})
     E = zero_set(nl)
     return AttractorTable([(z, z) for z in E.points if z <= M_cap]
                           + [(a, min(b, M_cap)) for a, b in E.intervals if a <= M_cap],
                           None)
+
+
+def _profile_table(profiles: dict) -> AttractorTable:
+    """The rising profiles {z: V_z}, in level order, as candidates; the
+    strict increase of their launch slopes is what separates them."""
+    if np.any(np.diff([p.slope0 for p in profiles.values()]) <= 0):
+        raise ConsistencyError("candidate launch slopes fail to increase; "
+                               "the level table cannot separate its entries")
+    return AttractorTable([(z, z) for z in profiles], [p.values for p in profiles.values()])
+
+
+def quarter_table(field: Field, profiles: dict) -> AttractorTable:
+    """omega_limit's own candidates for a quarter field, cut from profiles
+    {z: V_z} already built on its x2 nodes for every reachable level."""
+    cap = estimate_M(field).M + _M_MARGIN
+    return _profile_table({z: p for z, p in profiles.items() if z <= cap})
 
 
 @dataclass(eq=False)
@@ -114,29 +128,20 @@ class TrajectoryReport:
     notes: tuple = ()
 
 
-def check_ladder(n_shifts: int) -> None:
-    """omega_limit's argument check, for callers that run it before a solve.
-
-    n_shifts must be a whole number (a config file may give it as a float).
-    """
-    if not (n_shifts >= 1 and n_shifts % 1 == 0):
-        raise InputError("omega_limit: need a whole n_shifts >= 1")
-
-
-def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = None,
-                n_shifts: int = 16) -> TrajectoryReport:
+def omega_limit(nl: Nonlinearity, field: Field,
+                table: AttractorTable | None = None) -> TrajectoryReport:
     """Detect the far-field limit of a solved field.
 
     Measures the sup-distance from trailing windows to every candidate at a
-    geometric ladder of shifts. Candidates come from the supplied table, or
-    from attractor_table capped just above the field's trailing amplitude.
+    geometric ladder of _N_SHIFTS shifts. Candidates come from the supplied
+    table, or from attractor_table capped just above the field's trailing
+    amplitude.
     Converged means the winning candidate's final distance is at most
     _CONV_TOL and the runner-up (if any) is at least twice as far.
     tail_slope is the fitted exponential rate of the winner's distance over
     the rungs of the shift ladder at least _SLOPE_SPAN times its final
     distance, None when fewer than 3 qualify.
     """
-    check_ladder(n_shifts)
     g = field.grid
     notes = []
     est = estimate_M(field)
@@ -153,7 +158,7 @@ def omega_limit(nl: Nonlinearity, field: Field, table: AttractorTable | None = N
     if k_max < 1:
         raise InputError("field too short in x1 for trajectory analysis")
     ks = np.unique(np.clip(np.round(
-        np.geomspace(1, k_max, int(n_shifts))).astype(int), 1, k_max))
+        np.geomspace(1, k_max, _N_SHIFTS)).astype(int), 1, k_max))
     # quarter windows keep the bottom 3/4 of the x2 nodes
     j_cap = int(math.floor(0.75 * g.n2)) + 1 if field.kind == "quarter" else g.n2
 

@@ -103,8 +103,7 @@ def test_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
     # with a tolerance no cross-check can meet, the profile's quadrature and
     # RK4 routes disagree: a ConsistencyError, reported and mapped to exit 2
     monkeypatch.setattr(profile1d, "_CROSSCHECK_TOL", 1e-30)
-    rc = main(["profile", "--f", "logistic", "--z", "1", "--xi-max", "8",
-               "--n", "64", "--out", str(tmp_path)])
+    rc = main(["profile", "--f", "logistic", "--z", "1", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("consistency error:") and "routes disagree" in err
@@ -136,8 +135,7 @@ def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
         return v, w, res
 
     monkeypatch.setattr(profile1d, "integrate_profile_ode", nan_sample)
-    rc = main(["profile", "--f", "logistic", "--z", "1", "--xi-max", "8",
-               "--n", "64", "--out", str(tmp_path)])
+    rc = main(["profile", "--f", "logistic", "--z", "1", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("consistency error:") and "disagree by nan" in err
@@ -159,6 +157,15 @@ def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
     # far-field detection converges at the fixed distance trajectory._CONV_TOL
     ["solve-quarter", "--f", "logistic", "--conv-tol", "1e-2"],
     ["solve-half", "--f", "logistic", "--conv-tol", "1e-2"],
+    # the shift ladder, the profile grid, the eigen grid and the slide path
+    # are sampled at fixed resolutions
+    ["solve-quarter", "--f", "logistic", "--n-shifts", "16"],
+    ["solve-half", "--f", "logistic", "--n-shifts", "16"],
+    ["profile", "--f", "logistic", "--z", "1", "--xi-max", "20"],
+    ["profile", "--f", "logistic", "--z", "1", "--n", "2048"],
+    ["eigen", "--N", "2", "--R", "1", "--n", "4096"],
+    ["slide", "--f", "logistic", "--z", "1", "--eps", "0.1", "--from", "8,6",
+     "--to", "9,6", "--steps", "61"],
 ])
 def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -171,15 +178,14 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--L", "nan"],
     ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--L", "8", "--h", "0.25",
      "--trials", "1", "--seed", "-1"],
-    ["profile", "--f", "logistic", "--z", "1", "--xi-max", "nan"],
+    ["profile", "--f", "logistic", "--z", "nan"],
     ["eigen", "--N", "2", "--R", "nan"],
     ["slide", "--f", "logistic", "--L1", "20", "--L2", "12", "--h", "0.5",
-     "--z", "1", "--eps", "0.5", "--from", "8,6", "--to", "9,6", "--steps", "0"],
-    ["solve-half", "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.5",
-     "--n-shifts", "0"],
+     "--z", "1", "--eps", "0.5", "--from", "0.5,6", "--to", "9,6"],
+    ["solve-half", "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.3"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
      "--tol", "-1"],
-    ["eigen", "--N", "2", "--R", "1", "--n", "8"],
+    ["eigen", "--N", "0", "--R", "1"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
      "--trace", "constant:abc"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
@@ -211,6 +217,8 @@ def test_bad_numeric_flag_exits_1(argv, tmp_path, capsys):
 @pytest.mark.parametrize("flag", [("--n-shifts", "0"), ("--n-shifts", "2.5")])
 def test_bad_ladder_flag_exits_1_before_the_solve(command, flag, tmp_path, capsys,
                                                   monkeypatch):
+    # the ladder has a fixed number of rungs: the flag is refused, with any
+    # value, before the solve
     def refuse(*args, **kwargs):
         raise AssertionError("the ladder flags must be checked before the solve")
 
@@ -219,34 +227,24 @@ def test_bad_ladder_flag_exits_1_before_the_solve(command, flag, tmp_path, capsy
     argv = [command, "--f", "logistic", "--L1", "8", "--L2", "4", "--h", "0.5",
             *flag, "--out", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("input error:")
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "unrecognized arguments: --n-shifts" in err
     assert not out.exists()
 
 
 def test_bad_ladder_config_exits_1_before_the_solve(tmp_path, capsys, monkeypatch):
+    # the config's analysis section, whose one key was n_shifts, is gone
     def refuse(*args, **kwargs):
         raise AssertionError("the ladder settings must be checked before the solve")
 
     monkeypatch.setattr(cli, "solve_field", refuse)
     out = tmp_path / "out"
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"analysis": {"n_shifts": 0},
+    p.write_text(json.dumps({"analysis": {"n_shifts": 16},
                              "output": {"dir": str(out)}}))
     assert main(["run", "--config", str(p)]) == 1
-    assert capsys.readouterr().err.startswith("input error:")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("n_shifts", ["2.5", "1e400"])
-def test_fractional_n_shifts_config_exits_1_before_anything_is_written(n_shifts, tmp_path,
-                                                                       capsys):
-    # JSON reads 1e400 as inf; np.geomspace takes neither value
-    out = tmp_path / "out"
-    p = tmp_path / "cfg.json"
-    p.write_text('{"analysis": {"n_shifts": %s}, "output": {"dir": %s}}'
-                 % (n_shifts, json.dumps(str(out))))
-    assert main(["run", "--config", str(p)]) == 1
-    assert capsys.readouterr().err.startswith("input error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unknown section 'analysis'" in err
     assert not out.exists()
 
 
@@ -320,7 +318,6 @@ def test_config_rejects_unknown_names(tmp_path):
 
 
 _WRONG_TYPES = [
-    ({"analysis": {"n_shifts": "8"}}, "analysis.n_shifts must be a number (got string)"),
     ({"solver": {"tol": "1e-9"}}, "solver.tol must be a number (got string)"),
     ({"domain": {"L1": "60"}}, "domain.L1 must be a number (got string)"),
     ({"domain": {"h": True}}, "domain.h must be a number (got boolean)"),
@@ -352,7 +349,7 @@ def test_run_rejects_the_tol_f_key(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"analysis": {"tol_f": 1e-10}, "output": {"dir": str(out)}}))
     assert main(["run", "--config", str(p)]) == 1
-    assert "unknown key 'tol_f' in section 'analysis'" in capsys.readouterr().err
+    assert "unknown section 'analysis'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -360,7 +357,7 @@ def test_run_rejects_the_tol_f_key(tmp_path, capsys):
     ({"solver": {"flow_target": 1e-3}}, "unknown key 'flow_target' in section 'solver'"),
     ({"solver": {"method": "monotone"}},
      "solver.method must be one of newton, auto (got 'monotone')"),
-    ({"analysis": {"conv_tol": 1e-2}}, "unknown key 'conv_tol' in section 'analysis'"),
+    ({"analysis": {"conv_tol": 1e-2}}, "unknown section 'analysis'"),
     ({"output": {"plots": True}}, "unknown key 'plots' in section 'output'"),
 ], ids=["flow_target", "method", "conv_tol", "plots"])
 def test_run_rejects_removed_solver_settings(config, message, tmp_path, capsys):
@@ -453,18 +450,20 @@ def test_successive_calls_share_no_flag_state(tmp_path):
 
 def test_short_ladder_solves_write_their_reports(tmp_path):
     # a table term whose only zero is 3 leaves no candidate at or below
-    # M + 0.5, and one shift leaves a one-rung ladder: both solves finish
-    # with their reports
+    # M + 0.5, and a field 3 nodes long leaves a one-rung ladder (the window
+    # takes 2 of them): both solves finish with their reports
     table = tmp_path / "f.csv"
     table.write_text("0,1\n1,1\n3,0\n")
     no_candidate = ["solve-half", "--f", f"table:{table}", "--L1", "2", "--L2", "2",
                     "--h", "0.5", "--trace", "constant:0"]
-    one_shift = ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4",
-                 "--h", "0.5", "--trace", "profile:1", "--n-shifts", "1"]
+    one_shift = ["solve-quarter", "--f", "logistic", "--L1", "1.5", "--L2", "4",
+                 "--h", "0.5", "--trace", "profile:1"]
     for k, argv in enumerate((no_candidate, one_shift)):
         out = tmp_path / f"s{k}"
         assert main(argv + ["--out", str(out)]) == 0
         assert sorted(os.listdir(out)) == ["solve.json", "trajectory.json"]
+    rungs = {r["h"] for r in json.loads(_read(out / "trajectory.json"))["distances"]}
+    assert rungs == {0.5}
 
 
 def test_solve_outputs_are_deterministic(tmp_path):
@@ -507,27 +506,28 @@ def test_bubble_csv_bytes_match_a_per_row_writer(tmp_path):
 
 
 def test_profile_command_writes_table_and_summary(tmp_path, capsys):
-    rc = main(["profile", "--f", "logistic", "--z", "1", "--xi-max", "8",
-               "--n", "64", "--out", str(tmp_path)])
+    rc = main(["profile", "--f", "logistic", "--z", "1", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "profile.csv").exists()
     summary = json.loads(_read(tmp_path / "profile.json"))
     assert set(summary) == {"z", "slope0", "crosscheck", "xi_attained",
                             "xi_max", "n"}
+    assert (summary["xi_max"], summary["n"]) == (20.0, 2048)
     assert summary["slope0"] == pytest.approx(1 / math.sqrt(3), abs=1e-10)
     assert "floor slope" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
-    ["--f", "abs-sin", "--z", "3.141592653589793", "--xi-max", "120", "--n", "8"],
-    ["--f", "abs-sin", "--z", "3.141592653589793", "--xi-max", "200", "--n", "8"],
-    ["--f", "logistic", "--z", "1", "--xi-max", "200", "--n", "8"],
+    ("abs-sin", math.pi, 120.0, 8),
+    ("abs-sin", math.pi, 200.0, 8),
+    ("logistic", 1.0, 200.0, 8),
 ])
-def test_coarse_profile_crosschecks_below_the_floor(tmp_path, argv):
+def test_coarse_profile_crosschecks_below_the_floor(argv):
     # the second grid node already hugs the limit, where the launch is
-    # unstable; the routes are compared where V is still 1e-3 below it
-    assert main(["profile", *argv, "--out", str(tmp_path)]) == 0
-    assert json.loads(_read(tmp_path / "profile.json"))["crosscheck"] <= 1e-6
+    # unstable; the routes are compared where V is still 1e-3 below it. The
+    # profile command's grid is fixed, so compute_profile takes these ones
+    f, z, xi_max, n = argv
+    assert profile1d.compute_profile(make(f), z, xi_max=xi_max, n=n).crosscheck <= 1e-6
 
 
 def test_narrow_quarter_solve_reports_its_trajectory(tmp_path):
@@ -542,8 +542,7 @@ def test_profile_command_does_not_import_scipy_interpolate(tmp_path):
     # a cold start pays for no interpolation module: the profile inverts its
     # quadrature with its own Hermite cubic
     code = ("import sys; from farfield.cli import main; "
-            f"rc = main(['profile', '--f', 'logistic', '--z', '1', '--n', '64', "
-            f"'--out', {str(tmp_path)!r}]); "
+            f"rc = main(['profile', '--f', 'logistic', '--z', '1', '--out', {str(tmp_path)!r}]); "
             "print(rc, 'scipy.interpolate' in sys.modules)")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -566,8 +565,7 @@ def test_package_root_loads_no_submodule():
 
 
 def test_eigen_command_writes_summary(tmp_path, capsys):
-    rc = main(["eigen", "--N", "2", "--R", "1", "--n", "512",
-               "--out", str(tmp_path)])
+    rc = main(["eigen", "--N", "2", "--R", "1", "--out", str(tmp_path)])
     assert rc == 0
     val = json.loads(_read(tmp_path / "eigen.json"))["value"]
     assert abs(val - 5.78319) < 1e-3
@@ -578,13 +576,13 @@ def test_slide_command_reports_domination(tmp_path, capsys):
     rc = main(["slide", "--f", "logistic", "--trace", "constant:0.1",
                "--L1", "16", "--L2", "12", "--h", "0.5",
                "--z", "1", "--eps", "0.1", "--from", "8,6", "--to", "9,6",
-               "--steps", "3", "--out", str(tmp_path)])
+               "--out", str(tmp_path)])
     assert rc == 0
     assert "field dominates the cap" in capsys.readouterr().out
     rep = json.loads(_read(tmp_path / "slide.json"))
     assert rep["ok"] is True
     assert rep["min_margin"] > 0
-    assert len(rep["margins"]) == 3
+    assert rep["steps"] == len(rep["margins"]) == 61
 
 
 def test_solve_half_detects_a_constant_strip(tmp_path, capsys):
@@ -642,7 +640,7 @@ def test_unconverged_trial_writes_a_null_residual(tmp_path, monkeypatch, capsys)
 def test_a_report_json_cannot_hold_exits_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                capsys, bad):
     monkeypatch.setattr(cli, "dirichlet_eigenpair",
-                        lambda N, R, n: EigenResult(N, R, bad, None, None, 0))
+                        lambda N, R: EigenResult(N, R, bad, None, None, 0))
     assert main(["eigen", "--N", "2", "--R", "1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("numeric error: eigen.json:")
     assert os.listdir(tmp_path) == []
@@ -677,7 +675,6 @@ def test_sweep_thread_flag_does_not_change_the_report(tmp_path, capsys):
 def test_run_pipeline_writes_manifest_with_matching_digests(tmp_path, capsys):
     cfg = {"nonlinearity": {"spec": "linear-decay"},
            "domain": {"L1": 12.0, "L2": 6.0, "h": 0.5, "trace": "constant:0.5"},
-           "analysis": {"n_shifts": 8},
            "output": {"dir": str(tmp_path / "out")}}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -696,6 +693,61 @@ def test_run_pipeline_writes_manifest_with_matching_digests(tmp_path, capsys):
     assert "residual" in text
     solve = json.loads(_read(out / "solve.json"))
     assert solve["f"] == "linear-decay"
+
+
+_RUN_CFG = {"nonlinearity": {"spec": "logistic"},
+            "domain": {"L1": 12.0, "L2": 6.0, "h": 0.5, "trace": "constant:0.5"}}
+
+
+@pytest.mark.parametrize("bad", [{"domain": {"h": 0.7}}, {"domain": {"trace": "bump:1,x,2"}},
+                                 {"solver": {"tol": -1.0}}], ids=["h", "trace", "tol"])
+def test_run_refuses_bad_settings_before_it_writes(bad, tmp_path, capsys):
+    # the solve comes first, so a grid, trace or tol it refuses leaves the
+    # output directory as it was
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = {**_RUN_CFG, **bad, "domain": {**_RUN_CFG["domain"], **bad.get("domain", {})}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert os.listdir(out) == []
+
+
+def test_run_builds_each_profile_once(tmp_path, monkeypatch):
+    # the profile tables and the quarter's far-field candidates are one set
+    # of profiles, and the trajectory is that of solve-quarter, which builds
+    # its own candidates
+    from farfield import trajectory
+    calls = []
+    real = profile1d.compute_profile
+
+    def counted(nl, z, **kwargs):
+        calls.append(z)
+        return real(nl, z, **kwargs)
+
+    for module in (cli, trajectory):
+        monkeypatch.setattr(module, "compute_profile", counted)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_RUN_CFG))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 0
+    assert calls == [0.0, 1.0]
+    assert main(["solve-quarter", "--f", "logistic", "--L1", "12", "--L2", "6", "--h", "0.5",
+                 "--trace", "constant:0.5", "--out", str(tmp_path / "solve")]) == 0
+    assert (_read(tmp_path / "run" / "trajectory.json")
+            == _read(tmp_path / "solve" / "trajectory.json"))
+
+
+def test_run_out_dot_writes_to_the_current_directory(tmp_path, monkeypatch):
+    # --out . overrides the config's output.dir like any other --out
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**_RUN_CFG, "output": {"dir": str(tmp_path / "cfg-dir")}}))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", "--config", str(p), "--out", "."]) == 0
+    assert "manifest.json" in os.listdir(cwd)
+    assert not (tmp_path / "cfg-dir").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from scipy.integrate import quad
 
 from farfield import nonlinearity as nlm
 from farfield.errors import InputError
-from farfield.nonlinearity import (capped_float, check_hypotheses, compute_Zf,
-                                   eval_capped, fprime, from_table,
-                                   integral_between, make, zero_set)
+from farfield.nonlinearity import (check_hypotheses, compute_Zf, eval_capped, fprime,
+                                   from_table, integral_between, make, scalar_fn,
+                                   zero_set)
 
 CATALOG = ("logistic", "abs-sin", "linear-decay", "cantor:3")
 
@@ -51,12 +51,19 @@ def test_window_override():
         make("logistic", s_max=math.inf)
 
 
+def _launch_f(nl):
+    """f at one float clipped to [0, s_max] as the launch rhs clip it inline,
+    by comparisons, then the term's scalar f."""
+    f, s_max = scalar_fn(nl), nl.s_max
+    return lambda v: f(0.0 if v < 0.0 else (s_max if v > s_max else v))
+
+
 def test_eval_window_enforced():
-    # both entry points clip their argument to the window [0, 2]
+    # eval_capped and the launches' inline clip hold f to the window [0, 2]
     nl = make("logistic")
     got = eval_capped(nl, np.array([-0.1, 0.5, 2.5]))
     assert got.tolist() == [0.0, 0.25, -2.0]
-    assert [capped_float(nl)(v) for v in (-0.1, 0.5, 2.5)] == [0.0, 0.25, -2.0]
+    assert [_launch_f(nl)(v) for v in (-0.1, 0.5, 2.5)] == [0.0, 0.25, -2.0]
 
 
 _CAPPED_TERMS = CATALOG + ("cantor:1", "cantor:6", "table")
@@ -87,11 +94,12 @@ def test_eval_capped_is_f_on_the_clipped_argument(name):
 
 @pytest.mark.parametrize("name", _CAPPED_TERMS)
 def test_capped_float_matches_eval_capped(name):
-    # the launches' scalar clip, comparisons on one float, gives eval_capped's
-    # np.clip value bit for bit: the sign of a zero and NaN included
+    # the launches' scalar clip, comparisons on one float, then scalar_fn's f
+    # gives eval_capped's np.clip value bit for bit: the sign of a zero and
+    # NaN included
     nl = _capped_term(name)
     for v in (-1.0, -0.0, 0.0, 0.37 * nl.s_max, nl.s_max, nl.s_max + 1.0, math.nan):
-        got = capped_float(nl)(v)
+        got = _launch_f(nl)(v)
         want = float(eval_capped(nl, v))
         assert type(got) is float
         if math.isnan(want):

@@ -531,12 +531,11 @@ def test_probe_launch_matches_the_ndarray_stepper(monkeypatch, sign):
 _TABLE = ([0.0, 0.25, 1.0, 2.0], [0.5, -1.0, 0.0, 3.0])
 
 
-def _float_paths(nl):
-    # the term's fn on a float and the closure the launches call, which
-    # skips fn's type dispatch
+def _float_path(nl):
+    # the closure the launches call, np.interp's formula on one float
     f = nonlinearity.scalar_fn(nl)
     assert f is not nl.fn
-    return nl.fn, f
+    return f
 
 
 @pytest.mark.parametrize("level", [1, 3, 6])
@@ -549,21 +548,21 @@ def test_scalar_piecewise_path_matches_np_interp(level):
            + [math.nextafter(x, math.inf) for x in knots]
            + [-1.0, -1e-300, -0.0, 1.5, 1e300, -math.inf, math.inf]
            + np.random.default_rng(level).uniform(-0.1, 1.1, 2000).tolist())
-    for f in _float_paths(nl):
-        for x in pts:
-            got = f(x)
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.interp(x, pl.xs, pl.ys).tobytes(), x
-        assert math.isnan(f(math.nan))
-    assert isinstance(pl(np.float64(0.5)), np.floating)    # numpy input, numpy path
+    f = _float_path(nl)
+    for x in pts:
+        got = f(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.interp(x, pl.xs, pl.ys).tobytes(), x
+    assert math.isnan(f(math.nan))
+    assert isinstance(pl(0.5), np.floating)    # the term's fn is np.interp itself
 
 
 def test_scalar_piecewise_path_on_a_table():
     nl = nonlinearity.from_table(*_TABLE)
     pl = nl.fn
-    for f in _float_paths(nl):
-        for x in np.linspace(-0.5, 2.5, 301).tolist():
-            assert f(x) == float(np.interp(x, pl.xs, pl.ys))
+    f = _float_path(nl)
+    for x in np.linspace(-0.5, 2.5, 301).tolist():
+        assert f(x) == float(np.interp(x, pl.xs, pl.ys))
 
 
 @pytest.mark.parametrize("name", ["logistic", "abs-sin", "linear-decay", "cantor:1",
