@@ -53,6 +53,8 @@ class Nonlinearity:
     # the sorted points in (0, s_max) where f is not differentiable; the RK4
     # launches on f land their steps on them
     kinks: tuple = field(repr=False)
+    # f is affine between its kinks (tables, cantor, linear-decay)
+    piecewise_linear: bool = field(repr=False)
     # the exact zero set of f on [0, s_max], as (points, intervals): sorted
     # isolated zeros and the closed intervals where f vanishes identically
     zeros: tuple = field(repr=False)
@@ -208,7 +210,7 @@ class _PiecewiseLinear:
         secant = x0 - y0 * (x1 - x0) / (y1 - y0)
         zeros = _zeros_in(xs[zero].tolist() + secant.tolist(), ivs, s_max)
         return Nonlinearity(kind, s_max, lipschitz, self, self.slope, self.gap,
-                            _kinks_in(self.kinks, s_max), zeros)
+                            _kinks_in(self.kinks, s_max), True, zeros)
 
     def __call__(self, s):
         return np.interp(s, self.xs, self.ys)
@@ -276,7 +278,7 @@ def logistic(s_max: float = 2.0) -> Nonlinearity:
 
     # |f'| = |1 - 2 s| peaks at an end of the window
     return Nonlinearity("logistic", s_max, max(1.0, 2.0 * s_max - 1.0), fn, slope, gap, (),
-                        _zeros_in((0.0, 1.0), (), s_max))
+                        False, _zeros_in((0.0, 1.0), (), s_max))
 
 
 def abs_sin(s_max: float = 10.0) -> Nonlinearity:
@@ -312,7 +314,7 @@ def abs_sin(s_max: float = 10.0) -> Nonlinearity:
     # f vanishes at every k pi, and every one inside the window is a kink
     multiples = [k * math.pi for k in range(int(s_max / math.pi) + 1)]
     return Nonlinearity("abs-sin", s_max, 1.0, fn, slope, gap, _kinks_in(multiples, s_max),
-                        _zeros_in(multiples, (), s_max))
+                        False, _zeros_in(multiples, (), s_max))
 
 
 def linear_decay(s_max: float = 10.0) -> Nonlinearity:
@@ -321,7 +323,7 @@ def linear_decay(s_max: float = 10.0) -> Nonlinearity:
     slope = lambda s, side: np.full(np.shape(s), -1.0)
     gap = lambda lo, hi: (hi - lo) * (1.0 - 0.5 * (hi + lo))
     return Nonlinearity("linear-decay", s_max, 1.0, fn, slope, gap, (),
-                        _zeros_in((1.0,), (), s_max))
+                        True, _zeros_in((1.0,), (), s_max))
 
 
 def cantor(level: int = 6, s_max: float = 1.0) -> Nonlinearity:

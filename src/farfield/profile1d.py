@@ -2,21 +2,18 @@
 
 The profile solves V'' + f(V) = 0 with V(0) = 0, V nondecreasing, V -> z,
 which pins the launch slope to sqrt(2 F(z)) and gives the first integral
-W^2 = 2 (F(z) - F(V)). Construction inverts the quadrature
+W^2 = 2 (F(z) - F(V)). Construction inverts
 
     xi(V) = integral_0^V  dsigma / sqrt(2 (F(z) - F(sigma)))
 
-on a mesh graded toward V = z (log approach; the endpoint is softened by the
-substitution sigma = z - t^2, and the first segment by sigma = u^2 for the
-f(0) > 0 case). The mesh breaks at f's kinks, as QUADPACK's QAGP takes its
-break points, so no segment integrates across a kink of the integrand. All
-mesh segments are integrated at once: each pass applies QUADPACK's
-Gauss-Kronrod 10/21 rule and error estimate to every open piece in one
-array evaluation of the integrand, then bisects only the pieces that miss
-their tolerance. Deep in the tail the integrand carries roundoff that no
-bisection removes; a piece whose bisection did not halve its error estimate
-is accepted as it stands, and the error budget weights it by the local
-slope. A segment still open at the subdivision cap is a NumericError.
+on a mesh graded toward V = z (log approach) that breaks at f's kinks, as
+QUADPACK's QAGP takes its break points, so no segment crosses a kink. Where
+f is affine between kinks (`nl.piecewise_linear`: tables, cantor,
+linear-decay), W^2 is a quadratic on each segment, whose xi is elementary
+(`_affine_xi`). The other terms (logistic, abs-sin) take a batched adaptive
+Gauss-Kronrod 10/21 rule (`_integrate_segments`) under a slope-weighted
+error budget, the endpoint softened by sigma = z - t^2 and the first
+segment by sigma = u^2 (for f(0) > 0).
 Every slab integral the profile takes (the integrand's F(z) - F(sigma),
 the mesh gaps, the slopes W) runs from an array of nodes up to the scalar
 z, the route on which `integral_between` calls the term's `gap_fn` once.
@@ -205,17 +202,35 @@ def _integrate_segments(nl: Nonlinearity, z: float, lo, hi, coef):
     return val, err
 
 
+def _affine_xi(length, s0, s1, beta):
+    """xi across segments of length L where f has slope beta: the integral
+    over [0, L] of Q^(-1/2), Q = 2 (F(z) - F) the quadratic with Q'' = -2 beta,
+    s0^2 and s1^2 at the ends. It is 2 L/(s0 + s1) g(-beta L^2/(s0 + s1)^2),
+    g(y) = artanh(sqrt y)/sqrt y, arctan(sqrt -y)/sqrt -y or 1 (y > 0, < 0, 0),
+    with no difference of close numbers."""
+    q = length / (s0 + s1)
+    r = np.sqrt(np.abs(beta)) * q
+    g = np.ones_like(r)
+    np.arctanh(r, out=g, where=beta < 0.0)
+    np.arctan(r, out=g, where=beta > 0.0)
+    np.divide(g, r, out=g, where=beta != 0.0)
+    return 2.0 * q * g
+
+
 def _xi_quadrature_mesh(nl: Nonlinearity, z: float, exit_tol: float):
     """Graded V-mesh, broken at f's kinks below z - exit_tol, and cumulative
-    xi(V) with endpoint-softening substitutions."""
+    xi(V): in closed form on affine cells, else by quadrature."""
     if 0.1 * z <= exit_tol:
         raise InputError(f"compute_profile: z={z:g} too small for exit_tol={exit_tol:g}")
     v_low = np.linspace(0.0, 0.9 * z, _MESH_LOW + 1)
     t_hi = np.geomspace(np.sqrt(0.1 * z), np.sqrt(exit_tol), _MESH_TAIL + 1)
     kinks = [k for k in nl.kinks if k < z - exit_tol]
-    v_mesh = np.sort(np.concatenate((v_low, z - t_hi[1:] ** 2, kinks)))
-    # a kink within rounding of a mesh node would leave a sliver segment
-    v_mesh = v_mesh[np.concatenate(([True], np.diff(v_mesh) > 1e-12 * z))]
+    v_mesh = np.unique(np.concatenate((v_low, z - t_hi[1:] ** 2, kinks)))
+    # of two nodes within rounding (a sliver segment) the second goes, unless
+    # it is a kink and the first is neither a kink nor 0: the kinks all stay
+    close, fixed = np.diff(v_mesh) <= 1e-12 * z, np.isin(v_mesh, (0.0, *kinks))
+    first_goes = close & fixed[1:] & ~fixed[:-1]
+    v_mesh = v_mesh[~np.append(first_goes, False) & ~np.insert(close & ~first_goes, 0, False)]
 
     gaps = integral_between(nl, v_mesh, z)
     if np.any(gaps[:-1] <= 0.0):
@@ -227,9 +242,13 @@ def _xi_quadrature_mesh(nl: Nonlinearity, z: float, exit_tol: float):
             f"profile to z={z:g}: first integral vanishes already at z - {exit_tol:g}")
     w_mesh = np.sqrt(2.0 * gaps)
 
+    a, b = v_mesh[:-1], v_mesh[1:]
+    if nl.piecewise_linear:     # no segment crosses a kink: f is affine on each
+        dxi = _affine_xi(b - a, w_mesh[:-1], w_mesh[1:], nl.slope(0.5 * (a + b), 1))
+        return v_mesh, w_mesh, np.concatenate(([0.0], np.cumsum(dxi)))
+
     # sigma = u^2 kills the 1/sqrt(sigma) start of the first segment when
     # f(0) > 0; sigma = z - t^2 softens the approach of the limit
-    a, b = v_mesh[:-1], v_mesh[1:]
     tail = a >= 0.9 * z - 1e-15
     lo = np.where(tail, np.sqrt(z - b), a)
     hi = np.where(tail, np.sqrt(z - a), b)
@@ -266,12 +285,13 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
                     n: int = 2048) -> Profile1D:
     """Build the profile ending at z on a uniform grid of n+1 points.
 
-    Quadrature-and-inversion is the primary route (cubic Hermite inversion
-    with the exact first-integral slopes, `_hermite`; the slab integrals
-    all end at the scalar z); an independent RK4 launch is run
-    on the same grid and the maximum disagreement is stored. One not at or
-    below _CROSSCHECK_TOL, NaN included, is a ConsistencyError. Beyond the
-    xi where the mesh reaches z - _EXIT_TOL the profile is clamped there.
+    Quadrature-and-inversion is the primary route (xi(V) exact on affine
+    cells, else by Gauss-Kronrod; cubic Hermite inversion with the exact
+    first-integral slopes, `_hermite`; the slabs end at z); an independent
+    RK4 launch is run on the same grid and the maximum disagreement is
+    stored. One not at or below _CROSSCHECK_TOL, NaN included, is a
+    ConsistencyError. Beyond the xi where the mesh reaches z - _EXIT_TOL
+    the profile is clamped there.
     """
     if not 0 < xi_max < math.inf or n < 1:
         raise InputError("compute_profile: need finite xi_max > 0 and n >= 1")

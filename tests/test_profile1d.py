@@ -1,7 +1,9 @@
 """Rising 1-D profiles: launch slopes, quadrature grids, probes, round trips."""
 
 import csv
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,10 @@ from farfield.errors import ConsistencyError, InputError, NumericError
 from farfield.nonlinearity import compute_Zf, from_table, integral_between, make
 from farfield.profile1d import (compute_profile, disconnectedness_probe,
                                 profile_residual, save_profile_csv, shoot_slope)
+
+_TENT_TABLE = "table:" + str(Path(__file__).resolve().parents[1] / "demos" / "tent_table.csv")
+# a ramp whose only positive level, 5e-4, lies within the cross-check floor
+_RAMP = ([0.0, 2.5e-4, 5e-4, 1.0], [0.0, 1e-3, 0.0, -1.0])
 
 
 def test_launch_slope_squares_to_energy():
@@ -162,16 +168,21 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# batched Gauss-Kronrod quadrature of xi(V)
+# xi(V): batched Gauss-Kronrod quadrature, and the closed form on affine cells
 
 def test_xi_nodes_match_closed_form():
-    # for |sin| to pi, xi(V) = ln tan((V + pi) / 4); deep in the tail only
-    # the slope-weighted error W * dxi matters, since it is what moves V
-    nl = make("abs-sin")
-    v, w, xi = profile1d._xi_quadrature_mesh(nl, math.pi, 1e-8)
-    dxi = np.abs(xi - np.log(np.tan((v + math.pi) / 4.0)))
-    assert np.all(dxi * w <= 1e-12)
-    assert np.all(dxi[v <= math.pi - 1e-6] <= 1e-8)
+    # deep in the tail only the slope-weighted error W * dxi matters, since
+    # it is what moves V
+    for spec, z, exact in (
+        # for |sin| to pi, xi(V) = ln tan((V + pi) / 4), by Gauss-Kronrod
+        ("abs-sin", math.pi, lambda v: np.log(np.tan((v + math.pi) / 4.0))),
+        # for 1 - s to 1, xi(V) = -ln(1 - V), by the affine-cell closed form
+        ("linear-decay", 1.0, lambda v: -np.log1p(-v)),
+    ):
+        v, w, xi = profile1d._xi_quadrature_mesh(make(spec), z, 1e-8)
+        dxi = np.abs(xi - exact(v))
+        assert np.all(dxi * w <= 1e-12), spec
+        assert np.all(dxi[v <= z - 1e-6] <= 1e-8), spec
 
 
 def test_quadrature_budget_raises(monkeypatch):
@@ -186,16 +197,58 @@ def test_segment_open_at_the_subdivision_cap_raises(monkeypatch):
     monkeypatch.setattr(profile1d, "_GK_MAX_DEPTH", 0)
     with pytest.raises(NumericError, match=r"mesh segment \d+, V in \[.*\], still open "
                                            r"after 0 bisections"):
-        profile1d._xi_quadrature_mesh(make("cantor:3"), 8 / 27, 1e-8)
+        profile1d._xi_quadrature_mesh(make("logistic"), 1.0, 1e-8)
+
+
+_CANTOR_LEVELS = [(f"cantor:{k}", z) for k in (3, 4)
+                  for z in compute_Zf(make(f"cantor:{k}")).points if z > 0]
 
 
 def test_mesh_breaks_at_the_kinks_below_the_exit():
-    nl = make("cantor:3")
-    z = 8 / 27
-    v, _, _ = profile1d._xi_quadrature_mesh(nl, z, 1e-8)
-    below = [k for k in nl.kinks if k < z - 1e-8]
-    assert below and set(below) <= set(v.tolist())
-    assert np.all(np.diff(v) > 1e-12 * z)
+    # a uniform node 1 ulp below a knot (0.7222222222222221 beside 13/18)
+    # goes, and the knot stays
+    for spec, z in _CANTOR_LEVELS:
+        nl = make(spec)
+        v, _, _ = profile1d._xi_quadrature_mesh(nl, z, 1e-8)
+        below = [k for k in nl.kinks if k < z - 1e-8]
+        assert below and set(below) <= set(v.tolist()), (spec, z)
+        assert v[0] == 0.0 and np.all(np.diff(v) > 1e-12 * z), (spec, z)
+
+
+@pytest.mark.parametrize("spec, z", _CANTOR_LEVELS + [(_TENT_TABLE, 1.0), ("linear-decay", 1.0),
+                                                      ("ramp", 5e-4)])
+def test_affine_cells_match_gauss_kronrod(monkeypatch, spec, z):
+    # Gauss-Kronrod is the oracle of the closed form: the same mesh, xi and
+    # profile from a copy of the term that claims no affine cells
+    nl = from_table(*_RAMP) if spec == "ramp" else make(spec)
+    oracle = dataclasses.replace(nl, piecewise_linear=False)
+    _, _, xi = profile1d._xi_quadrature_mesh(nl, z, profile1d._EXIT_TOL)
+    _, _, ref = profile1d._xi_quadrature_mesh(oracle, z, profile1d._EXIT_TOL)
+    assert np.all(np.abs(xi - ref) <= 1e-10 * ref)
+    grid = {"xi_max": 200.0, "n": 8} if spec == "ramp" else {}
+    p, q = compute_profile(oracle, z, **grid), compute_profile(nl, z, **grid)
+    assert np.max(np.abs(p.values - q.values)) <= 1e-14
+    # and the closed form runs no Gauss-Kronrod pass
+    monkeypatch.setattr(profile1d, "_integrate_segments", None)
+    compute_profile(nl, z, **grid)
+
+
+@pytest.mark.parametrize("length", (1e-9, 1e-6, 1e-3, 1.0))
+@pytest.mark.parametrize("beta, Q", (
+    (0.7, lambda x: 1.0 + 0.5 * x - 0.7 * x * x),
+    (-0.7, lambda x: 1.0 + 0.5 * x + 0.7 * x * x),
+    (0.0, lambda x: 1.0 + 0.5 * x),
+    (0.0, lambda x: 1.0 - 0.9 * x),
+    (-1.0, lambda x: (1.001 - x) ** 2),         # near a double root: artanh of r near 1
+    (4.0, lambda x: 1e-4 + 4.0 * x * (1.0 - x)),  # a hump high above its ends: arctan of r >> 1
+), ids=("concave", "convex", "rising", "falling", "double-root", "hump"))
+def test_affine_xi_matches_quad(beta, Q, length):
+    # the integral of Q^(-1/2) over [0, L] for a quadratic Q with Q'' = -2 beta
+    from scipy.integrate import quad
+    ref, _ = quad(lambda x: Q(x) ** -0.5, 0.0, length, epsabs=0.0, epsrel=2e-14, limit=200)
+    got = profile1d._affine_xi(np.array([length]), np.array([math.sqrt(Q(0.0))]),
+                               np.array([math.sqrt(Q(length))]), np.array([beta]))
+    assert abs(got[0] - ref) <= 1e-13 * ref
 
 
 def test_compute_profile_shoots_the_launch_slope_once(monkeypatch):
@@ -228,7 +281,7 @@ def test_level_below_the_crosscheck_floor_crosschecks_halfway():
     # z = 5e-4 lies within the 1e-3 floor of its own start, so no grid node
     # is below the floor; on a coarse long grid the routes are compared at
     # xi = 0 and where V reaches z / 2
-    nl = from_table([0.0, 2.5e-4, 5e-4, 1.0], [0.0, 1e-3, 0.0, -1.0])
+    nl = from_table(*_RAMP)
     assert compute_Zf(nl).points[-1] == 5e-4
     p = compute_profile(nl, 5e-4, xi_max=200.0, n=8)
     assert p.crosscheck <= 1e-12
