@@ -2,7 +2,7 @@
 
 For f(s) = |sin s| the profile climbing from 0 to pi is a Gudermannian,
 V(xi) = 4 arctan(e^xi) - pi, which makes it the natural smoke test for the
-quadrature + ODE construction: both routes must land on this curve.
+xi inversion + ODE construction: both routes must land on this curve.
 """
 
 import math

@@ -6,7 +6,9 @@ slab from 0 to z, and there is no quadrature fallback. Each constructor
 takes its window and builds on it, in closed form, the term's exact
 Lipschitz constant, its kinks, its zero set E (isolated points and flat
 intervals) and its one-sided slopes, so nothing samples or differences f;
-`fprime`, the slope of the clipped f, is the package's one f'. On top of
+`fprime`, the slope of the clipped f, is the package's one f'. The xi(V)
+that a profile rising to a zero inverts is closed form too: elementary for
+an affine f and the logistic, Legendre's F(phi|m) for |sin|. On top of
 that sit the structural operations the rest of the package consumes: the
 subset of zeros reachable by monotone 1-D profiles (F strictly below its
 value at the zero all the way up), hypothesis checkers for the three
@@ -53,8 +55,10 @@ class Nonlinearity:
     # the sorted points in (0, s_max) where f is not differentiable; the RK4
     # launches on f land their steps on them
     kinks: tuple = field(repr=False)
-    # f is affine between its kinks (tables, cantor, linear-decay)
-    piecewise_linear: bool = field(repr=False)
+    # xi(v, w, z): the integral from 0 to V of 1/W, W = sqrt(2 (F(z) - F)), in
+    # closed form at the nodes v of a profile mesh rising to the zero z (sorted,
+    # from 0, broken at the kinks), given w = W(v)
+    xi: Callable = field(repr=False)
     # the exact zero set of f on [0, s_max], as (points, intervals): sorted
     # isolated zeros and the closed intervals where f vanishes identically
     zeros: tuple = field(repr=False)
@@ -210,7 +214,7 @@ class _PiecewiseLinear:
         secant = x0 - y0 * (x1 - x0) / (y1 - y0)
         zeros = _zeros_in(xs[zero].tolist() + secant.tolist(), ivs, s_max)
         return Nonlinearity(kind, s_max, lipschitz, self, self.slope, self.gap,
-                            _kinks_in(self.kinks, s_max), True, zeros)
+                            _kinks_in(self.kinks, s_max), _cellwise_xi(self.slope), zeros)
 
     def __call__(self, s):
         return np.interp(s, self.xs, self.ys)
@@ -252,6 +256,53 @@ class _PiecewiseLinear:
         return core + ys[0] * below + ys[-1] * above
 
 
+def _affine_xi(length, s0, s1, beta):
+    """xi across segments of length L where f has slope beta: the integral
+    over [0, L] of Q^(-1/2), Q = 2 (F(z) - F) the quadratic with Q'' = -2 beta,
+    s0^2 and s1^2 at the ends. It is 2 L/(s0 + s1) g(-beta L^2/(s0 + s1)^2),
+    g(y) = artanh(sqrt y)/sqrt y, arctan(sqrt -y)/sqrt -y or 1 (y > 0, < 0, 0),
+    with no difference of close numbers."""
+    q = length / (s0 + s1)
+    r = np.sqrt(np.abs(beta)) * q
+    g = np.ones_like(r)
+    np.arctanh(r, out=g, where=beta < 0.0)
+    np.arctan(r, out=g, where=beta > 0.0)
+    np.divide(g, r, out=g, where=beta != 0.0)
+    return 2.0 * q * g
+
+
+def _cellwise_xi(slope) -> Callable:
+    """xi for an f affine between its kinks, with one-sided slopes `slope`:
+    no mesh cell crosses a kink, so xi sums `_affine_xi` over the cells."""
+    def xi(v, w, z):
+        a, b = v[:-1], v[1:]
+        dxi = _affine_xi(b - a, w[:-1], w[1:], slope(0.5 * (a + b), 1))
+        return np.concatenate(([0.0], np.cumsum(dxi)))
+    return xi
+
+
+def _ellipf(phi, m):
+    """Legendre's F(phi|m), 0 <= phi <= pi/2 and 0 <= m < 1, on arrays, as
+    sin phi R_F(cos^2 phi, 1 - m sin^2 phi, 1) (F(pi/2|m) is K(m)): Carlson's
+    R_F by duplication to a relative error below 1e-16, then his fifth-order
+    series (B. C. Carlson, Numer. Algorithms 10, 1995)."""
+    s = np.sin(phi)
+    x, y, z = np.broadcast_arrays(np.cos(phi) ** 2, 1.0 - m * s * s, 1.0)
+    a0 = (x + y + z) / 3.0
+    dx, dy = a0 - x, a0 - y
+    q = 430.0 * np.maximum(np.maximum(np.abs(dx), np.abs(dy)), np.abs(a0 - z))
+    a, scale = a0, 1.0
+    while np.any(q * scale >= np.abs(a)):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        scale *= 0.25
+    X, Y = dx * scale / a, dy * scale / a
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    return s * (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a)
+
+
 def _cantor_intervals(level: int):
     iv = [(Fraction(0), Fraction(1))]
     for _ in range(level):
@@ -276,9 +327,16 @@ def logistic(s_max: float = 2.0) -> Nonlinearity:
         # factored so the (hi - lo) factor carries the smallness
         return (hi - lo) * (0.5 * (hi + lo) - (hi * hi + hi * lo + lo * lo) / 3.0)
 
+    def xi(v, w, z):
+        # to its one positive zero, 1, xi = 2 (artanh(s / sqrt 3) - artanh(1 / sqrt 3))
+        # with s = sqrt(1 + 2 V): one artanh by the subtraction rule, its 1 - x
+        # written through sqrt 3 - s = 2 (1 - V) / (sqrt 3 + s), so nothing cancels
+        r3, s = math.sqrt(3.0), np.sqrt(1.0 + 2.0 * v)
+        return np.log1p(2.0 * r3 * v * (r3 + s) / ((1.0 + r3) * (1.0 + s) * (1.0 - v)))
+
     # |f'| = |1 - 2 s| peaks at an end of the window
     return Nonlinearity("logistic", s_max, max(1.0, 2.0 * s_max - 1.0), fn, slope, gap, (),
-                        False, _zeros_in((0.0, 1.0), (), s_max))
+                        xi, _zeros_in((0.0, 1.0), (), s_max))
 
 
 def abs_sin(s_max: float = 10.0) -> Nonlinearity:
@@ -311,10 +369,31 @@ def abs_sin(s_max: float = 10.0) -> Nonlinearity:
                  + 2.0 * (khi - klo - 1.0))
         return np.where(klo == khi, _arch(lo, hi, klo), split)
 
+    def xi(v, w, z):
+        # to z = n pi, on hump m (V = m pi + 2 phi) W = 2 sqrt(j - sin^2 phi),
+        # j = n - m, so xi gains F(phi|1/j) / sqrt j there and K(1/j) / sqrt j
+        # over the whole hump. On the last one, j = 1, it gains ln cot(delta / 4),
+        # delta = n pi - V, as 1/2 log1p(sin phi / sin^2(delta / 4)), exact at
+        # both ends of the hump; delta adds n pi - z, since z = fl(n pi) is
+        # not the zero of |sin|: n (pi - fl(pi)) and the rounding of n fl(pi)
+        n = round(z / math.pi)
+        starts = np.arange(n) * math.pi
+        j = np.arange(n, 1, -1.0)
+        whole = np.cumsum(np.append(0.0, _ellipf(0.5 * math.pi, 1.0 / j) / np.sqrt(j)))
+        m = np.searchsorted(starts, v, "right") - 1
+        phi = 0.5 * (v - starts[m])
+        out, last = whole[m], m == n - 1
+        j = n - m[~last]
+        out[~last] += _ellipf(phi[~last], 1.0 / j) / np.sqrt(j)
+        delta = (z - v[last]) + (float(n * Fraction(math.pi) - Fraction(z))
+                                 + n * 1.2246467991473532e-16)
+        out[last] += 0.5 * np.log1p(np.sin(phi[last]) / np.sin(0.25 * delta) ** 2)
+        return out
+
     # f vanishes at every k pi, and every one inside the window is a kink
     multiples = [k * math.pi for k in range(int(s_max / math.pi) + 1)]
     return Nonlinearity("abs-sin", s_max, 1.0, fn, slope, gap, _kinks_in(multiples, s_max),
-                        False, _zeros_in(multiples, (), s_max))
+                        xi, _zeros_in(multiples, (), s_max))
 
 
 def linear_decay(s_max: float = 10.0) -> Nonlinearity:
@@ -323,7 +402,7 @@ def linear_decay(s_max: float = 10.0) -> Nonlinearity:
     slope = lambda s, side: np.full(np.shape(s), -1.0)
     gap = lambda lo, hi: (hi - lo) * (1.0 - 0.5 * (hi + lo))
     return Nonlinearity("linear-decay", s_max, 1.0, fn, slope, gap, (),
-                        True, _zeros_in((1.0,), (), s_max))
+                        _cellwise_xi(slope), _zeros_in((1.0,), (), s_max))
 
 
 def cantor(level: int = 6, s_max: float = 1.0) -> Nonlinearity:

@@ -1,6 +1,6 @@
 """Classical 4th-order Runge-Kutta with step doubling and event location.
 
-Deliberately hand-rolled: the 1-D profiles are built by quadrature and then
+Deliberately hand-rolled: the 1-D profiles are built by inverting xi(V) and then
 cross-checked against this integrator, so the two routes must not share code
 with any library solver. Step control is the textbook scheme: take one full
 step and two half steps, compare, accept when the difference passes the

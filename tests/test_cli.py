@@ -100,7 +100,7 @@ def test_bubble_energy_that_overflows_exits_2(tmp_path, capsys, N):
 
 
 def test_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
-    # with a tolerance no cross-check can meet, the profile's quadrature and
+    # with a tolerance no cross-check can meet, the profile's xi inversion and
     # RK4 routes disagree: a ConsistencyError, reported and mapped to exit 2
     monkeypatch.setattr(profile1d, "_CROSSCHECK_TOL", 1e-30)
     rc = main(["profile", "--f", "logistic", "--z", "1", "--out", str(tmp_path)])

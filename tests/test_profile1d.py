@@ -1,13 +1,14 @@
 """Rising 1-D profiles: launch slopes, quadrature grids, probes, round trips."""
 
 import csv
-import dataclasses
 import math
 from pathlib import Path
 
+import gauss_kronrod
 import numpy as np
 import pytest
 
+from farfield import nonlinearity as nlm
 from farfield import profile1d
 from farfield.errors import ConsistencyError, InputError, NumericError
 from farfield.nonlinearity import compute_Zf, from_table, integral_between, make
@@ -168,13 +169,13 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# xi(V): batched Gauss-Kronrod quadrature, and the closed form on affine cells
+# xi(V): the closed form each term carries, against Gauss-Kronrod and quad
 
 def test_xi_nodes_match_closed_form():
     # deep in the tail only the slope-weighted error W * dxi matters, since
     # it is what moves V
     for spec, z, exact in (
-        # for |sin| to pi, xi(V) = ln tan((V + pi) / 4), by Gauss-Kronrod
+        # for |sin| to pi, xi(V) = ln tan((V + pi) / 4), by the last-hump form
         ("abs-sin", math.pi, lambda v: np.log(np.tan((v + math.pi) / 4.0))),
         # for 1 - s to 1, xi(V) = -ln(1 - V), by the affine-cell closed form
         ("linear-decay", 1.0, lambda v: -np.log1p(-v)),
@@ -186,18 +187,20 @@ def test_xi_nodes_match_closed_form():
 
 
 def test_quadrature_budget_raises(monkeypatch):
-    monkeypatch.setattr(profile1d, "_ERR_BUDGET", 1e-30)
+    # the Gauss-Kronrod oracle refuses a result over its error budget
+    monkeypatch.setattr(gauss_kronrod, "_ERR_BUDGET", 1e-30)
     with pytest.raises(NumericError):
-        compute_profile(make("logistic"), 1.0, n=64)
+        compute_profile(gauss_kronrod.oracle(make("logistic")), 1.0, n=64)
 
 
 def test_segment_open_at_the_subdivision_cap_raises(monkeypatch):
     # a subdivision cap of 0 leaves open every segment that one
     # Gauss-Kronrod pass does not close; the error names the first of them
-    monkeypatch.setattr(profile1d, "_GK_MAX_DEPTH", 0)
+    monkeypatch.setattr(gauss_kronrod, "_GK_MAX_DEPTH", 0)
+    v, w, _ = profile1d._xi_quadrature_mesh(make("logistic"), 1.0, 1e-8)
     with pytest.raises(NumericError, match=r"mesh segment \d+, V in \[.*\], still open "
                                            r"after 0 bisections"):
-        profile1d._xi_quadrature_mesh(make("logistic"), 1.0, 1e-8)
+        gauss_kronrod.quadrature_xi(make("logistic"), v, w, 1.0)
 
 
 _CANTOR_LEVELS = [(f"cantor:{k}", z) for k in (3, 4)
@@ -215,22 +218,36 @@ def test_mesh_breaks_at_the_kinks_below_the_exit():
         assert v[0] == 0.0 and np.all(np.diff(v) > 1e-12 * z), (spec, z)
 
 
+# the logistic at z = 1 on three windows, and the six levels of |sin| to 20
+_CURVED_LEVELS = ([(f"logistic s_max={w}", 1.0) for w in (1, 2, 5)]
+                  + [("abs-sin s_max=20", k * math.pi) for k in range(1, 7)])
+
+
 @pytest.mark.parametrize("spec, z", _CANTOR_LEVELS + [(_TENT_TABLE, 1.0), ("linear-decay", 1.0),
-                                                      ("ramp", 5e-4)])
-def test_affine_cells_match_gauss_kronrod(monkeypatch, spec, z):
-    # Gauss-Kronrod is the oracle of the closed form: the same mesh, xi and
-    # profile from a copy of the term that claims no affine cells
-    nl = from_table(*_RAMP) if spec == "ramp" else make(spec)
-    oracle = dataclasses.replace(nl, piecewise_linear=False)
-    _, _, xi = profile1d._xi_quadrature_mesh(nl, z, profile1d._EXIT_TOL)
-    _, _, ref = profile1d._xi_quadrature_mesh(oracle, z, profile1d._EXIT_TOL)
-    assert np.all(np.abs(xi - ref) <= 1e-10 * ref)
+                                                      ("ramp", 5e-4)] + _CURVED_LEVELS)
+def test_affine_cells_match_gauss_kronrod(spec, z):
+    # Gauss-Kronrod is the oracle of every closed form: the same mesh, xi
+    # and profile from a copy of the term that takes xi by quadrature
+    name, _, window = spec.partition(" s_max=")
+    nl = (from_table(*_RAMP) if spec == "ramp" else
+          make(name, s_max=float(window)) if window else make(name))
+    oracle = gauss_kronrod.oracle(nl)
+    v, w, xi = profile1d._xi_quadrature_mesh(nl, z, profile1d._EXIT_TOL)
+    ref = gauss_kronrod.quadrature_xi(nl, v, w, z)
     grid = {"xi_max": 200.0, "n": 8} if spec == "ramp" else {}
     p, q = compute_profile(oracle, z, **grid), compute_profile(nl, z, **grid)
-    assert np.max(np.abs(p.values - q.values)) <= 1e-14
-    # and the closed form runs no Gauss-Kronrod pass
-    monkeypatch.setattr(profile1d, "_integrate_segments", None)
-    compute_profile(nl, z, **grid)
+    if (spec, z) not in _CURVED_LEVELS:
+        assert np.all(np.abs(xi - ref) <= 1e-10 * ref)
+        assert np.max(np.abs(p.values - q.values)) <= 1e-14
+    else:
+        # the quadrature's own tail error reaches 1e-9 relative (the rounding
+        # of z - t^2), so it is bounded where it moves V: W |dxi|, as the
+        # oracle's error budget weights it
+        away = z - v >= 1e-4
+        assert np.all(np.abs(xi - ref)[away] <= 1e-10 * ref[away])
+        assert np.all(np.abs(xi - ref) * w <= 1e-12)
+        assert np.max(np.abs(p.values - q.values)) <= 1e-12
+    assert q.crosscheck <= 1e-6
 
 
 @pytest.mark.parametrize("length", (1e-9, 1e-6, 1e-3, 1.0))
@@ -246,9 +263,40 @@ def test_affine_xi_matches_quad(beta, Q, length):
     # the integral of Q^(-1/2) over [0, L] for a quadratic Q with Q'' = -2 beta
     from scipy.integrate import quad
     ref, _ = quad(lambda x: Q(x) ** -0.5, 0.0, length, epsabs=0.0, epsrel=2e-14, limit=200)
-    got = profile1d._affine_xi(np.array([length]), np.array([math.sqrt(Q(0.0))]),
-                               np.array([math.sqrt(Q(length))]), np.array([beta]))
+    got = nlm._affine_xi(np.array([length]), np.array([math.sqrt(Q(0.0))]),
+                         np.array([math.sqrt(Q(length))]), np.array([beta]))
     assert abs(got[0] - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("j", range(2, 8))
+def test_carlson_route_matches_scipy_elliptic(j):
+    # F(phi|1/j) and K(1/j), the pieces of xi for |sin|, against scipy's
+    # ellipkinc and ellipk, both ends of [0, pi/2] included
+    from scipy.special import ellipk, ellipkinc
+    phi = np.linspace(0.0, 0.5 * math.pi, 201)
+    got, ref = nlm._ellipf(phi, 1.0 / j), ellipkinc(phi, 1.0 / j)
+    assert got[0] == 0.0 and np.all(np.abs(got - ref) <= 1e-14 * ref)
+    assert abs(nlm._ellipf(0.5 * math.pi, 1.0 / j) - ellipk(1.0 / j)) <= 1e-14 * ellipk(1.0 / j)
+
+
+@pytest.mark.parametrize("spec, z, a, b", (
+    ("logistic", 1.0, 0.0, 0.5), ("logistic", 1.0, 0.3, 0.9), ("logistic", 1.0, 0.9, 0.999),
+    ("abs-sin", math.pi, 0.0, 1.0), ("abs-sin", math.pi, 2.0, 3.1),
+    ("abs-sin", 3 * math.pi, 0.5, 2.5), ("abs-sin", 3 * math.pi, 2.5, 4.0),
+    ("abs-sin", 3 * math.pi, 4.0, 8.0), ("abs-sin", 3 * math.pi, 7.0, 9.3),
+))
+def test_curved_xi_matches_quad(spec, z, a, b):
+    # xi(b) - xi(a) against quad of 1/W over [a, b], away from the limit z;
+    # quad breaks at the kinks of f inside
+    from scipy.integrate import quad
+    nl = make(spec)
+    kinks = [k for k in nl.kinks if a < k < b]
+    ref, _ = quad(lambda s: (2.0 * integral_between(nl, s, z)) ** -0.5, a, b,
+                  points=kinks or None, epsabs=0.0, epsrel=2e-14, limit=200)
+    v = np.unique([0.0, a, b, *(k for k in nl.kinks if k < z)])
+    xi = nl.xi(v, np.sqrt(2.0 * integral_between(nl, v, z)), z)
+    got = xi[np.searchsorted(v, b)] - xi[np.searchsorted(v, a)]
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_compute_profile_shoots_the_launch_slope_once(monkeypatch):
