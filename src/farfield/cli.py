@@ -22,7 +22,7 @@ import numpy as np
 
 from .elliptic import solve_field
 from .errors import ConfigError, ConsistencyError, InputError, NumericError
-from .grids import format_17g, make_grid, save_field_csv
+from .grids import format_17g, make_grid, periodic_axes, save_field_csv
 from .liouville import halfspace_strip_sweep, periodic_box_sweep
 from .nonlinearity import check_hypotheses, compute_Zf, make, zero_set
 from .profile1d import compute_profile, save_profile_csv
@@ -353,7 +353,7 @@ def cmd_run(args) -> int:
     print(f"wrote {len(zf.points)} profile tables")
 
     # 4. trajectory against the same profiles, and the solve summary
-    table = quarter_table(field, profiles) if run.kind == "quarter" else None
+    table = quarter_table(field, profiles) if not periodic_axes(run.kind)[1] else None
     written += _report(run, nl, out, field, wall_ms, table)
 
     # 5. manifest

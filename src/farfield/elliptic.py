@@ -1,16 +1,17 @@
 """Finite-difference solvers for Delta u + f(u) = 0 on truncated domains.
 
-Three domain kinds share one 5-point stencil:
+The domain kinds are one table, `grids.PERIODIC`, of (x1, x2) axis
+closures, and they share one 5-point stencil. An axis is periodic, or
+Dirichlet at 0 with a zero-flux (mirror ghost) far end:
 
-  quarter : [0, L1] x [0, L2], trace at x1 = 0, hard floor u = 0 at x2 = 0,
-            zero-flux (mirror ghost) at x1 = L1 and x2 = L2;
-  half    : [0, L1] x x2-periodic strip, trace at x1 = 0, zero-flux at
-            x1 = L1;
+  quarter : [0, L1] x [0, L2], trace at x1 = 0, hard floor u = 0 at x2 = 0;
+  half    : [0, L1] x x2-periodic strip, trace at x1 = 0;
   torus   : periodic in both directions, no boundary data at all.
 
-Unknowns are every node except the trace column and (quarter) the floor row.
-On them the Laplacian is the Kronecker sum (T1 kron I + I kron T2) / h^2 of
-1-D second differences, each Dirichlet-mirror or periodic.
+Unknowns are every node except the Dirichlet ones: the trace column on x1,
+the floor on x2. On them the Laplacian is the Kronecker sum
+(T1 kron I + I kron T2) / h^2 of 1-D second differences, each
+Dirichlet-mirror or periodic.
 `assemble_laplacian` builds it once per solve as a sparse matrix L with a
 boundary vector b, and it is the only discrete Laplacian here: the flow,
 Newton and every residual apply L u + b. It is diagonalized axis by axis,
@@ -56,7 +57,7 @@ from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import bicgstab  # noqa: F401
 
 from .errors import ConsistencyError, InputError, NumericError
-from .grids import Field, Grid2D, _check_kind, as_trace
+from .grids import Field, Grid2D, as_trace, periodic_axes
 from .nonlinearity import Nonlinearity, eval_capped, fprime
 
 _DENSE_MAX_AXIS = 64          # shifted solves by dense eigenbasis products up to this
@@ -116,11 +117,6 @@ def _kron_sum(T1: dia_matrix, T2: dia_matrix) -> dia_matrix:
                       shape=(n1 * n2, n1 * n2))
 
 
-# (x1, x2) periodicity per kind; the other closures are Dirichlet at the
-# trace column and the quarter floor, mirror at x1 = L1 and the quarter top
-_PERIODIC = {"quarter": (False, False), "half": (False, True), "torus": (True, True)}
-
-
 def assemble_laplacian(grid: Grid2D, kind: str, trace: np.ndarray | None):
     """Sparse Laplacian L and boundary vector b with Delta u = L u + b.
 
@@ -131,18 +127,17 @@ def assemble_laplacian(grid: Grid2D, kind: str, trace: np.ndarray | None):
     are unknowns). L is the Kronecker sum (T1 kron I + I kron T2) / h^2 of
     1-D second differences, one per direction and closure. Mirror ghosts
     double the inward coefficient on zero-flux edges; Dirichlet data lands
-    in b, which is the trace row over h^2. The torus wraps both directions
-    and has b = 0.
+    in b, which is the trace row over h^2 (less the floor corner over a
+    Dirichlet x2). A periodic x1 has no trace and b = 0.
     """
-    _check_kind(kind)
     n1, n2, h2 = grid.n1, grid.n2, grid.h * grid.h
-    p1, p2 = _PERIODIC[kind]
+    p1, p2 = periodic_axes(kind)
     T1, T2 = _second_difference(n1, p1), _second_difference(n2, p2)
     L = _kron_sum(T1, T2)
     L.data *= 1.0 / h2        # in place: a scaled copy would double the memory touched
     b = np.zeros(n1 * n2)
-    if kind != "torus":
-        b[:n2] += (trace[1:] if kind == "quarter" else trace) / h2
+    if not p1:
+        b[:n2] += (trace if p2 else trace[1:]) / h2
     return L, b
 
 
@@ -189,9 +184,8 @@ def shifted_solver(grid: Grid2D, kind: str, sigma: float):
     shape. No matrix of the grid's size is formed or factored, so the grid
     size has no limit.
     """
-    _check_kind(kind)
     n1, n2, h2 = grid.n1, grid.n2, grid.h * grid.h
-    p1, p2 = _PERIODIC[kind]
+    p1, p2 = periodic_axes(kind)
 
     def eigenvalues(n, periodic, count):
         k = np.arange(count)
@@ -213,9 +207,9 @@ def shifted_solver(grid: Grid2D, kind: str, sigma: float):
         r = rhs.reshape(n1, n2)
         if dense:
             x = Q1 @ ((Q1inv @ r @ Q2inv.T) / den) @ Q2.T
-        elif kind == "torus":
+        elif p1:      # periodic in both axes
             x = sfft.irfft2(sfft.rfft2(r) / den, s=(n1, n2))
-        elif kind == "half":
+        elif p2:
             c = sfft.rfft(sfft.idst(r, type=2, axis=0), axis=1)
             x = sfft.dst(sfft.irfft(c / den, n=n2, axis=1), type=2, axis=0)
         else:
@@ -225,9 +219,9 @@ def shifted_solver(grid: Grid2D, kind: str, sigma: float):
 
 
 def _unknown_block(u: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "torus":
-        return u
-    return u[1:, 1:] if kind == "quarter" else u[1:, :]
+    """u without its Dirichlet nodes: the trace column on x1, the floor on x2."""
+    p1, p2 = periodic_axes(kind)
+    return u[0 if p1 else 1:, 0 if p2 else 1:]
 
 
 def _vec(u: np.ndarray, kind: str) -> np.ndarray:
@@ -235,7 +229,7 @@ def _vec(u: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _trace_row(u: np.ndarray, kind: str) -> np.ndarray | None:
-    return None if kind == "torus" else u[0, :]
+    return None if periodic_axes(kind)[0] else u[0, :]
 
 
 def _unvec(v: np.ndarray, u_template: np.ndarray, kind: str) -> np.ndarray:
@@ -250,11 +244,6 @@ def laplacian_full(u: np.ndarray, grid: Grid2D, kind: str) -> np.ndarray:
     blk = _unknown_block(u, kind)
     L, b = assemble_laplacian(grid, kind, _trace_row(u, kind))
     return (L @ blk.ravel() + b).reshape(blk.shape)
-
-
-def residual_max(nl: Nonlinearity, u: np.ndarray, grid: Grid2D, kind: str) -> float:
-    lap = laplacian_full(u, grid, kind)
-    return float(np.max(np.abs(lap + eval_capped(nl, _unknown_block(u, kind)))))
 
 
 def _factor(A):
@@ -413,10 +402,10 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
 
 def _apply_boundary(u: np.ndarray, kind: str, trace: np.ndarray | None) -> np.ndarray:
     u = np.asarray(u, dtype=float).copy()
-    if kind == "torus":
-        return u
-    u[0, :] = trace
-    if kind == "quarter":
+    p1, p2 = periodic_axes(kind)
+    if not p1:
+        u[0, :] = trace
+    if not p2:
         u[:, 0] = 0.0
     return u
 
@@ -446,17 +435,12 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     """
     if not 0 < tol < math.inf:
         raise InputError(f"solve_field: tol must be finite and positive, got {tol!r}")
-    _check_kind(kind)
-    if kind == "torus":
-        tr = None
-        if u0 is None:
-            raise InputError("torus solves need an explicit start state u0")
-        shape = (grid.n1, grid.n2)
-    else:
-        tr = as_trace(trace, grid, kind)
-        shape = (grid.n1 + 1, tr.size)
+    tr = None if periodic_axes(kind)[0] else as_trace(trace, grid, kind)
+    shape = (grid.x1_nodes(kind).size, grid.x2(kind).size)
     if u0 is None:
-        u0 = np.tile(tr, (grid.n1 + 1, 1))
+        if tr is None:      # no trace row to extend
+            raise InputError("torus solves need an explicit start state u0")
+        u0 = np.tile(tr, (shape[0], 1))
     elif np.isscalar(u0):
         u0 = np.full(shape, float(u0))
     u0 = np.asarray(u0, dtype=float)

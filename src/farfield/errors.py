@@ -1,8 +1,9 @@
 """Error taxonomy shared by all farfield modules.
 
-Four failure families: bad caller input, iteration/quadrature breakdown,
-profiles that cannot reach their limit value, and internal cross-checks
-that disagree. The CLI maps these onto process exit codes.
+Four failure families: bad caller input, numerical breakdown (a failed
+iteration, integration or linear solve), profiles that cannot reach their
+limit value, and internal cross-checks that disagree. The CLI maps these
+onto process exit codes.
 """
 
 
@@ -19,7 +20,7 @@ class ConfigError(InputError):
 
 
 class NumericError(FarfieldError, RuntimeError):
-    """An iteration or quadrature failed to reach its tolerance."""
+    """An iteration, integration or linear solve failed or missed its tolerance."""
 
 
 class InfeasibleProfileError(NumericError):

@@ -1,5 +1,5 @@
-"""Uniform tensor grids, boundary traces, solved-field containers, and the
-one exact float formatter of every CSV dump.
+"""The table of domain kinds, uniform tensor grids, boundary traces,
+solved-field containers, and the one exact float formatter of every CSV dump.
 
 `format_17g` returns CPython's `b"%.17g" % v` for each float64 of an array.
 It works the digits out with integer arithmetic on numpy arrays; only
@@ -11,7 +11,6 @@ through it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -19,19 +18,28 @@ import numpy as np
 
 from .errors import InputError
 
-KINDS = ("quarter", "half", "torus")
+# (x1, x2) periodicity of each domain kind. An axis that is not periodic is
+# Dirichlet at 0, where it keeps its node (the trace column on x1, the zero
+# floor on x2), and has a mirror ghost at its far end.
+PERIODIC = {"quarter": (False, False), "half": (False, True), "torus": (True, True)}
+KINDS = tuple(PERIODIC)
+
+
+def periodic_axes(kind: str) -> tuple[bool, bool]:
+    """(x1, x2) periodicity of a domain kind, from `PERIODIC`."""
+    if kind not in KINDS:
+        raise InputError(f"domain kind must be one of {KINDS}, got {kind!r}")
+    return PERIODIC[kind]
 
 
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform grid on [0, L1] x [0, L2] with spacing h in both directions.
 
-    Node layout depends on the domain kind: the quarter domain keeps both
-    ends in x2 (n2 + 1 nodes, Dirichlet floor at x2 = 0), the half domain is
-    x2-periodic and stores n2 nodes with x2 = L2 identified with x2 = 0, and
-    the torus is periodic in both directions (n1 x n2 nodes, no trace at
-    all). On quarter and half, x1 runs over n1 + 1 nodes with the trace at
-    x1 = 0.
+    A periodic axis stores n nodes, its far end identified with 0; any
+    other keeps both ends, n + 1 nodes. So the quarter domain has
+    (n1 + 1) x (n2 + 1) nodes, the half domain (n1 + 1) x n2 and the torus
+    n1 x n2.
     """
     L1: float
     L2: float
@@ -40,19 +48,10 @@ class Grid2D:
     n2: int
 
     def x1_nodes(self, kind: str) -> np.ndarray:
-        _check_kind(kind)
-        n = self.n1 if kind == "torus" else self.n1 + 1
-        return np.arange(n) * self.h
+        return np.arange(self.n1 if periodic_axes(kind)[0] else self.n1 + 1) * self.h
 
     def x2(self, kind: str) -> np.ndarray:
-        _check_kind(kind)
-        n = self.n2 if kind in ("half", "torus") else self.n2 + 1
-        return np.arange(n) * self.h
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise InputError(f"domain kind must be one of {KINDS}, got {kind!r}")
+        return np.arange(self.n2 if periodic_axes(kind)[1] else self.n2 + 1) * self.h
 
 
 def make_grid(L1: float, L2: float, h: float) -> Grid2D:
@@ -70,11 +69,11 @@ def make_grid(L1: float, L2: float, h: float) -> Grid2D:
 def as_trace(trace, grid: Grid2D, kind: str) -> np.ndarray:
     """Normalize a trace spec (scalar, callable, or array) to a node array.
 
-    Quarter traces are forced to 0 at the corner shared with the Dirichlet
-    floor; half traces are plain periodic node values.
+    Over a Dirichlet x2 axis the trace is forced to 0 at the corner shared
+    with the floor; over a periodic one it is plain node values.
     """
-    _check_kind(kind)
-    if kind == "torus":
+    p1, p2 = periodic_axes(kind)
+    if p1:
         raise InputError("the torus has no trace side")
     x2 = grid.x2(kind)
     if callable(trace):
@@ -87,7 +86,7 @@ def as_trace(trace, grid: Grid2D, kind: str) -> np.ndarray:
             raise InputError(f"trace has {vals.size} values, grid wants {x2.size}")
     if not np.all(np.isfinite(vals)):
         raise InputError("trace contains non-finite values")
-    if kind == "quarter":
+    if not p2:
         vals[0] = 0.0     # floor wins the shared corner
     return vals
 
@@ -297,21 +296,3 @@ def save_field_csv(f: Field, path: str) -> None:
         for i in range(0, n1, _ROWS_PER_WRITE):
             template = b"".join([a + a.join(tails) for a in heads[i:i + _ROWS_PER_WRITE]])
             fh.write(template % tuple(cells[i * n2:(i + _ROWS_PER_WRITE) * n2]))
-
-
-def load_field_csv(path: str):
-    """Read back a field dump; returns (x1 nodes, x2 nodes, value array)."""
-    xs, ys, us = [], [], []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None or [c.strip() for c in header[:3]] != ["x1", "x2", "u"]:
-            raise InputError(f"{path}: expected header x1,x2,u")
-        for row in rd:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-            us.append(float(row[2]))
-    x1 = np.unique(np.asarray(xs))
-    x2 = np.unique(np.asarray(ys))
-    vals = np.asarray(us).reshape(x1.size, x2.size)
-    return x1, x2, vals

@@ -100,14 +100,14 @@ def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None)
     return res.sample_ys[:filled, 0], res.sample_ys[:filled, 1], res
 
 
-def _xi_quadrature_mesh(nl: Nonlinearity, z: float, exit_tol: float):
-    """Graded V-mesh, broken at f's kinks below z - exit_tol, the slopes W
+def _xi_mesh(nl: Nonlinearity, z: float):
+    """Graded V-mesh, broken at f's kinks below z - _EXIT_TOL, the slopes W
     there and xi(V) at every node, in the term's closed form."""
-    if 0.1 * z <= exit_tol:
-        raise InputError(f"compute_profile: z={z:g} too small for exit_tol={exit_tol:g}")
+    if 0.1 * z <= _EXIT_TOL:
+        raise InputError(f"compute_profile: z={z:g} too small for exit_tol={_EXIT_TOL:g}")
     v_low = np.linspace(0.0, 0.9 * z, _MESH_LOW + 1)
-    t_hi = np.geomspace(np.sqrt(0.1 * z), np.sqrt(exit_tol), _MESH_TAIL + 1)
-    kinks = [k for k in nl.kinks if k < z - exit_tol]
+    t_hi = np.geomspace(np.sqrt(0.1 * z), np.sqrt(_EXIT_TOL), _MESH_TAIL + 1)
+    kinks = [k for k in nl.kinks if k < z - _EXIT_TOL]
     v_mesh = np.unique(np.concatenate((v_low, z - t_hi[1:] ** 2, kinks)))
     # of two nodes within rounding (a sliver segment) the second goes, unless
     # it is a kink and the first is neither a kink nor 0: the kinks all stay
@@ -122,7 +122,7 @@ def _xi_quadrature_mesh(nl: Nonlinearity, z: float, exit_tol: float):
             f"profile to z={z:g} is non-attaining: F(z) - F({bad:g}) <= 0 below z")
     if gaps[-1] <= 0.0:
         raise InfeasibleProfileError(
-            f"profile to z={z:g}: first integral vanishes already at z - {exit_tol:g}")
+            f"profile to z={z:g}: first integral vanishes already at z - {_EXIT_TOL:g}")
     w_mesh = np.sqrt(2.0 * gaps)
     return v_mesh, w_mesh, nl.xi(v_mesh, w_mesh, z)
 
@@ -161,7 +161,7 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
         zeros = np.zeros_like(xi)
         return Profile1D(0.0, 0.0, xi, zeros, zeros.copy(), 0.0, xi_max)
 
-    v_mesh, w_mesh, xi_nodes = _xi_quadrature_mesh(nl, z, _EXIT_TOL)
+    v_mesh, w_mesh, xi_nodes = _xi_mesh(nl, z)
     inverse = _hermite(xi_nodes, v_mesh, w_mesh, np.minimum(xi, xi_nodes[-1]))
     values = np.where(xi <= xi_nodes[-1], inverse, v_mesh[-1])
     values = np.maximum.accumulate(np.clip(values, 0.0, v_mesh[-1]))

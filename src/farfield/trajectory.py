@@ -6,7 +6,9 @@ settles on. Shifting is pure array slicing, so the semigroup laws hold
 bit-exactly by construction. The limit candidates form one table,
 `attractor_table` (or `quarter_table`, from profiles already built), which
 serves `omega_limit` here and both sweeps in `liouville`. Each candidate is
-a closed level range, (z, z) for one level:
+a closed level range, (z, z) for one level. Which kind of candidate a
+field gets is read from its x2 axis in the domain table `grids.PERIODIC`:
+a floor in x2 makes them rising profiles, a periodic x2 constants.
 
   quarter, strip : the rising profiles V_z for z in the reachable-zero set,
                    plus the zero state when f(0) = 0 (their launch slopes
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .grids import Field, Grid2D
+from .grids import Field, Grid2D, periodic_axes
 from .nonlinearity import Nonlinearity, compute_Zf, zero_set
 from .profile1d import compute_profile
 
@@ -135,7 +137,8 @@ def omega_limit(nl: Nonlinearity, field: Field,
     Measures the sup-distance from trailing windows to every candidate at a
     geometric ladder of _N_SHIFTS shifts. Candidates come from the supplied
     table, or from attractor_table capped just above the field's trailing
-    amplitude.
+    amplitude: the rising profiles over a floor in x2, the constants over a
+    periodic x2.
     Converged means the winning candidate's final distance is at most
     _CONV_TOL and the runner-up (if any) is at least twice as far.
     tail_slope is the fitted exponential rate of the winner's distance over
@@ -145,9 +148,9 @@ def omega_limit(nl: Nonlinearity, field: Field,
     g = field.grid
     notes = []
     est = estimate_M(field)
+    floor = not periodic_axes(field.kind)[1]     # a floor in x2: rising profiles
     if table is None:
-        table = attractor_table(nl, est.M + _M_MARGIN,
-                                (g.L2, g.n2) if field.kind == "quarter" else None)
+        table = attractor_table(nl, est.M + _M_MARGIN, (g.L2, g.n2) if floor else None)
     n_cand = len(table.ranges)
     if n_cand == 0:
         return TrajectoryReport(None, False, est.M, est.m, None, [],
@@ -159,8 +162,8 @@ def omega_limit(nl: Nonlinearity, field: Field,
         raise InputError("field too short in x1 for trajectory analysis")
     ks = np.unique(np.clip(np.round(
         np.geomspace(1, k_max, _N_SHIFTS)).astype(int), 1, k_max))
-    # quarter windows keep the bottom 3/4 of the x2 nodes
-    j_cap = int(math.floor(0.75 * g.n2)) + 1 if field.kind == "quarter" else g.n2
+    # windows over a floor keep the bottom 3/4 of the x2 nodes
+    j_cap = int(math.floor(0.75 * g.n2)) + 1 if floor else g.n2
 
     per_cand = np.empty((ks.size, n_cand))
     levels = np.empty((ks.size, n_cand))

@@ -2,14 +2,15 @@
 
 import csv
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from farfield.elliptic import solve_field
+from farfield.elliptic import _apply_boundary, _trace_row, _unknown_block, solve_field
 from farfield.errors import InputError
-from farfield.grids import (KINDS, Field, as_trace, format_17g, load_field_csv, make_grid,
+from farfield.grids import (KINDS, Field, as_trace, format_17g, make_grid, periodic_axes,
                             save_field_csv)
 from farfield.nonlinearity import make
 from farfield.traces import bump, make_trace
@@ -18,11 +19,30 @@ from farfield.traces import bump, make_trace
 def test_make_grid_node_counts():
     g = make_grid(40.0, 20.0, 0.25)
     assert (g.n1, g.n2) == (160, 80)
-    assert g.x2("quarter").size == 81    # floor and far wall kept
-    assert g.x2("half").size == 80       # periodic, top identified with bottom
-    assert g.x1_nodes("quarter").size == 161
-    assert g.x1_nodes("torus").size == 160
     assert g.x1_nodes("quarter")[1] == 0.25
+    # a Dirichlet axis keeps its node at 0 (trace column on x1, floor on x2);
+    # a periodic one identifies its far end with 0
+    nodes = {"quarter": (161, 81), "half": (161, 80), "torus": (160, 80)}
+    assert set(nodes) == set(KINDS)
+    rng = np.random.default_rng(2)
+    for kind in KINDS:
+        p1, p2 = periodic_axes(kind)
+        assert (g.x1_nodes(kind).size, g.x2(kind).size) == nodes[kind]
+        u = rng.standard_normal(nodes[kind])
+        assert _unknown_block(u, kind).shape == (g.n1, g.n2)
+        assert (_trace_row(u, kind) is None) == p1
+        trace = None if p1 else as_trace(7.0, g, kind)
+        v = _apply_boundary(u, kind, trace)
+        if not p1:
+            np.testing.assert_array_equal(v[0, :], trace)
+        if not p2:
+            assert not v[:, 0].any()
+        np.testing.assert_array_equal(v[1:, 1:], u[1:, 1:])
+        if p1 and p2:
+            np.testing.assert_array_equal(v, u)
+    with pytest.raises(InputError, match=re.escape(
+            "domain kind must be one of ('quarter', 'half', 'torus'), got 'bogus'")):
+        periodic_axes("bogus")
 
 
 def test_make_grid_rejects_bad_spacing():
@@ -98,6 +118,13 @@ def test_zero_profile_trace_is_zero_where_f_vanishes(kind):
     assert not tp.any()
 
 
+def _load_field(path):
+    """x1 nodes, x2 nodes and the value array of a field dump, read as README does."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    x1, x2 = np.unique(data[:, 0]), np.unique(data[:, 1])
+    return x1, x2, data[:, 2].reshape(x1.size, x2.size)
+
+
 def test_field_csv_round_trip(tmp_path):
     g = make_grid(2.0, 1.0, 0.25)
     rng = np.random.default_rng(3)
@@ -105,7 +132,7 @@ def test_field_csv_round_trip(tmp_path):
     f = Field(vals, g, "quarter", residual=0.0)
     path = tmp_path / "field.csv"
     save_field_csv(f, str(path))
-    x1, x2, back = load_field_csv(str(path))
+    x1, x2, back = _load_field(path)
     np.testing.assert_array_equal(back, vals)
     np.testing.assert_array_equal(x1, g.x1_nodes("quarter"))
     np.testing.assert_array_equal(x2, g.x2("quarter"))
@@ -165,7 +192,7 @@ def test_field_csv_bytes_match_csv_writer(tmp_path, kind, block):
     path = tmp_path / "field.csv"
     save_field_csv(Field(vals, g, kind), str(path))
     assert path.read_bytes() == ref.read_bytes()
-    bx1, bx2, back = load_field_csv(str(path))
+    bx1, bx2, back = _load_field(path)
     np.testing.assert_array_equal(back, vals)
     signed = ~np.isnan(vals)        # a NaN reads back without its sign
     np.testing.assert_array_equal(np.signbit(back[signed]), np.signbit(vals[signed]))

@@ -180,7 +180,7 @@ def test_xi_nodes_match_closed_form():
         # for 1 - s to 1, xi(V) = -ln(1 - V), by the affine-cell closed form
         ("linear-decay", 1.0, lambda v: -np.log1p(-v)),
     ):
-        v, w, xi = profile1d._xi_quadrature_mesh(make(spec), z, 1e-8)
+        v, w, xi = profile1d._xi_mesh(make(spec), z)
         dxi = np.abs(xi - exact(v))
         assert np.all(dxi * w <= 1e-12), spec
         assert np.all(dxi[v <= z - 1e-6] <= 1e-8), spec
@@ -197,7 +197,7 @@ def test_segment_open_at_the_subdivision_cap_raises(monkeypatch):
     # a subdivision cap of 0 leaves open every segment that one
     # Gauss-Kronrod pass does not close; the error names the first of them
     monkeypatch.setattr(gauss_kronrod, "_GK_MAX_DEPTH", 0)
-    v, w, _ = profile1d._xi_quadrature_mesh(make("logistic"), 1.0, 1e-8)
+    v, w, _ = profile1d._xi_mesh(make("logistic"), 1.0)
     with pytest.raises(NumericError, match=r"mesh segment \d+, V in \[.*\], still open "
                                            r"after 0 bisections"):
         gauss_kronrod.quadrature_xi(make("logistic"), v, w, 1.0)
@@ -212,7 +212,7 @@ def test_mesh_breaks_at_the_kinks_below_the_exit():
     # goes, and the knot stays
     for spec, z in _CANTOR_LEVELS:
         nl = make(spec)
-        v, _, _ = profile1d._xi_quadrature_mesh(nl, z, 1e-8)
+        v, _, _ = profile1d._xi_mesh(nl, z)
         below = [k for k in nl.kinks if k < z - 1e-8]
         assert below and set(below) <= set(v.tolist()), (spec, z)
         assert v[0] == 0.0 and np.all(np.diff(v) > 1e-12 * z), (spec, z)
@@ -232,7 +232,7 @@ def test_affine_cells_match_gauss_kronrod(spec, z):
     nl = (from_table(*_RAMP) if spec == "ramp" else
           make(name, s_max=float(window)) if window else make(name))
     oracle = gauss_kronrod.oracle(nl)
-    v, w, xi = profile1d._xi_quadrature_mesh(nl, z, profile1d._EXIT_TOL)
+    v, w, xi = profile1d._xi_mesh(nl, z)
     ref = gauss_kronrod.quadrature_xi(nl, v, w, z)
     grid = {"xi_max": 200.0, "n": 8} if spec == "ramp" else {}
     p, q = compute_profile(oracle, z, **grid), compute_profile(nl, z, **grid)
@@ -356,7 +356,7 @@ def test_hermite_inversion_matches_scipy(spec):
     from scipy.interpolate import CubicHermiteSpline
     nl = make(spec)
     for z in [z for z in compute_Zf(nl).points if z > 0]:
-        v, w, xi = profile1d._xi_quadrature_mesh(nl, z, profile1d._EXIT_TOL)
+        v, w, xi = profile1d._xi_mesh(nl, z)
         oracle = CubicHermiteSpline(xi, v, w)
         for xi_max in (10.0, 20.0, 30.0):
             at = np.concatenate((np.minimum(np.linspace(0.0, xi_max, 2049), xi[-1]), xi))
