@@ -34,7 +34,7 @@ import numpy as np
 from .elliptic import (FlowOperator, _apply_boundary, _finish, flow_operator,
                        flow_relax, newton_solve)
 from .errors import InputError, NumericError
-from .grids import Field, Grid2D, as_trace, make_grid
+from .grids import Field, Grid2D, as_trace, make_grid, periodic_axes
 from .nonlinearity import Nonlinearity
 from .trajectory import AttractorTable, attractor_table
 
@@ -51,10 +51,11 @@ def noise_start(grid: Grid2D, kind: str, rng: np.random.Generator) -> np.ndarray
     """Random smooth nonnegative start: 8 cosine modes, amplitudes in [0, 3].
 
     The 1/8 mode averaging keeps the field at or below 3, so sweeps with the
-    oscillatory member stay under its first positive plateau. Strip starts
-    get the floor row zeroed. The 24 uniforms come in one draw, three per
-    mode (amplitude, then the two phases), and the modes
-    a cos(2 pi k x + ph1) cos(2 pi k y + ph2) sum as one rank-8 product.
+    oscillatory member stay under its first positive plateau. Where x1 is
+    not periodic (the strip's half domain) the trace row is zeroed. The 24
+    uniforms come in one draw, three per mode (amplitude, then the two
+    phases), and the modes a cos(2 pi k x + ph1) cos(2 pi k y + ph2) sum as
+    one rank-8 product.
     """
     a, ph1, ph2 = rng.random(3 * _N_MODES).reshape(_N_MODES, 3).T
     wave = 2.0 * np.pi * np.arange(1, _N_MODES + 1)
@@ -63,7 +64,7 @@ def noise_start(grid: Grid2D, kind: str, rng: np.random.Generator) -> np.ndarray
     u = ((_AMP_MAX * a) * np.cos(np.outer(x, wave) + 2.0 * np.pi * ph1)
          @ np.cos(np.outer(wave, y) + (2.0 * np.pi * ph2)[:, None]))
     u = np.clip(u / _N_MODES, 0.0, None)
-    if kind == "half":
+    if not periodic_axes(kind)[0]:
         u[0, :] = 0.0
     return u
 

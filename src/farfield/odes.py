@@ -1,12 +1,14 @@
 """Classical 4th-order Runge-Kutta with step doubling and event location.
 
-Deliberately hand-rolled: the 1-D profiles are built by inverting xi(V) and then
-cross-checked against this integrator, so the two routes must not share code
-with any library solver. Step control is the textbook scheme: take one full
-step and two half steps, compare, accept when the difference passes the
-tolerance, and use the extrapolated (locally 5th-order) value. The step size
-follows the tolerance and the breaks below; sample times do not cut steps
-short.
+Deliberately hand-rolled: the 1-D profiles are built by inverting xi(V)
+and then cross-checked against this integrator, so the two routes must not
+share code with any library solver. Step control is the textbook scheme:
+take one full step and two half steps, compare, accept when the difference
+passes the tolerance, and use the extrapolated (locally 5th-order) value.
+The step size follows the tolerance and the breaks below; sample times do
+not cut steps short. Each accepted step appends its end t and y[0] to
+`OdeResult.step_ts` and `step_y0s`, extrapolated states with no
+interpolation error; `n_steps` is their count.
 
 A sample time strictly inside an accepted step [t, t + h] reads the step's
 quintic Hermite interpolant (dense output; Hairer, Norsett and Wanner,
@@ -49,10 +51,10 @@ Without events a run costs n_steps + 10 (n_steps + rejected) rhs calls, 11
 per accepted step and 10 per rejected attempt or cut, plus 1 when the last
 step holds a sample; samples cost none. An event inside a step costs 12
 more: the 10 calls and the end slope of the step the cut discards, and the
-end slope of the step that holds the event. A step records the quintic
-coefficients and the sample range of the samples inside it, and one numpy
-Horner pass fills them all at the end of the run (or at the event), with
-the operations and their order of a Python loop over the samples.
+end slope of the step that holds the event. A step records its quintic and
+the range of the samples inside it; one numpy Horner pass fills them all at
+the end of the run (or at the event), in the operations and order of a
+Python loop over the samples.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ class OdeResult:
     n_steps: int = 0
     rejected: int = 0
     samples_filled: int = field(default=0, repr=False)
+    step_ts: list = field(default_factory=list, repr=False)   # each accepted step's end
+    step_y0s: list = field(default_factory=list, repr=False)  # and y[0] there
 
 
 def _quintic(h, y, k1, y_half, k_half, d, y_new, k_end):
@@ -202,11 +206,11 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     if events:
         g_prev = [g(t, y) for g in events]
 
-    steps = 0
+    end_t, end_y0 = res.step_ts.append, res.step_y0s.append
     k1 = None
     cut = False                 # a step holding an event was taken again, cut at it
     while t < t1:
-        if steps >= _MAX_STEPS:
+        if len(res.step_ts) >= _MAX_STEPS:
             raise NumericError(f"integrate: step budget exhausted at t={t:.6g}")
         h = max(min(h, hmax, t1 - t), _HMIN)
 
@@ -269,7 +273,8 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
                 if te < t_new and not cut:
                     cut, h = True, te - t
                     continue
-                steps += 1
+                end_t(te)
+                end_y0(ye[0])
                 end = bisect_right(sample_ts, te, filled) if n_samples else 0
                 if end > filled:
                     pending.append((filled, end, t, h, coefs))
@@ -277,10 +282,11 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
                 _fill_from_quintics(res.sample_ys, res.sample_ts, pending)
                 res.t, res.y = te, np.array(ye)
                 res.event_index, res.event_t, res.event_y = hit, te, res.y
-                res.n_steps, res.samples_filled = steps, filled
+                res.n_steps, res.samples_filled = len(res.step_ts), filled
                 return res
             g_prev = g_new
-        steps += 1
+        end_t(t_new)
+        end_y0(y_new[0])
 
         if filled < n_samples:
             # samples before t_new read the quintic; those on the end, the end state
@@ -302,5 +308,5 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
             h *= _GROW_MAX
 
     _fill_from_quintics(res.sample_ys, res.sample_ts, pending)
-    res.t, res.y, res.n_steps, res.samples_filled = t, np.array(y), steps, filled
+    res.t, res.y, res.n_steps, res.samples_filled = t, np.array(y), len(res.step_ts), filled
     return res

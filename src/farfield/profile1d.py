@@ -14,12 +14,14 @@ the scalar z, the route on which `integral_between` calls `gap_fn` once.
 The profile on its uniform grid is the cubic Hermite interpolant of the
 mesh nodes (xi, V) with the exact slopes W, evaluated in numpy bit for bit
 as scipy's CubicHermiteSpline would.
-Every profile is then cross-checked against a completely separate route:
-direct RK4 integration of the launch problem. The two must agree to 1e-6
-or construction fails loudly. The launch steps from kink to kink of f: a
-step that would carry V past one of `nl.kinks` (the knots of a
-piecewise-linear term, k pi for |sin|) is taken again, cut at it, because
-step doubling under-reads the error of a step across a kink.
+Every profile is then cross-checked against a completely separate route,
+an RK4 launch of V'' = -f(V) up to where V is _CROSSCHECK_FLOOR below z,
+at whose accepted step ends the two must agree to 1e-6 or construction
+fails loudly: the check depends on f and z alone, not on the output grid.
+The launch steps from kink to kink of f: a step that would carry V past
+one of `nl.kinks` (the knots of a piecewise-linear term, k pi for |sin|)
+is taken again, cut at it, because step doubling under-reads the error of
+a step across a kink.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from .odes import integrate
 _CROSSCHECK_TOL = 1e-6
 _LAUNCH_TOL = 1e-11   # RK4 tolerance of a profile or probe launch
 _EXIT_TOL = 1e-8      # the mesh ends this far below the limit z
-# stop comparing once within this distance of the limit: the launch route's
-# error is amplified like exp(xi) there, so the window must end while the
-# amplification is still a few orders below the check tolerance
+# the cross-check launch ends this far below z (at z / 2 if z is smaller),
+# before its error, amplified like exp(xi) along the limit, nears the tolerance
 _CROSSCHECK_FLOOR = 1e-3
 _MESH_LOW = 384       # uniform-in-V part up to 0.9 z
 _MESH_TAIL = 384      # geometric approach of the limit
@@ -55,7 +56,7 @@ class Profile1D:
     xi: np.ndarray
     values: np.ndarray
     w: np.ndarray
-    crosscheck: float = 0.0      # max |closed-form xi inversion - ODE route|
+    crosscheck: float = 0.0      # max |xi inversion - RK4 launch| at its step ends
     xi_attained: float = 0.0     # where the mesh reaches z - _EXIT_TOL
 
 
@@ -76,16 +77,10 @@ def shoot_slope(nl: Nonlinearity, z: float) -> float:
     return float(np.sqrt(2.0 * Fz))
 
 
-def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None):
-    """Direct RK4 route: integrate V'' = -f(V) from (V, V') = (0, slope0).
-
-    The caller supplies the launch slope: `shoot_slope` for the profile
-    itself, or that slope plus a kick for a probe. Returns (V samples, W
-    samples, raw ode result). The reaction term is evaluated with its
-    argument clipped to the analysis window so overshoot experiments remain
-    well defined, and steps land on f's kinks (`nl.kinks`, breaks of V).
-    """
-    xi_grid = np.asarray(xi_grid, dtype=float)
+def _launch(nl: Nonlinearity, slope0: float, xi_end: float, **kwargs):
+    """RK4 integration of V'' = -f(V) from (V, V') = (0, slope0) to xi_end;
+    kwargs go to `integrate`. V is clipped to the analysis window in f, so
+    overshoot stays defined, and steps land on f's kinks (breaks of V)."""
     # one call into f a stage, V clipped inline to [0, s_max] bit for bit as
     # eval_capped clips (np.clip on a scalar costs more than an RK4 step)
     f, s_max = nlm.scalar_fn(nl), nl.s_max
@@ -94,8 +89,14 @@ def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None)
         v = y[0]
         return y[1], -f(0.0 if v < 0.0 else (s_max if v > s_max else v))
 
-    res = integrate(rhs, 0.0, (0.0, slope0), float(xi_grid[-1]),
-                    tol=_LAUNCH_TOL, sample_ts=xi_grid, events=events, breaks=nl.kinks)
+    return integrate(rhs, 0.0, (0.0, slope0), xi_end, tol=_LAUNCH_TOL, breaks=nl.kinks, **kwargs)
+
+
+def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None):
+    """The launch from (V, V') = (0, slope0) read on xi_grid by dense output:
+    (V samples, W samples, raw ode result). A probe adds its kick to the
+    `shoot_slope` it passes."""
+    res = _launch(nl, slope0, float(xi_grid[-1]), sample_ts=xi_grid, events=events)
     filled = res.samples_filled
     return res.sample_ys[:filled, 0], res.sample_ys[:filled, 1], res
 
@@ -147,11 +148,11 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
 
     Inversion of xi(V) is the primary route (the term's closed form at the
     mesh nodes; cubic Hermite inversion with the exact first-integral
-    slopes, `_hermite`; the slabs end at z); an independent
-    RK4 launch is run on the same grid and the maximum disagreement is
-    stored. One not at or below _CROSSCHECK_TOL, NaN included, is a
-    ConsistencyError. Beyond the xi where the mesh reaches z - _EXIT_TOL
-    the profile is clamped there.
+    slopes, `_hermite`; the slabs end at z). An independent RK4 launch runs,
+    unsampled, to the mesh xi of z - _CROSSCHECK_FLOOR; the largest gap at
+    its accepted step ends is stored, and one not at or below
+    _CROSSCHECK_TOL, NaN included, is a ConsistencyError. Beyond the xi
+    where the mesh reaches z - _EXIT_TOL the profile is clamped there.
     """
     if not 0 < xi_max < math.inf or n < 1:
         raise InputError("compute_profile: need finite xi_max > 0 and n >= 1")
@@ -167,20 +168,12 @@ def compute_profile(nl: Nonlinearity, z: float, xi_max: float = 10.0,
     values = np.maximum.accumulate(np.clip(values, 0.0, v_mesh[-1]))
     w = np.sqrt(2.0 * np.maximum(integral_between(nl, values, z), 0.0))
 
-    # The launch problem is unstable along the limit (deviations grow like
-    # exp(xi) once V hugs z), so the direct route is only compared while the
-    # profile is still a fixed distance below its limit. On a grid too coarse
-    # to hold two nodes there, both routes are compared at xi = 0 and at the
-    # mesh xi where V reaches that distance (half of z when z is smaller).
-    n_chk = int(np.searchsorted(values, z - _CROSSCHECK_FLOOR, side="right"))
-    if n_chk >= 2:
-        at, v_quad = xi[:n_chk], values[:n_chk]
-    else:
-        level = z - min(_CROSSCHECK_FLOOR, 0.5 * z)
-        at = np.array((0.0, np.interp(level, v_mesh, xi_nodes)))
-        v_quad = _hermite(xi_nodes, v_mesh, w_mesh, at)
-    v_ode, _, _ = integrate_profile_ode(nl, slope0, at)
-    crosscheck = float(np.max(np.abs(v_quad[:v_ode.size] - v_ode)))
+    # the launch is unstable along the limit (deviations grow like exp(xi)
+    # once V hugs z), so it stops while V is still below it by the floor
+    level = z - min(_CROSSCHECK_FLOOR, 0.5 * z)
+    res = _launch(nl, slope0, float(np.interp(level, v_mesh, xi_nodes)))
+    v_quad = _hermite(xi_nodes, v_mesh, w_mesh, np.array(res.step_ts))
+    crosscheck = float(np.max(np.abs(v_quad - res.step_y0s)))
     if not crosscheck <= _CROSSCHECK_TOL:
         raise ConsistencyError(
             f"profile construction routes disagree by {crosscheck:.3e} at z={z:g} "

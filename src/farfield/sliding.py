@@ -158,7 +158,7 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
         y0 = np.array([a - fa * r0 * r0 / (2.0 * N), -fa * r0 / N])
 
         def rhs(r, y):
-            v = y[0]    # clipped inline as integrate_profile_ode clips
+            v = y[0]    # clipped inline as profile1d's launch clips
             return y[1], -f(0.0 if v < 0.0 else (s_max if v > s_max else v)) - (N - 1) / r * y[1]
 
         grid = np.linspace(r0, _BUBBLE_R_MAX, 4097)

@@ -126,15 +126,14 @@ def test_nan_table_exits_1(tmp_path, capsys):
 
 
 def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
-    real = profile1d.integrate_profile_ode
+    real = profile1d.integrate
 
-    def nan_sample(*args, **kwargs):
-        v, w, res = real(*args, **kwargs)
-        v = v.copy()
-        v[v.size // 2] = math.nan
-        return v, w, res
+    def nan_step_end(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.step_y0s[len(res.step_y0s) // 2] = math.nan
+        return res
 
-    monkeypatch.setattr(profile1d, "integrate_profile_ode", nan_sample)
+    monkeypatch.setattr(profile1d, "integrate", nan_step_end)
     rc = main(["profile", "--f", "logistic", "--z", "1", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -524,8 +523,9 @@ def test_profile_command_writes_table_and_summary(tmp_path, capsys):
 ])
 def test_coarse_profile_crosschecks_below_the_floor(argv):
     # the second grid node already hugs the limit, where the launch is
-    # unstable; the routes are compared where V is still 1e-3 below it. The
-    # profile command's grid is fixed, so compute_profile takes these ones
+    # unstable; the launch runs only to where V is still 1e-3 below it,
+    # whatever the grid. The profile command's grid is fixed, so
+    # compute_profile takes these ones
     f, z, xi_max, n = argv
     assert profile1d.compute_profile(make(f), z, xi_max=xi_max, n=n).crosscheck <= 1e-6
 

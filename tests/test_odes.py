@@ -156,12 +156,17 @@ def test_an_event_costs_one_cut_step_and_two_end_slopes():
     assert abs(res.event_y[0] - 2.0) < 1e-14
 
 
-def test_steps_follow_the_tolerance_not_the_samples(monkeypatch):
-    # the abs-sin pi launch fills 850 grid samples on its way up
-    run = lambda: compute_profile(make("abs-sin"), math.pi, xi_max=20.0, n=2048)
-    (res,) = _launches(monkeypatch, profile1d, integrate, run)
-    assert res.samples_filled > 800
+def test_steps_follow_the_tolerance_not_the_samples():
+    # the abs-sin pi launch over the 2,049-node grid to xi = 20 (a probe's
+    # route, which reads dense output) steps exactly as the bare launch does
+    nl = make("abs-sin")
+    slope0 = profile1d.shoot_slope(nl, math.pi)
+    _, _, res = integrate_profile_ode(nl, slope0, np.linspace(0.0, 20.0, 2049))
+    bare = profile1d._launch(nl, slope0, 20.0)
+    assert res.samples_filled == 2049 and bare.sample_ys is None
     assert res.n_steps <= 250
+    assert (res.n_steps, res.rejected) == (bare.n_steps, bare.rejected)
+    assert (res.step_ts, res.step_y0s) == (bare.step_ts, bare.step_y0s)
 
 
 def test_pendulum_samples_match_a_tighter_run():
@@ -231,7 +236,8 @@ def test_a_step_starting_on_a_break_is_not_cut():
 # moved to a tuple of Python floats, and every result must stay bit for bit.
 # Steps follow the tolerance alone, and a sample strictly inside a step, or
 # an event's bisection, reads the step's quintic Hermite interpolant through
-# its start, its corrected midpoint y_half - d/30 and its end.
+# its start, its corrected midpoint y_half - d/30 and its end. Every accepted
+# step's end t and y[0] are recorded, the event's step ending at the event.
 
 def _ref_rk4_step(rhs, t, y, h):
     k1 = rhs(t, y)
@@ -357,6 +363,8 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
                     cut, h = True, te - t
                     continue
                 steps += 1
+                res.step_ts.append(te)
+                res.step_y0s.append(ye[0])
                 if sample_ts is not None:
                     while (res.samples_filled < sample_ts.size
                            and sample_ts[res.samples_filled] <= te):
@@ -369,6 +377,8 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
                 return res
             g_prev = g_new
         steps += 1
+        res.step_ts.append(t_new)
+        res.step_y0s.append(y_new[0])
 
         if sample_ts is not None:
             while (res.samples_filled < sample_ts.size
@@ -409,6 +419,9 @@ def _assert_bit_identical(a: OdeResult, b: OdeResult):
     assert (a.n_steps, a.rejected, a.samples_filled) == (b.n_steps, b.rejected, b.samples_filled)
     assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
     assert (a.event_index, a.event_t) == (b.event_index, b.event_t)
+    assert np.array(a.step_ts).tobytes() == np.array(b.step_ts).tobytes()
+    assert np.array(a.step_y0s).tobytes() == np.array(b.step_y0s).tobytes()
+    assert len(a.step_ts) == a.n_steps
     assert (a.event_y is None) == (b.event_y is None)
     if a.event_y is not None:
         assert a.event_y.tobytes() == b.event_y.tobytes()

@@ -312,27 +312,37 @@ def test_compute_profile_shoots_the_launch_slope_once(monkeypatch):
 
 def test_nan_launch_fails_the_crosscheck(monkeypatch):
     # NaN compares False with everything: the gate must read "not <= tol"
-    real = profile1d.integrate_profile_ode
+    real = profile1d.integrate
 
-    def nan_sample(*args, **kwargs):
-        v, w, res = real(*args, **kwargs)
-        v = v.copy()
-        v[1] = math.nan
-        return v, w, res
+    def nan_step_end(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.step_y0s[1] = math.nan
+        return res
 
-    monkeypatch.setattr(profile1d, "integrate_profile_ode", nan_sample)
+    monkeypatch.setattr(profile1d, "integrate", nan_step_end)
     with pytest.raises(ConsistencyError, match="disagree by nan"):
         compute_profile(make("logistic"), 1.0, n=64)
 
 
 def test_level_below_the_crosscheck_floor_crosschecks_halfway():
-    # z = 5e-4 lies within the 1e-3 floor of its own start, so no grid node
-    # is below the floor; on a coarse long grid the routes are compared at
-    # xi = 0 and where V reaches z / 2
+    # z = 5e-4 lies within the 1e-3 floor of its own start, so the launch
+    # runs to the mesh xi where V reaches z / 2
     nl = from_table(*_RAMP)
     assert compute_Zf(nl).points[-1] == 5e-4
     p = compute_profile(nl, 5e-4, xi_max=200.0, n=8)
     assert p.crosscheck <= 1e-12
+
+
+@pytest.mark.parametrize("nl, z", (
+    (make("abs-sin"), math.pi), (make("cantor:3"), 26 / 27), (from_table(*_RAMP), 5e-4),
+), ids=("abs-sin-pi", "cantor3-26-27", "ramp-5e-4"))
+def test_crosscheck_belongs_to_the_profile_not_the_grid(nl, z):
+    # the launch runs to where V is the floor below z and is compared at its
+    # own step ends, so neither the grid's reach nor its spacing moves the check
+    checks = {compute_profile(nl, z, xi_max=xi_max, n=n).crosscheck
+              for xi_max, n in ((20.0, 2048), (200.0, 8), (8.0, 32))}
+    assert len(checks) == 1
+    assert 0.0 < checks.pop() <= 1e-6
 
 
 @pytest.mark.parametrize("level", (4, 5))
