@@ -1,12 +1,12 @@
-"""Classical 4th-order Runge-Kutta with step doubling and event location.
+"""Classical 4th-order Runge-Kutta with step doubling, landing on events and kinks.
 
 Deliberately hand-rolled: the 1-D profiles are built by inverting xi(V)
 and then cross-checked against this integrator, so the two routes must not
 share code with any library solver. Step control is the textbook scheme:
 take one full step and two half steps, compare, accept when the difference
 passes the tolerance, and use the extrapolated (locally 5th-order) value.
-The step size follows the tolerance and the breaks below; sample times do
-not cut steps short. Each accepted step appends its end t and y[0] to
+The step size follows the tolerance, the breaks and the events below;
+sample times do not cut steps short. Each accepted step appends its end t and y[0] to
 `OdeResult.step_ts` and `step_y0s`, extrapolated states with no
 interpolation error; `n_steps` is their count.
 
@@ -21,22 +21,27 @@ extrapolated state. Every slope is already known: the start's is the first
 stage, the midpoint's is the first stage of the second half step, and the
 end's is the next step's first stage, computed early and handed on.
 
-Event location bisects the same interpolant. The first step found to hold
-an event is then taken again, cut at the time its quintic gave, and the
-event is located on whichever step holds it after that. An event function
-often marks where the rhs changes form: the logistic radial cap's v = 0
-event sits on the kink of its reaction's clip at 0, where f' drops from 1
-to 0. The first quintic takes its end from past that kink; the cut step
-ends on it.
+Events and breaks land by one rule: an attempt that passes one is taken
+again, cut where the secant between its two ends meets it (Gear and
+Osterby, ACM TOMS 10, 1984, locate the discontinuity and restart there).
+The secant costs no rhs call, and a cut counts as a rejected attempt.
 
 A break is a value of y[0] where the rhs has a kink. Step doubling
 under-reads the error of a step across one, and the controller, growing h
 after each accepted step, keeps running into the next. So an attempt whose
-end passes a break by more than _BREAK_SLACK is taken again, cut where the
-secant of y[0] between its two ends meets the break; the next step starts
-on it (Gear and Osterby, ACM TOMS 10, 1984, locate the discontinuity and
-restart there). The secant costs no rhs call, and a cut counts as a
-rejected attempt.
+end passes a break by more than _BREAK_SLACK is cut at it, and the next
+step starts on it.
+
+An event is a function g(t, y) whose sign change stops the run. Once an
+attempt passes the error test, every g is evaluated at its end; of those
+that changed sign, the one whose secant zero comes first is the event. An
+end past that zero by more than _EVENT_SLACK (1 + max|y|) is cut at it, and
+the cuts close in on the zero until an end lies within the slack, or until
+a cut would not shorten h. The event is then that accepted step's end, an
+extrapolated state like every other, and the run stops there. An event
+function often marks where the rhs changes form: the logistic radial cap's
+v = 0 event sits on the kink of its reaction's clip at 0, where f' drops
+from 1 to 0, and the cut steps end on it.
 
 The state is exactly two Python floats, and a whole attempt (full step,
 two half steps, error estimate, extrapolated state) is written out on them
@@ -46,15 +51,11 @@ step spends, and numpy's per-call overhead would cost more still. rhs(t, y)
 gets the state as a tuple of two floats and may return any sequence of two
 floats. Its value at a state, the first RK4 stage, is computed once and
 shared by the full step, the first half step, every retry after a rejected
-attempt or a cut, and the interpolant of the step before that state.
-Without events a run costs n_steps + 10 (n_steps + rejected) rhs calls, 11
-per accepted step and 10 per rejected attempt or cut, plus 1 when the last
-step holds a sample; samples cost none. An event inside a step costs 12
-more: the 10 calls and the end slope of the step the cut discards, and the
-end slope of the step that holds the event. A step records its quintic and
-the range of the samples inside it; one numpy Horner pass fills them all at
-the end of the run (or at the event), in the operations and order of a
-Python loop over the samples.
+attempt or a cut, and the interpolant of the step before that state. A run
+costs n_steps + 10 (n_steps + rejected) rhs calls, 11 per accepted step and
+10 per rejected attempt or cut, plus 1 when the last step holds a sample;
+samples cost none, and an event costs only its cut attempts. A step reads
+the samples inside it off its quintic as it is accepted.
 """
 
 from __future__ import annotations
@@ -71,11 +72,15 @@ _GROW_MAX = 4.0
 _SHRINK_MIN = 0.1
 _HMIN = 1e-13         # smallest step; a step this small is always accepted
 _BREAK_SLACK = 1e-9   # an attempt may end this far past a break of y[0]
+_EVENT_SLACK = 2.0 ** -50  # and this far times 1 + max|y| past an event's g = 0
 _MAX_STEPS = 2_000_000  # accepted steps before a run is a NumericError
 
 
 @dataclass
 class OdeResult:
+    """One run: where it ended, the samples it reached (sample_ts cut to
+    match), the event it stopped on, if any, which is its last step end, and
+    every accepted step's end t and y[0]."""
     t: float                      # time integration actually ended at
     y: np.ndarray                 # state there
     sample_ts: np.ndarray | None = None
@@ -85,7 +90,6 @@ class OdeResult:
     event_y: np.ndarray | None = None
     n_steps: int = 0
     rejected: int = 0
-    samples_filled: int = field(default=0, repr=False)
     step_ts: list = field(default_factory=list, repr=False)   # each accepted step's end
     step_y0s: list = field(default_factory=list, repr=False)  # and y[0] there
 
@@ -114,22 +118,6 @@ def _at(coefs, th):
                   for c0, c1, c2, c3, c4, c5 in coefs])
 
 
-def _locate_event(coefs, t, h, y_new, gfun, g0):
-    """Bisect the step for the first sign change of gfun on the quintic."""
-    lo, hi = 0.0, h
-    y_hi = y_new
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        y_mid = _at(coefs, mid / h)
-        if g0 * gfun(t + mid, y_mid) <= 0.0:
-            hi, y_hi = mid, y_mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15 * max(1.0, abs(t) + h):
-            break
-    return t + hi, y_hi
-
-
 def _break_fraction(breaks, a, b):
     """The secant's step fraction at the first break that y[0], going from
     a to b, passes by more than _BREAK_SLACK, or None. A break within
@@ -145,21 +133,6 @@ def _break_fraction(breaks, a, b):
     return None
 
 
-def _fill_from_quintics(sample_ys, sample_ts, pending):
-    """Fill every recorded step's samples from its quintic by one Horner
-    pass: pending holds (first sample, end sample, t, h, coefficients)."""
-    if not pending:
-        return
-    lo, hi, t, h, coefs = (np.array(v) for v in zip(*pending))
-    counts = hi - lo
-    step = np.repeat(np.arange(lo.size), counts)
-    idx = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    th = ((sample_ts[idx] - t[step]) / h[step])[:, None]
-    c = coefs[step]                             # (samples, components, 6)
-    sample_ys[idx] = c[..., 0] + th * (c[..., 1] + th * (c[..., 2] + th * (
-        c[..., 3] + th * (c[..., 4] + th * c[..., 5]))))
-
-
 def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
               breaks=()):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
@@ -171,9 +144,11 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     one strictly inside an accepted step gets the step's quintic Hermite
     interpolant there, which costs no rhs call (the step's end slope is the
     next step's first stage); one on a step's end gets that step's state.
-    events: list of scalar functions g(t, y); integration stops at the first
-    sign change of any of them, located by bisecting the step's quintic
-    (the first step to hold it is taken again, cut at it).
+    The result holds the samples the run reached, `sample_ts` cut to match.
+    events: list of scalar functions g(t, y); integration stops at the
+    earliest sign change of any of them. An attempt that passes one by more
+    than _EVENT_SLACK (1 + max|y|) is taken again, cut at the secant's zero
+    of g, so the event is an accepted step end, the last in `step_ts`.
     breaks: sorted values of y[0] where the rhs has a kink; an attempt that
     passes one by more than _BREAK_SLACK is taken again, cut at it.
     A NaN state raises NumericError naming t, and so does a run past
@@ -191,16 +166,13 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     h = h0 if h0 is not None else min(hmax, (t1 - t0) / 100.0)
 
     res = OdeResult(t=t, y=np.array(y))
-    filled = 0
-    n_samples = 0
+    filled = n_samples = 0
     if sample_ts is not None:
         res.sample_ts = np.asarray(sample_ts, dtype=float)
         sample_ts = res.sample_ts.tolist()
         n_samples = len(sample_ts)
-        res.sample_ys = np.empty((n_samples, 2))
         filled = bisect_right(sample_ts, t)
-        res.sample_ys[:filled] = y
-    pending = []                # steps whose samples read their quintic
+    ys = [y] * filled           # the samples reached, as tuples
 
     g_prev = None
     if events:
@@ -208,7 +180,6 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
 
     end_t, end_y0 = res.step_ts.append, res.step_y0s.append
     k1 = None
-    cut = False                 # a step holding an event was taken again, cut at it
     while t < t1:
         if len(res.step_ts) >= _MAX_STEPS:
             raise NumericError(f"integrate: step budget exhausted at t={t:.6g}")
@@ -259,54 +230,45 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
             continue
 
         t_new = t + h
-        k_end = coefs = None            # built when a sample or an event needs them
+        hit = None
         if events:
+            # of the events that changed sign, the one whose secant zero comes first
             g_new = [g(t_new, y_new) for g in events]
-            hit = None
-            for k, (a, b) in enumerate(zip(g_prev, g_new)):
-                if a != 0.0 and a * b <= 0.0:
-                    hit = k
-                    break
+            for k, (g0, g1) in enumerate(zip(g_prev, g_new)):
+                if g0 != 0.0 and g0 * g1 <= 0.0 and (hit is None or g0 / (g0 - g1) < frac):
+                    hit, frac = k, g0 / (g0 - g1)
             if hit is not None:
-                coefs = _quintic(h, y, k1, y_half, k_half, d, y_new, rhs(t_new, y_new))
-                te, ye = _locate_event(coefs, t, h, y_new, events[hit], g_prev[hit])
-                if te < t_new and not cut:
-                    cut, h = True, te - t
+                slack = _EVENT_SLACK * (1.0 + max(abs(y_new[0]), abs(y_new[1])))
+                if abs(g_new[hit]) > slack and max(h * frac, _HMIN) < h:
+                    res.rejected += 1
+                    h *= frac
                     continue
-                end_t(te)
-                end_y0(ye[0])
-                end = bisect_right(sample_ts, te, filled) if n_samples else 0
-                if end > filled:
-                    pending.append((filled, end, t, h, coefs))
-                    filled = end
-                _fill_from_quintics(res.sample_ys, res.sample_ts, pending)
-                res.t, res.y = te, np.array(ye)
-                res.event_index, res.event_t, res.event_y = hit, te, res.y
-                res.n_steps, res.samples_filled = len(res.step_ts), filled
-                return res
             g_prev = g_new
         end_t(t_new)
         end_y0(y_new[0])
 
+        k_end = None
         if filled < n_samples:
             # samples before t_new read the quintic; those on the end, the end state
             inner = bisect_left(sample_ts, t_new, filled)
             end = bisect_right(sample_ts, t_new + 1e-15 * max(1.0, t_new), inner)
             if inner > filled:
-                if coefs is None:
-                    k_end = rhs(t_new, y_new)
-                    coefs = _quintic(h, y, k1, y_half, k_half, d, y_new, k_end)
-                pending.append((filled, inner, t, h, coefs))
-            if end > inner:
-                res.sample_ys[inner:end] = y_new
+                k_end = rhs(t_new, y_new)
+                coefs = _quintic(h, y, k1, y_half, k_half, d, y_new, k_end)
+                ys += [_at(coefs, (s - t) / h) for s in sample_ts[filled:inner]]
+            ys += [y_new] * (end - inner)
             filled = end
 
         t, y, k1 = t_new, y_new, k_end
+        if hit is not None:
+            res.event_index, res.event_t, res.event_y = hit, t, np.array(y)
+            break
         if err > 0.0:
             h *= min(_GROW_MAX, _SAFETY * (scale / err) ** 0.2)
         else:
             h *= _GROW_MAX
 
-    _fill_from_quintics(res.sample_ys, res.sample_ts, pending)
-    res.t, res.y, res.n_steps, res.samples_filled = t, np.array(y), len(res.step_ts), filled
+    res.t, res.y, res.n_steps = t, np.array(y), len(res.step_ts)
+    if sample_ts is not None:
+        res.sample_ts, res.sample_ys = res.sample_ts[:filled], np.array(ys).reshape(-1, 2)
     return res

@@ -94,11 +94,11 @@ def _launch(nl: Nonlinearity, slope0: float, xi_end: float, **kwargs):
 
 def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None):
     """The launch from (V, V') = (0, slope0) read on xi_grid by dense output:
-    (V samples, W samples, raw ode result). A probe adds its kick to the
-    `shoot_slope` it passes."""
+    (V samples, W samples, raw ode result), the samples up to the event
+    that stops it, if any. A probe adds its kick to the `shoot_slope` it
+    passes."""
     res = _launch(nl, slope0, float(xi_grid[-1]), sample_ts=xi_grid, events=events)
-    filled = res.samples_filled
-    return res.sample_ys[:filled, 0], res.sample_ys[:filled, 1], res
+    return res.sample_ys[:, 0], res.sample_ys[:, 1], res
 
 
 def _xi_mesh(nl: Nonlinearity, z: float):

@@ -69,22 +69,17 @@ def dirichlet_eigenpair(N: int, R: float, n: int = 4096) -> EigenResult:
     hr = R / n
     h2 = hr * hr
     # banded (ab) layout for solve_banded: unknowns phi_0 .. phi_{n-1}
-    diag = np.empty(n)
+    c = (N - 1) / (2.0 * np.arange(1, n) * h2)     # (N-1)/(2 r_i hr) with r_i = i hr
+    diag = np.full(n, 2.0 / h2)
     upper = np.zeros(n)
     lower = np.zeros(n)
     diag[0] = 2.0 * N / h2
     upper[1] = -2.0 * N / h2
-    for i in range(1, n):
-        c = (N - 1) / (2.0 * i * h2)         # (N-1)/(2 r_i hr) with r_i = i hr
-        diag[i] = 2.0 / h2
-        if i + 1 < n:
-            upper[i + 1] = -(1.0 / h2 + c)
-        lower[i - 1] = -(1.0 / h2 - c)
+    upper[2:] = -(1.0 / h2 + c[:-1])
+    lower[:-1] = -(1.0 / h2 - c)
     ab = np.vstack([upper, diag, lower])
 
-    w = (np.arange(n) * hr) ** (N - 1) if N > 1 else np.ones(n)
-    w = w.copy()
-    w[0] = w[0] if N == 1 else 0.0
+    w = (np.arange(n) * hr) ** (N - 1)     # ones for N = 1, 0 at r = 0 otherwise
 
     phi = np.ones(n)
     res_old = math.inf
@@ -162,32 +157,26 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
             return y[1], -f(0.0 if v < 0.0 else (s_max if v > s_max else v)) - (N - 1) / r * y[1]
 
         grid = np.linspace(r0, _BUBBLE_R_MAX, 4097)
-        res = integrate(rhs, r0, y0, _BUBBLE_R_MAX, tol=_BUBBLE_TOL, sample_ts=grid,
-                        events=[lambda r, y: y[0]], breaks=nl.kinks)
-        return res, grid
+        return integrate(rhs, r0, y0, _BUBBLE_R_MAX, tol=_BUBBLE_TOL, sample_ts=grid,
+                         events=[lambda r, y: y[0]], breaks=nl.kinks)
 
     a = z - 0.5 * eps
     lo = z - eps
     bis = 0
-    res, grid = shoot(a)
+    res = shoot(a)
     while res.event_index is None and bis < 40:
         a = 0.5 * (a + lo)      # move down, away from the slow unstable top
         bis += 1
-        res, grid = shoot(a)
+        res = shoot(a)
     feas = res.event_index is not None
+    r, v, vp = res.sample_ts, res.sample_ys[:, 0], res.sample_ys[:, 1]
     if feas:
         R = float(res.event_t)
-        filled = res.samples_filled
-        r = np.concatenate((grid[:filled], [R]))
-        v = np.concatenate((res.sample_ys[:filled, 0], [0.0]))
-        vp = np.concatenate((res.sample_ys[:filled, 1], [float(res.event_y[1])]))
-        v = np.clip(v, 0.0, None)
+        r = np.append(r, R)
+        v = np.clip(np.append(v, 0.0), 0.0, None)
+        vp = np.append(vp, float(res.event_y[1]))
     else:
         R = np.inf
-        filled = res.samples_filled
-        r = grid[:filled]
-        v = res.sample_ys[:filled, 0]
-        vp = res.sample_ys[:filled, 1]
     bub = Bubble(float(z), float(eps), int(N), float(a), R, r, v, vp, feas, bis)
     if feas:
         bub.energy = cap_energy(bub, nl, R)

@@ -1,4 +1,5 @@
-"""Adaptive RK4 stepper: accuracy, corrected samples, event location, kink landing."""
+"""Adaptive RK4 stepper: accuracy, corrected samples, and the one landing rule
+by which steps end on events and on kinks of the rhs."""
 
 import dataclasses
 import math
@@ -30,7 +31,7 @@ def test_harmonic_oscillator_period():
 def test_samples_inside_steps_are_accurate():
     ts = np.array([0.1, 0.7, 1.3, 2.0])
     res = integrate(lambda t, y: (y[0], 0.0), 0.0, [1.0, 0.0], 2.0, tol=1e-12, sample_ts=ts)
-    assert res.samples_filled == ts.size
+    assert len(res.sample_ys) == ts.size
     np.testing.assert_array_equal(res.sample_ts, ts)
     err = np.max(np.abs(res.sample_ys[:, 0] - np.exp(ts)))
     assert err < 1e-9
@@ -132,28 +133,77 @@ def test_samples_cost_only_the_last_steps_end_slope():
     inner = np.sort(np.random.default_rng(7).uniform(0.5, 29.5, 400))
     for ts, last in ((inner, 0), (np.append(inner, 30.0 - 1e-9), 1)):
         res, calls = run(ts)
-        assert res.samples_filled == ts.size
+        assert len(res.sample_ys) == ts.size
         assert (res.n_steps, res.rejected) == (bare.n_steps, bare.rejected)
         assert res.y.tobytes() == bare.y.tobytes()
         assert calls == res.n_steps + 10 * (res.n_steps + res.rejected) + last
 
 
-def test_an_event_costs_one_cut_step_and_two_end_slopes():
-    # the step holding the event is taken again, cut where its quintic puts
-    # the event: the discarded step costs its 10 rhs calls and its end slope,
-    # and the step that then holds the event one more end slope
-    calls = [0]
+def _counted(fn, n):
+    # fn, counting its calls in n[0]
+    def wrapped(*args):
+        n[0] += 1
+        return fn(*args)
+    return wrapped
 
-    def rhs(t, y):
-        calls[0] += 1
-        return y[1], -math.sin(y[0])
 
-    res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11, events=[lambda t, y: y[0] - 2.0])
-    assert res.event_index == 0
-    assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected) + 12
-    tight = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-13, events=[lambda t, y: y[0] - 2.0])
+def test_an_event_costs_only_its_cut_attempts():
+    # an attempt that passes the event is taken again, cut at the secant's
+    # zero of g, and counts as a rejected attempt: a run with an event costs
+    # what one without does, n_steps + 10 (n_steps + rejected) rhs calls,
+    # plus the end slope of the last step when a sample lies inside it
+    rhs = lambda t, y: (y[1], -math.sin(y[0]))
+    event = lambda t, y: y[0] - 2.0
+    ts = None
+    for last in (0, 1):
+        calls = [0]
+        res = integrate(_counted(rhs, calls), 0.0, [0.0, 1.9], 30.0, tol=1e-11,
+                        sample_ts=ts, events=[event])
+        assert res.event_index == 0
+        assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected) + last
+        ts = [res.event_t - 1e-9]      # the next run samples inside its last step
+    tight = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-13, events=[event])
     assert abs(res.event_t - tight.event_t) < 1e-10
     assert abs(res.event_y[0] - 2.0) < 1e-14
+
+
+def test_an_event_is_the_last_accepted_step_end():
+    # the reported event is the extrapolated state of the run's last step,
+    # not a point read off an interpolant
+    res = integrate(lambda t, y: (y[1], -math.sin(y[0])), 0.0, [0.0, 1.9], 30.0, tol=1e-11,
+                    sample_ts=np.linspace(0.0, 30.0, 301), events=[lambda t, y: y[0] - 2.0])
+    assert res.event_t == res.step_ts[-1] == res.t
+    assert res.event_y[0] == res.step_y0s[-1] and res.event_y.tobytes() == res.y.tobytes()
+    assert len(res.step_ts) == res.n_steps
+    # the samples reached, those up to the event, and no more
+    assert res.sample_ts[-1] <= res.event_t < res.sample_ts[-1] + 0.1
+    assert len(res.sample_ts) == len(res.sample_ys)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_the_earliest_crossing_wins(order):
+    # y = t crosses 1 before 1.05; a step over both lands on y = 1 whichever
+    # event comes first in the list
+    levels = [1.05, 1.0]
+    events = [(lambda c: lambda t, y: y[0] - c)(levels[k]) for k in order]
+    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [0.0, 0.0], 3.0, events=events)
+    assert res.event_index == order.index(1)
+    assert abs(res.event_t - 1.0) < 1e-15 and abs(res.event_y[0] - 1.0) < 1e-15
+
+
+def test_an_event_no_float_state_hits_ends_after_a_few_cuts():
+    # g = 1e3 (y^2 - 2) jumps over 0 by 4e-13 between neighbouring floats y,
+    # far more than the landing slack. The secant cuts end short of the zero
+    # of this convex g, on the float just below sqrt 2 at last; from there
+    # the cut is an _HMIN step, which no cut shortens, so it lands past the
+    # zero (without that guard the run would retry it forever)
+    calls = [0]
+    g = _counted(lambda t, y: 1e3 * (y[0] * y[0] - 2.0), calls)
+    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [0.0, 0.0], 3.0, events=[g])
+    assert res.event_index == 0 and res.event_t == res.step_ts[-1]
+    cuts = calls[0] - 1 - res.n_steps - 1     # the initial g and the check below
+    assert g(res.event_t, res.event_y) > 0.0 and cuts <= 8
+    assert abs(res.event_y[0] - math.sqrt(2.0)) <= 2.0 * odes._HMIN
 
 
 def test_steps_follow_the_tolerance_not_the_samples():
@@ -163,7 +213,7 @@ def test_steps_follow_the_tolerance_not_the_samples():
     slope0 = profile1d.shoot_slope(nl, math.pi)
     _, _, res = integrate_profile_ode(nl, slope0, np.linspace(0.0, 20.0, 2049))
     bare = profile1d._launch(nl, slope0, 20.0)
-    assert res.samples_filled == 2049 and bare.sample_ys is None
+    assert len(res.sample_ys) == 2049 and bare.sample_ys is None
     assert res.n_steps <= 250
     assert (res.n_steps, res.rejected) == (bare.n_steps, bare.rejected)
     assert (res.step_ts, res.step_y0s) == (bare.step_ts, bare.step_y0s)
@@ -176,7 +226,7 @@ def test_pendulum_samples_match_a_tighter_run():
     rhs = lambda t, y: (y[1], -math.sin(y[0]))
     coarse = integrate(rhs, 0.0, [1.0, 0.0], 30.0, tol=1e-11, sample_ts=ts)
     fine = integrate(rhs, 0.0, [1.0, 0.0], 30.0, tol=1e-13, sample_ts=ts)
-    assert coarse.samples_filled == fine.samples_filled == ts.size
+    assert len(coarse.sample_ys) == len(fine.sample_ys) == ts.size
     assert 3 * coarse.n_steps < ts.size          # most samples lie inside steps
     err = np.max(np.abs(coarse.sample_ys - fine.sample_ys))
     assert err < 1e-9
@@ -234,10 +284,11 @@ def test_a_step_starting_on_a_break_is_not_cut():
 # ---------------------------------------------------------------------------
 # the ndarray stepper this one replaced, kept as its reference: the state
 # moved to a tuple of Python floats, and every result must stay bit for bit.
-# Steps follow the tolerance alone, and a sample strictly inside a step, or
-# an event's bisection, reads the step's quintic Hermite interpolant through
-# its start, its corrected midpoint y_half - d/30 and its end. Every accepted
-# step's end t and y[0] are recorded, the event's step ending at the event.
+# Steps follow the tolerance alone, and a sample strictly inside a step reads
+# the step's quintic Hermite interpolant through its start, its corrected
+# midpoint y_half - d/30 and its end. Every accepted step's end t and y[0]
+# are recorded; an attempt that passes an event is cut at the secant's zero
+# of g, so the run's last step ends at the event.
 
 def _ref_rk4_step(rhs, t, y, h):
     k1 = rhs(t, y)
@@ -272,21 +323,6 @@ def _ref_sample(c, s, h):
     return c[0] + th * (c[1] + th * (c[2] + th * (c[3] + th * (c[4] + th * c[5]))))
 
 
-def _ref_locate_event(c, t, h, y_new, gfun, g0):
-    lo, hi = 0.0, h
-    y_hi = y_new
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        y_mid = _ref_sample(c, mid, h)
-        if g0 * gfun(t + mid, y_mid) <= 0.0:
-            hi, y_hi = mid, y_mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15 * max(1.0, abs(t) + h):
-            break
-    return t + hi, y_hi
-
-
 def _ref_break_fraction(breaks, a, b, slack=1e-9):
     # the break nearest a among those the step passes, neither within slack
     # of its start nor within slack of its end
@@ -301,11 +337,13 @@ def _ref_break_fraction(breaks, a, b, slack=1e-9):
 
 def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
                          hmax=None, sample_ts=None, events=None, breaks=(),
-                         max_steps=2_000_000):
+                         max_steps=2_000_000, event_slack=2.0 ** -50):
     """The ndarray stepper; rhs may return any sequence, as the tuple one allows.
     An attempt that passes a break of y[0] is taken again, cut where the
     secant of y[0] between its ends meets the break; the cut counts as a
-    rejected attempt."""
+    rejected attempt. An attempt whose end passes an event's g = 0 by more
+    than event_slack (1 + max|y|) is cut alike, at the secant's zero of g,
+    unless the cut would not shorten it; the earliest such zero wins."""
     user_rhs = rhs
     rhs = lambda t, y: np.array(user_rhs(t, y), dtype=float)
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
@@ -317,20 +355,17 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
     h = h0 if h0 is not None else min(hmax, (t1 - t0) / 100.0)
 
     res = OdeResult(t=t, y=y)
+    ys = []
     if sample_ts is not None:
         sample_ts = np.asarray(sample_ts, dtype=float)
-        res.sample_ts = sample_ts
-        res.sample_ys = np.empty((sample_ts.size, y.size))
-        while res.samples_filled < sample_ts.size and sample_ts[res.samples_filled] <= t:
-            res.sample_ys[res.samples_filled] = y
-            res.samples_filled += 1
+        while len(ys) < sample_ts.size and sample_ts[len(ys)] <= t:
+            ys.append(y)
 
     g_prev = None
     if events:
         g_prev = [g(t, y) for g in events]
 
     steps = 0
-    cut = False
     while t < t1:
         if steps >= max_steps:
             raise NumericError(f"integrate: step budget exhausted at t={t:.6g}")
@@ -349,55 +384,45 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
             continue
 
         t_new = t + h
+        hit = None
         if events:
             g_new = [g(t_new, y_new) for g in events]
-            hit = None
-            for k, (a, b) in enumerate(zip(g_prev, g_new)):
-                if a != 0.0 and a * b <= 0.0:
-                    hit = k
-                    break
-            if hit is not None:
-                c = _ref_quintic(rhs, t, y, h, y_half, d, y_new)
-                te, ye = _ref_locate_event(c, t, h, y_new, events[hit], g_prev[hit])
-                if te < t_new and not cut:
-                    cut, h = True, te - t
+            crossed = [(g0 / (g0 - g1), k) for k, (g0, g1) in enumerate(zip(g_prev, g_new))
+                       if g0 != 0.0 and g0 * g1 <= 0.0]
+            if crossed:
+                frac, hit = min(crossed)
+                slack = event_slack * (1.0 + np.max(np.abs(y_new)))
+                if abs(g_new[hit]) > slack and max(h * frac, hmin) < h:
+                    res.rejected += 1
+                    h *= frac
                     continue
-                steps += 1
-                res.step_ts.append(te)
-                res.step_y0s.append(ye[0])
-                if sample_ts is not None:
-                    while (res.samples_filled < sample_ts.size
-                           and sample_ts[res.samples_filled] <= te):
-                        st = sample_ts[res.samples_filled]
-                        res.sample_ys[res.samples_filled] = _ref_sample(c, st - t, h)
-                        res.samples_filled += 1
-                res.t, res.y = te, ye
-                res.event_index, res.event_t, res.event_y = hit, te, ye
-                res.n_steps = steps
-                return res
             g_prev = g_new
         steps += 1
         res.step_ts.append(t_new)
         res.step_y0s.append(y_new[0])
 
         if sample_ts is not None:
-            while (res.samples_filled < sample_ts.size
-                   and sample_ts[res.samples_filled] <= t_new + 1e-15 * max(1.0, t_new)):
-                st = sample_ts[res.samples_filled]
+            while (len(ys) < sample_ts.size
+                   and sample_ts[len(ys)] <= t_new + 1e-15 * max(1.0, t_new)):
+                st = sample_ts[len(ys)]
                 if st >= t_new:
-                    res.sample_ys[res.samples_filled] = y_new
+                    ys.append(y_new)
                 else:
                     c = _ref_quintic(rhs, t, y, h, y_half, d, y_new)
-                    res.sample_ys[res.samples_filled] = _ref_sample(c, st - t, h)
-                res.samples_filled += 1
+                    ys.append(_ref_sample(c, st - t, h))
 
         t, y = t_new, y_new
+        if hit is not None:
+            res.event_index, res.event_t, res.event_y = hit, t, y
+            break
         if err > 0.0:
             h *= min(4.0, 0.9 * (scale / err) ** 0.2)
         else:
             h *= 4.0
 
     res.t, res.y, res.n_steps = t, y, steps
+    if sample_ts is not None:
+        res.sample_ts, res.sample_ys = sample_ts[:len(ys)], np.array(ys).reshape(-1, 2)
     return res
 
 
@@ -416,7 +441,7 @@ def _launches(monkeypatch, module, stepper, run):
 
 
 def _assert_bit_identical(a: OdeResult, b: OdeResult):
-    assert (a.n_steps, a.rejected, a.samples_filled) == (b.n_steps, b.rejected, b.samples_filled)
+    assert (a.n_steps, a.rejected) == (b.n_steps, b.rejected)
     assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
     assert (a.event_index, a.event_t) == (b.event_index, b.event_t)
     assert np.array(a.step_ts).tobytes() == np.array(b.step_ts).tobytes()
@@ -427,9 +452,8 @@ def _assert_bit_identical(a: OdeResult, b: OdeResult):
         assert a.event_y.tobytes() == b.event_y.tobytes()
     assert (a.sample_ys is None) == (b.sample_ys is None)
     if a.sample_ys is not None:
-        n = a.samples_filled
         assert a.sample_ts.tobytes() == b.sample_ts.tobytes()
-        assert a.sample_ys[:n].tobytes() == b.sample_ys[:n].tobytes()
+        assert a.sample_ys.tobytes() == b.sample_ys.tobytes()
 
 
 _TENT_TABLE = "table:" + str(Path(__file__).resolve().parents[1] / "demos" / "tent_table.csv")
@@ -536,6 +560,56 @@ def test_probe_launch_matches_the_ndarray_stepper(monkeypatch, sign):
     assert new[0].event_index is not None
     _assert_bit_identical(new[0], ref[0])
 
+
+def _cap(spec, z, eps):
+    return pytest.param(sliding, lambda: sliding.radial_bubble(make(spec), z, eps),
+                        id=f"cap-{spec}")
+
+
+def _probe(nl, z, delta, sign, **kw):
+    return pytest.param(profile1d, lambda: disconnectedness_probe(nl, z, delta, sign, **kw),
+                        id=f"probe-{nl.kind}-{z:.6g}-{sign:+d}")
+
+
+# the CI caps, and probes kicked both ways: abs-sin at pi and, on s_max 20,
+# at 3, 5 and 6 pi; the logistic at 1; the demo's cantor:3 level 2/27
+_ABS_SIN_20, _CANTOR_3 = make("abs-sin", s_max=20.0), make("cantor:3")
+_LANDING_RUNS = [_cap("logistic", 1.0, 0.1), _cap("cantor:3", 26 / 27, 0.05),
+                 _cap("abs-sin", 3.0 * math.pi, 0.5)]
+_LANDING_RUNS += [_probe(nl, z, delta, sign, **kw) for sign in (1, -1) for nl, z, delta, kw in (
+    [(make("abs-sin"), math.pi, 0.1, {}), (make("logistic"), 1.0, 0.1, {}),
+     (_CANTOR_3, compute_Zf(_CANTOR_3).points[1], 1e-4, {"xi_max": 60.0})]
+    + [(_ABS_SIN_20, k * math.pi, 0.1, {}) for k in (3, 5, 6)])]
+
+
+def _landings(monkeypatch, module, run):
+    """(|g| at the event, cut attempts, event is the last step end) for each
+    launch `run` makes through `module` that stops on an event. Every
+    accepted step and every cut evaluates all the events once."""
+    out = []
+
+    def counted(rhs, *args, events, **kwargs):
+        n = [0]
+        res = integrate(rhs, *args, events=[_counted(g, n) for g in events], **kwargs)
+        if res.event_index is not None:
+            g = events[res.event_index](res.event_t, tuple(res.event_y))
+            cuts = n[0] // len(events) - 1 - res.n_steps
+            out.append((abs(g), cuts, res.event_t == res.step_ts[-1]))
+        return res
+
+    monkeypatch.setattr(module, "integrate", counted)
+    run()
+    return out
+
+
+@pytest.mark.parametrize("module, run", _LANDING_RUNS)
+def test_probe_and_cap_events_land_on_their_zero(monkeypatch, module, run):
+    # the CI caps and the kicked probes: each event is an accepted step end
+    # within 1e-13 of g = 0, reached in at most 8 cut attempts
+    out = _landings(monkeypatch, module, run)
+    assert out
+    for g, cuts, last in out:
+        assert last and g <= 1e-13 and cuts <= 8, (g, cuts)
 
 
 # ---------------------------------------------------------------------------
