@@ -26,7 +26,7 @@ from .grids import format_17g, make_grid, periodic_axes, save_field_csv
 from .liouville import halfspace_strip_sweep, periodic_box_sweep
 from .nonlinearity import check_hypotheses, compute_Zf, make, zero_set
 from .profile1d import compute_profile, save_profile_csv
-from .sliding import dirichlet_eigenpair, radial_bubble, sliding_verify
+from .sliding import dirichlet_eigenvalue, radial_bubble, sliding_verify
 from .traces import make_trace
 from .trajectory import omega_limit, quarter_table
 
@@ -277,10 +277,10 @@ def cmd_bubble(args) -> int:
 
 def cmd_eigen(args) -> int:
     out = _outdir(args)
-    e = dirichlet_eigenpair(args.N, args.R)
-    _write_json({"N": e.N, "R": e.R, "value": e.value, "iterations": e.iterations},
+    value = dirichlet_eigenvalue(args.N, args.R)
+    _write_json({"N": args.N, "R": args.R, "value": value},
                 os.path.join(out, "eigen.json"))
-    print(f"principal eigenvalue (N={e.N}, R={e.R:g}): {e.value:.15g}")
+    print(f"principal eigenvalue (N={args.N}, R={args.R:g}): {value:.15g}")
     return 0
 
 

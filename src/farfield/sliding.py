@@ -5,10 +5,12 @@ That approach rests on the maximum principle, the sliding method
 results. Sliding moves a compactly supported subsolution under a solution:
 if the two never touch along the path, the solution stays above it.
 
-  dirichlet_eigenpair : the ball's principal Dirichlet eigenpair. Its value
-                        falls like R^-2, so where f grows at least linearly
-                        off a zero, a small multiple of the eigenfunction on
-                        a large ball is a subsolution above that zero;
+  dirichlet_eigenvalue: the ball's principal Dirichlet eigenvalue
+                        (j_nu/R)^2, from Ikebe's tridiagonal route to the
+                        Bessel zero j_nu. It falls like R^-2, so where f
+                        grows at least linearly off a zero, a small multiple
+                        of the eigenfunction on a large ball is a
+                        subsolution above that zero;
   radial_bubble       : the radial cap, Delta v + f(v) = 0 on a ball with
                         v = 0 on its sphere; its zero extension slides;
   *_energy            : cap, ramp and constant-level energies over a ball;
@@ -23,93 +25,49 @@ None of them calls the solver; only `sliding_verify` reads a `Field`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import InputError, NumericError
 from .grids import Field
 from .nonlinearity import Nonlinearity, eval_capped, integral_between, scalar_fn
 from .odes import integrate
 
-_EIGEN_MAX_ITER = 400
+_IKEBE_ORDER = 64             # order of the truncated Ikebe matrix
+_EIGEN_N_MAX = 2000           # largest N at which that cut moves j by a few ulp at most
 _BUBBLE_R_MAX = 200.0         # radius a cap launch integrates out to
 _BUBBLE_TOL = 1e-12           # RK4 tolerance of a cap launch
 _RAMP_SHELL_N = 2048          # trapezoid cells across the ramp's unit shell
 
 
 # ---------------------------------------------------------------------------
-# principal Dirichlet eigenpair of the ball
+# principal Dirichlet eigenvalue of the ball
 
-@dataclass(eq=False)
-class EigenResult:
-    N: int
-    R: float
-    value: float
-    r: np.ndarray
-    phi: np.ndarray
-    iterations: int
+def dirichlet_eigenvalue(N: int, R: float) -> float:
+    """Principal eigenvalue of -Delta on the radius-R ball in R^N: (j/R)^2.
 
-
-def dirichlet_eigenpair(N: int, R: float, n: int = 4096) -> EigenResult:
-    """Principal eigenvalue of -Delta on the radius-R ball, radial reduction.
-
-    Solves -(phi'' + (N-1)/r phi') = lambda phi, phi'(0) = 0, phi(R) = 0 on a
-    uniform radial mesh by inverse power iteration; at r = 0 the operator
-    limit Delta phi(0) = N phi''(0) closes the stencil. The eigenvalue is a
-    Rayleigh quotient in the r^(N-1)-weighted inner product that makes the
-    radial operator self-adjoint. phi is normalized to phi(0) = 1. The
-    iteration stops when the weighted residual |A phi - lambda phi| stops
-    shrinking, at roundoff; one still shrinking after _EIGEN_MAX_ITER
-    iterations is a NumericError.
+    j is the first positive zero of the Bessel function J_nu, nu = N/2 - 1.
+    4/j^2 is the largest eigenvalue of Ikebe's symmetric tridiagonal matrix
+    (Math. Comp. 29, 1975), diagonal 2/((nu+2k-1)(nu+2k+1)) and off-diagonal
+    1/((nu+2k+1) sqrt((nu+2k)(nu+2k+2))). Cutting it at order _IKEBE_ORDER
+    moves j by at most a few ulp for N up to _EIGEN_N_MAX. An eigenvalue
+    that is not a positive normal float (R so large that it underflows, or
+    so small that it overflows) is a NumericError.
     """
-    if N < 1 or not 0 < R < math.inf or n < 16:
-        raise InputError("dirichlet_eigenpair: need N >= 1, finite R > 0, n >= 16")
-    hr = R / n
-    h2 = hr * hr
-    # banded (ab) layout for solve_banded: unknowns phi_0 .. phi_{n-1}
-    c = (N - 1) / (2.0 * np.arange(1, n) * h2)     # (N-1)/(2 r_i hr) with r_i = i hr
-    diag = np.full(n, 2.0 / h2)
-    upper = np.zeros(n)
-    lower = np.zeros(n)
-    diag[0] = 2.0 * N / h2
-    upper[1] = -2.0 * N / h2
-    upper[2:] = -(1.0 / h2 + c[:-1])
-    lower[:-1] = -(1.0 / h2 - c)
-    ab = np.vstack([upper, diag, lower])
-
-    w = (np.arange(n) * hr) ** (N - 1)     # ones for N = 1, 0 at r = 0 otherwise
-
-    phi = np.ones(n)
-    res_old = math.inf
-    for it in range(_EIGEN_MAX_ITER):
-        phi_new = solve_banded((1, 1), ab, phi)
-        phi_new /= np.max(np.abs(phi_new))
-        Aphi = _banded_apply(upper, diag, lower, phi_new)
-        den = np.sum(w * phi_new * phi_new)
-        lam_new = np.sum(w * phi_new * Aphi) / den
-        res = math.sqrt(np.sum(w * (Aphi - lam_new * phi_new) ** 2) / den) / lam_new
-        # the residual shrinks by about lambda_1/lambda_2 a step until it
-        # reaches roundoff; the iterate before it stops shrinking is the answer
-        if res >= res_old:
-            break
-        phi, lam, res_old = phi_new, lam_new, res
-    else:
-        raise NumericError(f"dirichlet_eigenpair: residual {res:.1e} still shrinking "
-                           f"after {_EIGEN_MAX_ITER} iterations")
-    r = np.arange(n + 1) * hr
-    phi_full = np.empty(n + 1)
-    phi_full[:n] = phi / phi[0]
-    phi_full[n] = 0.0
-    return EigenResult(N, float(R), float(lam), r, phi_full, it)
-
-
-def _banded_apply(upper, diag, lower, x):
-    y = diag * x
-    y[:-1] += upper[1:] * x[1:]
-    y[1:] += lower[:-1] * x[:-1]
-    return y
+    if not (1 <= N <= _EIGEN_N_MAX and 0 < R < math.inf):
+        raise InputError(f"dirichlet_eigenvalue: need 1 <= N <= {_EIGEN_N_MAX} "
+                         "and finite R > 0")
+    a = N / 2.0 - 1.0 + 2.0 * np.arange(1, _IKEBE_ORDER + 1)      # nu + 2k
+    off = 1.0 / ((a[:-1] + 1.0) * np.sqrt(a[:-1] * (a[:-1] + 2.0)))
+    T = np.diag(2.0 / ((a - 1.0) * (a + 1.0))) + np.diag(off, 1) + np.diag(off, -1)
+    j = 2.0 / math.sqrt(np.linalg.eigvalsh(T)[-1])
+    lam = (j / R) * (j / R)
+    if not sys.float_info.min <= lam < math.inf:
+        raise NumericError(f"dirichlet_eigenvalue: (j/R)^2 = {lam:g} at R = {R:g} "
+                           "is not a positive normal float")
+    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from farfield.liouville import halfspace_strip_sweep, periodic_box_sweep
 from farfield.nonlinearity import (check_hypotheses, compute_Zf,
                                    integral_between, make)
 from farfield.profile1d import compute_profile
-from farfield.sliding import (dirichlet_eigenpair, level_energy, radial_bubble,
+from farfield.sliding import (dirichlet_eigenvalue, level_energy, radial_bubble,
                               ramp_energy, sliding_verify)
 from farfield.trajectory import estimate_M, omega_limit, shift
 
@@ -157,7 +157,7 @@ def test_high_start_settles_at_zero_of_f():
 
 
 # ---------------------------------------------------------------------------
-# caps, energies, eigenpairs, sliding
+# caps, energies, eigenvalues, sliding
 
 def test_cap_existence_and_energy_split():
     nl = make("logistic")
@@ -182,20 +182,14 @@ def test_cap_existence_and_energy_split():
 
 
 def test_ball_eigenvalue_and_scaling():
-    lam = dirichlet_eigenpair(2, 1.0).value
-    coarse = dirichlet_eigenpair(2, 1.0, n=256).value
-    mid = dirichlet_eigenpair(2, 1.0, n=512).value
-    oracle = (4.0 * mid - coarse) / 3.0
+    lam = dirichlet_eigenvalue(2, 1.0)
     anchor = float(jn_zeros(0, 1)[0] ** 2)
-    lam2 = dirichlet_eigenpair(2, 2.0).value
-    scaling = abs(4.0 * lam2 - lam) / lam
-    ok = (abs(lam - 5.78319) < 1e-3 and abs(lam - oracle) < 1e-3
-          and abs(oracle - anchor) < 1e-6 and scaling < 1e-8)
+    gap = abs(lam - anchor) / anchor
+    lam2 = dirichlet_eigenvalue(2, 2.0)
+    ok = gap <= 1e-14 and 4.0 * lam2 == lam
     _gate("ball_eigenvalue_and_scaling", ok,
-          f"lambda {lam:.9f}, |vs 5.78319| {abs(lam - 5.78319):.1e} (< 1e-3), "
-          f"extrapolated oracle {oracle:.9f} (|vs Bessel| "
-          f"{abs(oracle - anchor):.1e}), quarter-at-double-radius rel err "
-          f"{scaling:.1e} (< 1e-8)")
+          f"lambda {lam!r}, rel err vs j_0,1^2 {gap:.1e} (<= 1e-14), "
+          f"quarter at double radius {lam2!r} (x4 exact)")
 
 
 def test_cap_slides_under_field(decay_quarter):

@@ -10,12 +10,14 @@ import subprocess
 import sys
 
 import pytest
+from scipy.optimize import brentq
+from scipy.special import jv
 
 from farfield import cli, liouville, profile1d
 from farfield.cli import load_config, main
 from farfield.errors import ConfigError, NumericError
 from farfield.nonlinearity import make
-from farfield.sliding import EigenResult, radial_bubble
+from farfield.sliding import radial_bubble
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -88,12 +90,20 @@ def test_zero_profile_trace_needs_a_zero_at_the_origin(tmp_path, capsys):
     assert err.startswith("numeric error:") and "zero profile needs f(0) = 0" in err
 
 
-@pytest.mark.parametrize("N", ["200", "400"])
-def test_bubble_energy_that_overflows_exits_2(tmp_path, capsys, N):
+@pytest.mark.parametrize("argv", [
     # r^(N-1) overflows the cap energy at N = 200, and the area of the unit
-    # sphere itself at N = 400; either is refused before bubble.json is written
-    rc = main(["bubble", "--f", "logistic", "--z", "1", "--eps", "0.1", "--N", N,
-               "--out", str(tmp_path)])
+    # sphere itself at N = 400
+    pytest.param(["bubble", "--f", "logistic", "--z", "1", "--eps", "0.1", "--N", N],
+                 id=N) for N in ("200", "400")
+] + [
+    # the ball's eigenvalue (j/R)^2 underflows to 0 at R = 1e200 and to a
+    # subnormal at 1e155, and overflows at 1e-200 and 1e-155
+    pytest.param(["eigen", "--N", "2", "--R", R], id="eigen-R" + R)
+    for R in ("1e200", "1e155", "1e-200", "1e-155")
+])
+def test_bubble_energy_that_overflows_exits_2(tmp_path, capsys, argv):
+    # a value no positive normal float holds is refused before its JSON is written
+    rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("numeric error:")
     assert not os.listdir(tmp_path)
@@ -156,8 +166,8 @@ def test_nan_profile_launch_exits_2(tmp_path, capsys, monkeypatch):
     # far-field detection converges at the fixed distance trajectory._CONV_TOL
     ["solve-quarter", "--f", "logistic", "--conv-tol", "1e-2"],
     ["solve-half", "--f", "logistic", "--conv-tol", "1e-2"],
-    # the shift ladder, the profile grid, the eigen grid and the slide path
-    # are sampled at fixed resolutions
+    # the shift ladder, the profile grid and the slide path are sampled at
+    # fixed resolutions, and the eigenvalue is a closed form of fixed order
     ["solve-quarter", "--f", "logistic", "--n-shifts", "16"],
     ["solve-half", "--f", "logistic", "--n-shifts", "16"],
     ["profile", "--f", "logistic", "--z", "1", "--xi-max", "20"],
@@ -185,6 +195,7 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
      "--tol", "-1"],
     ["eigen", "--N", "0", "--R", "1"],
+    ["eigen", "--N", "2001", "--R", "1"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
      "--trace", "constant:abc"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
@@ -555,7 +566,7 @@ def test_package_root_loads_no_submodule():
     # the root holds only __version__, so a module loads only its own imports
     code = ("import sys; import farfield; "
             "print(sorted(m for m in sys.modules if m.startswith('farfield.'))); "
-            "import farfield.nonlinearity; "
+            "import farfield.nonlinearity, farfield.odes, farfield.sliding; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -565,10 +576,14 @@ def test_package_root_loads_no_submodule():
 
 
 def test_eigen_command_writes_summary(tmp_path, capsys):
-    rc = main(["eigen", "--N", "2", "--R", "1", "--out", str(tmp_path)])
-    assert rc == 0
-    val = json.loads(_read(tmp_path / "eigen.json"))["value"]
-    assert abs(val - 5.78319) < 1e-3
+    for N in range(1, 9):
+        # J_nu is positive on (0, j) and its second zero lies past nu + 4
+        nu = N / 2 - 1
+        j = brentq(lambda x: jv(nu, x), nu + 1, nu + 4, xtol=1e-15)
+        assert main(["eigen", "--N", str(N), "--R", "1", "--out", str(tmp_path)]) == 0
+        rep = json.loads(_read(tmp_path / "eigen.json"))
+        assert rep.keys() == {"N", "R", "value"}
+        assert abs(rep["value"] - j * j) <= 1e-14 * j * j, N
     assert "principal eigenvalue" in capsys.readouterr().out
 
 
@@ -639,8 +654,7 @@ def test_unconverged_trial_writes_a_null_residual(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_report_json_cannot_hold_exits_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                capsys, bad):
-    monkeypatch.setattr(cli, "dirichlet_eigenpair",
-                        lambda N, R: EigenResult(N, R, bad, None, None, 0))
+    monkeypatch.setattr(cli, "dirichlet_eigenvalue", lambda N, R: bad)
     assert main(["eigen", "--N", "2", "--R", "1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("numeric error: eigen.json:")
     assert os.listdir(tmp_path) == []

@@ -1,67 +1,66 @@
-"""The sliding-method tools: eigenpair, radial caps, energies, the sliding check."""
+"""The sliding-method tools: eigenvalue, radial caps, energies, the sliding check."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import jn_zeros
 
 import farfield.sliding as sliding
 from farfield.errors import InputError, NumericError
 from farfield.grids import Field, make_grid
 from farfield.nonlinearity import integral_between, make
-from farfield.sliding import (Bubble, ball_volume, cap_energy, dirichlet_eigenpair,
+from farfield.sliding import (Bubble, ball_volume, cap_energy, dirichlet_eigenvalue,
                               level_energy, radial_bubble, ramp_energy, sliding_verify,
                               sphere_area)
 
 
 # ---------------------------------------------------------------------------
-# principal eigenpair on the ball
+# principal eigenvalue of the ball
 
 def test_eigenvalue_against_bessel_root():
-    want = float(jn_zeros(0, 1)[0]) ** 2          # N = 2 exact value
-    e = dirichlet_eigenpair(2, 1.0, n=2048)
-    assert abs(e.value - want) < 1e-5
+    for N in (2, 4, 6):                                # nu = 0, 1, 2
+        want = float(jn_zeros(N // 2 - 1, 1)[0]) ** 2
+        assert abs(dirichlet_eigenvalue(N, 1.0) - want) <= 1e-14 * want
 
 
 def test_eigenvalue_three_dimensional():
-    e = dirichlet_eigenpair(3, 1.0, n=2048)
-    assert abs(e.value - math.pi**2) < 1e-5
+    # nu = -1/2, 1/2, 3/2: J_nu's first zeros are pi/2, pi and the root of tan x = x
+    for N, j in ((1, math.pi / 2), (3, math.pi), (5, 4.493409457909064)):
+        assert abs(dirichlet_eigenvalue(N, 1.0) - j * j) <= 1e-14 * j * j
 
 
-def test_eigenvalue_stops_at_the_roundoff_floor(monkeypatch):
-    # at N = 3 the Rayleigh quotient's relative change stalls near 3.5e-13,
-    # above any fixed 1e-13 gate; the iteration ends when its residual stops
-    # shrinking.  9.869603917248348 is the 400th iterate of the fixed gate;
-    # consecutive iterates at the floor differ by up to 5e-12
-    e = dirichlet_eigenpair(3, 1.0)
-    assert e.iterations < 40
-    assert abs(e.value - 9.869603917248348) < 5e-12 * e.value
-    monkeypatch.setattr(sliding, "_EIGEN_MAX_ITER", 2)
-    with pytest.raises(NumericError, match="still shrinking"):
-        dirichlet_eigenpair(3, 1.0)
+def _ikebe_eigenvalue(N, order):
+    # the same closed form, its top eigenvalue by LAPACK's tridiagonal bisection
+    a = N / 2.0 - 1.0 + 2.0 * np.arange(1, order + 1)
+    d = 2.0 / ((a - 1.0) * (a + 1.0))
+    e = 1.0 / ((a[:-1] + 1.0) * np.sqrt(a[:-1] * (a[:-1] + 2.0)))
+    mu = eigvalsh_tridiagonal(d, e, select="i", select_range=(order - 1, order - 1))[0]
+    return 4.0 / mu
+
+
+def test_ikebe_order_is_converged_up_to_the_dimension_bound():
+    # cutting Ikebe's matrix at order 64 instead of 1024 moves (j/R)^2 by at
+    # most 4 ulp for every N up to the bound (it is 70 ulp off at N = 10^4);
+    # numpy's dense eigvalsh adds up to about 3e-15 of roundoff on top
+    for N in [*range(1, 65), *range(65, sliding._EIGEN_N_MAX, 13), sliding._EIGEN_N_MAX]:
+        exact = _ikebe_eigenvalue(N, 1024)
+        assert abs(_ikebe_eigenvalue(N, sliding._IKEBE_ORDER) - exact) <= 4 * np.spacing(exact), N
+        assert abs(dirichlet_eigenvalue(N, 1.0) - exact) <= 1e-14 * exact, N
 
 
 def test_eigenvalue_scaling_is_exact_in_floats():
-    a = dirichlet_eigenpair(2, 1.0, n=512)
-    b = dirichlet_eigenpair(2, 2.0, n=512)
-    assert 4.0 * b.value == a.value
-
-
-def test_eigenfunction_shape():
-    e = dirichlet_eigenpair(2, 1.0, n=512)
-    assert e.phi[0] == 1.0
-    assert e.phi[-1] == 0.0
-    assert np.all(e.phi[:-1] > 0.0)
-    assert np.all(np.diff(e.phi) <= 1e-12)
+    for N in (1, 2, 3, 50):
+        assert 4.0 * dirichlet_eigenvalue(N, 2.0) == dirichlet_eigenvalue(N, 1.0)
 
 
 def test_eigen_validation():
-    with pytest.raises(InputError):
-        dirichlet_eigenpair(0, 1.0)
-    with pytest.raises(InputError):
-        dirichlet_eigenpair(2, -1.0)
+    for N, R in ((0, 1.0), (2, -1.0), (2, math.nan), (2, math.inf),
+                 (sliding._EIGEN_N_MAX + 1, 1.0)):
+        with pytest.raises(InputError):
+            dirichlet_eigenvalue(N, R)
 
 
 # ---------------------------------------------------------------------------
