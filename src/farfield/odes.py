@@ -5,61 +5,44 @@ and then cross-checked against this integrator, so the two routes must not
 share code with any library solver. Step control is the textbook scheme:
 take one full step and two half steps, compare, accept when the difference
 passes the tolerance, and use the extrapolated (locally 5th-order) value.
-The step size follows the tolerance, the breaks and the events below;
-sample times do not cut steps short. Each accepted step appends its end t and y[0] to
-`OdeResult.step_ts` and `step_y0s`, extrapolated states with no
-interpolation error; `n_steps` is their count.
+Each accepted step appends its end t and y[0], an extrapolated state, to
+`OdeResult.step_ts` and `step_y0s`.
 
 A sample time strictly inside an accepted step [t, t + h] reads the step's
 quintic Hermite interpolant (dense output; Hairer, Norsett and Wanner,
-Solving ODEs I, II.6). It matches value and slope at three points: the
-start (t, y); the midpoint, where the first half step's state y_half less
-d/30 with d = y_big - y_fine carries the step's measured local error at
-s = h/2 (a one-step method from a fixed state has local error C s^5 +
-O(s^6), and the doubling measures C h^5 = 16/15 d); and the end, the
-extrapolated state. Every slope is already known: the start's is the first
-stage, the midpoint's is the first stage of the second half step, and the
-end's is the next step's first stage, computed early and handed on.
+Solving ODEs I, II.6), which matches value and slope at the start, at the
+end and at the midpoint, where y_half - d/30 with d = y_big - y_fine carries
+the step's measured local error (C s^5 at s = h/2, when the doubling
+measures C h^5 = 16/15 d). Every slope is a stage the run computes anyway.
 
-Events and breaks land by one rule: an attempt that passes one is taken
-again, cut where the secant between its two ends meets it (Gear and
-Osterby, ACM TOMS 10, 1984, locate the discontinuity and restart there).
-The secant costs no rhs call, and a cut counts as a rejected attempt.
-
-A break is a value of y[0] where the rhs has a kink. Step doubling
-under-reads the error of a step across one, and the controller, growing h
-after each accepted step, keeps running into the next. So an attempt whose
-end passes a break by more than _BREAK_SLACK is cut at it, and the next
-step starts on it.
-
-An event is a function g(t, y) whose sign change stops the run. Once an
-attempt passes the error test, every g is evaluated at its end; of those
-that changed sign, the one whose secant zero comes first is the event. An
-end past that zero by more than _EVENT_SLACK (1 + max|y|) is cut at it, and
-the cuts close in on the zero until an end lies within the slack, or until
-a cut would not shorten h. The event is then that accepted step's end, an
-extrapolated state like every other, and the run stops there. An event
-function often marks where the rhs changes form: the logistic radial cap's
-v = 0 event sits on the kink of its reaction's clip at 0, where f' drops
-from 1 to 0, and the cut steps end on it.
+Kinks and events are levels that a component of y crosses. One routine,
+`_first_pass`, finds the earliest level an attempt passes by more than its
+slack; the attempt is taken again, cut where the secant between its ends
+meets that level (Gear and Osterby, ACM TOMS 10, 1984), which costs no rhs
+call and counts as a rejected attempt. A kink is a level of y[0] where the
+rhs has a kink (`breaks`), with slack _BREAK_SLACK: step doubling
+under-reads the error of a step across one, so a cut that ends short is
+accepted and the next step starts on the kink. An event (c, level) has
+slack _EVENT_SLACK (1 + max|y|) and wins a tie with a kink; the first
+accepted step that ends past its level or within the slack of it ends the
+run. Its cuts keep a bracket in h from the fixed start: the near end is the
+start, then each cut that ends short and passes the error test; the far
+end is each attempt past the level. The next h is the regula falsi's with
+the Illinois halving (Dowell and Jarratt, BIT 11, 1971). A failed error
+test drops the bracket, and an h that would leave it takes the attempt.
 
 The state is exactly two Python floats, and a whole attempt (full step,
 two half steps, error estimate, extrapolated state) is written out on them
-in the loop, a frame that calls only the rhs: for these small systems the
-interpreter's frames and state building, not the arithmetic, are what a
-step spends, and numpy's per-call overhead would cost more still. rhs(t, y)
-gets the state as a tuple of two floats and may return any sequence of two
-floats. Its value at a state, the first RK4 stage, is computed once and
-shared by the full step, the first half step, every retry after a rejected
-attempt or a cut, and the interpolant of the step before that state. A run
-costs n_steps + 10 (n_steps + rejected) rhs calls, 11 per accepted step and
-10 per rejected attempt or cut, plus 1 when the last step holds a sample;
-samples cost none, and an event costs only its cut attempts. A step reads
-the samples inside it off its quintic as it is accepted.
+in the loop, a frame that calls only the rhs: for these small systems
+frames and state building, not arithmetic, are what a step spends. The rhs
+value at a state, the first RK4 stage, is shared by every attempt from it
+and by the interpolant of the step before it. A run costs n_steps +
+10 (n_steps + rejected) rhs calls, plus 1 when the last step holds a sample.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -71,23 +54,20 @@ _SAFETY = 0.9
 _GROW_MAX = 4.0
 _SHRINK_MIN = 0.1
 _HMIN = 1e-13         # smallest step; a step this small is always accepted
-_BREAK_SLACK = 1e-9   # an attempt may end this far past a break of y[0]
-_EVENT_SLACK = 2.0 ** -50  # and this far times 1 + max|y| past an event's g = 0
+_BREAK_SLACK = 1e-9   # an attempt may end this far past a kink of y[0]
+_EVENT_SLACK = 2.0 ** -50  # and this far times 1 + max|y| from an event's level
 _MAX_STEPS = 2_000_000  # accepted steps before a run is a NumericError
 
 
 @dataclass
 class OdeResult:
-    """One run: where it ended, the samples it reached (sample_ts cut to
-    match), the event it stopped on, if any, which is its last step end, and
-    every accepted step's end t and y[0]."""
+    """One run: where it ended (on the event it stopped on, if any), the
+    samples it reached (sample_ts cut to match) and every step end."""
     t: float                      # time integration actually ended at
     y: np.ndarray                 # state there
     sample_ts: np.ndarray | None = None
     sample_ys: np.ndarray | None = None   # shape (len(sample_ts), 2)
     event_index: int | None = None
-    event_t: float | None = None
-    event_y: np.ndarray | None = None
     n_steps: int = 0
     rejected: int = 0
     step_ts: list = field(default_factory=list, repr=False)   # each accepted step's end
@@ -118,37 +98,56 @@ def _at(coefs, th):
                   for c0, c1, c2, c3, c4, c5 in coefs])
 
 
-def _break_fraction(breaks, a, b):
-    """The secant's step fraction at the first break that y[0], going from
-    a to b, passes by more than _BREAK_SLACK, or None. A break within
-    _BREAK_SLACK of a is the one the step starts on."""
+def _first_pass(breaks, events, y, y_new, side):
+    """(secant fraction, event index or None for a kink) of the earliest level
+    y[c] passes from y to y_new by more than side * its slack (side -1: ends
+    past it or within the slack), or None. A step that starts on a level (a
+    kink: within _BREAK_SLACK of it) does not pass it; an event wins a tie."""
+    best = None
+    if events:
+        slack = side * _EVENT_SLACK * (1.0 + max(abs(y_new[0]), abs(y_new[1])))
+        for k, (c, level) in enumerate(events):
+            a, b = y[c], y_new[c]
+            if (b - level > slack if a < level else a > level and level - b > slack):
+                frac = (level - a) / (b - a)
+                if best is None or frac < best[0]:
+                    best = frac, k
+    a, b = y[0], y_new[0]
     if b > a:
         i = bisect_right(breaks, a + _BREAK_SLACK)
-        if i < len(breaks) and breaks[i] < b - _BREAK_SLACK:
-            return (breaks[i] - a) / (b - a)
+        if i == len(breaks) or breaks[i] >= b - _BREAK_SLACK:
+            return best
     else:
         i = bisect_left(breaks, a - _BREAK_SLACK) - 1
-        if i >= 0 and breaks[i] > b + _BREAK_SLACK:
-            return (breaks[i] - a) / (b - a)
-    return None
+        if i < 0 or breaks[i] <= b + _BREAK_SLACK:
+            return best
+    frac = (breaks[i] - a) / (b - a)
+    return (frac, None) if best is None or frac < best[0] else best
 
 
-def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
+def _illinois(land, events, h, y_new, far):
+    """Move the far (or near) end of the bracket [event, near [h, g], far [h, g],
+    far end moved last] to the attempt, halve the other end's g if this end
+    moved last time too, and return the regula falsi's next h."""
+    c, level = events[land[0]]
+    if land[3] == far:
+        land[1 if far else 2][1] *= 0.5
+    land[2 if far else 1], land[3] = [h, y_new[c] - level], far
+    (h0, g0), (h1, g1) = land[1:3]
+    return h0 + (h1 - h0) * (g0 / (g0 - g1))
+
+
+def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=(),
               breaks=()):
-    """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
+    """Integrate y' = rhs(t, y) from t0 to t1 (t0 < t1, both finite; else InputError).
 
-    y0: a sequence of exactly two floats; any other shape raises InputError.
-    rhs and the event functions get the state as a tuple of two floats; rhs
-    returns a sequence of two floats.
-    sample_ts: increasing times inside [t0, t1]. They do not limit the step:
-    one strictly inside an accepted step gets the step's quintic Hermite
-    interpolant there, which costs no rhs call (the step's end slope is the
-    next step's first stage); one on a step's end gets that step's state.
-    The result holds the samples the run reached, `sample_ts` cut to match.
-    events: list of scalar functions g(t, y); integration stops at the
-    earliest sign change of any of them. An attempt that passes one by more
-    than _EVENT_SLACK (1 + max|y|) is taken again, cut at the secant's zero
-    of g, so the event is an accepted step end, the last in `step_ts`.
+    y0: exactly two floats (else InputError); rhs gets a tuple of two, returns two.
+    sample_ts: increasing times in [t0, t1], which do not limit the step: one
+    strictly inside an accepted step reads its quintic, one on its end its
+    state; the result holds those the run reached, `sample_ts` cut to match.
+    events: (c, level) pairs; the run stops where y[c] first crosses a level
+    it does not start on, landed within _EVENT_SLACK (1 + max|y|) of it as
+    the last accepted step end, and `event_index` names the pair.
     breaks: sorted values of y[0] where the rhs has a kink; an attempt that
     passes one by more than _BREAK_SLACK is taken again, cut at it.
     A NaN state raises NumericError naming t, and so does a run past
@@ -157,11 +156,9 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (2,):
         raise InputError(f"integrate: y0 has shape {y0.shape}; a state of two floats is needed")
-    y = tuple(y0.tolist())
-    t = float(t0)
-    if t1 <= t0:
-        raise NumericError("integrate: need t1 > t0")
-    t1 = float(t1)
+    if not -math.inf < t0 < t1 < math.inf:
+        raise InputError(f"integrate: need finite t0 < t1, got t0={t0!r}, t1={t1!r}")
+    y, t, t1 = tuple(y0.tolist()), float(t0), float(t1)
     hmax = (t1 - t0) / 16.0
     h = h0 if h0 is not None else min(hmax, (t1 - t0) / 100.0)
 
@@ -174,12 +171,8 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
         filled = bisect_right(sample_ts, t)
     ys = [y] * filled           # the samples reached, as tuples
 
-    g_prev = None
-    if events:
-        g_prev = [g(t, y) for g in events]
-
     end_t, end_y0 = res.step_ts.append, res.step_y0s.append
-    k1 = None
+    k1 = land = None            # land: the bracket of the event being landed
     while t < t1:
         if len(res.step_ts) >= _MAX_STEPS:
             raise NumericError(f"integrate: step budget exhausted at t={t:.6g}")
@@ -217,33 +210,40 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
         y_new = (fine_a - da / 15.0, fine_b - db / 15.0)
         if err != err:
             raise NumericError(f"integrate: NaN state in the step from t={t:.6g}")
-        if breaks and h > _HMIN:
-            frac = _break_fraction(breaks, a, y_new[0])
-            if frac is not None:
+        passed = h > _HMIN and (breaks or events) and _first_pass(breaks, events, y, y_new, 1.0)
+        if passed:
+            frac, k = passed
+            h_next = h * frac
+            if k is None:       # a kink: the cut is accepted if it ends short
+                land = None
+            elif land is not None and land[0] == k:
+                h_next = _illinois(land, events, h, y_new, True)
+            else:
+                c, level = events[k]
+                land = [k, [0.0, y[c] - level], [h, y_new[c] - level], True]
+            if land is None or land[1][0] < h_next < land[2][0]:
                 res.rejected += 1
-                h *= frac
+                h = h_next
                 continue
         scale = tol * (1.0 + max(abs(a), abs(b)))
         if err > scale and h > _HMIN:
             res.rejected += 1
-            h *= max(_SHRINK_MIN, _SAFETY * (scale / err) ** 0.2)
+            h, land = h * max(_SHRINK_MIN, _SAFETY * (scale / err) ** 0.2), None
             continue
 
-        t_new = t + h
         hit = None
-        if events:
-            # of the events that changed sign, the one whose secant zero comes first
-            g_new = [g(t_new, y_new) for g in events]
-            for k, (g0, g1) in enumerate(zip(g_prev, g_new)):
-                if g0 != 0.0 and g0 * g1 <= 0.0 and (hit is None or g0 / (g0 - g1) < frac):
-                    hit, frac = k, g0 / (g0 - g1)
-            if hit is not None:
-                slack = _EVENT_SLACK * (1.0 + max(abs(y_new[0]), abs(y_new[1])))
-                if abs(g_new[hit]) > slack and max(h * frac, _HMIN) < h:
+        if events:      # reached: ended past a level or within the slack of it
+            passed = _first_pass((), events, y, y_new, -1.0)
+            if passed:
+                hit = passed[1]
+            elif land is not None:      # short of the level: the near end moves
+                h_next = _illinois(land, events, h, y_new, False)
+                if land[1][0] < h_next < land[2][0]:
                     res.rejected += 1
-                    h *= frac
+                    h = h_next
                     continue
-            g_prev = g_new
+                land = None
+        t_new = t + h
         end_t(t_new)
         end_y0(y_new[0])
 
@@ -261,7 +261,7 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=None,
 
         t, y, k1 = t_new, y_new, k_end
         if hit is not None:
-            res.event_index, res.event_t, res.event_y = hit, t, np.array(y)
+            res.event_index = hit
             break
         if err > 0.0:
             h *= min(_GROW_MAX, _SAFETY * (scale / err) ** 0.2)

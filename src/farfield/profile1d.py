@@ -92,15 +92,6 @@ def _launch(nl: Nonlinearity, slope0: float, xi_end: float, **kwargs):
     return integrate(rhs, 0.0, (0.0, slope0), xi_end, tol=_LAUNCH_TOL, breaks=nl.kinks, **kwargs)
 
 
-def integrate_profile_ode(nl: Nonlinearity, slope0: float, xi_grid, events=None):
-    """The launch from (V, V') = (0, slope0) read on xi_grid by dense output:
-    (V samples, W samples, raw ode result), the samples up to the event
-    that stops it, if any. A probe adds its kick to the `shoot_slope` it
-    passes."""
-    res = _launch(nl, slope0, float(xi_grid[-1]), sample_ts=xi_grid, events=events)
-    return res.sample_ys[:, 0], res.sample_ys[:, 1], res
-
-
 def _xi_mesh(nl: Nonlinearity, z: float):
     """Graded V-mesh, broken at f's kinks below z - _EXIT_TOL, the slopes W
     there and xi(V) at every node, in the term's closed form."""
@@ -207,27 +198,22 @@ def disconnectedness_probe(nl: Nonlinearity, z: float, delta: float, sign: int,
     reproduces the profile itself (event "none"). This is the numerical
     witness that distinct limit values have separated launch slopes.
     """
-    if delta < 0 or sign not in (-1, 0, 1):
+    if not delta >= 0 or sign not in (-1, 0, 1):
         raise InputError("probe: need delta >= 0 and sign in {-1, 0, 1}")
+    if not 0 < xi_max < math.inf or n < 1:
+        raise InputError("probe: need finite xi_max > 0 and n >= 1")
     xi = np.linspace(0.0, xi_max, n + 1)
-    kick = sign * delta
-
-    events = [
-        lambda t, y: y[0] - z,            # reaches the limit value
-        lambda t, y: y[1],                # slope vanishes below the limit
-        lambda t, y: y[0],                # falls back to the floor
-        lambda t, y: y[0] - nl.s_max,     # leaves the analysis window
-    ]
-    names = {0: "crossed_limit", 1: "stalled_below", 2: "returned_to_zero", 3: "left_window"}
-
-    v, w, res = integrate_profile_ode(nl, shoot_slope(nl, z) + kick, xi, events=events)
+    # reaches the limit value, its slope vanishes below it, it falls back to
+    # the floor, it leaves the analysis window
+    events = [(0, z), (1, 0.0), (0, 0.0), (0, nl.s_max)]
+    names = ("crossed_limit", "stalled_below", "returned_to_zero", "left_window")
+    res = _launch(nl, shoot_slope(nl, z) + sign * delta, xi_max, sample_ts=xi, events=events)
     if res.event_index is None:
         event, xe, ve, we = "none", None, None, None
     else:
-        event = names[res.event_index]
-        xe, ve, we = float(res.event_t), float(res.event_y[0]), float(res.event_y[1])
-    return ProbeReport(float(z), float(delta), int(sign), event, xe, ve, we,
-                       xi[:v.size], v, w)
+        event, xe, (ve, we) = names[res.event_index], res.t, res.y.tolist()
+    v, w = res.sample_ys.T
+    return ProbeReport(float(z), float(delta), int(sign), event, xe, ve, we, xi[:v.size], v, w)
 
 
 def profile_residual(p: Profile1D, nl: Nonlinearity) -> float:

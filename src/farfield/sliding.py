@@ -116,7 +116,7 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
 
         grid = np.linspace(r0, _BUBBLE_R_MAX, 4097)
         return integrate(rhs, r0, y0, _BUBBLE_R_MAX, tol=_BUBBLE_TOL, sample_ts=grid,
-                         events=[lambda r, y: y[0]], breaks=nl.kinks)
+                         events=[(0, 0.0)], breaks=nl.kinks)
 
     a = z - 0.5 * eps
     lo = z - eps
@@ -129,10 +129,10 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
     feas = res.event_index is not None
     r, v, vp = res.sample_ts, res.sample_ys[:, 0], res.sample_ys[:, 1]
     if feas:
-        R = float(res.event_t)
+        R = res.t
         r = np.append(r, R)
         v = np.clip(np.append(v, 0.0), 0.0, None)
-        vp = np.append(vp, float(res.event_y[1]))
+        vp = np.append(vp, res.y[1])
     else:
         R = np.inf
     bub = Bubble(float(z), float(eps), int(N), float(a), R, r, v, vp, feas, bis)

@@ -12,7 +12,7 @@ from farfield import nonlinearity, odes, profile1d, sliding
 from farfield.errors import InputError, NumericError
 from farfield.nonlinearity import compute_Zf, eval_capped, integral_between, make
 from farfield.odes import OdeResult, integrate
-from farfield.profile1d import compute_profile, disconnectedness_probe, integrate_profile_ode
+from farfield.profile1d import compute_profile, disconnectedness_probe
 
 
 def test_exponential_decay():
@@ -38,26 +38,29 @@ def test_samples_inside_steps_are_accurate():
 
 
 def test_event_bisection():
-    # y = t - 1 crosses zero at exactly t = 1
-    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [-1.0, 0.0], 3.0,
-                    events=[lambda t, y: y[0]])
+    # y = t - 1 crosses zero at exactly t = 1, where the run stops
+    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [-1.0, 0.0], 3.0, events=[(0, 0.0)])
     assert res.event_index == 0
-    assert abs(res.event_t - 1.0) < 1e-9
-    assert abs(res.t - res.event_t) < 1e-12
+    assert abs(res.t - 1.0) < 1e-9
+    assert abs(res.y[0]) <= odes._EVENT_SLACK * (1.0 + np.max(np.abs(res.y)))
 
 
 def test_event_starting_at_zero_does_not_fire():
-    # sign changes are detected from a nonzero reference, so a trajectory
-    # launched on the zero line runs to completion
-    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [0.0, 0.0], 1.0,
-                    events=[lambda t, y: y[0]])
+    # an event does not count from its own level, so a trajectory launched
+    # on the zero line runs to completion
+    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [0.0, 0.0], 1.0, events=[(0, 0.0)])
     assert res.event_index is None
     assert abs(res.y[0] - 1.0) < 1e-12
 
 
 def test_reversed_interval_rejected():
-    with pytest.raises(NumericError):
-        integrate(lambda t, y: (-y[0], 0.0), 1.0, [1.0, 0.0], 0.0)
+    # caller input: a NaN end would return at t0 with no step, and an
+    # infinite one would end in a NaN state
+    for t1 in (0.0, 1.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="need finite t0 < t1"):
+            integrate(lambda t, y: (-y[0], 0.0), 1.0, [1.0, 0.0], t1)
+    with pytest.raises(InputError, match="need finite t0 < t1"):
+        integrate(lambda t, y: (-y[0], 0.0), -math.inf, [1.0, 0.0], 0.0)
 
 
 def test_step_budget_enforced(monkeypatch):
@@ -148,35 +151,35 @@ def _counted(fn, n):
 
 
 def test_an_event_costs_only_its_cut_attempts():
-    # an attempt that passes the event is taken again, cut at the secant's
-    # zero of g, and counts as a rejected attempt: a run with an event costs
-    # what one without does, n_steps + 10 (n_steps + rejected) rhs calls,
-    # plus the end slope of the last step when a sample lies inside it
+    # an attempt that passes the event is taken again, cut inside its bracket,
+    # and counts as a rejected attempt: a run with an event costs what one
+    # without does, n_steps + 10 (n_steps + rejected) rhs calls, plus the end
+    # slope of the last step when a sample lies inside it
     rhs = lambda t, y: (y[1], -math.sin(y[0]))
-    event = lambda t, y: y[0] - 2.0
     ts = None
     for last in (0, 1):
         calls = [0]
         res = integrate(_counted(rhs, calls), 0.0, [0.0, 1.9], 30.0, tol=1e-11,
-                        sample_ts=ts, events=[event])
+                        sample_ts=ts, events=[(0, 2.0)])
         assert res.event_index == 0
         assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected) + last
-        ts = [res.event_t - 1e-9]      # the next run samples inside its last step
-    tight = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-13, events=[event])
-    assert abs(res.event_t - tight.event_t) < 1e-10
-    assert abs(res.event_y[0] - 2.0) < 1e-14
+        ts = [res.t - 1e-9]      # the next run samples inside its last step
+    tight = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-13, events=[(0, 2.0)])
+    assert abs(res.t - tight.t) < 1e-10
+    assert abs(res.y[0] - 2.0) < 1e-14
 
 
 def test_an_event_is_the_last_accepted_step_end():
     # the reported event is the extrapolated state of the run's last step,
     # not a point read off an interpolant
     res = integrate(lambda t, y: (y[1], -math.sin(y[0])), 0.0, [0.0, 1.9], 30.0, tol=1e-11,
-                    sample_ts=np.linspace(0.0, 30.0, 301), events=[lambda t, y: y[0] - 2.0])
-    assert res.event_t == res.step_ts[-1] == res.t
-    assert res.event_y[0] == res.step_y0s[-1] and res.event_y.tobytes() == res.y.tobytes()
+                    sample_ts=np.linspace(0.0, 30.0, 301), events=[(0, 2.0)])
+    assert res.event_index == 0
+    assert res.t == res.step_ts[-1] and res.y[0] == res.step_y0s[-1]
+    assert abs(res.y[0] - 2.0) <= odes._EVENT_SLACK * (1.0 + np.max(np.abs(res.y)))
     assert len(res.step_ts) == res.n_steps
     # the samples reached, those up to the event, and no more
-    assert res.sample_ts[-1] <= res.event_t < res.sample_ts[-1] + 0.1
+    assert res.sample_ts[-1] <= res.t < res.sample_ts[-1] + 0.1
     assert len(res.sample_ts) == len(res.sample_ys)
 
 
@@ -185,25 +188,32 @@ def test_the_earliest_crossing_wins(order):
     # y = t crosses 1 before 1.05; a step over both lands on y = 1 whichever
     # event comes first in the list
     levels = [1.05, 1.0]
-    events = [(lambda c: lambda t, y: y[0] - c)(levels[k]) for k in order]
-    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [0.0, 0.0], 3.0, events=events)
+    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [0.0, 0.0], 3.0,
+                    events=[(0, levels[k]) for k in order])
     assert res.event_index == order.index(1)
-    assert abs(res.event_t - 1.0) < 1e-15 and abs(res.event_y[0] - 1.0) < 1e-15
+    assert abs(res.t - 1.0) < 1e-15 and abs(res.y[0] - 1.0) < 1e-15
+
+
+def test_an_event_wins_a_tie_with_a_kink():
+    # the level 1 is both a kink of the rhs and an event: the run stops on it
+    # within the event's slack, not at the kink's looser one
+    rhs = lambda t, y: (1.0 + abs(y[0] - 1.0), 0.0)
+    res = integrate(rhs, 0.0, [0.0, 0.0], 3.0, events=[(0, 1.0)], breaks=(1.0,))
+    assert res.event_index == 0
+    assert abs(res.y[0] - 1.0) <= odes._EVENT_SLACK * (1.0 + np.max(np.abs(res.y)))
+    assert res.step_ts[-1] - res.step_ts[-2] > 1e3 * odes._HMIN
 
 
 def test_an_event_no_float_state_hits_ends_after_a_few_cuts():
-    # g = 1e3 (y^2 - 2) jumps over 0 by 4e-13 between neighbouring floats y,
-    # far more than the landing slack. The secant cuts end short of the zero
-    # of this convex g, on the float just below sqrt 2 at last; from there
-    # the cut is an _HMIN step, which no cut shortens, so it lands past the
-    # zero (without that guard the run would retry it forever)
-    calls = [0]
-    g = _counted(lambda t, y: 1e3 * (y[0] * y[0] - 2.0), calls)
-    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [0.0, 0.0], 3.0, events=[g])
-    assert res.event_index == 0 and res.event_t == res.step_ts[-1]
-    cuts = calls[0] - 1 - res.n_steps - 1     # the initial g and the check below
-    assert g(res.event_t, res.event_y) > 0.0 and cuts <= 8
-    assert abs(res.event_y[0] - math.sqrt(2.0)) <= 2.0 * odes._HMIN
+    # g = 1e3 (y^2 - 2) has no float zero: it jumps by 4e-13 between
+    # neighbouring floats y. As a level, the crossing is the pair (0, sqrt 2),
+    # and the bracket lands within 4 ulp of it on an ordinary step, not on an
+    # _HMIN step that creeps past it
+    res = integrate(lambda t, y: (1.0, 0.0), 0.0, [0.0, 0.0], 3.0, events=[(0, math.sqrt(2.0))])
+    assert res.event_index == 0 and res.t == res.step_ts[-1]
+    assert abs(res.y[0] - math.sqrt(2.0)) <= 4.0 * math.ulp(math.sqrt(2.0))
+    assert res.step_ts[-1] - res.step_ts[-2] > 1e3 * odes._HMIN
+    assert res.rejected <= 2
 
 
 def test_steps_follow_the_tolerance_not_the_samples():
@@ -211,7 +221,7 @@ def test_steps_follow_the_tolerance_not_the_samples():
     # route, which reads dense output) steps exactly as the bare launch does
     nl = make("abs-sin")
     slope0 = profile1d.shoot_slope(nl, math.pi)
-    _, _, res = integrate_profile_ode(nl, slope0, np.linspace(0.0, 20.0, 2049))
+    res = profile1d._launch(nl, slope0, 20.0, sample_ts=np.linspace(0.0, 20.0, 2049))
     bare = profile1d._launch(nl, slope0, 20.0)
     assert len(res.sample_ys) == 2049 and bare.sample_ys is None
     assert res.n_steps <= 250
@@ -287,8 +297,10 @@ def test_a_step_starting_on_a_break_is_not_cut():
 # Steps follow the tolerance alone, and a sample strictly inside a step reads
 # the step's quintic Hermite interpolant through its start, its corrected
 # midpoint y_half - d/30 and its end. Every accepted step's end t and y[0]
-# are recorded; an attempt that passes an event is cut at the secant's zero
-# of g, so the run's last step ends at the event.
+# are recorded. Kinks and events are levels: an attempt that passes the
+# earliest by more than its slack is cut at the secant's meeting with it,
+# and an event's cuts narrow a bracket in h until an end lies within its
+# slack, so the run's last step ends at the event.
 
 def _ref_rk4_step(rhs, t, y, h):
     k1 = rhs(t, y)
@@ -335,21 +347,37 @@ def _ref_break_fraction(breaks, a, b, slack=1e-9):
     return None if k is None else (k - a) / (b - a)
 
 
+def _ref_first_level(breaks, events, y, y_new, slack):
+    # (fraction, event index or None) of the earliest level passed by more
+    # than slack: each event (c, level) that y[c] does not start on, and the
+    # nearest passed break; an event wins a tie with a break or a later event
+    found = [((level - y[c]) / (y_new[c] - y[c]), 0, k) for k, (c, level) in enumerate(events)
+             if (y[c] < level and y_new[c] - level > slack)
+             or (y[c] > level and level - y_new[c] > slack)]
+    frac = _ref_break_fraction(breaks, y[0], y_new[0])
+    if frac is not None:
+        found.append((frac, 1, None))
+    return None if not found else min(found)[::2]
+
+
 def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
-                         hmax=None, sample_ts=None, events=None, breaks=(),
+                         hmax=None, sample_ts=None, events=(), breaks=(),
                          max_steps=2_000_000, event_slack=2.0 ** -50):
     """The ndarray stepper; rhs may return any sequence, as the tuple one allows.
-    An attempt that passes a break of y[0] is taken again, cut where the
-    secant of y[0] between its ends meets the break; the cut counts as a
-    rejected attempt. An attempt whose end passes an event's g = 0 by more
-    than event_slack (1 + max|y|) is cut alike, at the secant's zero of g,
-    unless the cut would not shorten it; the earliest such zero wins."""
+    An attempt that passes a break of y[0], or an event's level, by more than
+    its slack is taken again, cut where the secant between its ends meets the
+    earliest such level; the cut counts as a rejected attempt and a cut that
+    ends short of a break is accepted. An event's cuts keep a bracket in h:
+    the near end is the start, then each cut ending short that passes the
+    error test, the far end each attempt past the level; the next h is the
+    regula falsi's, and an end kept twice has its g halved (Illinois). The
+    first accepted end past a level or within its slack of it stops the run."""
     user_rhs = rhs
     rhs = lambda t, y: np.array(user_rhs(t, y), dtype=float)
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     t = float(t0)
-    if t1 <= t0:
-        raise NumericError("integrate: need t1 > t0")
+    if not -math.inf < t0 < t1 < math.inf:
+        raise InputError("integrate: need finite t0 < t1")
     if hmax is None:
         hmax = (t1 - t0) / 16.0
     h = h0 if h0 is not None else min(hmax, (t1 - t0) / 100.0)
@@ -361,10 +389,8 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
         while len(ys) < sample_ts.size and sample_ts[len(ys)] <= t:
             ys.append(y)
 
-    g_prev = None
-    if events:
-        g_prev = [g(t, y) for g in events]
-
+    near = far = None     # the bracket's ends: dicts of h, g and the event k
+    last = None           # the end that moved last, "near" or "far"
     steps = 0
     while t < t1:
         if steps >= max_steps:
@@ -372,31 +398,54 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
         h = max(min(h, hmax, t1 - t), hmin)
 
         y_new, err, d, y_half = _ref_double_step(rhs, t, y, h)
-        frac = _ref_break_fraction(breaks, y[0], y_new[0]) if h > hmin else None
-        if frac is not None:
+        slack = event_slack * (1.0 + np.max(np.abs(y_new)))
+        found = _ref_first_level(breaks, events, y, y_new, slack) if h > hmin else None
+        if found is not None and found[1] is None:
             res.rejected += 1
-            h *= frac
+            h *= found[0]
+            near = None
             continue
+        if found is not None:
+            k = found[1]
+            c, level = events[k]
+            if near is None or near["k"] != k:
+                near = dict(k=k, h=0.0, g=y[c] - level)
+                far, last = dict(h=h, g=y_new[c] - level), "far"
+                h_next = h * found[0]
+            else:
+                if last == "far":
+                    near["g"] *= 0.5
+                far, last = dict(h=h, g=y_new[c] - level), "far"
+                h_next = near["h"] + (far["h"] - near["h"]) * (near["g"] / (near["g"] - far["g"]))
+            if near["h"] < h_next < far["h"]:
+                res.rejected += 1
+                h = h_next
+                continue
         scale = tol * (1.0 + np.max(np.abs(y)))
         if err > scale and h > hmin:
             res.rejected += 1
             h *= max(0.1, 0.9 * (scale / err) ** 0.2)
+            near = None
             continue
 
-        t_new = t + h
         hit = None
         if events:
-            g_new = [g(t_new, y_new) for g in events]
-            crossed = [(g0 / (g0 - g1), k) for k, (g0, g1) in enumerate(zip(g_prev, g_new))
-                       if g0 != 0.0 and g0 * g1 <= 0.0]
-            if crossed:
-                frac, hit = min(crossed)
-                slack = event_slack * (1.0 + np.max(np.abs(y_new)))
-                if abs(g_new[hit]) > slack and max(h * frac, hmin) < h:
+            reached = _ref_first_level((), events, y, y_new, -slack)
+            if reached is not None:
+                hit = reached[1]
+            elif near is not None:
+                c, level = events[near["k"]]
+                if last == "near":
+                    far["g"] *= 0.5
+                near.update(h=h, g=y_new[c] - level)
+                last = "near"
+                h_next = near["h"] + (far["h"] - near["h"]) * (near["g"] / (near["g"] - far["g"]))
+                if near["h"] < h_next < far["h"]:
                     res.rejected += 1
-                    h *= frac
+                    h = h_next
                     continue
-            g_prev = g_new
+                near = None
+        t_new = t + h
         steps += 1
         res.step_ts.append(t_new)
         res.step_y0s.append(y_new[0])
@@ -413,7 +462,7 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
 
         t, y = t_new, y_new
         if hit is not None:
-            res.event_index, res.event_t, res.event_y = hit, t, y
+            res.event_index = hit
             break
         if err > 0.0:
             h *= min(4.0, 0.9 * (scale / err) ** 0.2)
@@ -443,13 +492,10 @@ def _launches(monkeypatch, module, stepper, run):
 def _assert_bit_identical(a: OdeResult, b: OdeResult):
     assert (a.n_steps, a.rejected) == (b.n_steps, b.rejected)
     assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
-    assert (a.event_index, a.event_t) == (b.event_index, b.event_t)
+    assert a.event_index == b.event_index
     assert np.array(a.step_ts).tobytes() == np.array(b.step_ts).tobytes()
     assert np.array(a.step_y0s).tobytes() == np.array(b.step_y0s).tobytes()
     assert len(a.step_ts) == a.n_steps
-    assert (a.event_y is None) == (b.event_y is None)
-    if a.event_y is not None:
-        assert a.event_y.tobytes() == b.event_y.tobytes()
     assert (a.sample_ys is None) == (b.sample_ys is None)
     if a.sample_ys is not None:
         assert a.sample_ts.tobytes() == b.sample_ts.tobytes()
@@ -474,7 +520,7 @@ def test_profile_launch_matches_the_ndarray_stepper(monkeypatch, spec, z):
     nl = make(spec)
     if z in _NEAR_ZEROS:
         slope0 = math.sqrt(2.0 * integral_between(nl, 0.0, z))
-        run = lambda: integrate_profile_ode(nl, slope0, np.linspace(0.0, 10.0, 1025))
+        run = lambda: profile1d._launch(nl, slope0, 10.0, sample_ts=np.linspace(0.0, 10.0, 1025))
     else:
         run = lambda: compute_profile(nl, z, xi_max=20.0)
     new = _launches(monkeypatch, profile1d, integrate, run)
@@ -528,7 +574,7 @@ def test_profile_launch_rhs_clips_the_state_to_the_window(monkeypatch, spec):
     nl = make(spec)
     seen = _clip_checked(monkeypatch, profile1d, nl)
     for slope0 in (-1.0, 3.0 * nl.s_max):      # leave [0, s_max] below and above
-        integrate_profile_ode(nl, slope0, np.linspace(0.0, 2.0, 9))
+        profile1d._launch(nl, slope0, 2.0, sample_ts=np.linspace(0.0, 2.0, 9))
     assert min(seen) < 0.0 and max(seen) > nl.s_max
 
 
@@ -561,55 +607,71 @@ def test_probe_launch_matches_the_ndarray_stepper(monkeypatch, sign):
     _assert_bit_identical(new[0], ref[0])
 
 
-def _cap(spec, z, eps):
-    return pytest.param(sliding, lambda: sliding.radial_bubble(make(spec), z, eps),
+def _cap(spec, z, eps, steps):
+    return pytest.param(sliding, lambda: sliding.radial_bubble(make(spec), z, eps), steps,
                         id=f"cap-{spec}")
 
 
-def _probe(nl, z, delta, sign, **kw):
+def _probe(nl, z, delta, sign, steps, **kw):
     return pytest.param(profile1d, lambda: disconnectedness_probe(nl, z, delta, sign, **kw),
-                        id=f"probe-{nl.kind}-{z:.6g}-{sign:+d}")
+                        steps, id=f"probe-{nl.kind}-{z:.6g}-{sign:+d}")
 
 
 # the CI caps, and probes kicked both ways: abs-sin at pi and, on s_max 20,
-# at 3, 5 and 6 pi; the logistic at 1; the demo's cantor:3 level 2/27
+# at 3, 5 and 6 pi; the logistic at 1; the demo's cantor:3 level 2/27. Each
+# carries the accepted steps its event launch took when a cut that ended
+# short was accepted as an ordinary step (and 82 for the abs-sin pi probe
+# kicked below, which that rule took 85 steps to creep up on its stall)
 _ABS_SIN_20, _CANTOR_3 = make("abs-sin", s_max=20.0), make("cantor:3")
-_LANDING_RUNS = [_cap("logistic", 1.0, 0.1), _cap("cantor:3", 26 / 27, 0.05),
-                 _cap("abs-sin", 3.0 * math.pi, 0.5)]
-_LANDING_RUNS += [_probe(nl, z, delta, sign, **kw) for sign in (1, -1) for nl, z, delta, kw in (
-    [(make("abs-sin"), math.pi, 0.1, {}), (make("logistic"), 1.0, 0.1, {}),
-     (_CANTOR_3, compute_Zf(_CANTOR_3).points[1], 1e-4, {"xi_max": 60.0})]
-    + [(_ABS_SIN_20, k * math.pi, 0.1, {}) for k in (3, 5, 6)])]
+_LANDING_RUNS = [_cap("logistic", 1.0, 0.1, 163), _cap("cantor:3", 26 / 27, 0.05, 517),
+                 _cap("abs-sin", 3.0 * math.pi, 0.5, 314)]
+_LANDING_RUNS += [_probe(nl, z, delta, sign, steps[sign < 0], **kw) for sign in (1, -1)
+                  for nl, z, delta, steps, kw in (
+    [(make("abs-sin"), math.pi, 0.1, (82, 82), {}), (make("logistic"), 1.0, 0.1, (58, 55), {}),
+     (_CANTOR_3, compute_Zf(_CANTOR_3).points[1], 1e-4, (56, 59), {"xi_max": 60.0})]
+    + [(_ABS_SIN_20, k * math.pi, 0.1, steps, {})
+       for k, steps in ((3, (149, 153)), (5, (203, 209)), (6, (227, 238)))])]
+# their attempts, accepted and rejected, over every launch of the 15 runs
+# under that rule
+_LANDING_ATTEMPTS = 2909
 
 
 def _landings(monkeypatch, module, run):
-    """(|g| at the event, cut attempts, event is the last step end) for each
-    launch `run` makes through `module` that stops on an event. Every
-    accepted step and every cut evaluates all the events once."""
+    """(OdeResult, events) of every launch `run` makes through `module`."""
     out = []
 
-    def counted(rhs, *args, events, **kwargs):
-        n = [0]
-        res = integrate(rhs, *args, events=[_counted(g, n) for g in events], **kwargs)
-        if res.event_index is not None:
-            g = events[res.event_index](res.event_t, tuple(res.event_y))
-            cuts = n[0] // len(events) - 1 - res.n_steps
-            out.append((abs(g), cuts, res.event_t == res.step_ts[-1]))
-        return res
+    def recorded(rhs, *args, events=(), **kwargs):
+        out.append((integrate(rhs, *args, events=events, **kwargs), events))
+        return out[-1][0]
 
-    monkeypatch.setattr(module, "integrate", counted)
+    monkeypatch.setattr(module, "integrate", recorded)
     run()
     return out
 
 
-@pytest.mark.parametrize("module, run", _LANDING_RUNS)
-def test_probe_and_cap_events_land_on_their_zero(monkeypatch, module, run):
-    # the CI caps and the kicked probes: each event is an accepted step end
-    # within 1e-13 of g = 0, reached in at most 8 cut attempts
-    out = _landings(monkeypatch, module, run)
-    assert out
-    for g, cuts, last in out:
-        assert last and g <= 1e-13 and cuts <= 8, (g, cuts)
+@pytest.mark.parametrize("module, run, steps", _LANDING_RUNS)
+def test_probe_and_cap_events_land_on_their_zero(monkeypatch, module, run, steps):
+    # the CI caps and the kicked probes: each event is the last accepted step
+    # end, within the event slack of its level, reached on an ordinary step
+    # rather than an _HMIN step, in no more accepted steps than listed
+    landed = [(res, events) for res, events in _landings(monkeypatch, module, run)
+              if res.event_index is not None]
+    assert len(landed) == 1
+    res, events = landed[0]
+    c, level = events[res.event_index]
+    assert res.t == res.step_ts[-1] and res.y[0] == res.step_y0s[-1]
+    assert abs(res.y[c] - level) <= odes._EVENT_SLACK * (1.0 + np.max(np.abs(res.y)))
+    assert res.step_ts[-1] - res.step_ts[-2] > 1e3 * odes._HMIN
+    assert res.n_steps <= steps
+
+
+def test_landing_runs_take_no_more_attempts_than_listed(monkeypatch):
+    attempts = 0
+    for param in _LANDING_RUNS:
+        module, run, _ = param.values
+        attempts += sum(res.n_steps + res.rejected
+                        for res, _ in _landings(monkeypatch, module, run))
+    assert attempts <= _LANDING_ATTEMPTS
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,17 @@ def test_probe_unperturbed_reproduces_profile():
 
 def test_probe_validates_arguments():
     nl = make("logistic")
-    with pytest.raises(InputError):
-        disconnectedness_probe(nl, 1.0, -0.1, +1)
+    for delta in (-0.1, math.nan):
+        with pytest.raises(InputError, match="need delta >= 0"):
+            disconnectedness_probe(nl, 1.0, delta, +1)
     with pytest.raises(InputError):
         disconnectedness_probe(nl, 1.0, 0.1, 2)
+    # a NaN xi_max would report event "none" on an all-NaN grid
+    for xi_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="need finite xi_max > 0 and n >= 1"):
+            disconnectedness_probe(nl, 1.0, 0.1, -1, xi_max=xi_max)
+    with pytest.raises(InputError, match="need finite xi_max > 0 and n >= 1"):
+        disconnectedness_probe(nl, 1.0, 0.1, -1, n=0)
 
 
 def test_profile_csv_round_trip(tmp_path):
