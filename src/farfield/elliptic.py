@@ -12,19 +12,20 @@ Unknowns are every node except the Dirichlet ones: the trace column on x1,
 the floor on x2. On them the Laplacian is the Kronecker sum
 (T1 kron I + I kron T2) / h^2 of 1-D second differences, each
 Dirichlet-mirror or periodic.
-`assemble_laplacian` builds it once per solve as a sparse matrix L with a
-boundary vector b, and it is the only discrete Laplacian here: the flow,
-Newton and every residual apply L u + b. It is diagonalized axis by axis,
-so `shifted_solver` solves (sigma I - L) x = rhs with no matrix factored:
-by dense eigenbasis products on grids of at most _DENSE_MAX_AXIS unknowns
-per axis, by sine and Fourier transforms on larger ones.
+`assemble_laplacian` returns it as a sparse matrix L with a boundary vector
+b, and it is the only discrete Laplacian here: the flow, Newton and every
+residual apply L u + b. It is diagonalized axis by axis, so
+`shifted_solver` solves (sigma I - L) x = rhs with no matrix factored: by
+dense eigenbasis products on grids of at most _DENSE_MAX_AXIS unknowns per
+axis, by sine and Fourier transforms on larger ones. L and the solvers
+are built once per process and shared, L read-only; b is built per solve.
 
 One relaxation, the semi-implicit flow `flow_relax`, keeps order down to
 its basin; each step is one shifted solve of K - L. In the basin, where one
 mode's geometric decay dominates, a step whose last two residual ratios
 agree is stretched by 1 / (1 - ratio) to the sum of that tail, at most 2x
-a step. `flow_operator` builds its fixed parts once, so flows that share
-them (a sweep's trials) assemble nothing more.
+a step. `flow_operator` gathers its fixed parts, so flows that share them
+(a sweep's trials) build not even b again.
 `solve_field` builds its two methods from this flow and one damped Newton
 iteration, `newton_solve`, whose steps solve with the Jacobian
 L + diag(f'(v+)), f' the exact one-sided slope `fprime` of the clipped f,
@@ -48,6 +49,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -61,6 +63,7 @@ from .grids import Field, Grid2D, as_trace, periodic_axes
 from .nonlinearity import Nonlinearity, eval_capped, fprime
 
 _DENSE_MAX_AXIS = 64          # shifted solves by dense eigenbasis products up to this
+_OPERATORS_KEPT = 4           # Laplacians, and shifted solvers, kept built per process
 _NEWTON_MAX_ITER = 60
 _FLOW_MAX_STEPS = 200_000
 _FLOW_TARGET = 1e-3           # solve_field's basin: residual below which Newton may finish
@@ -117,6 +120,16 @@ def _kron_sum(T1: dia_matrix, T2: dia_matrix) -> dia_matrix:
                       shape=(n1 * n2, n1 * n2))
 
 
+@lru_cache(maxsize=_OPERATORS_KEPT)
+def _laplacian(grid: Grid2D, kind: str) -> dia_matrix:
+    """L of `assemble_laplacian`, built once per (grid, kind) and read-only."""
+    p1, p2 = periodic_axes(kind)
+    L = _kron_sum(_second_difference(grid.n1, p1), _second_difference(grid.n2, p2))
+    L.data *= 1.0 / (grid.h * grid.h)   # in place: a scaled copy would double the memory touched
+    L.data.flags.writeable = L.offsets.flags.writeable = False
+    return L
+
+
 def assemble_laplacian(grid: Grid2D, kind: str, trace: np.ndarray | None):
     """Sparse Laplacian L and boundary vector b with Delta u = L u + b.
 
@@ -128,16 +141,16 @@ def assemble_laplacian(grid: Grid2D, kind: str, trace: np.ndarray | None):
     1-D second differences, one per direction and closure. Mirror ghosts
     double the inward coefficient on zero-flux edges; Dirichlet data lands
     in b, which is the trace row over h^2 (less the floor corner over a
-    Dirichlet x2). A periodic x1 has no trace and b = 0.
+    Dirichlet x2). A periodic x1 has no trace and b = 0. L depends on
+    (grid, kind) alone: the last _OPERATORS_KEPT are kept and shared,
+    read-only, at 40 bytes an unknown on a quarter (1.15 MB at 240 x 120,
+    12 MB at 307,200 unknowns), 56 on a half and 72 on the torus.
     """
-    n1, n2, h2 = grid.n1, grid.n2, grid.h * grid.h
+    L = _laplacian(grid, kind)
+    b = np.zeros(L.shape[0])
     p1, p2 = periodic_axes(kind)
-    T1, T2 = _second_difference(n1, p1), _second_difference(n2, p2)
-    L = _kron_sum(T1, T2)
-    L.data *= 1.0 / h2        # in place: a scaled copy would double the memory touched
-    b = np.zeros(n1 * n2)
     if not p1:
-        b[:n2] += (trace if p2 else trace[1:]) / h2
+        b[:grid.n2] += (trace if p2 else trace[1:]) / (grid.h * grid.h)
     return L, b
 
 
@@ -182,8 +195,14 @@ def shifted_solver(grid: Grid2D, kind: str, sigma: float):
 
     rhs is the unknown block (n1, n2) or its ravel; x comes back in the same
     shape. No matrix of the grid's size is formed or factored, so the grid
-    size has no limit.
+    size has no limit. The last _OPERATORS_KEPT solvers are kept, keyed by
+    (grid, kind, sigma) and the kernel.
     """
+    return _shifted_solver(grid, kind, sigma, max(grid.n1, grid.n2) <= _DENSE_MAX_AXIS)
+
+
+@lru_cache(maxsize=_OPERATORS_KEPT)
+def _shifted_solver(grid: Grid2D, kind: str, sigma: float, dense: bool):
     n1, n2, h2 = grid.n1, grid.n2, grid.h * grid.h
     p1, p2 = periodic_axes(kind)
 
@@ -192,7 +211,6 @@ def shifted_solver(grid: Grid2D, kind: str, sigma: float):
         angle = np.pi * k / n if periodic else (2 * k + 1) * np.pi / (4 * n)
         return -4.0 * np.sin(angle) ** 2
 
-    dense = max(n1, n2) <= _DENSE_MAX_AXIS
     if dense:
         Q1, Q1inv, mu1 = _axis_eigenbasis(n1, p1)
         Q2, Q2inv, mu2 = _axis_eigenbasis(n2, p2)
@@ -311,27 +329,30 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, u0: np.ndarray,
 @dataclass(eq=False)
 class FlowOperator:
     """The parts of a flow step fixed by (nl, grid, kind, trace): L and b of
-    `assemble_laplacian`, the K - L `shifted_solver`, and the trace row
-    they were built from (None on the torus)."""
+    `assemble_laplacian`, the K - L `shifted_solver`, and the grid, kind and
+    trace row they were built from (trace None on the torus)."""
     L: dia_matrix
     b: np.ndarray
     solve: Callable[[np.ndarray], np.ndarray]
+    grid: Grid2D
+    kind: str
     trace: np.ndarray | None
 
 
 def flow_operator(nl: Nonlinearity, grid: Grid2D, kind: str,
                   trace: np.ndarray | None) -> FlowOperator:
-    """Build the flow's operator once, for any number of flows that share it.
+    """The flow's operator, for any number of flows that share it.
 
     K = max(Lip f, 1e-6) is the flow's shift: its implicit step solves
     K - L. K at or above the two-sided Lip f keeps v -> K v + f(v)
     nondecreasing and dt = 1/K at or below the reaction's fastest time scale;
     near a zero where f' = -K, one step cancels the error to first order.
+    On a grid already seen, L and the K - L solver are the kept ones.
     """
     trace = None if trace is None else np.array(trace, dtype=float)
     L, b = assemble_laplacian(grid, kind, trace)
     K = max(nl.lipschitz, 1e-6)
-    return FlowOperator(L, b, shifted_solver(grid, kind, K), trace)
+    return FlowOperator(L, b, shifted_solver(grid, kind, K), grid, kind, trace)
 
 
 def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
@@ -346,8 +367,8 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
     states stay ordered down to the basin. The boundary data are read from
     u0. `op` is a prebuilt `flow_operator` for flows that share one (nl,
     grid, kind, trace), as a sweep's trials do; without it the flow builds
-    its own. A u0 whose trace row is not the one `op` was built from is a
-    ConsistencyError.
+    its own. An `op` built for another grid or kind, or from another trace
+    row than u0's, is a ConsistencyError.
 
     The flow stops when the max-norm residual is at most res_target, after
     max_steps steps, or, given `basin`, at the first step from a residual at
@@ -369,9 +390,10 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
     trace = _trace_row(u0, kind)
     if op is None:
         op = flow_operator(nl, grid, kind, trace)
-    elif not np.array_equal(trace, op.trace):     # None equals only None
-        raise ConsistencyError("flow_relax: the start's trace row is not the "
-                               "one the flow operator was built from")
+    elif ((op.grid, op.kind) != (grid, kind)
+          or not np.array_equal(trace, op.trace)):    # None equals only None
+        raise ConsistencyError("flow_relax: the flow operator was built for "
+                               "another grid, kind or trace row than the start's")
     L, b, solve = op.L, op.b, op.solve
     v = _vec(u0, kind).copy()
     abs_rate = np.empty_like(v)       # |rate|, rewritten every step

@@ -16,12 +16,12 @@ floor, so it reports the state the evolution selects: the flow keeps order
 down to its basin, and in the basin it sums its geometric tail in jumps of
 at most 2x a step. Newton finishes only a trial whose flow stops
 contracting above tol. The flow's operator (L, b and the K - L solver) is
-fixed by the sweep's grid and trace, so a sweep builds it once and its
-trials share it. Every report carries an explicit surrogate-domain banner
-so the results are never mistaken for statements about the unbounded
-problem. Trials are reproducible: trials run one after another, trial k of
-a sweep with seed s draws from SeedSequence((s, k)), and aggregation is in
-trial order.
+fixed by the sweep's grid and trace, so a sweep gathers it once and its
+trials share it; a second sweep on the grid builds no L or solver. Every
+report carries an explicit surrogate-domain banner so the results are
+never mistaken for statements about the unbounded problem. Trials are
+reproducible: trials run one after another, trial k of a sweep with seed
+s draws from SeedSequence((s, k)), and aggregation is in trial order.
 """
 
 from __future__ import annotations

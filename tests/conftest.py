@@ -2,12 +2,14 @@
 
 Each fixture returns (nonlinearity, field, wall_seconds) so the acceptance
 tests can check both the numerics and the runtime budget without re-solving.
+`cold_operators` empties the Laplacians and shifted solvers kept per process.
 """
 
 import time
 
 import pytest
 
+from farfield import elliptic
 from farfield.elliptic import solve_field
 from farfield.grids import make_grid
 from farfield.nonlinearity import make
@@ -33,3 +35,9 @@ def abs_sin_half():
     t0 = time.perf_counter()
     field = solve_field(nl, grid, "half", 5.0, method="auto", tol=1e-8)
     return nl, field, time.perf_counter() - t0
+
+
+@pytest.fixture
+def cold_operators():
+    elliptic._laplacian.cache_clear()
+    elliptic._shifted_solver.cache_clear()

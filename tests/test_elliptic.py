@@ -253,6 +253,72 @@ def test_flow_rejects_an_operator_built_for_another_trace(kind):
         flow_relax(nl, u0, g, kind, op=op)
 
 
+def test_flow_rejects_an_operator_built_for_another_grid():
+    # both grids have 8 x 8 cells and one trace row, but another spacing:
+    # the foreign L would carry the flow to a state 0.3 off the true one
+    nl = make("abs-sin")
+    ga, gb = make_grid(4.0, 4.0, 0.5), make_grid(8.0, 8.0, 1.0)
+    tr = as_trace(5.0, gb, "half")
+    u0 = np.full((gb.n1 + 1, gb.n2), 5.0)
+    with pytest.raises(ConsistencyError, match="another grid"):
+        flow_relax(nl, u0, gb, "half", op=flow_operator(nl, ga, "half", tr))
+    # another cell count, the same trace row: no matmul of mismatched shapes
+    g1, g2 = make_grid(4.0, 2.0, 0.5), make_grid(6.0, 2.0, 0.5)
+    op = flow_operator(nl, g1, "half", as_trace(5.0, g1, "half"))
+    with pytest.raises(ConsistencyError, match="another grid"):
+        flow_relax(nl, np.full((g2.n1 + 1, g2.n2), 5.0), g2, "half", op=op)
+    # and the same grid, another kind
+    op = flow_operator(nl, g1, "torus", None)
+    with pytest.raises(ConsistencyError, match="another grid"):
+        flow_relax(nl, np.full((g1.n1 + 1, g1.n2), 5.0), g1, "half", op=op)
+
+
+# ---------------------------------------------------------------------------
+# the operators kept per process
+
+@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
+@pytest.mark.parametrize("method", ["auto", "newton"])
+def test_kept_operators_leave_solves_bit_identical(kind, method, cold_operators):
+    # a solve on empty caches, then another trace on the same grid, then the
+    # first solve again on the kept L and solver: the same bits
+    # (the torus has no trace: its starts are levels with a ripple)
+    nl = make("logistic")
+    g = make_grid(6.0, 4.0, 0.25)
+    ripple = 0.05 * np.sin(np.add.outer(np.arange(g.n1), np.arange(g.n2)))
+    runs = []
+    for level in (0.9, 0.7, 0.9):
+        if kind == "torus":
+            runs.append(solve_field(nl, g, kind, None, method=method,
+                                    u0=level + ripple, tol=1e-10))
+        else:
+            runs.append(solve_field(nl, g, kind, level, method=method, tol=1e-10))
+    cold, _, warm = runs
+    assert elliptic._laplacian.cache_info().hits >= 2
+    assert np.array_equal(warm.values, cold.values)
+    assert warm.residual == cold.residual
+    assert warm.meta == cold.meta
+
+
+def test_laplacian_is_shared_and_read_only():
+    g = make_grid(6.0, 4.0, 0.25)
+    trace = as_trace(1.0, g, "quarter")
+    L1, b1 = assemble_laplacian(g, "quarter", trace)
+    L2, b2 = assemble_laplacian(g, "quarter", 2.0 * trace)
+    assert L2 is L1
+    assert b2 is not b1 and np.array_equal(b2, 2.0 * b1)
+    assert flow_operator(make("abs-sin"), g, "quarter", trace).L is L1
+    assert assemble_laplacian(g, "half", as_trace(1.0, g, "half"))[0] is not L1
+    with pytest.raises(ValueError, match="read-only"):
+        L1.data[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        L1.data *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        L1.offsets[0] = 0
+    # Newton's Jacobian is a new matrix, not an update of the shared L
+    J = L1 + elliptic.diags(np.ones(L1.shape[0]))
+    assert np.array_equal(J.diagonal(), L1.diagonal() + 1.0)
+
+
 def test_inserted_profile_residual_is_discretization_order():
     # a field that is exactly the 1-D profile in x2 solves the continuum
     # problem, so the discrete residual must shrink like h^2

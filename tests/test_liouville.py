@@ -124,6 +124,22 @@ def test_sweep_assembles_once(sweep, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("sweep", [periodic_box_sweep, halfspace_strip_sweep])
+def test_sweeps_on_one_grid_build_once_per_process(sweep, monkeypatch, cold_operators):
+    # L and the dense eigenbases of its two axes depend on the grid alone:
+    # a second sweep on the grid, with another seed, builds none of them
+    built = []
+    for name in ("_kron_sum", "_axis_eigenbasis"):
+        real = getattr(elliptic, name)
+        monkeypatch.setattr(elliptic, name, lambda *a, _n=name, _f=real, **kw:
+                            built.append(_n) or _f(*a, **kw))
+    nl = make("abs-sin")
+    for seed in (0, 1):
+        rep = sweep(nl, L=8.0, h=0.5, n_trials=3, seed=seed)
+        assert rep.converged == 3
+        assert sorted(built) == ["_axis_eigenbasis", "_axis_eigenbasis", "_kron_sum"]
+
+
 def test_sweep_is_blas_thread_invariant():
     # on 64 x 64 unknowns the flow's shifted solves are dense matrix
     # products; the sweep's report must not depend on the BLAS thread count
