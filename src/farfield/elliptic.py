@@ -24,8 +24,7 @@ One relaxation, the semi-implicit flow `flow_relax`, keeps order down to
 its basin; each step is one shifted solve of K - L. In the basin, where one
 mode's geometric decay dominates, a step whose last two residual ratios
 agree is stretched by 1 / (1 - ratio) to the sum of that tail, at most 2x
-a step. `flow_operator` gathers its fixed parts, so flows that share them
-(a sweep's trials) build not even b again.
+a step. Flows on one grid (a sweep's trials) share its kept L and solver.
 `solve_field` builds its two methods from this flow and one damped Newton
 iteration, `newton_solve`, whose steps solve with the Jacobian
 L + diag(f'(v+)), f' the exact one-sided slope `fprime` of the clipped f,
@@ -47,8 +46,6 @@ analysis window; solutions that finish outside the window are flagged.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,7 +55,7 @@ from scipy.sparse.linalg import splu
 # bench/tracer.py counts calls to elliptic.bicgstab; nothing here calls it
 from scipy.sparse.linalg import bicgstab  # noqa: F401
 
-from .errors import ConsistencyError, InputError, NumericError
+from .errors import InputError, NumericError
 from .grids import Field, Grid2D, as_trace, periodic_axes
 from .nonlinearity import Nonlinearity, eval_capped, fprime
 
@@ -326,49 +323,17 @@ def newton_solve(nl: Nonlinearity, grid: Grid2D, kind: str, u0: np.ndarray,
                    {"method": "newton", "iterations": it})
 
 
-@dataclass(eq=False)
-class FlowOperator:
-    """The parts of a flow step fixed by (nl, grid, kind, trace): L and b of
-    `assemble_laplacian`, the K - L `shifted_solver`, and the grid, kind and
-    trace row they were built from (trace None on the torus)."""
-    L: dia_matrix
-    b: np.ndarray
-    solve: Callable[[np.ndarray], np.ndarray]
-    grid: Grid2D
-    kind: str
-    trace: np.ndarray | None
-
-
-def flow_operator(nl: Nonlinearity, grid: Grid2D, kind: str,
-                  trace: np.ndarray | None) -> FlowOperator:
-    """The flow's operator, for any number of flows that share it.
-
-    K = max(Lip f, 1e-6) is the flow's shift: its implicit step solves
-    K - L. K at or above the two-sided Lip f keeps v -> K v + f(v)
-    nondecreasing and dt = 1/K at or below the reaction's fastest time scale;
-    near a zero where f' = -K, one step cancels the error to first order.
-    On a grid already seen, L and the K - L solver are the kept ones.
-    """
-    trace = None if trace is None else np.array(trace, dtype=float)
-    L, b = assemble_laplacian(grid, kind, trace)
-    K = max(nl.lipschitz, 1e-6)
-    return FlowOperator(L, b, shifted_solver(grid, kind, K), grid, kind, trace)
-
-
 def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
                res_target: float = 1e-3, max_steps: int = _FLOW_MAX_STEPS,
-               basin: float | None = None, op: FlowOperator | None = None):
+               basin: float | None = None):
     """Semi-implicit parabolic flow u_t = Delta u + f(u) until the residual drops.
 
     Each step solves (K - L) dv = L v + b + f(v), K = max(Lip f, 1e-6):
     implicit Laplacian, explicit reaction, dt = 1/K. The solve is
     `shifted_solver`'s, so no grid size is too large for it.
     K - L is an M-matrix and v -> K v + f(v) is nondecreasing, so ordered
-    states stay ordered down to the basin. The boundary data are read from
-    u0. `op` is a prebuilt `flow_operator` for flows that share one (nl,
-    grid, kind, trace), as a sweep's trials do; without it the flow builds
-    its own. An `op` built for another grid or kind, or from another trace
-    row than u0's, is a ConsistencyError.
+    states stay ordered down to the basin. b is built from u0's boundary
+    data; L and the K - L solver are the ones kept per process.
 
     The flow stops when the max-norm residual is at most res_target, after
     max_steps steps, or, given `basin`, at the first step from a residual at
@@ -387,14 +352,8 @@ def flow_relax(nl: Nonlinearity, u0: np.ndarray, grid: Grid2D, kind: str,
     step). steps == max_steps means the flow stopped at the cap. A NaN or
     infinite residual is a NumericError naming the step.
     """
-    trace = _trace_row(u0, kind)
-    if op is None:
-        op = flow_operator(nl, grid, kind, trace)
-    elif ((op.grid, op.kind) != (grid, kind)
-          or not np.array_equal(trace, op.trace)):    # None equals only None
-        raise ConsistencyError("flow_relax: the flow operator was built for "
-                               "another grid, kind or trace row than the start's")
-    L, b, solve = op.L, op.b, op.solve
+    L, b = assemble_laplacian(grid, kind, _trace_row(u0, kind))
+    solve = shifted_solver(grid, kind, max(nl.lipschitz, 1e-6))
     v = _vec(u0, kind).copy()
     abs_rate = np.empty_like(v)       # |rate|, rewritten every step
     rn_prev = ratio = ratio_prev = None

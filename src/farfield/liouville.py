@@ -15,13 +15,12 @@ Each trial runs the semi-implicit flow from its start down to the rounding
 floor, so it reports the state the evolution selects: the flow keeps order
 down to its basin, and in the basin it sums its geometric tail in jumps of
 at most 2x a step. Newton finishes only a trial whose flow stops
-contracting above tol. The flow's operator (L, b and the K - L solver) is
-fixed by the sweep's grid and trace, so a sweep gathers it once and its
-trials share it; a second sweep on the grid builds no L or solver. Every
-report carries an explicit surrogate-domain banner so the results are
-never mistaken for statements about the unbounded problem. Trials are
-reproducible: trials run one after another, trial k of a sweep with seed
-s draws from SeedSequence((s, k)), and aggregation is in trial order.
+contracting above tol. L and the K - L solver are kept per process, so
+only the first trial on a grid builds them. Every report carries an
+explicit surrogate-domain banner so the results are never mistaken for
+statements about the unbounded problem. Trials are reproducible: trials
+run one after another, trial k of a sweep with seed s draws from
+SeedSequence((s, k)), and aggregation is in trial order.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import (FlowOperator, _apply_boundary, _finish, flow_operator,
-                       flow_relax, newton_solve)
+from .elliptic import _finish, flow_relax, newton_solve
 from .errors import InputError, NumericError
-from .grids import Field, Grid2D, as_trace, make_grid, periodic_axes
+from .grids import Field, Grid2D, make_grid, periodic_axes
 from .nonlinearity import Nonlinearity
 from .trajectory import AttractorTable, attractor_table
 
@@ -98,8 +96,7 @@ class SweepReport:
     notes: tuple = (SURROGATE_BANNER,)
 
 
-def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray,
-                  op: FlowOperator) -> Field:
+def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, u0: np.ndarray) -> Field:
     """Flow to the rounding floor; Newton finishes only if it stalls above _TRIAL_TOL.
 
     The semi-implicit flow keeps order down to a residual of 1e-5, so the
@@ -110,12 +107,10 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, tr, u0: np.ndarray,
     a step), which carries it to the rounding floor (about 5e-14 at
     h = 0.25 and 2e-13 at h = 0.125, so no fixed target fits every grid).
     A state at or below _TRIAL_TOL is the answer; otherwise Newton starts
-    from it. `op` is the sweep's shared `flow_operator`, built for the
-    trace tr.
+    from it. The boundary data are u0's: on the strip, `noise_start`'s zero
+    floor row.
     """
-    u = _apply_boundary(u0, kind, tr)
-    u_flow, _, res, _ = flow_relax(nl, u, grid, kind, res_target=0.0, basin=1e-5,
-                                   op=op)
+    u_flow, _, res, _ = flow_relax(nl, u0, grid, kind, res_target=0.0, basin=1e-5)
     if res <= _TRIAL_TOL:
         return _finish(nl, u_flow, grid, kind, res, {"method": "flow", "iterations": 0})
     return newton_solve(nl, grid, kind, u_flow, tol=_TRIAL_TOL)
@@ -160,16 +155,15 @@ def _sweep(nl: Nonlinearity, domain: str, L: float, h: float, n_trials: int,
         raise InputError("the nonlinearity has no zeros in its window; "
                          "every bounded state would be transient")
     box = domain == "box"
-    kind, tr = ("torus", None) if box else ("half", as_trace(0.0, grid, "half"))
+    kind = "torus" if box else "half"
     table = zeros if box else attractor_table(nl, _AMP_MAX + 0.5, (L, grid.n1))
-    op = flow_operator(nl, grid, kind, tr)
 
     trials = []
     for k in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         u0 = noise_start(grid, kind, rng)
         try:
-            f = _robust_solve(nl, grid, kind, tr, u0, op)
+            f = _robust_solve(nl, grid, kind, u0)
         except NumericError:
             trials.append(TrialResult(k, "unconverged", None))
             continue

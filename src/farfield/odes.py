@@ -137,8 +137,7 @@ def _illinois(land, events, h, y_new, far):
     return h0 + (h1 - h0) * (g0 / (g0 - g1))
 
 
-def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=(),
-              breaks=()):
+def integrate(rhs, t0, y0, t1, tol=1e-10, sample_ts=None, events=(), breaks=()):
     """Integrate y' = rhs(t, y) from t0 to t1 (t0 < t1, both finite; else InputError).
 
     y0: exactly two floats (else InputError); rhs gets a tuple of two, returns two.
@@ -160,7 +159,7 @@ def integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, sample_ts=None, events=(),
         raise InputError(f"integrate: need finite t0 < t1, got t0={t0!r}, t1={t1!r}")
     y, t, t1 = tuple(y0.tolist()), float(t0), float(t1)
     hmax = (t1 - t0) / 16.0
-    h = h0 if h0 is not None else min(hmax, (t1 - t0) / 100.0)
+    h = (t1 - t0) / 100.0
 
     res = OdeResult(t=t, y=np.array(y))
     filled = n_samples = 0

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import farfield.elliptic as elliptic
-from farfield.elliptic import (assemble_laplacian, flow_operator, flow_relax,
+from farfield.elliptic import (assemble_laplacian, flow_relax,
                                laplacian_full, newton_solve,
                                shifted_solver, solve_field,
                                _apply_boundary, _unknown_block, _unvec, _vec)
-from farfield.errors import ConsistencyError, InputError, NumericError
+from farfield.errors import InputError, NumericError
 from farfield.grids import as_trace, make_grid
 from farfield.nonlinearity import eval_capped, make
 from farfield.profile1d import compute_profile
@@ -99,7 +99,7 @@ def test_assembly_matches_dense_reference(kind, dims):
 def _reference_flow(nl, u0, grid, kind, res_target, max_steps):
     """Semi-implicit Euler with dense algebra: (K - L) dv = L v + b + f(v)."""
     L, b = _dense_laplacian(grid, kind, None if kind == "torus" else u0[0, :])
-    K = max(nl.lipschitz, 1e-6)             # flow_operator's K
+    K = max(nl.lipschitz, 1e-6)             # flow_relax's K
     M = K * np.eye(L.shape[0]) - L
     v = _vec(u0, kind).copy()
     for k in range(max_steps):
@@ -229,50 +229,6 @@ def test_shifted_solve_kernels_agree_on_a_64_grid(kind, monkeypatch):
         assert float(np.max(np.abs(dense - fast))) <= 1e-12 * float(np.max(np.abs(fast)))
 
 
-@pytest.mark.parametrize("kind", ["quarter", "half", "torus"])
-def test_flow_with_a_prebuilt_operator_is_bit_identical(kind):
-    nl = make("abs-sin")
-    g = make_grid(6.0, 4.0, 0.25)
-    u0 = _flow_start(g, kind, np.random.default_rng(3))
-    op = flow_operator(nl, g, kind, None if kind == "torus" else u0[0, :])
-    for cap in (1, 7, 100_000):
-        u, k, res, ratio = flow_relax(nl, u0, g, kind, res_target=1e-10, max_steps=cap)
-        u_op, k_op, res_op, ratio_op = flow_relax(nl, u0, g, kind, res_target=1e-10,
-                                                  max_steps=cap, op=op)
-        assert np.array_equal(u_op, u)
-        assert (k_op, res_op, ratio_op) == (k, res, ratio)
-
-
-@pytest.mark.parametrize("kind", ["quarter", "half"])
-def test_flow_rejects_an_operator_built_for_another_trace(kind):
-    nl = make("abs-sin")
-    g = make_grid(6.0, 4.0, 0.25)
-    u0 = _flow_start(g, kind, np.random.default_rng(3))
-    op = flow_operator(nl, g, kind, u0[0, :] + 0.5)
-    with pytest.raises(ConsistencyError, match="trace row"):
-        flow_relax(nl, u0, g, kind, op=op)
-
-
-def test_flow_rejects_an_operator_built_for_another_grid():
-    # both grids have 8 x 8 cells and one trace row, but another spacing:
-    # the foreign L would carry the flow to a state 0.3 off the true one
-    nl = make("abs-sin")
-    ga, gb = make_grid(4.0, 4.0, 0.5), make_grid(8.0, 8.0, 1.0)
-    tr = as_trace(5.0, gb, "half")
-    u0 = np.full((gb.n1 + 1, gb.n2), 5.0)
-    with pytest.raises(ConsistencyError, match="another grid"):
-        flow_relax(nl, u0, gb, "half", op=flow_operator(nl, ga, "half", tr))
-    # another cell count, the same trace row: no matmul of mismatched shapes
-    g1, g2 = make_grid(4.0, 2.0, 0.5), make_grid(6.0, 2.0, 0.5)
-    op = flow_operator(nl, g1, "half", as_trace(5.0, g1, "half"))
-    with pytest.raises(ConsistencyError, match="another grid"):
-        flow_relax(nl, np.full((g2.n1 + 1, g2.n2), 5.0), g2, "half", op=op)
-    # and the same grid, another kind
-    op = flow_operator(nl, g1, "torus", None)
-    with pytest.raises(ConsistencyError, match="another grid"):
-        flow_relax(nl, np.full((g1.n1 + 1, g1.n2), 5.0), g1, "half", op=op)
-
-
 # ---------------------------------------------------------------------------
 # the operators kept per process
 
@@ -299,6 +255,22 @@ def test_kept_operators_leave_solves_bit_identical(kind, method, cold_operators)
     assert warm.meta == cold.meta
 
 
+def test_evicted_operators_are_rebuilt_to_the_same_bits(cold_operators):
+    # a solve on the first of _OPERATORS_KEPT + 1 grids, one on each other
+    # grid, which evicts the first grid's L and solver, then the first
+    # again: it builds them anew and lands on the cold solve's bits
+    nl = make("logistic")
+    kept = elliptic._OPERATORS_KEPT
+    grids = [make_grid(4.0 + k, 4.0, 0.5) for k in range(kept + 1)]
+    runs = [solve_field(nl, g, "quarter", 0.9, tol=1e-10) for g in grids + grids[:1]]
+    cold, warm = runs[0], runs[-1]
+    assert elliptic._laplacian.cache_info().misses == kept + 2
+    assert elliptic._shifted_solver.cache_info().misses == kept + 2
+    assert np.array_equal(warm.values, cold.values)
+    assert warm.residual == cold.residual
+    assert warm.meta == cold.meta
+
+
 def test_laplacian_is_shared_and_read_only():
     g = make_grid(6.0, 4.0, 0.25)
     trace = as_trace(1.0, g, "quarter")
@@ -306,7 +278,6 @@ def test_laplacian_is_shared_and_read_only():
     L2, b2 = assemble_laplacian(g, "quarter", 2.0 * trace)
     assert L2 is L1
     assert b2 is not b1 and np.array_equal(b2, 2.0 * b1)
-    assert flow_operator(make("abs-sin"), g, "quarter", trace).L is L1
     assert assemble_laplacian(g, "half", as_trace(1.0, g, "half"))[0] is not L1
     with pytest.raises(ValueError, match="read-only"):
         L1.data[0, 0] = 1.0

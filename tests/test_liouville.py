@@ -14,7 +14,7 @@ import farfield.elliptic as elliptic
 import farfield.liouville as liouville
 from farfield.elliptic import solve_field
 from farfield.errors import ConsistencyError, InputError, NumericError
-from farfield.grids import as_trace, make_grid
+from farfield.grids import make_grid
 from farfield.liouville import (SURROGATE_BANNER, halfspace_strip_sweep,
                                 noise_start, periodic_box_sweep)
 from farfield.nonlinearity import from_table, make, zero_set
@@ -112,22 +112,10 @@ def test_box_sweep_trials_are_a_prefix_of_longer_sweeps():
 
 
 @pytest.mark.parametrize("sweep", [periodic_box_sweep, halfspace_strip_sweep])
-def test_sweep_assembles_once(sweep, monkeypatch):
-    # L, b and the shifted solver are fixed for the sweep: every trial's
-    # flow shares the one flow operator built before the first trial
-    real = elliptic.assemble_laplacian
-    calls = []
-    monkeypatch.setattr(elliptic, "assemble_laplacian",
-                        lambda *a, **kw: calls.append(None) or real(*a, **kw))
-    rep = sweep(make("abs-sin"), L=8.0, h=0.5, n_trials=3, seed=0)
-    assert rep.converged == 3
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("sweep", [periodic_box_sweep, halfspace_strip_sweep])
 def test_sweeps_on_one_grid_build_once_per_process(sweep, monkeypatch, cold_operators):
-    # L and the dense eigenbases of its two axes depend on the grid alone:
-    # a second sweep on the grid, with another seed, builds none of them
+    # L and the dense eigenbases of its two axes (the flow's K - L solver)
+    # depend on the grid alone: the first sweep builds each once for all its
+    # trials, and a second sweep on the grid, with another seed, builds none
     built = []
     for name in ("_kron_sum", "_axis_eigenbasis"):
         real = getattr(elliptic, name)
@@ -207,10 +195,10 @@ def _flat_interval_start(g):
     # cantor:3 vanishes on [0.963, 1]: from 0.97 under a trace of 0.99 the
     # state stays where f' = 0, a flow step cuts the residual only by about
     # K / (K + slowest Laplacian eigenvalue), and the flow hands off to Newton.
-    # Returns the term, the start and the flow operator for that trace
-    nl = make("cantor:3")
-    return (nl, np.full((g.n1 + 1, g.n2), 0.97),
-            elliptic.flow_operator(nl, g, "half", np.full(g.n2, 0.99)))
+    # Returns the term and the start, its trace row set to 0.99
+    u0 = np.full((g.n1 + 1, g.n2), 0.97)
+    u0[0, :] = 0.99
+    return make("cantor:3"), u0
 
 
 def test_singular_factor_is_a_numeric_error(monkeypatch):
@@ -223,9 +211,9 @@ def test_singular_factor_is_a_numeric_error(monkeypatch):
     u0 = noise_start(g, "torus", np.random.default_rng(0))
     with pytest.raises(NumericError, match="singular"):
         elliptic.newton_solve(nl, g, "torus", u0)
-    nl, u0, op = _flat_interval_start(g)
+    nl, u0 = _flat_interval_start(g)
     with pytest.raises(NumericError, match="singular"):
-        liouville._robust_solve(nl, g, "half", 0.99, u0, op)
+        liouville._robust_solve(nl, g, "half", u0)
 
 
 def test_flow_that_stops_contracting_hands_off_to_newton(monkeypatch):
@@ -234,8 +222,8 @@ def test_flow_that_stops_contracting_hands_off_to_newton(monkeypatch):
     monkeypatch.setattr(liouville, "newton_solve",
                         lambda *a, **kw: calls.append(None) or real(*a, **kw))
     g = make_grid(4.0, 4.0, 0.5)
-    nl, u0, op = _flat_interval_start(g)
-    f = liouville._robust_solve(nl, g, "half", 0.99, u0, op)
+    nl, u0 = _flat_interval_start(g)
+    f = liouville._robust_solve(nl, g, "half", u0)
     assert len(calls) == 1
     assert f.meta["method"] == "newton" and f.meta["iterations"] >= 1
     assert f.residual <= 1e-9
@@ -257,33 +245,31 @@ def test_consistency_error_is_not_swallowed(monkeypatch):
 
     monkeypatch.setattr(liouville, "newton_solve", inconsistent_once)
     g = make_grid(4.0, 4.0, 0.5)
-    nl, u0, op = _flat_interval_start(g)
+    nl, u0 = _flat_interval_start(g)
     with pytest.raises(ConsistencyError):
-        liouville._robust_solve(nl, g, "half", 0.99, u0, op)
+        liouville._robust_solve(nl, g, "half", u0)
 
 
 def _strip_starts(n=20):
-    # the sweep's own abs-sin strip starts (L 8, h 0.25, seed 0), with the op
-    nl = make("abs-sin")
+    # the sweep's own abs-sin strip starts (L 8, h 0.25, seed 0): noise_start
+    # zeroes their trace row, the floor
     g = make_grid(8.0, 8.0, 0.25)
-    tr = as_trace(0.0, g, "half")
-    starts = [liouville._apply_boundary(
-        noise_start(g, "half", np.random.default_rng(np.random.SeedSequence((0, k)))),
-        "half", tr) for k in range(n)]
-    return nl, g, starts, elliptic.flow_operator(nl, g, "half", tr)
+    starts = [noise_start(g, "half", np.random.default_rng(np.random.SeedSequence((0, k))))
+              for k in range(n)]
+    return make("abs-sin"), g, starts
 
 
 def test_basin_flow_jumps_its_geometric_tail_to_the_plain_flow_state():
     # in the basin the strip flow contracts by a steady 0.335 a step; the
     # tail jump sums that geometric tail, so the flow reaches the rounding
     # floor in fewer steps and lands where the plain flow does
-    nl, g, starts, op = _strip_starts()
+    nl, g, starts = _strip_starts()
     steps = []
     for u0 in starts:
         u, k, res, _ = elliptic.flow_relax(nl, u0, g, "half", res_target=0.0,
-                                           basin=1e-5, op=op)
+                                           basin=1e-5)
         u_plain, _, res_plain, _ = elliptic.flow_relax(nl, u0, g, "half",
-                                                       res_target=1e-12, op=op)
+                                                       res_target=1e-12)
         assert res <= 1e-12 and res_plain <= 1e-12
         assert float(np.max(np.abs(u - u_plain))) <= 1e-12
         steps.append(k)
@@ -295,14 +281,14 @@ def test_tail_jump_waits_for_the_basin():
     # matches the plain flow bit for bit until one step after its residual
     # first reaches the basin; the step after that is the first jump
     basin = 1e-5
-    nl, g, starts, op = _strip_starts(1)
+    nl, g, starts = _strip_starts(1)
     for k0 in range(1, 40):
         _, _, res, _ = elliptic.flow_relax(nl, starts[0], g, "half", res_target=0.0,
-                                           max_steps=k0, op=op)
+                                           max_steps=k0)
         if res <= basin:
             break
     runs = {cap: [elliptic.flow_relax(nl, starts[0], g, "half", res_target=0.0,
-                                      max_steps=cap, basin=b, op=op)[0]
+                                      max_steps=cap, basin=b)[0]
                   for b in (basin, None)]
             for cap in (k0 + 1, k0 + 2)}
     assert np.array_equal(*runs[k0 + 1])

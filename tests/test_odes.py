@@ -112,7 +112,7 @@ def test_first_stage_is_shared_by_every_attempt_from_a_state():
         calls[0] += 1
         return y[1], -math.sin(y[0])
 
-    res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11, h0=2.0)
+    res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11)
     assert res.rejected > 0
     assert calls[0] == res.n_steps + 10 * (res.n_steps + res.rejected)
 
@@ -128,7 +128,7 @@ def test_samples_cost_only_the_last_steps_end_slope():
             calls[0] += 1
             return y[1], -math.sin(y[0])
 
-        res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11, h0=2.0, sample_ts=ts)
+        res = integrate(rhs, 0.0, [0.0, 1.9], 30.0, tol=1e-11, sample_ts=ts)
         return res, calls[0]
 
     bare, bare_calls = run(None)
@@ -360,7 +360,7 @@ def _ref_first_level(breaks, events, y, y_new, slack):
     return None if not found else min(found)[::2]
 
 
-def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
+def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, hmin=1e-13,
                          hmax=None, sample_ts=None, events=(), breaks=(),
                          max_steps=2_000_000, event_slack=2.0 ** -50):
     """The ndarray stepper; rhs may return any sequence, as the tuple one allows.
@@ -380,7 +380,7 @@ def _reference_integrate(rhs, t0, y0, t1, tol=1e-10, h0=None, hmin=1e-13,
         raise InputError("integrate: need finite t0 < t1")
     if hmax is None:
         hmax = (t1 - t0) / 16.0
-    h = h0 if h0 is not None else min(hmax, (t1 - t0) / 100.0)
+    h = min(hmax, (t1 - t0) / 100.0)
 
     res = OdeResult(t=t, y=y)
     ys = []
