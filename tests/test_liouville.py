@@ -112,6 +112,22 @@ def test_box_sweep_trials_are_a_prefix_of_longer_sweeps():
 
 
 @pytest.mark.parametrize("sweep", [periodic_box_sweep, halfspace_strip_sweep])
+def test_sweep_assembles_once(sweep, monkeypatch, cold_operators):
+    # L is assembled once, on the sweep's first trial: every trial's flow
+    # gets that one kept L back and builds only its own b
+    real_assemble, real_kron = elliptic.assemble_laplacian, elliptic._kron_sum
+    Ls, built = [], []
+    monkeypatch.setattr(elliptic, "assemble_laplacian",
+                        lambda *a, **kw: (lambda Lb: Ls.append(Lb[0]) or Lb)(real_assemble(*a, **kw)))
+    monkeypatch.setattr(elliptic, "_kron_sum",
+                        lambda *a, **kw: built.append(None) or real_kron(*a, **kw))
+    rep = sweep(make("abs-sin"), L=8.0, h=0.5, n_trials=3, seed=0)
+    assert rep.converged == 3
+    assert len(Ls) >= 3 and all(L is Ls[0] for L in Ls)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("sweep", [periodic_box_sweep, halfspace_strip_sweep])
 def test_sweeps_on_one_grid_build_once_per_process(sweep, monkeypatch, cold_operators):
     # L and the dense eigenbases of its two axes (the flow's K - L solver)
     # depend on the grid alone: the first sweep builds each once for all its
