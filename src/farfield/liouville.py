@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _finish, flow_relax, newton_solve
+from .elliptic import flow_relax, newton_solve
 from .errors import InputError, NumericError
 from .grids import Field, Grid2D, make_grid, periodic_axes
 from .nonlinearity import Nonlinearity
@@ -112,7 +112,7 @@ def _robust_solve(nl: Nonlinearity, grid: Grid2D, kind: str, u0: np.ndarray) -> 
     """
     u_flow, _, res, _ = flow_relax(nl, u0, grid, kind, res_target=0.0, basin=1e-5)
     if res <= _TRIAL_TOL:
-        return _finish(nl, u_flow, grid, kind, res, {"method": "flow", "iterations": 0})
+        return Field(u_flow, grid, kind, res)
     return newton_solve(nl, grid, kind, u_flow, tol=_TRIAL_TOL)
 
 

@@ -29,7 +29,6 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -303,18 +302,6 @@ def _ellipf(phi, m):
     return s * (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a)
 
 
-def _cantor_intervals(level: int):
-    iv = [(Fraction(0), Fraction(1))]
-    for _ in range(level):
-        nxt = []
-        for a, b in iv:
-            t = (b - a) / 3
-            nxt.append((a, a + t))
-            nxt.append((b - t, b))
-        iv = nxt
-    return iv
-
-
 # ---------------------------------------------------------------------------
 # catalog constructors
 
@@ -375,7 +362,8 @@ def abs_sin(s_max: float = 10.0) -> Nonlinearity:
         # over the whole hump. On the last one, j = 1, it gains ln cot(delta / 4),
         # delta = n pi - V, as 1/2 log1p(sin phi / sin^2(delta / 4)), exact at
         # both ends of the hump; delta adds n pi - z, since z = fl(n pi) is
-        # not the zero of |sin|: n (pi - fl(pi)) and the rounding of n fl(pi)
+        # not the zero of |sin|: n (pi - fl(pi)) and n fl(pi) - z, the latter
+        # exact from the integer ratios of fl(pi) and z, rounded once
         n = round(z / math.pi)
         starts = np.arange(n) * math.pi
         j = np.arange(n, 1, -1.0)
@@ -385,8 +373,9 @@ def abs_sin(s_max: float = 10.0) -> Nonlinearity:
         out, last = whole[m], m == n - 1
         j = n - m[~last]
         out[~last] += _ellipf(phi[~last], 1.0 / j) / np.sqrt(j)
-        delta = (z - v[last]) + (float(n * Fraction(math.pi) - Fraction(z))
-                                 + n * 1.2246467991473532e-16)
+        p, q = math.pi.as_integer_ratio()
+        r, t = float(z).as_integer_ratio()
+        delta = (z - v[last]) + ((n * p * t - r * q) / (q * t) + n * 1.2246467991473532e-16)
         out[last] += 0.5 * np.log1p(np.sin(phi[last]) / np.sin(0.25 * delta) ** 2)
         return out
 
@@ -410,26 +399,22 @@ def cantor(level: int = 6, s_max: float = 1.0) -> Nonlinearity:
 
     Zero exactly on the 2^level closed intervals; tent-shaped on the removed
     gaps (so the largest value on [0,1] is 1/6, attained midway across the
-    first removed third regardless of level).
+    first removed third regardless of level). The knots are integers in units
+    of 1/(2 3^level), each rounded once: the kept interval [a, a + 1] / 3^level
+    (a's ternary digits all 0 or 2) ends at 2a and 2a + 2, and the tent from
+    the one at b < a peaks at a + b + 1 with height a - b - 1.
     """
     if not (isinstance(level, int) and 1 <= level <= _CANTOR_MAX_LEVEL):
         raise InputError(f"cantor level must be an integer in [1, {_CANTOR_MAX_LEVEL}], "
                          f"got {level!r}")
     s_max = _window(s_max)
-    iv = _cantor_intervals(level)
-    knots = [iv[0][0]]
-    vals = [Fraction(0)]
-    for k, (a, b) in enumerate(iv):
-        if k > 0:
-            prev_b = iv[k - 1][1]
-            knots.append((prev_b + a) / 2)
-            vals.append((a - prev_b) / 2)
-        if a != knots[-1]:
-            knots.append(a)
-            vals.append(Fraction(0))
-        knots.append(b)
-        vals.append(Fraction(0))
-    pl = _PiecewiseLinear([float(x) for x in knots], [float(v) for v in vals])
+    lefts = [2 * int(f"{m:b}", 3) for m in range(2 ** level)]   # binary digits read as ternary
+    xs, ys = [0, 2], [0, 0]
+    for b, a in zip(lefts, lefts[1:]):
+        xs += [a + b + 1, 2 * a, 2 * a + 2]
+        ys += [a - b - 1, 0, 0]
+    unit = 2 * 3 ** level
+    pl = _PiecewiseLinear([x / unit for x in xs], [y / unit for y in ys])
     return pl.term(f"cantor:{level}", s_max)
 
 

@@ -77,19 +77,16 @@ class OdeResult:
 def _quintic(h, y, k1, y_half, k_half, d, y_new, k_end):
     """Per component, the coefficients in theta = s/h of the quintic through
     (0, y), (1/2, y_half - d/30) and (1, y_new) with slopes h k1, h k_half
-    and h k_end there, written out on the two components."""
-    (a0, b0), (am, bm), (a1, b1), (pa, pb) = y, y_half, y_new, d
-    (fa, fb), (ma, mb), (ga, gb) = k1, k_half, k_end
-    da, db, ea, eb = am - pa / 30.0 - a0, bm - pb / 30.0 - b0, a1 - a0, b1 - b0
-    fa, fb, ma, mb, ga, gb = h * fa, h * fb, h * ma, h * mb, h * ga, h * gb
-    return ((a0, fa, 16.0 * da + 7.0 * ea - 6.0 * fa - ga - 8.0 * ma,
-             -32.0 * da - 34.0 * ea + 13.0 * fa + 5.0 * ga + 32.0 * ma,
-             16.0 * da + 52.0 * ea - 12.0 * fa - 8.0 * ga - 40.0 * ma,
-             -24.0 * ea + 4.0 * fa + 4.0 * ga + 16.0 * ma),
-            (b0, fb, 16.0 * db + 7.0 * eb - 6.0 * fb - gb - 8.0 * mb,
-             -32.0 * db - 34.0 * eb + 13.0 * fb + 5.0 * gb + 32.0 * mb,
-             16.0 * db + 52.0 * eb - 12.0 * fb - 8.0 * gb - 40.0 * mb,
-             -24.0 * eb + 4.0 * fb + 4.0 * gb + 16.0 * mb))
+    and h k_end there."""
+    coefs = []
+    for a0, am, a1, pa, fa, ma, ga in zip(y, y_half, y_new, d, k1, k_half, k_end):
+        da, ea = am - pa / 30.0 - a0, a1 - a0
+        fa, ma, ga = h * fa, h * ma, h * ga
+        coefs.append((a0, fa, 16.0 * da + 7.0 * ea - 6.0 * fa - ga - 8.0 * ma,
+                      -32.0 * da - 34.0 * ea + 13.0 * fa + 5.0 * ga + 32.0 * ma,
+                      16.0 * da + 52.0 * ea - 12.0 * fa - 8.0 * ga - 40.0 * ma,
+                      -24.0 * ea + 4.0 * fa + 4.0 * ga + 16.0 * ma))
+    return coefs
 
 
 def _at(coefs, th):

@@ -170,9 +170,8 @@ def cap_energy(bub: Bubble, nl: Nonlinearity, r_ball: float) -> float:
     if r_ball <= 0:
         raise InputError("cap_energy: need r_ball > 0")
     N = bub.N
-    rr = bub.r[bub.r <= min(r_ball, bub.R)]
-    vv = np.interp(rr, bub.r, bub.v)
-    vp = np.interp(rr, bub.r, bub.vp)
+    keep = bub.r <= min(r_ball, bub.R)
+    rr, vv, vp = bub.r[keep], bub.v[keep], bub.vp[keep]
     G = integral_between(nl, vv, bub.z)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below if not finite
         dens = (0.5 * vp * vp + G) * rr ** (N - 1)

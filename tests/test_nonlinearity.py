@@ -310,14 +310,19 @@ def test_integral_between_tiny_slab_on_array_input():
 # ---------------------------------------------------------------------------
 # prefractal catalog member
 
-def _prefractal(level):
-    """The level-`level` middle-thirds intervals as floats, built in exact
-    rationals from ternary digits, independently of the catalog: one
-    interval [sum d_i 3^-i, sum d_i 3^-i + 3^-level] per d in {0, 2}^level."""
+def _exact_prefractal(level):
+    """The level-`level` middle-thirds intervals in exact rationals, built
+    from ternary digits, independently of the catalog: one interval
+    [sum d_i 3^-i, sum d_i 3^-i + 3^-level] per d in {0, 2}^level."""
     third = Fraction(1, 3)
     lefts = sorted(sum(d * third ** i for i, d in enumerate(digits, 1))
                    for digits in itertools.product((0, 2), repeat=level))
-    return [(float(a), float(a + third ** level)) for a in lefts]
+    return [(a, a + third ** level) for a in lefts]
+
+
+def _prefractal(level):
+    """`_exact_prefractal` as floats."""
+    return [(float(a), float(b)) for a, b in _exact_prefractal(level)]
 
 
 def test_prefractal_intervals():
@@ -338,6 +343,21 @@ def test_cantor_tent_geometry():
             assert float(nl.fn(np.float64(s))) == 0.0
     # the first removed third peaks at height 1/6 in its middle
     assert float(nl.fn(np.float64(0.5))) == pytest.approx(1 / 6, abs=1e-15)
+
+
+@pytest.mark.parametrize("level, s_max", [(k, 1.0) for k in range(1, 7)] + [(6, 3.0)])
+def test_cantor_knots_are_the_exact_rationals_rounded_once(level, s_max):
+    # the knots in exact rationals: 0, every kept interval's ends (f = 0)
+    # and every removed gap's midpoint, where the tent is half the gap high;
+    # each knot and value must be the float nearest its rational
+    nl = make(f"cantor:{level}", s_max=s_max)
+    iv = _exact_prefractal(level)
+    knots = {Fraction(0): Fraction(0)}
+    knots.update((end, Fraction(0)) for ab in iv for end in ab)
+    knots.update(((b + a) / 2, (a - b) / 2) for (_, b), (a, _) in zip(iv, iv[1:]))
+    xs = sorted(knots)
+    assert nl.fn.xs.tolist() == [float(x) for x in xs]
+    assert nl.fn.ys.tolist() == [float(knots[x]) for x in xs]
 
 
 @pytest.mark.parametrize("level", range(1, 7))
