@@ -212,26 +212,18 @@ def _report(args, nl, out: str, field, wall_ms: float, table=None) -> list:
     `args` carries the domain, solver and output settings under their config
     names (`run` fills them from its config). Detects the limit against
     `table`, or omega_limit's own candidates, and writes trajectory.json and
-    solve.json, plus field.csv when args.dump_fields asks for it. Returns the
+    solve.json (the settings, residual and wall time, plus solve_field's meta
+    whole), and field.csv when args.dump_fields asks for it. Returns the
     names of the files written.
     """
     rep = omega_limit(nl, field, table)
     # the report holds no nested dataclass, so its fields serialize as they are
     _write_json(vars(rep), os.path.join(out, "trajectory.json"))
     written = ["trajectory.json"]
-    summary = {
-        "kind": args.kind, "f": args.f,
-        "grid": {"L1": args.L1, "L2": args.L2, "h": args.h},
-        "boundary": {"trace": args.trace, "u0": args.u0},
-        "method": field.meta.get("method", args.method),
-        "iterations": field.meta.get("iterations"),
-        "residual": field.residual,
-        "out_of_window": field.meta["out_of_window"],
-        "flow_steps": field.meta.get("flow_steps"),
-        "flow_capped": field.meta.get("flow_capped"),
-        "handoff": field.meta.get("handoff"),
-        "wall_time_ms": wall_ms,
-    }
+    summary = {"kind": args.kind, "f": args.f,
+               "grid": {"L1": args.L1, "L2": args.L2, "h": args.h},
+               "boundary": {"trace": args.trace, "u0": args.u0},
+               "residual": field.residual, "wall_time_ms": wall_ms, **field.meta}
     _write_json(summary, os.path.join(out, "solve.json"))
     written.append("solve.json")
     if args.dump_fields:
@@ -260,8 +252,6 @@ def cmd_bubble(args) -> int:
     nl = _nl(args)
     out = _outdir(args)
     bub = radial_bubble(nl, args.z, args.eps, N=args.N)
-    if not bub.feasible:
-        raise NumericError("cap never closed within the radial range")
     cells = format_17g(np.column_stack((bub.r, bub.v, bub.vp)))
     with open(os.path.join(out, "bubble.csv"), "wb") as fh:
         fh.write(b"r,v,vp\n")

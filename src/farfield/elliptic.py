@@ -410,9 +410,10 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     the evolution selects. Once the residual is at or below _FLOW_TARGET,
     the flow takes its tail jumps, and a flow step that does not cut the
     residual by the factor _FLOW_CONTRACTION ends the flow, and Newton
-    finishes from that state. meta["handoff"] records the flow's residual
-    and step ratio there, and is None when the flow reached tol;
-    meta["iterations"] is Newton's count, 0 when Newton did not run.
+    finishes from that state. Both methods record the meta keys method,
+    iterations (Newton's count, 0 if it did not run), out_of_window,
+    flow_steps, flow_capped and handoff (the flow's residual and step ratio
+    at the handoff, or None); under newton the three flow keys are None.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"solve_field: tol must be finite and positive, got {tol!r}")
@@ -432,7 +433,9 @@ def solve_field(nl: Nonlinearity, grid: Grid2D, kind: str, trace,
     u = _apply_boundary(u0, kind, tr)
 
     if method == "newton":
-        return newton_solve(nl, grid, kind, u, tol=tol)
+        f = newton_solve(nl, grid, kind, u, tol=tol)
+        f.meta.update(flow_steps=None, flow_capped=None, handoff=None)
+        return f
     if method != "auto":
         raise InputError(f"unknown method {method!r} (newton | auto)")
     u_flow, steps, res, ratio = flow_relax(nl, u, grid, kind, res_target=tol,

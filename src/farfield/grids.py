@@ -55,8 +55,8 @@ class Grid2D:
 
 
 def make_grid(L1: float, L2: float, h: float) -> Grid2D:
-    if not all(0 < v < math.inf for v in (L1, L2, h)):
-        raise InputError("make_grid: need finite positive L1, L2, h")
+    if not (all(0 < v < math.inf for v in (L1, L2, h)) and max(L1, L2) / h < math.inf):
+        raise InputError("make_grid: need finite positive L1, L2, h and finite L1/h, L2/h")
     n1 = round(L1 / h)
     n2 = round(L2 / h)
     if abs(n1 * h - L1) > 1e-9 * max(1.0, L1) or abs(n2 * h - L2) > 1e-9 * max(1.0, L2):

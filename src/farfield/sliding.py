@@ -38,6 +38,7 @@ from .odes import integrate
 _IKEBE_ORDER = 64             # order of the truncated Ikebe matrix
 _EIGEN_N_MAX = 2000           # largest N at which that cut moves j by a few ulp at most
 _BUBBLE_R_MAX = 200.0         # radius a cap launch integrates out to
+_BUBBLE_BISECTIONS = 40       # halvings of the start height before a cap is refused
 _BUBBLE_TOL = 1e-12           # RK4 tolerance of a cap launch
 _RAMP_SHELL_N = 2048          # trapezoid cells across the ramp's unit shell
 
@@ -79,13 +80,12 @@ class Bubble:
     eps: float
     N: int
     a: float              # center height actually used
-    R: float              # radius where the cap hits 0
+    R: float              # radius where the cap hits 0, always finite
     r: np.ndarray
     v: np.ndarray
     vp: np.ndarray
-    feasible: bool
     bisections: int
-    energy: float = math.nan   # cap energy over its own ball (feasible caps)
+    energy: float = math.nan   # cap energy over its own ball, set by radial_bubble
 
 
 def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
@@ -94,8 +94,10 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
     Starts at a = z - eps/2 and integrates outward until v crosses 0 (the cap
     radius). If the trajectory lingers too long near the unstable top and
     fails to cross within _BUBBLE_R_MAX, the start height is bisected down inside
-    (z - eps, z). The zero extension of the cap is the sliding comparison
-    object; it never exceeds its center height a.
+    (z - eps, z). A cap still open after _BUBBLE_BISECTIONS halvings is no
+    compactly supported subsolution: a NumericError. So a returned cap is
+    closed, with its energy set; its zero extension is the sliding
+    comparison object and never exceeds its center height a.
     """
     if not (0 < eps <= z <= nl.s_max):
         raise InputError(f"radial_bubble: need 0 < eps <= z <= s_max = {nl.s_max:g}, "
@@ -122,22 +124,18 @@ def radial_bubble(nl: Nonlinearity, z: float, eps: float, N: int = 2) -> Bubble:
     lo = z - eps
     bis = 0
     res = shoot(a)
-    while res.event_index is None and bis < 40:
+    while res.event_index is None and bis < _BUBBLE_BISECTIONS:
         a = 0.5 * (a + lo)      # move down, away from the slow unstable top
         bis += 1
         res = shoot(a)
-    feas = res.event_index is not None
-    r, v, vp = res.sample_ts, res.sample_ys[:, 0], res.sample_ys[:, 1]
-    if feas:
-        R = res.t
-        r = np.append(r, R)
-        v = np.clip(np.append(v, 0.0), 0.0, None)
-        vp = np.append(vp, res.y[1])
-    else:
-        R = np.inf
-    bub = Bubble(float(z), float(eps), int(N), float(a), R, r, v, vp, feas, bis)
-    if feas:
-        bub.energy = cap_energy(bub, nl, R)
+    if res.event_index is None:
+        raise NumericError("cap never closed within the radial range "
+                           f"(after {bis} bisections)")
+    r = np.append(res.sample_ts, res.t)
+    v = np.clip(np.append(res.sample_ys[:, 0], 0.0), 0.0, None)
+    vp = np.append(res.sample_ys[:, 1], res.y[1])
+    bub = Bubble(float(z), float(eps), int(N), float(a), res.t, r, v, vp, bis)
+    bub.energy = cap_energy(bub, nl, res.t)
     return bub
 
 
@@ -158,15 +156,13 @@ def ball_volume(N: int) -> float:
 
 
 def cap_energy(bub: Bubble, nl: Nonlinearity, r_ball: float) -> float:
-    """Energy of the zero-extended cap over the radius-r_ball ball.
+    """Energy of the closed, zero-extended cap over the radius-r_ball ball.
 
     E = int ( |grad v|^2 / 2 + G(v) ) with G(s) = F(z) - F(s), the potential
     gap to the top level. Outside the cap the integrand is the constant
     G(0) = F(z). An energy that is not finite (r^(N-1) or r_ball^N
     overflows for large N) is a NumericError.
     """
-    if not bub.feasible:
-        raise InputError("cap_energy: cap never closed (not feasible)")
     if r_ball <= 0:
         raise InputError("cap_energy: need r_ball > 0")
     N = bub.N
@@ -228,16 +224,15 @@ class SlideReport:
 def sliding_verify(field: Field, bub: Bubble, start, stop, steps: int = 61) -> SlideReport:
     """Translate the cap from start to stop under the field, tracking margins.
 
-    At each center the cap footprint must lie inside the open domain (away
-    from the trace column and the floor). The margin is the minimum of
-    u(x) - v(|x - c|) over grid nodes in the footprint; all margins positive
-    means the field dominates the sliding cap along the whole path, so the
-    field exceeds the cap height at every visited center.
+    At each center the cap footprint, the disc of the closed cap's radius
+    bub.R, must lie inside the open domain (away from the trace column and
+    the floor). The margin is the minimum of u(x) - v(|x - c|) over grid
+    nodes in the footprint; all margins positive means the field dominates
+    the sliding cap along the whole path, so the field exceeds the cap
+    height at every visited center.
     """
     if steps < 1:
         raise InputError("sliding_verify: need steps >= 1")
-    if not bub.feasible:
-        raise InputError("sliding_verify: cap never closed (not feasible)")
     if field.kind != "quarter":
         raise InputError("sliding_verify expects a quarter-domain field")
     g = field.grid

@@ -171,7 +171,7 @@ def test_cap_existence_and_energy_split():
                             np.log([level_energy(nl, 1.0, 0.9, r) for r in rs]),
                             1)[0]
     gap = abs(grow_level - grow_ramp)
-    ok = (cap01.feasible and 0.9 <= cap01.v[0] < 1.0
+    ok = (math.isfinite(cap01.R) and 0.9 <= cap01.v[0] < 1.0
           and float(cap01.v.max()) < 1.0 and cap01.v[-1] == 0.0
           and cap05.R >= cap01.R and cap <= ramp and gap >= 0.8)
     _gate("cap_existence_and_energy_split", ok,

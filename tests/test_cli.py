@@ -109,6 +109,16 @@ def test_bubble_energy_that_overflows_exits_2(tmp_path, capsys, argv):
     assert not os.listdir(tmp_path)
 
 
+def test_slide_with_a_cap_that_never_closes_exits_2(tmp_path, capsys):
+    # radial_bubble refuses the cap itself, so slide exits as bubble does
+    rc = main(["slide", "--f", "linear-decay", "--trace", "bump:10,5,0.5",
+               "--L1", "60", "--L2", "30", "--cap-f", "logistic", "--z", "2",
+               "--eps", "0.5", "--from", "15,10", "--to", "45,10", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("numeric error: cap never closed")
+    assert not (tmp_path / "slide.json").exists()
+
+
 def test_route_disagreement_exits_2(tmp_path, capsys, monkeypatch):
     # with a tolerance no cross-check can meet, the profile's xi inversion and
     # RK4 routes disagree: a ConsistencyError, reported and mapped to exit 2
@@ -217,6 +227,10 @@ def test_flags_a_command_does_not_read_exit_1(argv, capsys):
     ["profile", "--f", "logistic", "--z=-inf"],
     ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "0.5",
      "--trace", "table:" + os.path.join(_DATA, "no_such_trace.csv")],
+    # L/h overflows to inf: refused before a node count is rounded from it
+    ["solve-quarter", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "5e-324"],
+    ["solve-half", "--f", "logistic", "--L1", "4", "--L2", "4", "--h", "5e-324"],
+    ["liouville-sweep", "--f", "abs-sin", "--domain", "box", "--L", "8", "--h", "5e-324"],
 ])
 def test_bad_numeric_flag_exits_1(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -417,9 +431,10 @@ _SOLVE_ARGS = ["solve-quarter", "--f", "linear-decay", "--L1", "12",
                "--L2", "6", "--h", "0.5", "--trace", "constant:0.5"]
 
 
-def test_solve_quarter_writes_the_artifact_set(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["auto", "newton"])
+def test_solve_quarter_writes_the_artifact_set(tmp_path, capsys, method):
     out = tmp_path / "s"
-    rc = main(_SOLVE_ARGS + ["--dump-fields", "--out", str(out)])
+    rc = main(_SOLVE_ARGS + ["--method", method, "--dump-fields", "--out", str(out)])
     assert rc == 0
     assert sorted(os.listdir(out)) == ["field.csv", "solve.json", "trajectory.json"]
     text = capsys.readouterr().out
@@ -429,8 +444,11 @@ def test_solve_quarter_writes_the_artifact_set(tmp_path, capsys):
     assert set(summary) == {"kind", "f", "grid", "boundary", "method",
                             "iterations", "residual", "out_of_window",
                             "flow_steps", "flow_capped", "handoff", "wall_time_ms"}
-    assert summary["kind"] == "quarter"
-    assert summary["flow_steps"] > 0 and summary["flow_capped"] is False
+    assert summary["kind"] == "quarter" and summary["method"] == method
+    if method == "auto":
+        assert summary["flow_steps"] > 0 and summary["flow_capped"] is False
+    else:       # newton runs no flow
+        assert summary["flow_steps"] is summary["flow_capped"] is summary["handoff"] is None
     assert not summary["out_of_window"]
 
 

@@ -381,6 +381,20 @@ def test_auto_method_reports_flow_steps():
     assert f.meta["out_of_window"] is False
 
 
+def test_both_methods_record_the_same_meta_keys():
+    # solve.json takes the meta whole, so each method records every key;
+    # newton runs no flow and hands nothing off
+    nl = make("linear-decay")
+    g = make_grid(10.0, 6.0, 0.5)
+    newton, auto = (solve_field(nl, g, "quarter", as_trace(0.2, g, "quarter"), method=m)
+                    for m in ("newton", "auto"))
+    assert newton.meta.keys() == auto.meta.keys() == {
+        "method", "iterations", "out_of_window", "flow_steps", "flow_capped", "handoff"}
+    assert newton.meta["method"] == "newton"
+    assert newton.meta["flow_steps"] is newton.meta["flow_capped"] is None
+    assert newton.meta["handoff"] is None
+
+
 def test_auto_method_reports_a_capped_flow(monkeypatch):
     # the cantor:3 flow needs 17 steps here (linear-decay's needs 1)
     monkeypatch.setattr(elliptic, "_FLOW_MAX_STEPS", 3)

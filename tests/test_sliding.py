@@ -69,7 +69,7 @@ def test_eigen_validation():
 def test_cap_frozen_geometry():
     nl = make("logistic")
     bub = radial_bubble(nl, 1.0, 0.1, N=2)
-    assert bub.feasible
+    assert math.isfinite(bub.R)
     assert bub.a == pytest.approx(0.95, abs=1e-12)
     assert bub.R == pytest.approx(5.374486997730586, abs=1e-6)
     assert bub.v[-1] == 0.0
@@ -86,8 +86,15 @@ def test_cap_radius_grows_as_eps_shrinks():
 
 def test_cap_trivial_feasibility_at_full_eps():
     bub = radial_bubble(make("logistic"), 1.0, 1.0, N=2)
-    assert bub.feasible
+    assert math.isfinite(bub.R)
     assert bub.a == pytest.approx(0.5)
+
+
+def test_cap_that_never_closes_is_refused():
+    # f(s) = s(1 - s) < 0 on (1.5, 2), so a cap started there only rises:
+    # no start height closes it, however often the height is halved
+    with pytest.raises(NumericError, match="cap never closed .*after 40 bisections"):
+        radial_bubble(make("logistic"), 2.0, 0.5)
 
 
 def test_cap_validates_eps():
@@ -103,8 +110,7 @@ def test_cap_validates_eps():
 
 def _flat_zero_cap(R: float) -> Bubble:
     r = np.linspace(1e-8, R, 257)
-    return Bubble(1.0, 1.0, 2, 0.0, R, r, np.zeros_like(r), np.zeros_like(r),
-                  True, 0)
+    return Bubble(1.0, 1.0, 2, 0.0, R, r, np.zeros_like(r), np.zeros_like(r), 0)
 
 
 def test_zero_cap_energy_closed_form():
